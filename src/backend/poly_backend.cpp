@@ -125,6 +125,21 @@ void PolyBackend::fma_into(const poly::PolyContext& ctx, std::span<u64> out,
   });
 }
 
+void PolyBackend::fms_into(const poly::PolyContext& ctx, std::span<u64> out,
+                           std::span<const u64> base, std::span<const u64> a,
+                           std::span<const u64> b, std::size_t limbs) {
+  const std::size_t n = ctx.n();
+  parallel_for(limbs, [&](std::size_t i, std::size_t) {
+    const simd::DyadicModulus& m = ctx.dyadic(i);
+    simd::dyadic_fms_into(m, limb_of(out, i, n).data(),
+                          limb_of(base, i, n).data(), limb_of(a, i, n).data(),
+                          limb_of(b, i, n).data(), n);
+    // Same accounting as the unfused mul + negate_add chain.
+    xf::op_counts().poly_mul += n;
+    xf::op_counts().poly_add += 2 * n;
+  });
+}
+
 void PolyBackend::mul_scalar(const poly::PolyContext& ctx, std::span<u64> dst,
                              std::size_t limbs, u64 scalar) {
   const std::size_t n = ctx.n();

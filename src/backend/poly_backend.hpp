@@ -89,6 +89,12 @@ class PolyBackend {
   virtual void fma_into(const poly::PolyContext& ctx, std::span<u64> out,
                         std::span<const u64> base, std::span<const u64> a,
                         std::span<const u64> b, std::size_t limbs);
+  /// out[j] = base[j] - a[j] * b[j] (mod q_i) — fused mul-then-negate_add,
+  /// one pass. out may alias base but not a or b. Op counts match the
+  /// unfused mul + negate_add chain exactly.
+  virtual void fms_into(const poly::PolyContext& ctx, std::span<u64> out,
+                        std::span<const u64> base, std::span<const u64> a,
+                        std::span<const u64> b, std::size_t limbs);
   /// dst[j] = dst[j] * (scalar mod q_i) (mod q_i).
   virtual void mul_scalar(const poly::PolyContext& ctx, std::span<u64> dst,
                           std::size_t limbs, u64 scalar);

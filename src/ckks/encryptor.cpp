@@ -105,22 +105,19 @@ Ciphertext Encryptor::encrypt_symmetric(const Plaintext& pt, u64 raw_id,
   poly::RnsPoly a = ctx_->make_poly(limbs, poly::Domain::kEval);
   fill_uniform_eval(*ctx_, a, PrngDomain::kSymmetricA, id);
 
-  // m + e folded before the single NTT pass per limb.
-  poly::RnsPoly& me = s.me_;
-  me.assign_prefix(pt.poly, limbs);
-  poly::RnsPoly& e = s.err_;
-  e.reset(limbs, poly::Domain::kCoeff);
-  fill_gaussian_coeff(*ctx_, e, PrngDomain::kSymmetricError, id,
+  // m + e folded before the single NTT pass per limb: the error lands in
+  // scratch and m is added onto it, so the plaintext is never copied.
+  poly::RnsPoly& me = s.err_;
+  me.reset(limbs, poly::Domain::kCoeff);
+  fill_gaussian_coeff(*ctx_, me, PrngDomain::kSymmetricError, id,
                       &s.samplers_);
-  me.add_inplace(e);
+  me.add_inplace(pt.poly);
   me.to_eval();
 
-  // c0 = -(a*s) + (m + e).
-  poly::RnsPoly& sk = s.mask_;
-  sk.assign_prefix(*sk_eval_, limbs);
-  poly::RnsPoly c0 = a;
-  c0.mul_inplace(sk);
-  c0.negate_add_inplace(me);  // fused -(a*s) + (m+e)
+  // c0 = (m + e) - a*s in one pass over the secret's first `limbs` limbs,
+  // read in place: no secret prefix copy, no product buffer.
+  poly::RnsPoly c0 = ctx_->make_poly(limbs, poly::Domain::kEval);
+  c0.set_fms(me, a, *sk_eval_);
 
   Ciphertext ct{{std::move(c0), std::move(a)}, pt.scale,
                 CompressedComponent{id}};

@@ -56,9 +56,9 @@ constexpr int ntt_passes_per_limb(EncryptMode mode) noexcept {
   return mode == EncryptMode::kPublicKey ? 3 : 1;
 }
 
-/// Reusable per-worker buffers for the encryption hot path: the mask (or
-/// secret-key prefix), the message+error accumulator, the error being
-/// sampled, and the sampler staging vectors. After the first encryption at
+/// Reusable per-worker buffers for the encryption hot path: the mask, the
+/// message+error accumulator, the error being sampled, and the sampler
+/// staging vectors. After the first encryption at
 /// a given level the hot path performs no heap allocation beyond the
 /// ciphertext components it returns.
 class EncryptScratch {
@@ -67,9 +67,9 @@ class EncryptScratch {
 
  private:
   friend class Encryptor;
-  poly::RnsPoly mask_;  // ternary u / secret-key prefix
-  poly::RnsPoly me_;    // m + e accumulator
-  poly::RnsPoly err_;   // freshly sampled error
+  poly::RnsPoly mask_;  // ternary u (public-key mode)
+  poly::RnsPoly me_;    // m + e0 accumulator (public-key mode)
+  poly::RnsPoly err_;   // fresh error (symmetric mode: m + e in place)
   SamplerScratch samplers_;
 };
 

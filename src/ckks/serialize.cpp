@@ -1,7 +1,9 @@
 #include "ckks/serialize.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "ckks/keygen.hpp"
 #include "common/bitops.hpp"
@@ -46,21 +48,23 @@ u32 key_header_checksum(int bits_per_coeff, KeyKind kind, bool compressed,
   return static_cast<u32>(h ^ (h >> 32));
 }
 
+void check_pack_width(int bits_per_coeff) {
+  ABC_CHECK_ARG(bits_per_coeff >= 1 && bits_per_coeff <= 57,
+                "pack width out of range");
+}
+
 void pack_poly(BitPacker& packer, const poly::RnsPoly& p,
                int bits_per_coeff) {
   for (std::size_t l = 0; l < p.limbs(); ++l) {
-    for (u64 v : p.limb(l)) packer.append(v, bits_per_coeff);
+    packer.append_run(p.limb(l), bits_per_coeff);
   }
 }
 
 void unpack_poly(const CkksContext& ctx, BitUnpacker& unpacker,
                  poly::RnsPoly& p, int bits_per_coeff) {
   for (std::size_t l = 0; l < p.limbs(); ++l) {
-    const u64 q = ctx.poly_context()->modulus(l).value();
-    for (u64& v : p.limb(l)) {
-      v = unpacker.read(bits_per_coeff);
-      ABC_CHECK_ARG(v < q, "residue out of range (corrupt buffer?)");
-    }
+    unpacker.read_run(p.limb(l), bits_per_coeff,
+                      ctx.poly_context()->modulus(l).value());
   }
 }
 
@@ -114,25 +118,99 @@ KeyHeader unpack_key_header(BitUnpacker& unpacker) {
 
 }  // namespace
 
+namespace {
+
+// Little-endian 8-byte word access at any byte offset.
+u64 load_le64(const u8* p) noexcept {
+  u64 v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+void store_le64(u8* p, u64 v) noexcept {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof v);
+}
+
+}  // namespace
+
+u8* BitPacker::room(std::size_t bytes) {
+  if (pos_ + bytes > out_.size()) {
+    ABC_CHECK_STATE(!presized_, "presized packer span too short");
+    owned_.resize(std::max(pos_ + bytes, 2 * owned_.size()));
+    out_ = owned_;
+  }
+  return out_.data() + pos_;
+}
+
 void BitPacker::append(u64 value, int bits) {
   ABC_CHECK_ARG(bits >= 1 && bits <= 57, "pack width out of range");
   ABC_CHECK_ARG((value >> bits) == 0, "value exceeds width");
   pending_ |= value << pending_bits_;
   pending_bits_ += bits;
-  while (pending_bits_ >= 8) {
-    bytes_.push_back(static_cast<u8>(pending_));
+  const std::size_t full = static_cast<std::size_t>(pending_bits_ / 8);
+  u8* dst = room(full);
+  for (std::size_t k = 0; k < full; ++k) {
+    dst[k] = static_cast<u8>(pending_);
     pending_ >>= 8;
-    pending_bits_ -= 8;
   }
+  pos_ += full;
+  pending_bits_ -= static_cast<int>(8 * full);
+}
+
+void BitPacker::append_run(std::span<const u64> values, int bits) {
+  ABC_CHECK_ARG(bits >= 1 && bits <= 57, "pack width out of range");
+  const std::size_t total_bits =
+      static_cast<std::size_t>(pending_bits_) +
+      values.size() * static_cast<std::size_t>(bits);
+  u8* dst = room(total_bits / 8);
+  u64 acc = pending_;
+  int acc_bits = pending_bits_;
+  u64 seen = 0;  // OR of every value: one width check for the run
+  for (const u64 v : values) {
+    seen |= v;
+    acc |= v << acc_bits;
+    acc_bits += bits;
+    if (acc_bits >= 64) {
+      store_le64(dst, acc);
+      dst += 8;
+      acc_bits -= 64;
+      // The acc_bits high bits of v that did not fit. acc_bits <= bits - 7
+      // (at least 7 bits were pending), so the shift is in [7, 57].
+      acc = v >> (bits - acc_bits);
+    }
+  }
+  ABC_CHECK_ARG((seen >> bits) == 0, "value exceeds width");
+  for (; acc_bits >= 8; acc_bits -= 8) {
+    *dst++ = static_cast<u8>(acc);
+    acc >>= 8;
+  }
+  pos_ += total_bits / 8;
+  pending_ = acc;
+  pending_bits_ = acc_bits;
 }
 
 std::vector<u8> BitPacker::finish() {
   if (pending_bits_ > 0) {
-    bytes_.push_back(static_cast<u8>(pending_));
+    *room(1) = static_cast<u8>(pending_);
+    ++pos_;
     pending_ = 0;
     pending_bits_ = 0;
   }
-  return std::move(bytes_);
+  if (presized_) {
+    ABC_CHECK_STATE(pos_ == out_.size(), "presized packer span not filled");
+    pos_ = 0;
+    return {};
+  }
+  owned_.resize(pos_);
+  out_ = {};
+  pos_ = 0;
+  return std::exchange(owned_, {});
 }
 
 u64 BitUnpacker::read(int bits) {
@@ -153,10 +231,62 @@ u64 BitUnpacker::read(int bits) {
   return value;
 }
 
-std::vector<u8> serialize_ciphertext(const Ciphertext& ct,
-                                     int bits_per_coeff) {
+void BitUnpacker::read_run(std::span<u64> out, int bits, u64 bound) {
+  ABC_CHECK_ARG(bits >= 1 && bits <= 57, "read width out of range");
+  const std::size_t width = static_cast<std::size_t>(bits);
+  const std::size_t span_bits = bytes_.size() * 8;
+  ABC_CHECK_ARG(out.size() <= (span_bits - bit_pos_) / width,
+                "serialized buffer truncated");
+  // Word i starts at bit b_i = bit_pos_ + i*width; its 8-byte load at byte
+  // b_i/8 stays inside the span while b_i < (size - 7) * 8. A word never
+  // needs more than the one load: offset (<= 7) + width (<= 57) <= 64.
+  std::size_t fast = 0;
+  if (bytes_.size() >= 8 && (bytes_.size() - 7) * 8 > bit_pos_) {
+    fast = std::min(out.size(),
+                    ((bytes_.size() - 7) * 8 - bit_pos_ + width - 1) / width);
+  }
+  const u64 mask = (u64{1} << bits) - 1;
+  const u8* base = bytes_.data();
+  std::size_t pos = bit_pos_;
+  u64 out_of_range = 0;
+  for (std::size_t i = 0; i < fast; ++i, pos += width) {
+    const u64 v = (load_le64(base + pos / 8) >> (pos % 8)) & mask;
+    out[i] = v;
+    out_of_range |= static_cast<u64>(v >= bound);
+  }
+  bit_pos_ = pos;
+  for (std::size_t i = fast; i < out.size(); ++i) {  // final < 8 bytes
+    out[i] = read(bits);
+    out_of_range |= static_cast<u64>(out[i] >= bound);
+  }
+  ABC_CHECK_ARG(out_of_range == 0, "residue out of range (corrupt buffer?)");
+}
+
+namespace {
+
+// Ciphertext header: magic(32) bits(8) components(8) limbs(16) log_n(8)
+// compressed(8) scale(32+32), then stream_id(32+32) when c1 is compressed.
+constexpr std::size_t kCiphertextHeaderBits = 144;
+constexpr std::size_t kStreamIdBits = 64;
+
+/// Exact frame size serialize_ciphertext emits for @p ct.
+std::size_t ciphertext_frame_bytes(const Ciphertext& ct, int bits_per_coeff) {
   ABC_CHECK_ARG(!ct.components.empty(), "empty ciphertext");
-  BitPacker packer;
+  check_pack_width(bits_per_coeff);
+  const bool compressed = ct.compressed_c1.has_value();
+  std::size_t bits = kCiphertextHeaderBits + (compressed ? kStreamIdBits : 0);
+  for (std::size_t comp = 0; comp < ct.size(); ++comp) {
+    if (comp == 1 && compressed) continue;  // regenerable
+    bits += ct.c(comp).limbs() * ct.c(comp).n() *
+            static_cast<std::size_t>(bits_per_coeff);
+  }
+  return (bits + 7) / 8;
+}
+
+/// Packs @p ct into a span presized by ciphertext_frame_bytes.
+void pack_ciphertext(std::span<u8> frame, const Ciphertext& ct,
+                     int bits_per_coeff) {
+  BitPacker packer(frame);
   packer.append(kMagic, 32);
   packer.append(static_cast<u64>(bits_per_coeff), 8);
   packer.append(ct.size(), 8);
@@ -175,7 +305,16 @@ std::vector<u8> serialize_ciphertext(const Ciphertext& ct,
     if (comp == 1 && ct.compressed_c1.has_value()) continue;  // regenerable
     pack_poly(packer, ct.c(comp), bits_per_coeff);
   }
-  return packer.finish();
+  packer.finish();
+}
+
+}  // namespace
+
+std::vector<u8> serialize_ciphertext(const Ciphertext& ct,
+                                     int bits_per_coeff) {
+  std::vector<u8> out(ciphertext_frame_bytes(ct, bits_per_coeff));
+  pack_ciphertext(out, ct, bits_per_coeff);
+  return out;
 }
 
 Ciphertext deserialize_ciphertext(
@@ -221,26 +360,41 @@ std::vector<u8> serialize_ciphertext_batch(std::span<const Ciphertext> cts,
   // Byte-aligned container format (magic, count, then per item a 32-bit
   // length + the serialize_ciphertext frame), little-endian. Frames stay
   // byte-aligned so a receiver can hand each one to
-  // deserialize_ciphertext without re-packing. Frames are independent, so
-  // packing fans out across the context's backend; concatenation stays
-  // serial and in input order.
-  std::vector<std::vector<u8>> frames(cts.size());
-  if (!cts.empty()) {
-    cts.front().c(0).context().backend().parallel_for(
-        cts.size(), [&](std::size_t i, std::size_t) {
-          frames[i] = serialize_ciphertext(cts[i], bits_per_coeff);
-        });
-  }
-  std::vector<u8> out;
-  const auto put_u32 = [&out](u64 v) {
+  // deserialize_ciphertext without re-packing. Frame sizes are exact, so
+  // the envelope is allocated once and every frame is packed in place;
+  // frames are independent, so packing fans out across the context's
+  // backend.
+  const auto check_u32 = [](u64 v) {
     ABC_CHECK_ARG((v >> 32) == 0, "batch field exceeds 32 bits");
-    for (int b = 0; b < 4; ++b) out.push_back(static_cast<u8>(v >> (8 * b)));
+  };
+  check_u32(cts.size());
+  std::vector<std::size_t> frame_bytes(cts.size());
+  std::size_t total = 8;
+  for (std::size_t i = 0; i < cts.size(); ++i) {
+    frame_bytes[i] = ciphertext_frame_bytes(cts[i], bits_per_coeff);
+    check_u32(frame_bytes[i]);
+    total += 4 + frame_bytes[i];
+  }
+  std::vector<u8> out(total);
+  std::vector<std::size_t> offsets(cts.size());
+  std::size_t pos = 0;
+  const auto put_u32 = [&out, &pos](u64 v) {
+    for (int b = 0; b < 4; ++b) out[pos++] = static_cast<u8>(v >> (8 * b));
   };
   put_u32(kBatchMagic);
   put_u32(cts.size());
-  for (const std::vector<u8>& frame : frames) {
-    put_u32(frame.size());
-    out.insert(out.end(), frame.begin(), frame.end());
+  for (std::size_t i = 0; i < cts.size(); ++i) {
+    put_u32(frame_bytes[i]);
+    offsets[i] = pos;
+    pos += frame_bytes[i];
+  }
+  if (!cts.empty()) {
+    cts.front().c(0).context().backend().parallel_for(
+        cts.size(), [&](std::size_t i, std::size_t) {
+          pack_ciphertext(std::span<u8>(out).subspan(offsets[i],
+                                                     frame_bytes[i]),
+                          cts[i], bits_per_coeff);
+        });
   }
   return out;
 }
@@ -359,8 +513,11 @@ std::vector<u8> serialize_key_switch_key(
                         expect);
     }
   }
+  check_pack_width(bits_per_coeff);
+  const KeySizeReport sizes = key_switch_key_sizes(key, bits_per_coeff);
+  std::vector<u8> out(compressed ? sizes.compressed_bytes : sizes.full_bytes);
   const poly::RnsPoly& first = key.b.front();
-  BitPacker packer;
+  BitPacker packer(out);
   pack_key_header(packer, bits_per_coeff,
                   key.kind == KeySwitchKey::Kind::kRelin ? KeyKind::kRelin
                                                          : KeyKind::kGalois,
@@ -371,7 +528,8 @@ std::vector<u8> serialize_key_switch_key(
   if (!compressed) {
     for (const poly::RnsPoly& a : key.a) pack_poly(packer, a, bits_per_coeff);
   }
-  return packer.finish();
+  packer.finish();
+  return out;
 }
 
 KeySwitchKey deserialize_key_switch_key(
@@ -443,11 +601,17 @@ CompressedKeySwitchKey compress_key_switch_key(
       static_cast<u16>(key.digits() > 1 ? key.digits() - 1 : key.digits());
   out.bits_per_coeff = static_cast<u8>(bits);
 
-  BitPacker packer;
+  // Every digit is limbs * n words at the prime width, packed back to
+  // back with no header.
+  const std::size_t digit_bits =
+      limbs * ctx->n() * static_cast<std::size_t>(bits);
+  const std::size_t half_bytes = (out.stored_digits * digit_bits + 7) / 8;
+  out.packed_b.resize(half_bytes);
+  BitPacker packer(out.packed_b);
   for (std::size_t d = 0; d < out.stored_digits; ++d) {
     pack_poly(packer, key.b[d], bits);
   }
-  out.packed_b = packer.finish();
+  packer.finish();
 
   // Prove the kept a digits regenerable from the stream metadata; a key
   // whose uniform halves are foreign keeps them packed instead (bigger,
@@ -464,11 +628,12 @@ CompressedKeySwitchKey compress_key_switch_key(
     }
   }
   if (!regenerable) {
-    BitPacker pa;
+    out.packed_a.resize(half_bytes);
+    BitPacker pa(out.packed_a);
     for (std::size_t d = 0; d < out.stored_digits; ++d) {
       pack_poly(pa, key.a[d], bits);
     }
-    out.packed_a = pa.finish();
+    pa.finish();
   }
   return out;
 }
@@ -535,12 +700,16 @@ std::vector<u8> serialize_public_key(
     check_regenerable(*ctx, pk.a, PrngDomain::kPublicA, pk.stream_id,
                       expect);
   }
-  BitPacker packer;
+  check_pack_width(bits_per_coeff);
+  const KeySizeReport sizes = public_key_sizes(pk, bits_per_coeff);
+  std::vector<u8> out(compressed ? sizes.compressed_bytes : sizes.full_bytes);
+  BitPacker packer(out);
   pack_key_header(packer, bits_per_coeff, KeyKind::kPublic, compressed,
                   pk.b.limbs(), log2_exact(pk.b.n()), 0, pk.stream_id);
   pack_poly(packer, pk.b, bits_per_coeff);
   if (!compressed) pack_poly(packer, pk.a, bits_per_coeff);
-  return packer.finish();
+  packer.finish();
+  return out;
 }
 
 PublicKey deserialize_public_key(

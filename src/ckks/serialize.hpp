@@ -28,22 +28,42 @@ namespace abc::ckks {
 /// Little-endian bit-level packer for fixed-width words.
 ///
 /// Contract:
-///  * append() accepts widths in [1, 57] and checks that the value fits
-///    the width. The 57-bit cap is structural: up to 7 bits can be pending
-///    from earlier appends, and pending + width must fit the 64-bit
-///    staging word (7 + 57 = 64).
+///  * append() and append_run() accept widths in [1, 57] and check that
+///    every value fits the width. The 57-bit cap is structural: up to 7
+///    bits can be pending from earlier appends, and pending + width must
+///    fit the 64-bit staging word (7 + 57 = 64).
 ///  * Bits are emitted LSB-first; one word may straddle any number of byte
 ///    boundaries (a 44-bit word starting at bit offset 7 spans 7 bytes).
+///    append_run(v, w) emits exactly the bytes of append(v[i], w) for each
+///    i in order, at any starting bit offset.
+///  * A default-constructed packer grows its own buffer; one built over a
+///    span writes into it and allocates nothing — the span must be exactly
+///    the packed size (finish() checks it, LogicError otherwise).
 ///  * finish() zero-fills the high bits of a partial final byte, returns
-///    the buffer, and leaves the packer empty and reusable.
+///    the grown buffer (empty for the span form, whose bytes are already
+///    in place) and leaves the packer empty and reusable.
+///  * After a throw the packer's contents are unspecified.
 class BitPacker {
  public:
+  BitPacker() = default;
+  explicit BitPacker(std::span<u8> out) : out_(out), presized_(true) {}
+
   void append(u64 value, int bits);
+  /// Appends every value at the same width: a 64-bit accumulator flushed
+  /// with 8-byte stores and one OR-reduced width check for the whole run.
+  void append_run(std::span<const u64> values, int bits);
   /// Flushes the partial byte (high bits zero) and returns the buffer.
   std::vector<u8> finish();
 
  private:
-  std::vector<u8> bytes_;
+  /// Write cursor with room for @p bytes more bytes (grows the owned
+  /// buffer; a presized span that is too short is a LogicError).
+  u8* room(std::size_t bytes);
+
+  std::vector<u8> owned_;
+  std::span<u8> out_;
+  std::size_t pos_ = 0;
+  bool presized_ = false;
   u64 pending_ = 0;
   int pending_bits_ = 0;
 };
@@ -51,17 +71,23 @@ class BitPacker {
 /// Mirror of BitPacker: LSB-first fixed-width reads over a byte span.
 ///
 /// Contract:
-///  * read() accepts widths in [1, 57], matching the packer, and assembles
-///    words across byte boundaries.
+///  * read() and read_run() accept widths in [1, 57], matching the packer,
+///    and assemble words across byte boundaries.
 ///  * Zero-padding bits inside the final partial byte read back as zeros;
 ///    only reads that need a byte past the end of the span throw
 ///    InvalidArgument ("truncated"). A reader that follows the writer's
-///    width sequence therefore never observes padding.
+///    width sequence therefore never observes padding. read_run() checks
+///    the whole run against the span once, before it reads anything.
 ///  * The span is borrowed, not copied: it must outlive the unpacker.
 class BitUnpacker {
  public:
   explicit BitUnpacker(std::span<const u8> bytes) : bytes_(bytes) {}
   u64 read(int bits);
+  /// Fills @p out with consecutive words of width @p bits, as read() would
+  /// one at a time, using 8-byte loads wherever a whole load fits in the
+  /// span. Every word must be < @p bound: one InvalidArgument ("residue
+  /// out of range") is raised after the run if any is not.
+  void read_run(std::span<u64> out, int bits, u64 bound);
   std::size_t bits_consumed() const noexcept { return bit_pos_; }
 
  private:

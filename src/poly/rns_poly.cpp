@@ -105,6 +105,20 @@ void RnsPoly::set_fma(const RnsPoly& base, const RnsPoly& a,
                            limbs_);
 }
 
+void RnsPoly::set_fms(const RnsPoly& base, const RnsPoly& a,
+                      const RnsPoly& b) {
+  ABC_CHECK_ARG(ctx_.get() == base.ctx_.get(), "context mismatch");
+  base.check_compatible(a);
+  ABC_CHECK_ARG(ctx_.get() == b.ctx_.get(), "context mismatch");
+  ABC_CHECK_ARG(b.limbs_ >= base.limbs_, "limb count mismatch");
+  ABC_CHECK_ARG(b.domain_ == base.domain_, "domain mismatch");
+  ABC_CHECK_ARG(base.domain_ == Domain::kEval,
+                "fused multiply-subtract requires evaluation domain");
+  reset(base.limbs_, base.domain_);
+  ctx_->backend().fms_into(*ctx_, data_, base.data_, a.data_, b.data_,
+                           limbs_);
+}
+
 void RnsPoly::mul_scalar_inplace(u64 scalar) {
   ctx_->backend().mul_scalar(*ctx_, data_, limbs_, scalar);
 }

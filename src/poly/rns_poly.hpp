@@ -73,6 +73,11 @@ class RnsPoly {
   /// this = base + a * b (fused copy-then-fma, one pass; evaluation
   /// domain). Adopts base's domain/limbs; this must not alias a or b.
   void set_fma(const RnsPoly& base, const RnsPoly& a, const RnsPoly& b);
+  /// this = base - a * b (fused mul-then-negate_add, one pass; evaluation
+  /// domain). Adopts base's domain/limbs; this must not alias a or b. b
+  /// may carry more limbs than base: its first base.limbs() limbs are read
+  /// in place (a full-length secret against a lower-level ciphertext).
+  void set_fms(const RnsPoly& base, const RnsPoly& a, const RnsPoly& b);
   /// Multiply limb i by scalar mod q_i (same scalar reduced per limb).
   void mul_scalar_inplace(u64 scalar);
 

@@ -55,10 +55,16 @@ class Modulus {
     return a > value_ / 2 ? static_cast<i64>(a) - static_cast<i64>(value_)
                           : static_cast<i64>(a);
   }
-  /// Map a signed value into [0, q).
+  /// Map a signed value into [0, q). Samples and encoded coefficients sit
+  /// in [-q, q), where the lift is x or x + q with no division; the `%`
+  /// path only serves wider inputs.
   u64 from_signed(i64 x) const noexcept {
-    i64 r = x % static_cast<i64>(value_);
-    if (r < 0) r += static_cast<i64>(value_);
+    const i64 q = static_cast<i64>(value_);
+    if (x >= -q && x < q) [[likely]] {
+      return static_cast<u64>(x < 0 ? x + q : x);
+    }
+    i64 r = x % q;
+    if (r < 0) r += q;
     return static_cast<u64>(r);
   }
 

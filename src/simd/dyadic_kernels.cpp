@@ -140,6 +140,16 @@ void dyadic_fma_into_portable(const DyadicModulus& m, u64* out,
   }
 }
 
+void dyadic_fms_into_portable(const DyadicModulus& m, u64* out,
+                              const u64* base, const u64* a, const u64* b,
+                              std::size_t n) {
+  const u64 q = m.q;
+  for (std::size_t j = 0; j < n; ++j) {
+    const u64 t = base[j] - m.mul(a[j], b[j]);
+    out[j] = t + (q & static_cast<u64>(static_cast<i64>(t) >> 63));
+  }
+}
+
 namespace {
 
 // The multiply-free kernels work at any prime width on every tier; the
@@ -288,6 +298,20 @@ void dyadic_fma_into(const DyadicModulus& m, u64* out, const u64* base,
       break;
   }
   dyadic_fma_into_portable(m, out, base, a, b, n);
+}
+
+void dyadic_fms_into(const DyadicModulus& m, u64* out, const u64* base,
+                     const u64* a, const u64* b, std::size_t n) {
+  switch (arch()) {
+    case KernelArch::kAvx512Ifma:
+      if (m.ifma_ok) return dyadic_fms_into_avx512(m, out, base, a, b, n);
+      [[fallthrough]];
+    case KernelArch::kAvx2:
+      return dyadic_fms_into_avx2(m, out, base, a, b, n);
+    case KernelArch::kPortable:
+      break;
+  }
+  dyadic_fms_into_portable(m, out, base, a, b, n);
 }
 
 }  // namespace abc::simd

@@ -27,12 +27,13 @@
 /// ## Fused passes
 ///
 /// The hot paths above this layer chain adjacent dyadic ops over the same
-/// buffers (gadget accumulation: permute + fma + fma; encrypt/keygen
-/// combines: negate + add; mod-down and rescale tails: sub + mul_scalar;
-/// decrypt phase: copy + fma). Each chain re-streams its operands from
-/// memory once per op, and these loops are memory-bound — so the fused
-/// kernels below collapse each chain into a single pass (EFFACT's
-/// instruction-fusion argument applied at this seam):
+/// buffers (gadget accumulation: permute + fma + fma; keygen combine:
+/// negate + add; symmetric-encrypt combine: mul + negate + add; mod-down
+/// and rescale tails: sub + mul_scalar; decrypt phase: copy + fma). Each
+/// chain re-streams its operands from memory once per op, and these loops
+/// are memory-bound — so the fused kernels below collapse each chain into
+/// a single pass (EFFACT's instruction-fusion argument applied at this
+/// seam):
 ///
 ///   * dyadic_fma_accumulate — acc0 += digit.b, acc1 += digit.a with one
 ///     load of `digit` per element, optionally gathered through an
@@ -40,7 +41,9 @@
 ///   * dyadic_negate_add    — dst = src - dst (== -dst + src);
 ///   * dyadic_sub_mul_scalar — dst = (dst - src) * s, Shoup scalar;
 ///   * dyadic_fma_into      — out = base + a*b (out-of-place, no
-///     separate copy pass).
+///     separate copy pass);
+///   * dyadic_fms_into      — out = base - a*b, the symmetric-encrypt
+///     combine c0 = (m+e) - a*s without staging a*s or copying a.
 ///
 /// Fused results are bit-identical to the unfused chains (same per-element
 /// operation order, canonical outputs).
@@ -129,7 +132,7 @@ void dyadic_fma_accumulate(const DyadicModulus& m, u64* acc0, u64* acc1,
                            const u32* perm, std::size_t n);
 
 /// dst[j] = src[j] - dst[j] (mod q) — the fused form of negate-then-add
-/// (c0 = -(a*s) + (m+e) in encrypt, b = -(a*s) + e in keygen).
+/// (b = -(a*s) + e in public-key generation).
 void dyadic_negate_add(const DyadicModulus& m, u64* dst, const u64* src,
                        std::size_t n);
 
@@ -142,6 +145,12 @@ void dyadic_sub_mul_scalar(const DyadicModulus& m, u64* dst, const u64* src,
 /// fma (phase = c0 + c1*s in decrypt). out must not alias a or b; out may
 /// equal base.
 void dyadic_fma_into(const DyadicModulus& m, u64* out, const u64* base,
+                     const u64* a, const u64* b, std::size_t n);
+
+/// out[j] = base[j] - a[j] * b[j] (mod q) — the fused form of mul-then-
+/// negate_add (c0 = -(a*s) + (m+e) in symmetric encrypt). out must not
+/// alias a or b; out may equal base.
+void dyadic_fms_into(const DyadicModulus& m, u64* out, const u64* base,
                      const u64* a, const u64* b, std::size_t n);
 
 // -- portable kernels (dispatch targets; exposed for parity tests) ----------
@@ -167,6 +176,9 @@ void dyadic_sub_mul_scalar_portable(const DyadicModulus& m, u64* dst,
                                     const u64* src, std::size_t n, u64 s,
                                     u64 s_shoup);
 void dyadic_fma_into_portable(const DyadicModulus& m, u64* out,
+                              const u64* base, const u64* a, const u64* b,
+                              std::size_t n);
+void dyadic_fms_into_portable(const DyadicModulus& m, u64* out,
                               const u64* base, const u64* a, const u64* b,
                               std::size_t n);
 

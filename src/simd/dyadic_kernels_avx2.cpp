@@ -213,6 +213,23 @@ void dyadic_fma_into_avx2(const DyadicModulus& m, u64* out, const u64* base,
     dyadic_fma_into_portable(m, out + j, base + j, a + j, b + j, n - j);
 }
 
+void dyadic_fms_into_avx2(const DyadicModulus& m, u64* out, const u64* base,
+                          const u64* a, const u64* b, std::size_t n) {
+  const __m256i vq = splat(m.q);
+  const __m256i v2q = splat(m.two_q);
+  const __m256i ratio = splat(m.ratio);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256i p =
+        barrett_mul(load(a + j), load(b + j), vq, v2q, ratio, m.shift);
+    const __m256i s = load(base + j);
+    const __m256i borrow = _mm256_and_si256(cmplt_epu64(s, p), vq);
+    store(out + j, _mm256_add_epi64(_mm256_sub_epi64(s, p), borrow));
+  }
+  if (j < n)
+    dyadic_fms_into_portable(m, out + j, base + j, a + j, b + j, n - j);
+}
+
 }  // namespace abc::simd
 
 #else  // !__AVX2__: portable forwarders, never selected at runtime.
@@ -259,6 +276,10 @@ void dyadic_sub_mul_scalar_avx2(const DyadicModulus& m, u64* dst,
 void dyadic_fma_into_avx2(const DyadicModulus& m, u64* out, const u64* base,
                           const u64* a, const u64* b, std::size_t n) {
   dyadic_fma_into_portable(m, out, base, a, b, n);
+}
+void dyadic_fms_into_avx2(const DyadicModulus& m, u64* out, const u64* base,
+                          const u64* a, const u64* b, std::size_t n) {
+  dyadic_fms_into_portable(m, out, base, a, b, n);
 }
 
 }  // namespace abc::simd

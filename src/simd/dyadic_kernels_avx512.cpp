@@ -202,6 +202,24 @@ void dyadic_fma_into_avx512(const DyadicModulus& m, u64* out, const u64* base,
     dyadic_fma_into_portable(m, out + j, base + j, a + j, b + j, n - j);
 }
 
+void dyadic_fms_into_avx512(const DyadicModulus& m, u64* out, const u64* base,
+                            const u64* a, const u64* b, std::size_t n) {
+  const __m512i vq = splat(m.q);
+  const __m512i v2q = splat(m.two_q);
+  const __m512i ratio52 = splat(m.ratio52);
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m512i p =
+        barrett52_mul(load(a + j), load(b + j), vq, v2q, ratio52, m.shift);
+    const __m512i s = load(base + j);
+    const __mmask8 borrow = _mm512_cmplt_epu64_mask(s, p);
+    const __m512i diff = _mm512_sub_epi64(s, p);
+    store(out + j, _mm512_mask_add_epi64(diff, borrow, diff, vq));
+  }
+  if (j < n)
+    dyadic_fms_into_portable(m, out + j, base + j, a + j, b + j, n - j);
+}
+
 }  // namespace abc::simd
 
 #else  // AVX-512 flags unavailable: AVX2 forwarders, never selected at
@@ -249,6 +267,10 @@ void dyadic_sub_mul_scalar_avx512(const DyadicModulus& m, u64* dst,
 void dyadic_fma_into_avx512(const DyadicModulus& m, u64* out, const u64* base,
                             const u64* a, const u64* b, std::size_t n) {
   dyadic_fma_into_avx2(m, out, base, a, b, n);
+}
+void dyadic_fms_into_avx512(const DyadicModulus& m, u64* out, const u64* base,
+                            const u64* a, const u64* b, std::size_t n) {
+  dyadic_fms_into_avx2(m, out, base, a, b, n);
 }
 
 }  // namespace abc::simd

@@ -39,5 +39,7 @@ void dyadic_sub_mul_scalar_avx2(const DyadicModulus& m, u64* dst,
                                 u64 s_shoup);
 void dyadic_fma_into_avx2(const DyadicModulus& m, u64* out, const u64* base,
                           const u64* a, const u64* b, std::size_t n);
+void dyadic_fms_into_avx2(const DyadicModulus& m, u64* out, const u64* base,
+                          const u64* a, const u64* b, std::size_t n);
 
 }  // namespace abc::simd

@@ -127,6 +127,45 @@ TEST(Backend, OpCountsAggregateToCaller) {
   EXPECT_GT(pooled.ntt_mul, 0u);
 }
 
+TEST(Backend, FusedMultiplySubtractMatchesTheUnfusedChainAndItsCounts) {
+  // set_fms is the symmetric-encrypt combine c0 = (m+e) - a*s with the
+  // secret's limb prefix read in place: same residues and same op counts
+  // as the prefix copy + mul + negate_add chain it replaces.
+  for (std::size_t threads : {0u, 2u}) {
+    std::shared_ptr<backend::PolyBackend> be =
+        threads == 0 ? std::shared_ptr<backend::PolyBackend>(
+                           std::make_shared<backend::ScalarBackend>())
+                     : std::make_shared<backend::ThreadPoolBackend>(threads);
+    auto ctx = poly::PolyContext::create(10, test_primes(4), std::move(be));
+    poly::RnsPoly base(ctx, 3, poly::Domain::kCoeff);
+    poly::RnsPoly a(ctx, 3, poly::Domain::kCoeff);
+    poly::RnsPoly s(ctx, 4, poly::Domain::kCoeff);  // longer than base
+    base.set_from_signed(random_signed(ctx->n(), 4));
+    a.set_from_signed(random_signed(ctx->n(), 5));
+    s.set_from_signed(random_signed(ctx->n(), 6));
+    base.to_eval();
+    a.to_eval();
+    s.to_eval();
+
+    xf::OpCounterScope unfused_scope;
+    poly::RnsPoly want = a;
+    want.mul_inplace(s.prefix_copy(3));
+    want.negate_add_inplace(base);
+    const xf::OpCounts unfused = unfused_scope.delta();
+
+    xf::OpCounterScope fused_scope;
+    poly::RnsPoly got(ctx, 1, poly::Domain::kCoeff);
+    got.set_fms(base, a, s);
+    const xf::OpCounts fused = fused_scope.delta();
+
+    expect_equal_polys(want, got);
+    EXPECT_EQ(fused.poly_mul, unfused.poly_mul);
+    EXPECT_EQ(fused.poly_add, unfused.poly_add);
+    EXPECT_EQ(fused.total(), unfused.total());
+    EXPECT_THROW(got.set_fms(base, a, a.prefix_copy(2)), InvalidArgument);
+  }
+}
+
 TEST(Backend, JobExceptionRethrownOnCaller) {
   // A throwing job must surface as a normal exception on the submitting
   // thread (same caller-visible behavior as ScalarBackend), not terminate

@@ -229,5 +229,168 @@ TEST(CorruptionSweep, ForgedCountFieldsAreRejectedBeforeAllocation) {
   }
 }
 
+// -- the residue run reader ---------------------------------------------------
+//
+// The run reader makes 8-byte loads while a whole load fits in the span and
+// hands the last < 8 bytes to the per-word path; its truncation and range
+// checks run once per limb. The cases below aim at exactly those seams, at
+// several packing widths so words end at different bit offsets of the
+// final load.
+
+constexpr int kSeamWidths[] = {36, 41, 44, 57};
+
+/// Every truncation inside the last 16 bytes: the span where the 8-byte
+/// path hands off to the byte tail.
+std::set<std::size_t> last_16_bytes(std::size_t size) {
+  std::set<std::size_t> cuts;
+  for (std::size_t i = size - std::min<std::size_t>(size, 16); i < size; ++i) {
+    cuts.insert(i);
+  }
+  return cuts;
+}
+
+/// Sets the @p bits-wide word ending @p end_bits bits into @p bytes to all
+/// ones (>= every prime of the chain, since bits >= the prime width).
+void saturate_word(std::vector<u8>& bytes, std::size_t end_bits, int bits) {
+  for (std::size_t b = end_bits - static_cast<std::size_t>(bits);
+       b < end_bits; ++b) {
+    bytes[b / 8] |= static_cast<u8>(1u << (b % 8));
+  }
+}
+
+/// Saturates the last residue of a frame. Every format packs n * limbs
+/// words per polynomial with n a multiple of 8, so the final residue ends
+/// exactly on the frame's last bit.
+void saturate_last_word(std::vector<u8>& bytes, int bits) {
+  saturate_word(bytes, bytes.size() * 8, bits);
+}
+
+TEST(CorruptionSweep, RunReaderTruncatedInTheLast16BytesAtEveryWidth) {
+  Fixture f;
+  Encryptor sym(f.ctx, f.sk);
+  Encryptor pub(f.ctx, f.keygen.public_key(f.sk));
+  const PublicKey pk = f.keygen.public_key(f.sk);
+  const RelinKey rlk = f.keygen.relin_key(f.sk);
+  for (int bits : kSeamWidths) {
+    SCOPED_TRACE(bits);
+    const Ciphertext c = sym.encrypt(f.encoder.encode(f.message(11), 3));
+    const Ciphertext p = pub.encrypt(f.encoder.encode(f.message(12), 2));
+    for (const Ciphertext* ct : {&c, &p}) {
+      const std::vector<u8> frame = serialize_ciphertext(*ct, bits);
+      sweep_truncations(frame, last_16_bytes(frame.size()),
+                        [&](const auto& b) {
+                          (void)deserialize_ciphertext(f.ctx, b);
+                        });
+    }
+
+    const std::vector<Ciphertext> cts{c, p};
+    const std::vector<u8> batch = serialize_ciphertext_batch(cts, bits);
+    sweep_truncations(batch, last_16_bytes(batch.size()), [&](const auto& b) {
+      (void)deserialize_ciphertext_batch(f.ctx, b);
+    });
+
+    for (bool compressed : {true, false}) {
+      const std::vector<u8> pkb =
+          serialize_public_key(f.ctx, pk, bits, compressed);
+      sweep_truncations(pkb, last_16_bytes(pkb.size()), [&](const auto& b) {
+        (void)deserialize_public_key(f.ctx, b);
+      });
+      const std::vector<u8> ksk =
+          serialize_key_switch_key(f.ctx, rlk.key, bits, compressed);
+      sweep_truncations(ksk, last_16_bytes(ksk.size()), [&](const auto& b) {
+        (void)deserialize_key_switch_key(f.ctx, b);
+      });
+    }
+  }
+
+  // The resident key record: its packed b halves go through the same
+  // reader when the key cache regenerates a key.
+  const CompressedKeySwitchKey rec = compress_key_switch_key(f.ctx, rlk.key);
+  for (std::size_t len : last_16_bytes(rec.packed_b.size())) {
+    CompressedKeySwitchKey cut = rec;
+    cut.packed_b.resize(len);
+    cut.packed_b.shrink_to_fit();
+    EXPECT_THROW((void)expand_key_switch_key(f.ctx, cut), InvalidArgument)
+        << "packed b cut to " << len << " bytes";
+  }
+}
+
+TEST(CorruptionSweep, OutOfRangeFinalResidueIsRejectedAtEveryWidth) {
+  // The very last coefficient of the last limb is read by the byte tail,
+  // after every 8-byte load; an out-of-range value there must still be
+  // caught. The first residue of the payload (8-byte path) is checked too.
+  Fixture f;
+  Encryptor sym(f.ctx, f.sk);
+  const PublicKey pk = f.keygen.public_key(f.sk);
+  const RelinKey rlk = f.keygen.relin_key(f.sk);
+  for (int bits : kSeamWidths) {
+    SCOPED_TRACE(bits);
+    const std::vector<u8> ct = serialize_ciphertext(
+        sym.encrypt(f.encoder.encode(f.message(13), 3)), bits);
+    std::vector<u8> bad = ct;
+    saturate_last_word(bad, bits);
+    EXPECT_THROW((void)deserialize_ciphertext(f.ctx, bad), InvalidArgument);
+    bad = ct;
+    saturate_word(bad, 208 + static_cast<std::size_t>(bits), bits);  // c0[0]
+    EXPECT_THROW((void)deserialize_ciphertext(f.ctx, bad), InvalidArgument);
+
+    const std::vector<Ciphertext> cts{
+        sym.encrypt(f.encoder.encode(f.message(14), 2))};
+    bad = serialize_ciphertext_batch(cts, bits);
+    saturate_last_word(bad, bits);
+    EXPECT_THROW((void)deserialize_ciphertext_batch(f.ctx, bad),
+                 InvalidArgument);
+
+    bad = serialize_public_key(f.ctx, pk, bits, false);
+    saturate_last_word(bad, bits);
+    EXPECT_THROW((void)deserialize_public_key(f.ctx, bad), InvalidArgument);
+
+    bad = serialize_key_switch_key(f.ctx, rlk.key, bits, false);
+    saturate_last_word(bad, bits);
+    EXPECT_THROW((void)deserialize_key_switch_key(f.ctx, bad),
+                 InvalidArgument);
+  }
+  CompressedKeySwitchKey rec = compress_key_switch_key(f.ctx, rlk.key);
+  saturate_last_word(rec.packed_b, rec.bits_per_coeff);
+  EXPECT_THROW((void)expand_key_switch_key(f.ctx, rec), InvalidArgument);
+}
+
+TEST(CorruptionSweep, HeaderLimbCountBeyondThePayloadIsRejected) {
+  // A ciphertext header claiming more limbs than its payload carries (the
+  // limb field is bytes 6..7 of the frame, little-endian): the first run
+  // that would read past the span must be refused before it reads.
+  Fixture f;
+  Encryptor sym(f.ctx, f.sk);
+  Encryptor pub(f.ctx, f.keygen.public_key(f.sk));
+  for (const Ciphertext& ct :
+       {sym.encrypt(f.encoder.encode(f.message(15), 1)),
+        sym.encrypt(f.encoder.encode(f.message(16), 2)),
+        pub.encrypt(f.encoder.encode(f.message(17), 2))}) {
+    const std::vector<u8> good = serialize_ciphertext(ct, 44);
+    for (std::size_t limbs = ct.limbs() + 1; limbs <= f.ctx->max_limbs();
+         ++limbs) {
+      std::vector<u8> bad = good;
+      bad[6] = static_cast<u8>(limbs);
+      bad[7] = static_cast<u8>(limbs >> 8);
+      EXPECT_THROW((void)deserialize_ciphertext(f.ctx, bad), InvalidArgument)
+          << ct.limbs() << " limbs relabelled " << limbs;
+
+      const std::vector<Ciphertext> one{ct};
+      std::vector<u8> batch = serialize_ciphertext_batch(one, 44);
+      batch[12 + 6] = static_cast<u8>(limbs);  // after magic, count, length
+      batch[12 + 7] = static_cast<u8>(limbs >> 8);
+      EXPECT_THROW((void)deserialize_ciphertext_batch(f.ctx, batch),
+                   InvalidArgument);
+    }
+  }
+  // The resident record's limb count is pinned to the context's, so a
+  // record claiming more stored digits than its packed halves hold is the
+  // key-cache form of the same forgery.
+  const RelinKey rlk = f.keygen.relin_key(f.sk);
+  CompressedKeySwitchKey rec = compress_key_switch_key(f.ctx, rlk.key);
+  rec.stored_digits = rec.limbs;
+  EXPECT_THROW((void)expand_key_switch_key(f.ctx, rec), InvalidArgument);
+}
+
 }  // namespace
 }  // namespace abc::ckks

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <random>
+#include <type_traits>
 
 #include "ckks/decryptor.hpp"
 #include "ckks/encoder.hpp"
@@ -32,18 +34,23 @@ std::vector<std::complex<double>> random_slots(std::size_t count, u64 seed) {
 
 // ---- full-session property sweep ----------------------------------------
 
+// gtest names each case by the bytes of its parameter, so the struct has
+// no padding: a padding byte would put stack garbage into the test name.
 struct SessionCase {
-  int log_n;
+  std::int64_t log_n;
   std::size_t limbs;
   ckks::EncryptMode mode;
+  std::int32_t zero_tail = 0;
 };
+static_assert(sizeof(SessionCase) == 24);
+static_assert(std::has_unique_object_representations_v<SessionCase>);
 
 class ClientSessionTest : public ::testing::TestWithParam<SessionCase> {};
 
 TEST_P(ClientSessionTest, EndToEndRoundtrip) {
   const SessionCase c = GetParam();
   auto ctx =
-      ckks::CkksContext::create(ckks::CkksParams::test_small(c.log_n, c.limbs));
+      ckks::CkksContext::create(ckks::CkksParams::test_small(static_cast<int>(c.log_n), c.limbs));
   ckks::CkksEncoder encoder(ctx);
   ckks::KeyGenerator keygen(ctx);
   const ckks::SecretKey sk = keygen.secret_key();

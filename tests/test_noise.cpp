@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
+#include <type_traits>
 
 #include "ckks/encryptor.hpp"
 #include "ckks/evaluator.hpp"
@@ -13,17 +15,22 @@
 namespace abc::ckks {
 namespace {
 
+// gtest names each case by the bytes of its parameter, so the struct has
+// no padding: a padding byte would put stack garbage into the test name.
 struct NoiseCase {
-  int log_n;
+  std::int64_t log_n;
   std::size_t limbs;
   EncryptMode mode;
+  std::int32_t zero_tail = 0;
 };
+static_assert(sizeof(NoiseCase) == 24);
+static_assert(std::has_unique_object_representations_v<NoiseCase>);
 
 class NoiseBoundTest : public ::testing::TestWithParam<NoiseCase> {};
 
 TEST_P(NoiseBoundTest, BoundHoldsAndIsNotVacuous) {
   const NoiseCase c = GetParam();
-  const CkksParams params = CkksParams::test_small(c.log_n, c.limbs);
+  const CkksParams params = CkksParams::test_small(static_cast<int>(c.log_n), c.limbs);
   auto ctx = CkksContext::create(params);
   CkksEncoder encoder(ctx);
   KeyGenerator keygen(ctx);

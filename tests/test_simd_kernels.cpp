@@ -314,6 +314,9 @@ TEST_F(DyadicKernelTest, FusedKernelsMatchUnfusedChainsOnAllArches) {
                                      s.quotient);
     std::vector<u64> ref_fi = base;
     simd::dyadic_fma_portable(dm, ref_fi.data(), a.data(), b.data(), kN);
+    std::vector<u64> ref_fs = a;  // mul then negate_add: base - a*b
+    simd::dyadic_mul_portable(dm, ref_fs.data(), b.data(), kN);
+    simd::dyadic_negate_add_portable(dm, ref_fs.data(), base.data(), kN);
 
     for (simd::KernelArch arch : available_arches()) {
       simd::set_kernel_arch_for_testing(arch);
@@ -353,6 +356,15 @@ TEST_F(DyadicKernelTest, FusedKernelsMatchUnfusedChainsOnAllArches) {
       simd::dyadic_fma_into(dm, out.data(), base.data(), a.data(), b.data(),
                             kN);
       EXPECT_EQ(out, ref_fi) << "fma_into " << an << " bits=" << bits;
+
+      std::fill(out.begin(), out.end(), ~u64{0});
+      simd::dyadic_fms_into(dm, out.data(), base.data(), a.data(), b.data(),
+                            kN);
+      EXPECT_EQ(out, ref_fs) << "fms_into " << an << " bits=" << bits;
+      out = base;  // out may equal base
+      simd::dyadic_fms_into(dm, out.data(), out.data(), a.data(), b.data(),
+                            kN);
+      EXPECT_EQ(out, ref_fs) << "fms_into in place " << an << " bits=" << bits;
     }
   }
 }

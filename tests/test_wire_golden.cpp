@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "ckks/encryptor.hpp"
@@ -153,6 +154,119 @@ TEST(WireGolden, BootstrappableSymmetricCiphertextMatchesOnEveryTier) {
                      fnv1a(serialize_ciphertext(ct))}},
                    {{"bootstrappable ciphertext", 0x3f02c20b4d899363ull}}, arch);
   }
+}
+
+// -- run (de)packing vs the per-word reference -------------------------------
+
+constexpr int kRunWidths[] = {1, 7, 8, 36, 44, 57};
+
+/// Packs a @p offset-bit prefix, then @p values, then a 3-bit trailer, one
+/// word at a time or as one run; both must emit the same bytes.
+std::vector<u8> pack_framed(const std::vector<u64>& values, int bits,
+                            int offset, bool as_run) {
+  BitPacker packer;
+  if (offset > 0) packer.append((u64{1} << offset) - 1, offset);
+  if (as_run) {
+    packer.append_run(values, bits);
+  } else {
+    for (u64 v : values) packer.append(v, bits);
+  }
+  packer.append(0b101, 3);
+  return packer.finish();
+}
+
+TEST(WireGolden, RunPackerMatchesPerWordPackerAtEveryOffset) {
+  std::mt19937_64 rng(44);
+  for (int bits : kRunWidths) {
+    const u64 mask = (u64{1} << bits) - 1;
+    for (int offset = 0; offset < 8; ++offset) {
+      // Short runs live entirely in the byte tail; long ones cross many
+      // 8-byte stores.
+      for (std::size_t count : {0, 1, 2, 5, 9, 64, 333}) {
+        std::vector<u64> values(count);
+        for (u64& v : values) v = rng() & mask;
+        if (count > 0) values.back() = mask;  // all-ones final word
+        const std::vector<u8> want = pack_framed(values, bits, offset, false);
+        EXPECT_EQ(pack_framed(values, bits, offset, true), want)
+            << "bits " << bits << " offset " << offset << " count " << count;
+
+        // The presized form writes the same bytes into a caller's span.
+        std::vector<u8> presized(want.size());
+        BitPacker packer(presized);
+        if (offset > 0) packer.append((u64{1} << offset) - 1, offset);
+        packer.append_run(values, bits);
+        packer.append(0b101, 3);
+        EXPECT_TRUE(packer.finish().empty());
+        EXPECT_EQ(presized, want);
+      }
+    }
+  }
+}
+
+TEST(WireGolden, RunUnpackerMatchesPerWordUnpackerAtEveryOffset) {
+  std::mt19937_64 rng(45);
+  for (int bits : kRunWidths) {
+    const u64 mask = (u64{1} << bits) - 1;
+    for (int offset = 0; offset < 8; ++offset) {
+      for (std::size_t count : {0, 1, 2, 5, 9, 64, 333}) {
+        std::vector<u64> values(count);
+        for (u64& v : values) v = rng() & mask;
+        const std::vector<u8> bytes = pack_framed(values, bits, offset, false);
+
+        BitUnpacker word(bytes);
+        BitUnpacker run(bytes);
+        if (offset > 0) {
+          (void)word.read(offset);
+          (void)run.read(offset);
+        }
+        std::vector<u64> got(count);
+        run.read_run(got, bits, mask + 1);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(got[i], word.read(bits))
+              << "bits " << bits << " offset " << offset << " word " << i;
+        }
+        EXPECT_EQ(got, values);
+        EXPECT_EQ(run.bits_consumed(), word.bits_consumed());
+        EXPECT_EQ(run.read(3), 0b101u);
+      }
+    }
+  }
+}
+
+TEST(WireGolden, RunChecksWidthTruncationAndRangeOncePerRun) {
+  BitPacker packer;
+  const std::vector<u64> too_wide{1, 2, u64{1} << 9};
+  EXPECT_THROW(packer.append_run(too_wide, 9), InvalidArgument);
+  BitPacker capped;
+  EXPECT_THROW(capped.append_run(too_wide, 58), InvalidArgument);
+
+  const std::vector<u64> values{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5};
+  BitPacker ok;
+  ok.append_run(values, 44);
+  const std::vector<u8> bytes = ok.finish();
+  std::vector<u64> out(values.size());
+  {
+    BitUnpacker u(bytes);
+    u.read_run(out, 44, 10);
+    EXPECT_EQ(out, values);
+  }
+  {
+    // The one out-of-range word is the last one: raised after the run.
+    BitUnpacker u(bytes);
+    EXPECT_THROW(u.read_run(out, 44, 5), InvalidArgument);
+  }
+  {
+    // One word more than the span holds is rejected before any read.
+    std::vector<u64> longer(values.size() + 1);
+    BitUnpacker u(bytes);
+    EXPECT_THROW(u.read_run(longer, 44, 10), InvalidArgument);
+    EXPECT_EQ(u.bits_consumed(), 0u);
+  }
+  // A presized span the words do not fill exactly is a writer bug.
+  std::vector<u8> roomy(bytes.size() + 1);
+  BitPacker loose(roomy);
+  loose.append_run(values, 44);
+  EXPECT_THROW(loose.finish(), LogicError);
 }
 
 }  // namespace
