@@ -261,8 +261,8 @@ class Counter {
   void inc(u64 n = 1) noexcept;
 
   /// This instance's total across all shards (not other instances of the
-  /// same name — the per-instance forwarder semantics ContextCache,
-  /// RunQueue and Server::stats() rely on).
+  /// same name — the per-instance forwarder semantics ContextCache and
+  /// Server::stats() rely on).
   u64 value() const noexcept;
 
  private:

@@ -8,15 +8,16 @@
 ///  * a SessionRegistry of tenants and their seed-compressed key records,
 ///  * a byte-bounded KeyCache regenerating expanded key-switch keys on
 ///    demand, shared by every tenant and worker (key_cache.hpp),
-///  * N per-core worker threads, each draining its own bounded SPSC
-///    RunQueue, with cross-core work stealing when a sibling backs up,
+///  * N per-core worker threads, each draining its own bounded FIFO and
+///    stealing from a sibling's when its own is empty; one mutex and one
+///    condition variable guard every FIFO,
 ///  * admission control that bounds queue depth and per-request bytes
 ///    *before* any buffer is reserved (the PR 5/PR 7 envelope-hardening
 ///    philosophy applied to the daemon's front door).
 ///
 /// Request lifecycle (docs/ARCHITECTURE.md has the full diagram):
 ///
-///   submit(frame) ── admission ──> RunQueue[w] ──> worker w (or a
+///   submit(frame) ── admission ──> queue[w] ──> worker w (or a
 ///   stealing sibling) ──> process: registry lookup -> deserialize "ABCB"
 ///   -> BatchEvaluator op -> reserialize ──> promise -> future
 ///
@@ -36,12 +37,13 @@
 /// daemon responses byte-identical to it.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -50,7 +52,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "server/key_cache.hpp"
-#include "server/run_queue.hpp"
 #include "server/session_registry.hpp"
 
 namespace abc::server {
@@ -87,12 +88,11 @@ const char* status_name(Status s) noexcept;
 struct ServerConfig {
   /// Per-core worker threads (>= 1).
   std::size_t workers = 1;
-  /// Per-worker run-queue capacity; rounded up to a power of two.
+  /// Per-worker run-queue capacity (>= 1), exact: a queue holding this
+  /// many requests is full.
   std::size_t queue_capacity = 64;
   /// Admission bound on RequestFrame::payload bytes.
   std::size_t max_request_bytes = 64u << 20;
-  /// Allow idle workers to drain a backed-up sibling's queue.
-  bool work_stealing = true;
   /// Packed residue width of response envelopes.
   int bits_per_coeff = 44;
   /// Byte budget of the shared expanded-key cache (all tenants, all
@@ -205,8 +205,7 @@ class Server {
   struct WorkerState;  // per-worker BatchEvaluator cache
 
   void worker_loop(std::size_t worker);
-  void execute(Pending* pending, WorkerState& state, std::size_t worker,
-               bool stolen);
+  void execute(Pending* pending, WorkerState& state, std::size_t worker);
   ckks::ResponseFrame process(const ckks::RequestFrame& request,
                               WorkerState& state);
   ckks::ResponseFrame evaluate(const ckks::RequestFrame& request,
@@ -219,22 +218,18 @@ class Server {
   SessionRegistry registry_;
   KeyCache key_cache_{config_.key_cache_bytes};
 
-  std::vector<std::unique_ptr<RunQueue<Pending*>>> queues_;
+  // One lock for dispatch: queue_m_ guards every worker's FIFO and the
+  // round-robin cursor, and stop() flips stopping_ under it, so a submit
+  // that re-checks stopping_ under queue_m_ can never enqueue after stop()
+  // drained the queues. Idle workers block on queue_cv_ with no timeout.
+  std::mutex queue_m_;
+  std::condition_variable queue_cv_;
+  std::vector<std::deque<Pending*>> queues_;
+  std::size_t rr_next_ = 0;
+  std::atomic<bool> stopping_{false};
+
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<WorkerState>> worker_states_;
-
-  // Sleep/wake plumbing: the queues stay lock-free; these only gate
-  // blocking when a worker finds every queue empty.
-  struct WorkerSignal;
-  std::vector<std::unique_ptr<WorkerSignal>> signals_;
-
-  // submit() holds this shared around its stopping-check + enqueue; stop()
-  // holds it exclusive while flipping stopping_. Without it a submit that
-  // passed the check could enqueue *after* stop() drained the queues and
-  // its future would never resolve.
-  mutable std::shared_mutex lifecycle_m_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<u64> rr_next_{0};  // round-robin dispatch cursor
 
   // Per-server metric instances on the global registry: inc/record is one
   // relaxed atomic add on the calling thread's shard (no stats mutex on
@@ -250,6 +245,8 @@ class Server {
       obs::registry().counter(obs::catalog::kServerRejectedShuttingDown);
   obs::Counter processed_ =
       obs::registry().counter(obs::catalog::kServerProcessed);
+  obs::Counter steals_ =
+      obs::registry().counter(obs::catalog::kServerSteals);
   obs::Counter drained_ =
       obs::registry().counter(obs::catalog::kServerDrained);
   obs::Counter slow_requests_ =

@@ -385,7 +385,6 @@ TEST_F(ObsServerTest, TraceRingCapacityIsBoundedAndValidated) {
 TEST_F(ObsServerTest, StopDrainsQueuedRequestsAndCountsThem) {
   ServerConfig cfg;
   cfg.workers = 1;
-  cfg.work_stealing = false;
   Server srv(cfg);
 
   // Keep the lone worker busy ~20 ms per dispatch so most of the burst is

@@ -1,6 +1,7 @@
 // The serving-daemon battery: multi-threaded soak (responses bit-identical
 // to serial execution at every worker count), work-stealing determinism,
-// backpressure/overload with typed rejections, warm-context cache keying,
+// the run-queue contracts (FIFO whoever drains, nothing lost, no missed
+// wakeup, no submit lost to a racing stop()), backpressure/overload with typed rejections, warm-context cache keying,
 // failpoint-driven fault drills on accept/dispatch/migrate/evaluate, and
 // the Unix-domain-socket transport end to end.
 
@@ -11,8 +12,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <complex>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <random>
@@ -116,52 +120,48 @@ TEST_F(ServerTest, SoakResponsesBitIdenticalToSerialAtEveryWorkerCount) {
 
   std::vector<std::vector<u8>> reference;  // payloads from the first config
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    for (const bool stealing : {false, true}) {
-      SCOPED_TRACE("workers " + std::to_string(workers) + " stealing " +
-                   std::to_string(stealing));
-      ServerConfig cfg;
-      cfg.workers = workers;
-      cfg.work_stealing = stealing;
-      cfg.param_sets = {params};
-      Server srv(cfg);
-      // Fresh server, first tenant: id 1, matching the prepared frames.
-      ASSERT_EQ(srv.register_tenant(params, frames), 1u);
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ServerConfig cfg;
+    cfg.workers = workers;
+    cfg.param_sets = {params};
+    Server srv(cfg);
+    // Fresh server, first tenant: id 1, matching the prepared frames.
+    ASSERT_EQ(srv.register_tenant(params, frames), 1u);
 
-      // N concurrent synthetic clients submit the mix in parallel.
-      std::vector<std::future<ckks::ResponseFrame>> futures(kRequests);
-      {
-        std::vector<std::thread> clients;
-        for (int c = 0; c < 3; ++c) {
-          clients.emplace_back([&, c] {
-            for (std::size_t i = static_cast<std::size_t>(c); i < kRequests;
-                 i += 3) {
-              futures[i] = srv.submit(requests[i]);
-            }
-          });
-        }
-        for (auto& t : clients) t.join();
+    // N concurrent synthetic clients submit the mix in parallel.
+    std::vector<std::future<ckks::ResponseFrame>> futures(kRequests);
+    {
+      std::vector<std::thread> clients;
+      for (int c = 0; c < 3; ++c) {
+        clients.emplace_back([&, c] {
+          for (std::size_t i = static_cast<std::size_t>(c); i < kRequests;
+               i += 3) {
+            futures[i] = srv.submit(requests[i]);
+          }
+        });
       }
+      for (auto& t : clients) t.join();
+    }
 
-      for (std::size_t i = 0; i < kRequests; ++i) {
-        const ckks::ResponseFrame resp = futures[i].get();
-        ASSERT_EQ(status_of(resp), Status::kOk) << resp.error;
-        EXPECT_EQ(resp.request_id, requests[i].request_id);
-        // Bit-identical to the serial reference on this server...
-        const ckks::ResponseFrame serial = srv.process_serial(requests[i]);
-        ASSERT_EQ(status_of(serial), Status::kOk) << serial.error;
-        EXPECT_EQ(resp.payload, serial.payload) << "request " << i;
-        // ...and to every other worker count / steal schedule.
-        if (reference.size() <= i) {
-          reference.push_back(resp.payload);
-        } else {
-          EXPECT_EQ(resp.payload, reference[i]) << "request " << i;
-        }
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      const ckks::ResponseFrame resp = futures[i].get();
+      ASSERT_EQ(status_of(resp), Status::kOk) << resp.error;
+      EXPECT_EQ(resp.request_id, requests[i].request_id);
+      // Bit-identical to the serial reference on this server...
+      const ckks::ResponseFrame serial = srv.process_serial(requests[i]);
+      ASSERT_EQ(status_of(serial), Status::kOk) << serial.error;
+      EXPECT_EQ(resp.payload, serial.payload) << "request " << i;
+      // ...and to every other worker count / steal schedule.
+      if (reference.size() <= i) {
+        reference.push_back(resp.payload);
+      } else {
+        EXPECT_EQ(resp.payload, reference[i]) << "request " << i;
       }
-      const server::ServerStats stats = srv.stats();
-      if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
-        EXPECT_EQ(stats.accepted, kRequests);
-        EXPECT_EQ(stats.processed, kRequests);
-      }
+    }
+    const server::ServerStats stats = srv.stats();
+    if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
+      EXPECT_EQ(stats.accepted, kRequests);
+      EXPECT_EQ(stats.processed, kRequests);
     }
   }
 }
@@ -216,6 +216,202 @@ TEST_F(ServerTest, WorkStealingMigratesRequestsWithoutChangingBytes) {
 }
 
 // ---------------------------------------------------------------------------
+// Run-queue contracts: FIFO whoever drains, nothing lost, no missed wakeup
+// ---------------------------------------------------------------------------
+
+/// Runs @p fn under a watchdog that aborts the test binary if @p fn has
+/// not returned within @p limit: a call that can only hang (a join that
+/// never ends) fails fast instead of timing out the suite.
+template <class Fn>
+void run_within_or_abort(std::chrono::milliseconds limit, const char* what,
+                         Fn fn) {
+  std::promise<void> done;
+  std::thread watchdog([limit, what, finished = done.get_future()] {
+    if (finished.wait_for(limit) != std::future_status::ready) {
+      std::fprintf(stderr, "%s did not return within %lld ms\n", what,
+                   static_cast<long long>(limit.count()));
+      std::abort();
+    }
+  });
+  fn();
+  done.set_value();
+  watchdog.join();
+}
+
+ServerConfig four_workers() {
+  ServerConfig cfg;
+  cfg.workers = 4;
+  return cfg;
+}
+
+TEST_F(ServerTest, PinnedQueueDequeuesFifoWhoeverDrainsIt) {
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.pin_dispatch_to = 0;  // one queue, two drainers: owner and thief
+  cfg.trace_ring_capacity = 512;
+  Server srv(cfg);
+
+  // A per-dispatch delay keeps worker 0 busy, so worker 1 steals from the
+  // same queue while worker 0 still pops from it.
+  fail::Policy slow;
+  slow.action = fail::Action::kDelay;
+  slow.delay_us = 1000;
+  fail::arm(fail::points::kServerDispatch, slow);
+
+  // The trace flag, not the steal counter, so the check also runs with
+  // metrics compiled out. Bounded retry: no scheduler pathology can flake
+  // the at-least-one-steal assertion.
+  constexpr u64 kPerRound = 16;
+  u64 next_id = 1;
+  bool any_stolen = false;
+  for (int round = 0; round < 20 && !any_stolen; ++round) {
+    std::vector<std::future<ckks::ResponseFrame>> futures;
+    for (u64 i = 0; i < kPerRound; ++i) {
+      futures.push_back(
+          srv.submit(make_request(9, next_id++, static_cast<Op>(42), 0, {})));
+    }
+    for (auto& f : futures) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+          << "a pinned request was never picked up";
+      ASSERT_EQ(status_of(f.get()), Status::kUnknownOp);
+    }
+    for (const obs::Trace& t : srv.traces().recent()) any_stolen |= t.stolen;
+  }
+  EXPECT_TRUE(any_stolen);
+
+  // Submitted in id order from one thread into one queue: owner and thief
+  // partition the stream (each request dequeued exactly once) and dequeue
+  // it in id order, whichever worker popped.
+  std::vector<obs::Trace> traces = srv.traces().recent();
+  ASSERT_EQ(traces.size(), next_id - 1);
+  std::sort(traces.begin(), traces.end(),
+            [](const obs::Trace& a, const obs::Trace& b) {
+              return a.request_id < b.request_id;
+            });
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    EXPECT_EQ(traces[i].request_id, i + 1);
+    if (i == 0) continue;
+    EXPECT_LE(traces[i - 1].dequeue_ns, traces[i].dequeue_ns)
+        << "request " << traces[i].request_id << " overtook its predecessor";
+  }
+}
+
+TEST_F(ServerTest, ManySubmittersLoseNothing) {
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.queue_capacity = 8;  // small enough that some submits bounce
+  Server srv(cfg);
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 500;
+  std::vector<std::vector<std::future<ckks::ResponseFrame>>> futures(
+      kThreads);
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        futures[t].push_back(srv.submit(make_request(
+            9, t * kPerThread + i, static_cast<Op>(42), 0, {})));
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      auto& f = futures[t][i];
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+          << "request " << t * kPerThread + i << " never resolved";
+      const ckks::ResponseFrame resp = f.get();
+      EXPECT_EQ(resp.request_id, t * kPerThread + i);
+      const Status s = status_of(resp);
+      EXPECT_TRUE(s == Status::kUnknownOp || s == Status::kQueueFull)
+          << static_cast<int>(resp.status);
+    }
+  }
+  if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
+    const server::ServerStats stats = srv.stats();
+    EXPECT_EQ(stats.accepted + stats.rejected_queue_full,
+              kThreads * kPerThread);
+    EXPECT_EQ(stats.processed, stats.accepted);
+  }
+}
+
+TEST_F(ServerTest, ParkedWorkersWakeForEverySingleSubmit) {
+  // No poll rescues a missed notify: every lone submit to an idle server
+  // must wake a worker by itself.
+  Server srv(four_workers());
+  for (u64 i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));  // park
+    auto f = srv.submit(make_request(9, i, static_cast<Op>(42), 0, {}));
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+        << "submit " << i << " was never picked up";
+    EXPECT_EQ(status_of(f.get()), Status::kUnknownOp);
+  }
+}
+
+TEST_F(ServerTest, StopOnIdleServerReturnsPromptly) {
+  for (int round = 0; round < 50; ++round) {
+    Server srv(four_workers());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));  // park
+    run_within_or_abort(std::chrono::seconds(1), "stop() on an idle server",
+                        [&] { srv.stop(); });
+  }
+}
+
+TEST_F(ServerTest, SubmitsRacingStopAllResolve) {
+  // A delay at the accept failpoint holds each submit between its
+  // lock-free stopping_ pre-check and the enqueue, so stop() lands inside
+  // that window: only the re-check under the queue lock keeps those
+  // submits out of the queues stop() has already drained.
+  fail::Policy window;
+  window.action = fail::Action::kDelay;
+  window.delay_us = 200;
+  fail::arm(fail::points::kServerAccept, window);
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 50;  // 200 < 4 queues x 64: never full
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    Server srv(four_workers());
+    std::atomic<std::size_t> submitted{0};
+    std::vector<std::vector<std::future<ckks::ResponseFrame>>> futures(
+        kThreads);
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&, t] {
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          futures[t].push_back(srv.submit(make_request(
+              9, t * kPerThread + i, static_cast<Op>(42), 0, {})));
+          submitted.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    // Stop mid-stream: some submits land before the flip, some after.
+    while (submitted.load(std::memory_order_relaxed) < kThreads * 4) {
+      std::this_thread::yield();
+    }
+    srv.stop();
+    for (auto& t : submitters) t.join();
+
+    for (auto& per_thread : futures) {
+      for (auto& f : per_thread) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(5)),
+                  std::future_status::ready)
+            << "a submit racing stop() never resolved";
+        const Status s = status_of(f.get());
+        EXPECT_TRUE(s == Status::kUnknownOp || s == Status::kShuttingDown)
+            << static_cast<int>(s);
+      }
+    }
+    if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
+      const server::ServerStats stats = srv.stats();
+      EXPECT_EQ(stats.accepted, stats.processed + stats.drained);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Backpressure and admission control (satellite 1)
 // ---------------------------------------------------------------------------
 
@@ -223,7 +419,6 @@ TEST_F(ServerTest, OverloadFloodRejectsTypedImmediatelyAndRecovers) {
   ServerConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 4;
-  cfg.work_stealing = false;
   Server srv(cfg);
 
   // Slow the lone worker so the flood outruns it: ~20 ms per dispatch
@@ -279,7 +474,6 @@ TEST_F(ServerTest, QueueFullFailpointCoversTheRejectionPath) {
   ServerConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 2;
-  cfg.work_stealing = false;
   Server srv(cfg);
 
   fail::Policy slow;
