@@ -244,12 +244,45 @@ ServerConfig four_workers() {
   return cfg;
 }
 
-TEST_F(ServerTest, PinnedQueueDequeuesFifoWhoeverDrainsIt) {
-  ServerConfig cfg;
-  cfg.workers = 2;
-  cfg.pin_dispatch_to = 0;  // one queue, two drainers: owner and thief
-  cfg.trace_ring_capacity = 512;
-  Server srv(cfg);
+// The run-queue contracts, checked through the Server that owns the queues:
+// pin_dispatch_to sends every request into worker 0's queue, so worker 0
+// is its owner and worker 1 can only reach it by stealing.
+struct RunQueue : ServerTest {
+  static ServerConfig owner_and_thief(std::size_t trace_capacity) {
+    ServerConfig cfg;
+    cfg.workers = 2;
+    cfg.pin_dispatch_to = 0;
+    cfg.trace_ring_capacity = trace_capacity;
+    return cfg;
+  }
+
+  /// Sorts by request id, checks the ids are exactly 1..count (each
+  /// request dequeued once) and that dequeue order is id order.
+  static void expect_partitioned_in_order(std::vector<obs::Trace> traces,
+                                          u64 count) {
+    ASSERT_EQ(traces.size(), count);
+    std::sort(traces.begin(), traces.end(),
+              [](const obs::Trace& a, const obs::Trace& b) {
+                return a.request_id < b.request_id;
+              });
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      EXPECT_EQ(traces[i].request_id, i + 1);
+      if (i == 0) continue;
+      EXPECT_LE(traces[i - 1].dequeue_ns, traces[i].dequeue_ns)
+          << "request " << traces[i].request_id
+          << " overtook its predecessor";
+    }
+  }
+
+  static u64 stolen_count(const std::vector<obs::Trace>& traces) {
+    return static_cast<u64>(std::count_if(
+        traces.begin(), traces.end(),
+        [](const obs::Trace& t) { return t.stolen; }));
+  }
+};
+
+TEST_F(RunQueue, StealDrainsFromTheSameEndAndCounts) {
+  Server srv(owner_and_thief(512));
 
   // A per-dispatch delay keeps worker 0 busy, so worker 1 steals from the
   // same queue while worker 0 still pops from it.
@@ -258,9 +291,9 @@ TEST_F(ServerTest, PinnedQueueDequeuesFifoWhoeverDrainsIt) {
   slow.delay_us = 1000;
   fail::arm(fail::points::kServerDispatch, slow);
 
-  // The trace flag, not the steal counter, so the check also runs with
-  // metrics compiled out. Bounded retry: no scheduler pathology can flake
-  // the at-least-one-steal assertion.
+  // The trace flag, not the steal counter, decides the retry, so the
+  // check also runs with metrics compiled out. Bounded retry: no
+  // scheduler pathology can flake the at-least-one-steal assertion.
   constexpr u64 kPerRound = 16;
   u64 next_id = 1;
   bool any_stolen = false;
@@ -280,19 +313,74 @@ TEST_F(ServerTest, PinnedQueueDequeuesFifoWhoeverDrainsIt) {
   EXPECT_TRUE(any_stolen);
 
   // Submitted in id order from one thread into one queue: owner and thief
-  // partition the stream (each request dequeued exactly once) and dequeue
-  // it in id order, whichever worker popped.
-  std::vector<obs::Trace> traces = srv.traces().recent();
-  ASSERT_EQ(traces.size(), next_id - 1);
-  std::sort(traces.begin(), traces.end(),
-            [](const obs::Trace& a, const obs::Trace& b) {
-              return a.request_id < b.request_id;
-            });
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    EXPECT_EQ(traces[i].request_id, i + 1);
-    if (i == 0) continue;
-    EXPECT_LE(traces[i - 1].dequeue_ns, traces[i].dequeue_ns)
-        << "request " << traces[i].request_id << " overtook its predecessor";
+  // both pop its front, so dequeue order is id order whoever popped.
+  const std::vector<obs::Trace> traces = srv.traces().recent();
+  expect_partitioned_in_order(traces, next_id - 1);
+
+  // Every steal is counted once; an idle worker finding every queue empty
+  // is not a steal.
+  if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
+    const u64 steals = srv.stats().steals;
+    EXPECT_EQ(steals, stolen_count(traces));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(srv.stats().steals, steals);
+  }
+}
+
+TEST_F(RunQueue, ConcurrentOwnerAndThievesPartitionTheStream) {
+  constexpr u64 kItems = 2000;
+  ServerConfig cfg = owner_and_thief(kItems);
+  cfg.queue_capacity = 16;  // small, so the submitter often meets a full queue
+  Server srv(cfg);
+
+  // One submitter streams into the pinned queue while owner and thief
+  // drain it; a request bounced by the full queue is resubmitted under the
+  // same id, so ids enter the queue in order.
+  std::vector<std::future<ckks::ResponseFrame>> futures;
+  std::thread submitter([&] {
+    for (u64 id = 1; id <= kItems; ++id) {
+      while (true) {
+        auto f = srv.submit(make_request(9, id, static_cast<Op>(42), 0, {}));
+        if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+          // Ready at once is a rejection or an already finished request.
+          ckks::ResponseFrame resp = f.get();
+          if (status_of(resp) == Status::kQueueFull) {
+            std::this_thread::yield();
+            continue;
+          }
+          std::promise<ckks::ResponseFrame> done;
+          done.set_value(std::move(resp));
+          futures.push_back(done.get_future());
+        } else {
+          futures.push_back(std::move(f));
+        }
+        break;
+      }
+    }
+  });
+  submitter.join();
+
+  ASSERT_EQ(futures.size(), kItems);
+  for (u64 i = 0; i < kItems; ++i) {
+    auto& f = futures[i];
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+        << "request " << i + 1 << " never resolved";
+    const ckks::ResponseFrame resp = f.get();
+    EXPECT_EQ(resp.request_id, i + 1);
+    EXPECT_EQ(status_of(resp), Status::kUnknownOp);
+  }
+
+  // Between them the drainers dequeued every request exactly once.
+  const std::vector<obs::Trace> traces = srv.traces().recent();
+  expect_partitioned_in_order(traces, kItems);
+  if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
+    const server::ServerStats stats = srv.stats();
+    EXPECT_EQ(stats.accepted, kItems);
+    EXPECT_EQ(stats.processed, kItems);
+    EXPECT_EQ(stats.per_worker_processed[0] + stats.per_worker_processed[1],
+              kItems);
+    EXPECT_EQ(stats.per_worker_processed[1], stolen_count(traces));
+    EXPECT_EQ(stats.steals, stolen_count(traces));
   }
 }
 
