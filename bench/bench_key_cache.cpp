@@ -126,10 +126,11 @@ int main(int argc, char** argv) {
   abc::engine::BatchEvaluator eval(ctx);
 
   const abc::ckks::GaloisKeys eager_gks = s0.expand_gks();
+  const abc::ckks::EagerKeySource eager_src(&eager_gks, nullptr);
   const double eager_s = abc::bench::time_best_of(reps, [&] {
     for (std::size_t i = 0; i < warm_iters; ++i) {
       (void)eval.rotate_batch(cts, 1 + static_cast<int>(i % kRotations),
-                              eager_gks);
+                              eager_src);
     }
   });
 

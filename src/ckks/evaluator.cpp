@@ -42,16 +42,6 @@ void Evaluator::relinearize_inplace(Ciphertext& ct, const RelinKey& rlk,
   relinearize_inplace(ct, rlk.key, scratch);
 }
 
-void Evaluator::relinearize_inplace(Ciphertext& ct, const KeySource& keys,
-                                    KeySwitchScratch* scratch) const {
-  // Shape check before the source resolves anything: a malformed request
-  // must not cost a cache miss (or pin a key it will never use).
-  ABC_CHECK_ARG(ct.size() == 3,
-                "relinearization expects an unreduced 3-component product");
-  const std::shared_ptr<const KeySwitchKey> key = keys.relin_key();
-  relinearize_inplace(ct, *key, scratch);
-}
-
 void Evaluator::relinearize_inplace(Ciphertext& ct, const KeySwitchKey& rlk,
                                     KeySwitchScratch* scratch) const {
   ABC_CHECK_ARG(ct.size() == 3,
@@ -140,15 +130,6 @@ Ciphertext Evaluator::rotate(const Ciphertext& ct, const KeySwitchKey& key,
   Ciphertext out;
   rotate_into(ct, key, s, out);
   return out;
-}
-
-Ciphertext Evaluator::rotate(const Ciphertext& ct, int step,
-                             const KeySource& keys,
-                             KeySwitchScratch* scratch) const {
-  // Pin first: the source's lookup failure (missing key, regeneration
-  // error) surfaces before any decomposition work.
-  const std::shared_ptr<const KeySwitchKey> key = keys.galois_key(step);
-  return rotate(ct, *key, scratch);
 }
 
 std::vector<Ciphertext> Evaluator::rotate_many(const Ciphertext& ct,

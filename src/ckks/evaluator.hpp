@@ -54,15 +54,11 @@ class Evaluator {
                            KeySwitchScratch* scratch = nullptr) const;
 
   /// relinearize_inplace with a pre-resolved key (must be Kind::kRelin).
-  /// This is the single underlying code path: the RelinKey and KeySource
-  /// overloads both land here, which is what makes on-demand-regenerated
-  /// keys bit-identical to eager ones by construction.
+  /// This is the single underlying code path: the RelinKey overload and
+  /// every KeySource caller (BatchEvaluator pins the key, then lands here)
+  /// share it, which is what makes on-demand-regenerated keys
+  /// bit-identical to eager ones by construction.
   void relinearize_inplace(Ciphertext& ct, const KeySwitchKey& rlk,
-                           KeySwitchScratch* scratch = nullptr) const;
-
-  /// relinearize_inplace resolving (and pinning) the key through a
-  /// KeySource for the duration of the switch.
-  void relinearize_inplace(Ciphertext& ct, const KeySource& keys,
                            KeySwitchScratch* scratch = nullptr) const;
 
   /// Rotates slots left by @p step (negative steps rotate right) using the
@@ -74,10 +70,6 @@ class Evaluator {
   /// rotate with a pre-resolved Galois key (the single underlying code
   /// path; the step is implied by key.galois_elt).
   Ciphertext rotate(const Ciphertext& ct, const KeySwitchKey& key,
-                    KeySwitchScratch* scratch = nullptr) const;
-
-  /// rotate resolving (and pinning) the step's key through a KeySource.
-  Ciphertext rotate(const Ciphertext& ct, int step, const KeySource& keys,
                     KeySwitchScratch* scratch = nullptr) const;
 
   /// Rotations by every step in @p steps from one input, decomposing the

@@ -48,7 +48,7 @@ class KeySource {
 /// KeySource over fully expanded key structs. Non-owning: the referenced
 /// GaloisKeys/RelinKey must outlive every handle this source returns (the
 /// same lifetime contract the evaluator's reference-taking overloads
-/// always had — those overloads are now thin wrappers over this adapter).
+/// have; Evaluator::rotate_many's GaloisKeys overload wraps this adapter).
 class EagerKeySource final : public KeySource {
  public:
   EagerKeySource(const GaloisKeys* gks, const RelinKey* rlk)

@@ -17,13 +17,10 @@ BatchDecryptor::BatchDecryptor(std::shared_ptr<const ckks::CkksContext> ctx,
 
 std::vector<ckks::Plaintext> BatchDecryptor::decrypt_batch(
     std::span<const ckks::Ciphertext> cts) {
-  // Plaintext is not default-constructible (RnsPoly carries its context),
-  // so stage the parallel writes through optionals and unwrap in order.
-  std::vector<std::optional<ckks::Plaintext>> staged(cts.size());
-  core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kDecryptItem);
-    staged[i] = decryptor_.decrypt_with(cts[i], scratch_.at(worker));
-  });
+  BatchErrorReport report;
+  std::vector<std::optional<ckks::Plaintext>> staged =
+      decrypt_batch(cts, report);
+  report.rethrow_first();
   std::vector<ckks::Plaintext> out;
   out.reserve(cts.size());
   for (auto& pt : staged) out.push_back(std::move(*pt));
@@ -32,9 +29,10 @@ std::vector<ckks::Plaintext> BatchDecryptor::decrypt_batch(
 
 std::vector<std::optional<ckks::Plaintext>> BatchDecryptor::decrypt_batch(
     std::span<const ckks::Ciphertext> cts, BatchErrorReport& report) {
+  // Plaintext is not default-constructible (RnsPoly carries its context),
+  // so the parallel writes are staged through optionals.
   std::vector<std::optional<ckks::Plaintext>> out(cts.size());
-  report = core_.run_isolated(cts.size(), [&](std::size_t i,
-                                              std::size_t worker) {
+  report = core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
     ABC_FAILPOINT(fail::points::kDecryptItem);
     out[i] = decryptor_.decrypt_with(cts[i], scratch_.at(worker));
   });
@@ -43,12 +41,10 @@ std::vector<std::optional<ckks::Plaintext>> BatchDecryptor::decrypt_batch(
 
 std::vector<std::vector<std::complex<double>>>
 BatchDecryptor::decrypt_decode_batch(std::span<const ckks::Ciphertext> cts) {
-  std::vector<std::vector<std::complex<double>>> out(cts.size());
-  core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kDecryptItem);
-    out[i] =
-        encoder_.decode(decryptor_.decrypt_with(cts[i], scratch_.at(worker)));
-  });
+  BatchErrorReport report;
+  std::vector<std::vector<std::complex<double>>> out =
+      decrypt_decode_batch(cts, report);
+  report.rethrow_first();
   return out;
 }
 
@@ -56,8 +52,7 @@ std::vector<std::vector<std::complex<double>>>
 BatchDecryptor::decrypt_decode_batch(std::span<const ckks::Ciphertext> cts,
                                      BatchErrorReport& report) {
   std::vector<std::vector<std::complex<double>>> out(cts.size());
-  report = core_.run_isolated(cts.size(), [&](std::size_t i,
-                                              std::size_t worker) {
+  report = core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
     ABC_FAILPOINT(fail::points::kDecryptItem);
     // decode() returns a fresh vector, so a throw before the assignment
     // leaves out[i] as the empty vector it started as — never half-written.
@@ -67,43 +62,27 @@ BatchDecryptor::decrypt_decode_batch(std::span<const ckks::Ciphertext> cts,
   return out;
 }
 
-namespace {
-
-// Serial fold after the fan-out: aggregation order never depends on
-// worker scheduling.
-void fold_verify_items(BatchVerifyReport& report) {
-  report.ok = true;
-  report.passed = 0;
-  report.failed = 0;
-  report.worst_abs_error = 0.0;
-  report.worst_precision_bits = 60.0;
-  for (const ckks::VerifyReport& item : report.items) {
-    (item.ok ? report.passed : report.failed) += 1;
-    report.ok = report.ok && item.ok;
-    report.worst_abs_error =
-        std::max(report.worst_abs_error, item.max_abs_error);
-    report.worst_precision_bits =
-        std::min(report.worst_precision_bits, item.precision_bits);
+void BatchVerifyReport::fold() {
+  ok = true;
+  passed = 0;
+  failed = 0;
+  worst_abs_error = 0.0;
+  worst_precision_bits = 60.0;
+  for (const ckks::VerifyReport& item : items) {
+    (item.ok ? passed : failed) += 1;
+    ok = ok && item.ok;
+    worst_abs_error = std::max(worst_abs_error, item.max_abs_error);
+    worst_precision_bits = std::min(worst_precision_bits, item.precision_bits);
   }
 }
-
-}  // namespace
 
 BatchVerifyReport BatchDecryptor::verify_batch(
     std::span<const ckks::Ciphertext> cts,
     std::span<const std::vector<std::complex<double>>> expected,
     double bound) {
-  ABC_CHECK_ARG(cts.size() == expected.size(),
-                "one expected slot vector per ciphertext");
-  BatchVerifyReport report;
-  report.items.resize(cts.size());
-  core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kVerifyItem);
-    report.items[i] =
-        ckks::verify_decode(core_.ctx(), cts[i], decryptor_, encoder_,
-                            expected[i], bound, scratch_.at(worker));
-  });
-  fold_verify_items(report);
+  BatchErrorReport errors;
+  BatchVerifyReport report = verify_batch(cts, expected, errors, bound);
+  errors.rethrow_first();
   return report;
 }
 
@@ -115,8 +94,7 @@ BatchVerifyReport BatchDecryptor::verify_batch(
                 "one expected slot vector per ciphertext");
   BatchVerifyReport report;
   report.items.resize(cts.size());
-  errors = core_.run_isolated(cts.size(), [&](std::size_t i,
-                                              std::size_t worker) {
+  errors = core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
     ABC_FAILPOINT(fail::points::kVerifyItem);
     report.items[i] =
         ckks::verify_decode(core_.ctx(), cts[i], decryptor_, encoder_,
@@ -124,7 +102,7 @@ BatchVerifyReport BatchDecryptor::verify_batch(
   });
   // A slot whose verify threw keeps the default VerifyReport — ok=false —
   // so the fold counts it as failed without consulting the error report.
-  fold_verify_items(report);
+  report.fold();
   return report;
 }
 

@@ -39,6 +39,10 @@ struct BatchVerifyReport {
   double worst_precision_bits = 60.0; // min over items; 60 = "no error
                                       // observed", matching VerifyReport
   std::vector<ckks::VerifyReport> items;
+
+  /// Recomputes the aggregates from items: a serial fold after the
+  /// fan-out, so aggregation order never depends on worker scheduling.
+  void fold();
 };
 
 class BatchDecryptor {
@@ -75,7 +79,9 @@ class BatchDecryptor {
 
   // -- per-item-fault mode ----------------------------------------------------
   // One malformed ciphertext no longer aborts the batch: @p report records
-  // each item's outcome in input order and successes are untouched.
+  // each item's outcome in input order and successes are untouched. The
+  // throwing overloads above run these bodies and then rethrow the
+  // lowest-index failure (BatchErrorReport::rethrow_first).
   // Plaintext is not default-constructible, so the failed slot of the
   // plaintext overload is std::nullopt; a failed decode slot is an empty
   // vector; a failed verify slot is a default (failing) VerifyReport.

@@ -66,7 +66,9 @@ class BatchEncryptor {
   // records each item's outcome in input order, failed slots come back as
   // default-constructed (empty) Ciphertexts, and successes are the exact
   // bytes the throwing overload would have produced (stream ids are
-  // reserved identically whether or not neighbours fail).
+  // reserved identically whether or not neighbours fail). The throwing
+  // overloads above run these bodies and then rethrow the lowest-index
+  // failure (BatchErrorReport::rethrow_first).
 
   std::vector<ckks::Ciphertext> encrypt_batch(
       std::span<const std::vector<std::complex<double>>> messages,
@@ -77,12 +79,9 @@ class BatchEncryptor {
       BatchErrorReport& report);
 
  private:
+  /// The one fan-out every operation shares: item(i, scratch, id) for each
+  /// slot under a reserved stream-id block, outcomes into @p report.
   std::vector<ckks::Ciphertext> run(
-      std::size_t count,
-      const std::function<ckks::Ciphertext(std::size_t index,
-                                           ckks::EncryptScratch& scratch,
-                                           u64 stream_id)>& item);
-  std::vector<ckks::Ciphertext> run_isolated(
       std::size_t count,
       const std::function<ckks::Ciphertext(std::size_t index,
                                            ckks::EncryptScratch& scratch,

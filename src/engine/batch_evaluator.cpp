@@ -1,6 +1,5 @@
 #include "engine/batch_evaluator.hpp"
 
-#include "ckks/key_source.hpp"
 #include "common/failpoint.hpp"
 
 namespace abc::engine {
@@ -10,81 +9,26 @@ BatchEvaluator::BatchEvaluator(std::shared_ptr<const ckks::CkksContext> ctx)
 
 std::vector<ckks::Ciphertext> BatchEvaluator::rotate_batch(
     std::span<const ckks::Ciphertext> cts, int step,
-    const ckks::GaloisKeys& gks) {
-  std::vector<ckks::Ciphertext> out(cts.size());
-  core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kEvaluateItem);
-    out[i] = evaluator_.rotate(cts[i], step, gks, &scratch_.at(worker));
-  });
-  return out;
-}
-
-std::vector<ckks::Ciphertext> BatchEvaluator::rotate_batch(
-    std::span<const ckks::Ciphertext> cts, int step,
-    const ckks::GaloisKeys& gks, BatchErrorReport& report) {
-  std::vector<ckks::Ciphertext> out(cts.size());
-  report = core_.run_isolated(cts.size(), [&](std::size_t i,
-                                              std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kEvaluateItem);
-    // rotate() returns a fresh ciphertext, so a throw leaves out[i] the
-    // well-defined-empty Ciphertext it started as — never half-written.
-    out[i] = evaluator_.rotate(cts[i], step, gks, &scratch_.at(worker));
-  });
-  return out;
-}
-
-std::vector<ckks::Ciphertext> BatchEvaluator::square_relin_batch(
-    std::span<const ckks::Ciphertext> cts, const ckks::RelinKey& rlk) {
-  std::vector<ckks::Ciphertext> out(cts.size());
-  core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kEvaluateItem);
-    ckks::Ciphertext product = evaluator_.mul(cts[i], cts[i]);
-    evaluator_.relinearize_inplace(product, rlk, &scratch_.at(worker));
-    out[i] = std::move(product);
-  });
-  return out;
-}
-
-std::vector<ckks::Ciphertext> BatchEvaluator::square_relin_batch(
-    std::span<const ckks::Ciphertext> cts, const ckks::RelinKey& rlk,
-    BatchErrorReport& report) {
-  std::vector<ckks::Ciphertext> out(cts.size());
-  report = core_.run_isolated(cts.size(), [&](std::size_t i,
-                                              std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kEvaluateItem);
-    ckks::Ciphertext product = evaluator_.mul(cts[i], cts[i]);
-    evaluator_.relinearize_inplace(product, rlk, &scratch_.at(worker));
-    out[i] = std::move(product);
-  });
-  return out;
-}
-
-std::vector<ckks::Ciphertext> BatchEvaluator::rotate_batch(
-    std::span<const ckks::Ciphertext> cts, int step,
     const ckks::KeySource& keys) {
-  // Pin once for the whole batch: one lookup (at most one regeneration),
-  // and the key cannot be evicted while any item still switches on it.
-  const std::shared_ptr<const ckks::KeySwitchKey> key =
-      keys.galois_key(step);
-  std::vector<ckks::Ciphertext> out(cts.size());
-  core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kEvaluateItem);
-    out[i] = evaluator_.rotate(cts[i], *key, &scratch_.at(worker));
-  });
+  BatchErrorReport report;
+  std::vector<ckks::Ciphertext> out = rotate_batch(cts, step, keys, report);
+  report.rethrow_first();
   return out;
 }
 
 std::vector<ckks::Ciphertext> BatchEvaluator::rotate_batch(
     std::span<const ckks::Ciphertext> cts, int step,
     const ckks::KeySource& keys, BatchErrorReport& report) {
+  // Pin once for the whole batch, before the fan-out: one lookup (at most
+  // one regeneration), and the key cannot be evicted while any item still
+  // switches on it.
+  const std::shared_ptr<const ckks::KeySwitchKey> key =
+      keys.galois_key(step);
   std::vector<ckks::Ciphertext> out(cts.size());
-  report = core_.run_isolated(cts.size(), [&](std::size_t i,
-                                              std::size_t worker) {
+  report = core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
     ABC_FAILPOINT(fail::points::kEvaluateItem);
-    // Per-item resolution: a lookup or regeneration failure lands in this
-    // item's report slot instead of failing the whole batch.
-    const std::shared_ptr<const ckks::KeySwitchKey> key =
-        keys.galois_key(step);
+    // rotate() returns a fresh ciphertext, so a throw leaves out[i] the
+    // well-defined-empty Ciphertext it started as — never half-written.
     out[i] = evaluator_.rotate(cts[i], *key, &scratch_.at(worker));
   });
   return out;
@@ -92,25 +36,19 @@ std::vector<ckks::Ciphertext> BatchEvaluator::rotate_batch(
 
 std::vector<ckks::Ciphertext> BatchEvaluator::square_relin_batch(
     std::span<const ckks::Ciphertext> cts, const ckks::KeySource& keys) {
-  const std::shared_ptr<const ckks::KeySwitchKey> key = keys.relin_key();
-  std::vector<ckks::Ciphertext> out(cts.size());
-  core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kEvaluateItem);
-    ckks::Ciphertext product = evaluator_.mul(cts[i], cts[i]);
-    evaluator_.relinearize_inplace(product, *key, &scratch_.at(worker));
-    out[i] = std::move(product);
-  });
+  BatchErrorReport report;
+  std::vector<ckks::Ciphertext> out = square_relin_batch(cts, keys, report);
+  report.rethrow_first();
   return out;
 }
 
 std::vector<ckks::Ciphertext> BatchEvaluator::square_relin_batch(
     std::span<const ckks::Ciphertext> cts, const ckks::KeySource& keys,
     BatchErrorReport& report) {
+  const std::shared_ptr<const ckks::KeySwitchKey> key = keys.relin_key();
   std::vector<ckks::Ciphertext> out(cts.size());
-  report = core_.run_isolated(cts.size(), [&](std::size_t i,
-                                              std::size_t worker) {
+  report = core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
     ABC_FAILPOINT(fail::points::kEvaluateItem);
-    const std::shared_ptr<const ckks::KeySwitchKey> key = keys.relin_key();
     ckks::Ciphertext product = evaluator_.mul(cts[i], cts[i]);
     evaluator_.relinearize_inplace(product, *key, &scratch_.at(worker));
     out[i] = std::move(product);

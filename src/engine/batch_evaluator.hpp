@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "ckks/evaluator.hpp"
+#include "ckks/key_source.hpp"
 #include "engine/fan_out_core.hpp"
 
 namespace abc::engine {
@@ -39,28 +40,20 @@ class BatchEvaluator {
   /// The underlying evaluator, for one-off calls between batches.
   const ckks::Evaluator& evaluator() const noexcept { return evaluator_; }
 
-  /// Rotates cts[i] left by @p step using @p gks; results in input order.
-  /// Each item must sit at level <= max_limbs - 1 (the key-switch special
-  /// prime rule) or the item throws InvalidArgument, exactly as serially.
-  std::vector<ckks::Ciphertext> rotate_batch(
-      std::span<const ckks::Ciphertext> cts, int step,
-      const ckks::GaloisKeys& gks);
-
-  /// rotate_batch through a KeySource (the serving daemon's cache-backed
-  /// path): the step's key is resolved and pinned ONCE up front — a cache
-  /// regeneration failure surfaces before any item work, and the pin
-  /// guarantees eviction cannot free the key mid-batch.
+  /// Rotates cts[i] left by @p step; results in input order. The step's
+  /// key is resolved through @p keys and pinned ONCE per batch, before any
+  /// item work: a lookup or regeneration failure throws for the whole
+  /// batch, and the pin guarantees a caching source cannot evict the key
+  /// mid-batch. Eager keys go through ckks::EagerKeySource. Each item must
+  /// sit at level <= max_limbs - 1 (the key-switch special prime rule) or
+  /// the item throws InvalidArgument, exactly as serially.
   std::vector<ckks::Ciphertext> rotate_batch(
       std::span<const ckks::Ciphertext> cts, int step,
       const ckks::KeySource& keys);
 
   /// ct[i] <- relinearize(ct[i] * ct[i]): the squaring activation of the
-  /// encrypted-inference profile, scale squared, level unchanged.
-  std::vector<ckks::Ciphertext> square_relin_batch(
-      std::span<const ckks::Ciphertext> cts, const ckks::RelinKey& rlk);
-
-  /// square_relin_batch through a KeySource; same pin-once contract as the
-  /// KeySource rotate_batch.
+  /// encrypted-inference profile, scale squared, level unchanged. Same
+  /// pin-once contract as rotate_batch.
   std::vector<ckks::Ciphertext> square_relin_batch(
       std::span<const ckks::Ciphertext> cts, const ckks::KeySource& keys);
 
@@ -68,20 +61,11 @@ class BatchEvaluator {
   // One malformed ciphertext no longer aborts the batch: @p report records
   // each item's outcome in input order, failed slots come back as
   // default-constructed (empty) Ciphertexts, successes are the exact bytes
-  // of the throwing overload.
+  // of the throwing overload. The key is still pinned once up front, so a
+  // key failure throws rather than landing in the report. The throwing
+  // overloads above run these bodies and then rethrow the lowest-index
+  // failure (BatchErrorReport::rethrow_first).
 
-  std::vector<ckks::Ciphertext> rotate_batch(
-      std::span<const ckks::Ciphertext> cts, int step,
-      const ckks::GaloisKeys& gks, BatchErrorReport& report);
-
-  std::vector<ckks::Ciphertext> square_relin_batch(
-      std::span<const ckks::Ciphertext> cts, const ckks::RelinKey& rlk,
-      BatchErrorReport& report);
-
-  /// Report-mode KeySource variants resolve the key PER ITEM inside the
-  /// isolation boundary, so a key lookup / regeneration failure is
-  /// recorded against the item that hit it (the same per-item failure
-  /// semantics the eager report overloads have for evaluation errors).
   std::vector<ckks::Ciphertext> rotate_batch(
       std::span<const ckks::Ciphertext> cts, int step,
       const ckks::KeySource& keys, BatchErrorReport& report);

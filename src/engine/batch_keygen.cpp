@@ -50,31 +50,18 @@ ckks::KeySwitchKey BatchKeyGenerator::make_key_shell(
   return key;
 }
 
-ckks::KeySwitchKey BatchKeyGenerator::make_ksk_parallel(
-    ckks::KeySwitchKey::Kind kind, u32 galois_elt,
-    const poly::RnsPoly& s_prime_eval) {
-  ckks::KeySwitchKey key = make_key_shell(kind, galois_elt);
-  core_.run(key.digits(), [&](std::size_t d, std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kKeygenDigit);
-    ckks::generate_ksk_digit(core_.ctx(), s_neg_eval_, s_prime_eval, kind,
-                             galois_elt, key.base_stream_id + d, d, key.b[d],
-                             key.a[d], &scratch_.at(worker));
-  });
-  return key;
-}
-
 ckks::RelinKey BatchKeyGenerator::relin_key() {
-  if (!s2_eval_) s2_eval_ = squared(s_eval_);
-  return ckks::RelinKey{
-      make_ksk_parallel(ckks::KeySwitchKey::Kind::kRelin, 0, *s2_eval_)};
+  BatchErrorReport report;
+  ckks::RelinKey rlk = relin_key(report);
+  report.rethrow_first();
+  return rlk;
 }
 
 ckks::RelinKey BatchKeyGenerator::relin_key(BatchErrorReport& report) {
   if (!s2_eval_) s2_eval_ = squared(s_eval_);
   ckks::KeySwitchKey key =
       make_key_shell(ckks::KeySwitchKey::Kind::kRelin, 0);
-  report = core_.run_isolated(key.digits(), [&](std::size_t d,
-                                                std::size_t worker) {
+  report = core_.run(key.digits(), [&](std::size_t d, std::size_t worker) {
     ABC_FAILPOINT(fail::points::kKeygenDigit);
     ckks::generate_ksk_digit(core_.ctx(), s_neg_eval_, *s2_eval_,
                              ckks::KeySwitchKey::Kind::kRelin, 0,
@@ -91,47 +78,19 @@ ckks::RelinKey BatchKeyGenerator::relin_key(BatchErrorReport& report) {
 }
 
 ckks::GaloisKeys BatchKeyGenerator::galois_keys(std::span<const int> steps) {
-  // Rotated secrets first (each automorphism + NTT already fans its limbs
-  // across the pool), then every (step, digit) pair as one flat work
-  // list. Counter blocks are reserved in step order before the fan-out,
-  // so the result is independent of the worker count.
-  const ckks::CkksContext& ctx = core_.ctx();
-  ckks::GaloisKeys out;
-  out.slots = ctx.slots();
-  out.steps.assign(steps.begin(), steps.end());
-  if (steps.empty()) return out;
-  out.keys.reserve(steps.size());
-  std::vector<poly::RnsPoly> rotated;
-  rotated.reserve(steps.size());
-  poly::RnsPoly s_coeff = s_eval_;
-  s_coeff.to_coeff();
-  for (int step : steps) {
-    const u32 elt = ckks::galois_element(step, ctx.n());
-    poly::RnsPoly s_rot = s_coeff.automorphism(elt);
-    s_rot.to_eval();
-    rotated.push_back(std::move(s_rot));
-    out.keys.push_back(
-        make_key_shell(ckks::KeySwitchKey::Kind::kGalois, elt));
-  }
-  const std::size_t digits = ctx.max_limbs();
-  core_.run(steps.size() * digits, [&](std::size_t i, std::size_t worker) {
-    const std::size_t k = i / digits;
-    const std::size_t d = i % digits;
-    ckks::KeySwitchKey& key = out.keys[k];
-    ABC_FAILPOINT(fail::points::kKeygenDigit);
-    ckks::generate_ksk_digit(ctx, s_neg_eval_, rotated[k],
-                             ckks::KeySwitchKey::Kind::kGalois,
-                             key.galois_elt, key.base_stream_id + d, d,
-                             key.b[d], key.a[d], &scratch_.at(worker));
-  });
-  return out;
+  BatchErrorReport report;
+  ckks::GaloisKeys gks = galois_keys(steps, report);
+  report.rethrow_first();
+  return gks;
 }
 
 ckks::GaloisKeys BatchKeyGenerator::galois_keys(std::span<const int> steps,
                                                 BatchErrorReport& report) {
-  // Same shape as the throwing overload — shells (and counter blocks) are
-  // reserved in step order before the fan-out, so surviving keys are
-  // bit-identical to the ones a fault-free call would produce.
+  // Rotated secrets first (each automorphism + NTT already fans its limbs
+  // across the pool), then every (step, digit) pair as one flat work
+  // list. Counter blocks are reserved in step order before the fan-out,
+  // so the result is independent of the worker count and surviving keys
+  // are bit-identical to the ones a fault-free call would produce.
   const ckks::CkksContext& ctx = core_.ctx();
   ckks::GaloisKeys out;
   out.slots = ctx.slots();
@@ -155,8 +114,7 @@ ckks::GaloisKeys BatchKeyGenerator::galois_keys(std::span<const int> steps,
   }
   const std::size_t digits = ctx.max_limbs();
   const BatchErrorReport per_digit =
-      core_.run_isolated(steps.size() * digits, [&](std::size_t i,
-                                                    std::size_t worker) {
+      core_.run(steps.size() * digits, [&](std::size_t i, std::size_t worker) {
         const std::size_t k = i / digits;
         const std::size_t d = i % digits;
         ckks::KeySwitchKey& key = out.keys[k];
@@ -180,16 +138,7 @@ ckks::GaloisKeys BatchKeyGenerator::galois_keys(std::span<const int> steps,
       out.keys[k].a.clear();
     }
   }
-  report = BatchErrorReport{};
-  report.items = std::move(per_step);
-  for (const ItemStatus& st : report.items) {
-    if (st.ok) {
-      ++report.succeeded;
-    } else {
-      if (report.failed == 0) report.first_error = st.error;
-      ++report.failed;
-    }
-  }
+  report = BatchErrorReport::fold(std::move(per_step));
   return out;
 }
 

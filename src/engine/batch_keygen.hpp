@@ -53,7 +53,9 @@ class BatchKeyGenerator {
   // digit items), per step for galois (a step fails if any of its digits
   // failed, reporting the lowest failed digit's error). A failed key comes
   // back with b/a cleared — well-defined-empty, digits() == 0 — never a
-  // half-written digit list.
+  // half-written digit list. The throwing overloads above run these bodies
+  // and then rethrow the lowest-index failure
+  // (BatchErrorReport::rethrow_first).
 
   ckks::RelinKey relin_key(BatchErrorReport& report);
 
@@ -70,9 +72,6 @@ class BatchKeyGenerator {
  private:
   ckks::KeySwitchKey make_key_shell(ckks::KeySwitchKey::Kind kind,
                                     u32 galois_elt);
-  ckks::KeySwitchKey make_ksk_parallel(ckks::KeySwitchKey::Kind kind,
-                                       u32 galois_elt,
-                                       const poly::RnsPoly& s_prime_eval);
 
   FanOutCore core_;
   poly::RnsPoly s_eval_;      // secret, evaluation form

@@ -184,20 +184,7 @@ ClientSession::RetryReport ClientSession::round_trip_with_retry(
     pending = std::move(next_pending);
   }
 
-  // Fold the final per-item reports the same way verify_batch does.
-  report.verify.ok = true;
-  report.verify.passed = 0;
-  report.verify.failed = 0;
-  report.verify.worst_abs_error = 0.0;
-  report.verify.worst_precision_bits = 60.0;
-  for (const ckks::VerifyReport& item : report.verify.items) {
-    (item.ok ? report.verify.passed : report.verify.failed) += 1;
-    report.verify.ok = report.verify.ok && item.ok;
-    report.verify.worst_abs_error =
-        std::max(report.verify.worst_abs_error, item.max_abs_error);
-    report.verify.worst_precision_bits =
-        std::min(report.verify.worst_precision_bits, item.precision_bits);
-  }
+  report.verify.fold();  // the same fold verify_batch uses
   report.ok = pending.empty() && report.verify.ok;
   return report;
 }

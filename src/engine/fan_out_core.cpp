@@ -24,53 +24,11 @@ EngineMetrics& engine_metrics() {
   return *m;
 }
 
-/// Times one item and books it as processed/failed. Exceptions propagate
-/// (the throwing-mode contract) after being counted.
-template <class F>
-void timed_item(F&& f) {
-  EngineMetrics& m = engine_metrics();
-  const u64 t0 = obs::now_ns();
-  try {
-    f();
-  } catch (...) {
-    m.item_ns.record(obs::now_ns() - t0);
-    m.failed.inc();
-    throw;
-  }
-  m.item_ns.record(obs::now_ns() - t0);
-  m.processed.inc();
-}
-
 }  // namespace
 
-FanOutCore::FanOutCore(std::shared_ptr<const ckks::CkksContext> ctx)
-    : ctx_(std::move(ctx)) {
-  ABC_CHECK_ARG(ctx_ != nullptr, "null context");
-  workers_ = ctx_->backend().workers();
-}
-
-void FanOutCore::run(std::size_t count, const Job& job) const {
-  if (count == 0) return;
-  ctx_->backend().parallel_for(count, [&](std::size_t i, std::size_t worker) {
-    timed_item([&] { job(i, worker); });
-  });
-}
-
-void FanOutCore::run_with_ids(std::size_t count, const IdJob& job) const {
-  if (count == 0) return;
-  const u64 base = reserve_stream_ids(count);
-  ctx_->backend().parallel_for(count, [&](std::size_t i, std::size_t worker) {
-    timed_item([&] { job(i, worker, base + i); });
-  });
-}
-
-BatchErrorReport FanOutCore::fold_statuses(
-    std::vector<ItemStatus> statuses) const {
-  // Serial fold in input order: first_error is the lowest-index failure no
-  // matter which worker finished first, keeping the report itself inside
-  // the bit-identical-at-any-worker-count contract.
+BatchErrorReport BatchErrorReport::fold(std::vector<ItemStatus> items) {
   BatchErrorReport report;
-  report.items = std::move(statuses);
+  report.items = std::move(items);
   for (const ItemStatus& st : report.items) {
     if (st.ok) {
       ++report.succeeded;
@@ -82,8 +40,21 @@ BatchErrorReport FanOutCore::fold_statuses(
   return report;
 }
 
-BatchErrorReport FanOutCore::run_isolated(std::size_t count,
-                                          const Job& job) const {
+void BatchErrorReport::rethrow_first() const {
+  for (const ItemStatus& st : items) {
+    if (st.ok) continue;
+    ABC_CHECK_STATE(st.exception != nullptr, "failed item kept no exception");
+    std::rethrow_exception(st.exception);
+  }
+}
+
+FanOutCore::FanOutCore(std::shared_ptr<const ckks::CkksContext> ctx)
+    : ctx_(std::move(ctx)) {
+  ABC_CHECK_ARG(ctx_ != nullptr, "null context");
+  workers_ = ctx_->backend().workers();
+}
+
+BatchErrorReport FanOutCore::run(std::size_t count, const Job& job) const {
   std::vector<ItemStatus> statuses(count);
   if (count != 0) {
     EngineMetrics& m = engine_metrics();
@@ -91,49 +62,28 @@ BatchErrorReport FanOutCore::run_isolated(std::size_t count,
                                             std::size_t worker) {
       // Each slot is owned by exactly one item, so recording the outcome
       // needs no lock and a failed neighbour cannot disturb a success.
+      ItemStatus& st = statuses[i];
       const u64 t0 = obs::now_ns();
       try {
         job(i, worker);
       } catch (const std::exception& e) {
-        statuses[i].ok = false;
-        statuses[i].error = e.what();
+        st = {false, e.what(), std::current_exception()};
       } catch (...) {
-        statuses[i].ok = false;
-        statuses[i].error = "unknown exception";
+        st = {false, "unknown exception", std::current_exception()};
       }
       m.item_ns.record(obs::now_ns() - t0);
-      (statuses[i].ok ? m.processed : m.failed).inc();
+      (st.ok ? m.processed : m.failed).inc();
     });
   }
-  return fold_statuses(std::move(statuses));
+  return BatchErrorReport::fold(std::move(statuses));
 }
 
-BatchErrorReport FanOutCore::run_with_ids_isolated(std::size_t count,
-                                                   const IdJob& job) const {
-  std::vector<ItemStatus> statuses(count);
-  if (count != 0) {
-    // Ids are reserved exactly as in the throwing mode — base + i for every
-    // item, failed or not — so surviving items consume the same streams a
-    // fault-free batch would and stay bit-identical to it.
-    const u64 base = reserve_stream_ids(count);
-    EngineMetrics& m = engine_metrics();
-    ctx_->backend().parallel_for(count, [&](std::size_t i,
-                                            std::size_t worker) {
-      const u64 t0 = obs::now_ns();
-      try {
-        job(i, worker, base + i);
-      } catch (const std::exception& e) {
-        statuses[i].ok = false;
-        statuses[i].error = e.what();
-      } catch (...) {
-        statuses[i].ok = false;
-        statuses[i].error = "unknown exception";
-      }
-      m.item_ns.record(obs::now_ns() - t0);
-      (statuses[i].ok ? m.processed : m.failed).inc();
-    });
-  }
-  return fold_statuses(std::move(statuses));
+BatchErrorReport FanOutCore::run_with_ids(std::size_t count,
+                                          const IdJob& job) const {
+  const u64 base = reserve_stream_ids(count);
+  return run(count, [&](std::size_t i, std::size_t worker) {
+    job(i, worker, base + i);
+  });
 }
 
 }  // namespace abc::engine

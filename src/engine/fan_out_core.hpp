@@ -1,9 +1,10 @@
 #pragma once
 
 /// @file fan_out_core.hpp
-/// Shared deterministic fan-out core for every batch engine. The three
-/// engines (BatchEncryptor, BatchKeyGenerator, BatchDecryptor) used to
-/// each reimplement the same machinery; it lives here exactly once:
+/// Shared deterministic fan-out core for every batch engine. The engines
+/// (BatchEncryptor, BatchKeyGenerator, BatchDecryptor, BatchEvaluator)
+/// used to each reimplement the same machinery; it lives here exactly
+/// once:
 ///
 ///  * **Contiguous stream-id reservation.** Randomness-consuming work
 ///    reserves its id block from the *context-wide* atomic counter
@@ -20,16 +21,19 @@
 ///    (domain, stream id) — so a ScalarBackend run, a 1-thread pool and an
 ///    8-thread pool all produce the same bytes. Engines inherit the
 ///    contract by routing every fan-out through run()/run_with_ids().
-///  * **Failure isolation** (run_isolated()/run_with_ids_isolated()): the
-///    per-item-fault mode every engine exposes. One malformed item must
-///    not abort the batch — each job runs under its own catch, outcomes
-///    land in a BatchErrorReport in input order, and the serial fold picks
-///    the first error by input index (never by completion time), so the
-///    report itself is identical at any worker count. Stream ids are
-///    reserved identically in both modes, so the surviving items of a
-///    faulty batch are bit-identical to the same items of a clean one.
+///  * **Failure isolation.** There is one fan-out, and it isolates: each
+///    job runs under its own catch, every item runs even when a neighbour
+///    fails, and outcomes land in a BatchErrorReport in input order. Each
+///    engine operation has one body, its report-mode overload; the
+///    throwing overload calls it and then BatchErrorReport::rethrow_first(),
+///    which rethrows the lowest-index failure with its original type. The
+///    report and the exception a throwing call raises are therefore the
+///    same at any worker count, and stream ids are reserved identically in
+///    both modes, so the surviving items of a faulty batch are
+///    bit-identical to the same items of a clean one.
 
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -40,15 +44,16 @@
 
 namespace abc::engine {
 
-/// Outcome of one batch item in a fault-isolating fan-out.
+/// Outcome of one batch item in a fan-out.
 struct ItemStatus {
   bool ok = true;
-  std::string error;  // what() of the item's exception; empty when ok
+  std::string error;             // what() of the item's exception; empty when ok
+  std::exception_ptr exception;  // the item's original exception; null when ok
 };
 
-/// Input-order per-item error report of a fault-isolating batch call.
-/// Successes are preserved, failed slots of the paired output container
-/// are well-defined-empty, and the aggregates are schedule-independent.
+/// Input-order per-item error report of a batch call. Successes are
+/// preserved, failed slots of the paired output container are
+/// well-defined-empty, and the aggregates are schedule-independent.
 struct BatchErrorReport {
   std::vector<ItemStatus> items;  // input order, one per batch item
   std::size_t succeeded = 0;
@@ -57,6 +62,14 @@ struct BatchErrorReport {
 
   bool ok() const noexcept { return failed == 0; }
   std::size_t size() const noexcept { return items.size(); }
+
+  /// Serial fold in input order: first_error is the lowest-index failure
+  /// no matter which worker finished first.
+  static BatchErrorReport fold(std::vector<ItemStatus> items);
+
+  /// Rethrows the lowest-index failure's original exception; returns
+  /// normally when every item succeeded.
+  void rethrow_first() const;
 };
 
 class FanOutCore {
@@ -77,28 +90,16 @@ class FanOutCore {
   using IdJob =
       std::function<void(std::size_t index, std::size_t worker, u64 id)>;
 
-  /// Executes job(i, worker) for every i in [0, count) across the
-  /// backend; exceptions from jobs rethrow on the calling thread.
-  void run(std::size_t count, const Job& job) const;
+  /// Executes job(i, worker) for every i in [0, count) across the backend,
+  /// each under its own catch, and reports every item's outcome in input
+  /// order. Jobs that complete are untouched by jobs that fail.
+  BatchErrorReport run(std::size_t count, const Job& job) const;
 
-  /// Reserves @p count contiguous stream ids up front, then executes
-  /// job(i, worker, base + i) — the randomness-consuming fan-out shape.
-  void run_with_ids(std::size_t count, const IdJob& job) const;
-
-  /// Fault-isolating run(): every job executes under its own catch, and
-  /// the returned report records each item's outcome in input order. Jobs
-  /// that complete are untouched by jobs that fail.
-  BatchErrorReport run_isolated(std::size_t count, const Job& job) const;
-
-  /// Fault-isolating run_with_ids(): ids are reserved exactly as in the
-  /// throwing mode (base + i regardless of failures), so surviving items
-  /// are bit-identical to the same items of a fault-free batch.
-  BatchErrorReport run_with_ids_isolated(std::size_t count,
-                                         const IdJob& job) const;
+  /// Reserves @p count contiguous stream ids up front, then runs
+  /// job(i, worker, base + i) — base + i for every item, failed or not.
+  BatchErrorReport run_with_ids(std::size_t count, const IdJob& job) const;
 
  private:
-  BatchErrorReport fold_statuses(std::vector<ItemStatus> statuses) const;
-
   std::shared_ptr<const ckks::CkksContext> ctx_;
   std::size_t workers_;
 };

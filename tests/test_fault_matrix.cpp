@@ -351,7 +351,7 @@ TEST_F(FaultMatrixTest, VerifyReportModeSurvivesThrowingItems) {
 }
 
 TEST_F(FaultMatrixTest, KeygenReportModeVoidsOnlyTheFailedKey) {
-  // Scalar backend: run_isolated executes items in order, so hit:2 on the
+  // Scalar backend: run() executes items in order, so hit:2 on the
   // keygen digit point deterministically fails digit 1 — which belongs to
   // the relin key / the first galois step respectively.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);

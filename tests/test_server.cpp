@@ -876,8 +876,11 @@ TEST_F(ServerTest, BatchEvaluatorBitIdenticalAcrossBackends) {
         server::parse_tenant_bundle(ctx, frames);
     const auto cts = ckks::deserialize_ciphertext_batch(ctx, upload);
     engine::BatchEvaluator eval(ctx);
-    const auto rotated = eval.rotate_batch(cts, 1, keys.expand_gks());
-    const auto squared = eval.square_relin_batch(cts, keys.expand_rlk());
+    const ckks::GaloisKeys gks = keys.expand_gks();
+    const ckks::RelinKey rlk = keys.expand_rlk();
+    const ckks::EagerKeySource eager(&gks, &rlk);
+    const auto rotated = eval.rotate_batch(cts, 1, eager);
+    const auto squared = eval.square_relin_batch(cts, eager);
     return std::make_pair(ckks::serialize_ciphertext_batch(rotated),
                           ckks::serialize_ciphertext_batch(squared));
   };
@@ -899,16 +902,17 @@ TEST_F(ServerTest, BatchEvaluatorReportModeIsolatesTheFaultedItem) {
   auto ctx = ckks::CkksContext::create(params);  // scalar: in-order items
   const server::TenantSession keys = server::parse_tenant_bundle(ctx, frames);
   const ckks::GaloisKeys gks = keys.expand_gks();
+  const ckks::EagerKeySource eager(&gks, nullptr);
   const auto cts = ckks::deserialize_ciphertext_batch(ctx, upload);
   engine::BatchEvaluator eval(ctx);
-  const auto clean = eval.rotate_batch(cts, 1, gks);
+  const auto clean = eval.rotate_batch(cts, 1, eager);
 
   fail::Policy second_item;
   second_item.trigger = fail::Trigger::kNthHit;
   second_item.nth = 2;
   fail::arm(fail::points::kEvaluateItem, second_item);
   engine::BatchErrorReport report;
-  const auto faulted = eval.rotate_batch(cts, 1, gks, report);
+  const auto faulted = eval.rotate_batch(cts, 1, eager, report);
   fail::disarm_all();
 
   ASSERT_EQ(report.size(), cts.size());
@@ -922,6 +926,91 @@ TEST_F(ServerTest, BatchEvaluatorReportModeIsolatesTheFaultedItem) {
             ckks::serialize_ciphertext(clean[0]));
   EXPECT_EQ(ckks::serialize_ciphertext(faulted[2]),
             ckks::serialize_ciphertext(clean[2]));
+}
+
+/// KeySource over eager keys that counts every lookup, and can be told to
+/// fail every lookup instead.
+class CountingKeySource final : public ckks::KeySource {
+ public:
+  CountingKeySource(const ckks::GaloisKeys* gks, const ckks::RelinKey* rlk,
+                    bool fail = false)
+      : eager_(gks, rlk), fail_(fail) {}
+
+  std::shared_ptr<const ckks::KeySwitchKey> galois_key(
+      int step) const override {
+    ++galois_calls;
+    if (fail_) throw InvalidArgument("key lookup failed");
+    return eager_.galois_key(step);
+  }
+  std::shared_ptr<const ckks::KeySwitchKey> relin_key() const override {
+    ++relin_calls;
+    if (fail_) throw InvalidArgument("key lookup failed");
+    return eager_.relin_key();
+  }
+  bool has_galois_key(int step) const noexcept override {
+    return eager_.has_galois_key(step);
+  }
+
+  mutable std::atomic<int> galois_calls{0};
+  mutable std::atomic<int> relin_calls{0};
+
+ private:
+  ckks::EagerKeySource eager_;
+  bool fail_;
+};
+
+TEST_F(ServerTest, BatchEvaluatorPinsTheKeyOncePerBatch) {
+  const ckks::CkksParams params = small_params();
+  Client client(params);
+  const ckks::KeyBundleFrames frames = frames_of(client.session.key_bundle());
+  const auto msgs = random_batch(8, client.ctx->slots(), 31);
+  const std::vector<u8> upload =
+      client.session.upload(msgs, client.eval_limbs());
+
+  auto ctx = ckks::CkksContext::create(
+      params, std::make_shared<backend::ThreadPoolBackend>(4));
+  const server::TenantSession keys = server::parse_tenant_bundle(ctx, frames);
+  const ckks::GaloisKeys gks = keys.expand_gks();
+  const ckks::RelinKey rlk = keys.expand_rlk();
+  const auto cts = ckks::deserialize_ciphertext_batch(ctx, upload);
+  ASSERT_EQ(cts.size(), 8u);
+  engine::BatchEvaluator eval(ctx);
+
+  // One lookup per batch in either mode, however many items fan out.
+  for (const bool report_mode : {false, true}) {
+    SCOPED_TRACE(report_mode ? "report mode" : "throwing mode");
+    const CountingKeySource source(&gks, &rlk);
+    engine::BatchErrorReport report;
+    if (report_mode) {
+      (void)eval.rotate_batch(cts, 1, source, report);
+      EXPECT_TRUE(report.ok());
+      (void)eval.square_relin_batch(cts, source, report);
+      EXPECT_TRUE(report.ok());
+    } else {
+      (void)eval.rotate_batch(cts, 1, source);
+      (void)eval.square_relin_batch(cts, source);
+    }
+    EXPECT_EQ(source.galois_calls.load(), 1);
+    EXPECT_EQ(source.relin_calls.load(), 1);
+  }
+
+  // A failing source fails the whole batch before any item runs, even in
+  // report mode: no item is processed and the report is untouched.
+  const CountingKeySource broken(&gks, &rlk, /*fail=*/true);
+  const auto processed = [] {
+    return obs::registry().snapshot().counter_value(
+        obs::catalog::kEngineItemsProcessed);
+  };
+  const u64 before = processed();
+  engine::BatchErrorReport report;
+  EXPECT_THROW((void)eval.rotate_batch(cts, 1, broken, report),
+               InvalidArgument);
+  EXPECT_THROW((void)eval.square_relin_batch(cts, broken, report),
+               InvalidArgument);
+  EXPECT_EQ(processed(), before);
+  EXPECT_EQ(report.size(), 0u);
+  EXPECT_EQ(broken.galois_calls.load(), 1);
+  EXPECT_EQ(broken.relin_calls.load(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <complex>
 #include <random>
+#include <string>
 
 #include "backend/scalar_backend.hpp"
 #include "backend/thread_pool_backend.hpp"
@@ -179,6 +180,44 @@ TEST(BatchDecryptor, BadComponentCountThrowsNotAborts) {
   BatchDecryptor eng(rt.ctx, rt.sk);
   rt.cts[0].components.pop_back();  // 1-component "ciphertext"
   EXPECT_THROW(eng.decrypt_batch(rt.cts), InvalidArgument);
+}
+
+TEST(BatchDecryptor, ThrowingModeRethrowsTheLowestIndexFailure) {
+  // Items 1 and 3 are malformed in different ways. Whatever worker
+  // finishes first, the throwing overload raises item 1's exception, and
+  // its message is the report overload's first_error.
+  const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
+  const std::vector<std::shared_ptr<backend::PolyBackend>> backends = {
+      std::make_shared<backend::ScalarBackend>(),
+      std::make_shared<backend::ThreadPoolBackend>(1),
+      std::make_shared<backend::ThreadPoolBackend>(2),
+      std::make_shared<backend::ThreadPoolBackend>(4)};
+  for (const auto& backend : backends) {
+    SCOPED_TRACE(std::string(backend->name()) + " x" +
+                 std::to_string(backend->workers()));
+    RoundTrip rt = make_round_trip(params, backend, 6);
+    BatchDecryptor eng(rt.ctx, rt.sk);
+    rt.cts[1].components.pop_back();            // 1-component "ciphertext"
+    rt.cts[3].components[1].drop_last_limb();   // components disagree
+
+    engine::BatchErrorReport report;
+    (void)eng.decrypt_batch(std::span<const ckks::Ciphertext>(rt.cts),
+                            report);
+    ASSERT_EQ(report.failed, 2u);
+    EXPECT_FALSE(report.items[1].ok);
+    EXPECT_FALSE(report.items[3].ok);
+    EXPECT_NE(report.items[1].error, report.items[3].error);
+    EXPECT_EQ(report.first_error, report.items[1].error);
+
+    for (int rep = 0; rep < 5; ++rep) {
+      try {
+        (void)eng.decrypt_batch(rt.cts);
+        ADD_FAILURE() << "a batch with failing items did not throw";
+      } catch (const InvalidArgument& e) {
+        EXPECT_EQ(std::string(e.what()), report.first_error);
+      }
+    }
+  }
 }
 
 TEST(BatchDecryptor, VerifyBatchFlagsCorruptedComponent) {
