@@ -3,9 +3,10 @@
 // Harvey lazy-reduction portable/AVX2/AVX-512-IFMA kernels), the batched
 // dyadic ops (seed per-element Barrett vs. the simd/ kernel set), the
 // fused-vs-unfused single-pass chains (gadget accumulate, negate_add,
-// sub_mul_scalar, fma_into), the canonical-embedding DWT, hardware-model
-// modular multipliers, ChaCha20 expansion, and end-to-end encode/encrypt
-// at bootstrappable parameters.
+// sub_mul_scalar, fma_into), ChaCha20 keystream MB/s per tier and one
+// paper-point (bootstrappable, 24-limb) uniform fill, the canonical-
+// embedding DWT, hardware-model modular multipliers, and end-to-end
+// encode/encrypt.
 //
 // Usage: bench_kernels [--quick] [--reps N] [--json out.json]
 //                      [--arch portable|avx2|avx512ifma]
@@ -29,6 +30,7 @@
 #include "bench_util.hpp"
 #include "ckks/encoder.hpp"
 #include "ckks/encryptor.hpp"
+#include "ckks/keygen.hpp"
 #include "common/table.hpp"
 #include "prng/chacha20.hpp"
 #include "rns/modmul_algorithms.hpp"
@@ -326,6 +328,42 @@ void bench_fused(bench::JsonReporter& rep, TextTable& table, int reps,
   }
 }
 
+/// Keystream throughput per kernel tier, and one paper-point uniform fill
+/// (the prng.uniform layer of the client_paper request).
+void bench_prng(bench::JsonReporter& rep, TextTable& table, int reps,
+                const std::vector<simd::KernelArch>& arches) {
+  std::vector<u8> buf(std::size_t{1} << 20);
+  for (simd::KernelArch arch : arches) {
+    simd::set_kernel_arch_for_testing(arch);
+    const std::string arch_name = simd::kernel_arch_name(arch);
+    prng::ChaCha20 rng({1, 2, 3}, 0);
+    const double t = bench::time_best_of(reps, [&] { rng.fill_bytes(buf); });
+    const double mb_per_s = static_cast<double>(buf.size()) / t / 1e6;
+    rep.add_timing("chacha20_keystream/" + arch_name, t,
+                   static_cast<double>(buf.size()));
+    rep.add_metric("chacha20_keystream_mb_per_s/" + arch_name, "mb_per_s",
+                   mb_per_s);
+    table.add_row({"chacha20 keystream 1MiB", arch_name, bench::fmt_time(t),
+                   TextTable::fmt(mb_per_s, 0) + " MB/s"});
+  }
+  simd::set_kernel_arch_for_testing(simd::detected_kernel_arch());
+
+  auto ctx = ckks::CkksContext::create(ckks::CkksParams::bootstrappable());
+  const std::size_t limbs = ctx->params().num_limbs;
+  poly::RnsPoly a = ctx->make_poly(limbs, poly::Domain::kEval);
+  const double t = bench::time_best_of(reps, [&] {
+    ckks::fill_uniform_eval(*ctx, a, ckks::PrngDomain::kSymmetricA,
+                            ctx->reserve_stream_ids(1));
+  });
+  const std::string name = "fill_uniform_eval/n=2^" +
+                           std::to_string(ctx->params().log_n) + "/limbs=" +
+                           std::to_string(limbs);
+  rep.add_timing(name, t, static_cast<double>(limbs * ctx->n()));
+  table.add_row({"fill_uniform_eval bootstrappable",
+                 simd::kernel_arch_name(simd::active_kernel_arch()),
+                 bench::fmt_time(t), "-"});
+}
+
 void bench_misc(bench::JsonReporter& rep, TextTable& table, int reps,
                 bool quick) {
   // Canonical-embedding DWT.
@@ -361,16 +399,6 @@ void bench_misc(bench::JsonReporter& rep, TextTable& table, int reps,
   chain(barrett, "barrett");
   chain(mont, "montgomery");
   chain(ntt_mont, "ntt_montgomery");
-
-  // ChaCha20 expansion.
-  {
-    prng::ChaCha20 rng({1, 2, 3}, 0);
-    std::vector<u8> buf(4096);
-    const double t = bench::time_best_of(reps, [&] { rng.fill_bytes(buf); });
-    rep.add_timing("chacha20_expand_4096B", t,
-                   static_cast<double>(buf.size()));
-    table.add_row({"chacha20 4096B", "-", bench::fmt_time(t), "-"});
-  }
 
   // End-to-end encode+encrypt (reduced-depth; full numbers come from
   // bench_fig5a_latency).
@@ -424,6 +452,7 @@ int main(int argc, char** argv) {
   bench_ntt(rep, table, reps, args.quick, arches);
   bench_dyadic(rep, table, reps, arches);
   bench_fused(rep, table, reps, arches);
+  bench_prng(rep, table, reps, arches);
   bench_misc(rep, table, reps, args.quick);
 
   table.print();

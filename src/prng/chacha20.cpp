@@ -1,6 +1,6 @@
 #include "prng/chacha20.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -9,44 +9,28 @@
 namespace abc::prng {
 namespace {
 
-constexpr std::array<u32, 4> kSigma = {0x61707865u, 0x3320646eu, 0x79622d32u,
-                                       0x6b206574u};  // "expand 32-byte k"
-
-inline void quarter_round(u32& a, u32& b, u32& c, u32& d) {
-  a += b; d ^= a; d = std::rotl(d, 16);
-  c += d; b ^= c; b = std::rotl(b, 12);
-  a += b; d ^= a; d = std::rotl(d, 8);
-  c += d; b ^= c; b = std::rotl(b, 7);
+/// The bytes of a span of words (u8 may alias any object).
+template <typename T>
+std::span<u8> bytes_of(std::span<T> words) {
+  return {reinterpret_cast<u8*>(words.data()), words.size_bytes()};
 }
 
 }  // namespace
 
 void chacha20_block(const std::array<u32, 8>& key, u32 counter,
                     const std::array<u32, 3>& nonce, std::span<u8, 64> out) {
-  std::array<u32, 16> state = {
-      kSigma[0], kSigma[1], kSigma[2], kSigma[3],
-      key[0],    key[1],    key[2],    key[3],
-      key[4],    key[5],    key[6],    key[7],
-      counter,   nonce[0],  nonce[1],  nonce[2],
-  };
-  std::array<u32, 16> x = state;
-  for (int round = 0; round < 10; ++round) {
-    quarter_round(x[0], x[4], x[8], x[12]);
-    quarter_round(x[1], x[5], x[9], x[13]);
-    quarter_round(x[2], x[6], x[10], x[14]);
-    quarter_round(x[3], x[7], x[11], x[15]);
-    quarter_round(x[0], x[5], x[10], x[15]);
-    quarter_round(x[1], x[6], x[11], x[12]);
-    quarter_round(x[2], x[7], x[8], x[13]);
-    quarter_round(x[3], x[4], x[9], x[14]);
-  }
-  for (int i = 0; i < 16; ++i) {
-    const u32 word = x[i] + state[i];
-    out[4 * i + 0] = static_cast<u8>(word);
-    out[4 * i + 1] = static_cast<u8>(word >> 8);
-    out[4 * i + 2] = static_cast<u8>(word >> 16);
-    out[4 * i + 3] = static_cast<u8>(word >> 24);
-  }
+  simd::chacha20_block_portable(key.data(), counter, nonce.data(),
+                                out.data());
+}
+
+void chacha20_blocks(const std::array<u32, 8>& key, u64 counter,
+                     const std::array<u32, 3>& nonce,
+                     std::span<u8, simd::kChachaBytes> out) {
+  ABC_CHECK_STATE(counter <= (u64{1} << 32) - simd::kChachaBlocks,
+                  "ChaCha20 block counter exhausted (stream past 2^32 "
+                  "blocks)");
+  simd::chacha20_blocks(key.data(), static_cast<u32>(counter), nonce.data(),
+                        out.data());
 }
 
 ChaCha20::ChaCha20(const std::array<u8, 16>& seed, u64 stream_id, u32 domain) {
@@ -67,9 +51,8 @@ ChaCha20::ChaCha20(const std::array<u8, 16>& seed, u64 stream_id, u32 domain) {
 }
 
 void ChaCha20::refill() {
-  chacha20_block(key_, counter_, nonce_, std::span<u8, 64>(buffer_));
-  ++counter_;
-  ++blocks_;
+  chacha20_blocks(key_, counter_, nonce_, buffer_);
+  counter_ += simd::kChachaBlocks;
   pos_ = 0;
 }
 
@@ -85,19 +68,21 @@ void ChaCha20::fill_bytes(std::span<u8> out) {
   }
 }
 
+void ChaCha20::fill_u64(std::span<u64> out) {
+  // next_u64 copies 8 keystream bytes into a word in host order, so the
+  // words are exactly the keystream bytes laid over `out`.
+  fill_bytes(bytes_of(out));
+}
+
 u64 ChaCha20::next_u64() {
-  std::array<u8, 8> bytes;
-  fill_bytes(bytes);
   u64 v = 0;
-  std::memcpy(&v, bytes.data(), 8);
+  fill_u64(std::span<u64>(&v, 1));
   return v;
 }
 
 u32 ChaCha20::next_u32() {
-  std::array<u8, 4> bytes;
-  fill_bytes(bytes);
   u32 v = 0;
-  std::memcpy(&v, bytes.data(), 4);
+  fill_bytes(bytes_of(std::span<u32>(&v, 1)));
   return v;
 }
 

@@ -8,11 +8,17 @@
 /// ChaCha20: the 128-bit seed is expanded into the 256-bit ChaCha key by
 /// concatenating it with its byte-wise complement, and independent streams
 /// (mask / error / key, per limb) are separated through the nonce words.
+///
+/// The stream refills 16 blocks (1 KiB) at a time through the multi-block
+/// kernels in simd/chacha_kernels.hpp. The bytes and their order are the
+/// plain RFC keystream (block 0, 1, 2, ... of the stream's nonce), whatever
+/// the kernel tier and however reads are split across calls.
 
 #include <array>
 #include <span>
 
 #include "common/types.hpp"
+#include "simd/chacha_kernels.hpp"
 
 namespace abc::prng {
 
@@ -21,7 +27,16 @@ namespace abc::prng {
 void chacha20_block(const std::array<u32, 8>& key, u32 counter,
                     const std::array<u32, 3>& nonce, std::span<u8, 64> out);
 
-/// Buffered ChaCha20 keystream with 64-bit convenience reads.
+/// Raw multi-block function: the 16 blocks counter, ..., counter+15, in
+/// order. Throws abc::LogicError when counter + 16 exceeds 2^32, so a
+/// stream never wraps its 32-bit block counter and replays block 0.
+void chacha20_blocks(const std::array<u32, 8>& key, u64 counter,
+                     const std::array<u32, 3>& nonce,
+                     std::span<u8, simd::kChachaBytes> out);
+
+/// Buffered ChaCha20 keystream with 32/64-bit and bulk reads. Every read
+/// consumes the next bytes of one keystream, so any mix of calls sees the
+/// same bytes as one fill_bytes over the total length.
 class ChaCha20 {
  public:
   /// 128-bit seed + 96-bit stream selector.
@@ -31,21 +46,21 @@ class ChaCha20 {
   u64 next_u64();
   u32 next_u32();
 
+  /// Bulk form of next_u64: out[i] is the value the i-th of out.size()
+  /// next_u64() calls would return.
+  void fill_u64(std::span<u64> out);
+
   /// Uniform double in [0, 1) with 53 random bits.
   double next_double();
-
-  /// Number of keystream blocks generated so far (for cost accounting).
-  u64 blocks_generated() const noexcept { return blocks_; }
 
  private:
   void refill();
 
   std::array<u32, 8> key_{};
   std::array<u32, 3> nonce_{};
-  u32 counter_ = 0;
-  std::array<u8, 64> buffer_{};
-  std::size_t pos_ = 64;  // empty
-  u64 blocks_ = 0;
+  u64 counter_ = 0;  // next block; chacha20_blocks rejects it past 2^32
+  alignas(64) std::array<u8, simd::kChachaBytes> buffer_{};
+  std::size_t pos_ = simd::kChachaBytes;  // empty
 };
 
 }  // namespace abc::prng

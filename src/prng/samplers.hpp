@@ -13,7 +13,9 @@
 
 namespace abc::prng {
 
-/// Rejection sampler for uniform values in [0, modulus).
+/// Rejection sampler for uniform values in [0, modulus): a keystream word
+/// r is kept iff r < reject_bound and then maps to r % modulus.
+/// sample_many consumes exactly the words out.size() sample() calls would.
 class UniformModSampler {
  public:
   explicit UniformModSampler(u64 modulus);
@@ -21,9 +23,22 @@ class UniformModSampler {
   u64 sample(ChaCha20& rng) const;
   void sample_many(ChaCha20& rng, std::span<u64> out) const;
 
+  /// Largest multiple of the modulus <= 2^64 - 1; words at or above it
+  /// are rejected.
+  u64 reject_bound() const noexcept { return reject_bound_; }
+
+  /// r % modulus, exactly, for any 64-bit r: one mulhi against
+  /// floor(2^64 / q) leaves r - qhat*q in [0, 2q), one conditional
+  /// subtract finishes.
+  u64 reduce(u64 r) const noexcept {
+    const u64 t = r - mul_hi(r, ratio_) * modulus_;
+    return t >= modulus_ ? t - modulus_ : t;
+  }
+
  private:
   u64 modulus_;
-  u64 reject_bound_;  // largest multiple of modulus <= 2^64
+  u64 reject_bound_;
+  u64 ratio_;  // floor(2^64 / modulus)
 };
 
 /// Uniform ternary secrets in {-1, 0, 1} (the common CKKS secret
@@ -36,6 +51,9 @@ class TernarySampler {
 
 /// Discrete Gaussian via a cumulative distribution table (CDT), the
 /// standard constant-time-friendly hardware choice. Tail cut at 6 sigma.
+/// One keystream word per sample: bit 0 is the sign, the upper 63 bits
+/// index the magnitude CDF. The magnitude is a branchless count over the
+/// whole table, so its running time does not depend on the sample.
 class DiscreteGaussianSampler {
  public:
   explicit DiscreteGaussianSampler(double sigma = 3.2);
@@ -46,12 +64,17 @@ class DiscreteGaussianSampler {
   i32 sample(ChaCha20& rng) const;
   void sample_many(ChaCha20& rng, std::span<i32> out) const;
 
+  /// The sample a keystream word maps to.
+  i32 from_word(u64 r) const noexcept;
+
+  /// cdf()[k] = P(|X| <= k) scaled to 2^63, non-decreasing; the magnitude
+  /// of word r is the number of k < tail() with (r >> 1) >= cdf()[k].
+  std::span<const u64> cdf() const noexcept { return cdf_; }
+
  private:
   double sigma_;
   int tail_;
-  // cdf_[k] = P(|X| <= k) scaled to 2^63; magnitude found by linear scan
-  // (table has ~20 entries).
-  std::vector<u64> cdf_;
+  std::vector<u64> cdf_;  // tail_ + 1 entries (~20 at sigma 3.2)
 };
 
 }  // namespace abc::prng

@@ -2,9 +2,10 @@
 
 /// @file kernels_avx2.hpp
 /// Internal declarations of the AVX2 kernel entry points, implemented in
-/// ntt_kernels_avx2.cpp / dyadic_kernels_avx2.cpp (compiled with -mavx2).
-/// Never call these directly — go through the dispatchers in
-/// ntt_kernels.hpp / dyadic_kernels.hpp, which check simd_caps first.
+/// ntt_kernels_avx2.cpp / dyadic_kernels_avx2.cpp / chacha_kernels_avx2.cpp
+/// (compiled with -mavx2). Never call these directly — go through the
+/// dispatchers in ntt_kernels.hpp / dyadic_kernels.hpp /
+/// chacha_kernels.hpp, which check simd_caps first.
 
 #include <cstddef>
 
@@ -41,5 +42,8 @@ void dyadic_fma_into_avx2(const DyadicModulus& m, u64* out, const u64* base,
                           const u64* a, const u64* b, std::size_t n);
 void dyadic_fms_into_avx2(const DyadicModulus& m, u64* out, const u64* base,
                           const u64* a, const u64* b, std::size_t n);
+
+void chacha20_blocks_avx2(const u32* key, u32 counter, const u32* nonce,
+                          u8* out) noexcept;
 
 }  // namespace abc::simd

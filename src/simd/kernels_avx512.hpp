@@ -2,10 +2,11 @@
 
 /// @file kernels_avx512.hpp
 /// Internal declarations of the AVX-512/IFMA kernel entry points,
-/// implemented in ntt_kernels_avx512.cpp / dyadic_kernels_avx512.cpp
-/// (compiled with -mavx512f -mavx512dq -mavx512ifma). Never call these
-/// directly — go through the dispatchers in ntt_kernels.hpp /
-/// dyadic_kernels.hpp, which check simd_caps AND the 52-bit prime
+/// implemented in ntt_kernels_avx512.cpp / dyadic_kernels_avx512.cpp /
+/// chacha_kernels_avx512.cpp (compiled with -mavx512f -mavx512dq
+/// -mavx512ifma). Never call these directly — go through the dispatchers
+/// in ntt_kernels.hpp / dyadic_kernels.hpp / chacha_kernels.hpp, which
+/// check simd_caps AND, for the multiplying kernels, the 52-bit prime
 /// constraint (DyadicModulus::ifma_ok / q < 2^50) first; the entry points
 /// assume the constraint holds.
 ///
@@ -49,5 +50,8 @@ void dyadic_fma_into_avx512(const DyadicModulus& m, u64* out, const u64* base,
                             const u64* a, const u64* b, std::size_t n);
 void dyadic_fms_into_avx512(const DyadicModulus& m, u64* out, const u64* base,
                             const u64* a, const u64* b, std::size_t n);
+
+void chacha20_blocks_avx512(const u32* key, u32 counter, const u32* nonce,
+                            u8* out) noexcept;
 
 }  // namespace abc::simd
