@@ -27,7 +27,7 @@ double time_ns_per_op(const rns::HwModMul& mm, u64 q) {
   const auto t0 = std::chrono::steady_clock::now();
   constexpr int kReps = 50;
   for (int r = 0; r < kReps; ++r) {
-    for (std::size_t i = 0; i < a.size(); ++i) sink += mm.mul(a[i], b[i]);
+    for (std::size_t i = 0; i < a.size(); ++i) sink = sink + mm.mul(a[i], b[i]);
   }
   const auto t1 = std::chrono::steady_clock::now();
   (void)sink;

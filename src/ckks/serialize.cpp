@@ -12,41 +12,130 @@
 namespace abc::ckks {
 namespace {
 
-constexpr u32 kMagic = 0x41424346;      // "ABCF": ciphertexts
-constexpr u32 kKeyMagic = 0x4142434b;   // "ABCK": key material
-constexpr u32 kBatchMagic = 0x41424342; // "ABCB": ciphertext batches
+constexpr u32 kMagic = 0x41424346;          // "ABCF": ciphertexts
+constexpr u32 kKeyMagic = 0x4142434b;       // "ABCK": key material
+constexpr u32 kBatchMagic = 0x41424342;     // "ABCB": ciphertext batches
+constexpr u32 kRequestMagic = 0x41424351;   // "ABCQ": server requests
+constexpr u32 kResponseMagic = 0x41424353;  // "ABCS": server responses
+constexpr u32 kBundleMagic = 0x41424350;    // "ABCP": tenant key bundles
 
-// Key headers are fixed-width: magic(32) bits(8) kind(8) compressed(8)
-// limbs(16) log_n(8) galois_elt(32) stream_id(32+32) checksum(32)
-// = 208 bits. The checksum covers every header field after the magic:
-// compressed keys regenerate their uniform halves from the header's
-// stream metadata, so a corrupted stream id or Galois element would
-// otherwise silently restore *different* key material. (Payload bits are
-// only guarded probabilistically by the residue range checks, the same
-// contract as ciphertexts — transport-level integrity is the carrier's
-// job.)
-constexpr std::size_t kKeyHeaderBits = 208;
+// Responses carry a human-readable error string; bound it so a hostile
+// frame cannot make the reader allocate more than the frame itself holds
+// plus this ceiling.
+constexpr std::size_t kMaxErrorBytes = 64 * 1024;
 
-enum class KeyKind : u8 { kRelin = 0, kGalois = 1, kPublic = 2 };
+/// The one byte-level reader of every envelope: a span and a cursor over
+/// untrusted bytes, fields little-endian and byte-aligned. Every read
+/// checks the bytes left before it touches them, and every length or count
+/// is checked against them before the caller allocates, so a truncated or
+/// forged frame is an InvalidArgument by construction.
+class WireReader {
+ public:
+  explicit WireReader(std::span<const u8> bytes) : bytes_(bytes) {}
 
-u32 key_header_checksum(int bits_per_coeff, KeyKind kind, bool compressed,
-                        std::size_t limbs, int log_n, u32 galois_elt,
-                        u64 stream_id) {
-  // FNV-1a over the field values.
-  u64 h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](u64 v) {
-    h ^= v;
-    h *= 0x100000001b3ull;
-  };
-  mix(static_cast<u64>(bits_per_coeff));
-  mix(static_cast<u64>(kind));
-  mix(compressed ? 1 : 0);
-  mix(limbs);
-  mix(static_cast<u64>(log_n));
-  mix(galois_elt);
-  mix(stream_id);
-  return static_cast<u32>(h ^ (h >> 32));
-}
+  template <class T>
+  T get() {
+    const std::span<const u8> b = take(sizeof(T));
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<T>(b[i]) << (8 * i));
+    }
+    return v;
+  }
+
+  /// A one-byte flag: 0 and 1 are its only encodings.
+  bool flag() {
+    const u8 v = get<u8>();
+    ABC_CHECK_ARG(v <= 1, "flag byte outside {0, 1}");
+    return v == 1;
+  }
+
+  /// A u32 length prefix and the bytes it covers.
+  std::span<const u8> bytes() { return take(get<u32>()); }
+
+  /// A u32 item count, checked before the caller reserves: every item
+  /// needs at least @p min_bytes_each of the bytes left.
+  std::size_t count(std::size_t min_bytes_each) {
+    const u32 n = get<u32>();
+    ABC_CHECK_ARG(n <= remaining() / min_bytes_each,
+                  "count field exceeds the bytes left");
+    return n;
+  }
+
+  /// The unread bytes, for a BitUnpacker body; the cursor does not move.
+  std::span<const u8> rest() const { return bytes_.subspan(pos_); }
+
+  /// Moves past the @p bits bits a BitUnpacker read from rest(). Residue
+  /// bodies are whole bytes (a limb packs n >= 16 words), so there are no
+  /// padding bits to check.
+  void skip_bits(std::size_t bits) { take((bits + 7) / 8); }
+
+  void expect_end() const {
+    ABC_CHECK_ARG(pos_ == bytes_.size(), "trailing bytes after the frame");
+  }
+
+ private:
+  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
+
+  std::span<const u8> take(std::size_t n) {
+    ABC_CHECK_ARG(n <= remaining(), "frame truncated");
+    const std::span<const u8> view = bytes_.subspan(pos_, n);
+    pos_ += n;
+    return view;
+  }
+
+  std::span<const u8> bytes_;
+  std::size_t pos_ = 0;
+};
+
+/// The writer mirror: fills a span presized to the exact frame size, so a
+/// frame is allocated once and a size miscount is a LogicError.
+class WireWriter {
+ public:
+  explicit WireWriter(std::span<u8> out) : out_(out) {}
+
+  /// Writes @p v as a little-endian T; a wider value is InvalidArgument.
+  template <class T>
+  void put(u64 v) {
+    if constexpr (sizeof(T) < sizeof(u64)) {
+      ABC_CHECK_ARG((v >> (8 * sizeof(T))) == 0,
+                    "wire field exceeds its width");
+    }
+    const std::span<u8> b = take(sizeof(T));
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      b[i] = static_cast<u8>(v >> (8 * i));
+    }
+  }
+
+  /// A u32 length prefix, then @p n bytes claimed for the caller to fill.
+  std::span<u8> claim(std::size_t n) {
+    put<u32>(n);
+    return take(n);
+  }
+
+  void put_bytes(std::span<const u8> bytes) {
+    std::copy(bytes.begin(), bytes.end(), claim(bytes.size()).begin());
+  }
+
+  /// Claims every unwritten byte for a BitPacker body (a packer over a
+  /// presized span checks in finish() that it filled it exactly).
+  std::span<u8> body() { return take(out_.size() - pos_); }
+
+  void finish() const {
+    ABC_CHECK_STATE(pos_ == out_.size(), "presized frame not filled");
+  }
+
+ private:
+  std::span<u8> take(std::size_t n) {
+    ABC_CHECK_STATE(n <= out_.size() - pos_, "presized frame too short");
+    const std::span<u8> view = out_.subspan(pos_, n);
+    pos_ += n;
+    return view;
+  }
+
+  std::span<u8> out_;
+  std::size_t pos_ = 0;
+};
 
 void check_pack_width(int bits_per_coeff) {
   ABC_CHECK_ARG(bits_per_coeff >= 1 && bits_per_coeff <= 57,
@@ -68,22 +157,61 @@ void unpack_poly(const CkksContext& ctx, BitUnpacker& unpacker,
   }
 }
 
-void pack_key_header(BitPacker& packer, int bits_per_coeff, KeyKind kind,
-                     bool compressed, std::size_t limbs, int log_n,
-                     u32 galois_elt, u64 stream_id) {
-  packer.append(kKeyMagic, 32);
-  packer.append(static_cast<u64>(bits_per_coeff), 8);
-  packer.append(static_cast<u64>(kind), 8);
-  packer.append(compressed ? 1 : 0, 8);
-  packer.append(limbs, 16);
-  packer.append(static_cast<u64>(log_n), 8);
-  packer.append(galois_elt, 32);
-  packer.append(stream_id & 0xffffffffull, 32);
-  packer.append(stream_id >> 32, 32);
-  packer.append(key_header_checksum(bits_per_coeff, kind, compressed, limbs,
-                                    log_n, galois_elt, stream_id),
-                32);
+// Ciphertext header: magic u32, bits u8, components u8, limbs u16, log_n
+// u8, compressed u8, scale u64 (raw IEEE-754 bits) = 18 bytes, then the
+// stream id u64 when c1 is compressed.
+constexpr std::size_t kCiphertextHeaderBytes = 18;
+
+/// Exact frame size serialize_ciphertext emits for @p ct.
+std::size_t ciphertext_frame_bytes(const Ciphertext& ct, int bits_per_coeff) {
+  ABC_CHECK_ARG(!ct.components.empty(), "empty ciphertext");
+  check_pack_width(bits_per_coeff);
+  const bool compressed = ct.compressed_c1.has_value();
+  std::size_t bits = 0;
+  for (std::size_t comp = 0; comp < ct.size(); ++comp) {
+    if (comp == 1 && compressed) continue;  // regenerable
+    bits += ct.c(comp).limbs() * ct.c(comp).n() *
+            static_cast<std::size_t>(bits_per_coeff);
+  }
+  return kCiphertextHeaderBytes + (compressed ? sizeof(u64) : 0) +
+         (bits + 7) / 8;
 }
+
+/// Packs @p ct into a span presized by ciphertext_frame_bytes.
+void pack_ciphertext(std::span<u8> frame, const Ciphertext& ct,
+                     int bits_per_coeff) {
+  WireWriter w(frame);
+  w.put<u32>(kMagic);
+  w.put<u8>(static_cast<u64>(bits_per_coeff));
+  w.put<u8>(ct.size());
+  w.put<u16>(ct.limbs());
+  w.put<u8>(static_cast<u64>(log2_exact(ct.c(0).n())));
+  w.put<u8>(ct.compressed_c1.has_value());
+  w.put<u64>(std::bit_cast<u64>(ct.scale));
+  if (ct.compressed_c1.has_value()) w.put<u64>(ct.compressed_c1->stream_id);
+  BitPacker packer(w.body());
+  for (std::size_t comp = 0; comp < ct.size(); ++comp) {
+    if (comp == 1 && ct.compressed_c1.has_value()) continue;  // regenerable
+    pack_poly(packer, ct.c(comp), bits_per_coeff);
+  }
+  packer.finish();
+}
+
+// Key headers: magic u32, bits u8, kind u8, compressed u8, limbs u16,
+// log_n u8, galois_elt u32, stream_id u64, checksum u32 = 26 bytes. The
+// checksum covers every header field after the magic: compressed keys
+// regenerate their uniform halves from the header's stream metadata, so a
+// corrupted stream id or Galois element would otherwise silently restore
+// *different* key material. (Payload bits are only guarded
+// probabilistically by the residue range checks, the same contract as
+// ciphertexts — transport-level integrity is the carrier's job.)
+constexpr std::size_t kKeyHeaderBytes = 26;
+
+// The wire kind byte; the switching kinds share KeySwitchKey::Kind's values.
+enum class KeyKind : u8 { kRelin = 0, kGalois = 1, kPublic = 2 };
+static_assert(
+    static_cast<KeyKind>(KeySwitchKey::Kind::kRelin) == KeyKind::kRelin &&
+    static_cast<KeyKind>(KeySwitchKey::Kind::kGalois) == KeyKind::kGalois);
 
 struct KeyHeader {
   int bits_per_coeff = 0;
@@ -93,32 +221,162 @@ struct KeyHeader {
   int log_n = 0;
   u32 galois_elt = 0;
   u64 stream_id = 0;
+
+  u32 checksum() const {
+    u64 h = 0xcbf29ce484222325ull;  // FNV-1a over the field values
+    for (const u64 v : {static_cast<u64>(bits_per_coeff),
+                        static_cast<u64>(kind), u64{compressed}, u64{limbs},
+                        static_cast<u64>(log_n), u64{galois_elt}, stream_id}) {
+      h ^= v;
+      h *= 0x100000001b3ull;
+    }
+    return static_cast<u32>(h ^ (h >> 32));
+  }
 };
 
-KeyHeader unpack_key_header(BitUnpacker& unpacker) {
+/// Reads a key header and checks it against @p ctx: keys carry full limbs.
+KeyHeader read_key_header(WireReader& r, const CkksContext& ctx) {
   ABC_FAILPOINT(fail::points::kDeserializeKey);
-  ABC_CHECK_ARG(unpacker.read(32) == kKeyMagic, "bad key magic");
+  ABC_CHECK_ARG(r.get<u32>() == kKeyMagic, "bad key magic");
   KeyHeader h;
-  h.bits_per_coeff = static_cast<int>(unpacker.read(8));
-  h.kind = static_cast<KeyKind>(unpacker.read(8));
-  h.compressed = unpacker.read(8) != 0;
-  h.limbs = unpacker.read(16);
-  h.log_n = static_cast<int>(unpacker.read(8));
-  h.galois_elt = static_cast<u32>(unpacker.read(32));
-  h.stream_id = unpacker.read(32);
-  h.stream_id |= unpacker.read(32) << 32;
-  const u32 checksum = static_cast<u32>(unpacker.read(32));
-  ABC_CHECK_ARG(
-      checksum == key_header_checksum(h.bits_per_coeff, h.kind, h.compressed,
-                                      h.limbs, h.log_n, h.galois_elt,
-                                      h.stream_id),
-      "key header checksum mismatch (corrupt buffer?)");
+  h.bits_per_coeff = r.get<u8>();
+  h.kind = static_cast<KeyKind>(r.get<u8>());
+  h.compressed = r.flag();
+  h.limbs = r.get<u16>();
+  h.log_n = r.get<u8>();
+  h.galois_elt = r.get<u32>();
+  h.stream_id = r.get<u64>();
+  ABC_CHECK_ARG(r.get<u32>() == h.checksum(),
+                "key header checksum mismatch (corrupt buffer?)");
+  ABC_CHECK_ARG(h.log_n == ctx.params().log_n, "degree mismatch");
+  ABC_CHECK_ARG(h.limbs == ctx.max_limbs(), "keys carry full limbs");
   return h;
 }
 
-}  // namespace
+/// Wire sizes of a key each of whose halves packs @p half_bits bits.
+KeySizeReport key_sizes(std::size_t half_bits) {
+  return KeySizeReport{kKeyHeaderBytes + (half_bits + 7) / 8,
+                       kKeyHeaderBytes + (2 * half_bits + 7) / 8};
+}
 
-namespace {
+PrngDomain ksk_salted_a_domain(const KeySwitchKey& key) {
+  return static_cast<PrngDomain>(
+      ksk_stream_domain(ksk_a_domain(key.kind), key.galois_elt));
+}
+
+/// Packing width of the context's prime chain: the widest prime's bit
+/// width. Lossless for every residue (all are < their prime), and tighter
+/// than any wire bits_per_coeff a client chose.
+int chain_prime_bits(const CkksContext& ctx) {
+  int bits = 0;
+  for (std::size_t l = 0; l < ctx.max_limbs(); ++l) {
+    const int w = static_cast<int>(
+        std::bit_width(ctx.poly_context()->modulus(l).value()));
+    bits = std::max(bits, w);
+  }
+  return bits;
+}
+
+/// The shape every key-switching key writer relies on: matching halves and
+/// one limb per gadget digit on every digit. The wire header records one
+/// limb count and the reader relies on it for every digit; a mismatched
+/// polynomial would shift every later word in the packed stream, which the
+/// probabilistic residue checks cannot reliably catch.
+void check_key_shape(const KeySwitchKey& key) {
+  ABC_CHECK_ARG(!key.b.empty(), "empty key-switching key");
+  ABC_CHECK_ARG(key.a.size() == key.b.size(),
+                "mismatched key-switching key halves");
+  for (std::size_t d = 0; d < key.digits(); ++d) {
+    ABC_CHECK_ARG(key.b[d].limbs() == key.digits() &&
+                      key.a[d].limbs() == key.digits(),
+                  "gadget digit count must equal every digit's limb count");
+  }
+}
+
+/// True when every a[d] is the uniform polynomial regenerated from the
+/// context seed at (@p domain, @p base_stream_id + d). The compressed forms
+/// drop the uniform halves, so they must prove this first — otherwise a
+/// key whose uniform halves did not come from this context's seed (or
+/// whose in-memory stream metadata was mangled) would serialize fine and
+/// restore as different key material.
+bool regenerable(const CkksContext& ctx, std::span<const poly::RnsPoly> a,
+                 PrngDomain domain, u64 base_stream_id) {
+  poly::RnsPoly expect = ctx.make_poly(a.front().limbs(), poly::Domain::kEval);
+  for (std::size_t d = 0; d < a.size(); ++d) {
+    fill_uniform_eval(ctx, expect, domain, base_stream_id + d);
+    for (std::size_t l = 0; l < a[d].limbs(); ++l) {
+      const std::span<const u64> got = a[d].limb(l);
+      if (!std::equal(got.begin(), got.end(), expect.limb(l).begin())) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Packs a key frame: @p h, every b half, then every a half unless the
+/// frame is compressed.
+std::vector<u8> pack_key(const KeyHeader& h, const KeySizeReport& sizes,
+                         std::span<const poly::RnsPoly> b,
+                         std::span<const poly::RnsPoly> a) {
+  std::vector<u8> out(h.compressed ? sizes.compressed_bytes
+                                   : sizes.full_bytes);
+  WireWriter w(out);
+  w.put<u32>(kKeyMagic);
+  w.put<u8>(static_cast<u64>(h.bits_per_coeff));
+  w.put<u8>(static_cast<u64>(h.kind));
+  w.put<u8>(h.compressed);
+  w.put<u16>(h.limbs);
+  w.put<u8>(static_cast<u64>(h.log_n));
+  w.put<u32>(h.galois_elt);
+  w.put<u64>(h.stream_id);
+  w.put<u32>(h.checksum());
+  BitPacker packer(w.body());
+  for (const poly::RnsPoly& p : b) pack_poly(packer, p, h.bits_per_coeff);
+  if (!h.compressed) {
+    for (const poly::RnsPoly& p : a) pack_poly(packer, p, h.bits_per_coeff);
+  }
+  packer.finish();
+  return out;
+}
+
+constexpr const char* kNotRegenerable =
+    "uniform half not regenerable from (seed, stream id); serialize with "
+    "compressed = false";
+
+/// Builds a key of @p digits full-limb digits from @p shell's kind, Galois
+/// element and base stream id: the b digits are read from @p b, the a
+/// digits from @p a, or — when @p a is null — regenerated from the salted
+/// stream at (base_stream_id + digit). The wire reader and the resident
+/// record's expansion share it, so both restore the same key bit for bit.
+KeySwitchKey build_key_switch_key(const CkksContext& ctx, KeySwitchKey shell,
+                                  std::size_t digits, int bits,
+                                  BitUnpacker& b, BitUnpacker* a) {
+  if (shell.kind == KeySwitchKey::Kind::kGalois) {
+    ABC_CHECK_ARG((shell.galois_elt & 1u) != 0 &&
+                      shell.galois_elt < 2 * ctx.n(),
+                  "invalid galois element");
+  } else {
+    ABC_CHECK_ARG(shell.galois_elt == 0, "relin key with galois element");
+  }
+  const PrngDomain domain = ksk_salted_a_domain(shell);
+  shell.b.reserve(digits);
+  shell.a.reserve(digits);
+  for (std::size_t d = 0; d < digits; ++d) {
+    shell.b.push_back(ctx.make_poly(ctx.max_limbs(), poly::Domain::kEval));
+    unpack_poly(ctx, b, shell.b.back(), bits);
+  }
+  for (std::size_t d = 0; d < digits; ++d) {
+    shell.a.push_back(ctx.make_poly(ctx.max_limbs(), poly::Domain::kEval));
+    if (a != nullptr) {
+      unpack_poly(ctx, *a, shell.a.back(), bits);
+    } else {
+      fill_uniform_eval(ctx, shell.a.back(), domain,
+                        shell.base_stream_id + d);
+    }
+  }
+  return shell;
+}
 
 // Little-endian 8-byte word access at any byte offset.
 u64 load_le64(const u8* p) noexcept {
@@ -262,54 +520,6 @@ void BitUnpacker::read_run(std::span<u64> out, int bits, u64 bound) {
   ABC_CHECK_ARG(out_of_range == 0, "residue out of range (corrupt buffer?)");
 }
 
-namespace {
-
-// Ciphertext header: magic(32) bits(8) components(8) limbs(16) log_n(8)
-// compressed(8) scale(32+32), then stream_id(32+32) when c1 is compressed.
-constexpr std::size_t kCiphertextHeaderBits = 144;
-constexpr std::size_t kStreamIdBits = 64;
-
-/// Exact frame size serialize_ciphertext emits for @p ct.
-std::size_t ciphertext_frame_bytes(const Ciphertext& ct, int bits_per_coeff) {
-  ABC_CHECK_ARG(!ct.components.empty(), "empty ciphertext");
-  check_pack_width(bits_per_coeff);
-  const bool compressed = ct.compressed_c1.has_value();
-  std::size_t bits = kCiphertextHeaderBits + (compressed ? kStreamIdBits : 0);
-  for (std::size_t comp = 0; comp < ct.size(); ++comp) {
-    if (comp == 1 && compressed) continue;  // regenerable
-    bits += ct.c(comp).limbs() * ct.c(comp).n() *
-            static_cast<std::size_t>(bits_per_coeff);
-  }
-  return (bits + 7) / 8;
-}
-
-/// Packs @p ct into a span presized by ciphertext_frame_bytes.
-void pack_ciphertext(std::span<u8> frame, const Ciphertext& ct,
-                     int bits_per_coeff) {
-  BitPacker packer(frame);
-  packer.append(kMagic, 32);
-  packer.append(static_cast<u64>(bits_per_coeff), 8);
-  packer.append(ct.size(), 8);
-  packer.append(ct.limbs(), 16);
-  packer.append(static_cast<u64>(log2_exact(ct.c(0).n())), 8);
-  packer.append(ct.compressed_c1.has_value() ? 1 : 0, 8);
-  // Scale as raw IEEE-754 bits, split to respect the packer width cap.
-  const u64 scale_bits = std::bit_cast<u64>(ct.scale);
-  packer.append(scale_bits & 0xffffffffull, 32);
-  packer.append(scale_bits >> 32, 32);
-  if (ct.compressed_c1.has_value()) {
-    packer.append(ct.compressed_c1->stream_id & 0xffffffffull, 32);
-    packer.append(ct.compressed_c1->stream_id >> 32, 32);
-  }
-  for (std::size_t comp = 0; comp < ct.size(); ++comp) {
-    if (comp == 1 && ct.compressed_c1.has_value()) continue;  // regenerable
-    pack_poly(packer, ct.c(comp), bits_per_coeff);
-  }
-  packer.finish();
-}
-
-}  // namespace
-
 std::vector<u8> serialize_ciphertext(const Ciphertext& ct,
                                      int bits_per_coeff) {
   std::vector<u8> out(ciphertext_frame_bytes(ct, bits_per_coeff));
@@ -321,37 +531,33 @@ Ciphertext deserialize_ciphertext(
     const std::shared_ptr<const CkksContext>& ctx,
     std::span<const u8> bytes) {
   ABC_FAILPOINT(fail::points::kDeserializeCiphertext);
-  BitUnpacker unpacker(bytes);
-  ABC_CHECK_ARG(unpacker.read(32) == kMagic, "bad magic");
-  const int bits_per_coeff = static_cast<int>(unpacker.read(8));
-  const std::size_t components = unpacker.read(8);
-  const std::size_t limbs = unpacker.read(16);
-  const int log_n = static_cast<int>(unpacker.read(8));
-  const bool compressed = unpacker.read(8) != 0;
+  WireReader r(bytes);
+  ABC_CHECK_ARG(r.get<u32>() == kMagic, "bad magic");
+  const int bits_per_coeff = r.get<u8>();
+  const std::size_t components = r.get<u8>();
+  const std::size_t limbs = r.get<u16>();
+  const int log_n = r.get<u8>();
+  const bool compressed = r.flag();
   ABC_CHECK_ARG(log_n == ctx->params().log_n, "degree mismatch");
   ABC_CHECK_ARG(limbs >= 1 && limbs <= ctx->max_limbs(), "limb mismatch");
   ABC_CHECK_ARG(components == 2 || components == 3, "bad component count");
-  const u64 scale_lo = unpacker.read(32);
-  const u64 scale_hi = unpacker.read(32);
-  const double scale = std::bit_cast<double>(scale_lo | (scale_hi << 32));
 
   Ciphertext ct;
-  ct.scale = scale;
-  u64 stream_id = 0;
-  if (compressed) {
-    stream_id = unpacker.read(32);
-    stream_id |= unpacker.read(32) << 32;
-    ct.compressed_c1 = CompressedComponent{stream_id};
-  }
+  ct.scale = std::bit_cast<double>(r.get<u64>());
+  if (compressed) ct.compressed_c1 = CompressedComponent{r.get<u64>()};
+  BitUnpacker unpacker(r.rest());
   for (std::size_t comp = 0; comp < components; ++comp) {
     poly::RnsPoly p = ctx->make_poly(limbs, poly::Domain::kEval);
     if (comp == 1 && compressed) {
-      fill_uniform_eval(*ctx, p, PrngDomain::kSymmetricA, stream_id);
+      fill_uniform_eval(*ctx, p, PrngDomain::kSymmetricA,
+                        ct.compressed_c1->stream_id);
     } else {
       unpack_poly(*ctx, unpacker, p, bits_per_coeff);
     }
     ct.components.push_back(std::move(p));
   }
+  r.skip_bits(unpacker.bits_consumed());
+  r.expect_end();
   return ct;
 }
 
@@ -364,36 +570,25 @@ std::vector<u8> serialize_ciphertext_batch(std::span<const Ciphertext> cts,
   // the envelope is allocated once and every frame is packed in place;
   // frames are independent, so packing fans out across the context's
   // backend.
-  const auto check_u32 = [](u64 v) {
-    ABC_CHECK_ARG((v >> 32) == 0, "batch field exceeds 32 bits");
-  };
-  check_u32(cts.size());
   std::vector<std::size_t> frame_bytes(cts.size());
-  std::size_t total = 8;
+  std::size_t total = 2 * sizeof(u32);
   for (std::size_t i = 0; i < cts.size(); ++i) {
     frame_bytes[i] = ciphertext_frame_bytes(cts[i], bits_per_coeff);
-    check_u32(frame_bytes[i]);
-    total += 4 + frame_bytes[i];
+    total += sizeof(u32) + frame_bytes[i];
   }
   std::vector<u8> out(total);
-  std::vector<std::size_t> offsets(cts.size());
-  std::size_t pos = 0;
-  const auto put_u32 = [&out, &pos](u64 v) {
-    for (int b = 0; b < 4; ++b) out[pos++] = static_cast<u8>(v >> (8 * b));
-  };
-  put_u32(kBatchMagic);
-  put_u32(cts.size());
+  WireWriter w(out);
+  w.put<u32>(kBatchMagic);
+  w.put<u32>(cts.size());
+  std::vector<std::span<u8>> frames(cts.size());
   for (std::size_t i = 0; i < cts.size(); ++i) {
-    put_u32(frame_bytes[i]);
-    offsets[i] = pos;
-    pos += frame_bytes[i];
+    frames[i] = w.claim(frame_bytes[i]);
   }
+  w.finish();
   if (!cts.empty()) {
     cts.front().c(0).context().backend().parallel_for(
         cts.size(), [&](std::size_t i, std::size_t) {
-          pack_ciphertext(std::span<u8>(out).subspan(offsets[i],
-                                                     frame_bytes[i]),
-                          cts[i], bits_per_coeff);
+          pack_ciphertext(frames[i], cts[i], bits_per_coeff);
         });
   }
   return out;
@@ -404,189 +599,65 @@ std::vector<Ciphertext> deserialize_ciphertext_batch(
     std::span<const u8> bytes) {
   ABC_CHECK_ARG(ctx != nullptr, "null context");
   ABC_FAILPOINT(fail::points::kDeserializeBatch);
-  std::size_t pos = 0;
-  const auto get_u32 = [&bytes, &pos]() -> u64 {
-    ABC_CHECK_ARG(pos + 4 <= bytes.size(), "batch envelope truncated");
-    u64 v = 0;
-    for (int b = 0; b < 4; ++b) {
-      v |= static_cast<u64>(bytes[pos++]) << (8 * b);
-    }
-    return v;
-  };
-  ABC_CHECK_ARG(get_u32() == kBatchMagic, "bad batch magic");
-  const u64 count = get_u32();
-  // Every frame needs at least its 4-byte length prefix, so an untrusted
-  // count beyond that is a truncated/corrupt envelope — reject it before
-  // reserving attacker-controlled amounts of memory.
-  ABC_CHECK_ARG(count <= (bytes.size() - pos) / 4,
-                "batch envelope truncated");
+  WireReader r(bytes);
+  ABC_CHECK_ARG(r.get<u32>() == kBatchMagic, "bad batch magic");
   // Cheap serial pre-scan of the frame table, then the per-frame work
   // (bit-unpacking every residue + regenerating compressed c1 halves)
   // fans out across the backend — frames are independent and land in
   // input order, so the result is bit-identical at any worker count.
-  std::vector<std::span<const u8>> frames;
-  frames.reserve(count);
-  for (u64 i = 0; i < count; ++i) {
-    const u64 length = get_u32();
-    ABC_CHECK_ARG(pos + length <= bytes.size(), "batch envelope truncated");
-    frames.push_back(bytes.subspan(pos, length));
-    pos += length;
-  }
-  ABC_CHECK_ARG(pos == bytes.size(),
-                "trailing bytes after the last batch frame");
-  std::vector<Ciphertext> out(count);
-  ctx->backend().parallel_for(count, [&](std::size_t i, std::size_t) {
+  std::vector<std::span<const u8>> frames(r.count(sizeof(u32)));
+  for (std::span<const u8>& frame : frames) frame = r.bytes();
+  r.expect_end();
+  std::vector<Ciphertext> out(frames.size());
+  ctx->backend().parallel_for(frames.size(), [&](std::size_t i, std::size_t) {
     out[i] = deserialize_ciphertext(ctx, frames[i]);
   });
   return out;
 }
 
-namespace {
-
-PrngDomain ksk_salted_a_domain(KeySwitchKey::Kind kind, u32 galois_elt) {
-  return static_cast<PrngDomain>(
-      ksk_stream_domain(ksk_a_domain(kind), galois_elt));
-}
-
-PrngDomain ksk_salted_a_domain(const KeySwitchKey& key) {
-  return ksk_salted_a_domain(key.kind, key.galois_elt);
-}
-
-/// Packing width of the context's prime chain: the widest prime's bit
-/// width. Lossless for every residue (all are < their prime), and tighter
-/// than any wire bits_per_coeff a client chose.
-int chain_prime_bits(const CkksContext& ctx) {
-  int bits = 0;
-  for (std::size_t l = 0; l < ctx.max_limbs(); ++l) {
-    const int w = static_cast<int>(
-        std::bit_width(ctx.poly_context()->modulus(l).value()));
-    bits = std::max(bits, w);
-  }
-  return bits;
-}
-
-/// The compressed forms drop the uniform halves, so the writer must prove
-/// they are regenerable first — otherwise a key whose uniform halves did
-/// not come from this context's seed (or whose in-memory stream metadata
-/// was mangled) would serialize fine and restore as different key
-/// material. @p expect is caller-provided scratch so a multi-digit key
-/// pays one allocation, not one per digit.
-void check_regenerable(const CkksContext& ctx, const poly::RnsPoly& a,
-                       PrngDomain domain, u64 stream_id,
-                       poly::RnsPoly& expect) {
-  fill_uniform_eval(ctx, expect, domain, stream_id);
-  for (std::size_t l = 0; l < a.limbs(); ++l) {
-    const std::span<const u64> got = a.limb(l);
-    const std::span<const u64> want = expect.limb(l);
-    ABC_CHECK_ARG(std::equal(got.begin(), got.end(), want.begin()),
-                  "uniform half not regenerable from (seed, stream id); "
-                  "serialize with compressed = false");
-  }
-}
-
-}  // namespace
-
 std::vector<u8> serialize_key_switch_key(
     const std::shared_ptr<const CkksContext>& ctx, const KeySwitchKey& key,
     int bits_per_coeff, bool compressed) {
   ABC_CHECK_ARG(ctx != nullptr, "null context");
-  ABC_CHECK_ARG(!key.b.empty(), "empty key-switching key");
-  ABC_CHECK_ARG(key.a.size() == key.b.size(),
-                "mismatched key-switching key halves");
-  // The wire header records one limb count and the reader relies on it
-  // for every digit; the RNS gadget additionally fixes digits == limbs.
-  // A mismatched polynomial would shift every later word in the packed
-  // stream, which the probabilistic residue checks cannot reliably catch.
-  ABC_CHECK_ARG(key.digits() == key.b.front().limbs(),
-                "gadget digit count must equal the limb count");
-  for (std::size_t d = 0; d < key.digits(); ++d) {
-    ABC_CHECK_ARG(key.b[d].limbs() == key.digits() &&
-                      key.a[d].limbs() == key.digits(),
-                  "all key digits must carry the full limb count");
-  }
-  if (compressed) {
-    const PrngDomain domain = ksk_salted_a_domain(key);
-    poly::RnsPoly expect =
-        ctx->make_poly(key.a.front().limbs(), poly::Domain::kEval);
-    for (std::size_t d = 0; d < key.digits(); ++d) {
-      check_regenerable(*ctx, key.a[d], domain, key.base_stream_id + d,
-                        expect);
-    }
-  }
+  check_key_shape(key);
+  ABC_CHECK_ARG(!compressed || regenerable(*ctx, key.a,
+                                           ksk_salted_a_domain(key),
+                                           key.base_stream_id),
+                kNotRegenerable);
   check_pack_width(bits_per_coeff);
-  const KeySizeReport sizes = key_switch_key_sizes(key, bits_per_coeff);
-  std::vector<u8> out(compressed ? sizes.compressed_bytes : sizes.full_bytes);
   const poly::RnsPoly& first = key.b.front();
-  BitPacker packer(out);
-  pack_key_header(packer, bits_per_coeff,
-                  key.kind == KeySwitchKey::Kind::kRelin ? KeyKind::kRelin
-                                                         : KeyKind::kGalois,
-                  compressed, first.limbs(),
-                  log2_exact(first.n()), key.galois_elt,
-                  key.base_stream_id);
-  for (const poly::RnsPoly& b : key.b) pack_poly(packer, b, bits_per_coeff);
-  if (!compressed) {
-    for (const poly::RnsPoly& a : key.a) pack_poly(packer, a, bits_per_coeff);
-  }
-  packer.finish();
-  return out;
+  return pack_key(KeyHeader{bits_per_coeff, static_cast<KeyKind>(key.kind),
+                            compressed, first.limbs(), log2_exact(first.n()),
+                            key.galois_elt, key.base_stream_id},
+                  key_switch_key_sizes(key, bits_per_coeff), key.b, key.a);
 }
 
 KeySwitchKey deserialize_key_switch_key(
     const std::shared_ptr<const CkksContext>& ctx,
     std::span<const u8> bytes) {
-  BitUnpacker unpacker(bytes);
-  const KeyHeader h = unpack_key_header(unpacker);
+  WireReader r(bytes);
+  const KeyHeader h = read_key_header(r, *ctx);
   ABC_CHECK_ARG(h.kind == KeyKind::kRelin || h.kind == KeyKind::kGalois,
                 "not a key-switching key");
-  ABC_CHECK_ARG(h.log_n == ctx->params().log_n, "degree mismatch");
-  ABC_CHECK_ARG(h.limbs == ctx->max_limbs(),
-                "key-switching keys carry full limbs");
-
-  KeySwitchKey key;
-  key.kind = h.kind == KeyKind::kRelin ? KeySwitchKey::Kind::kRelin
-                                       : KeySwitchKey::Kind::kGalois;
-  key.galois_elt = h.galois_elt;
-  key.base_stream_id = h.stream_id;
-  if (key.kind == KeySwitchKey::Kind::kGalois) {
-    ABC_CHECK_ARG((h.galois_elt & 1u) != 0 && h.galois_elt < 2 * ctx->n(),
-                  "invalid galois element");
-  } else {
-    ABC_CHECK_ARG(h.galois_elt == 0, "relin key with galois element");
-  }
-  key.b.reserve(h.limbs);
-  key.a.reserve(h.limbs);
-  for (std::size_t d = 0; d < h.limbs; ++d) {
-    poly::RnsPoly b = ctx->make_poly(h.limbs, poly::Domain::kEval);
-    unpack_poly(*ctx, unpacker, b, h.bits_per_coeff);
-    key.b.push_back(std::move(b));
-  }
-  for (std::size_t d = 0; d < h.limbs; ++d) {
-    poly::RnsPoly a = ctx->make_poly(h.limbs, poly::Domain::kEval);
-    if (h.compressed) {
-      fill_uniform_eval(*ctx, a, ksk_salted_a_domain(key),
-                        h.stream_id + d);
-    } else {
-      unpack_poly(*ctx, unpacker, a, h.bits_per_coeff);
-    }
-    key.a.push_back(std::move(a));
-  }
+  BitUnpacker unpacker(r.rest());
+  KeySwitchKey key = build_key_switch_key(
+      *ctx,
+      KeySwitchKey{static_cast<KeySwitchKey::Kind>(h.kind), h.galois_elt,
+                   h.stream_id, {}, {}},
+      h.limbs, h.bits_per_coeff, unpacker,
+      h.compressed ? nullptr : &unpacker);
+  r.skip_bits(unpacker.bits_consumed());
+  r.expect_end();
   return key;
 }
 
 CompressedKeySwitchKey compress_key_switch_key(
     const std::shared_ptr<const CkksContext>& ctx, const KeySwitchKey& key) {
   ABC_CHECK_ARG(ctx != nullptr, "null context");
-  ABC_CHECK_ARG(!key.b.empty(), "empty key-switching key");
-  ABC_CHECK_ARG(key.a.size() == key.b.size(),
-                "mismatched key-switching key halves");
+  check_key_shape(key);
   const std::size_t limbs = ctx->max_limbs();
   ABC_CHECK_ARG(key.digits() == limbs,
-                "gadget digit count must equal the limb count");
-  for (std::size_t d = 0; d < key.digits(); ++d) {
-    ABC_CHECK_ARG(key.b[d].limbs() == limbs && key.a[d].limbs() == limbs,
-                  "all key digits must carry the full limb count");
-  }
+                "key limb count does not match the context");
   const int bits = chain_prime_bits(*ctx);
 
   CompressedKeySwitchKey out;
@@ -601,39 +672,26 @@ CompressedKeySwitchKey compress_key_switch_key(
       static_cast<u16>(key.digits() > 1 ? key.digits() - 1 : key.digits());
   out.bits_per_coeff = static_cast<u8>(bits);
 
-  // Every digit is limbs * n words at the prime width, packed back to
+  // Every kept digit is limbs * n words at the prime width, packed back to
   // back with no header.
-  const std::size_t digit_bits =
-      limbs * ctx->n() * static_cast<std::size_t>(bits);
-  const std::size_t half_bytes = (out.stored_digits * digit_bits + 7) / 8;
-  out.packed_b.resize(half_bytes);
-  BitPacker packer(out.packed_b);
-  for (std::size_t d = 0; d < out.stored_digits; ++d) {
-    pack_poly(packer, key.b[d], bits);
-  }
-  packer.finish();
-
-  // Prove the kept a digits regenerable from the stream metadata; a key
-  // whose uniform halves are foreign keeps them packed instead (bigger,
-  // but never silently expands to different key material).
-  const PrngDomain domain = ksk_salted_a_domain(key);
-  poly::RnsPoly expect = ctx->make_poly(limbs, poly::Domain::kEval);
-  bool regenerable = true;
-  for (std::size_t d = 0; d < out.stored_digits && regenerable; ++d) {
-    fill_uniform_eval(*ctx, expect, domain, key.base_stream_id + d);
-    for (std::size_t l = 0; l < limbs && regenerable; ++l) {
-      const std::span<const u64> got = key.a[d].limb(l);
-      const std::span<const u64> want = expect.limb(l);
-      regenerable = std::equal(got.begin(), got.end(), want.begin());
-    }
-  }
-  if (!regenerable) {
-    out.packed_a.resize(half_bytes);
-    BitPacker pa(out.packed_a);
+  const auto pack_half = [&](const std::vector<poly::RnsPoly>& half) {
+    std::vector<u8> packed(
+        (out.stored_digits * limbs * ctx->n() * static_cast<std::size_t>(bits) +
+         7) / 8);
+    BitPacker packer(packed);
     for (std::size_t d = 0; d < out.stored_digits; ++d) {
-      pack_poly(pa, key.a[d], bits);
+      pack_poly(packer, half[d], bits);
     }
-    pa.finish();
+    packer.finish();
+    return packed;
+  };
+  out.packed_b = pack_half(key.b);
+  // A key whose kept a digits are not regenerable from the stream metadata
+  // keeps them packed instead (bigger, but never silently expands to
+  // different key material).
+  if (!regenerable(*ctx, std::span(key.a).first(out.stored_digits),
+                   ksk_salted_a_domain(key), key.base_stream_id)) {
+    out.packed_a = pack_half(key.a);
   }
   return out;
 }
@@ -646,47 +704,13 @@ KeySwitchKey expand_key_switch_key(
                 "compressed key limb count does not match the context");
   ABC_CHECK_ARG(rec.stored_digits >= 1 && rec.stored_digits <= rec.limbs,
                 "compressed key digit count out of range");
-  ABC_CHECK_ARG(rec.bits_per_coeff >= 1 && rec.bits_per_coeff <= 57,
-                "compressed key packing width out of range");
-  if (rec.kind == KeySwitchKey::Kind::kGalois) {
-    ABC_CHECK_ARG((rec.galois_elt & 1u) != 0 &&
-                      rec.galois_elt < 2 * ctx->n(),
-                  "invalid galois element");
-  } else {
-    ABC_CHECK_ARG(rec.galois_elt == 0, "relin key with galois element");
-  }
-
-  KeySwitchKey key;
-  key.kind = rec.kind;
-  key.galois_elt = rec.galois_elt;
-  key.base_stream_id = rec.base_stream_id;
-  key.b.reserve(rec.stored_digits);
-  key.a.reserve(rec.stored_digits);
-  const int bits = rec.bits_per_coeff;
-  BitUnpacker ub(rec.packed_b);
-  for (std::size_t d = 0; d < rec.stored_digits; ++d) {
-    poly::RnsPoly b = ctx->make_poly(rec.limbs, poly::Domain::kEval);
-    unpack_poly(*ctx, ub, b, bits);
-    key.b.push_back(std::move(b));
-  }
-  if (rec.packed_a.empty()) {
-    // The exact call deserialize_key_switch_key makes for a compressed
-    // wire blob — the regenerated halves are bit-identical by definition.
-    const PrngDomain domain = ksk_salted_a_domain(rec.kind, rec.galois_elt);
-    for (std::size_t d = 0; d < rec.stored_digits; ++d) {
-      poly::RnsPoly a = ctx->make_poly(rec.limbs, poly::Domain::kEval);
-      fill_uniform_eval(*ctx, a, domain, rec.base_stream_id + d);
-      key.a.push_back(std::move(a));
-    }
-  } else {
-    BitUnpacker ua(rec.packed_a);
-    for (std::size_t d = 0; d < rec.stored_digits; ++d) {
-      poly::RnsPoly a = ctx->make_poly(rec.limbs, poly::Domain::kEval);
-      unpack_poly(*ctx, ua, a, bits);
-      key.a.push_back(std::move(a));
-    }
-  }
-  return key;
+  check_pack_width(rec.bits_per_coeff);
+  BitUnpacker b(rec.packed_b);
+  BitUnpacker a(rec.packed_a);
+  return build_key_switch_key(
+      *ctx, KeySwitchKey{rec.kind, rec.galois_elt, rec.base_stream_id, {}, {}},
+      rec.stored_digits, rec.bits_per_coeff, b,
+      rec.packed_a.empty() ? nullptr : &a);
 }
 
 std::vector<u8> serialize_public_key(
@@ -695,33 +719,26 @@ std::vector<u8> serialize_public_key(
   ABC_CHECK_ARG(ctx != nullptr, "null context");
   ABC_CHECK_ARG(pk.a.limbs() == pk.b.limbs(),
                 "public key halves must carry the same limb count");
-  if (compressed) {
-    poly::RnsPoly expect = ctx->make_poly(pk.a.limbs(), poly::Domain::kEval);
-    check_regenerable(*ctx, pk.a, PrngDomain::kPublicA, pk.stream_id,
-                      expect);
-  }
+  ABC_CHECK_ARG(!compressed || regenerable(*ctx, {&pk.a, 1},
+                                           PrngDomain::kPublicA, pk.stream_id),
+                kNotRegenerable);
   check_pack_width(bits_per_coeff);
-  const KeySizeReport sizes = public_key_sizes(pk, bits_per_coeff);
-  std::vector<u8> out(compressed ? sizes.compressed_bytes : sizes.full_bytes);
-  BitPacker packer(out);
-  pack_key_header(packer, bits_per_coeff, KeyKind::kPublic, compressed,
-                  pk.b.limbs(), log2_exact(pk.b.n()), 0, pk.stream_id);
-  pack_poly(packer, pk.b, bits_per_coeff);
-  if (!compressed) pack_poly(packer, pk.a, bits_per_coeff);
-  packer.finish();
-  return out;
+  return pack_key(KeyHeader{bits_per_coeff, KeyKind::kPublic, compressed,
+                            pk.b.limbs(), log2_exact(pk.b.n()), 0,
+                            pk.stream_id},
+                  public_key_sizes(pk, bits_per_coeff), {&pk.b, 1},
+                  {&pk.a, 1});
 }
 
 PublicKey deserialize_public_key(
     const std::shared_ptr<const CkksContext>& ctx,
     std::span<const u8> bytes) {
-  BitUnpacker unpacker(bytes);
-  const KeyHeader h = unpack_key_header(unpacker);
+  WireReader r(bytes);
+  const KeyHeader h = read_key_header(r, *ctx);
   ABC_CHECK_ARG(h.kind == KeyKind::kPublic, "not a public key");
   ABC_CHECK_ARG(h.galois_elt == 0, "public key with galois element");
-  ABC_CHECK_ARG(h.log_n == ctx->params().log_n, "degree mismatch");
-  ABC_CHECK_ARG(h.limbs == ctx->max_limbs(), "public keys carry full limbs");
 
+  BitUnpacker unpacker(r.rest());
   poly::RnsPoly b = ctx->make_poly(h.limbs, poly::Domain::kEval);
   unpack_poly(*ctx, unpacker, b, h.bits_per_coeff);
   poly::RnsPoly a = ctx->make_poly(h.limbs, poly::Domain::kEval);
@@ -730,105 +747,47 @@ PublicKey deserialize_public_key(
   } else {
     unpack_poly(*ctx, unpacker, a, h.bits_per_coeff);
   }
+  r.skip_bits(unpacker.bits_consumed());
+  r.expect_end();
   return PublicKey{std::move(b), std::move(a), h.stream_id};
 }
 
 KeySizeReport key_switch_key_sizes(const KeySwitchKey& key,
                                    int bits_per_coeff) {
   ABC_CHECK_ARG(!key.b.empty(), "empty key-switching key");
-  const std::size_t poly_bits =
-      key.b.front().limbs() * key.b.front().n() *
-      static_cast<std::size_t>(bits_per_coeff);
-  const std::size_t half = key.digits() * poly_bits;
-  return KeySizeReport{(kKeyHeaderBits + half + 7) / 8,
-                       (kKeyHeaderBits + 2 * half + 7) / 8};
+  return key_sizes(key.digits() * key.b.front().limbs() * key.b.front().n() *
+                   static_cast<std::size_t>(bits_per_coeff));
 }
 
-namespace {
+KeySizeReport public_key_sizes(const PublicKey& pk, int bits_per_coeff) {
+  return key_sizes(pk.b.limbs() * pk.b.n() *
+                   static_cast<std::size_t>(bits_per_coeff));
+}
 
-constexpr u32 kRequestMagic = 0x41424351;   // "ABCQ": server requests
-constexpr u32 kResponseMagic = 0x41424353;  // "ABCS": server responses
-constexpr u32 kBundleMagic = 0x41424350;    // "ABCP": tenant key bundles
-
-// Responses carry a human-readable error string; bound it so a hostile
-// frame cannot make the reader allocate more than the frame itself holds
-// plus this ceiling.
-constexpr std::size_t kMaxErrorBytes = 64 * 1024;
-
-// Little-endian byte-aligned writer/reader shared by the framing codecs.
-// Every length field is validated against the remaining span before any
-// allocation — the same untrusted-envelope discipline as "ABCB".
-struct ByteWriter {
-  std::vector<u8> out;
-  void put_u8(u8 v) { out.push_back(v); }
-  void put_u32(u64 v) {
-    ABC_CHECK_ARG((v >> 32) == 0, "frame field exceeds 32 bits");
-    for (int b = 0; b < 4; ++b) out.push_back(static_cast<u8>(v >> (8 * b)));
-  }
-  void put_u64(u64 v) {
-    for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>(v >> (8 * b)));
-  }
-  void put_bytes(std::span<const u8> bytes) {
-    put_u32(bytes.size());
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
-};
-
-struct ByteReader {
-  std::span<const u8> bytes;
-  std::size_t pos = 0;
-
-  std::size_t remaining() const noexcept { return bytes.size() - pos; }
-  u8 get_u8() {
-    ABC_CHECK_ARG(pos + 1 <= bytes.size(), "frame truncated");
-    return bytes[pos++];
-  }
-  u64 get_u32() {
-    ABC_CHECK_ARG(pos + 4 <= bytes.size(), "frame truncated");
-    u64 v = 0;
-    for (int b = 0; b < 4; ++b) v |= static_cast<u64>(bytes[pos++]) << (8 * b);
-    return v;
-  }
-  u64 get_u64() {
-    ABC_CHECK_ARG(pos + 8 <= bytes.size(), "frame truncated");
-    u64 v = 0;
-    for (int b = 0; b < 8; ++b) v |= static_cast<u64>(bytes[pos++]) << (8 * b);
-    return v;
-  }
-  std::span<const u8> get_bytes() {
-    const u64 length = get_u32();
-    ABC_CHECK_ARG(length <= remaining(), "frame length field overruns the frame");
-    const std::span<const u8> view = bytes.subspan(pos, length);
-    pos += length;
-    return view;
-  }
-  void expect_end() const {
-    ABC_CHECK_ARG(pos == bytes.size(), "trailing bytes after the frame");
-  }
-};
-
-}  // namespace
+// -- serving-daemon framing -------------------------------------------------
 
 std::vector<u8> serialize_request_frame(const RequestFrame& req) {
-  ByteWriter w;
-  w.put_u32(kRequestMagic);
-  w.put_u64(req.tenant);
-  w.put_u64(req.request_id);
-  w.put_u8(req.op);
-  w.put_u64(static_cast<u64>(req.op_arg));
+  std::vector<u8> out(4 + 8 + 8 + 1 + 8 + 4 + req.payload.size());
+  WireWriter w(out);
+  w.put<u32>(kRequestMagic);
+  w.put<u64>(req.tenant);
+  w.put<u64>(req.request_id);
+  w.put<u8>(req.op);
+  w.put<u64>(static_cast<u64>(req.op_arg));
   w.put_bytes(req.payload);
-  return std::move(w.out);
+  w.finish();
+  return out;
 }
 
 RequestFrame deserialize_request_frame(std::span<const u8> bytes) {
-  ByteReader r{bytes};
-  ABC_CHECK_ARG(r.get_u32() == kRequestMagic, "bad request magic");
+  WireReader r(bytes);
+  ABC_CHECK_ARG(r.get<u32>() == kRequestMagic, "bad request magic");
   RequestFrame req;
-  req.tenant = r.get_u64();
-  req.request_id = r.get_u64();
-  req.op = r.get_u8();
-  req.op_arg = static_cast<i64>(r.get_u64());
-  const std::span<const u8> payload = r.get_bytes();
+  req.tenant = r.get<u64>();
+  req.request_id = r.get<u64>();
+  req.op = r.get<u8>();
+  req.op_arg = static_cast<i64>(r.get<u64>());
+  const std::span<const u8> payload = r.bytes();
   r.expect_end();
   req.payload.assign(payload.begin(), payload.end());
   return req;
@@ -837,26 +796,29 @@ RequestFrame deserialize_request_frame(std::span<const u8> bytes) {
 std::vector<u8> serialize_response_frame(const ResponseFrame& resp) {
   ABC_CHECK_ARG(resp.error.size() <= kMaxErrorBytes,
                 "response error string exceeds the wire bound");
-  ByteWriter w;
-  w.put_u32(kResponseMagic);
-  w.put_u64(resp.request_id);
-  w.put_u8(resp.status);
+  std::vector<u8> out(4 + 8 + 1 + 4 + resp.error.size() + 4 +
+                      resp.payload.size());
+  WireWriter w(out);
+  w.put<u32>(kResponseMagic);
+  w.put<u64>(resp.request_id);
+  w.put<u8>(resp.status);
   w.put_bytes(std::span<const u8>(
       reinterpret_cast<const u8*>(resp.error.data()), resp.error.size()));
   w.put_bytes(resp.payload);
-  return std::move(w.out);
+  w.finish();
+  return out;
 }
 
 ResponseFrame deserialize_response_frame(std::span<const u8> bytes) {
-  ByteReader r{bytes};
-  ABC_CHECK_ARG(r.get_u32() == kResponseMagic, "bad response magic");
+  WireReader r(bytes);
+  ABC_CHECK_ARG(r.get<u32>() == kResponseMagic, "bad response magic");
   ResponseFrame resp;
-  resp.request_id = r.get_u64();
-  resp.status = r.get_u8();
-  const std::span<const u8> error = r.get_bytes();
+  resp.request_id = r.get<u64>();
+  resp.status = r.get<u8>();
+  const std::span<const u8> error = r.bytes();
   ABC_CHECK_ARG(error.size() <= kMaxErrorBytes,
                 "response error string exceeds the wire bound");
-  const std::span<const u8> payload = r.get_bytes();
+  const std::span<const u8> payload = r.bytes();
   r.expect_end();
   resp.error.assign(error.begin(), error.end());
   resp.payload.assign(payload.begin(), payload.end());
@@ -864,41 +826,37 @@ ResponseFrame deserialize_response_frame(std::span<const u8> bytes) {
 }
 
 std::vector<u8> serialize_key_bundle(const KeyBundleFrames& bundle) {
-  ByteWriter w;
-  w.put_u32(kBundleMagic);
-  w.put_u32(bundle.galois_keys.size());
+  std::size_t total = 4 + 4 + 4 + bundle.public_key.size() + 4 +
+                      bundle.relin_key.size();
+  for (const std::vector<u8>& gk : bundle.galois_keys) total += 4 + gk.size();
+  std::vector<u8> out(total);
+  WireWriter w(out);
+  w.put<u32>(kBundleMagic);
+  w.put<u32>(bundle.galois_keys.size());
   w.put_bytes(bundle.public_key);
   w.put_bytes(bundle.relin_key);
   for (const std::vector<u8>& gk : bundle.galois_keys) w.put_bytes(gk);
-  return std::move(w.out);
+  w.finish();
+  return out;
 }
 
 KeyBundleFrames deserialize_key_bundle(std::span<const u8> bytes) {
-  ByteReader r{bytes};
-  ABC_CHECK_ARG(r.get_u32() == kBundleMagic, "bad key-bundle magic");
-  const u64 count = r.get_u32();
-  // Every Galois blob needs at least its 4-byte length prefix, so an
-  // untrusted count beyond that is corrupt — reject before reserving.
-  ABC_CHECK_ARG(count <= r.remaining() / 4, "key-bundle envelope truncated");
+  WireReader r(bytes);
+  ABC_CHECK_ARG(r.get<u32>() == kBundleMagic, "bad key-bundle magic");
+  // Every Galois blob needs at least its 4-byte length prefix.
+  const std::size_t count = r.count(sizeof(u32));
   KeyBundleFrames bundle;
-  const std::span<const u8> pk = r.get_bytes();
-  const std::span<const u8> rlk = r.get_bytes();
+  const std::span<const u8> pk = r.bytes();
+  const std::span<const u8> rlk = r.bytes();
   bundle.public_key.assign(pk.begin(), pk.end());
   bundle.relin_key.assign(rlk.begin(), rlk.end());
   bundle.galois_keys.reserve(count);
-  for (u64 i = 0; i < count; ++i) {
-    const std::span<const u8> gk = r.get_bytes();
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::span<const u8> gk = r.bytes();
     bundle.galois_keys.emplace_back(gk.begin(), gk.end());
   }
   r.expect_end();
   return bundle;
-}
-
-KeySizeReport public_key_sizes(const PublicKey& pk, int bits_per_coeff) {
-  const std::size_t poly_bits =
-      pk.b.limbs() * pk.b.n() * static_cast<std::size_t>(bits_per_coeff);
-  return KeySizeReport{(kKeyHeaderBits + poly_bits + 7) / 8,
-                       (kKeyHeaderBits + 2 * poly_bits + 7) / 8};
 }
 
 }  // namespace abc::ckks

@@ -13,6 +13,13 @@
 /// parameter sizes this halves key upload traffic (see KeySizeReport),
 /// which is exactly why the paper's client generates keys next to the
 /// on-chip PRNG.
+///
+/// Reader contract, shared by every deserialize_*: the bytes are untrusted.
+/// A truncation, a trailing byte, a length or count that does not add up,
+/// or a flag byte outside {0, 1} is an InvalidArgument, and every length
+/// or count is checked against the bytes left before anything is
+/// allocated. A frame that parses re-serializes to exactly its own bytes:
+/// every value has one encoding.
 
 #include <cstddef>
 #include <span>
@@ -102,6 +109,7 @@ std::vector<u8> serialize_ciphertext(const Ciphertext& ct,
 
 /// Reconstructs a ciphertext; @p ctx must match the writer's parameters.
 /// A compressed c1 is regenerated from the context seed and stream id.
+/// The residue body must end exactly at the end of @p bytes.
 Ciphertext deserialize_ciphertext(
     const std::shared_ptr<const CkksContext>& ctx,
     std::span<const u8> bytes);
@@ -115,9 +123,9 @@ Ciphertext deserialize_ciphertext(
 std::vector<u8> serialize_ciphertext_batch(std::span<const Ciphertext> cts,
                                            int bits_per_coeff = 44);
 
-/// Reconstructs a batch envelope in input order. Throws InvalidArgument
-/// on a bad magic, a truncated frame, or trailing bytes past the last
-/// frame (a length-prefix stream that does not add up is corrupt).
+/// Reconstructs a batch envelope in input order. Each length prefix must
+/// cover exactly one whole ciphertext frame, and the last frame must end
+/// the envelope.
 std::vector<Ciphertext> deserialize_ciphertext_batch(
     const std::shared_ptr<const CkksContext>& ctx, std::span<const u8> bytes);
 
@@ -149,10 +157,8 @@ struct ResponseFrame {
 std::vector<u8> serialize_request_frame(const RequestFrame& req);
 std::vector<u8> serialize_response_frame(const ResponseFrame& resp);
 
-/// Frame readers for untrusted bytes: length fields are validated against
-/// the actual remaining span *before* any allocation (a forged length is
-/// an InvalidArgument, never an attacker-sized reserve), and trailing
-/// bytes past the payload are rejected.
+/// Frame readers: a forged length is an InvalidArgument, never an
+/// attacker-sized reserve (see the reader contract above).
 RequestFrame deserialize_request_frame(std::span<const u8> bytes);
 ResponseFrame deserialize_response_frame(std::span<const u8> bytes);
 

@@ -69,7 +69,7 @@ bool recv_all(int fd, u8* data, std::size_t len) {
   return true;
 }
 
-bool send_frame(int fd, const std::vector<u8>& bytes) {
+bool send_frame(int fd, std::span<const u8> bytes) {
   ABC_CHECK_ARG(bytes.size() <= 0xffffffffu, "frame exceeds u32 length");
   u8 header[4];
   for (int i = 0; i < 4; ++i) {
@@ -256,8 +256,13 @@ UdsChannel::~UdsChannel() {
 }
 
 ckks::ResponseFrame UdsChannel::call(const ckks::RequestFrame& request) {
+  return call_bytes(ckks::serialize_request_frame(request));
+}
+
+ckks::ResponseFrame UdsChannel::call_bytes(
+    std::span<const u8> request_frame) {
   std::lock_guard<std::mutex> lock(m_);
-  if (!send_frame(fd_, ckks::serialize_request_frame(request))) {
+  if (!send_frame(fd_, request_frame)) {
     throw std::runtime_error("uds send failed: connection lost");
   }
   std::vector<u8> frame;

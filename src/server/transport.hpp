@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,6 +115,10 @@ class UdsChannel final : public Channel {
   UdsChannel& operator=(const UdsChannel&) = delete;
 
   ckks::ResponseFrame call(const ckks::RequestFrame& request) override;
+
+  /// Carries one already-encoded "ABCQ" frame, whatever its bytes: the
+  /// daemon answers an undecodable frame with a typed kBadRequest.
+  ckks::ResponseFrame call_bytes(std::span<const u8> request_frame);
 
  private:
   int fd_ = -1;

@@ -86,9 +86,13 @@ inline __m512i barrett52_mul(__m512i a, __m512i b, __m512i vq, __m512i v2q,
   const __m512i zero = _mm512_setzero_si512();
   const __m512i z_lo = madd52lo(zero, a, b);
   const __m512i z_hi = madd52hi(zero, a, b);
-  // z >> shift, assembled from the 52-bit halves; < 2q < 2^51.
-  const __m512i zh = _mm512_or_si512(_mm512_slli_epi64(z_hi, 52 - shift),
-                                     _mm512_srli_epi64(z_lo, shift));
+  // z >> shift, assembled from the 52-bit halves; < 2q < 2^51. The shifts
+  // are spelled as their full-mask forms: GCC 12's unmasked ones pass an
+  // "undefined" merge source that trips -Wmaybe-uninitialized. The emitted
+  // instructions are the same.
+  const __m512i zh = _mm512_or_si512(
+      _mm512_mask_slli_epi64(z_hi, 0xFF, z_hi, 52 - shift),
+      _mm512_mask_srli_epi64(z_lo, 0xFF, z_lo, shift));
   const __m512i qhat = madd52hi(zero, zh, ratio52);
   __m512i r = _mm512_sub_epi64(mul_lo64(a, b), mul_lo64(qhat, vq));  // < 3q
   r = cond_sub(r, v2q);

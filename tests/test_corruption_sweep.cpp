@@ -13,12 +13,20 @@
 // header region plus a seeded random sample of interior boundaries and
 // the full tail — the regions where length fields, per-item headers and
 // final-word packing live.
+//
+// A seeded structure-aware mutator (the last section) then holds all seven
+// formats to the stronger contract: a mutated frame either throws
+// InvalidArgument or re-serializes to exactly its own bytes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <complex>
+#include <functional>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "ckks/encoder.hpp"
@@ -391,6 +399,364 @@ TEST(CorruptionSweep, HeaderLimbCountBeyondThePayloadIsRejected) {
   rec.stored_digits = rec.limbs;
   EXPECT_THROW((void)expand_key_switch_key(f.ctx, rec), InvalidArgument);
 }
+
+// -- structure-aware seeded mutator -------------------------------------------
+//
+// Every wire format gets the same fixed budget of mutations, an equal share
+// of each kind. A mutation is drawn from (seed, format, index) alone, so a
+// failure reproduces from the numbers it prints. The mutator knows where
+// each format keeps its length and count fields: besides bit flips, byte
+// overwrites and truncations it appends, inserts and erases bytes, splices
+// in a chunk of another format's frame (or a whole frame behind a fixed-up
+// length prefix), and forges every length and count field. Half of the
+// mutated ABCK headers get a fresh checksum, so forged header fields reach
+// the checks behind it.
+//
+// The property is the readers' whole contract: a mutated frame either
+// throws InvalidArgument, or it parses and re-serializes to exactly the
+// mutated bytes — every value has one encoding.
+
+constexpr u64 kMutatorSeed = 0xabcf'5eed;
+constexpr int kMutationsPerFormat = 18000;
+
+/// A little-endian header field: byte offset and width.
+struct Field {
+  std::size_t offset;
+  std::size_t width;
+};
+
+u64 get_le(const std::vector<u8>& b, Field f) {
+  u64 v = 0;
+  for (std::size_t i = 0; i < f.width; ++i) {
+    v |= static_cast<u64>(b[f.offset + i]) << (8 * i);
+  }
+  return v;
+}
+
+void put_le(std::vector<u8>& b, Field f, u64 v) {
+  for (std::size_t i = 0; i < f.width; ++i) {
+    b[f.offset + i] = static_cast<u8>(v >> (8 * i));
+  }
+}
+
+/// The u32 prefixes of @p items consecutive length-prefixed items, the
+/// first prefix at @p pos.
+std::vector<Field> length_prefixes(const std::vector<u8>& frame,
+                                   std::size_t pos, std::size_t items) {
+  std::vector<Field> out;
+  for (std::size_t i = 0; i < items; ++i) {
+    out.push_back({pos, 4});
+    pos += 4 + get_le(frame, {pos, 4});
+  }
+  return out;
+}
+
+/// Recomputes an ABCK header checksum over the header's current bytes:
+/// FNV-1a over the field values after the magic, the compressed byte
+/// mixed as a bool.
+void reseal_key_header(std::vector<u8>& b) {
+  if (b.size() < 26) return;
+  u64 h = 0xcbf29ce484222325ull;
+  for (const u64 v : {get_le(b, {4, 1}), get_le(b, {5, 1}), u64{b[6] != 0},
+                      get_le(b, {7, 2}), get_le(b, {9, 1}), get_le(b, {10, 4}),
+                      get_le(b, {14, 8})}) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  }
+  put_le(b, {22, 4}, static_cast<u32>(h ^ (h >> 32)));
+}
+
+/// Re-serializes the value a frame parsed to.
+using Reencoder = std::function<std::vector<u8>()>;
+
+struct WireFormat {
+  std::string name;
+  std::vector<u8> frame;
+  std::vector<Field> counts;   // item and limb counts
+  std::vector<Field> lengths;  // u32 length prefixes
+  bool key_header = false;
+  /// Parses a frame (throwing InvalidArgument when it is rejected).
+  std::function<Reencoder(const std::vector<u8>&)> parse;
+};
+
+/// The seven formats, each one real frame from the fixture's keys.
+std::vector<WireFormat> wire_formats(Fixture& f) {
+  const auto ctx = f.ctx;
+  Encryptor sym(ctx, f.sk);
+  const PublicKey pk = f.keygen.public_key(f.sk);
+  Encryptor pub(ctx, pk);
+  const KeySwitchKey gk = f.keygen.galois_key(f.sk, 1);
+  const std::vector<Ciphertext> cts{
+      sym.encrypt(f.encoder.encode(f.message(20), 2)),
+      pub.encrypt(f.encoder.encode(f.message(21), 1))};
+  const KeyBundleFrames bundle{
+      serialize_public_key(ctx, pk),
+      serialize_key_switch_key(ctx, f.keygen.relin_key(f.sk).key),
+      {serialize_key_switch_key(ctx, gk)}};
+  RequestFrame req{7, 11, 1, -1, std::vector<u8>(48, 0x5a)};
+  ResponseFrame resp{11, 5, "every eligible run queue is at capacity",
+                     std::vector<u8>(24, 0xa5)};
+
+  std::vector<WireFormat> out;
+  WireFormat& abcf = out.emplace_back();
+  abcf.name = "ABCF";
+  abcf.frame = serialize_ciphertext(cts[0], 44);
+  abcf.counts = {{5, 1}, {6, 2}};  // components, limbs
+  abcf.parse = [ctx](const std::vector<u8>& b) -> Reencoder {
+    return [ct = deserialize_ciphertext(ctx, b), bits = b[4]] {
+      return serialize_ciphertext(ct, bits);
+    };
+  };
+
+  WireFormat& abcb = out.emplace_back();
+  abcb.name = "ABCB";
+  abcb.frame = serialize_ciphertext_batch(cts, 44);
+  abcb.counts = {{4, 4}};
+  abcb.lengths = length_prefixes(abcb.frame, 8, cts.size());
+  for (const Field& length : abcb.lengths) {  // each frame's own counts
+    abcb.counts.push_back({length.offset + 4 + 5, 1});
+    abcb.counts.push_back({length.offset + 4 + 6, 2});
+  }
+  abcb.parse = [ctx](const std::vector<u8>& b) -> Reencoder {
+    // Every frame here packs at 44 bits; an empty batch has no width.
+    return [cts = deserialize_ciphertext_batch(ctx, b),
+            bits = b.size() > 16 ? b[16] : 44] {
+      return serialize_ciphertext_batch(cts, bits);
+    };
+  };
+
+  WireFormat& ksk = out.emplace_back();
+  ksk.name = "ABCK key-switch";
+  ksk.frame = bundle.galois_keys.front();
+  ksk.counts = {{7, 2}};  // limbs
+  ksk.key_header = true;
+  ksk.parse = [ctx](const std::vector<u8>& b) -> Reencoder {
+    return [ctx, key = deserialize_key_switch_key(ctx, b), bits = b[4],
+            compressed = b[6] != 0] {
+      return serialize_key_switch_key(ctx, key, bits, compressed);
+    };
+  };
+
+  WireFormat& abck_pk = out.emplace_back();
+  abck_pk.name = "ABCK public";
+  abck_pk.frame = bundle.public_key;
+  abck_pk.counts = {{7, 2}};
+  abck_pk.key_header = true;
+  abck_pk.parse = [ctx](const std::vector<u8>& b) -> Reencoder {
+    return [ctx, key = deserialize_public_key(ctx, b), bits = b[4],
+            compressed = b[6] != 0] {
+      return serialize_public_key(ctx, key, bits, compressed);
+    };
+  };
+
+  WireFormat& abcq = out.emplace_back();
+  abcq.name = "ABCQ";
+  abcq.frame = serialize_request_frame(req);
+  abcq.lengths = length_prefixes(abcq.frame, 29, 1);
+  abcq.parse = [](const std::vector<u8>& b) -> Reencoder {
+    return [req = deserialize_request_frame(b)] {
+      return serialize_request_frame(req);
+    };
+  };
+
+  WireFormat& abcs = out.emplace_back();
+  abcs.name = "ABCS";
+  abcs.frame = serialize_response_frame(resp);
+  abcs.lengths = length_prefixes(abcs.frame, 13, 2);  // error, payload
+  abcs.parse = [](const std::vector<u8>& b) -> Reencoder {
+    return [resp = deserialize_response_frame(b)] {
+      return serialize_response_frame(resp);
+    };
+  };
+
+  WireFormat& abcp = out.emplace_back();
+  abcp.name = "ABCP";
+  abcp.frame = serialize_key_bundle(bundle);
+  abcp.counts = {{4, 4}};
+  abcp.lengths = length_prefixes(abcp.frame, 8, 2 + bundle.galois_keys.size());
+  abcp.parse = [](const std::vector<u8>& b) -> Reencoder {
+    return [bundle = deserialize_key_bundle(b)] {
+      return serialize_key_bundle(bundle);
+    };
+  };
+  return out;
+}
+
+enum Mutation : int {
+  kFlipBits,
+  kOverwriteByte,
+  kTruncate,
+  kAppend,
+  kInsert,
+  kErase,
+  kSpliceChunk,
+  kSpliceFrame,
+  kForgeField,
+  kMutationKinds,
+};
+
+constexpr const char* kMutationNames[kMutationKinds] = {
+    "flip bits", "overwrite byte", "truncate",     "append",      "insert",
+    "erase",     "splice chunk",   "splice frame", "forge field"};
+
+/// One mutation of @p fmt's frame. Donor frames for splices come from
+/// @p formats (any of them, @p fmt included).
+std::vector<u8> mutate(const WireFormat& fmt,
+                       const std::vector<WireFormat>& formats, Mutation kind,
+                       std::mt19937_64& rng) {
+  const auto below = [&rng](std::size_t n) {  // uniform in [0, n)
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const auto junk = [&](std::size_t n) {  // zeros or random bytes
+    std::vector<u8> bytes(n, 0);
+    if (below(2) == 0) {
+      for (u8& b : bytes) b = static_cast<u8>(rng());
+    }
+    return bytes;
+  };
+  const std::vector<u8>& donor = formats[below(formats.size())].frame;
+  std::vector<u8> b = fmt.frame;
+  switch (kind) {
+    case kFlipBits:
+      for (std::size_t n = 1 + below(4); n > 0; --n) {
+        const std::size_t bit = below(b.size() * 8);
+        b[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+      }
+      break;
+    case kOverwriteByte:
+      b[below(b.size())] = static_cast<u8>(rng());
+      break;
+    case kTruncate:
+      b.resize(below(b.size()));
+      break;
+    case kAppend: {
+      const std::vector<u8> tail = junk(1 + below(16));
+      b.insert(b.end(), tail.begin(), tail.end());
+      break;
+    }
+    case kInsert: {
+      const std::vector<u8> bytes = junk(1 + below(16));
+      b.insert(b.begin() + static_cast<std::ptrdiff_t>(below(b.size() + 1)),
+               bytes.begin(), bytes.end());
+      break;
+    }
+    case kErase: {
+      const std::size_t at = below(b.size());
+      const std::size_t n = 1 + below(std::min<std::size_t>(16, b.size() - at));
+      b.erase(b.begin() + static_cast<std::ptrdiff_t>(at),
+              b.begin() + static_cast<std::ptrdiff_t>(at + n));
+      break;
+    }
+    case kSpliceChunk: {
+      // Bytes [at, at + cut) give way to a donor chunk of up to 64 bytes.
+      const std::size_t n = 1 + below(std::min<std::size_t>(64, donor.size()));
+      const std::size_t from = below(donor.size() - n + 1);
+      const std::size_t at = below(b.size());
+      const std::size_t cut =
+          below(std::min<std::size_t>(64, b.size() - at) + 1);
+      b.erase(b.begin() + static_cast<std::ptrdiff_t>(at),
+              b.begin() + static_cast<std::ptrdiff_t>(at + cut));
+      b.insert(b.begin() + static_cast<std::ptrdiff_t>(at),
+               donor.begin() + static_cast<std::ptrdiff_t>(from),
+               donor.begin() + static_cast<std::ptrdiff_t>(from + n));
+      break;
+    }
+    case kSpliceFrame: {
+      // A whole donor frame in place of one length-prefixed item, the
+      // prefix fixed up; a format without items is replaced outright.
+      if (fmt.lengths.empty()) {
+        b = donor;
+        break;
+      }
+      const Field length = fmt.lengths[below(fmt.lengths.size())];
+      const std::size_t at = length.offset + 4;
+      b.erase(b.begin() + static_cast<std::ptrdiff_t>(at),
+              b.begin() + static_cast<std::ptrdiff_t>(at + get_le(b, length)));
+      b.insert(b.begin() + static_cast<std::ptrdiff_t>(at), donor.begin(),
+               donor.end());
+      put_le(b, length, donor.size());
+      break;
+    }
+    case kForgeField: {
+      std::vector<Field> fields = fmt.counts;
+      fields.insert(fields.end(), fmt.lengths.begin(), fmt.lengths.end());
+      const Field field = fields[below(fields.size())];
+      const u64 max = field.width == 8 ? ~u64{0}
+                                       : (u64{1} << (8 * field.width)) - 1;
+      const u64 was = get_le(b, field);
+      const std::array<u64, 8> forged = {
+          0, 1, was - 1, was + 1, was + 2 + below(16), max, max / 2 + 1, rng()};
+      put_le(b, field, forged[below(forged.size())] & max);
+      break;
+    }
+    case kMutationKinds:
+      break;
+  }
+  if (fmt.key_header && below(2) == 0) reseal_key_header(b);
+  return b;
+}
+
+/// Holds @p bytes to the one-encoding contract. Returns true when they
+/// parsed.
+bool expect_one_encoding(const WireFormat& fmt, const std::vector<u8>& bytes,
+                         const std::string& where) {
+  Reencoder again;
+  try {
+    again = fmt.parse(bytes);
+  } catch (const InvalidArgument&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << where << ": wrong exception type: " << e.what();
+    return false;
+  } catch (...) {
+    ADD_FAILURE() << where << ": non-std exception escaped";
+    return false;
+  }
+  try {
+    EXPECT_TRUE(again() == bytes)
+        << where << ": parsed, but re-serializes to other bytes";
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << where << ": parsed, but re-serializing threw "
+                  << e.what();
+  }
+  return true;
+}
+
+class SeededMutator : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SeededMutator, KeepsOneEncodingPerValue) {
+  Fixture f;
+  const std::vector<WireFormat> formats = wire_formats(f);
+  const std::size_t fi = GetParam();
+  const WireFormat& fmt = formats[fi];
+  ASSERT_TRUE(expect_one_encoding(fmt, fmt.frame, fmt.name + " unmutated"));
+  std::array<int, kMutationKinds> parsed{};
+  for (int i = 0; i < kMutationsPerFormat; ++i) {
+    std::seed_seq seq{kMutatorSeed, static_cast<u64>(fi), static_cast<u64>(i)};
+    std::mt19937_64 rng(seq);
+    const auto kind = static_cast<Mutation>(i % kMutationKinds);
+    const std::vector<u8> bad = mutate(fmt, formats, kind, rng);
+    parsed[kind] += expect_one_encoding(
+        fmt, bad,
+        fmt.name + " seed " + std::to_string(kMutatorSeed) + " format " +
+            std::to_string(fi) + " mutation " + std::to_string(i) + " (" +
+            kMutationNames[kind] + ")");
+  }
+  // A flip inside the residues or an opaque payload still parses (the
+  // frames carry no payload checksum), and a truncation never does: the
+  // mutator must reach both outcomes or it shows nothing.
+  EXPECT_GT(parsed[kFlipBits], 0);
+  EXPECT_EQ(parsed[kTruncate], 0);
+}
+
+std::string format_name(const ::testing::TestParamInfo<std::size_t>& info) {
+  constexpr const char* kNames[] = {"ABCF", "ABCB", "ABCK_key_switch",
+                                    "ABCK_public", "ABCQ", "ABCS", "ABCP"};
+  return kNames[info.param];
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFormats, SeededMutator,
+                         ::testing::Range<std::size_t>(0, 7), format_name);
 
 }  // namespace
 }  // namespace abc::ckks

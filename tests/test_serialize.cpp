@@ -241,6 +241,78 @@ TEST(Serialize, CorruptCiphertextBatchRejected) {
                InvalidArgument);
 }
 
+// -- one encoding per value --------------------------------------------------
+
+TEST(Serialize, TrailingBytesAfterCiphertextOrKeyFrameRejected) {
+  Fixture f;
+  Encryptor enc(f.ctx, f.sk);
+  const std::vector<u8> ct =
+      serialize_ciphertext(enc.encrypt(f.encoder.encode(f.message(10), 2)), 44);
+  const std::vector<u8> pk =
+      serialize_public_key(f.ctx, f.keygen.public_key(f.sk), 44);
+  const std::vector<u8> rlk =
+      serialize_key_switch_key(f.ctx, f.keygen.relin_key(f.sk).key, 44);
+  ASSERT_NO_THROW(deserialize_ciphertext(f.ctx, ct));
+  ASSERT_NO_THROW(deserialize_public_key(f.ctx, pk));
+  ASSERT_NO_THROW(deserialize_key_switch_key(f.ctx, rlk));
+  for (const std::size_t extra : {1u, 2u, 100u, 4096u}) {
+    SCOPED_TRACE(extra);
+    const auto padded = [extra](std::vector<u8> bytes) {
+      bytes.resize(bytes.size() + extra, 0);
+      return bytes;
+    };
+    EXPECT_THROW(deserialize_ciphertext(f.ctx, padded(ct)), InvalidArgument);
+    EXPECT_THROW(deserialize_public_key(f.ctx, padded(pk)), InvalidArgument);
+    EXPECT_THROW(deserialize_key_switch_key(f.ctx, padded(rlk)),
+                 InvalidArgument);
+  }
+}
+
+TEST(Serialize, BatchLengthPrefixCoveringJunkRejected) {
+  // The frame's length prefix (bytes 8..11) raised by 3, with 3 junk bytes
+  // behind the frame: the envelope adds up, the frame inside it does not.
+  Fixture f;
+  Encryptor enc(f.ctx, f.sk);
+  const std::vector<Ciphertext> cts{
+      enc.encrypt(f.encoder.encode(f.message(11), 2))};
+  std::vector<u8> bad = serialize_ciphertext_batch(cts, 44);
+  u32 length = 0;
+  for (int i = 0; i < 4; ++i) length |= u32{bad[8 + i]} << (8 * i);
+  length += 3;
+  for (int i = 0; i < 4; ++i) bad[8 + i] = static_cast<u8>(length >> (8 * i));
+  bad.insert(bad.end(), {0xde, 0xad, 0xbe});
+  EXPECT_THROW(deserialize_ciphertext_batch(f.ctx, bad), InvalidArgument);
+}
+
+TEST(Serialize, CompressedByteOutsideZeroOrOneRejected) {
+  // The flag sits at byte 9 of an ABCF header and byte 6 of an ABCK
+  // header; the key checksum mixes it as a bool, so only the reader's own
+  // check tells 2 from 1.
+  Fixture f;
+  Encryptor enc(f.ctx, f.sk);
+  const std::vector<u8> ct =
+      serialize_ciphertext(enc.encrypt(f.encoder.encode(f.message(12), 2)), 44);
+  const std::vector<u8> pk =
+      serialize_public_key(f.ctx, f.keygen.public_key(f.sk), 44);
+  const std::vector<u8> rlk =
+      serialize_key_switch_key(f.ctx, f.keygen.relin_key(f.sk).key, 44);
+  ASSERT_EQ(ct[9], 1);
+  ASSERT_EQ(pk[6], 1);
+  ASSERT_EQ(rlk[6], 1);
+  for (const u8 flag : {u8{2}, u8{0x80}, u8{0xff}}) {
+    SCOPED_TRACE(static_cast<int>(flag));
+    std::vector<u8> bad = ct;
+    bad[9] = flag;
+    EXPECT_THROW(deserialize_ciphertext(f.ctx, bad), InvalidArgument);
+    bad = pk;
+    bad[6] = flag;
+    EXPECT_THROW(deserialize_public_key(f.ctx, bad), InvalidArgument);
+    bad = rlk;
+    bad[6] = flag;
+    EXPECT_THROW(deserialize_key_switch_key(f.ctx, bad), InvalidArgument);
+  }
+}
+
 // -- serving-daemon framing --------------------------------------------------
 
 TEST(RequestFrame, RoundTripPreservesEveryField) {

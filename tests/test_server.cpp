@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <complex>
@@ -1017,6 +1018,25 @@ TEST_F(ServerTest, BatchEvaluatorPinsTheKeyOncePerBatch) {
 // Unix-domain-socket transport
 // ---------------------------------------------------------------------------
 
+/// Decrypts a kRotate-by-1 response and checks every slot moved left by one.
+void expect_rotated_left_by_one(
+    Client& client,
+    const std::vector<std::vector<std::complex<double>>>& msgs,
+    const ckks::ResponseFrame& resp) {
+  ASSERT_EQ(status_of(resp), Status::kOk) << resp.error;
+  const auto rotated =
+      ckks::deserialize_ciphertext_batch(client.ctx, resp.payload);
+  const auto decoded = client.session.decrypt_batch(rotated);
+  ASSERT_EQ(decoded.size(), msgs.size());
+  const std::size_t slots = client.ctx->slots();
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    for (std::size_t j = 0; j < slots; ++j) {
+      EXPECT_NEAR(decoded[i][j].real(), msgs[i][(j + 1) % slots].real(), 1e-2);
+      EXPECT_NEAR(decoded[i][j].imag(), msgs[i][(j + 1) % slots].imag(), 1e-2);
+    }
+  }
+}
+
 TEST_F(ServerTest, UdsTransportServesConcurrentSessionsEndToEnd) {
   const ckks::CkksParams params = small_params();
   ServerConfig cfg;
@@ -1062,21 +1082,94 @@ TEST_F(ServerTest, UdsTransportServesConcurrentSessionsEndToEnd) {
   const u64 tenant =
       server::register_over_channel(chan, 0, client.session.key_bundle());
   const auto msgs = random_batch(2, client.ctx->slots(), 200);
-  ckks::ResponseFrame resp = chan.call(make_request(
-      tenant, 1, Op::kRotate, 1,
-      client.session.upload(msgs, client.eval_limbs())));
-  ASSERT_EQ(status_of(resp), Status::kOk) << resp.error;
-  const auto rotated =
-      ckks::deserialize_ciphertext_batch(client.ctx, resp.payload);
-  const auto decoded = client.session.decrypt_batch(rotated);
-  ASSERT_EQ(decoded.size(), msgs.size());
-  const std::size_t slots = client.ctx->slots();
-  for (std::size_t i = 0; i < msgs.size(); ++i) {
-    for (std::size_t j = 0; j < slots; ++j) {
-      EXPECT_NEAR(decoded[i][j].real(), msgs[i][(j + 1) % slots].real(), 1e-2);
-      EXPECT_NEAR(decoded[i][j].imag(), msgs[i][(j + 1) % slots].imag(), 1e-2);
+  const std::vector<u8> upload =
+      client.session.upload(msgs, client.eval_limbs());
+  expect_rotated_left_by_one(
+      client, msgs, chan.call(make_request(tenant, 1, Op::kRotate, 1, upload)));
+  uds.stop();
+}
+
+/// One seeded mutation of a wire frame: 1-4 flipped bits, a cut, 1-16
+/// appended bytes, or a forged value in one of the u32 fields at
+/// @p u32_fields (byte offsets).
+std::vector<u8> mutate_frame(std::vector<u8> b,
+                             std::initializer_list<std::size_t> u32_fields,
+                             std::mt19937_64& rng) {
+  switch (rng() % 4) {
+    case 0:
+      for (u64 n = 1 + rng() % 4; n > 0; --n) {
+        const u64 bit = rng() % (b.size() * 8);
+        b[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+      }
+      break;
+    case 1:
+      b.resize(rng() % b.size());
+      break;
+    case 2:
+      b.resize(b.size() + 1 + rng() % 16, static_cast<u8>(rng()));
+      break;
+    default: {
+      const std::size_t at = u32_fields.begin()[rng() % u32_fields.size()];
+      u32 v = 0;
+      for (int i = 0; i < 4; ++i) v |= u32{b[at + i]} << (8 * i);
+      v = rng() % 2 == 0 ? static_cast<u32>(rng()) : v + 1 - 2 * (rng() % 2);
+      for (int i = 0; i < 4; ++i) b[at + i] = static_cast<u8>(v >> (8 * i));
     }
   }
+  return b;
+}
+
+TEST_F(ServerTest, UdsStreamOfMutatedFramesAnswersTypedAndStillServes) {
+  // One connection carries a seeded stream of requests: rotate uploads
+  // ("ABCB") and registration bundles ("ABCP") mutated most of the time,
+  // inside "ABCQ" frames mutated half of the time. Every reply must be a
+  // typed status from the input-rejection set — never kInternal — and the
+  // same daemon must then answer a verified rotate on the same connection.
+  const ckks::CkksParams params = small_params();
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.param_sets = {params};
+  Server srv(cfg);
+  const std::string path = "./abc_uds_mutated_test.sock";
+  UdsServer uds(srv, path);
+  Client client(params);
+  UdsChannel chan(path);
+  const u64 tenant =
+      server::register_over_channel(chan, 0, client.session.key_bundle());
+  const auto msgs = random_batch(2, client.ctx->slots(), 300);
+  const std::vector<u8> upload =
+      client.session.upload(msgs, client.eval_limbs());
+  const std::vector<u8> bundle =
+      ckks::serialize_key_bundle(frames_of(client.session.key_bundle()));
+
+  constexpr u64 kSeed = 0xabc5'7e11;
+  constexpr u64 kFrames = 240;
+  std::array<int, 8> seen{};
+  for (u64 i = 0; i < kFrames; ++i) {
+    std::seed_seq seq{kSeed, i};
+    std::mt19937_64 rng(seq);
+    const bool reg = rng() % 4 == 0;
+    std::vector<u8> payload = reg ? bundle : upload;
+    if (rng() % 4 != 0) payload = mutate_frame(std::move(payload), {4, 8}, rng);
+    std::vector<u8> frame = ckks::serialize_request_frame(
+        reg ? make_request(0, i, Op::kRegister, 0, std::move(payload))
+            : make_request(tenant, i, Op::kRotate, 1, std::move(payload)));
+    if (rng() % 2 == 0) frame = mutate_frame(std::move(frame), {29}, rng);
+    const ckks::ResponseFrame resp = chan.call_bytes(frame);
+    const Status status = status_of(resp);
+    EXPECT_TRUE(status == Status::kOk || status == Status::kBadRequest ||
+                status == Status::kUnknownTenant ||
+                status == Status::kUnknownOp)
+        << "seed " << kSeed << " frame " << i << ": status "
+        << static_cast<int>(resp.status) << " " << resp.error;
+    ++seen[std::min<std::size_t>(resp.status, seen.size() - 1)];
+  }
+  // The stream reached both sides of the parsers.
+  EXPECT_GT(seen[static_cast<int>(Status::kOk)], 0);
+  EXPECT_GT(seen[static_cast<int>(Status::kBadRequest)], 0);
+  expect_rotated_left_by_one(
+      client, msgs,
+      chan.call(make_request(tenant, kFrames, Op::kRotate, 1, upload)));
   uds.stop();
 }
 
