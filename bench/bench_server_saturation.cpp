@@ -13,8 +13,7 @@
 // latency numbers stay comparable across PRs.
 //
 // Latency percentiles come from the same obs::Histogram implementation
-// the daemon's server.request_ns metric uses (one instance per op); under
-// ABC_NO_METRICS they read 0 and the record says metrics_enabled: 0.
+// the daemon's server.request_ns metric uses (one instance per op).
 
 #include <complex>
 #include <cstdio>
@@ -192,8 +191,6 @@ int main(int argc, char** argv) {
       r.metrics.emplace_back("p50_seconds", p50);
       r.metrics.emplace_back("p99_seconds", p99);
       r.metrics.emplace_back("samples", static_cast<double>(hist.count));
-      r.metrics.emplace_back("metrics_enabled",
-                             abc::obs::kMetricsEnabled ? 1.0 : 0.0);
       reporter.add_record(std::move(r));
     }
   }

@@ -35,9 +35,6 @@
 /// delay:200@prob:0.01/7,limit:4". A malformed spec aborts the process
 /// with a message — a fault-injection run with a silently ignored spec
 /// would test nothing.
-///
-/// Compile-out: defining ABC_NO_FAILPOINTS removes even the branch; the
-/// registry API stays linkable so tests build either way.
 
 #include <atomic>
 #include <cstddef>
@@ -111,10 +108,25 @@ class ScopedFailpoint {
 };
 
 /// The failpoint catalog. Every ABC_FAILPOINT in the tree uses one of
-/// these names, and the fault-matrix suite iterates kAll — a point absent
-/// here is a point no test will ever drive, so additions belong in both
-/// places (and in the docs/ARCHITECTURE.md table).
+/// these names, and kAll lists each once with the path it sits on — a
+/// point absent here is a point no test will ever drive, so additions
+/// belong in kAll (and in the docs/ARCHITECTURE.md table).
 namespace points {
+
+enum class Path : u8 {
+  /// The ClientSession round trip: the fault-matrix suite arms every
+  /// client point and proves the round trip crosses it.
+  kClient,
+  /// The daemon's accept/dispatch/migrate/evaluate paths, driven by
+  /// tests/test_server.cpp's fault drills.
+  kServer,
+};
+
+struct Entry {
+  const char* name;
+  Path path;
+};
+
 inline constexpr const char* kPrngStreamSetup = "prng.stream_setup";
 inline constexpr const char* kDeserializeCiphertext = "serialize.ct";
 inline constexpr const char* kDeserializeBatch = "serialize.batch";
@@ -126,19 +138,6 @@ inline constexpr const char* kEncryptItem = "engine.encrypt_item";
 inline constexpr const char* kDecryptItem = "engine.decrypt_item";
 inline constexpr const char* kVerifyItem = "engine.verify_item";
 inline constexpr const char* kKeygenDigit = "engine.keygen_digit";
-
-inline constexpr const char* kAll[] = {
-    kPrngStreamSetup,   kDeserializeCiphertext, kDeserializeBatch,
-    kDeserializeKey,    kBackendWorkerJob,      kBackendNestedJob,
-    kKeySwitchScratch,  kEncryptItem,           kDecryptItem,
-    kVerifyItem,        kKeygenDigit,
-};
-
-// Serving-daemon points. Kept in their own array because kAll is the
-// *client round-trip* catalog (the fault matrix proves every kAll entry
-// sits on the ClientSession path); these sit on the server's
-// accept/dispatch/migrate/evaluate paths instead and are driven by
-// tests/test_server.cpp's fault drills.
 inline constexpr const char* kServerAccept = "server.accept";
 inline constexpr const char* kServerQueueFull = "server.queue_full";
 inline constexpr const char* kServerDispatch = "server.dispatch";
@@ -146,9 +145,24 @@ inline constexpr const char* kServerMigrate = "server.migrate";
 inline constexpr const char* kServerKeyRegen = "server.key_regen";
 inline constexpr const char* kEvaluateItem = "engine.evaluate_item";
 
-inline constexpr const char* kServerAll[] = {
-    kServerAccept, kServerQueueFull, kServerDispatch,
-    kServerMigrate, kServerKeyRegen, kEvaluateItem,
+inline constexpr Entry kAll[] = {
+    {kPrngStreamSetup, Path::kClient},
+    {kDeserializeCiphertext, Path::kClient},
+    {kDeserializeBatch, Path::kClient},
+    {kDeserializeKey, Path::kClient},
+    {kBackendWorkerJob, Path::kClient},
+    {kBackendNestedJob, Path::kClient},
+    {kKeySwitchScratch, Path::kClient},
+    {kEncryptItem, Path::kClient},
+    {kDecryptItem, Path::kClient},
+    {kVerifyItem, Path::kClient},
+    {kKeygenDigit, Path::kClient},
+    {kServerAccept, Path::kServer},
+    {kServerQueueFull, Path::kServer},
+    {kServerDispatch, Path::kServer},
+    {kServerMigrate, Path::kServer},
+    {kServerKeyRegen, Path::kServer},
+    {kEvaluateItem, Path::kServer},
 };
 }  // namespace points
 
@@ -164,11 +178,6 @@ void hit(const char* name);
 }  // namespace detail
 }  // namespace abc::fail
 
-#ifdef ABC_NO_FAILPOINTS
-#define ABC_FAILPOINT(name) \
-  do {                      \
-  } while (false)
-#else
 /// Names a fault-injection site. No-op branch until the name is armed.
 #define ABC_FAILPOINT(name)                                              \
   do {                                                                   \
@@ -177,4 +186,3 @@ void hit(const char* name);
       ::abc::fail::detail::hit(name);                                    \
     }                                                                    \
   } while (false)
-#endif

@@ -68,10 +68,7 @@ void append_traces(std::string& out, const std::vector<Trace>& traces) {
 std::string stats_json(const MetricsSnapshot& snap, const TraceRing* traces) {
   std::string out;
   out.reserve(4096);
-  out += "{\"metrics_enabled\":";
-  out += kMetricsEnabled ? "true" : "false";
-
-  out += ",\"counters\":{";
+  out += "{\"counters\":{";
   bool first = true;
   for (const CounterValue& c : snap.counters) {
     if (!first) out += ',';

@@ -6,7 +6,6 @@
 /// validates in CI:
 ///
 ///     {
-///       "metrics_enabled": true,
 ///       "counters":   { "server.accepted": 123, ... },
 ///       "gauges":     { "server.queue_depth": 0, ... },
 ///       "histograms": { "server.request_ns":
@@ -20,8 +19,7 @@
 ///     }
 ///
 /// Written by hand (no JSON dependency in the image); emits only what the
-/// snapshot holds, so an ABC_NO_METRICS build answers with empty metric
-/// maps, "metrics_enabled": false, and live trace data.
+/// snapshot holds.
 
 #include <string>
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -69,86 +68,56 @@ const HistogramValue* MetricsSnapshot::histogram(
   return find_by_name(histograms, name);
 }
 
-#ifndef ABC_NO_METRICS
+using Cells = std::array<u64, kHistBuckets + 1>;
+
+namespace detail {
+
+struct Instance {
+  Registry* reg = nullptr;
+  u32 def = 0;
+  std::vector<std::atomic<u64>> cells;  // 1, or kHistBuckets + 1 (sum last)
+
+  /// Adds this instance's cells into @p into (relaxed loads racing live
+  /// writers are benign; see header).
+  void add_into(Cells& into) const noexcept {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      into[i] += cells[i].load(std::memory_order_relaxed);
+    }
+  }
+};
+
+}  // namespace detail
 
 namespace {
 
-/// Bumped whenever any Registry dies, invalidating every thread's cached
-/// shard pointer — the next record under any registry re-resolves through
-/// the registry mutex. The global registry never dies, so in production
-/// this stays at its initial value forever.
-std::atomic<u64> g_registry_epoch{1};
+HistogramValue to_histogram(std::string name, const Cells& cells) {
+  HistogramValue h;
+  h.name = std::move(name);
+  for (std::size_t i = 0; i < kHistBuckets; ++i) {
+    h.buckets[i] = cells[i];
+    h.count += cells[i];
+  }
+  h.sum = cells[kHistBuckets];
+  return h;
+}
 
 }  // namespace
 
 struct Registry::Impl {
-  /// One thread's cells. Allocated zeroed, owned by the registry (not the
-  /// thread), so a thread may die and its counts remain scrapeable.
-  struct Shard {
-    std::unique_ptr<std::atomic<u64>[]> cells;
-    Shard() : cells(new std::atomic<u64>[kShardCells]) {
-      for (std::size_t i = 0; i < kShardCells; ++i) {
-        cells[i].store(0, std::memory_order_relaxed);
-      }
-    }
-  };
-
   struct Definition {
     std::string name;
     Kind kind = Kind::kCounter;
-    // Folded totals of destroyed instances. Gauges fold their (signed)
-    // deltas into the same u64 in two's complement.
-    u64 retired_scalar = 0;
-    std::array<u64, kHistBuckets + 1> retired_hist{};
-    std::vector<u32> live_cells;  // cell base of each live instance
+    // Folded totals of destroyed instances, laid out like their cells.
+    // Gauges fold their (signed) deltas into the same u64 in two's
+    // complement.
+    Cells retired{};
+    std::vector<std::unique_ptr<detail::Instance>> live;
   };
 
   mutable std::mutex m;
-  std::unordered_map<std::thread::id, std::unique_ptr<Shard>> shards;
   std::vector<Definition> defs;
   std::unordered_map<std::string, u32> by_name;
   std::vector<std::pair<std::string, u64 (*)()>> external;
-  std::vector<u32> free_scalar;  // recycled 1-cell ranges
-  std::vector<u32> free_hist;    // recycled (kHistBuckets+1)-cell ranges
-  u32 next_cell = 0;
-
-  static std::size_t span_of(Kind kind) noexcept {
-    return kind == Kind::kHistogram ? kHistBuckets + 1 : 1;
-  }
-
-  /// This thread's shard: TLS fast path, mutex-guarded find-or-create on
-  /// the first record from a thread (or after any registry's death).
-  Shard& local_shard() {
-    struct TlsCache {
-      const Impl* impl = nullptr;
-      Shard* shard = nullptr;
-      u64 epoch = 0;
-    };
-    thread_local TlsCache cache;
-    const u64 epoch = g_registry_epoch.load(std::memory_order_relaxed);
-    if (cache.impl == this && cache.epoch == epoch) return *cache.shard;
-    std::lock_guard<std::mutex> lock(m);
-    std::unique_ptr<Shard>& slot = shards[std::this_thread::get_id()];
-    if (!slot) slot = std::make_unique<Shard>();
-    cache = {this, slot.get(), epoch};
-    return *slot;
-  }
-
-  u32 allocate_cells(Kind kind) {
-    std::vector<u32>& free_list =
-        kind == Kind::kHistogram ? free_hist : free_scalar;
-    if (!free_list.empty()) {
-      const u32 cell = free_list.back();
-      free_list.pop_back();
-      return cell;
-    }
-    const std::size_t span = span_of(kind);
-    ABC_CHECK_STATE(next_cell + span <= kShardCells,
-                    "metric cell space exhausted; raise Registry::kShardCells");
-    const u32 cell = next_cell;
-    next_cell += static_cast<u32>(span);
-    return cell;
-  }
 
   u32 ensure_def(std::string_view name, Kind kind) {
     const auto it = by_name.find(std::string(name));
@@ -166,29 +135,16 @@ struct Registry::Impl {
     by_name.emplace(std::string(name), idx);
     return idx;
   }
-
-  /// Sum of one cell (relative to @p base) across every shard. Relaxed
-  /// loads racing live writers are benign (see header).
-  u64 sum_cell(u32 base, std::size_t offset) const {
-    u64 total = 0;
-    for (const auto& [tid, shard] : shards) {
-      total += shard->cells[base + offset].load(std::memory_order_relaxed);
-    }
-    return total;
-  }
 };
 
 Registry::Registry() : impl_(new Impl) {}
 
-Registry::~Registry() {
-  g_registry_epoch.fetch_add(1, std::memory_order_relaxed);
-  delete impl_;
-}
+Registry::~Registry() { delete impl_; }
 
 Registry& Registry::global() {
-  // Deliberately leaked: TLS caches and static handles (e.g. the
-  // transport counters) may record during process teardown, and a
-  // destroyed global registry would turn those into use-after-free.
+  // Deliberately leaked: static handles (e.g. the transport counters) may
+  // record during process teardown, and a destroyed global registry
+  // would turn those into use-after-free.
   static Registry* reg = [] {
     auto* r = new Registry();
     for (const catalog::Entry& e : catalog::kAll) r->ensure(e.name, e.kind);
@@ -210,124 +166,56 @@ void Registry::add_external_counter(std::string_view name, u64 (*read)()) {
   impl_->external.emplace_back(std::string(name), read);
 }
 
-std::pair<u32, u32> Registry::register_instance(std::string_view name,
-                                                Kind kind) {
+detail::Instance* Registry::register_instance(std::string_view name,
+                                              Kind kind) {
   std::lock_guard<std::mutex> lock(impl_->m);
   const u32 def = impl_->ensure_def(name, kind);
-  const u32 cell = impl_->allocate_cells(kind);
-  // Recycled cells were zeroed at retirement and fresh shards start
-  // zeroed, so a new instance always reads 0.
-  impl_->defs[def].live_cells.push_back(cell);
-  return {def, cell};
+  const std::size_t span = kind == Kind::kHistogram ? kHistBuckets + 1 : 1;
+  auto inst = std::make_unique<detail::Instance>(
+      this, def, std::vector<std::atomic<u64>>(span));
+  detail::Instance* raw = inst.get();
+  impl_->defs[def].live.push_back(std::move(inst));
+  return raw;
 }
 
 Counter Registry::counter(std::string_view name) {
-  const auto [def, cell] = register_instance(name, Kind::kCounter);
-  Counter c;
-  c.reg_ = this;
-  c.def_ = def;
-  c.cell_ = cell;
-  return c;
+  return Counter(register_instance(name, Kind::kCounter));
 }
 
 Gauge Registry::gauge(std::string_view name) {
-  const auto [def, cell] = register_instance(name, Kind::kGauge);
-  Gauge g;
-  g.reg_ = this;
-  g.def_ = def;
-  g.cell_ = cell;
-  return g;
+  return Gauge(register_instance(name, Kind::kGauge));
 }
 
 Histogram Registry::histogram(std::string_view name) {
-  const auto [def, cell] = register_instance(name, Kind::kHistogram);
-  Histogram h;
-  h.reg_ = this;
-  h.def_ = def;
-  h.cell_ = cell;
-  return h;
+  return Histogram(register_instance(name, Kind::kHistogram));
 }
 
-void Registry::add_cell(u32 cell, u64 delta) noexcept {
-  impl_->local_shard().cells[cell].fetch_add(delta,
-                                             std::memory_order_relaxed);
-}
-
-u64 Registry::read_cells(u32 cell, std::size_t span,
-                         std::array<u64, kHistBuckets + 1>* out)
-    const noexcept {
-  std::lock_guard<std::mutex> lock(impl_->m);
-  if (out == nullptr) return impl_->sum_cell(cell, 0);
-  u64 count = 0;
-  for (std::size_t i = 0; i < span; ++i) {
-    (*out)[i] = impl_->sum_cell(cell, i);
-    if (i < kHistBuckets) count += (*out)[i];
-  }
-  return count;
-}
-
-void Registry::retire(u32 def, u32 cell) noexcept {
+void Registry::retire(detail::Instance* inst) noexcept {
   // The owner destroying its handle guarantees no thread still records
   // through it (the quiescence contract every RAII member satisfies), so
-  // fold-then-zero under the mutex cannot lose an increment.
+  // folding under the mutex cannot lose an increment.
   std::lock_guard<std::mutex> lock(impl_->m);
-  Impl::Definition& d = impl_->defs[def];
-  const std::size_t span = Impl::span_of(d.kind);
-  for (std::size_t i = 0; i < span; ++i) {
-    u64 total = 0;
-    for (auto& [tid, shard] : impl_->shards) {
-      total += shard->cells[cell + i].exchange(0, std::memory_order_relaxed);
-    }
-    if (d.kind == Kind::kHistogram) {
-      d.retired_hist[i] += total;
-    } else {
-      d.retired_scalar += total;
-    }
-  }
-  std::erase(d.live_cells, cell);
-  (d.kind == Kind::kHistogram ? impl_->free_hist : impl_->free_scalar)
-      .push_back(cell);
+  Impl::Definition& d = impl_->defs[inst->def];
+  inst->add_into(d.retired);
+  std::erase_if(d.live, [inst](const auto& p) { return p.get() == inst; });
 }
 
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
   std::lock_guard<std::mutex> lock(impl_->m);
   for (const Impl::Definition& def : impl_->defs) {
+    Cells total = def.retired;
+    for (const auto& inst : def.live) inst->add_into(total);
     switch (def.kind) {
-      case Kind::kCounter: {
-        u64 total = def.retired_scalar;
-        for (const u32 cell : def.live_cells) {
-          total += impl_->sum_cell(cell, 0);
-        }
-        snap.counters.push_back({def.name, total});
+      case Kind::kCounter:
+        snap.counters.push_back({def.name, total[0]});
         break;
-      }
-      case Kind::kGauge: {
-        u64 total = def.retired_scalar;
-        for (const u32 cell : def.live_cells) {
-          total += impl_->sum_cell(cell, 0);
-        }
-        snap.gauges.push_back({def.name, static_cast<i64>(total)});
+      case Kind::kGauge:
+        snap.gauges.push_back({def.name, static_cast<i64>(total[0])});
         break;
-      }
-      case Kind::kHistogram: {
-        HistogramValue h;
-        h.name = def.name;
-        for (std::size_t i = 0; i <= kHistBuckets; ++i) {
-          u64 total = def.retired_hist[i];
-          for (const u32 cell : def.live_cells) {
-            total += impl_->sum_cell(cell, i);
-          }
-          if (i < kHistBuckets) {
-            h.buckets[i] = total;
-            h.count += total;
-          } else {
-            h.sum = total;
-          }
-        }
-        snap.histograms.push_back(std::move(h));
+      case Kind::kHistogram:
+        snap.histograms.push_back(to_histogram(def.name, total));
         break;
-      }
     }
   }
   for (const auto& [name, read] : impl_->external) {
@@ -343,158 +231,55 @@ MetricsSnapshot Registry::snapshot() const {
 
 // -- handles ------------------------------------------------------------------
 
-Counter::~Counter() {
-  if (reg_ != nullptr) reg_->retire(def_, cell_);
+detail::MetricHandle::~MetricHandle() {
+  if (inst_ != nullptr) inst_->reg->retire(inst_);
 }
 
-Counter& Counter::operator=(Counter&& other) noexcept {
+detail::MetricHandle& detail::MetricHandle::operator=(
+    MetricHandle&& other) noexcept {
   if (this != &other) {
-    if (reg_ != nullptr) reg_->retire(def_, cell_);
-    move_from(other);
+    if (inst_ != nullptr) inst_->reg->retire(inst_);
+    inst_ = std::exchange(other.inst_, nullptr);
   }
   return *this;
-}
-
-void Counter::move_from(Counter& other) noexcept {
-  reg_ = std::exchange(other.reg_, nullptr);
-  def_ = other.def_;
-  cell_ = other.cell_;
 }
 
 void Counter::inc(u64 n) noexcept {
-  if (reg_ != nullptr) reg_->add_cell(cell_, n);
+  if (inst_ != nullptr) {
+    inst_->cells[0].fetch_add(n, std::memory_order_relaxed);
+  }
 }
 
 u64 Counter::value() const noexcept {
-  return reg_ == nullptr ? 0 : reg_->read_cells(cell_, 1, nullptr);
-}
-
-Gauge::~Gauge() {
-  if (reg_ != nullptr) reg_->retire(def_, cell_);
-}
-
-Gauge& Gauge::operator=(Gauge&& other) noexcept {
-  if (this != &other) {
-    if (reg_ != nullptr) reg_->retire(def_, cell_);
-    move_from(other);
-  }
-  return *this;
-}
-
-void Gauge::move_from(Gauge& other) noexcept {
-  reg_ = std::exchange(other.reg_, nullptr);
-  def_ = other.def_;
-  cell_ = other.cell_;
+  return inst_ == nullptr ? 0
+                          : inst_->cells[0].load(std::memory_order_relaxed);
 }
 
 void Gauge::add(i64 delta) noexcept {
-  if (reg_ != nullptr) reg_->add_cell(cell_, static_cast<u64>(delta));
+  if (inst_ != nullptr) {
+    inst_->cells[0].fetch_add(static_cast<u64>(delta),
+                              std::memory_order_relaxed);
+  }
 }
 
 i64 Gauge::value() const noexcept {
-  return reg_ == nullptr
-             ? 0
-             : static_cast<i64>(reg_->read_cells(cell_, 1, nullptr));
-}
-
-Histogram::~Histogram() {
-  if (reg_ != nullptr) reg_->retire(def_, cell_);
-}
-
-Histogram& Histogram::operator=(Histogram&& other) noexcept {
-  if (this != &other) {
-    if (reg_ != nullptr) reg_->retire(def_, cell_);
-    move_from(other);
-  }
-  return *this;
-}
-
-void Histogram::move_from(Histogram& other) noexcept {
-  reg_ = std::exchange(other.reg_, nullptr);
-  def_ = other.def_;
-  cell_ = other.cell_;
+  return inst_ == nullptr ? 0
+                          : static_cast<i64>(inst_->cells[0].load(
+                                std::memory_order_relaxed));
 }
 
 void Histogram::record(u64 value) noexcept {
-  if (reg_ == nullptr) return;
-  reg_->add_cell(cell_ + static_cast<u32>(hist_bucket_index(value)), 1);
-  reg_->add_cell(cell_ + static_cast<u32>(kHistBuckets), value);
+  if (inst_ == nullptr) return;
+  const std::size_t bucket = hist_bucket_index(value);
+  inst_->cells[bucket].fetch_add(1, std::memory_order_relaxed);
+  inst_->cells[kHistBuckets].fetch_add(value, std::memory_order_relaxed);
 }
 
 HistogramValue Histogram::read() const noexcept {
-  HistogramValue out;
-  if (reg_ == nullptr) return out;
-  std::array<u64, kHistBuckets + 1> cells{};
-  out.count = reg_->read_cells(cell_, kHistBuckets + 1, &cells);
-  std::copy(cells.begin(), cells.begin() + kHistBuckets,
-            out.buckets.begin());
-  out.sum = cells[kHistBuckets];
-  return out;
+  if (inst_ == nullptr) return {};
+  Cells cells{};
+  inst_->add_into(cells);
+  return to_histogram({}, cells);
 }
-
-#else  // ABC_NO_METRICS ------------------------------------------------------
-// Compiled-out build: the API stays linkable, every operation is a no-op,
-// snapshots are empty. Handles are always disengaged (reg_ == nullptr).
-
-struct Registry::Impl {};
-
-Registry::Registry() = default;
-Registry::~Registry() = default;
-
-Registry& Registry::global() {
-  static Registry reg;
-  return reg;
-}
-
-void Registry::ensure(std::string_view, Kind) {}
-void Registry::add_external_counter(std::string_view, u64 (*)()) {}
-std::pair<u32, u32> Registry::register_instance(std::string_view, Kind) {
-  return {0, 0};
-}
-Counter Registry::counter(std::string_view) { return {}; }
-Gauge Registry::gauge(std::string_view) { return {}; }
-Histogram Registry::histogram(std::string_view) { return {}; }
-void Registry::add_cell(u32, u64) noexcept {}
-u64 Registry::read_cells(u32, std::size_t,
-                         std::array<u64, kHistBuckets + 1>*) const noexcept {
-  return 0;
-}
-void Registry::retire(u32, u32) noexcept {}
-MetricsSnapshot Registry::snapshot() const { return {}; }
-
-Counter::~Counter() = default;
-Counter& Counter::operator=(Counter&& other) noexcept {
-  move_from(other);
-  return *this;
-}
-void Counter::move_from(Counter& other) noexcept {
-  reg_ = std::exchange(other.reg_, nullptr);
-}
-void Counter::inc(u64) noexcept {}
-u64 Counter::value() const noexcept { return 0; }
-
-Gauge::~Gauge() = default;
-Gauge& Gauge::operator=(Gauge&& other) noexcept {
-  move_from(other);
-  return *this;
-}
-void Gauge::move_from(Gauge& other) noexcept {
-  reg_ = std::exchange(other.reg_, nullptr);
-}
-void Gauge::add(i64) noexcept {}
-i64 Gauge::value() const noexcept { return 0; }
-
-Histogram::~Histogram() = default;
-Histogram& Histogram::operator=(Histogram&& other) noexcept {
-  move_from(other);
-  return *this;
-}
-void Histogram::move_from(Histogram& other) noexcept {
-  reg_ = std::exchange(other.reg_, nullptr);
-}
-void Histogram::record(u64) noexcept {}
-HistogramValue Histogram::read() const noexcept { return {}; }
-
-#endif  // ABC_NO_METRICS
 
 }  // namespace abc::obs

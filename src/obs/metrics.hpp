@@ -11,9 +11,8 @@
 ///
 ///  * **Counter** — monotonic u64 (requests admitted, bytes out, steals);
 ///  * **Gauge** — signed instantaneous value maintained by +/- deltas
-///    (queue depth, resident tenants). Deltas instead of set() keep
-///    gauges shardable: the true value is the sum of every thread's
-///    deltas, so the hot path stays one relaxed atomic add;
+///    (queue depth, resident tenants), so a change stays one relaxed
+///    atomic add, like a counter's;
 ///  * **Histogram** — fixed-boundary log2-scale distribution (latencies,
 ///    sizes). Bucket i of kHistBuckets holds values whose bit width is i
 ///    (bucket 0 = {0}, bucket i = [2^(i-1), 2^i), last bucket = overflow),
@@ -21,34 +20,27 @@
 ///    no floating point. p50/p95/p99 come out of the bucket counts at
 ///    scrape time with linear interpolation inside the bucket.
 ///
-/// ## Sharding and the hot path
+/// ## Instances and the hot path
 ///
-/// The registry never takes a lock on the record path. Each thread owns a
-/// shard — a flat array of relaxed `std::atomic<u64>` cells — found
-/// through a thread-local cache; a metric instance owns a fixed cell
-/// range, so `Counter::inc()` is: load the TLS shard pointer, one relaxed
-/// `fetch_add`. Scrapes aggregate across shards (and across instances of
-/// the same name) under the registry mutex; relaxed loads racing live
-/// increments are benign — a scrape sees a value at least as fresh as the
-/// last full barrier, and monotonic counters never go backwards.
+/// Registering a name yields an *instance*: a registry-allocated node of
+/// relaxed `std::atomic<u64>` cells (one for a counter or gauge,
+/// kHistBuckets + 1 for a histogram) that the handle points to. The
+/// record path never takes a lock: `Counter::inc()` is one relaxed
+/// `fetch_add` on the instance's own cell, and `value()`/`read()` are
+/// relaxed loads of it. Every thread recording through an instance shares
+/// its cells: the serving stack records a few dozen adds per request,
+/// each request costing milliseconds of FHE compute, so there is no
+/// contention worth spreading out.
 ///
-/// ## Instances
-///
-/// Registering the same name twice yields two *instances* aggregated
-/// under one definition: each Server owns its own `server.accepted`
-/// counter (so per-server `stats()` keeps exact per-instance semantics
-/// via `Counter::value()`), while `Registry::snapshot()` sums every
-/// instance — the unified process view. Handles are RAII: destruction
-/// folds the instance's total into the definition's retired aggregate and
-/// recycles the cells, so totals survive instance churn and the cell
-/// space stays bounded.
-///
-/// ## Compile-out
-///
-/// Defining ABC_NO_METRICS (CMake -DABC_NO_METRICS=ON) turns every handle
-/// into a no-op and snapshots into empty documents while keeping the API
-/// linkable — the <=2% overhead acceptance bound is measured against this
-/// build (bench_server_saturation in both configurations).
+/// Registering the same name twice yields two instances aggregated under
+/// one definition: each Server owns its own `server.accepted` counter (so
+/// per-server `stats()` keeps exact per-instance semantics via
+/// `Counter::value()`), while `Registry::snapshot()` sums every instance
+/// under the registry mutex — the unified process view. Relaxed loads
+/// racing live increments are benign: monotonic counters never go
+/// backwards. Handles are RAII and move without touching the registry;
+/// destruction folds the instance's totals into the definition's retired
+/// aggregate and frees the node, so totals survive instance churn.
 
 #include <array>
 #include <bit>
@@ -61,13 +53,6 @@
 #include "common/types.hpp"
 
 namespace abc::obs {
-
-/// False when the build compiled metrics out (ABC_NO_METRICS).
-#ifdef ABC_NO_METRICS
-inline constexpr bool kMetricsEnabled = false;
-#else
-inline constexpr bool kMetricsEnabled = true;
-#endif
 
 enum class Kind : u8 { kCounter = 0, kGauge = 1, kHistogram = 2 };
 
@@ -121,7 +106,7 @@ struct HistogramValue {
 };
 
 /// Point-in-time aggregate of every definition in a registry: retired
-/// totals plus every live instance summed across every thread shard.
+/// totals plus every live instance.
 struct MetricsSnapshot {
   std::vector<CounterValue> counters;
   std::vector<GaugeValue> gauges;
@@ -246,86 +231,66 @@ inline constexpr Entry kAll[] = {
 
 class Registry;
 
-/// Monotonic counter instance. Default-constructed handles are
-/// disengaged no-ops (and every handle is a no-op under ABC_NO_METRICS).
-class Counter {
- public:
-  Counter() = default;
-  ~Counter();
-  Counter(Counter&& other) noexcept { move_from(other); }
-  Counter& operator=(Counter&& other) noexcept;
-  Counter(const Counter&) = delete;
-  Counter& operator=(const Counter&) = delete;
+namespace detail {
 
-  /// One relaxed atomic add on this thread's shard.
+/// One instance's cells; defined in metrics.cpp, owned by its registry.
+struct Instance;
+
+/// Move-only owner of one instance: destruction (or being moved onto)
+/// retires the instance into its definition's totals. Default-constructed
+/// and moved-from handles are disengaged no-ops.
+class MetricHandle {
+ public:
+  MetricHandle() = default;
+  explicit MetricHandle(Instance* inst) noexcept : inst_(inst) {}
+  ~MetricHandle();
+  MetricHandle(MetricHandle&& other) noexcept
+      : inst_(std::exchange(other.inst_, nullptr)) {}
+  MetricHandle& operator=(MetricHandle&& other) noexcept;
+
+ protected:
+  Instance* inst_ = nullptr;
+};
+
+}  // namespace detail
+
+/// Monotonic counter instance.
+class Counter : detail::MetricHandle {
+ public:
+  using MetricHandle::MetricHandle;
+
+  /// One relaxed atomic add on this instance's cell.
   void inc(u64 n = 1) noexcept;
 
-  /// This instance's total across all shards (not other instances of the
-  /// same name — the per-instance forwarder semantics ContextCache and
-  /// Server::stats() rely on).
+  /// This instance's total (not other instances of the same name — the
+  /// per-instance semantics Server::stats() and KeyCache::stats() rely on).
   u64 value() const noexcept;
-
- private:
-  friend class Registry;
-  void move_from(Counter& other) noexcept;
-  Registry* reg_ = nullptr;
-  u32 def_ = 0;
-  u32 cell_ = 0;
 };
 
 /// Delta-maintained signed gauge instance.
-class Gauge {
+class Gauge : detail::MetricHandle {
  public:
-  Gauge() = default;
-  ~Gauge();
-  Gauge(Gauge&& other) noexcept { move_from(other); }
-  Gauge& operator=(Gauge&& other) noexcept;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
+  using MetricHandle::MetricHandle;
 
   void add(i64 delta) noexcept;
   void sub(i64 delta) noexcept { add(-delta); }
   i64 value() const noexcept;
-
- private:
-  friend class Registry;
-  void move_from(Gauge& other) noexcept;
-  Registry* reg_ = nullptr;
-  u32 def_ = 0;
-  u32 cell_ = 0;
 };
 
 /// Log2-bucket histogram instance.
-class Histogram {
+class Histogram : detail::MetricHandle {
  public:
-  Histogram() = default;
-  ~Histogram();
-  Histogram(Histogram&& other) noexcept { move_from(other); }
-  Histogram& operator=(Histogram&& other) noexcept;
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
+  using MetricHandle::MetricHandle;
 
-  /// Two relaxed adds (bucket + sum) on this thread's shard.
+  /// Two relaxed adds (bucket + sum) on this instance's cells.
   void record(u64 value) noexcept;
 
-  /// This instance's distribution across all shards.
+  /// This instance's distribution.
   HistogramValue read() const noexcept;
-
- private:
-  friend class Registry;
-  void move_from(Histogram& other) noexcept;
-  Registry* reg_ = nullptr;
-  u32 def_ = 0;
-  u32 cell_ = 0;
 };
 
 class Registry {
  public:
-  /// Cells per thread shard. An instance consumes 1 (counter/gauge) or
-  /// kHistBuckets+1 (histogram) cells; retirement recycles them, so this
-  /// bounds *live* instances, not lifetime registrations.
-  static constexpr std::size_t kShardCells = 8192;
-
   Registry();
   ~Registry();
   Registry(const Registry&) = delete;
@@ -333,7 +298,8 @@ class Registry {
 
   /// Creates a new instance of the named metric. The name's kind is fixed
   /// by its first registration (catalog entries are pre-registered);
-  /// mismatched re-registration throws InvalidArgument.
+  /// mismatched re-registration throws InvalidArgument. Every handle must
+  /// die before the registry does.
   Counter counter(std::string_view name);
   Gauge gauge(std::string_view name);
   Histogram histogram(std::string_view name);
@@ -346,26 +312,21 @@ class Registry {
   /// snapshot (the failpoint hit/fire re-export).
   void add_external_counter(std::string_view name, u64 (*read)());
 
-  /// Aggregates every definition: retired totals + live instances across
-  /// all shards + external sources. Safe to call while other threads
-  /// record (relaxed reads; tested under TSan).
+  /// Aggregates every definition: retired totals + live instances +
+  /// external sources. Safe to call while other threads record (relaxed
+  /// reads; tested under TSan).
   MetricsSnapshot snapshot() const;
 
   /// The process-wide registry every instrumented subsystem uses.
   static Registry& global();
 
  private:
-  friend class Counter;
-  friend class Gauge;
-  friend class Histogram;
+  friend class detail::MetricHandle;
   struct Impl;
   Impl* impl_ = nullptr;  // pimpl so the header stays atomic-layout-free
 
-  u64 read_cells(u32 cell, std::size_t span,
-                 std::array<u64, kHistBuckets + 1>* out) const noexcept;
-  void add_cell(u32 cell, u64 delta) noexcept;
-  void retire(u32 def, u32 cell) noexcept;
-  std::pair<u32, u32> register_instance(std::string_view name, Kind kind);
+  detail::Instance* register_instance(std::string_view name, Kind kind);
+  void retire(detail::Instance* inst) noexcept;
 };
 
 /// Shorthand for Registry::global().

@@ -17,10 +17,8 @@
 /// the request. A pool-backend context would silently drop the tallies
 /// (never corrupt them), since pool workers carry no active trace.
 ///
-/// Tracing is deliberately *not* gated by ABC_NO_METRICS: the per-request
-/// cost is a handful of clock reads and one mutex push per completion,
-/// invisible next to FHE compute, and keeping it live means the no-metrics
-/// build still answers Op::kStats with trace data.
+/// Tracing is always on: the per-request cost is a handful of clock reads
+/// and one mutex push per completion, invisible next to FHE compute.
 
 #include <cstddef>
 #include <mutex>

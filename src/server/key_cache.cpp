@@ -44,7 +44,6 @@ void KeyCache::evict_locked() {
     if (victim == entries_.end()) return;  // only pinned/building left
     resident_ -= victim->second->bytes;
     resident_bytes_.sub(static_cast<i64>(victim->second->bytes));
-    ++eviction_count_;
     evictions_.inc();
     entries_.erase(victim);
   }
@@ -65,7 +64,6 @@ std::shared_ptr<const ckks::KeySwitchKey> KeyCache::get(
       cv_.wait(lock, [&] { return !entry->building; });
       if (entry->failed) std::rethrow_exception(entry->error);
     }
-    ++hit_count_;
     hits_.inc();
     return pin_locked(entry);
   }
@@ -74,7 +72,6 @@ std::shared_ptr<const ckks::KeySwitchKey> KeyCache::get(
   // regenerate with the lock RELEASED — concurrent requests for other
   // keys proceed, and waiters for this one block on the entry, not on
   // the regeneration itself.
-  ++miss_count_;
   misses_.inc();
   auto entry = std::make_shared<Entry>();
   entries_.emplace(k, entry);
@@ -149,9 +146,9 @@ void KeyCache::drop_tenant(u64 tenant) {
 KeyCache::Stats KeyCache::stats() const {
   Stats s;
   std::lock_guard<std::mutex> lock(m_);
-  s.hits = hit_count_;
-  s.misses = miss_count_;
-  s.evictions = eviction_count_;
+  s.hits = hits_.value();
+  s.misses = misses_.value();
+  s.evictions = evictions_.value();
   s.resident_bytes = resident_;
   s.entries = entries_.size();
   return s;

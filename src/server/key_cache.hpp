@@ -75,11 +75,10 @@ class KeyCache {
 
   std::size_t capacity_bytes() const noexcept { return capacity_; }
 
-  /// Point-in-time snapshot of this cache's counters. Counted by plain
-  /// members under the cache mutex (like Server's per-worker tallies),
-  /// so the values stay exact even under ABC_NO_METRICS; the keycache.*
-  /// registry metrics mirror them for the scrape. misses == number of
-  /// regenerations ever run (the single-flight tests assert on this).
+  /// Point-in-time snapshot of this cache's counters: its own keycache.*
+  /// metric instances, read under the cache mutex they are bumped under.
+  /// misses == number of regenerations ever run (the single-flight tests
+  /// assert on this).
   struct Stats {
     u64 hits = 0;
     u64 misses = 0;
@@ -135,11 +134,8 @@ class KeyCache {
   std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash> entries_;
   std::size_t resident_ = 0;
   u64 tick_ = 0;
-  // Exact counts under m_ (Stats stays meaningful under ABC_NO_METRICS).
-  u64 hit_count_ = 0;
-  u64 miss_count_ = 0;
-  u64 eviction_count_ = 0;
-
+  // This cache's own instances, bumped under m_ so stats() reads them
+  // exactly; the registry sums every cache's instances for the scrape.
   obs::Counter hits_ = obs::registry().counter(obs::catalog::kKeyCacheHits);
   obs::Counter misses_ =
       obs::registry().counter(obs::catalog::kKeyCacheMisses);

@@ -120,8 +120,7 @@ struct ServerConfig {
 
 /// Per-server instantaneous view, populated from this server's own metric
 /// instances (exact per-instance semantics; Server::metrics_snapshot()
-/// gives the aggregated process view). Under ABC_NO_METRICS every counter
-/// here reads 0 — observability is what the flag compiles out.
+/// gives the aggregated process view).
 struct ServerStats {
   u64 accepted = 0;            // enqueued to some run queue
   u64 rejected_too_large = 0;  // admission: payload bound
@@ -232,8 +231,8 @@ class Server {
   std::vector<std::unique_ptr<WorkerState>> worker_states_;
 
   // Per-server metric instances on the global registry: inc/record is one
-  // relaxed atomic add on the calling thread's shard (no stats mutex on
-  // any hot path), Counter::value() keeps the exact per-instance reads
+  // relaxed atomic add on the instance's cell (no stats mutex on any hot
+  // path), Counter::value() keeps the exact per-instance reads
   // stats() promises, and the registry snapshot aggregates all servers.
   obs::Counter accepted_ =
       obs::registry().counter(obs::catalog::kServerAccepted);
@@ -257,8 +256,7 @@ class Server {
       obs::registry().histogram(obs::catalog::kServerQueueWaitNs);
   obs::Histogram request_ns_ =
       obs::registry().histogram(obs::catalog::kServerRequestNs);
-  // Worker attribution is a plain atomic array (not a catalog metric), so
-  // per_worker_processed stays exact even under ABC_NO_METRICS.
+  // Worker attribution is a plain atomic array, not a catalog metric.
   std::unique_ptr<std::atomic<u64>[]> per_worker_processed_;
   std::unique_ptr<obs::TraceRing> traces_;
 };

@@ -41,10 +41,6 @@ class ContextCache {
       const ckks::CkksParams& params);
 
   std::size_t size() const;
-  /// Thin forwarders over this cache's session.context_cache_* counter
-  /// instances (the registry snapshot aggregates every cache).
-  u64 hits() const { return hits_.value(); }
-  u64 misses() const { return misses_.value(); }
 
  private:
   mutable std::mutex m_;

@@ -205,8 +205,10 @@ TEST_F(FailpointTest, DisarmAllClearsEveryPoint) {
 }
 
 TEST_F(FailpointTest, CatalogNamesAreUniqueAndNonEmpty) {
-  std::vector<std::string> names(std::begin(fail::points::kAll),
-                                 std::end(fail::points::kAll));
+  std::vector<std::string> names;
+  for (const fail::points::Entry& e : fail::points::kAll) {
+    names.emplace_back(e.name);
+  }
   for (const std::string& n : names) EXPECT_FALSE(n.empty());
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end())

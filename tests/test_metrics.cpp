@@ -1,15 +1,16 @@
 // Registry battery for the obs metrics subsystem: concurrent-increment
 // exactness, histogram bucket boundaries at edge values, quantile
 // extraction, instance aggregation and retirement, gauge delta semantics,
-// kind-mismatch rejection, external counter polling, the pre-registered
-// catalog, failpoint re-export, and the ABC_NO_METRICS compile-out
-// contract. The snapshot-while-writing tests double as the TSan leg's
-// obs coverage (suite name MetricsTest is in the CI tsan regex).
+// handle moves, kind-mismatch rejection, external counter polling, the
+// pre-registered catalog, and failpoint re-export. The
+// snapshot-while-writing tests double as the TSan leg's obs coverage
+// (suite name MetricsTest is in the CI tsan regex).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -27,12 +28,11 @@ using obs::Histogram;
 using obs::HistogramValue;
 using obs::Kind;
 using obs::kHistBuckets;
-using obs::kMetricsEnabled;
 using obs::MetricsSnapshot;
 using obs::Registry;
 
 // ---------------------------------------------------------------------------
-// Histogram layout (pure constexpr — holds in every build)
+// Histogram layout (pure constexpr)
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, HistogramBucketIndexEdgeValues) {
@@ -73,7 +73,6 @@ TEST(MetricsTest, HistogramBucketBoundsAreContiguous) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, CounterConcurrentIncrementExactness) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Counter c = reg.counter("t.hits");
   constexpr std::size_t kThreads = 8;
@@ -85,13 +84,12 @@ TEST(MetricsTest, CounterConcurrentIncrementExactness) {
     });
   }
   for (auto& t : threads) t.join();
-  // Per-thread shards summed on read: not one increment lost.
+  // Every thread adds into the instance's one cell: not one increment lost.
   EXPECT_EQ(c.value(), kThreads * kPerThread);
   EXPECT_EQ(reg.snapshot().counter_value("t.hits"), kThreads * kPerThread);
 }
 
 TEST(MetricsTest, CounterSnapshotWhileWriting) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   // Scrapes racing live increments must be safe (TSan leg) and monotone,
   // and the post-join scrape must be exact.
   Registry reg;
@@ -116,7 +114,6 @@ TEST(MetricsTest, CounterSnapshotWhileWriting) {
 }
 
 TEST(MetricsTest, CounterInstancesAggregateUnderOneName) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Counter a = reg.counter("t.shared");
   Counter b = reg.counter("t.shared");
@@ -130,14 +127,13 @@ TEST(MetricsTest, CounterInstancesAggregateUnderOneName) {
 }
 
 TEST(MetricsTest, RetiredInstanceTotalsSurviveInSnapshot) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   {
     Counter c = reg.counter("t.churn");
     c.inc(5);
   }  // handle destroyed: total folds into the definition's retired sum
   EXPECT_EQ(reg.snapshot().counter_value("t.churn"), 5u);
-  // A fresh instance (likely recycling the same cells) starts at zero.
+  // A fresh instance of the same name gets fresh cells: it starts at zero.
   Counter again = reg.counter("t.churn");
   EXPECT_EQ(again.value(), 0u);
   again.inc(2);
@@ -145,7 +141,6 @@ TEST(MetricsTest, RetiredInstanceTotalsSurviveInSnapshot) {
 }
 
 TEST(MetricsTest, KindMismatchOnReRegistrationThrows) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Counter c = reg.counter("t.kind");
   EXPECT_THROW((void)reg.histogram("t.kind"), InvalidArgument);
@@ -157,15 +152,13 @@ TEST(MetricsTest, KindMismatchOnReRegistrationThrows) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, GaugeAddSubFromManyThreads) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Gauge g = reg.gauge("t.depth");
   g.add(10);
   g.sub(3);
   EXPECT_EQ(g.value(), 7);
   EXPECT_EQ(reg.snapshot().gauge_value("t.depth"), 7);
-  // Deltas shard like counters: balanced add/sub across threads nets to
-  // the true value even though each thread's cell holds a partial sum.
+  // Balanced add/sub across threads nets to the true value.
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&g] {
@@ -184,7 +177,6 @@ TEST(MetricsTest, GaugeAddSubFromManyThreads) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, HistogramRecordsIntoCorrectBuckets) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Histogram h = reg.histogram("t.lat");
   const u64 values[] = {0, 1, 2, 3, 4, 1023, 1024, ~u64{0}};
@@ -204,7 +196,6 @@ TEST(MetricsTest, HistogramRecordsIntoCorrectBuckets) {
 }
 
 TEST(MetricsTest, HistogramQuantilesInterpolateWithinBucket) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Histogram h = reg.histogram("t.q");
   EXPECT_EQ(h.read().quantile(0.5), 0.0) << "empty histogram reads 0";
@@ -225,7 +216,6 @@ TEST(MetricsTest, HistogramQuantilesInterpolateWithinBucket) {
 }
 
 TEST(MetricsTest, HistogramConcurrentRecordExactCount) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Histogram h = reg.histogram("t.conc");
   constexpr std::size_t kThreads = 8;
@@ -246,7 +236,6 @@ TEST(MetricsTest, HistogramConcurrentRecordExactCount) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, GlobalRegistryPreRegistersEntireCatalog) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   const MetricsSnapshot snap = obs::registry().snapshot();
   for (const obs::catalog::Entry& e : obs::catalog::kAll) {
     switch (e.kind) {
@@ -269,7 +258,6 @@ u64 read() { return value; }
 }  // namespace external_counter
 
 TEST(MetricsTest, ExternalCounterIsPolledAtSnapshot) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   reg.add_external_counter("t.external", &external_counter::read);
   external_counter::value = 41;
@@ -279,7 +267,6 @@ TEST(MetricsTest, ExternalCounterIsPolledAtSnapshot) {
 }
 
 TEST(MetricsTest, FailpointTotalsReExportedThroughGlobalRegistry) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   const u64 hits_before =
       obs::registry().snapshot().counter_value(obs::catalog::kFailpointHits);
   fail::Policy delay;  // zero-microsecond delay: fires without throwing
@@ -299,32 +286,8 @@ TEST(MetricsTest, FailpointTotalsReExportedThroughGlobalRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// Compile-out contract
+// Handle lifetime
 // ---------------------------------------------------------------------------
-
-TEST(MetricsTest, CompileOutContract) {
-  // The API is linkable and inert in either build; what changes is
-  // whether anything is recorded.
-  Registry reg;
-  Counter c = reg.counter("t.flag");
-  Gauge g = reg.gauge("t.flag_g");
-  Histogram h = reg.histogram("t.flag_h");
-  c.inc(7);
-  g.add(7);
-  h.record(7);
-  const MetricsSnapshot snap = reg.snapshot();
-  if (kMetricsEnabled) {
-    EXPECT_EQ(c.value(), 7u);
-    EXPECT_EQ(snap.counter_value("t.flag"), 7u);
-  } else {
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(g.value(), 0);
-    EXPECT_EQ(h.read().count, 0u);
-    EXPECT_TRUE(snap.counters.empty());
-    EXPECT_TRUE(snap.gauges.empty());
-    EXPECT_TRUE(snap.histograms.empty());
-  }
-}
 
 TEST(MetricsTest, DefaultConstructedHandlesAreInertInEveryBuild) {
   Counter c;
@@ -336,6 +299,63 @@ TEST(MetricsTest, DefaultConstructedHandlesAreInertInEveryBuild) {
   EXPECT_EQ(c.value(), 0u);
   EXPECT_EQ(g.value(), 0);
   EXPECT_EQ(h.read().count, 0u);
+}
+
+TEST(MetricsTest, MovedLiveHandlesKeepCountingAndFoldOnce) {
+  // Move-construction hands the instance over; move-assignment retires the
+  // target's own instance first. Moved-from handles are inert, and every
+  // total lands in the snapshot exactly once, before and after the
+  // handles die.
+  Registry reg;
+  {
+    Counter a = reg.counter("t.mv");
+    a.inc(3);
+    Counter b(std::move(a));
+    a.inc(100);
+    EXPECT_EQ(a.value(), 0u) << "moved-from counter must be inert";
+    EXPECT_EQ(b.value(), 3u);
+    b.inc(2);
+    Counter c = reg.counter("t.mv");
+    c.inc(10);
+    c = std::move(b);  // c's own 10 retires; c now owns a's instance (5)
+    b.inc(100);
+    EXPECT_EQ(b.value(), 0u);
+    EXPECT_EQ(c.value(), 5u);
+    c.inc(1);
+    EXPECT_EQ(reg.snapshot().counter_value("t.mv"), 16u);
+
+    Gauge g = reg.gauge("t.mv_g");
+    g.add(-4);
+    Gauge moved(std::move(g));
+    g.add(50);
+    EXPECT_EQ(g.value(), 0) << "moved-from gauge must be inert";
+    Gauge target = reg.gauge("t.mv_g");
+    target.add(9);
+    target = std::move(moved);  // 9 retires; target owns the -4
+    EXPECT_EQ(target.value(), -4);
+    target.add(1);
+    EXPECT_EQ(reg.snapshot().gauge_value("t.mv_g"), 6);
+
+    Histogram x = reg.histogram("t.mv_h");
+    x.record(8);
+    Histogram z(std::move(x));
+    x.record(5);
+    EXPECT_EQ(x.read().count, 0u) << "moved-from histogram must be inert";
+    Histogram y = reg.histogram("t.mv_h");
+    y.record(1);
+    y.record(1);
+    y = std::move(z);  // the two 1s retire; y owns the 8
+    EXPECT_EQ(y.read().count, 1u);
+    y.record(2);
+    const HistogramValue live = *reg.snapshot().histogram("t.mv_h");
+    EXPECT_EQ(live.count, 4u);
+    EXPECT_EQ(live.sum, 12u);
+  }
+  const MetricsSnapshot retired = reg.snapshot();
+  EXPECT_EQ(retired.counter_value("t.mv"), 16u);
+  EXPECT_EQ(retired.gauge_value("t.mv_g"), 6);
+  EXPECT_EQ(retired.histogram("t.mv_h")->count, 4u);
+  EXPECT_EQ(retired.histogram("t.mv_h")->sum, 12u);
 }
 
 // ---------------------------------------------------------------------------
@@ -356,16 +376,11 @@ TEST(MetricsTest, StatsJsonCarriesCountersAndLayout) {
   EXPECT_NE(json.find("\"histogram_layout\""), std::string::npos);
   EXPECT_NE(json.find("\"traces\""), std::string::npos);
   EXPECT_NE(json.find("\"slow_count\":1"), std::string::npos);
-  if (kMetricsEnabled) {
-    EXPECT_NE(json.find("\"t.json\":9"), std::string::npos);
-    EXPECT_NE(json.find("\"metrics_enabled\":true"), std::string::npos);
-  } else {
-    EXPECT_NE(json.find("\"metrics_enabled\":false"), std::string::npos);
-  }
+  EXPECT_NE(json.find("\"t.json\":9"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// Trace ring (independent of the metrics flag)
+// Trace ring
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, TraceRingKeepsNewestAndCountsSlow) {

@@ -2,9 +2,7 @@
 // registry snapshot deltas across a request soak, rejection counters,
 // queue-depth balance, the Op::kStats scrape over both transports, trace
 // ring stage ordering with key-switch tallies, the slow-request ring, and
-// drain accounting at stop(). Exact-count assertions branch on
-// obs::kMetricsEnabled so the suite also passes (and still exercises the
-// trace plumbing) under ABC_NO_METRICS.
+// drain accounting at stop().
 
 #include <gtest/gtest.h>
 
@@ -112,56 +110,49 @@ TEST_F(ObsServerTest, StatsAndSnapshotTrackARequestSoak) {
     ASSERT_EQ(status_of(resp), Status::kOk) << resp.error;
   }
 
-  // Worker attribution is plain atomics — exact in every build.
+  // Worker attribution is plain atomics, counted apart from the registry.
   const server::ServerStats stats = srv.stats();
   ASSERT_EQ(stats.per_worker_processed.size(), cfg.workers);
   u64 by_worker = 0;
   for (const u64 n : stats.per_worker_processed) by_worker += n;
   EXPECT_EQ(by_worker, kRequests);
 
-  if (obs::kMetricsEnabled) {
-    EXPECT_EQ(stats.accepted, kRequests);
-    EXPECT_EQ(stats.processed, kRequests);
-    EXPECT_EQ(stats.rejected_too_large, 0u);
-    EXPECT_EQ(stats.rejected_queue_full, 0u);
+  EXPECT_EQ(stats.accepted, kRequests);
+  EXPECT_EQ(stats.processed, kRequests);
+  EXPECT_EQ(stats.rejected_too_large, 0u);
+  EXPECT_EQ(stats.rejected_queue_full, 0u);
 
-    const obs::MetricsSnapshot after = obs::registry().snapshot();
-    auto delta = [&](const char* name) {
-      return after.counter_value(name) - before.counter_value(name);
-    };
-    EXPECT_EQ(delta(obs::catalog::kServerAccepted), kRequests);
-    EXPECT_EQ(delta(obs::catalog::kServerProcessed), kRequests);
-    // Latency histograms populated once per request.
-    const obs::HistogramValue* wait =
-        after.histogram(obs::catalog::kServerQueueWaitNs);
-    const obs::HistogramValue* e2e =
-        after.histogram(obs::catalog::kServerRequestNs);
-    ASSERT_NE(wait, nullptr);
-    ASSERT_NE(e2e, nullptr);
-    const obs::HistogramValue* wait_before =
-        before.histogram(obs::catalog::kServerQueueWaitNs);
-    const obs::HistogramValue* e2e_before =
-        before.histogram(obs::catalog::kServerRequestNs);
-    EXPECT_EQ(wait->count - (wait_before ? wait_before->count : 0), kRequests);
-    EXPECT_EQ(e2e->count - (e2e_before ? e2e_before->count : 0), kRequests);
-    EXPECT_GT(e2e->sum, 0u);
-    // Deep-layer instrumentation moved too: every request fanned items
-    // through an engine, and the rotates key-switched.
-    EXPECT_GE(delta(obs::catalog::kEngineItemsProcessed),
-              kRequests * msgs.size());
-    EXPECT_GT(delta(obs::catalog::kKeySwitchAccumulations), 0u);
-    // Queue depth is balanced once the soak is done.
-    EXPECT_EQ(after.gauge_value(obs::catalog::kServerQueueDepth),
-              before.gauge_value(obs::catalog::kServerQueueDepth));
-  } else {
-    // The compile-out contract: forwarders read 0, never garbage.
-    EXPECT_EQ(stats.accepted, 0u);
-    EXPECT_EQ(stats.processed, 0u);
-  }
+  const obs::MetricsSnapshot after = obs::registry().snapshot();
+  auto delta = [&](const char* name) {
+    return after.counter_value(name) - before.counter_value(name);
+  };
+  EXPECT_EQ(delta(obs::catalog::kServerAccepted), kRequests);
+  EXPECT_EQ(delta(obs::catalog::kServerProcessed), kRequests);
+  // Latency histograms populated once per request.
+  const obs::HistogramValue* wait =
+      after.histogram(obs::catalog::kServerQueueWaitNs);
+  const obs::HistogramValue* e2e =
+      after.histogram(obs::catalog::kServerRequestNs);
+  ASSERT_NE(wait, nullptr);
+  ASSERT_NE(e2e, nullptr);
+  const obs::HistogramValue* wait_before =
+      before.histogram(obs::catalog::kServerQueueWaitNs);
+  const obs::HistogramValue* e2e_before =
+      before.histogram(obs::catalog::kServerRequestNs);
+  EXPECT_EQ(wait->count - (wait_before ? wait_before->count : 0), kRequests);
+  EXPECT_EQ(e2e->count - (e2e_before ? e2e_before->count : 0), kRequests);
+  EXPECT_GT(e2e->sum, 0u);
+  // Deep-layer instrumentation moved too: every request fanned items
+  // through an engine, and the rotates key-switched.
+  EXPECT_GE(delta(obs::catalog::kEngineItemsProcessed),
+            kRequests * msgs.size());
+  EXPECT_GT(delta(obs::catalog::kKeySwitchAccumulations), 0u);
+  // Queue depth is balanced once the soak is done.
+  EXPECT_EQ(after.gauge_value(obs::catalog::kServerQueueDepth),
+            before.gauge_value(obs::catalog::kServerQueueDepth));
 }
 
 TEST_F(ObsServerTest, ResidentTenantsGaugeFollowsRegisterAndErase) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   const ckks::CkksParams params = small_params();
   Client client(params);
   ServerConfig cfg;
@@ -186,7 +177,6 @@ TEST_F(ObsServerTest, ResidentTenantsGaugeFollowsRegisterAndErase) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ObsServerTest, RejectionCountersAttributeEachAdmissionFailure) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   ServerConfig cfg;
   cfg.max_request_bytes = 16;
   Server srv(cfg);
@@ -232,28 +222,23 @@ TEST_F(ObsServerTest, KStatsScrapeAnswersJsonOverLoopbackAndUds) {
     ASSERT_FALSE(json.empty());
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
-    // Always present, whatever the build: layout + traces.
+    // Always present: layout + traces.
     EXPECT_NE(json.find("\"histogram_layout\""), std::string::npos);
     EXPECT_NE(json.find("\"traces\""), std::string::npos);
     EXPECT_NE(json.find("\"recent\""), std::string::npos);
-    if (obs::kMetricsEnabled) {
-      EXPECT_NE(json.find("\"metrics_enabled\":true"), std::string::npos);
-      // The acceptance scrape: queue-wait and end-to-end histograms
-      // present and populated.
-      EXPECT_NE(json.find("\"server.queue_wait_ns\""), std::string::npos);
-      EXPECT_NE(json.find("\"server.request_ns\""), std::string::npos);
-      const obs::MetricsSnapshot snap = srv.metrics_snapshot();
-      const obs::HistogramValue* e2e =
-          snap.histogram(obs::catalog::kServerRequestNs);
-      ASSERT_NE(e2e, nullptr);
-      EXPECT_GE(e2e->count, 3u);
-      const obs::HistogramValue* wait =
-          snap.histogram(obs::catalog::kServerQueueWaitNs);
-      ASSERT_NE(wait, nullptr);
-      EXPECT_GE(wait->count, 3u);
-    } else {
-      EXPECT_NE(json.find("\"metrics_enabled\":false"), std::string::npos);
-    }
+    // The acceptance scrape: queue-wait and end-to-end histograms
+    // present and populated.
+    EXPECT_NE(json.find("\"server.queue_wait_ns\""), std::string::npos);
+    EXPECT_NE(json.find("\"server.request_ns\""), std::string::npos);
+    const obs::MetricsSnapshot snap = srv.metrics_snapshot();
+    const obs::HistogramValue* e2e =
+        snap.histogram(obs::catalog::kServerRequestNs);
+    ASSERT_NE(e2e, nullptr);
+    EXPECT_GE(e2e->count, 3u);
+    const obs::HistogramValue* wait =
+        snap.histogram(obs::catalog::kServerQueueWaitNs);
+    ASSERT_NE(wait, nullptr);
+    EXPECT_GE(wait->count, 3u);
   };
 
   {
@@ -347,9 +332,7 @@ TEST_F(ObsServerTest, SlowThresholdFilesTracesIntoSlowRing) {
   const std::vector<obs::Trace> slow = srv.traces().slow();
   ASSERT_EQ(slow.size(), kRequests);
   EXPECT_EQ(slow.back().request_id, kRequests);
-  if (obs::kMetricsEnabled) {
-    EXPECT_EQ(srv.stats().slow_requests, kRequests);
-  }
+  EXPECT_EQ(srv.stats().slow_requests, kRequests);
 }
 
 TEST_F(ObsServerTest, TraceRingCapacityIsBoundedAndValidated) {
@@ -409,13 +392,11 @@ TEST_F(ObsServerTest, StopDrainsQueuedRequestsAndCountsThem) {
     if (s == Status::kShuttingDown) ++shutting_down;
   }
   EXPECT_GT(shutting_down, 0u);
-  if (obs::kMetricsEnabled) {
-    EXPECT_EQ(srv.stats().drained, shutting_down);
-    // Drained requests leave the queue-depth gauge balanced too.
-    EXPECT_EQ(obs::registry().snapshot().gauge_value(
-                  obs::catalog::kServerQueueDepth),
-              0);
-  }
+  EXPECT_EQ(srv.stats().drained, shutting_down);
+  // Drained requests leave the queue-depth gauge balanced too.
+  EXPECT_EQ(obs::registry().snapshot().gauge_value(
+                obs::catalog::kServerQueueDepth),
+            0);
 }
 
 }  // namespace

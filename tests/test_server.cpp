@@ -160,10 +160,8 @@ TEST_F(ServerTest, SoakResponsesBitIdenticalToSerialAtEveryWorkerCount) {
       }
     }
     const server::ServerStats stats = srv.stats();
-    if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
-      EXPECT_EQ(stats.accepted, kRequests);
-      EXPECT_EQ(stats.processed, kRequests);
-    }
+    EXPECT_EQ(stats.accepted, kRequests);
+    EXPECT_EQ(stats.processed, kRequests);
   }
 }
 
@@ -194,12 +192,9 @@ TEST_F(ServerTest, WorkStealingMigratesRequestsWithoutChangingBytes) {
       srv.process_serial(make_request(tenant, 1, Op::kEcho, 0, upload));
   ASSERT_EQ(status_of(serial), Status::kOk) << serial.error;
 
-  // Bounded retry so no scheduler pathology can flake the assertion. The
-  // steal counter reads 0 under ABC_NO_METRICS, so that build runs one
-  // byte-identity round without the counter-driven loop.
+  // Bounded retry so no scheduler pathology can flake the assertion.
   u64 steals = 0;
-  const int rounds = obs::kMetricsEnabled ? 20 : 1;
-  for (int round = 0; round < rounds && steals == 0; ++round) {
+  for (int round = 0; round < 20 && steals == 0; ++round) {
     std::vector<std::future<ckks::ResponseFrame>> futures;
     for (u64 i = 0; i < 8; ++i) {
       futures.push_back(
@@ -213,7 +208,7 @@ TEST_F(ServerTest, WorkStealingMigratesRequestsWithoutChangingBytes) {
     }
     steals = srv.stats().steals;
   }
-  if (obs::kMetricsEnabled) EXPECT_GT(steals, 0u);
+  EXPECT_GT(steals, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -320,12 +315,10 @@ TEST_F(RunQueue, StealDrainsFromTheSameEndAndCounts) {
 
   // Every steal is counted once; an idle worker finding every queue empty
   // is not a steal.
-  if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
-    const u64 steals = srv.stats().steals;
-    EXPECT_EQ(steals, stolen_count(traces));
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_EQ(srv.stats().steals, steals);
-  }
+  const u64 steals = srv.stats().steals;
+  EXPECT_EQ(steals, stolen_count(traces));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(srv.stats().steals, steals);
 }
 
 TEST_F(RunQueue, ConcurrentOwnerAndThievesPartitionTheStream) {
@@ -374,15 +367,13 @@ TEST_F(RunQueue, ConcurrentOwnerAndThievesPartitionTheStream) {
   // Between them the drainers dequeued every request exactly once.
   const std::vector<obs::Trace> traces = srv.traces().recent();
   expect_partitioned_in_order(traces, kItems);
-  if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
-    const server::ServerStats stats = srv.stats();
-    EXPECT_EQ(stats.accepted, kItems);
-    EXPECT_EQ(stats.processed, kItems);
-    EXPECT_EQ(stats.per_worker_processed[0] + stats.per_worker_processed[1],
-              kItems);
-    EXPECT_EQ(stats.per_worker_processed[1], stolen_count(traces));
-    EXPECT_EQ(stats.steals, stolen_count(traces));
-  }
+  const server::ServerStats stats = srv.stats();
+  EXPECT_EQ(stats.accepted, kItems);
+  EXPECT_EQ(stats.processed, kItems);
+  EXPECT_EQ(stats.per_worker_processed[0] + stats.per_worker_processed[1],
+            kItems);
+  EXPECT_EQ(stats.per_worker_processed[1], stolen_count(traces));
+  EXPECT_EQ(stats.steals, stolen_count(traces));
 }
 
 TEST_F(ServerTest, ManySubmittersLoseNothing) {
@@ -418,12 +409,10 @@ TEST_F(ServerTest, ManySubmittersLoseNothing) {
           << static_cast<int>(resp.status);
     }
   }
-  if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
-    const server::ServerStats stats = srv.stats();
-    EXPECT_EQ(stats.accepted + stats.rejected_queue_full,
-              kThreads * kPerThread);
-    EXPECT_EQ(stats.processed, stats.accepted);
-  }
+  const server::ServerStats stats = srv.stats();
+  EXPECT_EQ(stats.accepted + stats.rejected_queue_full,
+            kThreads * kPerThread);
+  EXPECT_EQ(stats.processed, stats.accepted);
 }
 
 TEST_F(ServerTest, ParkedWorkersWakeForEverySingleSubmit) {
@@ -493,10 +482,8 @@ TEST_F(ServerTest, SubmitsRacingStopAllResolve) {
             << static_cast<int>(s);
       }
     }
-    if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
-      const server::ServerStats stats = srv.stats();
-      EXPECT_EQ(stats.accepted, stats.processed + stats.drained);
-    }
+    const server::ServerStats stats = srv.stats();
+    EXPECT_EQ(stats.accepted, stats.processed + stats.drained);
   }
 }
 
@@ -547,10 +534,8 @@ TEST_F(ServerTest, OverloadFloodRejectsTypedImmediatelyAndRecovers) {
   EXPECT_GT(queue_full, 0u);
   EXPECT_GE(immediate, queue_full);  // every rejection was instant
   const server::ServerStats stats = srv.stats();
-  if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
-    EXPECT_EQ(stats.rejected_queue_full, queue_full);
-    EXPECT_EQ(stats.accepted + stats.rejected_queue_full, kFlood);
-  }
+  EXPECT_EQ(stats.rejected_queue_full, queue_full);
+  EXPECT_EQ(stats.accepted + stats.rejected_queue_full, kFlood);
 
   // Recovery: with the delay gone the same server drains normally.
   fail::disarm_all();
@@ -610,7 +595,7 @@ TEST_F(ServerTest, AdmissionBoundsPayloadBytesBeforeEnqueue) {
   const ckks::ResponseFrame at_bound =
       srv.call(make_request(1, 2, Op::kEcho, 0, std::vector<u8>(16, 0xab)));
   EXPECT_EQ(status_of(at_bound), Status::kUnknownTenant);
-  if (obs::kMetricsEnabled) EXPECT_EQ(srv.stats().rejected_too_large, 1u);
+  EXPECT_EQ(srv.stats().rejected_too_large, 1u);
 }
 
 TEST_F(ServerTest, StoppedServerAnswersShuttingDown) {

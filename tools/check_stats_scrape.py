@@ -5,15 +5,14 @@ The scrape is the operator-facing contract of the obs subsystem, so CI
 fails the build when it regresses:
 
  * the payload must parse as JSON with the expected top-level shape
-   (metrics_enabled, counters, gauges, histograms, histogram_layout,
-   traces);
+   (counters, gauges, histograms, histogram_layout, traces);
  * every name in the metric catalog (src/obs/metrics.hpp) must be
    present in its section — a subsystem that silently stops exporting
    fails here, not in a dashboard weeks later;
  * the histogram layout must match the compiled-in log2 boundaries;
- * in a metrics-enabled build, the admission/latency path must have
-   left real data: server.accepted > 0 and populated queue-wait and
-   end-to-end histograms whose bucket sums equal their counts.
+ * the admission/latency path must have left real data:
+   server.accepted > 0 and populated queue-wait and end-to-end
+   histograms whose bucket sums equal their counts.
 
 Usage: python3 tools/check_stats_scrape.py STATS_server.json
 """
@@ -80,8 +79,6 @@ def main(argv):
                     "traces"):
         if section not in doc:
             fail(f"missing top-level section {section!r}")
-    if not isinstance(doc.get("metrics_enabled"), bool):
-        fail("metrics_enabled missing or not a bool")
 
     layout = doc["histogram_layout"]
     if layout.get("buckets") != HIST_BUCKETS:
@@ -96,12 +93,6 @@ def main(argv):
     for key in ("slow_threshold_ns", "slow_count", "recent", "slow"):
         if key not in traces:
             fail(f"traces.{key} missing")
-
-    if not doc["metrics_enabled"]:
-        # ABC_NO_METRICS scrape: sections legitimately empty; the shape
-        # checks above are the whole contract.
-        print("check_stats_scrape: OK (metrics compiled out; shape valid)")
-        return
 
     for name in COUNTERS:
         if name not in doc["counters"]:
