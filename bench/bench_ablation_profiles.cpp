@@ -21,8 +21,8 @@ int main() {
     const char* name;
     core::EncryptProfile profile;
   } profiles[] = {
-      {"symmetric (seed c1)", core::EncryptProfile::symmetric_seeded()},
-      {"public-key", core::EncryptProfile::public_key()},
+      {"symmetric (seed c1)", core::EncryptProfile::kSymmetricSeeded},
+      {"public-key", core::EncryptProfile::kPublicKey},
   };
   const struct {
     bool tf;
@@ -57,7 +57,7 @@ int main() {
   TextTable modes("Operating-mode ablation (batch of 8, public-key profile)");
   modes.set_header({"Mode", "Makespan (ms)", "Jobs/s"});
   core::ArchConfig cfg = core::ArchConfig::paper_default();
-  cfg.enc_profile = core::EncryptProfile::public_key();
+  cfg.enc_profile = core::EncryptProfile::kPublicKey;
   core::AbcFheSimulator sim(cfg);
   for (auto [mode, name] :
        {std::pair{core::OperatingMode::kDualEncrypt, "dual-encrypt"},

@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
   core::ArchConfig cfg = core::ArchConfig::paper_default();
   cfg.log_n = log_n;
   cfg.fresh_limbs = limbs;
-  cfg.enc_profile = core::EncryptProfile::public_key();
+  cfg.enc_profile = core::EncryptProfile::kPublicKey;
   const double abc_rate =
       core::AbcFheSimulator(cfg).encode_encrypt_throughput();
   rep.add_metric("engine/abc_fhe_modeled", "msgs_per_s", abc_rate);

@@ -7,27 +7,43 @@
 // Client times are measured (CPU) / simulated (ABC-FHE); server times use
 // the Fig. 1-calibrated Trinity model (see prior_work.hpp).
 
+#include <complex>
 #include <cstdio>
+#include <random>
+#include <vector>
 
-#include "baseline/cpu_reference.hpp"
 #include "baseline/prior_work.hpp"
+#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "core/simulator.hpp"
+#include "engine/client_session.hpp"
 
 int main() {
   using namespace abc;
   std::puts("ABC-FHE reproduction :: Fig. 1 (client/server breakdown, ResNet-20)\n");
 
-  // Client-side cost per inference: one encode+encrypt (input image) and
-  // one decode+decrypt (logits), N = 2^16.
-  ckks::CkksParams params = ckks::CkksParams::bootstrappable();
-  baseline::CpuClientPipeline cpu(params, ckks::EncryptMode::kPublicKey,
-                                  params.num_limbs, 2);
-  const baseline::CpuMeasurement m = cpu.measure(1);
-  const double cpu_client = m.encode_encrypt_ms + m.decode_decrypt_ms;
+  // Client-side cost per inference: one encode+encrypt (input image) at
+  // 24 limbs and one decode+decrypt (logits) at 2, N = 2^16 — Fig. 5a's
+  // CPU workload (public-key ClientSession, one thread, median of 3).
+  auto ctx = ckks::CkksContext::create(ckks::CkksParams::bootstrappable());
+  engine::ClientSession session(ctx, {.mode = ckks::EncryptMode::kPublicKey});
+  std::vector<std::vector<std::complex<double>>> msgs(1);
+  std::mt19937_64 rng(99);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (std::size_t i = 0; i < ctx->slots(); ++i) {
+    msgs[0].emplace_back(dist(rng), dist(rng));
+  }
+  const std::vector<ckks::Ciphertext> returned = session.encrypt(msgs, 2);
+  const double cpu_client =
+      1e3 * (bench::time_median_of(3, [&] {
+               (void)session.encrypt(msgs, ctx->max_limbs());
+             }) +
+             bench::time_median_of(3, [&] {
+               (void)session.decrypt_batch(returned);
+             }));
 
   core::ArchConfig cfg = core::ArchConfig::paper_default();
-  cfg.enc_profile = core::EncryptProfile::public_key();
+  cfg.enc_profile = core::EncryptProfile::kPublicKey;
   core::AbcFheSimulator sim(cfg);
   const double abc_client = sim.encode_encrypt_ms() + sim.decode_decrypt_ms();
 

@@ -20,7 +20,7 @@ int main() {
   double ms_at_8 = 0, ms_at_64 = 0;
   for (int lanes : {1, 2, 4, 8, 16, 32, 64}) {
     core::ArchConfig cfg = core::ArchConfig::paper_default();
-    cfg.enc_profile = core::EncryptProfile::public_key();
+    cfg.enc_profile = core::EncryptProfile::kPublicKey;
     cfg.lanes = lanes;
     cfg.mse_width = 4 * lanes;  // MSE sized to feed the PNL pool
     core::AbcFheSimulator sim(cfg);

@@ -21,7 +21,7 @@ int main() {
     auto time_of = [&](bool tf_on_chip, bool prng_on_chip) {
       core::ArchConfig cfg = core::ArchConfig::paper_default();
       cfg.log_n = log_n;
-      cfg.enc_profile = core::EncryptProfile::public_key();
+      cfg.enc_profile = core::EncryptProfile::kPublicKey;
       cfg.placement.twiddles_on_chip = tf_on_chip;
       cfg.placement.randomness_on_chip = prng_on_chip;
       return core::AbcFheSimulator(cfg).encode_encrypt_ms();

@@ -1,9 +1,10 @@
 #pragma once
 
 /// @file bench_util.hpp
-/// Minimal shared harness for the hand-rolled benches: best-of-reps wall
-/// timing, a machine-readable JSON reporter (the BENCH_*.json perf
-/// trajectory format), and flag parsing for the common options
+/// Minimal shared harness for the hand-rolled benches: best-of-reps and
+/// median-of-reps wall timing, a machine-readable JSON reporter (the
+/// BENCH_*.json perf trajectory format), and flag parsing for the common
+/// options
 ///
 ///     --json <path>   write results as JSON to <path>
 ///     --reps <n>      timed repetitions per measurement (best-of)
@@ -131,6 +132,21 @@ double time_best_of(int reps, F&& fn) {
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
   return best;
+}
+
+/// Returns the median wall time of @p reps timed calls of fn() (no warm-up
+/// call), in seconds.
+template <class F>
+double time_median_of(int reps, F&& fn) {
+  std::vector<double> times;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    times.push_back(std::chrono::duration<double>(t1 - t0).count());
+  }
+  std::sort(times.begin(), times.end());
+  return times[times.size() / 2];
 }
 
 /// Formats a seconds value with an adaptive unit for table output.

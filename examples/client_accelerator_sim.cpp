@@ -3,7 +3,7 @@
 // prints latency, throughput, utilization, DRAM traffic, plus the area /
 // power report of the configured chip.
 //
-// Run: ./build/examples/client_accelerator_sim
+// Run: ./build/client_accelerator_sim
 
 #include <cstdio>
 
@@ -17,7 +17,7 @@ int main() {
   std::puts("== ABC-FHE accelerator simulator demo ==\n");
 
   core::ArchConfig cfg = core::ArchConfig::paper_default();
-  cfg.enc_profile = core::EncryptProfile::public_key();
+  cfg.enc_profile = core::EncryptProfile::kPublicKey;
   std::printf(
       "Configuration: %d RSC x %d PNL, P = %d lanes, %d MHz, LPDDR5 "
       "%.1f GB/s\nWorkload: N = 2^%d, %zu-limb encrypt, %zu-limb decrypt\n\n",

@@ -2,7 +2,7 @@
 // operand placement, and prints a latency / area Pareto table — the kind
 // of study behind the paper's choice of 2 RSC x 4 PNL x P=8 under LPDDR5.
 //
-// Run: ./build/examples/design_space_explorer
+// Run: ./build/design_space_explorer
 
 #include <cstdio>
 
@@ -30,7 +30,7 @@ int main() {
       cfg.pnl_per_rsc = pnl;
       cfg.lanes = lanes;
       cfg.mse_width = pnl * lanes;
-      cfg.enc_profile = core::EncryptProfile::public_key();
+      cfg.enc_profile = core::EncryptProfile::kPublicKey;
       core::AbcFheSimulator sim(cfg);
       const double ms = sim.encode_encrypt_ms();
       const double tput = sim.encode_encrypt_throughput();
@@ -62,7 +62,7 @@ int main() {
         std::tuple{true, false, "on-chip", "DRAM"},
         std::tuple{true, true, "on-chip", "on-chip"}}) {
     core::ArchConfig cfg = core::ArchConfig::paper_default();
-    cfg.enc_profile = core::EncryptProfile::public_key();
+    cfg.enc_profile = core::EncryptProfile::kPublicKey;
     cfg.placement.twiddles_on_chip = tf;
     cfg.placement.randomness_on_chip = prng;
     placement.add_row({label_tf, label_prng,

@@ -131,7 +131,7 @@ int main() {
   cfg.log_n = params.log_n;
   cfg.fresh_limbs = params.num_limbs;
   cfg.returned_limbs = logit.limbs();
-  cfg.enc_profile = core::EncryptProfile::public_key();
+  cfg.enc_profile = core::EncryptProfile::kPublicKey;
   core::AbcFheSimulator sim(cfg);
   std::printf(
       "\nClient cost on ABC-FHE: encode+encrypt %.3f ms, decode+decrypt "

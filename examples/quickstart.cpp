@@ -4,13 +4,12 @@
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   ./build/examples/quickstart
+//   ./build/quickstart
 
 #include <complex>
 #include <cstdio>
 #include <vector>
 
-#include "baseline/cpu_reference.hpp"
 #include "ckks/decryptor.hpp"
 #include "ckks/encoder.hpp"
 #include "ckks/encryptor.hpp"
@@ -58,7 +57,7 @@ int main() {
   core::ArchConfig cfg = core::ArchConfig::paper_default();
   cfg.log_n = params.log_n;
   cfg.fresh_limbs = params.num_limbs;
-  cfg.enc_profile = core::EncryptProfile::public_key();
+  cfg.enc_profile = core::EncryptProfile::kPublicKey;
   core::AbcFheSimulator sim(cfg);
   std::printf("\nABC-FHE accelerator (600 MHz, LPDDR5): encode+encrypt "
               "%.3f ms, decode+decrypt %.3f ms\n",

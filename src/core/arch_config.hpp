@@ -34,14 +34,12 @@ struct OperandPlacement {
   bool randomness_on_chip = true;  // PRNG: masks, errors, keys
 };
 
-/// Encryption dataflow profile (see ckks/encryptor.hpp).
-struct EncryptProfile {
-  int ntt_passes_per_limb = 1;   // symmetric seeded profile
-  int pk_streams = 0;            // public-key polynomials fetched per limb
-  bool ship_c1 = false;          // seed-compressed c1 is not written out
-
-  static EncryptProfile symmetric_seeded() { return {1, 0, false}; }
-  static EncryptProfile public_key() { return {3, 2, true}; }
+/// Encryption dataflow profile, mirroring ckks::EncryptMode (core/ stays
+/// independent of ckks/). JobScheduler derives the per-limb NTT passes,
+/// public-key streams and shipped components from it.
+enum class EncryptProfile {
+  kSymmetricSeeded,  // 1 NTT pass per limb, c1 compressed to a stream id
+  kPublicKey,        // 3 NTT passes, pk0/pk1 streams, c0 and c1 shipped
 };
 
 struct ArchConfig {
@@ -70,7 +68,7 @@ struct ArchConfig {
   int log_n = 16;
   std::size_t fresh_limbs = 24;     // client -> server ciphertext level
   std::size_t returned_limbs = 2;   // server -> client ciphertext level
-  EncryptProfile enc_profile = EncryptProfile::symmetric_seeded();
+  EncryptProfile enc_profile = EncryptProfile::kSymmetricSeeded;
 
   // ---- derived quantities ------------------------------------------------
 
@@ -107,8 +105,6 @@ struct ArchConfig {
     ABC_CHECK_ARG(fresh_limbs >= 1 && returned_limbs >= 1,
                   "limb counts must be positive");
     ABC_CHECK_ARG(mse_width >= 1, "mse_width must be positive");
-    ABC_CHECK_ARG(enc_profile.ntt_passes_per_limb >= 1,
-                  "need at least one NTT pass per limb");
   }
 
   /// The paper's evaluated configuration.

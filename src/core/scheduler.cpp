@@ -23,7 +23,10 @@ void JobScheduler::add_encode_encrypt(std::vector<Pass>& passes, int rsc,
                                       std::size_t job_id) const {
   const double n = static_cast<double>(cfg_.n());
   const std::size_t limbs = cfg_.fresh_limbs;
-  const EncryptProfile& prof = cfg_.enc_profile;
+  // Symmetric seeded: one NTT (m + e) per limb, c1 regenerated from its
+  // seed. Public key: NTTs of u, m + e0 and e1, both components shipped.
+  const bool public_key = cfg_.enc_profile == EncryptProfile::kPublicKey;
+  const int ntt_passes_per_limb = public_key ? 3 : 1;
 
   // DMA-in: N/2 complex-double message words.
   const std::size_t dma_in = passes.size();
@@ -72,7 +75,7 @@ void JobScheduler::add_encode_encrypt(std::vector<Pass>& passes, int rsc,
     // polynomial; additional passes transform mask/error polynomials whose
     // inputs come from the PRNG (on-chip) or DRAM (Base configuration).
     std::vector<std::size_t> ntt_ids;
-    for (int k = 0; k < prof.ntt_passes_per_limb; ++k) {
+    for (int k = 0; k < ntt_passes_per_limb; ++k) {
       const std::size_t ntt = passes.size();
       const bool message_path = (k == 0);
       passes.push_back(Pass{
@@ -91,14 +94,10 @@ void JobScheduler::add_encode_encrypt(std::vector<Pass>& passes, int rsc,
       ntt_ids.push_back(ntt);
     }
 
-    // MSE combine: mask * pk (+ error, + message). PK polynomial streams
-    // come from DRAM unless regenerable (seeded pk1) — Base fetches all.
-    double pk_read = 0.0;
-    if (prof.pk_streams > 0) {
-      const int fetched = prng_on_chip ? prof.pk_streams - 1  // pk1 = PRNG(a)
-                                       : prof.pk_streams;
-      pk_read = coeff_bytes * static_cast<double>(std::max(fetched, 0));
-    }
+    // MSE combine: mask * pk (+ error, + message). Of the two public-key
+    // streams only pk0 comes from DRAM (pk1 = PRNG(a)); Base fetches both.
+    const double pk_read =
+        public_key ? coeff_bytes * (prng_on_chip ? 1.0 : 2.0) : 0.0;
     const double rand_read =
         prng_on_chip ? 0.0 : coeff_bytes;  // error stream for the combine
     const std::size_t combine = passes.size();
@@ -114,7 +113,7 @@ void JobScheduler::add_encode_encrypt(std::vector<Pass>& passes, int rsc,
         .deps = ntt_ids});
 
     // Write the finished ciphertext limb(s) out.
-    const double components = prof.ship_c1 ? 2.0 : 1.0;
+    const double components = public_key ? 2.0 : 1.0;
     passes.push_back(Pass{
         .label = tag("dma_out_ct", job_id, l),
         .unit = UnitKind::kDmaOut,

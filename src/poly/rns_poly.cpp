@@ -1,8 +1,21 @@
 #include "poly/rns_poly.hpp"
 
 #include "common/check.hpp"
+#include "transform/op_counter.hpp"
 
 namespace abc::poly {
+namespace {
+
+/// Runs fn(i) for every limb i through the context's backend. Parallelism
+/// only partitions limbs, so results and op counts are the same for any
+/// worker count.
+template <class Fn>
+void for_each_limb(const PolyContext& ctx, std::size_t limbs, Fn&& fn) {
+  ctx.backend().parallel_for(limbs,
+                             [&](std::size_t i, std::size_t) { fn(i); });
+}
+
+}  // namespace
 
 RnsPoly::RnsPoly(std::shared_ptr<const PolyContext> ctx, std::size_t limbs,
                  Domain domain)
@@ -25,13 +38,15 @@ std::span<const u64> RnsPoly::limb(std::size_t i) const {
 
 void RnsPoly::to_eval() {
   ABC_CHECK_STATE(domain_ == Domain::kCoeff, "already in evaluation domain");
-  ctx_->backend().ntt_forward(*ctx_, data_, limbs_);
+  for_each_limb(*ctx_, limbs_,
+                [&](std::size_t i) { ctx_->ntt(i).forward(limb(i)); });
   domain_ = Domain::kEval;
 }
 
 void RnsPoly::to_coeff() {
   ABC_CHECK_STATE(domain_ == Domain::kEval, "already in coefficient domain");
-  ctx_->backend().ntt_inverse(*ctx_, data_, limbs_);
+  for_each_limb(*ctx_, limbs_,
+                [&](std::size_t i) { ctx_->ntt(i).inverse(limb(i)); });
   domain_ = Domain::kCoeff;
 }
 
@@ -45,12 +60,22 @@ void RnsPoly::reset(std::size_t limbs, Domain domain) {
   data_.resize(limbs_ * n());  // grows zeroed; reused words left as-is
 }
 
-void RnsPoly::set_from_signed(std::span<const i64> coeffs) {
-  ctx_->backend().expand_signed(*ctx_, data_, limbs_, coeffs);
+template <class I>
+void RnsPoly::expand(std::span<const I> coeffs) {
+  const std::size_t n = ctx_->n();
+  ABC_CHECK_ARG(coeffs.size() == n, "coefficient count mismatch");
+  for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
+    const rns::Modulus& q = ctx_->modulus(i);
+    u64* d = words(i);
+    for (std::size_t j = 0; j < n; ++j) d[j] = q.from_signed(coeffs[j]);
+    xf::op_counts().other += n;  // RNS expansion work
+  });
 }
 
+void RnsPoly::set_from_signed(std::span<const i64> coeffs) { expand(coeffs); }
+
 void RnsPoly::set_from_signed_i32(std::span<const i32> coeffs) {
-  ctx_->backend().expand_signed_i32(*ctx_, data_, limbs_, coeffs);
+  expand(coeffs);
 }
 
 void RnsPoly::check_compatible(const RnsPoly& other) const {
@@ -59,25 +84,45 @@ void RnsPoly::check_compatible(const RnsPoly& other) const {
   ABC_CHECK_ARG(domain_ == other.domain_, "domain mismatch");
 }
 
+// The element-wise operations below run the simd/ dyadic kernel set
+// (runtime-dispatched tier) with the per-limb word constants hoisted into
+// PolyContext::dyadic(); fused passes count the ops of the unfused chain.
+
 void RnsPoly::add_inplace(const RnsPoly& other) {
   check_compatible(other);
-  ctx_->backend().add(*ctx_, data_, other.data_, limbs_);
+  const std::size_t n = ctx_->n();
+  for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
+    simd::dyadic_add(ctx_->dyadic(i), words(i), other.words(i), n);
+    xf::op_counts().poly_add += n;
+  });
 }
 
 void RnsPoly::sub_inplace(const RnsPoly& other) {
   check_compatible(other);
-  ctx_->backend().sub(*ctx_, data_, other.data_, limbs_);
+  const std::size_t n = ctx_->n();
+  for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
+    simd::dyadic_sub(ctx_->dyadic(i), words(i), other.words(i), n);
+    xf::op_counts().poly_add += n;
+  });
 }
 
 void RnsPoly::negate_inplace() {
-  ctx_->backend().negate(*ctx_, data_, limbs_);
+  const std::size_t n = ctx_->n();
+  for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
+    simd::dyadic_negate(ctx_->dyadic(i), words(i), n);
+    xf::op_counts().poly_add += n;
+  });
 }
 
 void RnsPoly::mul_inplace(const RnsPoly& other) {
   check_compatible(other);
   ABC_CHECK_ARG(domain_ == Domain::kEval,
                 "dyadic product requires evaluation domain");
-  ctx_->backend().mul(*ctx_, data_, other.data_, limbs_);
+  const std::size_t n = ctx_->n();
+  for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
+    simd::dyadic_mul(ctx_->dyadic(i), words(i), other.words(i), n);
+    xf::op_counts().poly_mul += n;
+  });
 }
 
 void RnsPoly::fma_inplace(const RnsPoly& a, const RnsPoly& b) {
@@ -85,12 +130,21 @@ void RnsPoly::fma_inplace(const RnsPoly& a, const RnsPoly& b) {
   check_compatible(b);
   ABC_CHECK_ARG(domain_ == Domain::kEval,
                 "fused multiply-add requires evaluation domain");
-  ctx_->backend().fma(*ctx_, data_, a.data_, b.data_, limbs_);
+  const std::size_t n = ctx_->n();
+  for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
+    simd::dyadic_fma(ctx_->dyadic(i), words(i), a.words(i), b.words(i), n);
+    xf::op_counts().poly_mul += n;
+    xf::op_counts().poly_add += n;
+  });
 }
 
 void RnsPoly::negate_add_inplace(const RnsPoly& other) {
   check_compatible(other);
-  ctx_->backend().negate_add(*ctx_, data_, other.data_, limbs_);
+  const std::size_t n = ctx_->n();
+  for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
+    simd::dyadic_negate_add(ctx_->dyadic(i), words(i), other.words(i), n);
+    xf::op_counts().poly_add += 2 * n;  // negate + add
+  });
 }
 
 void RnsPoly::set_fma(const RnsPoly& base, const RnsPoly& a,
@@ -101,8 +155,13 @@ void RnsPoly::set_fma(const RnsPoly& base, const RnsPoly& a,
   ABC_CHECK_ARG(base.domain_ == Domain::kEval,
                 "fused multiply-add requires evaluation domain");
   reset(base.limbs_, base.domain_);
-  ctx_->backend().fma_into(*ctx_, data_, base.data_, a.data_, b.data_,
-                           limbs_);
+  const std::size_t n = ctx_->n();
+  for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
+    simd::dyadic_fma_into(ctx_->dyadic(i), words(i), base.words(i),
+                          a.words(i), b.words(i), n);
+    xf::op_counts().poly_mul += n;  // copy + fma
+    xf::op_counts().poly_add += n;
+  });
 }
 
 void RnsPoly::set_fms(const RnsPoly& base, const RnsPoly& a,
@@ -115,12 +174,24 @@ void RnsPoly::set_fms(const RnsPoly& base, const RnsPoly& a,
   ABC_CHECK_ARG(base.domain_ == Domain::kEval,
                 "fused multiply-subtract requires evaluation domain");
   reset(base.limbs_, base.domain_);
-  ctx_->backend().fms_into(*ctx_, data_, base.data_, a.data_, b.data_,
-                           limbs_);
+  const std::size_t n = ctx_->n();
+  for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
+    simd::dyadic_fms_into(ctx_->dyadic(i), words(i), base.words(i),
+                          a.words(i), b.words(i), n);
+    xf::op_counts().poly_mul += n;  // mul + negate + add
+    xf::op_counts().poly_add += 2 * n;
+  });
 }
 
 void RnsPoly::mul_scalar_inplace(u64 scalar) {
-  ctx_->backend().mul_scalar(*ctx_, data_, limbs_, scalar);
+  const std::size_t n = ctx_->n();
+  for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
+    const rns::Modulus& q = ctx_->modulus(i);
+    const rns::ShoupMul s = rns::ShoupMul::make(q.reduce(scalar), q);
+    simd::dyadic_mul_scalar(ctx_->dyadic(i), words(i), n, s.operand,
+                            s.quotient);
+    xf::op_counts().poly_mul += n;
+  });
 }
 
 void RnsPoly::drop_last_limb() {
@@ -136,7 +207,7 @@ RnsPoly RnsPoly::automorphism(u32 galois_elt) const {
   ABC_CHECK_ARG((galois_elt & 1u) != 0 && galois_elt < two_n,
                 "galois element must be odd and < 2N");
   RnsPoly out(ctx_, limbs_, domain_);
-  ctx_->backend().parallel_for(limbs_, [&](std::size_t l, std::size_t) {
+  for_each_limb(*ctx_, limbs_, [&](std::size_t l) {
     const rns::Modulus& q = ctx_->modulus(l);
     const std::span<const u64> src = limb(l);
     const std::span<u64> dst = out.limb(l);

@@ -6,10 +6,10 @@
 /// Element-wise operations are only legal between polynomials in the same
 /// domain at the same level; the class enforces that at runtime.
 ///
-/// All element-wise arithmetic and domain conversions execute through the
-/// PolyBackend owned by the PolyContext (see backend/poly_backend.hpp), so
-/// the same code runs serially or across a worker pool depending on how
-/// the context was built.
+/// All element-wise arithmetic and domain conversions fan out one limb per
+/// index through the parallel_for of the PolyBackend the PolyContext owns
+/// (see backend/poly_backend.hpp), so the same code runs serially or
+/// across a worker pool depending on how the context was built.
 
 #include <memory>
 #include <span>
@@ -101,6 +101,15 @@ class RnsPoly {
 
  private:
   void check_compatible(const RnsPoly& other) const;
+  /// RNS-expands centered signed coefficients into every limb.
+  template <class I>
+  void expand(std::span<const I> coeffs);
+
+  /// Limb i's coefficients in limb-major storage (unchecked).
+  u64* words(std::size_t i) noexcept { return data_.data() + i * n(); }
+  const u64* words(std::size_t i) const noexcept {
+    return data_.data() + i * n();
+  }
 
   std::shared_ptr<const PolyContext> ctx_;
   std::size_t limbs_;

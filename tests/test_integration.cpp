@@ -6,17 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
 #include <random>
+#include <string>
 #include <type_traits>
+#include <utility>
 
 #include "ckks/decryptor.hpp"
 #include "ckks/encoder.hpp"
 #include "ckks/encryptor.hpp"
 #include "ckks/evaluator.hpp"
 #include "core/simulator.hpp"
+#include "engine/client_session.hpp"
 #include "rns/ntt_prime.hpp"
 #include "transform/dwt.hpp"
 #include "transform/ntt.hpp"
@@ -134,37 +138,129 @@ TEST(Integration, SeedCompressedC1Regenerates) {
   EXPECT_LT(ct.packed_bytes(44), 2.0 * ct.c(0).packed_bytes(44));
 }
 
-TEST(Integration, SchedulerWorkloadMatchesSoftwareOps) {
-  // The scheduler issues exactly (1 IFFT + limbs * k NTT) transform passes
-  // for an encode+encrypt job; the software executes the same transforms.
-  core::ArchConfig cfg = core::ArchConfig::paper_default();
-  cfg.log_n = 10;
-  cfg.fresh_limbs = 4;
-  cfg.enc_profile = core::EncryptProfile::public_key();
-  core::JobScheduler scheduler(cfg);
-  std::vector<core::Pass> passes;
-  scheduler.add_encode_encrypt(passes, 0, 0);
-  int transform_passes = 0;
-  for (const auto& p : passes) {
-    if (p.unit == core::UnitKind::kPnl) ++transform_passes;
-  }
-  EXPECT_EQ(transform_passes,
-            1 + static_cast<int>(cfg.fresh_limbs) *
-                    cfg.enc_profile.ntt_passes_per_limb);
+// Client transforms per job, as the scheduler's pass graph issues them and
+// as the software's op counters record them.
+struct TransformCounts {
+  u64 ntt = 0;  // forward NTTs
+  u64 intt = 0;
+  u64 ifft = 0;  // encode
+  u64 fft = 0;   // decode
+};
 
-  // Software side: NTT forward passes counted through op deltas.
-  auto ctx = ckks::CkksContext::create(ckks::CkksParams::test_small(10, 4));
-  ckks::CkksEncoder encoder(ctx);
-  ckks::KeyGenerator keygen(ctx);
-  const ckks::SecretKey sk = keygen.secret_key();
-  ckks::Encryptor enc(ctx, keygen.public_key(sk));
-  const ckks::Plaintext pt = encoder.encode(random_slots(8, 5), 4);
-  xf::OpCounterScope scope;
-  (void)enc.encrypt(pt);
-  const u64 per_ntt = (ctx->n() / 2) * 10;
-  EXPECT_EQ(scope.delta().ntt_mul / per_ntt,
-            cfg.fresh_limbs *
-                static_cast<u64>(cfg.enc_profile.ntt_passes_per_limb));
+std::string pass_kind(const core::Pass& p) {
+  return p.label.substr(0, p.label.find('#'));
+}
+
+TransformCounts model_transforms(const std::vector<core::Pass>& passes) {
+  TransformCounts c;
+  for (const core::Pass& p : passes) {
+    const std::string kind = pass_kind(p);
+    if (kind == "ntt_msg" || kind == "ntt_rand") ++c.ntt;
+    if (kind == "intt") ++c.intt;
+    if (kind == "ifft") ++c.ifft;
+    if (kind == "fft") ++c.fft;
+  }
+  return c;
+}
+
+/// Decodes transform counts from an op delta at ring degree 2^log_n. Both
+/// directions of a transform add the same butterflies; only the inverse
+/// adds its N-point scaling pass (+n to ntt_mul in transform/ntt.cpp, +2n
+/// to fft_mul in transform/dwt.hpp), which tells the two apart.
+TransformCounts software_transforms(const xf::OpCounts& ops, int log_n) {
+  const u64 n = u64{1} << log_n;
+  const u64 bf = (n / 2) * static_cast<u64>(log_n);  // butterflies/transform
+  const u64 ntts = ops.ntt_add / (2 * bf);
+  const u64 intt = (ops.ntt_mul - ntts * bf) / n;
+  const u64 ffts = ops.fft_add / (6 * bf);
+  const u64 iffts = (ops.fft_mul - ffts * 4 * bf) / (2 * n);
+  // The decoding is exact: re-encoding it reproduces every counter.
+  EXPECT_EQ(ops.ntt_add, ntts * 2 * bf);
+  EXPECT_EQ(ops.ntt_mul, ntts * bf + intt * n);
+  EXPECT_EQ(ops.fft_add, ffts * 6 * bf);
+  EXPECT_EQ(ops.fft_mul, ffts * 4 * bf + iffts * 2 * n);
+  return {ntts - intt, intt, iffts, ffts - iffts};
+}
+
+void expect_same_transforms(const TransformCounts& software,
+                            const TransformCounts& model) {
+  EXPECT_EQ(software.ntt, model.ntt);
+  EXPECT_EQ(software.intt, model.intt);
+  EXPECT_EQ(software.ifft, model.ifft);
+  EXPECT_EQ(software.fft, model.fft);
+}
+
+TEST(Integration, SchedulerWorkloadMatchesSoftwareOps) {
+  // The model-to-code join: for both encryption profiles, one
+  // ClientSession round trip (encrypt at the fresh level, the server's
+  // level drop, decrypt at the returned level) must run exactly the
+  // transforms of the scheduler's encode+encrypt and decode+decrypt pass
+  // graphs and ship the components the graph writes out.
+  constexpr int kLogN = 10;
+  constexpr std::size_t kFresh = 4;
+  constexpr std::size_t kReturned = 2;
+  for (const auto& [profile, mode] :
+       {std::pair{core::EncryptProfile::kSymmetricSeeded,
+                  ckks::EncryptMode::kSymmetricSeeded},
+        std::pair{core::EncryptProfile::kPublicKey,
+                  ckks::EncryptMode::kPublicKey}}) {
+    SCOPED_TRACE(mode == ckks::EncryptMode::kPublicKey ? "public key"
+                                                       : "symmetric seeded");
+    core::ArchConfig cfg = core::ArchConfig::paper_default();
+    cfg.log_n = kLogN;
+    cfg.fresh_limbs = kFresh;
+    cfg.returned_limbs = kReturned;
+    cfg.enc_profile = profile;
+    const core::JobScheduler scheduler(cfg);
+    std::vector<core::Pass> enc_passes;
+    std::vector<core::Pass> dec_passes;
+    scheduler.add_encode_encrypt(enc_passes, 0, 0);
+    scheduler.add_decode_decrypt(dec_passes, 0, 0);
+    double model_components = 0;  // ciphertext polynomials written out
+    for (const core::Pass& p : enc_passes) {
+      if (pass_kind(p) == "dma_out_ct") {
+        model_components += p.elems / static_cast<double>(cfg.n() * kFresh);
+      }
+    }
+
+    auto ctx =
+        ckks::CkksContext::create(ckks::CkksParams::test_small(kLogN, kFresh));
+    engine::ClientSession session(ctx, {.mode = mode});
+    const ckks::Evaluator server(ctx);
+    const std::vector<std::vector<std::complex<double>>> msgs{
+        random_slots(ctx->slots(), 5)};
+    std::vector<ckks::Ciphertext> cts;
+    xf::OpCounts up;
+    {
+      const xf::OpCounterScope scope;
+      cts = session.encrypt(msgs, kFresh);
+      up = scope.delta();
+    }
+    const double shipped = cts[0].compressed_c1.has_value() ? 1.0 : 2.0;
+    server.mod_switch_to_inplace(cts[0], kReturned);
+    std::vector<std::vector<std::complex<double>>> decoded;
+    xf::OpCounts down;
+    {
+      const xf::OpCounterScope scope;
+      decoded = session.decrypt_batch(cts);
+      down = scope.delta();
+    }
+
+    const TransformCounts model_up = model_transforms(enc_passes);
+    const TransformCounts model_down = model_transforms(dec_passes);
+    EXPECT_EQ(model_up.ntt,
+              kFresh * static_cast<u64>(ckks::ntt_passes_per_limb(mode)));
+    EXPECT_EQ(model_down.intt, kReturned);
+    expect_same_transforms(software_transforms(up, kLogN), model_up);
+    expect_same_transforms(software_transforms(down, kLogN), model_down);
+    EXPECT_EQ(shipped, model_components);
+
+    double max_err = 0;
+    for (std::size_t i = 0; i < msgs[0].size(); ++i) {
+      max_err = std::max(max_err, std::abs(msgs[0][i] - decoded[0][i]));
+    }
+    EXPECT_LT(max_err, 1e-3);
+  }
 }
 
 TEST(Integration, DecodeDecryptDagShape) {

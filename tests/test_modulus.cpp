@@ -69,11 +69,15 @@ TEST_P(ModulusParamTest, PowAndInv) {
 INSTANTIATE_TEST_SUITE_P(
     VariousModuli, ModulusParamTest,
     ::testing::Values(
-        // Small, odd composite, 36-bit NTT prime, 44-bit, near-62-bit prime.
-        u64{3}, u64{255}, u64{68719403009ull},  // 2^36 - 2^17 + 1... see below
-        (u64{1} << 36) - (u64{1} << 18) + 1,    // sparse candidate
-        (u64{1} << 44) - 65535,
-        u64{4611686018427387847ull}));  // prime < 2^62
+        // Small prime, odd composites (PowAndInv skips them; the other
+        // cases still exercise reduction by them), 36-bit prime, prime
+        // < 2^62, and 36-bit and 44-bit NTT primes (both = 1 mod 2^17).
+        u64{3}, u64{255}, u64{68719403009ull},
+        (u64{1} << 36) - (u64{1} << 18) + 1,  // = 246241 * 279073
+        (u64{1} << 44) - 65535,               // = 131447 * 133834823
+        u64{4611686018427387847ull},
+        u64{68718428161ull},      // 0xffff00001
+        u64{17592182243329ull}));  // 0xfffffc60001
 
 TEST(Modulus, RejectsBadValues) {
   EXPECT_THROW(Modulus(0), InvalidArgument);

@@ -51,7 +51,7 @@ TEST(AbcFheSimulator, MoreLanesNeverSlower) {
 TEST(AbcFheSimulator, MemoryBottleneckCapsLaneScaling) {
   // Paper Fig. 5(b): under LPDDR5 the benefit saturates around 8 lanes.
   ArchConfig cfg = ArchConfig::paper_default();
-  cfg.enc_profile = EncryptProfile::public_key();  // ship both polynomials
+  cfg.enc_profile = EncryptProfile::kPublicKey;  // ship both polynomials
   auto time_at = [&](int lanes) {
     cfg.lanes = lanes;
     cfg.mse_width = 4 * lanes;
@@ -85,7 +85,7 @@ TEST(AbcFheSimulator, OnChipGenerationAvoidsDramCollapse) {
 
 TEST(AbcFheSimulator, DramTrafficMatchesShippedBytes) {
   ArchConfig cfg = small_config();
-  cfg.enc_profile = EncryptProfile::public_key();
+  cfg.enc_profile = EncryptProfile::kPublicKey;
   AbcFheSimulator sim(cfg);
   const auto rep = sim.run(OperatingMode::kDualEncrypt, 1);
   // Written bytes = 2 polynomials x limbs x N x packed width.
@@ -99,9 +99,9 @@ TEST(AbcFheSimulator, DramTrafficMatchesShippedBytes) {
 
 TEST(AbcFheSimulator, SeedCompressionHalvesWriteTraffic) {
   ArchConfig pk = small_config();
-  pk.enc_profile = EncryptProfile::public_key();
+  pk.enc_profile = EncryptProfile::kPublicKey;
   ArchConfig sym = small_config();
-  sym.enc_profile = EncryptProfile::symmetric_seeded();
+  sym.enc_profile = EncryptProfile::kSymmetricSeeded;
   const auto rep_pk = AbcFheSimulator(pk).run(OperatingMode::kDualEncrypt, 1);
   const auto rep_sym =
       AbcFheSimulator(sym).run(OperatingMode::kDualEncrypt, 1);
