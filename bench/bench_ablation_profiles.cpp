@@ -1,8 +1,8 @@
-// Ablation bench (DESIGN.md design-choice index): crosses the encryption
-// dataflow profile (seed-compressed symmetric vs public-key), operand
-// placement (on-chip generation vs DRAM), and RSC operating mode, showing
-// how each paper design choice contributes to latency, throughput and
-// DRAM traffic at bootstrappable parameters.
+// Ablation bench: crosses the encryption dataflow profile (seed-compressed
+// symmetric vs public-key), operand placement (on-chip generation vs
+// DRAM), and RSC operating mode, showing how each paper design choice
+// contributes to latency, throughput and DRAM traffic at bootstrappable
+// parameters.
 
 #include <cstdio>
 

@@ -4,8 +4,9 @@
 // dyadic ops (seed per-element Barrett vs. the simd/ kernel set), the
 // fused-vs-unfused single-pass chains (gadget accumulate, negate_add,
 // sub_mul_scalar, fma_into), ChaCha20 keystream MB/s per tier and one
-// paper-point (bootstrappable, 24-limb) uniform fill, the canonical-
-// embedding DWT, hardware-model modular multipliers, and end-to-end
+// paper-point (bootstrappable, 24-limb) uniform fill, the decode path
+// (CRT compose BigUint vs u128, DWT forward/inverse scalar vs tier,
+// decode at 2 limbs), hardware-model modular multipliers, and end-to-end
 // encode/encrypt.
 //
 // Usage: bench_kernels [--quick] [--reps N] [--json out.json]
@@ -36,6 +37,7 @@
 #include "rns/modmul_algorithms.hpp"
 #include "rns/montgomery.hpp"
 #include "rns/ntt_prime.hpp"
+#include "rns/rns_basis.hpp"
 #include "simd/dyadic_kernels.hpp"
 #include "simd/simd_caps.hpp"
 #include "transform/dwt.hpp"
@@ -364,20 +366,117 @@ void bench_prng(bench::JsonReporter& rep, TextTable& table, int reps,
                  bench::fmt_time(t), "-"});
 }
 
-void bench_misc(bench::JsonReporter& rep, TextTable& table, int reps,
-                bool quick) {
-  // Canonical-embedding DWT.
-  for (int log_n : {14, 16}) {
-    const xf::CkksDwtPlan plan(log_n);
-    std::vector<xf::Cx<double>> a(plan.n(), {1.0, 0.5});
-    const double t = bench::time_best_of(
-        reps, [&] { plan.forward(std::span<xf::Cx<double>>(a)); });
-    rep.add_timing("dwt_fwd/n=2^" + std::to_string(log_n), t,
-                   static_cast<double>(plan.n()));
-    table.add_row({"dwt fwd " + std::to_string(log_n), "-",
-                   bench::fmt_time(t), "-"});
+/// Best of @p reps timed fn() calls, each after an untimed reset().
+template <class R, class F>
+double time_best_after(int reps, R&& reset, F&& fn) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    reset();
+    best = std::min(best, bench::time_median_of(1, fn));
+  }
+  return best;
+}
+
+/// The decode path at the paper point (bootstrappable, N=2^16), per kernel
+/// tier: the CRT compose of a decrypted message's coefficients at 2 and 24
+/// limbs (per-coefficient BigUint vs the whole-polynomial u128 compose),
+/// the canonical-embedding DWT forward/inverse (scalar template vs the
+/// tier's kernels) and CkksEncoder::decode at the 2 returned limbs.
+void bench_decode(bench::JsonReporter& rep, TextTable& table, int reps,
+                  bool quick, const std::vector<simd::KernelArch>& arches) {
+  auto ctx = ckks::CkksContext::create(ckks::CkksParams::bootstrappable());
+  const std::size_t n = ctx->n();
+  const std::string n_name = "n=2^" + std::to_string(ctx->params().log_n);
+  std::mt19937_64 rng(9);
+  std::vector<i64> coeffs(n);
+  for (i64& c : coeffs) c = static_cast<i64>(rng() >> 23) - (i64{1} << 40);
+  std::vector<double> out(n);
+
+  for (std::size_t limbs : {std::size_t{2}, std::size_t{24}}) {
+    poly::RnsPoly p = ctx->make_poly(limbs, poly::Domain::kCoeff);
+    p.set_from_signed(coeffs);
+    std::vector<const u64*> rows;
+    for (std::size_t i = 0; i < limbs; ++i) rows.push_back(p.limb(i).data());
+    rns::CrtComposer composer(ctx->poly_context()->basis(), limbs);
+    const std::string size = n_name + "/limbs=" + std::to_string(limbs);
+    const std::string label = "crt compose " + std::to_string(limbs) + " limbs";
+    std::vector<u64> residues(limbs);
+    const double t_big = bench::time_best_of(quick ? 1 : reps, [&] {
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t i = 0; i < limbs; ++i) residues[i] = rows[i][j];
+        out[j] = composer.compose_centered(residues);
+      }
+    });
+    rep.add_timing("crt_compose_biguint/" + size, t_big,
+                   static_cast<double>(n));
+    table.add_row({label, "biguint", bench::fmt_time(t_big), "-"});
+    for (simd::KernelArch arch : arches) {
+      simd::set_kernel_arch_for_testing(arch);
+      const char* arch_name = simd::kernel_arch_name(arch);
+      const double t =
+          bench::time_best_of(reps, [&] { composer.compose(rows, 0, out); });
+      rep.add_timing("crt_compose/" + size + "/" + arch_name, t,
+                     static_cast<double>(n));
+      table.add_row({label, arch_name, bench::fmt_time(t),
+                     TextTable::fmt(t_big / t, 1) + "x"});
+    }
+    simd::set_kernel_arch_for_testing(simd::detected_kernel_arch());
   }
 
+  const xf::CkksDwtPlan& plan = ctx->dwt();
+  std::vector<xf::Cx<double>> input(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    input[j] = {static_cast<double>(coeffs[j]) * 0x1p-35, 0.0};
+  }
+  std::vector<xf::Cx<double>> a(n);
+  auto reset = [&] { a = input; };
+  const std::span<xf::Cx<double>> span(a);
+  const double fwd_scalar =
+      time_best_after(reps, reset, [&] { plan.forward<double>(span); });
+  const double inv_scalar =
+      time_best_after(reps, reset, [&] { plan.inverse<double>(span); });
+  rep.add_timing("dwt_fwd/" + n_name + "/scalar", fwd_scalar,
+                 static_cast<double>(n));
+  rep.add_timing("dwt_inv/" + n_name + "/scalar", inv_scalar,
+                 static_cast<double>(n));
+  table.add_row({"dwt fwd 2^16", "scalar", bench::fmt_time(fwd_scalar), "-"});
+  table.add_row({"dwt inv 2^16", "scalar", bench::fmt_time(inv_scalar), "-"});
+  for (simd::KernelArch arch : arches) {
+    simd::set_kernel_arch_for_testing(arch);
+    const char* arch_name = simd::kernel_arch_name(arch);
+    const double fwd =
+        time_best_after(reps, reset, [&] { plan.forward(span); });
+    const double inv =
+        time_best_after(reps, reset, [&] { plan.inverse(span); });
+    rep.add_timing("dwt_fwd/" + n_name + "/" + arch_name, fwd,
+                   static_cast<double>(n));
+    rep.add_timing("dwt_inv/" + n_name + "/" + arch_name, inv,
+                   static_cast<double>(n));
+    table.add_row({"dwt fwd 2^16", arch_name, bench::fmt_time(fwd),
+                   TextTable::fmt(fwd_scalar / fwd, 1) + "x"});
+    table.add_row({"dwt inv 2^16", arch_name, bench::fmt_time(inv),
+                   TextTable::fmt(inv_scalar / inv, 1) + "x"});
+  }
+
+  ckks::CkksEncoder encoder(ctx);
+  ckks::Plaintext pt{ctx->make_poly(2, poly::Domain::kCoeff),
+                     ctx->params().scale()};
+  pt.poly.set_from_signed(coeffs);
+  for (simd::KernelArch arch : arches) {
+    simd::set_kernel_arch_for_testing(arch);
+    const char* arch_name = simd::kernel_arch_name(arch);
+    const double t = bench::time_best_of(reps, [&] {
+      if (encoder.decode(pt).empty()) std::abort();
+    });
+    rep.add_timing("decode/" + n_name + "/limbs=2/" + arch_name, t, 1.0);
+    table.add_row({"decode 2^16 x 2 limbs", arch_name, bench::fmt_time(t),
+                   "-"});
+  }
+  simd::set_kernel_arch_for_testing(simd::detected_kernel_arch());
+}
+
+void bench_misc(bench::JsonReporter& rep, TextTable& table, int reps,
+                bool quick) {
   // Hardware-model modular multipliers (dependent-chain latency).
   const u64 qv = (u64{1} << 36) - (u64{1} << 18) + 1;
   constexpr int kChain = 1 << 18;
@@ -453,6 +552,7 @@ int main(int argc, char** argv) {
   bench_dyadic(rep, table, reps, arches);
   bench_fused(rep, table, reps, arches);
   bench_prng(rep, table, reps, arches);
+  bench_decode(rep, table, reps, args.quick, arches);
   bench_misc(rep, table, reps, args.quick);
 
   table.print();

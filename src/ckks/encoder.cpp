@@ -1,5 +1,7 @@
 #include "ckks/encoder.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -17,8 +19,8 @@ CkksEncoder::CkksEncoder(std::shared_ptr<const CkksContext> ctx)
 }
 
 template <class F>
-std::vector<i64> CkksEncoder::embed_and_round(
-    std::span<const std::complex<double>> values) const {
+Plaintext CkksEncoder::encode_as(std::span<const std::complex<double>> values,
+                                 std::size_t limbs) const {
   const xf::CkksDwtPlan& plan = ctx_->dwt();
   const std::size_t n = ctx_->n();
   const std::size_t slot_count = ctx_->slots();
@@ -43,16 +45,14 @@ std::vector<i64> CkksEncoder::embed_and_round(
     coeffs[j] = std::llround(v);
   }
   xf::op_counts().other += n;  // rounding pass
-  return coeffs;
+  Plaintext pt{ctx_->make_poly(limbs, poly::Domain::kCoeff), scale};
+  pt.poly.set_from_signed(coeffs);
+  return pt;
 }
 
 Plaintext CkksEncoder::encode(std::span<const std::complex<double>> values,
                               std::size_t limbs) const {
-  const std::vector<i64> coeffs = embed_and_round<double>(values);
-  Plaintext pt{ctx_->make_poly(limbs, poly::Domain::kCoeff),
-               ctx_->params().scale()};
-  pt.poly.set_from_signed(coeffs);
-  return pt;
+  return encode_as<double>(values, limbs);
 }
 
 Plaintext CkksEncoder::encode_real(std::span<const double> values,
@@ -66,24 +66,34 @@ Plaintext CkksEncoder::encode_with_mantissa(
     std::span<const std::complex<double>> values, std::size_t limbs,
     int mantissa_bits) const {
   xf::FpPrecision guard(mantissa_bits);
-  const std::vector<i64> coeffs = embed_and_round<Rounded>(values);
-  Plaintext pt{ctx_->make_poly(limbs, poly::Domain::kCoeff),
-               ctx_->params().scale()};
-  pt.poly.set_from_signed(coeffs);
-  return pt;
+  return encode_as<Rounded>(values, limbs);
 }
 
 template <class F>
-std::vector<std::complex<double>> CkksEncoder::lift_and_extract(
-    std::span<const double> centered, double scale) const {
+std::vector<std::complex<double>> CkksEncoder::decode_as(
+    const Plaintext& pt) const {
+  ABC_CHECK_ARG(pt.poly.domain() == poly::Domain::kCoeff,
+                "decode expects a coefficient-domain plaintext");
+  ABC_CHECK_ARG(pt.scale > 0, "plaintext scale must be positive");
   const xf::CkksDwtPlan& plan = ctx_->dwt();
   const std::size_t n = ctx_->n();
+  const std::size_t limbs = pt.limbs();
+  rns::CrtComposer composer(ctx_->poly_context()->basis(), limbs);
+  std::vector<const u64*> rows(limbs);
+  for (std::size_t i = 0; i < limbs; ++i) rows[i] = pt.poly.limb(i).data();
+  // Centered values go straight into the transform buffer, a block at a time.
   std::vector<Cx<F>> buf(n);
-  ABC_CHECK_ARG(scale > 0, "plaintext scale must be positive");
-  const double inv_scale = 1.0 / scale;
-  for (std::size_t j = 0; j < n; ++j) {
-    buf[j] = Cx<F>{F(centered[j] * inv_scale), F(0.0)};
+  std::array<double, rns::CrtComposer::kBlock> block;
+  const double inv_scale = 1.0 / pt.scale;
+  for (std::size_t j0 = 0; j0 < n; j0 += block.size()) {
+    const std::span<double> centered(block.data(),
+                                     std::min(block.size(), n - j0));
+    composer.compose(rows, j0, centered);
+    for (std::size_t k = 0; k < centered.size(); ++k) {
+      buf[j0 + k] = Cx<F>{F(centered[k] * inv_scale), F(0.0)};
+    }
   }
+  xf::op_counts().other += n * limbs;  // CRT combine work
   plan.forward(std::span<Cx<F>>(buf));
   const auto map = plan.index_map();
   std::vector<std::complex<double>> out(ctx_->slots());
@@ -96,37 +106,13 @@ std::vector<std::complex<double>> CkksEncoder::lift_and_extract(
 
 std::vector<std::complex<double>> CkksEncoder::decode(
     const Plaintext& pt) const {
-  ABC_CHECK_ARG(pt.poly.domain() == poly::Domain::kCoeff,
-                "decode expects a coefficient-domain plaintext");
-  const std::size_t n = ctx_->n();
-  const std::size_t limbs = pt.limbs();
-  rns::CrtComposer composer(ctx_->poly_context()->basis(), limbs);
-  std::vector<double> centered(n);
-  std::vector<u64> residues(limbs);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < limbs; ++i) residues[i] = pt.poly.limb(i)[j];
-    centered[j] = composer.compose_centered(residues);
-  }
-  xf::op_counts().other += n * limbs;  // CRT combine work
-  return lift_and_extract<double>(centered, pt.scale);
+  return decode_as<double>(pt);
 }
 
 std::vector<std::complex<double>> CkksEncoder::decode_with_mantissa(
     const Plaintext& pt, int mantissa_bits) const {
-  ABC_CHECK_ARG(pt.poly.domain() == poly::Domain::kCoeff,
-                "decode expects a coefficient-domain plaintext");
-  const std::size_t n = ctx_->n();
-  const std::size_t limbs = pt.limbs();
-  rns::CrtComposer composer(ctx_->poly_context()->basis(), limbs);
-  std::vector<double> centered(n);
-  std::vector<u64> residues(limbs);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < limbs; ++i) residues[i] = pt.poly.limb(i)[j];
-    centered[j] = composer.compose_centered(residues);
-  }
-  xf::op_counts().other += n * limbs;
   xf::FpPrecision guard(mantissa_bits);
-  return lift_and_extract<Rounded>(centered, pt.scale);
+  return decode_as<Rounded>(pt);
 }
 
 PrecisionReport compare_slots(std::span<const std::complex<double>> reference,

@@ -42,13 +42,12 @@ class CkksEncoder {
       const Plaintext& pt, int mantissa_bits) const;
 
  private:
+  // One body per direction; F is double, or Rounded under an FpPrecision.
   template <class F>
-  std::vector<i64> embed_and_round(
-      std::span<const std::complex<double>> values) const;
-
+  Plaintext encode_as(std::span<const std::complex<double>> values,
+                      std::size_t limbs) const;
   template <class F>
-  std::vector<std::complex<double>> lift_and_extract(
-      std::span<const double> centered, double scale) const;
+  std::vector<std::complex<double>> decode_as(const Plaintext& pt) const;
 
   std::shared_ptr<const CkksContext> ctx_;
 };

@@ -29,21 +29,6 @@ u64 Modulus::reduce(u64 x) const noexcept {
   return r;
 }
 
-u64 Modulus::reduce_128(u128 x) const noexcept {
-  // qhat = floor(x * ratio / 2^128), computed word-by-word.
-  const u64 x0 = lo64(x);
-  const u64 x1 = hi64(x);
-  const u128 a = mul_wide(x0, ratio_lo_);
-  const u128 b = mul_wide(x1, ratio_lo_);
-  const u128 c = mul_wide(x0, ratio_hi_);
-  const u128 mid = static_cast<u128>(hi64(a)) + lo64(b) + lo64(c);
-  const u64 qhat =
-      x1 * ratio_hi_ + hi64(b) + hi64(c) + hi64(mid);  // low word suffices
-  u64 r = x0 - qhat * value_;  // mod 2^64 wrap; true remainder < ~3q
-  while (r >= value_) r -= value_;
-  return r;
-}
-
 u64 Modulus::pow(u64 base, u64 exponent) const noexcept {
   u64 result = 1;
   u64 b = reduce(base);

@@ -32,7 +32,20 @@ class Modulus {
   u64 reduce(u64 x) const noexcept;
 
   /// x mod q for any 128-bit x (Barrett with the 2^128 ratio).
-  u64 reduce_128(u128 x) const noexcept;
+  u64 reduce_128(u128 x) const noexcept {
+    // qhat = floor(x * ratio / 2^128), computed word-by-word.
+    const u64 x0 = lo64(x);
+    const u64 x1 = hi64(x);
+    const u128 a = mul_wide(x0, ratio_lo_);
+    const u128 b = mul_wide(x1, ratio_lo_);
+    const u128 c = mul_wide(x0, ratio_hi_);
+    const u128 mid = static_cast<u128>(hi64(a)) + lo64(b) + lo64(c);
+    const u64 qhat =
+        x1 * ratio_hi_ + hi64(b) + hi64(c) + hi64(mid);  // low word suffices
+    u64 r = x0 - qhat * value_;  // mod 2^64 wrap; true remainder < ~3q
+    while (r >= value_) r -= value_;
+    return r;
+  }
 
   u64 add(u64 a, u64 b) const noexcept {
     u64 s = a + b;

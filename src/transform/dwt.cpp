@@ -3,7 +3,13 @@
 #include <cmath>
 #include <numbers>
 
+#include "simd/dwt_kernels.hpp"
+#include "simd/simd_caps.hpp"
+
 namespace abc::xf {
+
+static_assert(sizeof(Cx<double>) == 2 * sizeof(double),
+              "the DWT kernels read Cx<double> arrays as interleaved doubles");
 
 CkksDwtPlan::CkksDwtPlan(int log_n)
     : log_n_(log_n), n_(std::size_t{1} << log_n) {
@@ -30,6 +36,37 @@ CkksDwtPlan::CkksDwtPlan(int log_n)
     index_map_[slot_count + i] = bit_reverse(index2, log_n_);
     pos = (pos * 3) & (m - 1);
   }
+}
+
+void CkksDwtPlan::forward(std::span<Cx<double>> a) const {
+  ABC_CHECK_ARG(a.size() == n_, "DWT size mismatch");
+  switch (simd::active_kernel_arch()) {
+    case simd::KernelArch::kAvx512Ifma:
+      simd::dwt_forward_avx512(&a[0].re, &psi_rev_[0].re, n_);
+      break;
+    case simd::KernelArch::kAvx2:
+      simd::dwt_forward_avx2(&a[0].re, &psi_rev_[0].re, n_);
+      break;
+    case simd::KernelArch::kPortable:
+      return forward<double>(a);
+  }
+  count_butterflies();
+}
+
+void CkksDwtPlan::inverse(std::span<Cx<double>> a) const {
+  ABC_CHECK_ARG(a.size() == n_, "DWT size mismatch");
+  switch (simd::active_kernel_arch()) {
+    case simd::KernelArch::kAvx512Ifma:
+      simd::dwt_inverse_avx512(&a[0].re, &inv_psi_rev_[0].re, n_);
+      break;
+    case simd::KernelArch::kAvx2:
+      simd::dwt_inverse_avx2(&a[0].re, &inv_psi_rev_[0].re, n_);
+      break;
+    case simd::KernelArch::kPortable:
+      return inverse<double>(a);
+  }
+  count_butterflies();
+  op_counts().fft_mul += 2 * n_;
 }
 
 Cx<double> CkksDwtPlan::zeta_pow(u64 e) const {

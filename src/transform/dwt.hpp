@@ -45,7 +45,11 @@ class CkksDwtPlan {
   /// index_map()[slots + i] holds its complex conjugate counterpart.
   std::span<const std::size_t> index_map() const noexcept { return index_map_; }
 
-  /// In-place forward DWT (natural -> bit-reversed), Cooley-Tukey.
+  /// In-place forward DWT (natural -> bit-reversed), Cooley-Tukey. The
+  /// double overload runs the active kernel tier's butterflies
+  /// (simd/dwt_kernels.hpp), bit-identical to this scalar template, which
+  /// is the portable tier and the Rounded path.
+  void forward(std::span<Cx<double>> a) const;
   template <class F>
   void forward(std::span<Cx<F>> a) const {
     ABC_CHECK_ARG(a.size() == n_, "DWT size mismatch");
@@ -67,7 +71,8 @@ class CkksDwtPlan {
   }
 
   /// In-place inverse DWT (bit-reversed -> natural), Gentleman-Sande,
-  /// including the 1/N scaling.
+  /// including the 1/N scaling; dispatched like forward().
+  void inverse(std::span<Cx<double>> a) const;
   template <class F>
   void inverse(std::span<Cx<F>> a) const {
     ABC_CHECK_ARG(a.size() == n_, "DWT size mismatch");

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <random>
 
+#include "simd/simd_caps.hpp"
 #include "transform/dwt.hpp"
 
 namespace abc::xf {
@@ -131,6 +133,56 @@ TEST(Dwt, ZetaPowBasics) {
   const auto i_unit = plan.zeta_pow(plan.n() / 2);
   EXPECT_NEAR(i_unit.re, 0.0, 1e-15);
   EXPECT_NEAR(i_unit.im, 1.0, 1e-15);
+}
+
+TEST(Dwt, DoubleKernelsAreBitIdenticalToScalarOnEveryTier) {
+  // The double overloads dispatch to the tier's butterflies; the scalar
+  // template is the reference. Every size from the smallest plan up covers
+  // the short-span stages of both SIMD widths; half the inputs are real,
+  // as decode feeds them. Op counts must not depend on the tier either.
+  struct ArchGuard {
+    ~ArchGuard() {
+      simd::set_kernel_arch_for_testing(simd::detected_kernel_arch());
+    }
+  } guard;
+  std::vector<simd::KernelArch> tiers{simd::KernelArch::kPortable};
+  if (simd::avx2_selectable()) tiers.push_back(simd::KernelArch::kAvx2);
+  if (simd::avx512ifma_selectable()) {
+    tiers.push_back(simd::KernelArch::kAvx512Ifma);
+  }
+  auto bits = [](const std::vector<Cx<double>>& v) {
+    std::vector<u64> out;
+    for (const Cx<double>& z : v) {
+      out.push_back(std::bit_cast<u64>(z.re));
+      out.push_back(std::bit_cast<u64>(z.im));
+    }
+    return out;
+  };
+  for (int log_n = 2; log_n <= 16; ++log_n) {
+    CkksDwtPlan plan(log_n);
+    std::vector<Cx<double>> input = random_complex(plan.n(), 50 + log_n);
+    for (std::size_t i = 0; i < plan.n(); i += 2) input[i].im = 0.0;
+
+    std::vector<Cx<double>> want_fwd = input;
+    std::vector<Cx<double>> want_inv = input;
+    OpCounterScope scalar_ops;
+    plan.forward<double>(want_fwd);
+    plan.inverse<double>(want_inv);
+    const OpCounts want_ops = scalar_ops.delta();
+    for (simd::KernelArch arch : tiers) {
+      simd::set_kernel_arch_for_testing(arch);
+      std::vector<Cx<double>> fwd = input;
+      std::vector<Cx<double>> inv = input;
+      OpCounterScope ops;
+      plan.forward(std::span<Cx<double>>(fwd));
+      plan.inverse(std::span<Cx<double>>(inv));
+      EXPECT_EQ(bits(fwd), bits(want_fwd))
+          << "forward, log_n " << log_n << ", " << simd::kernel_arch_name(arch);
+      EXPECT_EQ(bits(inv), bits(want_inv))
+          << "inverse, log_n " << log_n << ", " << simd::kernel_arch_name(arch);
+      EXPECT_EQ(ops.delta().fft_total(), want_ops.fft_total());
+    }
+  }
 }
 
 TEST(Dwt, ReducedMantissaDegradesGracefully) {
