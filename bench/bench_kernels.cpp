@@ -33,6 +33,7 @@
 #include "ckks/encryptor.hpp"
 #include "ckks/keygen.hpp"
 #include "common/table.hpp"
+#include "poly/crt_block_composer.hpp"
 #include "prng/chacha20.hpp"
 #include "rns/modmul_algorithms.hpp"
 #include "rns/montgomery.hpp"
@@ -397,14 +398,15 @@ void bench_decode(bench::JsonReporter& rep, TextTable& table, int reps,
     p.set_from_signed(coeffs);
     std::vector<const u64*> rows;
     for (std::size_t i = 0; i < limbs; ++i) rows.push_back(p.limb(i).data());
-    rns::CrtComposer composer(ctx->poly_context()->basis(), limbs);
+    rns::CrtComposer reference(ctx->poly_context()->basis(), limbs);
+    poly::CrtBlockComposer composer(*ctx->poly_context(), limbs);
     const std::string size = n_name + "/limbs=" + std::to_string(limbs);
     const std::string label = "crt compose " + std::to_string(limbs) + " limbs";
     std::vector<u64> residues(limbs);
     const double t_big = bench::time_best_of(quick ? 1 : reps, [&] {
       for (std::size_t j = 0; j < n; ++j) {
         for (std::size_t i = 0; i < limbs; ++i) residues[i] = rows[i][j];
-        out[j] = composer.compose_centered(residues);
+        out[j] = reference.compose_centered(residues);
       }
     });
     rep.add_timing("crt_compose_biguint/" + size, t_big,

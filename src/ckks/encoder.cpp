@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "rns/rns_basis.hpp"
+#include "poly/crt_block_composer.hpp"
 #include "transform/softfloat.hpp"
 
 namespace abc::ckks {
@@ -78,12 +78,12 @@ std::vector<std::complex<double>> CkksEncoder::decode_as(
   const xf::CkksDwtPlan& plan = ctx_->dwt();
   const std::size_t n = ctx_->n();
   const std::size_t limbs = pt.limbs();
-  rns::CrtComposer composer(ctx_->poly_context()->basis(), limbs);
+  poly::CrtBlockComposer composer(*ctx_->poly_context(), limbs);
   std::vector<const u64*> rows(limbs);
   for (std::size_t i = 0; i < limbs; ++i) rows[i] = pt.poly.limb(i).data();
   // Centered values go straight into the transform buffer, a block at a time.
   std::vector<Cx<F>> buf(n);
-  std::array<double, rns::CrtComposer::kBlock> block;
+  std::array<double, poly::CrtBlockComposer::kBlock> block;
   const double inv_scale = 1.0 / pt.scale;
   for (std::size_t j0 = 0; j0 < n; j0 += block.size()) {
     const std::span<double> centered(block.data(),

@@ -11,7 +11,6 @@
 
 #include "common/bigint.hpp"
 #include "rns/modulus.hpp"
-#include "simd/dyadic_kernels.hpp"
 
 namespace abc::rns {
 
@@ -35,12 +34,11 @@ class RnsBasis {
   /// CRT data for a prefix of the chain.
   struct Prefix {
     BigUint q;                        // product of the prefix primes
-    std::vector<BigUint> qhat;        // q / q_i
     std::vector<u64> qhat_inv;        // (q / q_i)^{-1} mod q_i
     std::vector<u64> qhat_inv_shoup;  // floor(qhat_inv[i] * 2^64 / q_i)
-    std::vector<std::vector<u64>> qhat_words;  // qhat padded to word_count
+    std::vector<std::vector<u64>> qhat_words;  // q / q_i in word_count words
     std::size_t word_count = 0;       // words of q
-    // Low 128 bits of qhat[i] and of q, for CrtComposer's u128 path.
+    // q / q_i and q mod 2^128, for poly::CrtBlockComposer's u128 path.
     std::vector<u128> qhat_low;
     u128 q_low = 0;
     bool narrow = false;  // q < 2^127: every centered value fits in i128
@@ -52,36 +50,19 @@ class RnsBasis {
   std::vector<Prefix> prefixes_;  // prefixes_[L-1] covers the first L primes
 };
 
-/// CRT recomposition of residue vectors into centered doubles, the
-/// decoder's "Combine CRT" step.
-///
-/// compose() converts a block of coefficients at a time without big
-/// integers: y_i = x_i * qhat_i^{-1} mod q_i per limb (one Shoup
-/// dyadic_mul_scalar pass), then per coefficient sum(y_i * qhat_i) mod 2^128
-/// minus r * Q, where r = round(sum(y_i / q_i)) is estimated in double.
-/// The result is certified exact before it is used: r must not sit within
-/// the estimate's error of a rounding tie, and when Q >= 2^127 the u128
-/// value must also reproduce every residue, which rules out centered
-/// values outside [-2^127, 2^127) (the u128 keeps only their low bits).
-/// A coefficient that fails either test goes through the word-by-word
-/// BigUint accumulate of compose_centered(). Either way the output is
-/// bit-identical to compose_centered().
+/// CRT recomposition of residue vectors into centered doubles through
+/// BigUint words, one coefficient at a time: the reference for the
+/// decoder's "Combine CRT" step. poly::CrtBlockComposer is the
+/// whole-polynomial path decode runs; it falls back to compose_centered()
+/// for the coefficients it cannot certify.
 class CrtComposer {
  public:
-  /// Coefficients per block of the u128 path; sizes the y_i scratch.
-  static constexpr std::size_t kBlock = 256;
-
   CrtComposer(const RnsBasis& basis, std::size_t limbs);
 
-  /// out[k] = compose_centered() of coefficient begin + k, whose residue
-  /// mod q_i is rows[i][begin + k]. Returns how many coefficients took the
-  /// BigUint fallback.
-  std::size_t compose(std::span<const u64* const> rows, std::size_t begin,
-                      std::span<double> out);
-
   /// residues[i] is the value mod q_i; returns the centered representative
-  /// of the CRT recombination as a double, through BigUint words (the
-  /// reference path and compose()'s fallback).
+  /// of the CRT recombination in (-Q/2, Q/2] as a double, converted from
+  /// its magnitude's words top-down (v = v * 2^64 + word) and negated when
+  /// negative.
   double compose_centered(std::span<const u64> residues);
 
   /// Exact recombination in [0, Q) as a BigUint (slow path, for tests).
@@ -89,8 +70,6 @@ class CrtComposer {
 
  private:
   void accumulate(std::span<const u64> residues);
-  std::size_t compose_block(std::span<const u64* const> rows,
-                            std::size_t begin, std::span<double> out);
 
   const RnsBasis& basis_;
   std::size_t limbs_;
@@ -98,11 +77,6 @@ class CrtComposer {
   std::vector<u64> acc_;          // word_count + 1 scratch words
   std::vector<u64> q_words_;      // prefix q padded to acc_ size
   std::vector<u64> diff_scratch_; // Q - acc scratch for centered negatives
-  std::vector<simd::DyadicModulus> dyadic_;
-  std::vector<double> inv_q_;     // 1 / q_i
-  double tie_slack_;              // error bound of sum(y_i / q_i) in double
-  std::vector<u64> y_;            // limbs x kBlock
-  std::vector<u64> residues_;     // one coefficient, for the fallback
 };
 
 }  // namespace abc::rns

@@ -42,8 +42,6 @@ void CkksDwtPlan::forward(std::span<Cx<double>> a) const {
   ABC_CHECK_ARG(a.size() == n_, "DWT size mismatch");
   switch (simd::active_kernel_arch()) {
     case simd::KernelArch::kAvx512Ifma:
-      simd::dwt_forward_avx512(&a[0].re, &psi_rev_[0].re, n_);
-      break;
     case simd::KernelArch::kAvx2:
       simd::dwt_forward_avx2(&a[0].re, &psi_rev_[0].re, n_);
       break;
@@ -57,8 +55,6 @@ void CkksDwtPlan::inverse(std::span<Cx<double>> a) const {
   ABC_CHECK_ARG(a.size() == n_, "DWT size mismatch");
   switch (simd::active_kernel_arch()) {
     case simd::KernelArch::kAvx512Ifma:
-      simd::dwt_inverse_avx512(&a[0].re, &inv_psi_rev_[0].re, n_);
-      break;
     case simd::KernelArch::kAvx2:
       simd::dwt_inverse_avx2(&a[0].re, &inv_psi_rev_[0].re, n_);
       break;

@@ -3,6 +3,7 @@
 #include <bit>
 #include <random>
 
+#include "poly/crt_block_composer.hpp"
 #include "rns/ntt_prime.hpp"
 #include "rns/rns_basis.hpp"
 #include "simd/simd_caps.hpp"
@@ -101,12 +102,15 @@ BigUint power_of_two(int bits) {
 }
 
 TEST(RnsBasis, BlockComposeIsBitIdenticalToBigUintCompose) {
-  // compose() must return compose_centered()'s bits for every input, and
-  // both must be the centered value of compose_exact(), on every tier.
+  // poly::CrtBlockComposer::compose() must return compose_centered()'s
+  // bits for every input, and both must be the centered value of
+  // compose_exact(), on every tier.
   // Random residues cover (-Q/2, Q/2]; floor(Q/2) and ceil(Q/2) sit on the
   // centering boundary and, past 128 bits, the +-2^127 values on either
   // side of what the u128 path can represent.
-  const RnsBasis basis = make_basis(24);
+  // The smallest transform keeps the context's NTT tables cheap.
+  const poly::PolyContext ctx(2, select_prime_chain(36, 16, 24));
+  const RnsBasis& basis = ctx.basis();
   std::mt19937_64 rng(26);
   struct ArchGuard {
     ~ArchGuard() {
@@ -148,7 +152,8 @@ TEST(RnsBasis, BlockComposeIsBitIdenticalToBigUintCompose) {
     std::vector<const u64*> row_ptrs;
     for (const std::vector<u64>& r : rows) row_ptrs.push_back(r.data());
 
-    CrtComposer composer(basis, limbs);
+    poly::CrtBlockComposer composer(ctx, limbs);
+    CrtComposer reference(basis, limbs);
     std::vector<u64> residues(limbs);
     for (simd::KernelArch arch : tiers) {
       simd::set_kernel_arch_for_testing(arch);
@@ -169,13 +174,13 @@ TEST(RnsBasis, BlockComposeIsBitIdenticalToBigUintCompose) {
           << limbs << " limbs";
       for (std::size_t j = 0; j < 700; ++j) {
         for (std::size_t i = 0; i < limbs; ++i) residues[i] = rows[i][j];
-        const double want = composer.compose_centered(residues);
+        const double want = reference.compose_centered(residues);
         EXPECT_EQ(std::bit_cast<u64>(out[j]), std::bit_cast<u64>(want))
             << limbs << " limbs, value " << j << ": " << out[j] << " vs "
             << want;
         EXPECT_EQ(std::bit_cast<u64>(want),
                   std::bit_cast<u64>(centered_to_double(
-                      composer.compose_exact(residues), q)))
+                      reference.compose_exact(residues), q)))
             << limbs << " limbs, value " << j;
       }
       for (std::size_t j = 0; j < small.size(); ++j) {
