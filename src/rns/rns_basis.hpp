@@ -38,7 +38,7 @@ class RnsBasis {
     std::vector<u64> qhat_inv_shoup;  // floor(qhat_inv[i] * 2^64 / q_i)
     std::vector<std::vector<u64>> qhat_words;  // q / q_i in word_count words
     std::size_t word_count = 0;       // words of q
-    // q / q_i and q mod 2^128, for poly::CrtBlockComposer's u128 path.
+    // (q / q_i) mod 2^128 and q mod 2^128, for poly::CrtBlockComposer.
     std::vector<u128> qhat_low;
     u128 q_low = 0;
     bool narrow = false;  // q < 2^127: every centered value fits in i128
