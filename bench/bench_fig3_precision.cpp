@@ -10,7 +10,7 @@
 // and report Boot. prec. proxy = -log2(A * e_fft(m) + e_quant) with
 // A = sqrt(N) * 2^3 the bootstrap transform amplification at N = 2^16.
 // The raw round-trip precision is printed alongside. Substitution
-// rationale: EXPERIMENTS.md E3.
+// rationale: docs/EXPERIMENTS.md E3.
 
 #include <cmath>
 #include <complex>

@@ -9,16 +9,10 @@
 // decode at 2 limbs), hardware-model modular multipliers, and end-to-end
 // encode/encrypt.
 //
-// Usage: bench_kernels [--quick] [--reps N] [--json out.json]
+// Usage: bench_kernels [--quick] [--reps N]
 //                      [--arch portable|avx2|avx512ifma]
 //   --quick restricts sizes and reps for CI smoke runs; --arch restricts
-//   the kernel sections to one tier (must be selectable on the host);
-//   --json emits the machine-readable results (bench_util.hpp schema):
-//   "ntt_roundtrip_speedup/..." — the lazy-vs-eager forward+inverse ratio
-//   the PR 2 acceptance gate reads — and "kernels/..." records in the
-//   unified {op, arch, fused, ns_per_op} schema, whose derived
-//   "fused_speedup/<op>/<arch>" entries the fused-pass acceptance gate
-//   reads.
+//   the kernel sections to one tier (must be selectable on the host).
 
 #include <algorithm>
 #include <cstdio>
@@ -79,8 +73,8 @@ struct NttVariant {
   bool eager;
 };
 
-void bench_ntt(bench::JsonReporter& rep, TextTable& table, int reps,
-               bool quick, const std::vector<simd::KernelArch>& arches) {
+void bench_ntt(TextTable& table, int reps, bool quick,
+               const std::vector<simd::KernelArch>& arches) {
   std::vector<NttVariant> variants = {
       {"eager", simd::KernelArch::kPortable, true},
   };
@@ -95,7 +89,6 @@ void bench_ntt(bench::JsonReporter& rep, TextTable& table, int reps,
     const rns::Modulus q(rns::select_prime_chain(36, log_n, 1)[0]);
     const xf::NttTables tables(q, log_n);
     const std::size_t n = tables.n();
-    const std::string suffix = "/n=2^" + std::to_string(log_n);
 
     double eager_roundtrip = 0;
     for (const NttVariant& v : variants) {
@@ -110,13 +103,7 @@ void bench_ntt(bench::JsonReporter& rep, TextTable& table, int reps,
         v.eager ? tables.inverse_eager(b) : tables.inverse(b);
       });
       if (v.eager) eager_roundtrip = fwd + inv;
-      rep.add_timing("ntt_fwd/" + v.name + suffix, fwd,
-                     static_cast<double>(n));
-      rep.add_timing("ntt_inv/" + v.name + suffix, inv,
-                     static_cast<double>(n));
       const double speedup = eager_roundtrip / (fwd + inv);
-      rep.add_metric("ntt_roundtrip_speedup/" + v.name + suffix, "speedup",
-                     speedup);
       table.add_row({"ntt fwd+inv " + std::to_string(log_n), v.name,
                      bench::fmt_time(fwd + inv),
                      TextTable::fmt(speedup, 2) + "x"});
@@ -125,7 +112,7 @@ void bench_ntt(bench::JsonReporter& rep, TextTable& table, int reps,
   simd::set_kernel_arch_for_testing(simd::detected_kernel_arch());
 }
 
-void bench_dyadic(bench::JsonReporter& rep, TextTable& table, int reps,
+void bench_dyadic(TextTable& table, int reps,
                   const std::vector<simd::KernelArch>& arches) {
   const int log_n = 16;
   const std::size_t n = std::size_t{1} << log_n;
@@ -172,8 +159,6 @@ void bench_dyadic(bench::JsonReporter& rep, TextTable& table, int reps,
     std::vector<u64> d = random_poly(n, q.value(), 5);
     const double seed_t =
         bench::time_best_of(reps, [&] { op.seed(d.data()); });
-    rep.add_timing(std::string("dyadic/") + op.name + "/seed", seed_t,
-                   static_cast<double>(n));
 
     double best_t = 1e300;
     const char* best_name = "seed";
@@ -181,16 +166,11 @@ void bench_dyadic(bench::JsonReporter& rep, TextTable& table, int reps,
       simd::set_kernel_arch_for_testing(arch);
       d = random_poly(n, q.value(), 5);
       const double t = bench::time_best_of(reps, [&] { op.kernel(d.data()); });
-      rep.add_timing(std::string("dyadic/") + op.name + "/" +
-                         simd::kernel_arch_name(arch),
-                     t, static_cast<double>(n));
       if (t < best_t) {
         best_t = t;
         best_name = simd::kernel_arch_name(arch);
       }
     }
-    rep.add_metric(std::string("dyadic_speedup/") + op.name, "speedup",
-                   seed_t / best_t);
     table.add_row({std::string("dyadic ") + op.name + " 2^16", best_name,
                    bench::fmt_time(best_t),
                    TextTable::fmt(seed_t / best_t, 2) + "x"});
@@ -204,7 +184,7 @@ void bench_dyadic(bench::JsonReporter& rep, TextTable& table, int reps,
 /// inner loop (permutation gather + two fma passes), negate_add the
 /// encrypt/keygen combine, sub_mul_scalar the rescale/mod-down tail, and
 /// fma_into the decrypt phase computation.
-void bench_fused(bench::JsonReporter& rep, TextTable& table, int reps,
+void bench_fused(TextTable& table, int reps,
                  const std::vector<simd::KernelArch>& arches) {
   // n = 2^18: larger than the single-limb ring so the streams spill L2 the
   // way the real multi-limb/multi-digit key-switch working set does — the
@@ -279,61 +259,24 @@ void bench_fused(bench::JsonReporter& rep, TextTable& table, int reps,
   // Arch outermost: on parts with AVX-512 license-based frequency
   // throttling this keeps the portable/AVX2 measurements from running in
   // the downclocked shadow of a preceding AVX-512 measurement.
-  struct Sample {
-    std::string op;
-    simd::KernelArch arch;
-    double unfused_t;
-    double fused_t;
-  };
-  std::vector<Sample> samples;
   for (simd::KernelArch arch : arches) {
     simd::set_kernel_arch_for_testing(arch);
     for (const FusedOp& op : ops) {
       const char* arch_name = simd::kernel_arch_name(arch);
       const double unfused_t = bench::time_best_of(reps, op.unfused);
       const double fused_t = bench::time_best_of(reps, op.fused);
-      samples.push_back({op.name, arch, unfused_t, fused_t});
-      const std::string base =
-          std::string("kernels/") + op.name + "/" + arch_name;
-      rep.add_record(bench::BenchResult{
-          base + "/unfused",
-          {{"op", op.name}, {"arch", arch_name}},
-          {{"fused", 0.0}, {"ns_per_op", unfused_t * 1e9 / n}}});
-      rep.add_record(bench::BenchResult{
-          base + "/fused",
-          {{"op", op.name}, {"arch", arch_name}},
-          {{"fused", 1.0}, {"ns_per_op", fused_t * 1e9 / n}}});
-      const double speedup = unfused_t / fused_t;
-      rep.add_metric(std::string("fused_speedup/") + op.name + "/" + arch_name,
-                     "speedup", speedup);
       table.add_row({std::string("fused ") + op.name + " 2^" +
                          std::to_string(log_n),
-                     arch_name,
-                     bench::fmt_time(fused_t),
-                     TextTable::fmt(speedup, 2) + "x"});
+                     arch_name, bench::fmt_time(fused_t),
+                     TextTable::fmt(unfused_t / fused_t, 2) + "x"});
     }
   }
   simd::set_kernel_arch_for_testing(simd::detected_kernel_arch());
-
-  // The headline gate: the dispatched fused pass (best benched tier)
-  // against the unfused AVX2 chain it replaced on the hot paths.
-  for (const FusedOp& op : ops) {
-    double avx2_unfused = 0, best_fused = 1e300;
-    for (const Sample& s : samples) {
-      if (s.op != op.name) continue;
-      if (s.arch == simd::KernelArch::kAvx2) avx2_unfused = s.unfused_t;
-      best_fused = std::min(best_fused, s.fused_t);
-    }
-    if (avx2_unfused > 0) {
-      rep.add_metric(std::string("fused_speedup_vs_avx2_unfused/") + op.name,
-                     "speedup", avx2_unfused / best_fused);
-    }
-  }
 }
 
 /// Keystream throughput per kernel tier, and one paper-point uniform fill
 /// (the prng.uniform layer of the client_paper request).
-void bench_prng(bench::JsonReporter& rep, TextTable& table, int reps,
+void bench_prng(TextTable& table, int reps,
                 const std::vector<simd::KernelArch>& arches) {
   std::vector<u8> buf(std::size_t{1} << 20);
   for (simd::KernelArch arch : arches) {
@@ -342,10 +285,6 @@ void bench_prng(bench::JsonReporter& rep, TextTable& table, int reps,
     prng::ChaCha20 rng({1, 2, 3}, 0);
     const double t = bench::time_best_of(reps, [&] { rng.fill_bytes(buf); });
     const double mb_per_s = static_cast<double>(buf.size()) / t / 1e6;
-    rep.add_timing("chacha20_keystream/" + arch_name, t,
-                   static_cast<double>(buf.size()));
-    rep.add_metric("chacha20_keystream_mb_per_s/" + arch_name, "mb_per_s",
-                   mb_per_s);
     table.add_row({"chacha20 keystream 1MiB", arch_name, bench::fmt_time(t),
                    TextTable::fmt(mb_per_s, 0) + " MB/s"});
   }
@@ -358,10 +297,6 @@ void bench_prng(bench::JsonReporter& rep, TextTable& table, int reps,
     ckks::fill_uniform_eval(*ctx, a, ckks::PrngDomain::kSymmetricA,
                             ctx->reserve_stream_ids(1));
   });
-  const std::string name = "fill_uniform_eval/n=2^" +
-                           std::to_string(ctx->params().log_n) + "/limbs=" +
-                           std::to_string(limbs);
-  rep.add_timing(name, t, static_cast<double>(limbs * ctx->n()));
   table.add_row({"fill_uniform_eval bootstrappable",
                  simd::kernel_arch_name(simd::active_kernel_arch()),
                  bench::fmt_time(t), "-"});
@@ -383,11 +318,10 @@ double time_best_after(int reps, R&& reset, F&& fn) {
 /// limbs (per-coefficient BigUint vs the whole-polynomial u128 compose),
 /// the canonical-embedding DWT forward/inverse (scalar template vs the
 /// tier's kernels) and CkksEncoder::decode at the 2 returned limbs.
-void bench_decode(bench::JsonReporter& rep, TextTable& table, int reps,
-                  bool quick, const std::vector<simd::KernelArch>& arches) {
+void bench_decode(TextTable& table, int reps, bool quick,
+                  const std::vector<simd::KernelArch>& arches) {
   auto ctx = ckks::CkksContext::create(ckks::CkksParams::bootstrappable());
   const std::size_t n = ctx->n();
-  const std::string n_name = "n=2^" + std::to_string(ctx->params().log_n);
   std::mt19937_64 rng(9);
   std::vector<i64> coeffs(n);
   for (i64& c : coeffs) c = static_cast<i64>(rng() >> 23) - (i64{1} << 40);
@@ -400,7 +334,6 @@ void bench_decode(bench::JsonReporter& rep, TextTable& table, int reps,
     for (std::size_t i = 0; i < limbs; ++i) rows.push_back(p.limb(i).data());
     rns::CrtComposer reference(ctx->poly_context()->basis(), limbs);
     poly::CrtBlockComposer composer(*ctx->poly_context(), limbs);
-    const std::string size = n_name + "/limbs=" + std::to_string(limbs);
     const std::string label = "crt compose " + std::to_string(limbs) + " limbs";
     std::vector<u64> residues(limbs);
     const double t_big = bench::time_best_of(quick ? 1 : reps, [&] {
@@ -409,16 +342,12 @@ void bench_decode(bench::JsonReporter& rep, TextTable& table, int reps,
         out[j] = reference.compose_centered(residues);
       }
     });
-    rep.add_timing("crt_compose_biguint/" + size, t_big,
-                   static_cast<double>(n));
     table.add_row({label, "biguint", bench::fmt_time(t_big), "-"});
     for (simd::KernelArch arch : arches) {
       simd::set_kernel_arch_for_testing(arch);
       const char* arch_name = simd::kernel_arch_name(arch);
       const double t =
           bench::time_best_of(reps, [&] { composer.compose(rows, 0, out); });
-      rep.add_timing("crt_compose/" + size + "/" + arch_name, t,
-                     static_cast<double>(n));
       table.add_row({label, arch_name, bench::fmt_time(t),
                      TextTable::fmt(t_big / t, 1) + "x"});
     }
@@ -437,10 +366,6 @@ void bench_decode(bench::JsonReporter& rep, TextTable& table, int reps,
       time_best_after(reps, reset, [&] { plan.forward<double>(span); });
   const double inv_scalar =
       time_best_after(reps, reset, [&] { plan.inverse<double>(span); });
-  rep.add_timing("dwt_fwd/" + n_name + "/scalar", fwd_scalar,
-                 static_cast<double>(n));
-  rep.add_timing("dwt_inv/" + n_name + "/scalar", inv_scalar,
-                 static_cast<double>(n));
   table.add_row({"dwt fwd 2^16", "scalar", bench::fmt_time(fwd_scalar), "-"});
   table.add_row({"dwt inv 2^16", "scalar", bench::fmt_time(inv_scalar), "-"});
   for (simd::KernelArch arch : arches) {
@@ -450,10 +375,6 @@ void bench_decode(bench::JsonReporter& rep, TextTable& table, int reps,
         time_best_after(reps, reset, [&] { plan.forward(span); });
     const double inv =
         time_best_after(reps, reset, [&] { plan.inverse(span); });
-    rep.add_timing("dwt_fwd/" + n_name + "/" + arch_name, fwd,
-                   static_cast<double>(n));
-    rep.add_timing("dwt_inv/" + n_name + "/" + arch_name, inv,
-                   static_cast<double>(n));
     table.add_row({"dwt fwd 2^16", arch_name, bench::fmt_time(fwd),
                    TextTable::fmt(fwd_scalar / fwd, 1) + "x"});
     table.add_row({"dwt inv 2^16", arch_name, bench::fmt_time(inv),
@@ -470,15 +391,13 @@ void bench_decode(bench::JsonReporter& rep, TextTable& table, int reps,
     const double t = bench::time_best_of(reps, [&] {
       if (encoder.decode(pt).empty()) std::abort();
     });
-    rep.add_timing("decode/" + n_name + "/limbs=2/" + arch_name, t, 1.0);
     table.add_row({"decode 2^16 x 2 limbs", arch_name, bench::fmt_time(t),
                    "-"});
   }
   simd::set_kernel_arch_for_testing(simd::detected_kernel_arch());
 }
 
-void bench_misc(bench::JsonReporter& rep, TextTable& table, int reps,
-                bool quick) {
+void bench_misc(TextTable& table, int reps, bool quick) {
   // Hardware-model modular multipliers (dependent-chain latency).
   const u64 qv = (u64{1} << 36) - (u64{1} << 18) + 1;
   constexpr int kChain = 1 << 18;
@@ -489,8 +408,6 @@ void bench_misc(bench::JsonReporter& rep, TextTable& table, int reps,
     const double t = bench::time_best_of(reps, [&] {
       for (int i = 0; i < kChain; ++i) a = mm.mul(a, b) | 1;
     });
-    rep.add_timing(std::string("hw_modmul/") + name, t,
-                   static_cast<double>(kChain));
     table.add_row({std::string("hw modmul ") + name, "-",
                    bench::fmt_time(t / kChain), "-"});
   };
@@ -515,7 +432,6 @@ void bench_misc(bench::JsonReporter& rep, TextTable& table, int reps,
       ckks::Ciphertext ct = enc.encrypt(encoder.encode(msg, 8));
       if (ct.components.empty()) std::abort();
     });
-    rep.add_timing("encode_encrypt/n=2^14/limbs=8", t, 1.0);
     table.add_row({"encode+encrypt 2^14x8", "-", bench::fmt_time(t), "-"});
   }
 }
@@ -540,28 +456,17 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  bench::JsonReporter rep("bench_kernels");
-  rep.add_metric("meta/avx2_supported", "value",
-                 simd::avx2_supported() ? 1.0 : 0.0);
-  rep.add_metric("meta/avx512ifma_supported", "value",
-                 simd::avx512ifma_supported() ? 1.0 : 0.0);
-
   TextTable table("Kernel timings (best of " + std::to_string(reps) +
                   " reps; speed-up vs seed/unfused where applicable)");
   table.set_header({"Kernel", "Variant", "Time", "Speed-up"});
 
-  bench_ntt(rep, table, reps, args.quick, arches);
-  bench_dyadic(rep, table, reps, arches);
-  bench_fused(rep, table, reps, arches);
-  bench_prng(rep, table, reps, arches);
-  bench_decode(rep, table, reps, args.quick, arches);
-  bench_misc(rep, table, reps, args.quick);
+  bench_ntt(table, reps, args.quick, arches);
+  bench_dyadic(table, reps, arches);
+  bench_fused(table, reps, arches);
+  bench_prng(table, reps, arches);
+  bench_decode(table, reps, args.quick, arches);
+  bench_misc(table, reps, args.quick);
 
   table.print();
-
-  if (!args.json_path.empty()) {
-    if (!rep.write(args.json_path)) return 1;
-    std::printf("\nJSON results written to %s\n", args.json_path.c_str());
-  }
   return 0;
 }

@@ -93,7 +93,8 @@ int main() {
   primes.print();
   std::printf(
       "\nPaper claims 443 usable primes; the full eq. 8 + eq. 11 criterion "
-      "(sparse Q and <= 5-term QInv) finds %zu. See EXPERIMENTS.md E5.\n",
+      "(sparse Q and <= 5-term QInv) finds %zu. See docs/EXPERIMENTS.md "
+      "E5.\n",
       total_friendly);
   return 0;
 }

@@ -56,8 +56,8 @@ int main() {
                                         core::TechNode::k7);
   std::printf(
       "\n7nm projection (DeepScaleTool-style factors): %.2f mm^2, %.2f W "
-      "(paper: ~0.9 mm^2, ~2.1 W; see EXPERIMENTS.md E6 for the area-factor "
-      "discussion)\n",
+      "(paper: ~0.9 mm^2, ~2.1 W; see docs/EXPERIMENTS.md E6 for the "
+      "area-factor discussion)\n",
       a7, p7);
   return 0;
 }

@@ -13,7 +13,7 @@
 /// printed in the paper — only the resulting speedups (214x / 82x for
 /// [34]; Fig. 1 gives the 69.4% / 30.6% client/server split) — so these
 /// models are parameterized by those published ratios. The assumptions
-/// are recorded here and in EXPERIMENTS.md.
+/// are recorded here and in docs/EXPERIMENTS.md E1.
 
 #include <string>
 

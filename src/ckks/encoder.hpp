@@ -53,7 +53,7 @@ class CkksEncoder {
 };
 
 /// Slot-wise precision metrics (paper's "Boot. prec." proxy; see
-/// EXPERIMENTS.md E3 for the substitution rationale).
+/// docs/EXPERIMENTS.md E3 for the substitution rationale).
 struct PrecisionReport {
   double max_abs_error = 0.0;
   double mean_abs_error = 0.0;

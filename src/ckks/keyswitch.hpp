@@ -50,8 +50,7 @@
 /// while multiplying against its key. That amortizes the `l*(l+1)` digit
 /// NTTs across the whole step set — each extra rotation pays only the
 /// dyadic accumulation and the fixed mod-down NTT pair — which is why
-/// `Evaluator::rotate_many` beats per-step rotation
-/// (bench/bench_keyswitch.cpp measures the gain).
+/// `Evaluator::rotate_many` beats per-step rotation.
 ///
 /// One consequence of standardizing on hoisted form: rotations always
 /// decompose the *unrotated* component and permute digits during

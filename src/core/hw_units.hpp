@@ -8,7 +8,8 @@
 /// Table II. SRAM densities are calibrated from the paper's scratchpad
 /// rows. Power uses per-class area densities calibrated the same way.
 /// All calibration targets and the resulting constants are printed by
-/// bench_table1_modmul / bench_table2_area and recorded in EXPERIMENTS.md.
+/// bench_table1_modmul / bench_table2_area and recorded in
+/// docs/EXPERIMENTS.md E4 and E6.
 
 #include "rns/modmul_algorithms.hpp"
 

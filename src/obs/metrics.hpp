@@ -60,7 +60,7 @@ const char* kind_name(Kind k) noexcept;
 
 // -- histogram layout ---------------------------------------------------------
 // One fixed log2 layout for every histogram in the process, so any two
-// histograms (and any two PRs' BENCH_*.json files) are bucket-comparable.
+// histograms (and any two builds' scrapes) are bucket-comparable.
 
 inline constexpr std::size_t kHistBuckets = 48;
 

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -166,29 +167,38 @@ void UdsServer::stop() {
     ::close(lfd);  // only after the join: the fd number must not be
     listen_fd_.store(-1, std::memory_order_release);  // reused mid-accept
   }
+  // accept_loop has exited, so conns_ only shrinks from here: wake every
+  // blocked read and wait for each connection to retire itself.
+  std::vector<std::thread> done;
   {
-    std::lock_guard<std::mutex> lock(conns_m_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    std::unique_lock<std::mutex> lock(conns_m_);
+    for (const Connection& c : conns_) ::shutdown(c.fd, SHUT_RDWR);
+    conns_cv_.wait(lock, [this] { return conns_.empty(); });
+    done.swap(finished_);
   }
-  // conn_threads_ only grows under conns_m_ in accept_loop, which has
-  // exited — safe to walk unlocked.
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(conns_m_);
-    for (int fd : conn_fds_) ::close(fd);
-    conn_fds_.clear();
-  }
+  for (auto& t : done) t.join();
   ::unlink(path_.c_str());
 }
 
 void UdsServer::accept_loop() {
   const int lfd = listen_fd_.load(std::memory_order_acquire);
   while (!stopping_.load(std::memory_order_acquire)) {
+    std::vector<std::thread> done;
+    {
+      std::lock_guard<std::mutex> lock(conns_m_);
+      done.swap(finished_);
+    }
+    for (auto& t : done) t.join();
+
     const int fd = ::accept(lfd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ECONNABORTED) {
+        // Transient: fds come back as connections retire, and an aborted
+        // peer only costs this one accept.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        continue;
+      }
       return;  // stop() shut the listener down (or it truly broke)
     }
     std::lock_guard<std::mutex> lock(conns_m_);
@@ -196,9 +206,22 @@ void UdsServer::accept_loop() {
       ::close(fd);
       return;
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    const auto conn = conns_.insert(conns_.end(), Connection{fd, {}});
+    // The thread reads conn->fd, set before it starts; retire() reads
+    // conn->thread under conns_m_, which is held until it is assigned.
+    conn->thread = std::thread([this, conn] {
+      serve_connection(conn->fd);
+      retire(conn);
+    });
   }
+}
+
+void UdsServer::retire(std::list<Connection>::iterator conn) {
+  std::lock_guard<std::mutex> lock(conns_m_);
+  ::close(conn->fd);
+  finished_.push_back(std::move(conn->thread));
+  conns_.erase(conn);
+  conns_cv_.notify_all();
 }
 
 void UdsServer::serve_connection(int fd) {

@@ -22,7 +22,9 @@
 /// round_trip_with_retry already treats as a failed round.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -66,7 +68,11 @@ class LoopbackChannel final : public Channel {
 /// request answered in order on its connection. Frames are
 /// `u32 length (LE) || bytes`; a length above max_frame_bytes() is
 /// rejected with a typed kTooLarge response and the connection closed —
-/// without ever allocating the named amount.
+/// without ever allocating the named amount. A connection that ends closes
+/// its fd at once, and the accept thread joins its thread before the next
+/// accept, so a long-lived daemon holds fds and threads only for open
+/// connections. Running out of fds (EMFILE/ENFILE) or a peer aborting
+/// before accept (ECONNABORTED) backs off and retries.
 class UdsServer {
  public:
   UdsServer(Server& server, std::string path);
@@ -86,8 +92,16 @@ class UdsServer {
   void stop();
 
  private:
+  struct Connection {
+    int fd;
+    std::thread thread;
+  };
+
   void accept_loop();
   void serve_connection(int fd);
+  /// Runs last on a connection's own thread: closes its fd, drops it from
+  /// conns_ and hands the thread to finished_ for joining.
+  void retire(std::list<Connection>::iterator conn);
 
   Server& server_;
   std::string path_;
@@ -98,8 +112,9 @@ class UdsServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::mutex conns_m_;
-  std::vector<int> conn_fds_;            // open connections (for shutdown)
-  std::vector<std::thread> conn_threads_;
+  std::condition_variable conns_cv_;  // signalled by retire()
+  std::list<Connection> conns_;       // open connections (for shutdown)
+  std::vector<std::thread> finished_;  // retired, not yet joined
 };
 
 /// Client side of the socket transport. call() is serialized internally,

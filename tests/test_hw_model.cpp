@@ -83,7 +83,7 @@ TEST(AreaModel, AreaScalesWithLanes) {
 TEST(TechScale, SevenNanometerProjection) {
   // Paper Sec. V-A: 28.638 mm^2 / 5.654 W scale to ~0.9 mm^2 / 2.1 W at
   // 7 nm with DeepScaleTool. Our realistic density factors land in the
-  // same regime for power; area is conservative (see EXPERIMENTS.md).
+  // same regime for power; area is conservative (docs/EXPERIMENTS.md E6).
   const double area7 = scale_area_mm2(28.638, TechNode::k7);
   const double power7 = scale_power_w(5.654, TechNode::k7);
   EXPECT_LT(area7, 3.5);

@@ -1,7 +1,8 @@
 // The key-cache battery: compressed-record round trips (seed-regenerated
 // and packed-fallback a halves), capacity validation, single-flight
 // regeneration under concurrent requests, LRU eviction-then-refetch
-// bit-identity, pinned-entry survival under capacity pressure, server
+// bit-identity, pinned-entry survival under capacity pressure, exact
+// round-robin hit/miss/eviction counts per capacity, server
 // responses bit-identical to serial at thrash-level capacity on every
 // worker count, the server.key_regen fault drill (typed error, never a
 // poisoned cache entry), and 64 hoisted rotations through the cache.
@@ -264,6 +265,52 @@ TEST_F(KeyCacheTest, PinnedEntrySurvivesCapacityPressure) {
   EXPECT_EQ(cache.stats().evictions, 2u);
   EXPECT_EQ(cache.stats().resident_bytes, 0u);
   EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST_F(KeyCacheTest, RoundRobinCountsPerCapacity) {
+  // Two rounds over every (tenant, rotation key) pair, the adversarial
+  // pattern for an LRU below its working set: exact hit, miss and
+  // eviction counts and resident bytes at a 1-byte, a 4-key and a
+  // whole-working-set capacity.
+  constexpr std::size_t kTenants = 3;
+  ParsedTenant tenant(small_params(), {1, 2});
+  // Each tenant keeps a fraction of its eagerly expanded key bytes.
+  EXPECT_LT(5 * tenant.session.compressed_key_bytes(),
+            tenant.session.expanded_key_bytes());
+  std::vector<server::TenantSession> sessions(kTenants, tenant.session);
+  for (std::size_t t = 0; t < kTenants; ++t) sessions[t].id = t + 1;
+
+  const auto& s0 = sessions.front();
+  const std::size_t key_bytes = [&] {
+    KeyCache probe(256u << 20);
+    (void)probe.get(s0.id, s0.gks[0], s0.ctx);
+    return probe.stats().resident_bytes;
+  }();
+  const std::size_t keys = kTenants * s0.gks.size();  // the working set
+  struct Case {
+    std::size_t capacity;
+    u64 hits, misses, evictions;
+    std::size_t resident;
+  };
+  const Case cases[] = {
+      {1, 0, 2 * keys, 2 * keys, 0},
+      {4 * key_bytes, 0, 2 * keys, 2 * keys - 4, 4 * key_bytes},
+      {keys * key_bytes, keys, keys, 0, keys * key_bytes},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("capacity " + std::to_string(c.capacity));
+    KeyCache cache(c.capacity);
+    for (int round = 0; round < 2; ++round) {
+      for (const auto& s : sessions) {
+        for (const auto& rec : s.gks) (void)cache.get(s.id, rec, s.ctx);
+      }
+    }
+    const KeyCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.hits, c.hits);
+    EXPECT_EQ(stats.misses, c.misses);
+    EXPECT_EQ(stats.evictions, c.evictions);
+    EXPECT_EQ(stats.resident_bytes, c.resident);
+  }
 }
 
 // ---------------------------------------------------------------------------

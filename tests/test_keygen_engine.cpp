@@ -229,10 +229,16 @@ TEST(KeySerialization, CompressedGaloisRoundTripsBitExactly) {
   const ckks::SecretKey sk = keygen.secret_key();
   const ckks::KeySwitchKey gk = keygen.galois_key(sk, 3);
 
-  const ckks::KeySwitchKey restored =
-      deserialize_key_switch_key(ctx, serialize_key_switch_key(ctx, gk, 44));
+  const std::vector<u8> bytes = serialize_key_switch_key(ctx, gk, 44);
+  const ckks::KeySwitchKey restored = deserialize_key_switch_key(ctx, bytes);
   expect_identical_ksk(gk, restored);
   EXPECT_EQ(restored.galois_elt, ckks::galois_element(3, ctx->n()));
+
+  const ckks::KeySizeReport report = key_switch_key_sizes(gk, 44);
+  EXPECT_EQ(report.compressed_bytes, bytes.size());
+  EXPECT_EQ(report.full_bytes,
+            serialize_key_switch_key(ctx, gk, 44, false).size());
+  EXPECT_GT(report.ratio(), 1.9);
 }
 
 TEST(KeySerialization, CompressedPublicKeyRoundTripsBitExactly) {
@@ -250,6 +256,7 @@ TEST(KeySerialization, CompressedPublicKeyRoundTripsBitExactly) {
 
   const std::vector<u8> full = serialize_public_key(ctx, pk, 44, false);
   EXPECT_EQ(public_key_sizes(pk, 44).full_bytes, full.size());
+  EXPECT_GT(public_key_sizes(pk, 44).ratio(), 1.9);
   expect_identical_poly(pk.a, deserialize_public_key(ctx, full).a,
                         "full public a");
 }

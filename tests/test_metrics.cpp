@@ -58,9 +58,13 @@ TEST(MetricsTest, HistogramBucketIndexEdgeValues) {
 }
 
 TEST(MetricsTest, HistogramBucketBoundsAreContiguous) {
+  // The layout every scrape is bucketed against, pinned: latency
+  // percentiles stay comparable across builds only while it holds.
+  EXPECT_EQ(kHistBuckets, 48u);
   EXPECT_EQ(obs::hist_bucket_lower(0), 0u);
   EXPECT_EQ(obs::hist_bucket_upper(0), 1u);
   for (std::size_t i = 1; i < kHistBuckets; ++i) {
+    EXPECT_EQ(obs::hist_bucket_lower(i), u64{1} << (i - 1));
     EXPECT_EQ(obs::hist_bucket_lower(i), obs::hist_bucket_upper(i - 1))
         << "gap at bucket " << i;
     // Every in-range value lands in the bucket whose bounds contain it.

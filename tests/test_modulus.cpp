@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <random>
 
 #include "common/math_util.hpp"
@@ -56,21 +57,35 @@ TEST_P(ModulusParamTest, ShoupMatchesBarrett) {
 }
 
 TEST_P(ModulusParamTest, PowAndInv) {
+  // inv() is extended Euclid, so it must also serve a composite modulus:
+  // units invert, non-units throw, and pow() adds exponents either way.
   const Modulus q(GetParam());
-  if (!is_prime_u64(q.value())) GTEST_SKIP();
+  const bool prime = is_prime_u64(q.value());
+  if (!prime) {
+    u64 factor = 2;  // the composites here all have a factor below 2^18
+    while (q.value() % factor != 0) ++factor;
+    EXPECT_THROW((void)q.inv(factor), InvalidArgument);
+  }
+
   std::mt19937_64 rng(46);
   for (int i = 0; i < 100; ++i) {
     const u64 a = 1 + rng() % (q.value() - 1);
-    EXPECT_EQ(q.pow(a, q.value() - 1), 1u);
-    EXPECT_EQ(q.mul(a, q.inv(a)), 1u);
+    const u64 e1 = rng() >> 1, e2 = rng() >> 1;
+    EXPECT_EQ(q.pow(a, e1 + e2), q.mul(q.pow(a, e1), q.pow(a, e2)));
+    if (prime) EXPECT_EQ(q.pow(a, q.value() - 1), 1u);
+    if (std::gcd(a, q.value()) == 1) {
+      EXPECT_EQ(q.mul(a, q.inv(a)), 1u);
+    } else {
+      EXPECT_THROW((void)q.inv(a), InvalidArgument);
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     VariousModuli, ModulusParamTest,
     ::testing::Values(
-        // Small prime, odd composites (PowAndInv skips them; the other
-        // cases still exercise reduction by them), 36-bit prime, prime
+        // Small prime, odd composites (PowAndInv checks units, non-units
+        // and exponent addition on them), 36-bit prime, prime
         // < 2^62, and 36-bit and 44-bit NTT primes (both = 1 mod 2^17).
         u64{3}, u64{255}, u64{68719403009ull},
         (u64{1} << 36) - (u64{1} << 18) + 1,  // = 246241 * 279073

@@ -48,7 +48,7 @@ TEST(NttPrime, PaperClaimOrderOfMagnitude) {
   // Paper Sec. IV-A: "the required 32-36 bit primes amount to a total of
   // 443". Our operationalization of sparsity (NAF weight of Q-1 <= 4)
   // should land in the same regime; the exact figure is printed by
-  // bench_table1_modmul and recorded in EXPERIMENTS.md.
+  // bench_table1_modmul and recorded in docs/EXPERIMENTS.md E5.
   const std::size_t count = count_sparse_ntt_primes(32, 36, 16, 3);
   EXPECT_GT(count, 50u);
   EXPECT_LT(count, 2000u);

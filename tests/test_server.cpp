@@ -3,11 +3,14 @@
 // the run-queue contracts (FIFO whoever drains, nothing lost, no missed
 // wakeup, no submit lost to a racing stop()), backpressure/overload with typed rejections, warm-context cache keying,
 // failpoint-driven fault drills on accept/dispatch/migrate/evaluate, and
-// the Unix-domain-socket transport end to end.
+// the Unix-domain-socket transport end to end, including fd reaping under
+// a lowered RLIMIT_NOFILE.
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -1201,6 +1204,85 @@ TEST_F(ServerTest, UdsRejectsOversizedFrameClaimWithoutAllocating) {
   EXPECT_EQ(status_of(resp), Status::kTooLarge);
   EXPECT_FALSE(resp.error.empty());
   ::close(fd);
+  uds.stop();
+}
+
+TEST_F(ServerTest, UdsReapsClosedConnectionsUnderALowFdLimit) {
+  // Under a lowered RLIMIT_NOFILE, 4x the limit in connect/close cycles:
+  // each one ends only when the daemon closes its side, so a daemon that
+  // keeps finished connections' fds open fails the first cycle. Then the
+  // process runs out of fds while a connection waits in the backlog; the
+  // daemon must retry that accept, not stop accepting, and serve a
+  // verified round trip on it.
+  const ckks::CkksParams params = small_params();
+  ServerConfig cfg;
+  cfg.param_sets = {params};
+  Server srv(cfg);
+  const std::string path = "./abc_uds_fd_limit_test.sock";
+  UdsServer uds(srv, path);
+  Client client(params);
+  const auto msgs = random_batch(2, client.ctx->slots(), 400);
+
+  rlimit old{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &old), 0);
+  struct RestoreLimit {
+    rlimit lim;
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &lim); }
+  } restore{old};
+  const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);  // lowest free fd
+  ASSERT_GE(probe, 0);
+  rlimit low = old;
+  low.rlim_cur = std::min<rlim_t>(old.rlim_cur, static_cast<rlim_t>(probe) + 64);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const timeval timeout{10, 0};
+  for (rlim_t i = 0; i < 4 * low.rlim_cur; ++i) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0) << "cycle " << i << ": " << std::strerror(errno);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+    const bool connected =
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0;
+    ::shutdown(fd, SHUT_WR);
+    u8 byte = 0;
+    const ssize_t got = connected ? ::recv(fd, &byte, 1, 0) : -1;
+    ::close(fd);
+    ASSERT_TRUE(connected) << "cycle " << i << ": " << std::strerror(errno);
+    ASSERT_EQ(got, 0) << "cycle " << i << ": the daemon kept the connection";
+  }
+
+  // Take every free fd, then free one for a first channel. The daemon
+  // accepts it into the slot its blocked accept already holds; its next
+  // accept then fails with EMFILE until the fillers close, and the
+  // channel opened after that must still be served.
+  std::vector<int> fillers;
+  for (int fd; (fd = ::dup(probe)) >= 0;) fillers.push_back(fd);
+  ASSERT_EQ(errno, EMFILE);
+  ::close(probe);
+  UdsChannel first(path);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (const int fd : fillers) ::close(fd);
+  UdsChannel chan(path);
+
+  auto served = std::async(std::launch::async, [&] {
+    const u64 tenant =
+        server::register_over_channel(chan, 0, client.session.key_bundle());
+    return client.session
+        .round_trip_with_retry(
+            msgs, client.eval_limbs(),
+            server::as_session_transport(chan, tenant, Op::kEcho))
+        .ok;
+  });
+  if (served.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    uds.stop();  // resets the unaccepted connection, ending the call
+    FAIL() << "the daemon stopped accepting after EMFILE";
+  }
+  EXPECT_TRUE(served.get());
   uds.stop();
 }
 

@@ -131,6 +131,18 @@ TEST(AbcFheSimulator, DegreeSweepScalesWork) {
   }
 }
 
+TEST(AbcFheSimulator, EncodeEncryptThroughputIsPinned) {
+  // Sustained dual-encrypt rate at N = 2^13, 8 fresh limbs, public-key
+  // profile: a deterministic model output, pinned so a scheduler or
+  // stream-model change shows up as a diff here.
+  ArchConfig cfg = ArchConfig::paper_default();
+  cfg.log_n = 13;
+  cfg.fresh_limbs = 8;
+  cfg.enc_profile = EncryptProfile::kPublicKey;
+  const double rate = AbcFheSimulator(cfg).encode_encrypt_throughput();
+  EXPECT_NEAR(rate, 34937.8658914615, 1e-9 * rate);
+}
+
 TEST(AbcFheSimulator, UtilizationBounded) {
   AbcFheSimulator sim(ArchConfig::paper_default());
   const auto rep = sim.run(OperatingMode::kDualEncrypt, 4);

@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Checks that relative markdown links in the repo's docs resolve.
+"""Checks that relative markdown links in the repo's docs resolve, and
+that every markdown file the code cites exists.
 
 Scans the top-level *.md files and docs/**/*.md for inline links
 [text](target) and validates that every relative target exists on disk
 (anchors are stripped; http(s)/mailto targets are skipped so the check
-stays hermetic). Exits non-zero listing every broken link.
+stays hermetic). With no arguments it also scans every file under src/,
+bench/, tests/ and examples/ for a cited `*.md` name (a path from the
+repo root, e.g. docs/ARCHITECTURE.md) and flags each one that does not
+exist. Exits non-zero listing every broken link and dangling citation.
 
 Usage: python3 tools/check_links.py [file.md ...]
-       (no arguments: scan the default doc set)
+       (no arguments: scan the default doc set and the code)
 """
 
 import pathlib
@@ -18,6 +22,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Inline markdown links/images; the target stops at whitespace or ')'.
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 SKIP_PREFIXES = ("http://", "https://", "mailto:")
+# Code that may cite docs, and a cited markdown path inside it.
+SOURCE_DIRS = ("src", "bench", "tests", "examples")
+CITE_RE = re.compile(r"(?<![\w./-])([\w./-]+\.md)\b")
 
 
 def doc_set(argv):
@@ -50,6 +57,25 @@ def check_file(path):
     return broken
 
 
+def dangling_citations(root=ROOT):
+    """(path, lineno, name) for each *.md name cited under SOURCE_DIRS
+    that does not exist at that path from the repo root."""
+    dangling = []
+    for top in SOURCE_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if not path.is_file():
+                continue
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                continue
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                for match in CITE_RE.finditer(line):
+                    if not (root / match.group(1)).exists():
+                        dangling.append((path, lineno, match.group(1)))
+    return dangling
+
+
 def main(argv):
     failures = 0
     files = doc_set(argv)
@@ -63,7 +89,13 @@ def main(argv):
             print(f"{rel_path}:{lineno}: broken link -> {target}",
                   file=sys.stderr)
             failures += 1
-    print(f"checked {len(files)} markdown file(s), {failures} broken link(s)")
+    if not argv:
+        for path, lineno, name in dangling_citations():
+            print(f"{path.relative_to(ROOT)}:{lineno}: cites missing {name}",
+                  file=sys.stderr)
+            failures += 1
+    scope = "" if argv else " and the code's citations"
+    print(f"checked {len(files)} markdown file(s){scope}, {failures} problem(s)")
     return 1 if failures else 0
 
 
