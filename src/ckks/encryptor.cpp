@@ -1,5 +1,7 @@
 #include "ckks/encryptor.hpp"
 
+#include "transform/op_counter.hpp"
+
 namespace abc::ckks {
 
 namespace {
@@ -10,12 +12,49 @@ const CkksContext& require_context(
   return *ctx;
 }
 
+/// Checks that @p p can be read in place for the first @p limbs limbs of
+/// an encryption under @p pctx.
+void check_operand(const poly::PolyContext& pctx, const poly::RnsPoly& p,
+                   std::size_t limbs, poly::Domain domain) {
+  ABC_CHECK_ARG(&p.context() == &pctx, "context mismatch");
+  ABC_CHECK_ARG(p.limbs() >= limbs, "limb count mismatch");
+  ABC_CHECK_ARG(p.domain() == domain, "domain mismatch");
+}
+
+/// out[j] = e[j] (+ m[j]) mod q: the q-limb of the RNS expansion of the
+/// signed words e, with the plaintext limb m (when given) added in the same
+/// pass. Counts what set_from_signed_i32 (and add_inplace) count per limb.
+template <class I>
+void lift_limb(const rns::Modulus& q, u64* out, const std::vector<I>& e,
+               const u64* m) {
+  const std::size_t n = e.size();
+  if (m == nullptr) {
+    for (std::size_t j = 0; j < n; ++j) out[j] = q.from_signed(e[j]);
+  } else {
+    for (std::size_t j = 0; j < n; ++j) {
+      out[j] = q.add(q.from_signed(e[j]), m[j]);
+    }
+    xf::op_counts().poly_add += n;
+  }
+  xf::op_counts().other += n;
+}
+
+/// Two empty evaluation-form components at @p limbs limbs, moved into
+/// place (a braced component list would deep-copy both).
+Ciphertext make_output(const CkksContext& ctx, std::size_t limbs,
+                       double scale) {
+  Ciphertext ct;
+  ct.components.reserve(2);
+  ct.components.push_back(ctx.make_poly(limbs, poly::Domain::kEval));
+  ct.components.push_back(ctx.make_poly(limbs, poly::Domain::kEval));
+  ct.scale = scale;
+  return ct;
+}
+
 }  // namespace
 
 EncryptScratch::EncryptScratch(const CkksContext& ctx)
-    : mask_(ctx.make_poly(1, poly::Domain::kCoeff)),
-      me_(ctx.make_poly(1, poly::Domain::kCoeff)),
-      err_(ctx.make_poly(1, poly::Domain::kCoeff)) {}
+    : staging_(ctx.backend().workers() * ctx.n()) {}
 
 Encryptor::Encryptor(std::shared_ptr<const CkksContext> ctx, PublicKey pk)
     : ctx_(std::move(ctx)),
@@ -60,39 +99,42 @@ Ciphertext Encryptor::encrypt_with(const Plaintext& pt, u64 stream_id,
 Ciphertext Encryptor::encrypt_public(const Plaintext& pt, u64 id,
                                      EncryptScratch& s) const {
   const std::size_t limbs = pt.limbs();
+  const poly::PolyContext& pctx = *ctx_->poly_context();
+  const std::size_t n = pctx.n();
+  check_operand(pctx, pt.poly, limbs, poly::Domain::kCoeff);
+  check_operand(pctx, pk_->b, limbs, poly::Domain::kEval);
+  check_operand(pctx, pk_->a, limbs, poly::Domain::kEval);
 
-  // Ternary mask u, transformed (NTT pass 1 of 3).
-  poly::RnsPoly& u = s.mask_;
-  u.reset(limbs, poly::Domain::kCoeff);
-  fill_ternary_coeff(*ctx_, u, PrngDomain::kEncryptMask, salted(id),
-                     &s.samplers_);
-  u.to_eval();
+  // Ternary mask u and errors e0, e1, each sampled once as signed words.
+  sample_ternary(*ctx_, PrngDomain::kEncryptMask, salted(id), s.mask_);
+  sample_gaussian(*ctx_, PrngDomain::kEncryptError, salted(2 * id), s.err0_);
+  sample_gaussian(*ctx_, PrngDomain::kEncryptError, salted(2 * id + 1),
+                  s.err1_);
+  s.staging_.resize(pctx.backend().workers() * n);
 
-  // m + e0 folded before the transform (NTT pass 2).
-  poly::RnsPoly& me0 = s.me_;
-  me0.assign_prefix(pt.poly, limbs);
-  poly::RnsPoly& e = s.err_;
-  e.reset(limbs, poly::Domain::kCoeff);
-  fill_gaussian_coeff(*ctx_, e, PrngDomain::kEncryptError, salted(2 * id),
-                      &s.samplers_);
-  me0.add_inplace(e);
-  me0.to_eval();
-
-  // c0 = b*u + (m + e0), on the first `limbs` limbs of pk.
-  poly::RnsPoly c0 = pk_->b.prefix_copy(limbs);
-  c0.mul_inplace(u);
-  c0.add_inplace(me0);
-
-  // e1 (NTT pass 3); c1 = a*u + e1.
-  e.reset(limbs, poly::Domain::kCoeff);
-  fill_gaussian_coeff(*ctx_, e, PrngDomain::kEncryptError,
-                      salted(2 * id + 1), &s.samplers_);
-  e.to_eval();
-  poly::RnsPoly c1 = pk_->a.prefix_copy(limbs);
-  c1.mul_inplace(u);
-  c1.add_inplace(e);
-
-  Ciphertext ct{{std::move(c0), std::move(c1)}, pt.scale, std::nullopt};
+  Ciphertext ct = make_output(*ctx_, limbs, pt.scale);
+  poly::RnsPoly& c0 = ct.c(0);
+  poly::RnsPoly& c1 = ct.c(1);
+  pctx.backend().parallel_for(limbs, [&](std::size_t i, std::size_t w) {
+    const rns::Modulus& q = pctx.modulus(i);
+    const simd::DyadicModulus& dm = pctx.dyadic(i);
+    u64* const u = s.staging_.data() + w * n;
+    u64* const c0i = c0.limb(i).data();
+    u64* const c1i = c1.limb(i).data();
+    // NTT(u) in the worker's staging limb (NTT pass 1 of 3).
+    lift_limb(q, u, s.mask_, nullptr);
+    pctx.ntt(i).forward({u, n});
+    // c0_i = NTT(m + e0) + b_i * u (pass 2).
+    lift_limb(q, c0i, s.err0_, pt.poly.limb(i).data());
+    pctx.ntt(i).forward({c0i, n});
+    simd::dyadic_fma(dm, c0i, pk_->b.limb(i).data(), u, n);
+    // c1_i = NTT(e1) + a_i * u (pass 3).
+    lift_limb(q, c1i, s.err1_, nullptr);
+    pctx.ntt(i).forward({c1i, n});
+    simd::dyadic_fma(dm, c1i, pk_->a.limb(i).data(), u, n);
+    xf::op_counts().poly_mul += 2 * n;  // two mul + add chains
+    xf::op_counts().poly_add += 2 * n;
+  });
   return ct;
 }
 
@@ -100,27 +142,31 @@ Ciphertext Encryptor::encrypt_symmetric(const Plaintext& pt, u64 raw_id,
                                         EncryptScratch& s) const {
   const std::size_t limbs = pt.limbs();
   const u64 id = salted(raw_id);  // the wire id (CompressedComponent)
+  const poly::PolyContext& pctx = *ctx_->poly_context();
+  const std::size_t n = pctx.n();
+  check_operand(pctx, pt.poly, limbs, poly::Domain::kCoeff);
+  check_operand(pctx, *sk_eval_, limbs, poly::Domain::kEval);
 
-  // Uniform a regenerable from (seed, stream id): never shipped.
-  poly::RnsPoly a = ctx_->make_poly(limbs, poly::Domain::kEval);
-  fill_uniform_eval(*ctx_, a, PrngDomain::kSymmetricA, id);
+  sample_gaussian(*ctx_, PrngDomain::kSymmetricError, id, s.err0_);
+  s.staging_.resize(pctx.backend().workers() * n);
 
-  // m + e folded before the single NTT pass per limb: the error lands in
-  // scratch and m is added onto it, so the plaintext is never copied.
-  poly::RnsPoly& me = s.err_;
-  me.reset(limbs, poly::Domain::kCoeff);
-  fill_gaussian_coeff(*ctx_, me, PrngDomain::kSymmetricError, id,
-                      &s.samplers_);
-  me.add_inplace(pt.poly);
-  me.to_eval();
-
-  // c0 = (m + e) - a*s in one pass over the secret's first `limbs` limbs,
-  // read in place: no secret prefix copy, no product buffer.
-  poly::RnsPoly c0 = ctx_->make_poly(limbs, poly::Domain::kEval);
-  c0.set_fms(me, a, *sk_eval_);
-
-  Ciphertext ct{{std::move(c0), std::move(a)}, pt.scale,
-                CompressedComponent{id}};
+  // Per limb: NTT(m + e) in the worker's staging limb, a_i from its own
+  // stream (regenerable, never shipped), then c0_i = (m + e) - a_i * s_i
+  // in one pass over the secret's limb read in place.
+  Ciphertext ct = make_output(*ctx_, limbs, pt.scale);
+  poly::RnsPoly& c0 = ct.c(0);
+  poly::RnsPoly& a = ct.c(1);
+  pctx.backend().parallel_for(limbs, [&](std::size_t i, std::size_t w) {
+    u64* const me = s.staging_.data() + w * n;
+    lift_limb(pctx.modulus(i), me, s.err0_, pt.poly.limb(i).data());
+    pctx.ntt(i).forward({me, n});
+    fill_uniform_limb(*ctx_, a.limb(i), i, PrngDomain::kSymmetricA, id);
+    simd::dyadic_fms_into(pctx.dyadic(i), c0.limb(i).data(), me,
+                          a.limb(i).data(), sk_eval_->limb(i).data(), n);
+    xf::op_counts().poly_mul += n;  // mul + negate + add
+    xf::op_counts().poly_add += 2 * n;
+  });
+  ct.compressed_c1 = CompressedComponent{id};
   return ct;
 }
 

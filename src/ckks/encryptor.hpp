@@ -37,8 +37,18 @@
 /// encrypt() itself reuses an internal scratch buffer and is therefore not
 /// reentrant; parallel callers use one EncryptScratch per worker (see
 /// engine/batch_encryptor.hpp).
+///
+/// Datapath: both modes stream limbs the way the paper's client does
+/// (PRNG -> NTT -> MAC, Sec. IV). The signed error (and mask) words are
+/// sampled once; then one PolyBackend::parallel_for over the limbs lifts
+/// them into limb i (m added in the same pass), runs the forward NTT,
+/// fills a_i from its own stream and multiply-accumulates straight into
+/// output limb i. The keys are read in place, the working set is one limb
+/// per worker, and the result is bit-identical to the whole-polynomial
+/// chain (fill, expand, add, to_eval, combine) at any worker count.
 
 #include <memory>
+#include <vector>
 
 #include "ckks/ciphertext.hpp"
 #include "ckks/context.hpp"
@@ -56,21 +66,21 @@ constexpr int ntt_passes_per_limb(EncryptMode mode) noexcept {
   return mode == EncryptMode::kPublicKey ? 3 : 1;
 }
 
-/// Reusable per-worker buffers for the encryption hot path: the mask, the
-/// message+error accumulator, the error being sampled, and the sampler
-/// staging vectors. After the first encryption at
-/// a given level the hot path performs no heap allocation beyond the
-/// ciphertext components it returns.
+/// Reusable buffers for the encryption hot path: the sampled signed words
+/// (errors, ternary mask) and one N-word limb per backend worker for the
+/// limb being transformed. Encryption streams one limb at a time (see
+/// Encryptor), so after the first encryption the hot path performs no
+/// heap allocation beyond the ciphertext components it returns.
 class EncryptScratch {
  public:
   explicit EncryptScratch(const CkksContext& ctx);
 
  private:
   friend class Encryptor;
-  poly::RnsPoly mask_;  // ternary u (public-key mode)
-  poly::RnsPoly me_;    // m + e0 accumulator (public-key mode)
-  poly::RnsPoly err_;   // fresh error (symmetric mode: m + e in place)
-  SamplerScratch samplers_;
+  std::vector<u64> staging_;  // workers * N words: one limb per lane
+  std::vector<i8> mask_;    // ternary u (public-key mode)
+  std::vector<i32> err0_;   // e (symmetric) or e0 (public-key)
+  std::vector<i32> err1_;   // e1 (public-key mode)
 };
 
 class Encryptor {

@@ -215,16 +215,19 @@ Ciphertext Evaluator::mul(const Ciphertext& a, const Ciphertext& b) const {
   ABC_CHECK_ARG(a.size() == 2 && b.size() == 2,
                 "only 2-component inputs supported (relinearize first)");
   ABC_CHECK_ARG(a.limbs() == b.limbs(), "level mismatch");
-  poly::RnsPoly c0 = a.c(0);
-  c0.mul_inplace(b.c(0));
-  poly::RnsPoly c1 = a.c(0);
-  c1.mul_inplace(b.c(1));
-  c1.fma_inplace(a.c(1), b.c(0));
-  poly::RnsPoly c2 = a.c(1);
-  c2.mul_inplace(b.c(1));
-  return Ciphertext{{std::move(c0), std::move(c1), std::move(c2)},
-                    a.scale * b.scale,
-                    std::nullopt};
+  // Components are built in place: a braced component list would
+  // deep-copy all three products out of its const initializer_list.
+  Ciphertext out;
+  out.scale = a.scale * b.scale;
+  out.components.reserve(3);
+  out.components.push_back(a.c(0));
+  out.c(0).mul_inplace(b.c(0));
+  out.components.push_back(a.c(0));
+  out.c(1).mul_inplace(b.c(1));
+  out.c(1).fma_inplace(a.c(1), b.c(0));
+  out.components.push_back(a.c(1));
+  out.c(2).mul_inplace(b.c(1));
+  return out;
 }
 
 void Evaluator::rescale_poly(poly::RnsPoly& p) const {

@@ -5,31 +5,48 @@
 
 namespace abc::ckks {
 
+void fill_uniform_limb(const CkksContext& ctx, std::span<u64> dst,
+                       std::size_t limb, PrngDomain domain, u64 stream_id) {
+  // One stream per (domain, id, limb): limb folded into the stream id's
+  // upper bits so streams never collide for < 2^32 uses.
+  prng::ChaCha20 rng(ctx.params().seed,
+                     (stream_id << 16) | static_cast<u64>(limb),
+                     static_cast<u32>(domain));
+  prng::UniformModSampler sampler(ctx.poly_context()->modulus(limb).value());
+  sampler.sample_many(rng, dst);
+  xf::op_counts().other += dst.size();
+}
+
 void fill_uniform_eval(const CkksContext& ctx, poly::RnsPoly& dst,
                        PrngDomain domain, u64 stream_id) {
   for (std::size_t i = 0; i < dst.limbs(); ++i) {
-    // One stream per (domain, id, limb): limb folded into the stream id's
-    // upper bits so streams never collide for < 2^32 uses.
-    prng::ChaCha20 rng(ctx.params().seed,
-                       (stream_id << 16) | static_cast<u64>(i),
-                       static_cast<u32>(domain));
-    prng::UniformModSampler sampler(
-        ctx.poly_context()->modulus(i).value());
-    sampler.sample_many(rng, dst.limb(i));
+    fill_uniform_limb(ctx, dst.limb(i), i, domain, stream_id);
   }
-  xf::op_counts().other += dst.limbs() * dst.n();
+}
+
+void sample_ternary(const CkksContext& ctx, PrngDomain domain, u64 stream_id,
+                    std::vector<i8>& out) {
+  prng::ChaCha20 rng(ctx.params().seed, stream_id,
+                     static_cast<u32>(domain));
+  out.resize(ctx.n());
+  prng::TernarySampler().sample_many(rng, out);
+}
+
+void sample_gaussian(const CkksContext& ctx, PrngDomain domain, u64 stream_id,
+                     std::vector<i32>& out) {
+  prng::ChaCha20 rng(ctx.params().seed, stream_id,
+                     static_cast<u32>(domain));
+  out.resize(ctx.n());
+  prng::DiscreteGaussianSampler(ctx.params().error_sigma)
+      .sample_many(rng, out);
 }
 
 void fill_ternary_coeff(const CkksContext& ctx, poly::RnsPoly& dst,
                         PrngDomain domain, u64 stream_id,
                         SamplerScratch* scratch) {
-  prng::ChaCha20 rng(ctx.params().seed, stream_id,
-                     static_cast<u32>(domain));
-  prng::TernarySampler sampler;
   SamplerScratch local;
   SamplerScratch& s = scratch ? *scratch : local;
-  s.ternary.resize(ctx.n());
-  sampler.sample_many(rng, s.ternary);
+  sample_ternary(ctx, domain, stream_id, s.ternary);
   s.wide.assign(s.ternary.begin(), s.ternary.end());
   dst.set_from_signed_i32(s.wide);
 }
@@ -37,13 +54,9 @@ void fill_ternary_coeff(const CkksContext& ctx, poly::RnsPoly& dst,
 void fill_gaussian_coeff(const CkksContext& ctx, poly::RnsPoly& dst,
                          PrngDomain domain, u64 stream_id,
                          SamplerScratch* scratch) {
-  prng::ChaCha20 rng(ctx.params().seed, stream_id,
-                     static_cast<u32>(domain));
-  prng::DiscreteGaussianSampler sampler(ctx.params().error_sigma);
   SamplerScratch local;
   SamplerScratch& s = scratch ? *scratch : local;
-  s.wide.resize(ctx.n());
-  sampler.sample_many(rng, s.wide);
+  sample_gaussian(ctx, domain, stream_id, s.wide);
   dst.set_from_signed_i32(s.wide);
 }
 
@@ -161,9 +174,9 @@ PublicKey KeyGenerator::public_key(const SecretKey& sk) {
   fill_gaussian_coeff(*ctx_, e, PrngDomain::kKeygenError, id);
   e.to_eval();
 
-  poly::RnsPoly b = a;           // deep copy
-  b.mul_inplace(sk.s);           // a * s
-  b.negate_add_inplace(e);       // fused -(a * s) + e
+  // b = e - a*s in one fused pass: no copy of a, no product buffer.
+  poly::RnsPoly b = ctx_->make_poly(ctx_->max_limbs(), poly::Domain::kEval);
+  b.set_fms(e, a, sk.s);
   return PublicKey{std::move(b), std::move(a), id};
 }
 

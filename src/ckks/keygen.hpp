@@ -197,10 +197,26 @@ struct SamplerScratch {
   std::vector<i32> wide;
 };
 
+/// Fills @p dst with limb @p limb of a uniform polynomial: the (domain,
+/// stream_id, limb) stream reduced mod q_limb. Each limb owns its stream,
+/// so limbs can be filled in any order or on any worker.
+void fill_uniform_limb(const CkksContext& ctx, std::span<u64> dst,
+                       std::size_t limb, PrngDomain domain, u64 stream_id);
+
 /// Fills @p dst (evaluation domain) with per-limb uniform values drawn from
-/// the seed/stream — shared by key generation and symmetric encryption.
+/// the seed/stream (fill_uniform_limb over every limb) — shared by key
+/// generation and encryption.
 void fill_uniform_eval(const CkksContext& ctx, poly::RnsPoly& dst,
                        PrngDomain domain, u64 stream_id);
+
+/// Draws the N signed coefficients of a ternary (resp. discrete-Gaussian)
+/// polynomial from the (domain, stream_id) stream into @p out, resized to
+/// N. These are the words fill_ternary_coeff / fill_gaussian_coeff
+/// RNS-expand; the encryptor lifts them one limb at a time instead.
+void sample_ternary(const CkksContext& ctx, PrngDomain domain, u64 stream_id,
+                    std::vector<i8>& out);
+void sample_gaussian(const CkksContext& ctx, PrngDomain domain, u64 stream_id,
+                     std::vector<i32>& out);
 
 /// Samples a ternary polynomial into coefficient form.
 void fill_ternary_coeff(const CkksContext& ctx, poly::RnsPoly& dst,

@@ -1,0 +1,162 @@
+// Heap-allocation budgets for the client hot paths. This executable
+// replaces the global operator new/delete with a byte counter, so every
+// allocation made while a measured call runs — on the calling thread or on
+// a pool worker — is charged to that call. A budget of "the outputs plus
+// one limb" catches any whole-polynomial temporary or deep copy (one
+// polynomial is many limbs) while leaving room for small bookkeeping
+// (a pool task, sampler tables).
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <complex>
+#include <cstdlib>
+#include <new>
+#include <optional>
+#include <random>
+#include <vector>
+
+#include "backend/thread_pool_backend.hpp"
+#include "ckks/encoder.hpp"
+#include "ckks/encryptor.hpp"
+#include "ckks/evaluator.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_allocated_bytes{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  return std::aligned_alloc(a, (size + a - 1) / a * a);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return operator new(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace abc::ckks {
+namespace {
+
+/// Bytes allocated while @p f runs.
+template <class F>
+std::size_t allocated_by(F&& f) {
+  const std::size_t before = g_allocated_bytes.load();
+  f();
+  return g_allocated_bytes.load() - before;
+}
+
+std::size_t limb_bytes(const CkksContext& ctx) { return ctx.n() * sizeof(u64); }
+
+std::vector<std::complex<double>> random_slots(std::size_t count, u64 seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<std::complex<double>> v(count);
+  for (auto& z : v) z = {dist(rng), dist(rng)};
+  return v;
+}
+
+TEST(AllocBudget, CounterSeesAllocations) {
+  // Guards the harness itself: a vector of N words is charged N words.
+  std::optional<std::vector<u64>> v;
+  EXPECT_GE(allocated_by([&] { v.emplace(4096); }), 4096 * sizeof(u64));
+}
+
+TEST(AllocBudget, PaperPointEncryptAllocatesOnlyItsOutputs) {
+  // At the paper point a steady-state encryption (after one warm-up call
+  // on the same scratch) allocates its two output components and nothing
+  // polynomial-sized besides, in both modes and under a worker pool.
+  for (const std::size_t workers : {0, 2}) {
+    SCOPED_TRACE(testing::Message() << "workers " << workers);
+    std::shared_ptr<backend::PolyBackend> be;
+    if (workers != 0) {
+      be = std::make_shared<backend::ThreadPoolBackend>(workers);
+    }
+    const auto ctx = CkksContext::create(CkksParams::bootstrappable(), be);
+    const std::size_t limbs = ctx->max_limbs();
+    const std::size_t budget = (2 * limbs + 1) * limb_bytes(*ctx);
+
+    CkksEncoder encoder(ctx);
+    KeyGenerator keygen(ctx);
+    const SecretKey sk = keygen.secret_key();
+    const Plaintext pt =
+        encoder.encode(random_slots(encoder.slots(), 1), limbs);
+    const Encryptor symmetric(ctx, sk);
+    const Encryptor public_key(ctx, keygen.public_key(sk));
+
+    for (const Encryptor* enc : {&symmetric, &public_key}) {
+      SCOPED_TRACE(enc->mode() == EncryptMode::kPublicKey ? "public key"
+                                                          : "symmetric");
+      EncryptScratch scratch(*ctx);
+      (void)enc->encrypt_with(pt, enc->reserve_stream_ids(1), scratch);
+      std::optional<Ciphertext> ct;
+      const u64 id = enc->reserve_stream_ids(1);
+      const std::size_t bytes = allocated_by(
+          [&] { ct.emplace(enc->encrypt_with(pt, id, scratch)); });
+      EXPECT_LE(bytes, budget);
+      EXPECT_GE(bytes, 2 * limbs * limb_bytes(*ctx));  // outputs counted
+    }
+  }
+}
+
+TEST(AllocBudget, CiphertextProductAllocatesOnlyItsOutputs) {
+  const auto ctx = CkksContext::create(CkksParams::test_small(10, 3));
+  const std::size_t limbs = ctx->max_limbs();
+  CkksEncoder encoder(ctx);
+  KeyGenerator keygen(ctx);
+  const SecretKey sk = keygen.secret_key();
+  Encryptor enc(ctx, keygen.public_key(sk));
+  const Ciphertext a =
+      enc.encrypt(encoder.encode(random_slots(encoder.slots(), 2), limbs));
+  const Ciphertext b =
+      enc.encrypt(encoder.encode(random_slots(encoder.slots(), 3), limbs));
+  const Evaluator eval(ctx);
+
+  std::optional<Ciphertext> product;
+  const std::size_t bytes =
+      allocated_by([&] { product.emplace(eval.mul(a, b)); });
+  EXPECT_LE(bytes, (3 * limbs + 1) * limb_bytes(*ctx));
+  ASSERT_EQ(product->size(), 3u);
+}
+
+}  // namespace
+}  // namespace abc::ckks

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
+#include "backend/thread_pool_backend.hpp"
 #include "ckks/decryptor.hpp"
 #include "ckks/encoder.hpp"
 #include "ckks/encryptor.hpp"
@@ -148,6 +150,128 @@ TEST(CkksEncrypt, NttPassAccountingMatchesModes) {
     EXPECT_EQ(got, fwd_ntt_muls * limbs *
                        static_cast<u64>(ntt_passes_per_limb(
                            EncryptMode::kSymmetricSeeded)));
+  }
+}
+
+bool same_words(const poly::RnsPoly& a, const poly::RnsPoly& b) {
+  if (a.limbs() != b.limbs() || a.domain() != b.domain()) return false;
+  for (std::size_t i = 0; i < a.limbs(); ++i) {
+    const auto x = a.limb(i);
+    const auto y = b.limb(i);
+    if (!std::equal(x.begin(), x.end(), y.begin(), y.end())) return false;
+  }
+  return true;
+}
+
+void expect_same_counts(const xf::OpCounts& got, const xf::OpCounts& want) {
+  EXPECT_EQ(got.ntt_mul, want.ntt_mul);
+  EXPECT_EQ(got.ntt_add, want.ntt_add);
+  EXPECT_EQ(got.poly_mul, want.poly_mul);
+  EXPECT_EQ(got.poly_add, want.poly_add);
+  EXPECT_EQ(got.other, want.other);
+}
+
+/// Symmetric encryption rebuilt from whole-polynomial RnsPoly calls:
+/// a = uniform, c0 = NTT(e + m) - a*s.
+Ciphertext symmetric_chain(const CkksContext& ctx, const SecretKey& sk,
+                           const Plaintext& pt, u64 id) {
+  const u64 wire = (sk.stream_id << 32) | id;
+  const std::size_t limbs = pt.limbs();
+  poly::RnsPoly a = ctx.make_poly(limbs, poly::Domain::kEval);
+  fill_uniform_eval(ctx, a, PrngDomain::kSymmetricA, wire);
+  poly::RnsPoly me = ctx.make_poly(limbs, poly::Domain::kCoeff);
+  fill_gaussian_coeff(ctx, me, PrngDomain::kSymmetricError, wire);
+  me.add_inplace(pt.poly);
+  me.to_eval();
+  poly::RnsPoly c0 = ctx.make_poly(limbs, poly::Domain::kEval);
+  c0.set_fms(me, a, sk.s);
+  Ciphertext ct;
+  ct.components.push_back(std::move(c0));
+  ct.components.push_back(std::move(a));
+  ct.compressed_c1 = CompressedComponent{wire};
+  return ct;
+}
+
+/// Public-key encryption rebuilt the same way on prefix copies of the key:
+/// c0 = b*u + NTT(m + e0), c1 = a*u + NTT(e1).
+Ciphertext public_chain(const CkksContext& ctx, const PublicKey& pk,
+                        const Plaintext& pt, u64 id) {
+  const u64 salt = pk.stream_id >> 32;
+  const auto salted = [salt](u64 v) { return (salt << 32) | v; };
+  const std::size_t limbs = pt.limbs();
+  poly::RnsPoly u = ctx.make_poly(limbs, poly::Domain::kCoeff);
+  fill_ternary_coeff(ctx, u, PrngDomain::kEncryptMask, salted(id));
+  u.to_eval();
+  poly::RnsPoly me0 = ctx.make_poly(limbs, poly::Domain::kCoeff);
+  fill_gaussian_coeff(ctx, me0, PrngDomain::kEncryptError, salted(2 * id));
+  me0.add_inplace(pt.poly);
+  me0.to_eval();
+  poly::RnsPoly c0 = pk.b.prefix_copy(limbs);
+  c0.mul_inplace(u);
+  c0.add_inplace(me0);
+  poly::RnsPoly e1 = ctx.make_poly(limbs, poly::Domain::kCoeff);
+  fill_gaussian_coeff(ctx, e1, PrngDomain::kEncryptError,
+                      salted(2 * id + 1));
+  e1.to_eval();
+  poly::RnsPoly c1 = pk.a.prefix_copy(limbs);
+  c1.mul_inplace(u);
+  c1.add_inplace(e1);
+  Ciphertext ct;
+  ct.components.push_back(std::move(c0));
+  ct.components.push_back(std::move(c1));
+  return ct;
+}
+
+TEST(CkksEncrypt, StreamedEncryptMatchesUnfusedChain) {
+  // The limb-streamed encryptor must reproduce the whole-polynomial chain
+  // word for word, with the same op counts, in both modes, at full and
+  // lower levels, for any backend worker count.
+  for (const CkksParams& params :
+       {CkksParams::test_small(10, 3), CkksParams::sweep_point(13, 6)}) {
+    for (const std::size_t workers : {0, 1, 2, 4}) {
+      SCOPED_TRACE(testing::Message() << "log_n " << params.log_n
+                                      << " workers " << workers);
+      std::shared_ptr<backend::PolyBackend> be;
+      if (workers != 0) {
+        be = std::make_shared<backend::ThreadPoolBackend>(workers);
+      }
+      const auto ctx = CkksContext::create(params, be);
+      CkksEncoder encoder(ctx);
+      KeyGenerator keygen(ctx);
+      const SecretKey sk = keygen.secret_key();
+      const PublicKey pk = keygen.public_key(sk);
+      const Encryptor sym(ctx, sk);
+      const Encryptor pub(ctx, pk);
+      EncryptScratch scratch(*ctx);
+      for (const std::size_t limbs : {ctx->max_limbs(), std::size_t{2}}) {
+        SCOPED_TRACE(testing::Message() << "limbs " << limbs);
+        const Plaintext pt =
+            encoder.encode(random_slots(encoder.slots(), limbs), limbs);
+        const u64 id = sym.reserve_stream_ids(1);
+
+        xf::OpCounterScope streamed_sym;
+        const Ciphertext got_sym = sym.encrypt_with(pt, id, scratch);
+        const xf::OpCounts streamed_sym_ops = streamed_sym.delta();
+        xf::OpCounterScope chain_sym;
+        const Ciphertext want_sym = symmetric_chain(*ctx, sk, pt, id);
+        expect_same_counts(streamed_sym_ops, chain_sym.delta());
+        EXPECT_TRUE(same_words(got_sym.c(0), want_sym.c(0)));
+        EXPECT_TRUE(same_words(got_sym.c(1), want_sym.c(1)));
+        ASSERT_TRUE(got_sym.compressed_c1.has_value());
+        EXPECT_EQ(got_sym.compressed_c1->stream_id,
+                  want_sym.compressed_c1->stream_id);
+
+        xf::OpCounterScope streamed_pub;
+        const Ciphertext got_pub = pub.encrypt_with(pt, id, scratch);
+        const xf::OpCounts streamed_pub_ops = streamed_pub.delta();
+        xf::OpCounterScope chain_pub;
+        const Ciphertext want_pub = public_chain(*ctx, pk, pt, id);
+        expect_same_counts(streamed_pub_ops, chain_pub.delta());
+        EXPECT_TRUE(same_words(got_pub.c(0), want_pub.c(0)));
+        EXPECT_TRUE(same_words(got_pub.c(1), want_pub.c(1)));
+        EXPECT_FALSE(got_pub.compressed_c1.has_value());
+      }
+    }
   }
 }
 
