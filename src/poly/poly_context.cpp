@@ -14,7 +14,7 @@ PolyContext::PolyContext(int log_n, const std::vector<u64>& primes,
   ntt_.reserve(primes.size());
   dyadic_.reserve(primes.size());
   for (std::size_t i = 0; i < basis_.size(); ++i) {
-    ntt_.emplace_back(basis_.modulus(i), log_n);
+    ntt_.push_back(xf::NttTables::shared(basis_.modulus(i), log_n));
     dyadic_.push_back(simd::DyadicModulus::make(basis_.modulus(i)));
   }
 }

@@ -4,7 +4,10 @@
 /// Shared immutable context for RNS polynomials: the prime basis, one NTT
 /// table per prime, and the execution backend every polynomial operation
 /// dispatches through. Built once per parameter set and shared by all
-/// polynomials through a shared_ptr.
+/// polynomials through a shared_ptr. The NTT tables come from
+/// xf::NttTables::shared, so contexts whose prime chains overlap (a client
+/// and a server in one process, parameter sets sharing a prime prefix)
+/// share those primes' tables.
 
 #include <memory>
 #include <vector>
@@ -18,7 +21,8 @@ namespace abc::poly {
 
 class PolyContext {
  public:
-  /// Builds NTT tables for degree 2^log_n over every prime in @p primes.
+  /// Takes the NTT tables for degree 2^log_n over every prime in @p primes
+  /// from the process-wide registry, building those no live context has.
   /// Operations execute through @p backend (the process-wide ScalarBackend
   /// when null).
   PolyContext(int log_n, const std::vector<u64>& primes,
@@ -39,7 +43,7 @@ class PolyContext {
   const rns::Modulus& modulus(std::size_t limb) const {
     return basis_.modulus(limb);
   }
-  const xf::NttTables& ntt(std::size_t limb) const { return ntt_.at(limb); }
+  const xf::NttTables& ntt(std::size_t limb) const { return *ntt_.at(limb); }
 
   /// Precomputed per-limb constants for the simd/ dyadic kernels (saves the
   /// 128-bit division DyadicModulus::make costs on every kernel call).
@@ -56,7 +60,7 @@ class PolyContext {
   int log_n_;
   std::size_t n_;
   rns::RnsBasis basis_;
-  std::vector<xf::NttTables> ntt_;
+  std::vector<std::shared_ptr<const xf::NttTables>> ntt_;
   std::vector<simd::DyadicModulus> dyadic_;
   std::shared_ptr<backend::PolyBackend> backend_;
 };

@@ -21,10 +21,13 @@
 /// ## Layout
 ///
 /// `a` holds n complex points as interleaved (re, im) doubles; `twiddles`
-/// holds the plan's n bit-reversed powers in the same layout (psi_rev for
-/// forward, inv_psi_rev for inverse). Stages whose butterflies span a
-/// whole vector (two points) run on a broadcast twiddle; the one-point
-/// stage pairs neighbouring butterflies with in-register shuffles.
+/// holds the plan's n bit-reversed powers psi_rev in the same layout, for
+/// both directions: the inverse uses conj(psi_rev[m + i]), flipping the
+/// sign bit of each imaginary part as it loads it (an XOR with -0.0, the
+/// negation the scalar template's Cx::conj performs, so signed zeros match
+/// too). Stages whose butterflies span a whole vector (two points) run on a
+/// broadcast twiddle; the one-point stage pairs neighbouring butterflies
+/// with in-register shuffles.
 /// n must be a power of two >= 4.
 
 #include <cstddef>

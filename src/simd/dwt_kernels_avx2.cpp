@@ -6,7 +6,8 @@
 /// butterflies per iteration under a splatted twiddle, two stages per pass
 /// over the data where both have t >= 2; the t = 1 stage
 /// (last forward, first inverse) pairs butterflies i and i+1 with 128-bit
-/// lane permutes and loads their two twiddles as one vector.
+/// lane permutes and loads their two twiddles as one vector. The inverse
+/// reads the forward table and conjugates each twiddle as it loads it.
 
 #include "common/check.hpp"
 #include "simd/dwt_kernels.hpp"
@@ -25,10 +26,23 @@ inline __m256d cmul(__m256d v, __m256d wr, __m256d wi) noexcept {
   return _mm256_addsub_pd(p, q);
 }
 
+/// -x by a sign-bit flip, the IEEE negation Cx::conj performs (0.0 - x
+/// would turn a -0.0 into +0.0).
+inline __m256d negate(__m256d x) noexcept {
+  return _mm256_xor_pd(x, _mm256_set1_pd(-0.0));
+}
+
 /// Two twiddles [w0, w1] -> their real parts, imaginary parts per lane.
 inline void split(__m256d w, __m256d& wr, __m256d& wi) noexcept {
   wr = _mm256_movedup_pd(w);
   wi = _mm256_permute_pd(w, 0xF);
+}
+
+/// Imaginary part of twiddle w, splatted; conjugated for the inverse.
+template <bool Forward>
+inline __m256d splat_im(const double* w) noexcept {
+  const __m256d wi = _mm256_set1_pd(w[1]);
+  return Forward ? wi : negate(wi);
 }
 
 // Butterflies i and i+1 of a t = 1 stage sit in x = [u_i, v_i] and
@@ -41,13 +55,13 @@ inline __m256d seconds(__m256d x, __m256d y) noexcept {
 }
 
 /// One forward (Forward == true) or inverse stage with gap t >= 2 under
-/// splatted twiddles.
+/// splatted twiddles (conjugated for the inverse).
 template <bool Forward>
 void wide_stage(double* a, const double* twiddles, std::size_t m,
                 std::size_t t) {
   for (std::size_t i = 0; i < m; ++i) {
     const __m256d wr = _mm256_set1_pd(twiddles[2 * (m + i)]);
-    const __m256d wi = _mm256_set1_pd(twiddles[2 * (m + i) + 1]);
+    const __m256d wi = splat_im<Forward>(twiddles + 2 * (m + i));
     double* x = a + 4 * i * t;
     double* y = x + 2 * t;
     for (std::size_t j = 0; j < 2 * t; j += 4) {
@@ -99,15 +113,16 @@ void forward_two_stages(double* a, const double* twiddles, std::size_t m,
 }
 
 /// Inverse stages (m, t) and (m/2, 2t), t >= 2, in one pass: butterflies
-/// 2i, 2i + 1 of the first stage and i of the second.
+/// 2i, 2i + 1 of the first stage and i of the second, under conjugated
+/// twiddles.
 void inverse_two_stages(double* a, const double* twiddles, std::size_t m,
                         std::size_t t) {
   for (std::size_t i = 0; i < m / 2; ++i) {
     const double* v = twiddles + 2 * (m + 2 * i);
     const double* u = twiddles + 2 * (m / 2 + i);
-    const __m256d v1r = _mm256_set1_pd(v[0]), v1i = _mm256_set1_pd(v[1]);
-    const __m256d v2r = _mm256_set1_pd(v[2]), v2i = _mm256_set1_pd(v[3]);
-    const __m256d ur = _mm256_set1_pd(u[0]), ui = _mm256_set1_pd(u[1]);
+    const __m256d v1r = _mm256_set1_pd(v[0]), v1i = splat_im<false>(v);
+    const __m256d v2r = _mm256_set1_pd(v[2]), v2i = splat_im<false>(v + 2);
+    const __m256d ur = _mm256_set1_pd(u[0]), ui = splat_im<false>(u);
     double* p = a + 8 * i * t;  // quarters of 2t doubles (t points)
     for (std::size_t j = 0; j < 2 * t; j += 4) {
       const __m256d x0 = _mm256_loadu_pd(p + j);
@@ -157,6 +172,7 @@ void dwt_inverse_avx2(double* a, const double* twiddles, std::size_t n) {
     const __m256d y = _mm256_loadu_pd(p + 4);
     __m256d wr, wi;
     split(_mm256_loadu_pd(twiddles + 2 * (m + i)), wr, wi);
+    wi = negate(wi);
     const __m256d u = firsts(x, y);
     const __m256d v = seconds(x, y);
     const __m256d s = _mm256_add_pd(u, v);

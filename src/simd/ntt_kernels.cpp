@@ -64,8 +64,7 @@ void ntt_inverse_lazy_stages_portable(const NttLayout& L, u64* a,
     const std::size_t t = std::size_t{1} << s;
     const std::size_t m = L.n >> (s + 1);
     for (std::size_t i = 0; i < m; ++i) {
-      const u64 w = L.inv_w[m + i];
-      const u64 w_shoup = L.inv_w_shoup[m + i];
+      const auto [w, w_shoup] = inverse_twiddle(L, m, i);
       u64* x = a + 2 * i * t;
       u64* y = x + t;
       for (std::size_t j = 0; j < t; ++j) {

@@ -29,19 +29,39 @@
 namespace abc::simd {
 
 /// Non-owning view of one prime's NTT tables in the flat streaming layout:
-/// four parallel arrays indexed by bit-reversed twiddle index (entry i holds
-/// psi^bit_reverse(i) and its Shoup quotient; inv_* hold the inverses).
+/// two parallel arrays indexed by bit-reversed twiddle index (entry i holds
+/// psi^bit_reverse(i) and its Shoup quotient). The inverse transform has no
+/// tables of its own; it derives its twiddles from these (inverse_twiddle).
 struct NttLayout {
-  const u64* w = nullptr;         // forward twiddles, w[i] < q
+  const u64* w = nullptr;         // forward twiddles, 0 < w[i] < q
   const u64* w_shoup = nullptr;   // floor(w[i] * 2^64 / q)
-  const u64* inv_w = nullptr;     // inverse twiddles
-  const u64* inv_w_shoup = nullptr;
   u64 q = 0;                      // prime modulus, q < 2^62
   u64 n_inv = 0;                  // N^{-1} mod q
   u64 n_inv_shoup = 0;            // Shoup quotient of n_inv
   std::size_t n = 0;              // transform length, power of two
   int log_n = 0;
 };
+
+/// A twiddle and its 64-bit Shoup quotient floor(w * 2^64 / q).
+struct ShoupTwiddle {
+  u64 w;
+  u64 w_shoup;
+};
+
+/// Inverse twiddle i of the stage with m groups (table slot m + i), that is
+/// psi^{-bit_reverse(m + i)}, read from the forward table's mirrored slot
+/// k = 2m - 1 - i. The bit reversals of m + i and k sum to N, so
+/// psi^{rev(k)} = -psi^{-rev(m + i)} and the twiddle is q - w[k]. Its
+/// quotient is ~w_shoup[k]: q is an odd prime and 0 < w[k] < q, so
+/// w[k] * 2^64 / q is never an integer and
+/// floor((q - w[k]) * 2^64 / q) = 2^64 - 1 - floor(w[k] * 2^64 / q).
+/// The same argument in base 2^52 makes ~w_shoup[k] >> 12 the exact 52-bit
+/// quotient the IFMA kernels use.
+inline ShoupTwiddle inverse_twiddle(const NttLayout& L, std::size_t m,
+                                    std::size_t i) noexcept {
+  const std::size_t k = 2 * m - 1 - i;
+  return {L.q - L.w[k], ~L.w_shoup[k]};
+}
 
 /// In-place forward NTT, natural -> bit-reversed order, result in [0, q).
 /// Dispatches to the active kernel arch (simd_caps.hpp).

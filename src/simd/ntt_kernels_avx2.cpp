@@ -88,8 +88,9 @@ void ntt_inverse_lazy_avx2(const NttLayout& L, u64* a) {
     const std::size_t t = std::size_t{1} << s;
     const std::size_t m = L.n >> (s + 1);
     for (std::size_t i = 0; i < m; ++i) {
-      const __m256i w = splat(L.inv_w[m + i]);
-      const __m256i wsh = splat(L.inv_w_shoup[m + i]);
+      const ShoupTwiddle tw = inverse_twiddle(L, m, i);
+      const __m256i w = splat(tw.w);
+      const __m256i wsh = splat(tw.w_shoup);
       u64* x = a + 2 * i * t;
       u64* y = x + t;
       for (std::size_t j = 0; j < t; j += 4) {

@@ -6,8 +6,9 @@
 ///
 /// Same stage structure as the AVX2 TU but eight butterflies per iteration
 /// and the base-2^52 lazy Shoup product (avx512_math.hpp): the 52-bit
-/// twiddle quotients are L.w_shoup[i] >> 12, derived in-register — the
-/// NttLayout carries no extra tables for this tier. The base-52 contract
+/// twiddle quotients are L.w_shoup[i] >> 12 (forward) and the inverse
+/// twiddle's ~L.w_shoup[k] >> 12, derived in-register — the NttLayout
+/// carries no extra tables for this tier. The base-52 contract
 /// needs every multiplier input < 2^52; lazy forward values reach 4q, so
 /// the dispatcher only routes here for q < 2^50
 /// (DyadicModulus::kIfmaMaxPrimeBits) and falls back to AVX2 for wider
@@ -87,8 +88,9 @@ void ntt_inverse_lazy_avx512(const NttLayout& L, u64* a) {
     const std::size_t t = std::size_t{1} << s;
     const std::size_t m = L.n >> (s + 1);
     for (std::size_t i = 0; i < m; ++i) {
-      const __m512i w = splat(L.inv_w[m + i]);
-      const __m512i wsh52 = splat(L.inv_w_shoup[m + i] >> 12);
+      const ShoupTwiddle tw = inverse_twiddle(L, m, i);
+      const __m512i w = splat(tw.w);
+      const __m512i wsh52 = splat(tw.w_shoup >> 12);
       u64* x = a + 2 * i * t;
       u64* y = x + t;
       for (std::size_t j = 0; j < t; j += 8) {

@@ -15,12 +15,8 @@ CkksDwtPlan::CkksDwtPlan(int log_n)
     : log_n_(log_n), n_(std::size_t{1} << log_n) {
   ABC_CHECK_ARG(log_n >= 2 && log_n <= 20, "log_n out of range");
   psi_rev_.resize(n_);
-  inv_psi_rev_.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    const u64 e = bit_reverse(i, log_n_);
-    const Cx<double> w = zeta_pow(e);
-    psi_rev_[i] = w;
-    inv_psi_rev_[i] = w.conj();  // |w| = 1 so conj == inverse
+    psi_rev_[i] = zeta_pow(bit_reverse(i, log_n_));
   }
   // Canonical-embedding index map (generator 3 modulo 2N): slot i reads the
   // transform position that evaluates at zeta^{3^i}; the conjugate value
@@ -56,7 +52,7 @@ void CkksDwtPlan::inverse(std::span<Cx<double>> a) const {
   switch (simd::active_kernel_arch()) {
     case simd::KernelArch::kAvx512Ifma:
     case simd::KernelArch::kAvx2:
-      simd::dwt_inverse_avx2(&a[0].re, &inv_psi_rev_[0].re, n_);
+      simd::dwt_inverse_avx2(&a[0].re, &psi_rev_[0].re, n_);
       break;
     case simd::KernelArch::kPortable:
       return inverse<double>(a);

@@ -79,7 +79,8 @@ class CkksDwtPlan {
     std::size_t t = 1;
     for (std::size_t m = n_ >> 1; m >= 1; m >>= 1) {
       for (std::size_t i = 0; i < m; ++i) {
-        const Cx<F> w = twiddle<F>(inv_psi_rev_[m + i]);
+        // |zeta| = 1, so the conjugate is the inverse twiddle.
+        const Cx<F> w = twiddle<F>(psi_rev_[m + i].conj());
         const std::size_t j1 = 2 * i * t;
         for (std::size_t j = j1; j < j1 + t; ++j) {
           const Cx<F> x = a[j];
@@ -119,8 +120,7 @@ class CkksDwtPlan {
 
   int log_n_;
   std::size_t n_;
-  std::vector<Cx<double>> psi_rev_;
-  std::vector<Cx<double>> inv_psi_rev_;
+  std::vector<Cx<double>> psi_rev_;  // the inverse reads conj(psi_rev_)
   std::vector<std::size_t> index_map_;
 };
 

@@ -1,5 +1,9 @@
 #include "transform/ntt.hpp"
 
+#include <map>
+#include <mutex>
+#include <utility>
+
 #include "common/bitops.hpp"
 #include "common/check.hpp"
 #include "transform/op_counter.hpp"
@@ -49,25 +53,39 @@ NttTables::NttTables(const rns::Modulus& q, int log_n)
   psi_inv_ = q_.inv(psi_);
   w_.resize(n_);
   w_shoup_.resize(n_);
-  inv_w_.resize(n_);
-  inv_w_shoup_.resize(n_);
-  // Incremental products: psi^i and psi^{-i} cost one modular multiply per
-  // index (instead of one q.pow and one q.inv each — O(N log q)), scattered
-  // to bit-reversed positions. inv_w_[rev(i)] = (psi^i)^{-1} = psi_inv^i.
+  // Incremental products: psi^i costs one modular multiply per index
+  // (instead of one q.pow each — O(N log q)), scattered to bit-reversed
+  // positions.
   u64 fwd = 1;
-  u64 inv = 1;
   for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t r = bit_reverse(i, log_n_);
-    w_[r] = fwd;
-    inv_w_[r] = inv;
+    w_[bit_reverse(i, log_n_)] = fwd;
     fwd = q_.mul(fwd, psi_);
-    inv = q_.mul(inv, psi_inv_);
   }
   for (std::size_t i = 0; i < n_; ++i) {
     w_shoup_[i] = rns::ShoupMul::make(w_[i], q_).quotient;
-    inv_w_shoup_[i] = rns::ShoupMul::make(inv_w_[i], q_).quotient;
   }
   n_inv_ = rns::ShoupMul::make(q_.inv(static_cast<u64>(n_ % q_.value())), q_);
+}
+
+std::shared_ptr<const NttTables> NttTables::shared(const rns::Modulus& q,
+                                                   int log_n) {
+  static std::mutex mutex;
+  static std::map<std::pair<u64, int>, std::weak_ptr<const NttTables>>
+      registry;
+  const std::pair key{q.value(), log_n};
+  const std::lock_guard lock(mutex);
+  if (const auto it = registry.find(key); it != registry.end()) {
+    if (auto tables = it->second.lock()) return tables;
+  }
+  // Building under the lock keeps concurrent first calls to one table. A
+  // miss also drops the entries whose tables have died, so the registry
+  // stays as small as the set of live tables.
+  std::erase_if(registry, [](const auto& entry) {
+    return entry.second.expired();
+  });
+  auto tables = std::make_shared<const NttTables>(q, log_n);
+  registry[key] = tables;
+  return tables;
 }
 
 void NttTables::forward(std::span<u64> a) const {
@@ -108,13 +126,15 @@ void NttTables::forward_eager(std::span<u64> a) const {
 void NttTables::inverse_eager(std::span<u64> a) const {
   ABC_CHECK_ARG(a.size() == n_, "polynomial size mismatch");
   const u64 qv = q_.value();
+  const simd::NttLayout L = layout();
   // Exact mirror of forward_eager(): Gentleman-Sande butterflies with
   // inverse twiddles, stages in reverse order; the per-stage 1/2 factors
   // are folded into the final N^{-1} multiplication.
   std::size_t t = 1;
   for (std::size_t m = n_ >> 1; m >= 1; m >>= 1) {
     for (std::size_t i = 0; i < m; ++i) {
-      const rns::ShoupMul s{inv_w_[m + i], inv_w_shoup_[m + i]};
+      const auto [w, w_shoup] = simd::inverse_twiddle(L, m, i);
+      const rns::ShoupMul s{w, w_shoup};
       const std::size_t j1 = 2 * i * t;
       for (std::size_t j = j1; j < j1 + t; ++j) {
         const u64 x = a[j];

@@ -22,7 +22,15 @@
 /// kernels are tested and benchmarked against. Twiddles are stored as flat
 /// Shoup-pair arrays (value and quotient in separate parallel vectors) so
 /// the butterfly inner loops stream both sequentially.
+///
+/// Storage: two N-word arrays per prime (1 MiB at N = 2^16), the forward
+/// twiddles and their quotients. The inverse twiddles are not stored: every
+/// inverse kernel, the eager one included, derives them from the forward
+/// table's mirrored slot (simd::inverse_twiddle). Contexts obtain their
+/// tables through shared(), so one process keeps one table per
+/// (prime, degree) however many contexts use it.
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -35,6 +43,13 @@ class NttTables {
  public:
   /// Requires q == 1 (mod 2N) with N = 2^log_n.
   NttTables(const rns::Modulus& q, int log_n);
+
+  /// The process's tables for (q, log_n): built on first use and shared by
+  /// every caller until the last owner releases them. The registry holds
+  /// only weak references, so it keeps no tables alive on its own.
+  /// Thread-safe; concurrent first calls build one table.
+  static std::shared_ptr<const NttTables> shared(const rns::Modulus& q,
+                                                 int log_n);
 
   const rns::Modulus& modulus() const noexcept { return q_; }
   int log_n() const noexcept { return log_n_; }
@@ -63,9 +78,8 @@ class NttTables {
 
   /// Non-owning kernel view of the tables (simd/ntt_kernels.hpp).
   simd::NttLayout layout() const noexcept {
-    return {w_.data(),     w_shoup_.data(),  inv_w_.data(),
-            inv_w_shoup_.data(), q_.value(), n_inv_.operand,
-            n_inv_.quotient,     n_,         log_n_};
+    return {w_.data(), w_shoup_.data(), q_.value(), n_inv_.operand,
+            n_inv_.quotient, n_, log_n_};
   }
 
  private:
@@ -75,12 +89,10 @@ class NttTables {
   u64 psi_ = 0;
   u64 psi_inv_ = 0;
   // Flat Shoup-pair twiddle arrays, bit-reversed index order: w_[i] =
-  // psi^bit_reverse(i, log_n), w_shoup_[i] = floor(w_[i] * 2^64 / q);
-  // inv_* hold the inverse twiddles (powers of psi^{-1}).
+  // psi^bit_reverse(i, log_n), w_shoup_[i] = floor(w_[i] * 2^64 / q). The
+  // inverse twiddles are derived from these (simd::inverse_twiddle).
   std::vector<u64> w_;
   std::vector<u64> w_shoup_;
-  std::vector<u64> inv_w_;
-  std::vector<u64> inv_w_shoup_;
   rns::ShoupMul n_inv_;
 };
 

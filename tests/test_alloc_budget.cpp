@@ -1,15 +1,20 @@
-// Heap-allocation budgets for the client hot paths. This executable
-// replaces the global operator new/delete with a byte counter, so every
-// allocation made while a measured call runs — on the calling thread or on
-// a pool worker — is charged to that call. A budget of "the outputs plus
-// one limb" catches any whole-polynomial temporary or deep copy (one
-// polynomial is many limbs) while leaving room for small bookkeeping
-// (a pool task, sampler tables).
+// Heap-allocation budgets for the client hot paths and for the tables a
+// context holds. This executable replaces the global operator new/delete
+// with byte counters, so every allocation made while a measured call runs
+// — on the calling thread or on a pool worker — is charged to that call.
+// A budget of "the outputs plus one limb" catches any whole-polynomial
+// temporary or deep copy (one polynomial is many limbs) while leaving room
+// for small bookkeeping (a pool task, sampler tables). A second counter
+// tracks the bytes still live (malloc_usable_size of each block), which is
+// what a long-lived object such as a context holds.
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <atomic>
 #include <complex>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <optional>
@@ -20,21 +25,33 @@
 #include "ckks/encoder.hpp"
 #include "ckks/encryptor.hpp"
 #include "ckks/evaluator.hpp"
+#include "rns/ntt_prime.hpp"
 
 namespace {
 
 std::atomic<std::size_t> g_allocated_bytes{0};
+std::atomic<std::size_t> g_live_bytes{0};  // wraps; read as differences
+
+void* track_live(void* p) noexcept {
+  if (p) g_live_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
+  return p;
+}
+
+void counted_free(void* p) noexcept {
+  if (p) g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
+}
 
 void* counted_alloc(std::size_t size) {
   g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return track_live(std::malloc(size == 0 ? 1 : size));
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
   g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
-  return std::aligned_alloc(a, (size + a - 1) / a * a);
+  return track_live(std::aligned_alloc(a, (size + a - 1) / a * a));
 }
 
 }  // namespace
@@ -57,21 +74,25 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+  counted_free(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace abc::ckks {
@@ -83,6 +104,15 @@ std::size_t allocated_by(F&& f) {
   const std::size_t before = g_allocated_bytes.load();
   f();
   return g_allocated_bytes.load() - before;
+}
+
+/// Bytes allocated while @p f runs and not freed by the time it returns
+/// (negative if it freed more than it allocated).
+template <class F>
+std::ptrdiff_t retained_by(F&& f) {
+  const std::size_t before = g_live_bytes.load();
+  f();
+  return static_cast<std::ptrdiff_t>(g_live_bytes.load() - before);
 }
 
 std::size_t limb_bytes(const CkksContext& ctx) { return ctx.n() * sizeof(u64); }
@@ -136,6 +166,39 @@ TEST(AllocBudget, PaperPointEncryptAllocatesOnlyItsOutputs) {
       EXPECT_GE(bytes, 2 * limbs * limb_bytes(*ctx));  // outputs counted
     }
   }
+}
+
+TEST(AllocBudget, PaperPointContextHoldsHalfSizeSharedTables) {
+  // What a context holds once built: per prime the forward twiddles and
+  // their quotients (two N-word arrays; the inverse is derived from them),
+  // plus the DWT plan's bit-reversed powers and slot map. The slack covers
+  // the RNS basis constants, the prime list and block rounding: a quarter
+  // of one prime's tables, where a stored inverse table would add a whole
+  // prime's worth per prime.
+  const CkksParams params = CkksParams::bootstrappable();
+  const std::size_t n = params.n();
+  const std::ptrdiff_t tables_per_prime = 2 * n * sizeof(u64);
+  const std::ptrdiff_t dwt_plan =
+      n * (sizeof(xf::Cx<double>) + sizeof(std::size_t));
+  const std::ptrdiff_t slack = tables_per_prime / 4;
+  const auto limbs = static_cast<std::ptrdiff_t>(params.num_limbs);
+  // The process-wide prime search memo is not the context's.
+  (void)rns::select_prime_chain(params.prime_bits, params.log_n,
+                                params.num_limbs);
+
+  std::shared_ptr<const CkksContext> first;
+  const std::ptrdiff_t first_bytes =
+      retained_by([&] { first = CkksContext::create(params); });
+  EXPECT_LE(first_bytes, limbs * tables_per_prime + dwt_plan + slack);
+  EXPECT_GE(first_bytes, limbs * tables_per_prime + dwt_plan);
+
+  // A second context over the same primes reuses the first one's tables
+  // and holds only its own DWT plan besides.
+  std::shared_ptr<const CkksContext> second;
+  const std::ptrdiff_t second_bytes =
+      retained_by([&] { second = CkksContext::create(params); });
+  EXPECT_LE(second_bytes, dwt_plan + slack);
+  EXPECT_EQ(&first->poly_context()->ntt(0), &second->poly_context()->ntt(0));
 }
 
 TEST(AllocBudget, CiphertextProductAllocatesOnlyItsOutputs) {

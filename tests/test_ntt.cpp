@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <numeric>
 #include <random>
+#include <thread>
 
+#include "ckks/context.hpp"
+#include "common/bitops.hpp"
 #include "rns/ntt_prime.hpp"
 #include "transform/ntt.hpp"
 #include "transform/op_counter.hpp"
@@ -177,6 +181,121 @@ TEST(Ntt, SchoolbookNegacyclicWraparound) {
   EXPECT_EQ(c[0], 0u);
   EXPECT_EQ(c[1], 0u);
   EXPECT_EQ(c[3], 0u);
+}
+
+// -- inverse twiddles derived from the forward table -------------------------
+
+// Every inverse kernel, the eager reference included, reads its twiddles
+// through simd::inverse_twiddle, so this exhaustive check against powers
+// of psi^{-1} is the independent one.
+TEST(NttInverseTwiddle, DerivedPairsMatchPowersOfPsiInverse) {
+  for (const ckks::CkksParams& p : {ckks::CkksParams::bootstrappable(),
+                                    ckks::CkksParams::sweep_point(13, 6)}) {
+    for (const u64 prime :
+         rns::select_prime_chain(p.prime_bits, p.log_n, p.num_limbs)) {
+      SCOPED_TRACE(testing::Message() << "q=" << prime << " log_n=" << p.log_n);
+      const rns::Modulus q(prime);
+      const NttTables tables(q, p.log_n);
+      const simd::NttLayout L = tables.layout();
+      std::size_t mismatches = 0;
+      for (std::size_t m = 1; m < tables.n(); m <<= 1) {
+        for (std::size_t i = 0; i < m; ++i) {
+          const simd::ShoupTwiddle tw = simd::inverse_twiddle(L, m, i);
+          const u64 want =
+              q.pow(tables.psi_inv(), bit_reverse(m + i, p.log_n));
+          const u64 want_shoup52 =
+              static_cast<u64>((static_cast<u128>(want) << 52) / prime);
+          if (tw.w != want ||
+              tw.w_shoup != rns::ShoupMul::make(want, q).quotient ||
+              (tw.w_shoup >> 12) != want_shoup52) {
+            ++mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
+}
+
+// -- one table per (prime, degree) per process --------------------------------
+
+std::vector<const NttTables*> table_addresses(const poly::PolyContext& ctx) {
+  std::vector<const NttTables*> out;
+  for (std::size_t i = 0; i < ctx.max_limbs(); ++i) out.push_back(&ctx.ntt(i));
+  return out;
+}
+
+TEST(NttTableSharing, EqualParamContextsShareTables) {
+  const auto params = ckks::CkksParams::sweep_point(13, 6);
+  const auto a = ckks::CkksContext::create(params);
+  const auto b = ckks::CkksContext::create(params);
+  EXPECT_EQ(table_addresses(*a->poly_context()),
+            table_addresses(*b->poly_context()));
+}
+
+TEST(NttTableSharing, PrefixChainSharesItsPrimesOnly) {
+  const int log_n = 11;
+  const std::vector<u64> chain = rns::select_prime_chain(36, log_n, 5);
+  const std::vector<u64> prefix(chain.begin(), chain.begin() + 3);
+  const auto full = poly::PolyContext::create(log_n, chain);
+  const auto head = poly::PolyContext::create(log_n, prefix);
+  for (std::size_t i = 0; i < prefix.size(); ++i) {
+    EXPECT_EQ(&full->ntt(i), &head->ntt(i)) << "limb " << i;
+  }
+  // The same primes at another degree are other tables.
+  const auto smaller = poly::PolyContext::create(log_n - 1, prefix);
+  for (std::size_t i = 0; i < prefix.size(); ++i) {
+    EXPECT_NE(&full->ntt(i), &smaller->ntt(i)) << "limb " << i;
+    EXPECT_EQ(smaller->ntt(i).log_n(), log_n - 1);
+  }
+}
+
+TEST(NttTableSharing, ReleasedContextsLeaveNothingPinned) {
+  const auto params = ckks::CkksParams::sweep_point(12, 3);
+  std::vector<std::weak_ptr<const NttTables>> watched;
+  {
+    const auto a = ckks::CkksContext::create(params);
+    const auto b = ckks::CkksContext::create(params);
+    for (std::size_t i = 0; i < a->primes().size(); ++i) {
+      const auto tables =
+          NttTables::shared(rns::Modulus(a->primes()[i]), params.log_n);
+      EXPECT_EQ(tables.get(), &b->poly_context()->ntt(i));
+      watched.push_back(tables);
+    }
+  }
+  // Only the registry's weak references are left: nothing owns the tables.
+  for (const auto& w : watched) EXPECT_TRUE(w.expired());
+
+  // A new context builds fresh tables, which the old references do not see.
+  const auto c = ckks::CkksContext::create(params);
+  for (std::size_t i = 0; i < watched.size(); ++i) {
+    EXPECT_TRUE(watched[i].expired());
+    const auto fresh =
+        NttTables::shared(rns::Modulus(c->primes()[i]), params.log_n);
+    EXPECT_EQ(fresh.get(), &c->poly_context()->ntt(i));
+    EXPECT_EQ(fresh.use_count(), 2);  // c's context and `fresh`
+  }
+}
+
+TEST(NttTableSharing, ConcurrentCreatesBuildOneTablePerPrime) {
+  // No live context holds these primes, so the threads race to build them.
+  const auto params = ckks::CkksParams::sweep_point(11, 4);
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const ckks::CkksContext>> contexts(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      contexts[t] = ckks::CkksContext::create(params);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const auto first = table_addresses(*contexts[0]->poly_context());
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(table_addresses(*contexts[t]->poly_context()), first)
+        << "thread " << t;
+  }
 }
 
 }  // namespace
