@@ -95,17 +95,23 @@ u32 ksk_stream_domain(PrngDomain base, u32 galois_elt) {
   return static_cast<u32>(base) | (galois_elt << 8);
 }
 
-const KeySwitchKey* GaloisKeys::find(int step) const noexcept {
-  const auto reduce = [this](int s) {
+std::size_t find_rotation_step(std::span<const int> steps, int step,
+                               std::size_t slots) noexcept {
+  const auto reduce = [slots](int s) {
     if (slots == 0) return static_cast<long long>(s);
     const auto m = static_cast<long long>(slots);
     return ((s % m) + m) % m;
   };
   const long long want = reduce(step);
   for (std::size_t i = 0; i < steps.size(); ++i) {
-    if (reduce(steps[i]) == want && i < keys.size()) return &keys[i];
+    if (reduce(steps[i]) == want) return i;
   }
-  return nullptr;
+  return steps.size();
+}
+
+const KeySwitchKey* GaloisKeys::find(int step) const noexcept {
+  const std::size_t i = find_rotation_step(steps, step, slots);
+  return i < keys.size() ? &keys[i] : nullptr;
 }
 
 const KeySwitchKey& GaloisKeys::key_for(int step) const {

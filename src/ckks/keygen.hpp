@@ -93,6 +93,13 @@ struct RelinKey {
   KeySwitchKey key;
 };
 
+/// Index of the first entry of @p steps that is the same rotation as
+/// @p step — matched modulo @p slots (exactly when slots is 0) — or
+/// steps.size() when none is. The one step-matching rule of every key
+/// lookup: GaloisKeys::find and the daemon's compressed records.
+std::size_t find_rotation_step(std::span<const int> steps, int step,
+                               std::size_t slots) noexcept;
+
 /// Galois keys for a set of slot-rotation steps (step > 0 rotates left;
 /// steps are reduced modulo the slot count). keys[i] belongs to steps[i].
 struct GaloisKeys {

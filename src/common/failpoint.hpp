@@ -117,7 +117,7 @@ enum class Path : u8 {
   /// The ClientSession round trip: the fault-matrix suite arms every
   /// client point and proves the round trip crosses it.
   kClient,
-  /// The daemon's accept/dispatch/migrate/evaluate paths, driven by
+  /// The daemon's accept/dispatch/evaluate paths, driven by
   /// tests/test_server.cpp's fault drills.
   kServer,
 };
@@ -141,7 +141,6 @@ inline constexpr const char* kKeygenDigit = "engine.keygen_digit";
 inline constexpr const char* kServerAccept = "server.accept";
 inline constexpr const char* kServerQueueFull = "server.queue_full";
 inline constexpr const char* kServerDispatch = "server.dispatch";
-inline constexpr const char* kServerMigrate = "server.migrate";
 inline constexpr const char* kServerKeyRegen = "server.key_regen";
 inline constexpr const char* kEvaluateItem = "engine.evaluate_item";
 
@@ -160,7 +159,6 @@ inline constexpr Entry kAll[] = {
     {kServerAccept, Path::kServer},
     {kServerQueueFull, Path::kServer},
     {kServerDispatch, Path::kServer},
-    {kServerMigrate, Path::kServer},
     {kServerKeyRegen, Path::kServer},
     {kEvaluateItem, Path::kServer},
 };

@@ -14,7 +14,7 @@
 /// The pipeline is templated on the element type and butterfly policy —
 /// instantiating it for modular words and for complex floats from the
 /// same code path demonstrates the NTT<->FFT reconfigurability of the RFE
-/// at the dataflow level (paper Sec. III / IV-A).
+/// at the dataflow level (paper Sec. III / IV-A; docs/EXPERIMENTS.md E7).
 
 #include <optional>
 #include <vector>

@@ -11,7 +11,7 @@
 /// Evaluation consumes no PRNG stream, so determinism is purely the
 /// partitioning contract: per-item work is independent, results land in
 /// input order, and the output bytes are identical for any backend, any
-/// worker count — and, one level up, any serving-daemon steal schedule
+/// worker count — and, one level up, any serving-daemon dispatch order
 /// (the soak tests assert daemon responses byte-identical to this engine
 /// run serially).
 ///

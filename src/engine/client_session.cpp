@@ -127,7 +127,7 @@ ClientSession::RetryReport ClientSession::round_trip_with_retry(
     round_msgs.reserve(pending.size());
     for (std::size_t i : pending) round_msgs.push_back(messages[i]);
     BatchErrorReport enc_errors;
-    const std::vector<ckks::Ciphertext> cts =
+    std::vector<ckks::Ciphertext> cts =
         encryptor_.encrypt_batch(round_msgs, limbs, enc_errors);
 
     // Only the items that encrypted ship; the rest stay pending.
@@ -138,7 +138,7 @@ ClientSession::RetryReport ClientSession::round_trip_with_retry(
     for (std::size_t j = 0; j < pending.size(); ++j) {
       if (enc_errors.items[j].ok) {
         sent.push_back(j);
-        wire.push_back(cts[j]);
+        wire.push_back(std::move(cts[j]));
       }
     }
 
@@ -155,7 +155,9 @@ ClientSession::RetryReport ClientSession::round_trip_with_retry(
                       "response item count does not match the upload");
         std::vector<std::vector<std::complex<double>>> expected;
         expected.reserve(sent.size());
-        for (std::size_t j : sent) expected.push_back(round_msgs[j]);
+        for (std::size_t j : sent) {
+          expected.push_back(std::move(round_msgs[j]));
+        }
         BatchErrorReport verify_errors;
         round_verify =
             decryptor_.verify_batch(returned, expected, verify_errors, bound);

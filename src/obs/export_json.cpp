@@ -37,8 +37,6 @@ void append_trace(std::string& out, const Trace& t) {
   out += "{\"request_id\":" + std::to_string(t.request_id);
   out += ",\"tenant\":" + std::to_string(t.tenant);
   out += ",\"op\":" + std::to_string(t.op);
-  out += ",\"stolen\":";
-  out += t.stolen ? "true" : "false";
   out += ",\"admit_ns\":" + std::to_string(t.admit_ns);
   out += ",\"dequeue_ns\":" + std::to_string(t.dequeue_ns);
   out += ",\"engine_start_ns\":" + std::to_string(t.engine_start_ns);

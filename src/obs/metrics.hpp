@@ -9,7 +9,7 @@
 /// Three metric kinds, all identified by flat dotted names from the
 /// catalog below:
 ///
-///  * **Counter** — monotonic u64 (requests admitted, bytes out, steals);
+///  * **Counter** — monotonic u64 (requests admitted, bytes out, drains);
 ///  * **Gauge** — signed instantaneous value maintained by +/- deltas
 ///    (queue depth, resident tenants), so a change stays one relaxed
 ///    atomic add, like a counter's;
@@ -151,7 +151,6 @@ inline constexpr const char* kServerRejectedQueueFull =
 inline constexpr const char* kServerRejectedShuttingDown =
     "server.rejected_shutting_down";
 inline constexpr const char* kServerProcessed = "server.processed";
-inline constexpr const char* kServerSteals = "server.steals";
 inline constexpr const char* kServerDrained = "server.drained";
 inline constexpr const char* kServerSlowRequests = "server.slow_requests";
 inline constexpr const char* kServerQueueDepth = "server.queue_depth";
@@ -198,7 +197,6 @@ inline constexpr Entry kAll[] = {
     {kServerRejectedQueueFull, Kind::kCounter},
     {kServerRejectedShuttingDown, Kind::kCounter},
     {kServerProcessed, Kind::kCounter},
-    {kServerSteals, Kind::kCounter},
     {kServerDrained, Kind::kCounter},
     {kServerSlowRequests, Kind::kCounter},
     {kServerQueueDepth, Kind::kGauge},

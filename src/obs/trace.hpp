@@ -3,7 +3,7 @@
 /// @file trace.hpp
 /// Request-scoped tracing for the serving stack. A Trace carries one
 /// request's identity (tenant, request id, op) from admission through
-/// dispatch/steal, engine fan-out, key-switch, and response, collecting
+/// dispatch, engine fan-out, key-switch, and response, collecting
 /// monotonic-clock stage stamps plus key-switch work tallies. Completed
 /// traces land in a bounded in-memory ring (plus a separate ring for
 /// requests over the slow threshold), scrapeable via Op::kStats.
@@ -36,10 +36,9 @@ struct Trace {
   u64 request_id = 0;
   u64 tenant = 0;
   u8 op = 0;
-  bool stolen = false;  // dequeued from a sibling worker's queue
 
-  u64 admit_ns = 0;         // accepted into a run queue
-  u64 dequeue_ns = 0;       // picked up by a worker (own pop or steal)
+  u64 admit_ns = 0;         // accepted into the run queue
+  u64 dequeue_ns = 0;       // popped by a worker
   u64 engine_start_ns = 0;  // evaluate() fan-out began
   u64 engine_end_ns = 0;    // evaluate() fan-out returned
   u64 respond_ns = 0;       // response serialized, promise resolved

@@ -28,14 +28,23 @@ NttPrimeInfo make_info(u64 q, int bit_count, int log_n, int mont_r_bits) {
   return info;
 }
 
+/// The paper's hardware-friendly form: (Q - 1) has signed-digit weight
+/// at most 1 + max_k_terms.
+bool is_sparse(const NttPrimeInfo& p, int max_k_terms) {
+  return p.q_weight <= 1 + max_k_terms;
+}
+
 }  // namespace
 
-std::vector<NttPrimeInfo> enumerate_ntt_primes(int bit_count, int log_n,
-                                               int mont_r_bits) {
+const std::vector<NttPrimeInfo>& enumerate_ntt_primes(int bit_count,
+                                                      int log_n,
+                                                      int mont_r_bits) {
   ABC_CHECK_ARG(bit_count >= log_n + 3 && bit_count <= 61,
                 "prime width incompatible with degree");
   // The scan tests ~2^(bit_count - log_n - 2) Miller-Rabin candidates, so
   // results are memoized: many tests and benches share parameter sets.
+  // Entries are never modified or erased and map nodes do not move, so
+  // the returned reference stays valid for the life of the process.
   static std::mutex cache_mutex;
   static std::map<std::tuple<int, int, int>, std::vector<NttPrimeInfo>> cache;
   const auto key = std::make_tuple(bit_count, log_n, mont_r_bits);
@@ -56,18 +65,16 @@ std::vector<NttPrimeInfo> enumerate_ntt_primes(int bit_count, int log_n,
     }
   }
   std::scoped_lock lock(cache_mutex);
-  cache.emplace(key, out);
-  return out;
+  return cache.emplace(key, std::move(out)).first->second;
 }
 
 std::vector<NttPrimeInfo> enumerate_sparse_ntt_primes(int bit_count, int log_n,
                                                       int max_k_terms,
                                                       int mont_r_bits) {
-  std::vector<NttPrimeInfo> all =
-      enumerate_ntt_primes(bit_count, log_n, mont_r_bits);
   std::vector<NttPrimeInfo> out;
-  for (const NttPrimeInfo& p : all) {
-    if (p.q_weight <= 1 + max_k_terms) out.push_back(p);
+  for (const NttPrimeInfo& p :
+       enumerate_ntt_primes(bit_count, log_n, mont_r_bits)) {
+    if (is_sparse(p, max_k_terms)) out.push_back(p);
   }
   return out;
 }
@@ -76,7 +83,11 @@ std::size_t count_sparse_ntt_primes(int bit_lo, int bit_hi, int log_n,
                                     int max_k_terms) {
   std::size_t total = 0;
   for (int bw = bit_lo; bw <= bit_hi; ++bw) {
-    total += enumerate_sparse_ntt_primes(bw, log_n, max_k_terms).size();
+    const std::vector<NttPrimeInfo>& all = enumerate_ntt_primes(bw, log_n);
+    total += static_cast<std::size_t>(
+        std::count_if(all.begin(), all.end(), [&](const NttPrimeInfo& p) {
+          return is_sparse(p, max_k_terms);
+        }));
   }
   return total;
 }
@@ -86,8 +97,8 @@ std::vector<NttPrimeInfo> enumerate_paper_friendly_primes(int bit_count,
                                                           int mont_r_bits) {
   std::vector<NttPrimeInfo> out;
   for (const NttPrimeInfo& p :
-       enumerate_sparse_ntt_primes(bit_count, log_n, 3, mont_r_bits)) {
-    if (p.qinv_weight <= 5) out.push_back(p);  // eq. 11 shape
+       enumerate_ntt_primes(bit_count, log_n, mont_r_bits)) {
+    if (is_sparse(p, 3) && p.qinv_weight <= 5) out.push_back(p);  // eq. 11
   }
   return out;
 }
@@ -112,23 +123,17 @@ std::vector<u64> select_prime_chain(int bit_count, int log_n,
     return chain;
   }
 
-  std::vector<NttPrimeInfo> sparse =
-      enumerate_sparse_ntt_primes(bit_count, log_n);
+  const std::vector<NttPrimeInfo>& all =
+      enumerate_ntt_primes(bit_count, log_n);
   std::vector<u64> chain;
   chain.reserve(count);
-  // Prefer sparse primes, largest first (deeper chain levels use later
-  // entries, matching the usual CKKS convention of descending primes).
-  for (auto it = sparse.rbegin(); it != sparse.rend() && chain.size() < count;
-       ++it) {
-    chain.push_back(it->value);
-  }
-  if (chain.size() < count) {
-    std::vector<NttPrimeInfo> all = enumerate_ntt_primes(bit_count, log_n);
+  // Sparse primes first, then generic NTT primes if the sparse pool runs
+  // out; each pass largest first (deeper chain levels use later entries,
+  // matching the usual CKKS convention of descending primes).
+  for (const bool sparse : {true, false}) {
     for (auto it = all.rbegin(); it != all.rend() && chain.size() < count;
          ++it) {
-      if (std::find(chain.begin(), chain.end(), it->value) == chain.end()) {
-        chain.push_back(it->value);
-      }
+      if (is_sparse(*it, 3) == sparse) chain.push_back(it->value);
     }
   }
   ABC_CHECK_ARG(chain.size() == count,

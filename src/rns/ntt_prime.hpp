@@ -36,9 +36,12 @@ struct NttPrimeInfo {
 
 /// All primes q == 1 (mod 2^(log_n+1)) with exactly @p bit_count bits,
 /// i.e. q in [2^(bit_count-1), 2^bit_count). log_n is log2 of the
-/// polynomial degree N. Results are sorted ascending.
-std::vector<NttPrimeInfo> enumerate_ntt_primes(int bit_count, int log_n,
-                                               int mont_r_bits = 44);
+/// polynomial degree N. Results are sorted ascending. The list is
+/// memoized per (bit_count, log_n, mont_r_bits) for the life of the
+/// process; the reference stays valid and the list never changes.
+const std::vector<NttPrimeInfo>& enumerate_ntt_primes(int bit_count,
+                                                      int log_n,
+                                                      int mont_r_bits = 44);
 
 /// Subset of enumerate_ntt_primes whose (Q - 1) signed-digit weight is at
 /// most 1 + max_k_terms — the paper's hardware-friendly form with

@@ -38,7 +38,7 @@ const char* status_name(Status s) noexcept {
 }
 
 /// A queued request: the frame plus the promise its future hangs off.
-/// Heap-allocated so the queues move one pointer; exactly one of execute()
+/// Heap-allocated so the queue moves one pointer; exactly one of execute()
 /// or stop()'s drain fulfills-and-deletes it.
 struct Server::Pending {
   ckks::RequestFrame request;
@@ -66,9 +66,6 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   ABC_CHECK_ARG(config_.workers >= 1, "server needs at least one worker");
   ABC_CHECK_ARG(config_.queue_capacity >= 1,
                 "run-queue capacity must be nonzero");
-  ABC_CHECK_ARG(config_.pin_dispatch_to <
-                    static_cast<int>(config_.workers),
-                "pin_dispatch_to must name an existing worker");
   ABC_CHECK_ARG(config_.trace_ring_capacity >= 1,
                 "trace ring needs at least one slot");
 
@@ -78,7 +75,6 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   }
   traces_ = std::make_unique<obs::TraceRing>(config_.trace_ring_capacity,
                                              config_.slow_request_ns);
-  queues_.resize(config_.workers);
   worker_states_.reserve(config_.workers);
   for (std::size_t w = 0; w < config_.workers; ++w) {
     worker_states_.push_back(std::make_unique<WorkerState>());
@@ -104,17 +100,15 @@ void Server::stop() {
   // nothing enqueues any more: whatever is still queued resolves typed,
   // never hangs.
   std::lock_guard<std::mutex> lock(queue_m_);
-  for (auto& q : queues_) {
-    for (Pending* p : q) {
-      queue_depth_.sub(1);
-      drained_.inc();
-      p->promise.set_value(error_response(p->request.request_id,
-                                          Status::kShuttingDown,
-                                          "server stopped before dispatch"));
-      delete p;
-    }
-    q.clear();
+  for (Pending* p : queue_) {
+    queue_depth_.sub(1);
+    drained_.inc();
+    p->promise.set_value(error_response(p->request.request_id,
+                                        Status::kShuttingDown,
+                                        "server stopped before dispatch"));
+    delete p;
   }
+  queue_.clear();
 }
 
 u64 Server::register_tenant(const ckks::CkksParams& params,
@@ -160,11 +154,10 @@ std::future<ckks::ResponseFrame> Server::submit(ckks::RequestFrame request) {
   pending->trace.op = pending->request.op;
   pending->trace.admit_ns = obs::now_ns();
 
-  // Dispatch: pinned (test knob) targets exactly one queue; round-robin
-  // starts at the cursor and tries each queue once, so one backed-up
-  // worker does not reject while siblings have room. stopping_ is
-  // re-checked under the lock stop() flips it under, so no request can
-  // land in a queue stop() has already drained.
+  // Enqueue. stopping_ is re-checked under the lock stop() flips it
+  // under, so no request can land in a queue stop() has already drained.
+  // The queue is full at workers x queue_capacity requests; the division
+  // states that bound without overflowing the product.
   bool enqueued = false;
   {
     std::lock_guard<std::mutex> lock(queue_m_);
@@ -172,15 +165,8 @@ std::future<ckks::ResponseFrame> Server::submit(ckks::RequestFrame request) {
       rejected_shutting_down_.inc();
       return reject(Status::kShuttingDown, "server is shutting down");
     }
-    const bool pinned = config_.pin_dispatch_to >= 0;
-    const std::size_t start =
-        pinned ? static_cast<std::size_t>(config_.pin_dispatch_to)
-               : rr_next_++;
-    const std::size_t tries = pinned ? 1 : queues_.size();
-    for (std::size_t i = 0; i < tries && !enqueued; ++i) {
-      auto& q = queues_[(start + i) % queues_.size()];
-      if (q.size() >= config_.queue_capacity) continue;
-      q.push_back(pending.release());  // the queue owns it now
+    if (queue_.size() / config_.workers < config_.queue_capacity) {
+      queue_.push_back(pending.release());  // the queue owns it now
       accepted_.inc();
       queue_depth_.add(1);
       enqueued = true;
@@ -194,18 +180,15 @@ std::future<ckks::ResponseFrame> Server::submit(ckks::RequestFrame request) {
     } catch (const std::exception& e) {
       return reject(Status::kQueueFull, e.what());
     }
-    return reject(Status::kQueueFull,
-                  "every eligible run queue is at capacity");
+    return reject(Status::kQueueFull, "the run queue is at capacity");
   }
 
-  // Any idle worker can run it: its own queue or a sibling's, it steals.
   queue_cv_.notify_one();
   return future;
 }
 
 void Server::worker_loop(std::size_t worker) {
   WorkerState& state = *worker_states_[worker];
-  const std::size_t n = queues_.size();
 
   while (true) {
     Pending* p = nullptr;
@@ -213,57 +196,31 @@ void Server::worker_loop(std::size_t worker) {
       // stopping_ is checked before popping: stop() means queued work
       // resolves kShuttingDown via the drain (the contract stop()
       // documents), not a slow crawl through the backlog. The in-flight
-      // request, if any, still finishes normally. Otherwise the worker's
-      // own front first, then siblings in ring order — every queue pops
-      // from its front, so FIFO holds whoever drains. The dequeue stamp is
+      // request, if any, still finishes normally. Every worker pops the
+      // front, so requests start in submit order; the dequeue stamp is
       // taken under the lock, so dequeue_ns order is pop order.
       std::unique_lock<std::mutex> lock(queue_m_);
       queue_cv_.wait(lock, [&] {
-        if (stopping_.load(std::memory_order_relaxed)) return true;
-        for (std::size_t off = 0; off < n; ++off) {
-          auto& q = queues_[(worker + off) % n];
-          if (q.empty()) continue;
-          p = q.front();
-          q.pop_front();
-          queue_depth_.sub(1);
-          p->trace.dequeue_ns = obs::now_ns();
-          p->trace.stolen = off != 0;
-          return true;
-        }
-        return false;
+        return stopping_.load(std::memory_order_relaxed) || !queue_.empty();
       });
+      if (stopping_.load(std::memory_order_relaxed)) return;
+      p = queue_.front();
+      queue_.pop_front();
+      queue_depth_.sub(1);
+      p->trace.dequeue_ns = obs::now_ns();
     }
-    if (p == nullptr) return;  // stopping
-    if (p->trace.stolen) steals_.inc();
     execute(p, state, worker);
   }
 }
 
 void Server::execute(Pending* pending, WorkerState& state,
                      std::size_t worker) {
-  ckks::ResponseFrame resp;
-  const u64 request_id = pending->request.request_id;
   queue_wait_ns_.record(pending->trace.queue_wait_ns());
   // Install the trace for the duration of the request so deep layers
   // (key-switch tallies, engine stamps) reach it through active_trace()
   // without signature changes.
   obs::TraceScope trace_scope(&pending->trace);
-  // The exception->status taxonomy of the whole daemon: a caller mistake
-  // (malformed envelope, missing key, bad step) is kBadRequest; everything
-  // else — invariant breaks, allocation failure, fault injection — is
-  // kInternal. Either way the worker survives and the promise resolves.
-  try {
-    if (pending->trace.stolen) ABC_FAILPOINT(fail::points::kServerMigrate);
-    ABC_FAILPOINT(fail::points::kServerDispatch);
-    resp = process(pending->request, state);
-  } catch (const InvalidArgument& e) {
-    resp = error_response(request_id, Status::kBadRequest, e.what());
-  } catch (const std::exception& e) {
-    resp = error_response(request_id, Status::kInternal, e.what());
-  } catch (...) {
-    resp = error_response(request_id, Status::kInternal,
-                          "foreign exception during dispatch");
-  }
+  ckks::ResponseFrame resp = dispatch(pending->request, state, true);
   pending->trace.respond_ns = obs::now_ns();
   const u64 total_ns = pending->trace.total_ns();
   request_ns_.record(total_ns);
@@ -281,10 +238,22 @@ void Server::execute(Pending* pending, WorkerState& state,
 }
 
 ckks::ResponseFrame Server::process_serial(const ckks::RequestFrame& request) {
-  // Fresh single-use worker state: identical code path, zero queues, zero
-  // shared evaluator state — the reference the soak tests diff against.
+  // Fresh single-use worker state: the workers' dispatch body with no
+  // queue and no shared evaluator state — the reference the soak tests
+  // diff against.
   WorkerState state;
+  return dispatch(request, state, false);
+}
+
+ckks::ResponseFrame Server::dispatch(const ckks::RequestFrame& request,
+                                     WorkerState& state, bool queued) {
+  // The exception->status taxonomy of the whole daemon: a caller mistake
+  // (malformed envelope, missing key, bad step) is kBadRequest; everything
+  // else — invariant breaks, allocation failure, fault injection — is
+  // kInternal. Either way the worker survives and the promise resolves.
+  // Only a queued request crosses the server.dispatch failpoint.
   try {
+    if (queued) ABC_FAILPOINT(fail::points::kServerDispatch);
     return process(request, state);
   } catch (const InvalidArgument& e) {
     return error_response(request.request_id, Status::kBadRequest, e.what());
@@ -406,7 +375,6 @@ ServerStats Server::stats() const {
     out.per_worker_processed.push_back(
         per_worker_processed_[w].load(std::memory_order_relaxed));
   }
-  out.steals = steals_.value();
   return out;
 }
 

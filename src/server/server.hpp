@@ -8,33 +8,31 @@
 ///  * a SessionRegistry of tenants and their seed-compressed key records,
 ///  * a byte-bounded KeyCache regenerating expanded key-switch keys on
 ///    demand, shared by every tenant and worker (key_cache.hpp),
-///  * N per-core worker threads, each draining its own bounded FIFO and
-///    stealing from a sibling's when its own is empty; one mutex and one
-///    condition variable guard every FIFO,
+///  * N per-core worker threads popping the front of one bounded FIFO
+///    run queue, guarded by one mutex and one condition variable,
 ///  * admission control that bounds queue depth and per-request bytes
 ///    *before* any buffer is reserved (the PR 5/PR 7 envelope-hardening
 ///    philosophy applied to the daemon's front door).
 ///
 /// Request lifecycle (docs/ARCHITECTURE.md has the full diagram):
 ///
-///   submit(frame) ── admission ──> queue[w] ──> worker w (or a
-///   stealing sibling) ──> process: registry lookup -> deserialize "ABCB"
-///   -> BatchEvaluator op -> reserialize ──> promise -> future
+///   submit(frame) ── admission ──> run queue ──> first idle worker ──>
+///   dispatch: registry lookup -> deserialize "ABCB" -> BatchEvaluator op
+///   -> reserialize ──> promise -> future
 ///
 /// Every failure is a *typed response*, never a hang or a crashed worker:
 /// admission rejections (kQueueFull, kTooLarge) answer immediately
 /// without enqueueing; execution faults map exception -> status
 /// (InvalidArgument -> kBadRequest, anything else -> kInternal) per
 /// request. Failpoints server.accept / server.queue_full /
-/// server.dispatch / server.migrate sit on those paths so the fault
-/// drills can prove it.
+/// server.dispatch sit on those paths so the fault drills can prove it.
 ///
 /// Determinism: request processing consumes no PRNG stream and each
 /// request is self-contained, so a response's bytes depend only on the
 /// request and the tenant's registered keys — independent of worker
-/// count, dispatch order, and steal schedule. process_serial() runs the
-/// exact worker code path on the calling thread; the soak tests assert
-/// daemon responses byte-identical to it.
+/// count and of which worker pops the request. process_serial() runs the
+/// same dispatch body as the workers on the calling thread; the soak
+/// tests assert daemon responses byte-identical to it.
 
 #include <atomic>
 #include <condition_variable>
@@ -78,7 +76,7 @@ enum class Status : u8 {
   kUnknownTenant = 2,  // tenant id not registered
   kUnknownOp = 3,      // op byte outside the enum
   kTooLarge = 4,       // payload exceeds max_request_bytes (admission)
-  kQueueFull = 5,      // every run queue full (admission backpressure)
+  kQueueFull = 5,      // run queue full (admission backpressure)
   kInternal = 6,       // invariant/allocation/foreign exception
   kShuttingDown = 7,   // submitted or still queued at stop()
 };
@@ -88,8 +86,8 @@ const char* status_name(Status s) noexcept;
 struct ServerConfig {
   /// Per-core worker threads (>= 1).
   std::size_t workers = 1;
-  /// Per-worker run-queue capacity (>= 1), exact: a queue holding this
-  /// many requests is full.
+  /// Run-queue capacity per worker (>= 1), exact: submit() answers
+  /// kQueueFull once workers x queue_capacity requests are queued.
   std::size_t queue_capacity = 64;
   /// Admission bound on RequestFrame::payload bytes.
   std::size_t max_request_bytes = 64u << 20;
@@ -106,10 +104,6 @@ struct ServerConfig {
   /// explicitly because an "ABCK" blob alone cannot reconstruct a full
   /// parameter set — a real deployment pins what it serves.
   std::vector<ckks::CkksParams> param_sets;
-  /// Test knob: route every request to this queue (-1 = round-robin).
-  /// Lets tests fill one queue deterministically (backpressure) or force
-  /// cross-core migration (an idle sibling must steal to make progress).
-  int pin_dispatch_to = -1;
   /// Completed traces retained for the Op::kStats scrape (recent ring and
   /// slow ring each hold this many).
   std::size_t trace_ring_capacity = 256;
@@ -122,11 +116,12 @@ struct ServerConfig {
 /// instances (exact per-instance semantics; Server::metrics_snapshot()
 /// gives the aggregated process view).
 struct ServerStats {
-  u64 accepted = 0;            // enqueued to some run queue
+  u64 accepted = 0;            // enqueued to the run queue
   u64 rejected_too_large = 0;  // admission: payload bound
-  u64 rejected_queue_full = 0; // admission: every eligible queue full
+  u64 rejected_queue_full = 0; // admission: run queue full
   u64 processed = 0;           // responses produced by workers
-  u64 steals = 0;              // requests drained via migration
+  u64 steals = 0;              // always 0 (one queue, nothing to steal);
+                               // kept for perfbench/perfbench.cpp
   u64 drained = 0;             // queued requests resolved by stop()
   u64 slow_requests = 0;       // end-to-end time >= slow_request_ns
   std::vector<u64> per_worker_processed;
@@ -179,9 +174,9 @@ class Server {
     return submit(std::move(request)).get();
   }
 
-  /// The exact per-request code path the workers run, executed on the
-  /// calling thread with no queues involved — the serial reference every
-  /// bit-identity soak test compares daemon responses against.
+  /// The workers' dispatch body, run on the calling thread with no queue
+  /// involved (and no server.dispatch failpoint) — the serial reference
+  /// every bit-identity soak test compares daemon responses against.
   ckks::ResponseFrame process_serial(const ckks::RequestFrame& request);
 
   ServerStats stats() const;
@@ -205,6 +200,8 @@ class Server {
 
   void worker_loop(std::size_t worker);
   void execute(Pending* pending, WorkerState& state, std::size_t worker);
+  ckks::ResponseFrame dispatch(const ckks::RequestFrame& request,
+                               WorkerState& state, bool queued);
   ckks::ResponseFrame process(const ckks::RequestFrame& request,
                               WorkerState& state);
   ckks::ResponseFrame evaluate(const ckks::RequestFrame& request,
@@ -217,14 +214,13 @@ class Server {
   SessionRegistry registry_;
   KeyCache key_cache_{config_.key_cache_bytes};
 
-  // One lock for dispatch: queue_m_ guards every worker's FIFO and the
-  // round-robin cursor, and stop() flips stopping_ under it, so a submit
-  // that re-checks stopping_ under queue_m_ can never enqueue after stop()
-  // drained the queues. Idle workers block on queue_cv_ with no timeout.
+  // One lock for dispatch: queue_m_ guards the run queue, and stop()
+  // flips stopping_ under it, so a submit that re-checks stopping_ under
+  // queue_m_ can never enqueue after stop() drained the queue. Idle
+  // workers block on queue_cv_ with no timeout.
   std::mutex queue_m_;
   std::condition_variable queue_cv_;
-  std::vector<std::deque<Pending*>> queues_;
-  std::size_t rr_next_ = 0;
+  std::deque<Pending*> queue_;
   std::atomic<bool> stopping_{false};
 
   std::vector<std::thread> workers_;
@@ -244,8 +240,6 @@ class Server {
       obs::registry().counter(obs::catalog::kServerRejectedShuttingDown);
   obs::Counter processed_ =
       obs::registry().counter(obs::catalog::kServerProcessed);
-  obs::Counter steals_ =
-      obs::registry().counter(obs::catalog::kServerSteals);
   obs::Counter drained_ =
       obs::registry().counter(obs::catalog::kServerDrained);
   obs::Counter slow_requests_ =

@@ -30,16 +30,8 @@ std::size_t ContextCache::size() const {
 
 const ckks::CompressedKeySwitchKey* TenantSession::galois_record_for(
     int step) const noexcept {
-  const auto reduce = [this](long long s) {
-    if (slots == 0) return s;
-    const auto m = static_cast<long long>(slots);
-    return ((s % m) + m) % m;
-  };
-  const long long want = reduce(step);
-  for (std::size_t i = 0; i < gk_steps.size(); ++i) {
-    if (reduce(gk_steps[i]) == want && i < gks.size()) return &gks[i];
-  }
-  return nullptr;
+  const std::size_t i = ckks::find_rotation_step(gk_steps, step, slots);
+  return i < gks.size() ? &gks[i] : nullptr;
 }
 
 std::size_t TenantSession::compressed_key_bytes() const noexcept {

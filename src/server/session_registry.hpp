@@ -73,8 +73,8 @@ struct TenantSession {
   std::vector<int> gk_steps;  // gk_steps[i] belongs to gks[i]
   std::vector<ckks::CompressedKeySwitchKey> gks;
 
-  /// The compressed record covering @p step (matched modulo the slot
-  /// count, exactly like GaloisKeys::key_for); nullptr when absent.
+  /// The compressed record covering @p step (ckks::find_rotation_step,
+  /// the rule GaloisKeys::find uses); nullptr when absent.
   const ckks::CompressedKeySwitchKey* galois_record_for(
       int step) const noexcept;
 

@@ -25,6 +25,7 @@
 #include "ckks/encoder.hpp"
 #include "ckks/encryptor.hpp"
 #include "ckks/evaluator.hpp"
+#include "engine/client_session.hpp"
 #include "rns/ntt_prime.hpp"
 
 namespace {
@@ -199,6 +200,49 @@ TEST(AllocBudget, PaperPointContextHoldsHalfSizeSharedTables) {
       retained_by([&] { second = CkksContext::create(params); });
   EXPECT_LE(second_bytes, dwt_plan + slack);
   EXPECT_EQ(&first->poly_context()->ntt(0), &second->poly_context()->ntt(0));
+}
+
+TEST(AllocBudget, WarmContextCreateAllocatesLittleItDoesNotKeep) {
+  // With the prime search memo and the NTT tables warm, a second context
+  // allocates what it keeps (its DWT plan, the basis constants) plus a
+  // little scratch: 0.40 MB measured (Release, x86-64). The budget sits
+  // below the 0.7 MB that copying the memoized prime list and its sparse
+  // subset on each create would add (1.12 MB transient with the copies).
+  constexpr std::size_t kTransientBudget = 512 * 1024;
+  const CkksParams params = CkksParams::bootstrappable();
+  const auto first = CkksContext::create(params);
+  std::shared_ptr<const CkksContext> second;
+  const std::size_t live_before = g_live_bytes.load();
+  const std::size_t allocated =
+      allocated_by([&] { second = CkksContext::create(params); });
+  const std::size_t retained = g_live_bytes.load() - live_before;
+  EXPECT_LE(allocated - retained, kTransientBudget)
+      << allocated << " B allocated, " << retained << " B retained";
+}
+
+TEST(AllocBudget, PaperPointEchoRoundAllocatesNoCiphertextCopy) {
+  // One retrying round trip of one paper-point item through an echo
+  // transport: encode, encrypt, the upload envelope and its echo, the
+  // parsed reply, decrypt and decode. Measured at 184 limbs' worth
+  // (96.5 MB, Release, x86-64); the budget is 8 x 24 = 192 limbs. A deep
+  // copy of the ciphertext into the upload batch adds 2 x 24 limbs and
+  // reads 233.
+  const auto ctx = CkksContext::create(CkksParams::bootstrappable());
+  engine::ClientSession session(ctx);
+  const std::size_t limbs = ctx->max_limbs();
+  const std::size_t budget = 8 * limbs * limb_bytes(*ctx);
+  const std::vector<std::vector<std::complex<double>>> msgs = {
+      random_slots(ctx->slots(), 4)};
+  const engine::ClientSession::Transport echo = [](std::span<const u8> up) {
+    return std::vector<u8>(up.begin(), up.end());
+  };
+  (void)session.round_trip_with_retry(msgs, limbs, echo, 1);  // warm-up
+  engine::ClientSession::RetryReport report;
+  const std::size_t bytes = allocated_by(
+      [&] { report = session.round_trip_with_retry(msgs, limbs, echo, 1); });
+  EXPECT_LE(bytes, budget);
+  EXPECT_TRUE(report.ok);
+  EXPECT_EQ(report.rounds, 1u);
 }
 
 TEST(AllocBudget, CiphertextProductAllocatesOnlyItsOutputs) {

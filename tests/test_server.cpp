@@ -1,10 +1,11 @@
 // The serving-daemon battery: multi-threaded soak (responses bit-identical
-// to serial execution at every worker count), work-stealing determinism,
-// the run-queue contracts (FIFO whoever drains, nothing lost, no missed
-// wakeup, no submit lost to a racing stop()), backpressure/overload with typed rejections, warm-context cache keying,
-// failpoint-driven fault drills on accept/dispatch/migrate/evaluate, and
-// the Unix-domain-socket transport end to end, including fd reaping under
-// a lowered RLIMIT_NOFILE.
+// to serial execution at every worker count), the run-queue contracts
+// (FIFO whoever drains, nothing lost, no missed wakeup, no submit lost to
+// a racing stop()), backpressure/overload with typed rejections and the
+// exact admission bound, warm-context cache keying, failpoint-driven
+// fault drills on accept/dispatch/evaluate, and the Unix-domain-socket
+// transport end to end, including fd reaping under a lowered
+// RLIMIT_NOFILE.
 
 #include <gtest/gtest.h>
 
@@ -155,7 +156,7 @@ TEST_F(ServerTest, SoakResponsesBitIdenticalToSerialAtEveryWorkerCount) {
       const ckks::ResponseFrame serial = srv.process_serial(requests[i]);
       ASSERT_EQ(status_of(serial), Status::kOk) << serial.error;
       EXPECT_EQ(resp.payload, serial.payload) << "request " << i;
-      // ...and to every other worker count / steal schedule.
+      // ...and to every other worker count / dispatch order.
       if (reference.size() <= i) {
         reference.push_back(resp.payload);
       } else {
@@ -166,52 +167,6 @@ TEST_F(ServerTest, SoakResponsesBitIdenticalToSerialAtEveryWorkerCount) {
     EXPECT_EQ(stats.accepted, kRequests);
     EXPECT_EQ(stats.processed, kRequests);
   }
-}
-
-TEST_F(ServerTest, WorkStealingMigratesRequestsWithoutChangingBytes) {
-  const ckks::CkksParams params = small_params();
-  Client client(params);
-  const ckks::KeyBundleFrames frames = frames_of(client.session.key_bundle());
-  const auto msgs = random_batch(2, client.ctx->slots(), 7);
-
-  ServerConfig cfg;
-  cfg.workers = 2;
-  cfg.pin_dispatch_to = 0;  // everything lands on worker 0's queue...
-  cfg.queue_capacity = 64;
-  cfg.param_sets = {params};
-  Server srv(cfg);
-  const u64 tenant = srv.register_tenant(params, frames);
-
-  // ...and a per-dispatch delay keeps worker 0 busy long enough that
-  // worker 1 must steal to make progress.
-  fail::Policy slow;
-  slow.action = fail::Action::kDelay;
-  slow.delay_us = 1000;
-  fail::arm(fail::points::kServerDispatch, slow);
-
-  const std::vector<u8> upload =
-      client.session.upload(msgs, client.eval_limbs());
-  const ckks::ResponseFrame serial =
-      srv.process_serial(make_request(tenant, 1, Op::kEcho, 0, upload));
-  ASSERT_EQ(status_of(serial), Status::kOk) << serial.error;
-
-  // Bounded retry so no scheduler pathology can flake the assertion.
-  u64 steals = 0;
-  for (int round = 0; round < 20 && steals == 0; ++round) {
-    std::vector<std::future<ckks::ResponseFrame>> futures;
-    for (u64 i = 0; i < 8; ++i) {
-      futures.push_back(
-          srv.submit(make_request(tenant, 100 + i, Op::kEcho, 0, upload)));
-    }
-    for (auto& f : futures) {
-      const ckks::ResponseFrame resp = f.get();
-      ASSERT_EQ(status_of(resp), Status::kOk) << resp.error;
-      // Stolen or not, the bytes are the bytes.
-      EXPECT_EQ(resp.payload, serial.payload);
-    }
-    steals = srv.stats().steals;
-  }
-  EXPECT_GT(steals, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -243,14 +198,12 @@ ServerConfig four_workers() {
   return cfg;
 }
 
-// The run-queue contracts, checked through the Server that owns the queues:
-// pin_dispatch_to sends every request into worker 0's queue, so worker 0
-// is its owner and worker 1 can only reach it by stealing.
+// The run-queue contracts, checked through the Server that owns the queue:
+// two workers pop the front of one FIFO.
 struct RunQueue : ServerTest {
-  static ServerConfig owner_and_thief(std::size_t trace_capacity) {
+  static ServerConfig two_drainers(std::size_t trace_capacity) {
     ServerConfig cfg;
     cfg.workers = 2;
-    cfg.pin_dispatch_to = 0;
     cfg.trace_ring_capacity = trace_capacity;
     return cfg;
   }
@@ -272,31 +225,28 @@ struct RunQueue : ServerTest {
           << " overtook its predecessor";
     }
   }
-
-  static u64 stolen_count(const std::vector<obs::Trace>& traces) {
-    return static_cast<u64>(std::count_if(
-        traces.begin(), traces.end(),
-        [](const obs::Trace& t) { return t.stolen; }));
-  }
 };
 
-TEST_F(RunQueue, StealDrainsFromTheSameEndAndCounts) {
-  Server srv(owner_and_thief(512));
+TEST_F(RunQueue, TwoDrainersPopInSubmitOrder) {
+  Server srv(two_drainers(512));
 
-  // A per-dispatch delay keeps worker 0 busy, so worker 1 steals from the
-  // same queue while worker 0 still pops from it.
+  // A per-dispatch delay keeps each worker busy long enough that the
+  // other pops the next request meanwhile.
   fail::Policy slow;
   slow.action = fail::Action::kDelay;
   slow.delay_us = 1000;
   fail::arm(fail::points::kServerDispatch, slow);
 
-  // The trace flag, not the steal counter, decides the retry, so the
-  // check also runs with metrics compiled out. Bounded retry: no
-  // scheduler pathology can flake the at-least-one-steal assertion.
+  // Bounded retry until both workers have drained: no scheduler
+  // pathology can flake the two-drainer premise.
   constexpr u64 kPerRound = 16;
   u64 next_id = 1;
-  bool any_stolen = false;
-  for (int round = 0; round < 20 && !any_stolen; ++round) {
+  auto both_drained = [&] {
+    const server::ServerStats stats = srv.stats();
+    return stats.per_worker_processed[0] > 0 &&
+           stats.per_worker_processed[1] > 0;
+  };
+  for (int round = 0; round < 20 && !both_drained(); ++round) {
     std::vector<std::future<ckks::ResponseFrame>> futures;
     for (u64 i = 0; i < kPerRound; ++i) {
       futures.push_back(
@@ -304,35 +254,29 @@ TEST_F(RunQueue, StealDrainsFromTheSameEndAndCounts) {
     }
     for (auto& f : futures) {
       ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready)
-          << "a pinned request was never picked up";
+          << "a queued request was never picked up";
       ASSERT_EQ(status_of(f.get()), Status::kUnknownOp);
     }
-    for (const obs::Trace& t : srv.traces().recent()) any_stolen |= t.stolen;
   }
-  EXPECT_TRUE(any_stolen);
+  EXPECT_TRUE(both_drained());
 
-  // Submitted in id order from one thread into one queue: owner and thief
-  // both pop its front, so dequeue order is id order whoever popped.
-  const std::vector<obs::Trace> traces = srv.traces().recent();
-  expect_partitioned_in_order(traces, next_id - 1);
-
-  // Every steal is counted once; an idle worker finding every queue empty
-  // is not a steal.
-  const u64 steals = srv.stats().steals;
-  EXPECT_EQ(steals, stolen_count(traces));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(srv.stats().steals, steals);
+  // Submitted in id order from one thread into one queue: both workers
+  // pop its front, so dequeue order is id order whoever popped.
+  expect_partitioned_in_order(srv.traces().recent(), next_id - 1);
+  const server::ServerStats stats = srv.stats();
+  EXPECT_EQ(stats.per_worker_processed[0] + stats.per_worker_processed[1],
+            next_id - 1);
 }
 
-TEST_F(RunQueue, ConcurrentOwnerAndThievesPartitionTheStream) {
+TEST_F(RunQueue, ConcurrentDrainersPartitionTheStream) {
   constexpr u64 kItems = 2000;
-  ServerConfig cfg = owner_and_thief(kItems);
+  ServerConfig cfg = two_drainers(kItems);
   cfg.queue_capacity = 16;  // small, so the submitter often meets a full queue
   Server srv(cfg);
 
-  // One submitter streams into the pinned queue while owner and thief
-  // drain it; a request bounced by the full queue is resubmitted under the
-  // same id, so ids enter the queue in order.
+  // One submitter streams into the queue while both workers drain it; a
+  // request bounced by the full queue is resubmitted under the same id,
+  // so ids enter the queue in order.
   std::vector<std::future<ckks::ResponseFrame>> futures;
   std::thread submitter([&] {
     for (u64 id = 1; id <= kItems; ++id) {
@@ -368,15 +312,60 @@ TEST_F(RunQueue, ConcurrentOwnerAndThievesPartitionTheStream) {
   }
 
   // Between them the drainers dequeued every request exactly once.
-  const std::vector<obs::Trace> traces = srv.traces().recent();
-  expect_partitioned_in_order(traces, kItems);
+  expect_partitioned_in_order(srv.traces().recent(), kItems);
   const server::ServerStats stats = srv.stats();
   EXPECT_EQ(stats.accepted, kItems);
   EXPECT_EQ(stats.processed, kItems);
   EXPECT_EQ(stats.per_worker_processed[0] + stats.per_worker_processed[1],
             kItems);
-  EXPECT_EQ(stats.per_worker_processed[1], stolen_count(traces));
-  EXPECT_EQ(stats.steals, stolen_count(traces));
+}
+
+TEST_F(RunQueue, AdmitsExactlyWorkersTimesCapacityQueued) {
+  ServerConfig cfg = two_drainers(64);
+  cfg.queue_capacity = 3;
+  Server srv(cfg);
+  const u64 bound = cfg.workers * cfg.queue_capacity;
+
+  // Each worker stalls on the first request it dequeues, so once both
+  // have crossed the dispatch failpoint nothing leaves the queue until
+  // stop(). Only those two dispatches are delayed.
+  fail::Policy stall;
+  stall.action = fail::Action::kDelay;
+  stall.delay_us = 1'000'000;
+  stall.max_fires = cfg.workers;
+  fail::arm(fail::points::kServerDispatch, stall);
+
+  u64 id = 1;
+  std::vector<std::future<ckks::ResponseFrame>> held;
+  for (std::size_t w = 0; w < cfg.workers; ++w) {
+    held.push_back(
+        srv.submit(make_request(9, id++, static_cast<Op>(42), 0, {})));
+  }
+  run_within_or_abort(std::chrono::seconds(5), "both workers dequeuing", [&] {
+    while (fail::hits(fail::points::kServerDispatch) < cfg.workers) {
+      std::this_thread::yield();
+    }
+  });
+
+  std::vector<std::future<ckks::ResponseFrame>> queued;
+  for (u64 i = 0; i < bound; ++i) {
+    queued.push_back(
+        srv.submit(make_request(9, id++, static_cast<Op>(42), 0, {})));
+  }
+  // The bound-th queued request was admitted: it waits in the queue...
+  EXPECT_EQ(queued.back().wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  EXPECT_EQ(srv.stats().accepted, cfg.workers + bound);
+  // ...and the next one is rejected at once.
+  auto over = srv.submit(make_request(9, id++, static_cast<Op>(42), 0, {}));
+  ASSERT_EQ(over.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(status_of(over.get()), Status::kQueueFull);
+  EXPECT_EQ(srv.stats().rejected_queue_full, 1u);
+
+  // stop() lets the held requests finish and drains the queued ones.
+  srv.stop();
+  for (auto& f : held) EXPECT_EQ(status_of(f.get()), Status::kUnknownOp);
+  for (auto& f : queued) EXPECT_EQ(status_of(f.get()), Status::kShuttingDown);
 }
 
 TEST_F(ServerTest, ManySubmittersLoseNothing) {
@@ -444,14 +433,14 @@ TEST_F(ServerTest, SubmitsRacingStopAllResolve) {
   // A delay at the accept failpoint holds each submit between its
   // lock-free stopping_ pre-check and the enqueue, so stop() lands inside
   // that window: only the re-check under the queue lock keeps those
-  // submits out of the queues stop() has already drained.
+  // submits out of the queue stop() has already drained.
   fail::Policy window;
   window.action = fail::Action::kDelay;
   window.delay_us = 200;
   fail::arm(fail::points::kServerAccept, window);
 
   constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = 50;  // 200 < 4 queues x 64: never full
+  constexpr std::size_t kPerThread = 50;  // 200 < 4 workers x 64: never full
   for (int round = 0; round < 20; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     Server srv(four_workers());
@@ -794,57 +783,6 @@ TEST_F(ServerTest, EvaluateItemFaultIsTypedAndLeavesNoResidue) {
   const ckks::ResponseFrame after = srv.call(request);
   ASSERT_EQ(status_of(after), Status::kOk) << after.error;
   EXPECT_EQ(after.payload, serial.payload);
-}
-
-TEST_F(ServerTest, MigrateFaultFailsStolenRequestsTyped) {
-  const ckks::CkksParams params = small_params();
-  Client client(params);
-  ServerConfig cfg;
-  cfg.workers = 2;
-  cfg.pin_dispatch_to = 0;
-  cfg.queue_capacity = 64;
-  cfg.param_sets = {params};
-  Server srv(cfg);
-  const u64 tenant =
-      srv.register_tenant(params, frames_of(client.session.key_bundle()));
-  const auto msgs = random_batch(2, client.ctx->slots(), 17);
-  const std::vector<u8> upload =
-      client.session.upload(msgs, client.eval_limbs());
-
-  fail::Policy slow;
-  slow.action = fail::Action::kDelay;
-  slow.delay_us = 1000;
-  fail::arm(fail::points::kServerDispatch, slow);
-  fail::Policy boom;
-  boom.action = fail::Action::kThrowRuntimeError;
-  fail::arm(fail::points::kServerMigrate, boom);
-
-  for (int round = 0;
-       round < 20 && fail::fires(fail::points::kServerMigrate) == 0;
-       ++round) {
-    std::vector<std::future<ckks::ResponseFrame>> futures;
-    for (u64 i = 0; i < 8; ++i) {
-      futures.push_back(
-          srv.submit(make_request(tenant, i, Op::kEcho, 0, upload)));
-    }
-    for (auto& f : futures) {
-      const ckks::ResponseFrame resp = f.get();
-      // A stolen request absorbs the injected fault as kInternal; the
-      // rest succeed. Nothing hangs, no worker dies.
-      ASSERT_TRUE(status_of(resp) == Status::kOk ||
-                  status_of(resp) == Status::kInternal)
-          << static_cast<int>(resp.status);
-      if (status_of(resp) == Status::kInternal) {
-        EXPECT_NE(resp.error.find(fail::points::kServerMigrate),
-                  std::string::npos);
-      }
-    }
-  }
-  EXPECT_GT(fail::fires(fail::points::kServerMigrate), 0u);
-
-  fail::disarm_all();
-  EXPECT_EQ(status_of(srv.call(make_request(tenant, 99, Op::kEcho, 0, upload))),
-            Status::kOk);
 }
 
 // ---------------------------------------------------------------------------
