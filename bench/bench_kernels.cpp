@@ -2,8 +2,8 @@
 // baseline of Fig. 5(a) — NTT/INTT (seed eager-reduction kernel vs. the
 // Harvey lazy-reduction portable/AVX2/AVX-512-IFMA kernels), the batched
 // dyadic ops (seed per-element Barrett vs. the simd/ kernel set), the
-// fused-vs-unfused single-pass chains (gadget accumulate, negate_add,
-// sub_mul_scalar, fma_into), ChaCha20 keystream MB/s per tier and one
+// fused-vs-unfused single-pass chains (gadget accumulate, sub_mul_scalar,
+// fma_into), ChaCha20 keystream MB/s per tier and one
 // paper-point (bootstrappable, 24-limb) uniform fill, the decode path
 // (CRT compose BigUint vs u128, DWT forward/inverse scalar vs tier,
 // decode at 2 limbs), hardware-model modular multipliers, and end-to-end
@@ -142,7 +142,9 @@ void bench_dyadic(TextTable& table, int reps,
          for (std::size_t j = 0; j < n; ++j)
            d[j] = q.add(d[j], q.mul(src[j], aux[j]));
        },
-       [&](u64* d) { simd::dyadic_fma(dm, d, src.data(), aux.data(), n); }},
+       [&](u64* d) {
+         simd::dyadic_fma_into(dm, d, d, src.data(), aux.data(), n);
+       }},
       {"mul_scalar",
        [&](u64* d) {
          for (std::size_t j = 0; j < n; ++j) d[j] = q.mul(d[j], scalar.operand);
@@ -181,9 +183,8 @@ void bench_dyadic(TextTable& table, int reps,
 /// Fused single-pass kernels vs. the unfused multi-pass chains they replace,
 /// per arch tier, in the unified {op, arch, fused, ns_per_op} record schema.
 /// The shapes mirror the hot paths: gadget_accumulate is the key-switch
-/// inner loop (permutation gather + two fma passes), negate_add the
-/// encrypt/keygen combine, sub_mul_scalar the rescale/mod-down tail, and
-/// fma_into the decrypt phase computation.
+/// inner loop (permutation gather + two fma passes), sub_mul_scalar the
+/// rescale/mod-down tail, and fma_into the decrypt phase computation.
 void bench_fused(TextTable& table, int reps,
                  const std::vector<simd::KernelArch>& arches) {
   // n = 2^18: larger than the single-limb ring so the streams spill L2 the
@@ -221,20 +222,16 @@ void bench_fused(TextTable& table, int reps,
       {"gadget_accumulate",
        [&] {
          for (std::size_t j = 0; j < n; ++j) tmp[j] = digit[perm[j]];
-         simd::dyadic_fma(dm, acc0.data(), tmp.data(), kb.data(), n);
-         simd::dyadic_fma(dm, acc1.data(), tmp.data(), ka.data(), n);
+         simd::dyadic_fma_into(dm, acc0.data(), acc0.data(), tmp.data(),
+                               kb.data(), n);
+         simd::dyadic_fma_into(dm, acc1.data(), acc1.data(), tmp.data(),
+                               ka.data(), n);
        },
        [&] {
          simd::dyadic_fma_accumulate(dm, acc0.data(), acc1.data(),
                                      digit.data(), kb.data(), ka.data(),
                                      perm.data(), n);
        }},
-      {"negate_add",
-       [&] {
-         simd::dyadic_negate(dm, dst.data(), n);
-         simd::dyadic_add(dm, dst.data(), src.data(), n);
-       },
-       [&] { simd::dyadic_negate_add(dm, dst.data(), src.data(), n); }},
       {"sub_mul_scalar",
        [&] {
          simd::dyadic_sub(dm, dst.data(), src.data(), n);
@@ -248,7 +245,8 @@ void bench_fused(TextTable& table, int reps,
       {"fma_into",
        [&] {
          std::copy(acc0.begin(), acc0.end(), out.begin());
-         simd::dyadic_fma(dm, out.data(), digit.data(), kb.data(), n);
+         simd::dyadic_fma_into(dm, out.data(), out.data(), digit.data(),
+                               kb.data(), n);
        },
        [&] {
          simd::dyadic_fma_into(dm, out.data(), acc0.data(), digit.data(),

@@ -127,11 +127,11 @@ Ciphertext Encryptor::encrypt_public(const Plaintext& pt, u64 id,
     // c0_i = NTT(m + e0) + b_i * u (pass 2).
     lift_limb(q, c0i, s.err0_, pt.poly.limb(i).data());
     pctx.ntt(i).forward({c0i, n});
-    simd::dyadic_fma(dm, c0i, pk_->b.limb(i).data(), u, n);
+    simd::dyadic_fma_into(dm, c0i, c0i, pk_->b.limb(i).data(), u, n);
     // c1_i = NTT(e1) + a_i * u (pass 3).
     lift_limb(q, c1i, s.err1_, nullptr);
     pctx.ntt(i).forward({c1i, n});
-    simd::dyadic_fma(dm, c1i, pk_->a.limb(i).data(), u, n);
+    simd::dyadic_fma_into(dm, c1i, c1i, pk_->a.limb(i).data(), u, n);
     xf::op_counts().poly_mul += 2 * n;  // two mul + add chains
     xf::op_counts().poly_add += 2 * n;
   });

@@ -52,9 +52,6 @@ class PolyContext {
   }
 
   backend::PolyBackend& backend() const noexcept { return *backend_; }
-  const std::shared_ptr<backend::PolyBackend>& backend_ptr() const noexcept {
-    return backend_;
-  }
 
  private:
   int log_n_;

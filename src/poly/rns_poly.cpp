@@ -50,8 +50,6 @@ void RnsPoly::to_coeff() {
   domain_ = Domain::kCoeff;
 }
 
-void RnsPoly::set_zero() { std::fill(data_.begin(), data_.end(), 0); }
-
 void RnsPoly::reset(std::size_t limbs, Domain domain) {
   ABC_CHECK_ARG(limbs >= 1 && limbs <= ctx_->max_limbs(),
                 "limb count out of range");
@@ -132,18 +130,10 @@ void RnsPoly::fma_inplace(const RnsPoly& a, const RnsPoly& b) {
                 "fused multiply-add requires evaluation domain");
   const std::size_t n = ctx_->n();
   for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
-    simd::dyadic_fma(ctx_->dyadic(i), words(i), a.words(i), b.words(i), n);
+    simd::dyadic_fma_into(ctx_->dyadic(i), words(i), words(i), a.words(i),
+                          b.words(i), n);
     xf::op_counts().poly_mul += n;
     xf::op_counts().poly_add += n;
-  });
-}
-
-void RnsPoly::negate_add_inplace(const RnsPoly& other) {
-  check_compatible(other);
-  const std::size_t n = ctx_->n();
-  for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
-    simd::dyadic_negate_add(ctx_->dyadic(i), words(i), other.words(i), n);
-    xf::op_counts().poly_add += 2 * n;  // negate + add
   });
 }
 

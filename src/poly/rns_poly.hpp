@@ -50,7 +50,6 @@ class RnsPoly {
   void to_coeff();  // inverse NTT on every limb
 
   // -- initialization ------------------------------------------------------
-  void set_zero();
   /// Re-initializes to @p limbs limbs in @p domain, reusing the existing
   /// allocation when its capacity suffices (hot-path scratch). Coefficient
   /// contents are unspecified afterwards: callers must overwrite every
@@ -68,12 +67,10 @@ class RnsPoly {
   void mul_inplace(const RnsPoly& other);
   /// this += a * b (single pass, evaluation domain).
   void fma_inplace(const RnsPoly& a, const RnsPoly& b);
-  /// this = other - this (fused negate-then-add, one pass).
-  void negate_add_inplace(const RnsPoly& other);
   /// this = base + a * b (fused copy-then-fma, one pass; evaluation
   /// domain). Adopts base's domain/limbs; this must not alias a or b.
   void set_fma(const RnsPoly& base, const RnsPoly& a, const RnsPoly& b);
-  /// this = base - a * b (fused mul-then-negate_add, one pass; evaluation
+  /// this = base - a * b (fused mul, negate and add, one pass; evaluation
   /// domain). Adopts base's domain/limbs; this must not alias a or b. b
   /// may carry more limbs than base: its first base.limbs() limbs are read
   /// in place (a full-length secret against a lower-level ciphertext).

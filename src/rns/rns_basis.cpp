@@ -29,9 +29,17 @@ RnsBasis::RnsBasis(const std::vector<u64>& primes) {
                 "RNS primes must be distinct");
 
   prefixes_.resize(primes.size());
+  // qhat[i] = Q_L / q_i for the current level L, grown from level L - 1:
+  // the existing entries gain the factor q_{L-1}, and the new last entry is
+  // Q_{L-1}, the previous level's product.
+  std::vector<BigUint> qhat;
+  qhat.reserve(primes.size());
   BigUint q(1);
   for (std::size_t level = 1; level <= primes.size(); ++level) {
-    q = q * primes[level - 1];
+    const u64 p = primes[level - 1];
+    for (BigUint& h : qhat) h = h * p;
+    qhat.push_back(q);
+    q = q * p;
     Prefix& pre = prefixes_[level - 1];
     pre.q = q;
     pre.word_count = q.word_count();
@@ -42,16 +50,12 @@ RnsBasis::RnsBasis(const std::vector<u64>& primes) {
     pre.qhat_words.reserve(level);
     pre.qhat_low.reserve(level);
     for (std::size_t i = 0; i < level; ++i) {
-      BigUint qhat(1);
-      for (std::size_t j = 0; j < level; ++j) {
-        if (j != i) qhat = qhat * primes[j];
-      }
-      const u64 qhat_mod = qhat.mod_u64(primes[i]);
+      const u64 qhat_mod = qhat[i].mod_u64(primes[i]);
       pre.qhat_inv.push_back(moduli_[i].inv(qhat_mod));
       pre.qhat_inv_shoup.push_back(
           ShoupMul::make(pre.qhat_inv.back(), moduli_[i]).quotient);
-      pre.qhat_low.push_back(low_128(qhat));
-      std::vector<u64> words = qhat.words();
+      pre.qhat_low.push_back(low_128(qhat[i]));
+      std::vector<u64> words = qhat[i].words();
       words.resize(pre.word_count, 0);
       pre.qhat_words.push_back(std::move(words));
     }

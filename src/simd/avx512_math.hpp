@@ -19,7 +19,7 @@
 ///     Contract: w < q, w_shoup52 = floor(w * 2^52 / q), and x < 2^52 —
 ///     the base-52 counterpart of Harvey's "any 64-bit x" bound, which is
 ///     why the IFMA tier requires lazy 4q-representatives to fit 52 bits
-///     (prime bit-count <= 50, DyadicModulus::kIfmaMaxPrimeBits).
+///     (prime bit-count <= 50, kIfmaMaxPrimeBits in kernels.hpp).
 ///   * barrett52_mul: the shifted-Barrett dyadic product of
 ///     dyadic_kernels.hpp with qhat = floor((z >> shift) * ratio52 / 2^52),
 ///     ratio52 = ratio >> 12; r < 3q before the two corrections.

@@ -3,9 +3,7 @@
 #include <array>
 #include <bit>
 
-#include "simd/kernels_avx2.hpp"
-#include "simd/kernels_avx512.hpp"
-#include "simd/simd_caps.hpp"
+#include "simd/kernels.hpp"
 
 namespace abc::simd {
 namespace {
@@ -56,15 +54,7 @@ void chacha20_blocks_portable(const u32* key, u32 counter, const u32* nonce,
 
 void chacha20_blocks(const u32* key, u32 counter, const u32* nonce,
                      u8* out) noexcept {
-  switch (active_kernel_arch()) {
-    case KernelArch::kAvx512Ifma:
-      return chacha20_blocks_avx512(key, counter, nonce, out);
-    case KernelArch::kAvx2:
-      return chacha20_blocks_avx2(key, counter, nonce, out);
-    case KernelArch::kPortable:
-      break;
-  }
-  chacha20_blocks_portable(key, counter, nonce, out);
+  active_kernels().chacha20_blocks(key, counter, nonce, out);
 }
 
 }  // namespace abc::simd

@@ -2,7 +2,7 @@
 
 /// @file chacha_kernels.hpp
 /// Multi-block ChaCha20 (RFC 8439 block function) with portable, AVX2 and
-/// AVX-512 implementations behind the runtime dispatcher.
+/// AVX-512 implementations in the per-tier kernel tables (kernels.hpp).
 ///
 /// One call computes kChachaBlocks consecutive 64-byte blocks for block
 /// counters counter, counter+1, ..., counter+15 and writes them in that
@@ -44,7 +44,8 @@ void chacha20_block_portable(const u32* key, u32 counter, const u32* nonce,
 void chacha20_blocks(const u32* key, u32 counter, const u32* nonce,
                      u8* out) noexcept;
 
-/// The portable tier (dispatch target; exposed for parity tests).
+/// The portable tier (the portable table's entry; exposed for parity
+/// tests).
 void chacha20_blocks_portable(const u32* key, u32 counter, const u32* nonce,
                               u8* out) noexcept;
 

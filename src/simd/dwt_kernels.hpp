@@ -2,11 +2,12 @@
 
 /// @file dwt_kernels.hpp
 /// AVX2 butterflies for the complex double DWT of CKKS encode/decode
-/// (transform/dwt.hpp). CkksDwtPlan's double overloads run them on the AVX2
-/// and AVX-512/IFMA tiers; the portable tier is the plan's own scalar
-/// template, which also serves the Rounded (FP55) type. There is no
-/// 512-bit version: one measured ~10% faster on the forward transform
-/// alone and no faster, within run-to-run noise, on a whole decode.
+/// (transform/dwt.hpp). The AVX2 and AVX-512/IFMA kernel tables
+/// (kernels.hpp) both carry them; the portable table has none, and
+/// CkksDwtPlan then runs its own scalar template, which also serves the
+/// Rounded (FP55) type. There is no 512-bit version: one measured ~10%
+/// faster on the forward transform alone and no faster, within run-to-run
+/// noise, on a whole decode.
 ///
 /// ## Same bits on every tier
 ///

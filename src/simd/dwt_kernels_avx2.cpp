@@ -1,6 +1,6 @@
 /// AVX2 complex double DWT butterflies (see dwt_kernels.hpp). Compiled
-/// with -mavx2 -ffp-contract=off on x86-64; elsewhere the entry points
-/// only exist to link and are never selected (avx2_compiled() is false).
+/// with -mavx2 -ffp-contract=off on x86-64; elsewhere the TU is empty and
+/// no kernel table names them.
 ///
 /// One __m256d holds two complex points. Stages with gap t >= 2 run two
 /// butterflies per iteration under a splatted twiddle, two stages per pass
@@ -9,7 +9,6 @@
 /// lane permutes and loads their two twiddles as one vector. The inverse
 /// reads the forward table and conjugates each twiddle as it loads it.
 
-#include "common/check.hpp"
 #include "simd/dwt_kernels.hpp"
 
 #if defined(__AVX2__)
@@ -189,19 +188,6 @@ void dwt_inverse_avx2(double* a, const double* twiddles, std::size_t n) {
   for (std::size_t j = 0; j < 2 * n; j += 4) {
     _mm256_storeu_pd(a + j, _mm256_mul_pd(_mm256_loadu_pd(a + j), scale));
   }
-}
-
-}  // namespace abc::simd
-
-#else  // !__AVX2__: never selected at runtime.
-
-namespace abc::simd {
-
-void dwt_forward_avx2(double*, const double*, std::size_t) {
-  ABC_CHECK_STATE(false, "AVX2 DWT kernels are not compiled in");
-}
-void dwt_inverse_avx2(double*, const double*, std::size_t) {
-  ABC_CHECK_STATE(false, "AVX2 DWT kernels are not compiled in");
 }
 
 }  // namespace abc::simd

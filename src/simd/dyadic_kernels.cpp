@@ -2,9 +2,7 @@
 
 #include "common/check.hpp"
 #include "rns/modulus.hpp"
-#include "simd/kernels_avx2.hpp"
-#include "simd/kernels_avx512.hpp"
-#include "simd/simd_caps.hpp"
+#include "simd/kernels.hpp"
 
 namespace abc::simd {
 
@@ -20,7 +18,6 @@ DyadicModulus DyadicModulus::make(const rns::Modulus& q) {
   m.ratio = static_cast<u64>((static_cast<u128>(1) << (64 + m.shift)) / qv);
   // floor(ratio / 2^12) == floor(2^(52+shift) / q): exact, no re-division.
   m.ratio52 = m.ratio >> 12;
-  m.ifma_ok = q.bit_count() <= kIfmaMaxPrimeBits;
   return m;
 }
 
@@ -46,15 +43,6 @@ void dyadic_sub_portable(const DyadicModulus& m, u64* dst, const u64* src,
 void dyadic_mul_portable(const DyadicModulus& m, u64* dst, const u64* src,
                          std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) dst[j] = m.mul(dst[j], src[j]);
-}
-
-void dyadic_fma_portable(const DyadicModulus& m, u64* dst, const u64* a,
-                         const u64* b, std::size_t n) {
-  const u64 q = m.q;
-  for (std::size_t j = 0; j < n; ++j) {
-    const u64 s = dst[j] + m.mul(a[j], b[j]);
-    dst[j] = s >= q ? s - q : s;
-  }
 }
 
 void dyadic_negate_portable(const DyadicModulus& m, u64* dst, std::size_t n) {
@@ -92,7 +80,7 @@ void dyadic_fma_accumulate_portable(const DyadicModulus& m, u64* acc0,
   // Block-staged: the permutation gather lands in an L1-resident scratch
   // block and both fma passes consume it immediately, instead of staging
   // the whole ring through a full-size temporary as the unfused chain
-  // does. The per-block loops keep the tight two-load fma codegen.
+  // does.
   constexpr std::size_t kBlock = 2048;
   u64 tmp[kBlock];
   for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
@@ -102,17 +90,8 @@ void dyadic_fma_accumulate_portable(const DyadicModulus& m, u64* acc0,
       for (std::size_t j = 0; j < len; ++j) tmp[j] = digit[perm[j0 + j]];
       d = tmp;
     }
-    dyadic_fma_portable(m, acc0 + j0, d, b + j0, len);
-    dyadic_fma_portable(m, acc1 + j0, d, a + j0, len);
-  }
-}
-
-void dyadic_negate_add_portable(const DyadicModulus& m, u64* dst,
-                                const u64* src, std::size_t n) {
-  const u64 q = m.q;
-  for (std::size_t j = 0; j < n; ++j) {
-    const u64 t = src[j] - dst[j];
-    dst[j] = t + (q & static_cast<u64>(static_cast<i64>(t) >> 63));
+    dyadic_fma_into_portable(m, acc0 + j0, acc0 + j0, d, b + j0, len);
+    dyadic_fma_into_portable(m, acc1 + j0, acc1 + j0, d, a + j0, len);
   }
 }
 
@@ -150,168 +129,49 @@ void dyadic_fms_into_portable(const DyadicModulus& m, u64* out,
   }
 }
 
-namespace {
-
-// The multiply-free kernels work at any prime width on every tier; the
-// multiplying kernels additionally require ifma_ok on the AVX-512 tier
-// (52-bit operand contract) and drop to the AVX2 implementations for wider
-// primes — any CPU that passed the avx512ifma cpuid check has AVX2.
-
-inline KernelArch arch() noexcept { return active_kernel_arch(); }
-
-}  // namespace
-
 void dyadic_add(const DyadicModulus& m, u64* dst, const u64* src,
                 std::size_t n) {
-  switch (arch()) {
-    case KernelArch::kAvx512Ifma:
-      return dyadic_add_avx512(m, dst, src, n);
-    case KernelArch::kAvx2:
-      return dyadic_add_avx2(m, dst, src, n);
-    case KernelArch::kPortable:
-      break;
-  }
-  dyadic_add_portable(m, dst, src, n);
+  kernels_for(m.q).add(m, dst, src, n);
 }
 
 void dyadic_sub(const DyadicModulus& m, u64* dst, const u64* src,
                 std::size_t n) {
-  switch (arch()) {
-    case KernelArch::kAvx512Ifma:
-      return dyadic_sub_avx512(m, dst, src, n);
-    case KernelArch::kAvx2:
-      return dyadic_sub_avx2(m, dst, src, n);
-    case KernelArch::kPortable:
-      break;
-  }
-  dyadic_sub_portable(m, dst, src, n);
+  kernels_for(m.q).sub(m, dst, src, n);
 }
 
 void dyadic_mul(const DyadicModulus& m, u64* dst, const u64* src,
                 std::size_t n) {
-  switch (arch()) {
-    case KernelArch::kAvx512Ifma:
-      if (m.ifma_ok) return dyadic_mul_avx512(m, dst, src, n);
-      [[fallthrough]];
-    case KernelArch::kAvx2:
-      return dyadic_mul_avx2(m, dst, src, n);
-    case KernelArch::kPortable:
-      break;
-  }
-  dyadic_mul_portable(m, dst, src, n);
-}
-
-void dyadic_fma(const DyadicModulus& m, u64* dst, const u64* a, const u64* b,
-                std::size_t n) {
-  switch (arch()) {
-    case KernelArch::kAvx512Ifma:
-      if (m.ifma_ok) return dyadic_fma_avx512(m, dst, a, b, n);
-      [[fallthrough]];
-    case KernelArch::kAvx2:
-      return dyadic_fma_avx2(m, dst, a, b, n);
-    case KernelArch::kPortable:
-      break;
-  }
-  dyadic_fma_portable(m, dst, a, b, n);
+  kernels_for(m.q).mul(m, dst, src, n);
 }
 
 void dyadic_negate(const DyadicModulus& m, u64* dst, std::size_t n) {
-  switch (arch()) {
-    case KernelArch::kAvx512Ifma:
-      return dyadic_negate_avx512(m, dst, n);
-    case KernelArch::kAvx2:
-      return dyadic_negate_avx2(m, dst, n);
-    case KernelArch::kPortable:
-      break;
-  }
-  dyadic_negate_portable(m, dst, n);
+  kernels_for(m.q).negate(m, dst, n);
 }
 
 void dyadic_mul_scalar(const DyadicModulus& m, u64* dst, std::size_t n, u64 s,
                        u64 s_shoup) {
-  switch (arch()) {
-    case KernelArch::kAvx512Ifma:
-      if (m.ifma_ok) return dyadic_mul_scalar_avx512(m, dst, n, s, s_shoup);
-      [[fallthrough]];
-    case KernelArch::kAvx2:
-      return dyadic_mul_scalar_avx2(m, dst, n, s, s_shoup);
-    case KernelArch::kPortable:
-      break;
-  }
-  dyadic_mul_scalar_portable(m, dst, n, s, s_shoup);
+  kernels_for(m.q).mul_scalar(m, dst, n, s, s_shoup);
 }
 
 void dyadic_fma_accumulate(const DyadicModulus& m, u64* acc0, u64* acc1,
                            const u64* digit, const u64* b, const u64* a,
                            const u32* perm, std::size_t n) {
-  switch (arch()) {
-    case KernelArch::kAvx512Ifma:
-      if (m.ifma_ok)
-        return dyadic_fma_accumulate_avx512(m, acc0, acc1, digit, b, a, perm,
-                                            n);
-      [[fallthrough]];
-    case KernelArch::kAvx2:
-      return dyadic_fma_accumulate_avx2(m, acc0, acc1, digit, b, a, perm, n);
-    case KernelArch::kPortable:
-      break;
-  }
-  dyadic_fma_accumulate_portable(m, acc0, acc1, digit, b, a, perm, n);
-}
-
-void dyadic_negate_add(const DyadicModulus& m, u64* dst, const u64* src,
-                       std::size_t n) {
-  switch (arch()) {
-    case KernelArch::kAvx512Ifma:
-      return dyadic_negate_add_avx512(m, dst, src, n);
-    case KernelArch::kAvx2:
-      return dyadic_negate_add_avx2(m, dst, src, n);
-    case KernelArch::kPortable:
-      break;
-  }
-  dyadic_negate_add_portable(m, dst, src, n);
+  kernels_for(m.q).fma_accumulate(m, acc0, acc1, digit, b, a, perm, n);
 }
 
 void dyadic_sub_mul_scalar(const DyadicModulus& m, u64* dst, const u64* src,
                            std::size_t n, u64 s, u64 s_shoup) {
-  switch (arch()) {
-    case KernelArch::kAvx512Ifma:
-      if (m.ifma_ok)
-        return dyadic_sub_mul_scalar_avx512(m, dst, src, n, s, s_shoup);
-      [[fallthrough]];
-    case KernelArch::kAvx2:
-      return dyadic_sub_mul_scalar_avx2(m, dst, src, n, s, s_shoup);
-    case KernelArch::kPortable:
-      break;
-  }
-  dyadic_sub_mul_scalar_portable(m, dst, src, n, s, s_shoup);
+  kernels_for(m.q).sub_mul_scalar(m, dst, src, n, s, s_shoup);
 }
 
 void dyadic_fma_into(const DyadicModulus& m, u64* out, const u64* base,
                      const u64* a, const u64* b, std::size_t n) {
-  switch (arch()) {
-    case KernelArch::kAvx512Ifma:
-      if (m.ifma_ok) return dyadic_fma_into_avx512(m, out, base, a, b, n);
-      [[fallthrough]];
-    case KernelArch::kAvx2:
-      return dyadic_fma_into_avx2(m, out, base, a, b, n);
-    case KernelArch::kPortable:
-      break;
-  }
-  dyadic_fma_into_portable(m, out, base, a, b, n);
+  kernels_for(m.q).fma_into(m, out, base, a, b, n);
 }
 
 void dyadic_fms_into(const DyadicModulus& m, u64* out, const u64* base,
                      const u64* a, const u64* b, std::size_t n) {
-  switch (arch()) {
-    case KernelArch::kAvx512Ifma:
-      if (m.ifma_ok) return dyadic_fms_into_avx512(m, out, base, a, b, n);
-      [[fallthrough]];
-    case KernelArch::kAvx2:
-      return dyadic_fms_into_avx2(m, out, base, a, b, n);
-    case KernelArch::kPortable:
-      break;
-  }
-  dyadic_fms_into_portable(m, out, base, a, b, n);
+  kernels_for(m.q).fms_into(m, out, base, a, b, n);
 }
 
 }  // namespace abc::simd

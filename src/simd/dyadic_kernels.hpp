@@ -2,8 +2,8 @@
 
 /// @file dyadic_kernels.hpp
 /// Batched element-wise (dyadic) modular kernels over one RNS limb, with
-/// portable, AVX2, and AVX-512/IFMA implementations behind a runtime
-/// dispatcher.
+/// portable, AVX2, and AVX-512/IFMA implementations in the per-tier kernel
+/// tables (kernels.hpp).
 ///
 /// The seed code reduced every product with Modulus::reduce_128 — a
 /// two-word Barrett using floor(2^128/q) that costs ~5 wide multiplies per
@@ -27,9 +27,9 @@
 /// ## Fused passes
 ///
 /// The hot paths above this layer chain adjacent dyadic ops over the same
-/// buffers (gadget accumulation: permute + fma + fma; keygen combine:
-/// negate + add; symmetric-encrypt combine: mul + negate + add; mod-down
-/// and rescale tails: sub + mul_scalar; decrypt phase: copy + fma). Each
+/// buffers (gadget accumulation: permute + fma + fma; encrypt and keygen
+/// combines: mul + negate + add; mod-down and rescale tails: sub +
+/// mul_scalar; decrypt phase: copy + fma). Each
 /// chain re-streams its operands from memory once per op, and these loops
 /// are memory-bound — so the fused kernels below collapse each chain into
 /// a single pass (EFFACT's instruction-fusion argument applied at this
@@ -38,10 +38,9 @@
 ///   * dyadic_fma_accumulate — acc0 += digit.b, acc1 += digit.a with one
 ///     load of `digit` per element, optionally gathered through an
 ///     evaluation-domain permutation (the hoisted-rotation inner loop);
-///   * dyadic_negate_add    — dst = src - dst (== -dst + src);
 ///   * dyadic_sub_mul_scalar — dst = (dst - src) * s, Shoup scalar;
 ///   * dyadic_fma_into      — out = base + a*b (out-of-place, no
-///     separate copy pass);
+///     separate copy pass; with out == base it is the in-place fma);
 ///   * dyadic_fms_into      — out = base - a*b, the symmetric-encrypt
 ///     combine c0 = (m+e) - a*s without staging a*s or copying a.
 ///
@@ -52,10 +51,9 @@
 ///
 /// The 52-bit multiply kernels require lazy 2q/4q-representatives and the
 /// shifted quotient zh < 2q to fit 52-bit operands, i.e. prime bit-count
-/// <= kIfmaMaxPrimeBits (50). DyadicModulus::make computes `ifma_ok` once
-/// per limb (PolyContext caches the struct per limb, so no call site ever
-/// rebuilds constants); the dispatcher checks the flag and falls back to
-/// the AVX2 kernels for wider primes without leaving the AVX-512 tier.
+/// <= kIfmaMaxPrimeBits (50). kernels_for(q) (kernels.hpp) applies that
+/// rule for every op: on the AVX-512/IFMA tier a wider prime runs the AVX2
+/// table.
 
 #include <cstddef>
 
@@ -71,17 +69,11 @@ namespace abc::simd {
 /// 128-bit division) but built exactly once per limb per context
 /// (PolyContext::dyadic); transient call sites may still make their own.
 struct DyadicModulus {
-  /// Widest prime (bit count) the 52-bit IFMA multiply datapath accepts:
-  /// lazy values reach 4q and the Barrett quotient estimate 2q, both of
-  /// which must stay below 2^52.
-  static constexpr int kIfmaMaxPrimeBits = 50;
-
   u64 q = 0;
   u64 two_q = 0;
   u64 ratio = 0;    // floor(2^(64+shift) / q)
   u64 ratio52 = 0;  // ratio >> 12 == floor(2^(52+shift) / q), IFMA tier
   int shift = 0;    // bit_count(q) - 1
-  bool ifma_ok = false;  // bit_count(q) <= kIfmaMaxPrimeBits
 
   /// Requires a non-power-of-two modulus (all NTT primes qualify) so the
   /// shifted ratio fits in one word.
@@ -108,9 +100,6 @@ void dyadic_sub(const DyadicModulus& m, u64* dst, const u64* src,
 /// dst[j] = dst[j] * src[j] (mod q).
 void dyadic_mul(const DyadicModulus& m, u64* dst, const u64* src,
                 std::size_t n);
-/// dst[j] += a[j] * b[j] (mod q), single pass.
-void dyadic_fma(const DyadicModulus& m, u64* dst, const u64* a, const u64* b,
-                std::size_t n);
 /// dst[j] = -dst[j] (mod q).
 void dyadic_negate(const DyadicModulus& m, u64* dst, std::size_t n);
 /// dst[j] = dst[j] * s (mod q); s must be reduced (< q), s_shoup its Shoup
@@ -124,17 +113,12 @@ void dyadic_mul_scalar(const DyadicModulus& m, u64* dst, std::size_t n, u64 s,
 /// (or digit[j] when perm is null),
 ///     acc0[j] += d_j * b[j]   (mod q)
 ///     acc1[j] += d_j * a[j]   (mod q)
-/// Replaces the permute-into-scratch + two dyadic_fma sweeps of the
+/// Replaces the permute-into-scratch + two in-place fma sweeps of the
 /// unfused chain: the digit is loaded (or gathered) once and never staged
 /// through memory. perm must hold indices < n.
 void dyadic_fma_accumulate(const DyadicModulus& m, u64* acc0, u64* acc1,
                            const u64* digit, const u64* b, const u64* a,
                            const u32* perm, std::size_t n);
-
-/// dst[j] = src[j] - dst[j] (mod q) — the fused form of negate-then-add
-/// (b = -(a*s) + e in public-key generation).
-void dyadic_negate_add(const DyadicModulus& m, u64* dst, const u64* src,
-                       std::size_t n);
 
 /// dst[j] = (dst[j] - src[j]) * s (mod q), Shoup scalar — the fused
 /// mod-down / rescale tail (c = (c - tmp) * P^{-1}).
@@ -142,18 +126,20 @@ void dyadic_sub_mul_scalar(const DyadicModulus& m, u64* dst, const u64* src,
                            std::size_t n, u64 s, u64 s_shoup);
 
 /// out[j] = base[j] + a[j] * b[j] (mod q) — the fused form of copy-then-
-/// fma (phase = c0 + c1*s in decrypt). out must not alias a or b; out may
-/// equal base.
+/// fma (phase = c0 + c1*s in decrypt), and with out == base the in-place
+/// fma (c0 += b*u in public-key encrypt). out must not alias a or b; out
+/// may equal base.
 void dyadic_fma_into(const DyadicModulus& m, u64* out, const u64* base,
                      const u64* a, const u64* b, std::size_t n);
 
-/// out[j] = base[j] - a[j] * b[j] (mod q) — the fused form of mul-then-
-/// negate_add (c0 = -(a*s) + (m+e) in symmetric encrypt). out must not
-/// alias a or b; out may equal base.
+/// out[j] = base[j] - a[j] * b[j] (mod q) — the fused form of mul, negate
+/// and add (c0 = -(a*s) + (m+e) in symmetric encrypt, b = -(a*s) + e in
+/// public-key generation). out must not alias a or b; out may equal base.
 void dyadic_fms_into(const DyadicModulus& m, u64* out, const u64* base,
                      const u64* a, const u64* b, std::size_t n);
 
-// -- portable kernels (dispatch targets; exposed for parity tests) ----------
+// -- portable kernels (the portable table's entries; exposed for parity
+//    tests) ---------------------------------------------------------------
 
 void dyadic_add_portable(const DyadicModulus& m, u64* dst, const u64* src,
                          std::size_t n);
@@ -161,8 +147,6 @@ void dyadic_sub_portable(const DyadicModulus& m, u64* dst, const u64* src,
                          std::size_t n);
 void dyadic_mul_portable(const DyadicModulus& m, u64* dst, const u64* src,
                          std::size_t n);
-void dyadic_fma_portable(const DyadicModulus& m, u64* dst, const u64* a,
-                         const u64* b, std::size_t n);
 void dyadic_negate_portable(const DyadicModulus& m, u64* dst, std::size_t n);
 void dyadic_mul_scalar_portable(const DyadicModulus& m, u64* dst,
                                 std::size_t n, u64 s, u64 s_shoup);
@@ -170,8 +154,6 @@ void dyadic_fma_accumulate_portable(const DyadicModulus& m, u64* acc0,
                                     u64* acc1, const u64* digit, const u64* b,
                                     const u64* a, const u32* perm,
                                     std::size_t n);
-void dyadic_negate_add_portable(const DyadicModulus& m, u64* dst,
-                                const u64* src, std::size_t n);
 void dyadic_sub_mul_scalar_portable(const DyadicModulus& m, u64* dst,
                                     const u64* src, std::size_t n, u64 s,
                                     u64 s_shoup);

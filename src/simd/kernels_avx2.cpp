@@ -1,0 +1,440 @@
+/// The AVX2 kernel tier: Harvey NTT butterflies, the batched dyadic ops,
+/// eight-lane ChaCha20, and the tier's Kernels table (kernels.hpp). Compiled
+/// with -mavx2 on x86-64; without AVX2 the TU holds no kernels and
+/// avx2_kernels() returns nullptr, so the tier is never selected. The DWT
+/// entries are dwt_kernels_avx2.cpp's, which needs -ffp-contract=off too.
+///
+/// NTT: a butterfly stage with gap t processes t contiguous pairs under one
+/// twiddle, so every stage with t >= 4 runs four butterflies per iteration
+/// on splatted twiddles with purely sequential loads (the flat Shoup-pair
+/// layout in NttLayout). The last two forward stages / first two inverse
+/// stages (t in {1, 2}) reuse the portable scalar code — 2/log_n of the
+/// work; the correction and scaling passes are vectorized as well.
+///
+/// Dyadic ops: see dyadic_kernels.hpp for the algorithms.
+///
+/// ChaCha20 (see chacha_kernels.hpp): eight blocks per pass, one per 32-bit
+/// lane: the sixteen state words are sixteen __m256i, the counter word
+/// carries counter+0..7. Rotations by 16 and 8 are byte shuffles, by 12 and
+/// 7 shift+or. The output transpose is a 4x4 word transpose inside each
+/// 128-bit half (unpack epi32/epi64) followed by a 128-bit half swap
+/// (permute2x128) into block order.
+
+#include "simd/chacha_kernels.hpp"
+#include "simd/dwt_kernels.hpp"
+#include "simd/dyadic_kernels.hpp"
+#include "simd/kernels.hpp"
+#include "simd/ntt_kernels.hpp"
+
+#if defined(__AVX2__)
+
+#include "simd/avx2_math.hpp"
+
+namespace abc::simd {
+namespace {
+
+using avx2::cmplt_epu64;
+using avx2::cond_sub;
+using avx2::mul_hi64;
+using avx2::mul_lo64;
+using avx2::mul_wide64;
+using avx2::shoup_mul_lazy;
+using avx2::splat;
+
+inline __m256i load(const u64* p) noexcept {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline void store(u64* p, __m256i v) noexcept {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+// -- NTT ---------------------------------------------------------------------
+
+void reduce_from_4q_avx2(u64* a, std::size_t n, u64 q) {
+  const __m256i vq = splat(q);
+  const __m256i v2q = splat(2 * q);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    __m256i v = load(a + j);
+    v = cond_sub(v, v2q);
+    v = cond_sub(v, vq);
+    store(a + j, v);
+  }
+  if (j < n) reduce_from_4q_portable(a + j, n - j, q);
+}
+
+void ntt_forward_lazy_avx2(const NttLayout& L, u64* a) {
+  const __m256i vq = splat(L.q);
+  const __m256i v2q = splat(2 * L.q);
+  int s = 0;
+  for (; s < L.log_n; ++s) {
+    const std::size_t m = std::size_t{1} << s;
+    const std::size_t t = L.n >> (s + 1);
+    if (t < 4) break;
+    for (std::size_t i = 0; i < m; ++i) {
+      const __m256i w = splat(L.w[m + i]);
+      const __m256i wsh = splat(L.w_shoup[m + i]);
+      u64* x = a + 2 * i * t;
+      u64* y = x + t;
+      for (std::size_t j = 0; j < t; j += 4) {
+        __m256i vx = load(x + j);
+        const __m256i vy = load(y + j);
+        vx = cond_sub(vx, v2q);                                // < 2q
+        const __m256i vv = shoup_mul_lazy(vy, w, wsh, vq);     // < 2q
+        store(x + j, _mm256_add_epi64(vx, vv));                // < 4q
+        store(y + j,
+              _mm256_sub_epi64(_mm256_add_epi64(vx, v2q), vv));  // < 4q
+      }
+    }
+  }
+  if (s < L.log_n) ntt_forward_lazy_stages_portable(L, a, s, L.log_n);
+  reduce_from_4q_avx2(a, L.n, L.q);
+}
+
+void ntt_inverse_lazy_avx2(const NttLayout& L, u64* a) {
+  const __m256i vq = splat(L.q);
+  const __m256i v2q = splat(2 * L.q);
+  const int scalar_stages = L.log_n < 2 ? L.log_n : 2;  // t in {1, 2}
+  ntt_inverse_lazy_stages_portable(L, a, 0, scalar_stages);
+  for (int s = scalar_stages; s < L.log_n; ++s) {
+    const std::size_t t = std::size_t{1} << s;
+    const std::size_t m = L.n >> (s + 1);
+    for (std::size_t i = 0; i < m; ++i) {
+      const ShoupTwiddle tw = inverse_twiddle(L, m, i);
+      const __m256i w = splat(tw.w);
+      const __m256i wsh = splat(tw.w_shoup);
+      u64* x = a + 2 * i * t;
+      u64* y = x + t;
+      for (std::size_t j = 0; j < t; j += 4) {
+        const __m256i vx = load(x + j);
+        const __m256i vy = load(y + j);
+        const __m256i sum = _mm256_add_epi64(vx, vy);           // < 4q
+        store(x + j, cond_sub(sum, v2q));                       // < 2q
+        const __m256i d =
+            _mm256_sub_epi64(_mm256_add_epi64(vx, v2q), vy);    // < 4q
+        store(y + j, shoup_mul_lazy(d, w, wsh, vq));            // < 2q
+      }
+    }
+  }
+  // N^{-1} scaling with full reduction.
+  const __m256i ninv = splat(L.n_inv);
+  const __m256i ninv_sh = splat(L.n_inv_shoup);
+  std::size_t j = 0;
+  for (; j + 4 <= L.n; j += 4) {
+    const __m256i v = shoup_mul_lazy(load(a + j), ninv, ninv_sh, vq);
+    store(a + j, cond_sub(v, vq));
+  }
+  for (; j < L.n; ++j) {
+    u64 v = a[j] * L.n_inv - mul_hi(a[j], L.n_inv_shoup) * L.q;
+    if (v >= L.q) v -= L.q;
+    a[j] = v;
+  }
+}
+
+// -- dyadic ops --------------------------------------------------------------
+
+/// Canonical product per lane via the shifted-Barrett constant:
+/// r = lo64(a*b) - mulhi((a*b) >> shift, ratio)*q, then <= 2 corrections.
+inline __m256i barrett_mul(__m256i a, __m256i b, __m256i vq, __m256i v2q,
+                           __m256i ratio, int shift) noexcept {
+  __m256i z_lo, z_hi;
+  mul_wide64(a, b, z_lo, z_hi);
+  const __m256i zh = _mm256_or_si256(_mm256_slli_epi64(z_hi, 64 - shift),
+                                     _mm256_srli_epi64(z_lo, shift));
+  const __m256i qhat = mul_hi64(zh, ratio);
+  __m256i r = _mm256_sub_epi64(z_lo, mul_lo64(qhat, vq));  // < 3q
+  r = cond_sub(r, v2q);
+  return cond_sub(r, vq);
+}
+
+void dyadic_add_avx2(const DyadicModulus& m, u64* dst, const u64* src,
+                     std::size_t n) {
+  const __m256i vq = splat(m.q);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    store(dst + j, cond_sub(_mm256_add_epi64(load(dst + j), load(src + j)),
+                            vq));
+  }
+  if (j < n) dyadic_add_portable(m, dst + j, src + j, n - j);
+}
+
+void dyadic_sub_avx2(const DyadicModulus& m, u64* dst, const u64* src,
+                     std::size_t n) {
+  const __m256i vq = splat(m.q);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256i d = load(dst + j);
+    const __m256i s = load(src + j);
+    const __m256i borrow = _mm256_and_si256(cmplt_epu64(d, s), vq);
+    store(dst + j, _mm256_add_epi64(_mm256_sub_epi64(d, s), borrow));
+  }
+  if (j < n) dyadic_sub_portable(m, dst + j, src + j, n - j);
+}
+
+void dyadic_mul_avx2(const DyadicModulus& m, u64* dst, const u64* src,
+                     std::size_t n) {
+  const __m256i vq = splat(m.q);
+  const __m256i v2q = splat(m.two_q);
+  const __m256i ratio = splat(m.ratio);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    store(dst + j,
+          barrett_mul(load(dst + j), load(src + j), vq, v2q, ratio, m.shift));
+  }
+  if (j < n) dyadic_mul_portable(m, dst + j, src + j, n - j);
+}
+
+void dyadic_negate_avx2(const DyadicModulus& m, u64* dst, std::size_t n) {
+  const __m256i vq = splat(m.q);
+  const __m256i zero = _mm256_setzero_si256();
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256i v = load(dst + j);
+    const __m256i nz = _mm256_cmpeq_epi64(v, zero);
+    store(dst + j, _mm256_andnot_si256(nz, _mm256_sub_epi64(vq, v)));
+  }
+  if (j < n) dyadic_negate_portable(m, dst + j, n - j);
+}
+
+void dyadic_mul_scalar_avx2(const DyadicModulus& m, u64* dst, std::size_t n,
+                            u64 s, u64 s_shoup) {
+  const __m256i vq = splat(m.q);
+  const __m256i vs = splat(s);
+  const __m256i vsh = splat(s_shoup);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256i r = shoup_mul_lazy(load(dst + j), vs, vsh, vq);
+    store(dst + j, cond_sub(r, vq));
+  }
+  if (j < n) dyadic_mul_scalar_portable(m, dst + j, n - j, s, s_shoup);
+}
+
+// Kept scalar on purpose: with -mavx2 the vectorizer turns this gather
+// loop into vpgatherqq, whose per-element cost exceeds two scalar loads
+// per cycle once the indexed array spills L1.
+__attribute__((optimize("no-tree-vectorize"))) void stage_permuted(
+    u64* tmp, const u64* digit, const u32* perm, std::size_t len) {
+  for (std::size_t j = 0; j < len; ++j) tmp[j] = digit[perm[j]];
+}
+
+void dyadic_fma_accumulate_avx2(const DyadicModulus& m, u64* acc0, u64* acc1,
+                                const u64* digit, const u64* b, const u64* a,
+                                const u32* perm, std::size_t n) {
+  // Block-staged rather than vpgatherqq-based: a scalar gather into an
+  // L1-resident block beats the AVX2 gather's per-element cost, and the
+  // interleaved inner loop then loads each staged digit vector once and
+  // feeds both accumulations, making a single pass over the
+  // accumulator/key streams (the unfused chain stages a full-size
+  // temporary and walks it twice).
+  const __m256i vq = splat(m.q);
+  const __m256i v2q = splat(m.two_q);
+  const __m256i ratio = splat(m.ratio);
+  constexpr std::size_t kBlock = 2048;
+  alignas(32) u64 tmp[kBlock];
+  for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
+    const std::size_t len = j0 + kBlock <= n ? kBlock : n - j0;
+    const u64* d = digit + j0;
+    if (perm != nullptr) {
+      stage_permuted(tmp, digit, perm + j0, len);
+      d = tmp;
+    }
+    std::size_t j = 0;
+    for (; j + 4 <= len; j += 4) {
+      const __m256i vd = load(d + j);
+      const __m256i p0 =
+          barrett_mul(vd, load(b + j0 + j), vq, v2q, ratio, m.shift);
+      store(acc0 + j0 + j,
+            cond_sub(_mm256_add_epi64(load(acc0 + j0 + j), p0), vq));
+      const __m256i p1 =
+          barrett_mul(vd, load(a + j0 + j), vq, v2q, ratio, m.shift);
+      store(acc1 + j0 + j,
+            cond_sub(_mm256_add_epi64(load(acc1 + j0 + j), p1), vq));
+    }
+    if (j < len) {
+      dyadic_fma_into_portable(m, acc0 + j0 + j, acc0 + j0 + j, d + j,
+                               b + j0 + j, len - j);
+      dyadic_fma_into_portable(m, acc1 + j0 + j, acc1 + j0 + j, d + j,
+                               a + j0 + j, len - j);
+    }
+  }
+}
+
+void dyadic_sub_mul_scalar_avx2(const DyadicModulus& m, u64* dst,
+                                const u64* src, std::size_t n, u64 s,
+                                u64 s_shoup) {
+  const __m256i vq = splat(m.q);
+  const __m256i vs = splat(s);
+  const __m256i vsh = splat(s_shoup);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256i d = load(dst + j);
+    const __m256i v = load(src + j);
+    const __m256i borrow = _mm256_and_si256(cmplt_epu64(d, v), vq);
+    const __m256i t = _mm256_add_epi64(_mm256_sub_epi64(d, v), borrow);
+    store(dst + j, cond_sub(shoup_mul_lazy(t, vs, vsh, vq), vq));
+  }
+  if (j < n)
+    dyadic_sub_mul_scalar_portable(m, dst + j, src + j, n - j, s, s_shoup);
+}
+
+void dyadic_fma_into_avx2(const DyadicModulus& m, u64* out, const u64* base,
+                          const u64* a, const u64* b, std::size_t n) {
+  const __m256i vq = splat(m.q);
+  const __m256i v2q = splat(m.two_q);
+  const __m256i ratio = splat(m.ratio);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256i p =
+        barrett_mul(load(a + j), load(b + j), vq, v2q, ratio, m.shift);
+    store(out + j, cond_sub(_mm256_add_epi64(load(base + j), p), vq));
+  }
+  if (j < n)
+    dyadic_fma_into_portable(m, out + j, base + j, a + j, b + j, n - j);
+}
+
+void dyadic_fms_into_avx2(const DyadicModulus& m, u64* out, const u64* base,
+                          const u64* a, const u64* b, std::size_t n) {
+  const __m256i vq = splat(m.q);
+  const __m256i v2q = splat(m.two_q);
+  const __m256i ratio = splat(m.ratio);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256i p =
+        barrett_mul(load(a + j), load(b + j), vq, v2q, ratio, m.shift);
+    const __m256i s = load(base + j);
+    const __m256i borrow = _mm256_and_si256(cmplt_epu64(s, p), vq);
+    store(out + j, _mm256_add_epi64(_mm256_sub_epi64(s, p), borrow));
+  }
+  if (j < n)
+    dyadic_fms_into_portable(m, out + j, base + j, a + j, b + j, n - j);
+}
+
+// -- ChaCha20 ----------------------------------------------------------------
+
+inline __m256i rotl16(__m256i x) noexcept {
+  const __m256i k = _mm256_setr_epi8(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9,
+                                     14, 15, 12, 13, 2, 3, 0, 1, 6, 7, 4, 5,
+                                     10, 11, 8, 9, 14, 15, 12, 13);
+  return _mm256_shuffle_epi8(x, k);
+}
+
+inline __m256i rotl8(__m256i x) noexcept {
+  const __m256i k = _mm256_setr_epi8(3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10,
+                                     15, 12, 13, 14, 3, 0, 1, 2, 7, 4, 5, 6,
+                                     11, 8, 9, 10, 15, 12, 13, 14);
+  return _mm256_shuffle_epi8(x, k);
+}
+
+template <int R>
+inline __m256i rotl(__m256i x) noexcept {
+  return _mm256_or_si256(_mm256_slli_epi32(x, R), _mm256_srli_epi32(x, 32 - R));
+}
+
+inline void quarter_round(__m256i& a, __m256i& b, __m256i& c,
+                          __m256i& d) noexcept {
+  a = _mm256_add_epi32(a, b); d = rotl16(_mm256_xor_si256(d, a));
+  c = _mm256_add_epi32(c, d); b = rotl<12>(_mm256_xor_si256(b, c));
+  a = _mm256_add_epi32(a, b); d = rotl8(_mm256_xor_si256(d, a));
+  c = _mm256_add_epi32(c, d); b = rotl<7>(_mm256_xor_si256(b, c));
+}
+
+/// 4x4 word transpose inside each 128-bit half: on return r[m]'s half k
+/// holds words (x0..x3)[4k+m], i.e. four consecutive words of lane 4k+m.
+inline void transpose4(const __m256i x0, const __m256i x1, const __m256i x2,
+                       const __m256i x3, __m256i r[4]) noexcept {
+  const __m256i t0 = _mm256_unpacklo_epi32(x0, x1);
+  const __m256i t1 = _mm256_unpackhi_epi32(x0, x1);
+  const __m256i t2 = _mm256_unpacklo_epi32(x2, x3);
+  const __m256i t3 = _mm256_unpackhi_epi32(x2, x3);
+  r[0] = _mm256_unpacklo_epi64(t0, t2);
+  r[1] = _mm256_unpackhi_epi64(t0, t2);
+  r[2] = _mm256_unpacklo_epi64(t1, t3);
+  r[3] = _mm256_unpackhi_epi64(t1, t3);
+}
+
+inline __m256i splat32(u32 w) noexcept {
+  return _mm256_set1_epi32(static_cast<int>(w));
+}
+
+inline void store(u8* p, __m256i v) noexcept {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+/// Eight blocks, counters counter..counter+7, into out[512].
+void chacha20_8blocks(const u32* key, u32 counter, const u32* nonce,
+                      u8* out) noexcept {
+  // Lane i runs block counter + i; every other word is shared.
+  __m256i state[16];
+  for (int i = 0; i < 4; ++i) state[i] = splat32(kChachaSigma[i]);
+  for (int i = 0; i < 8; ++i) state[4 + i] = splat32(key[i]);
+  state[12] = _mm256_add_epi32(splat32(counter),
+                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  for (int i = 0; i < 3; ++i) state[13 + i] = splat32(nonce[i]);
+  __m256i x[16];
+  for (int i = 0; i < 16; ++i) x[i] = state[i];
+  for (int round = 0; round < 10; ++round) {
+    quarter_round(x[0], x[4], x[8], x[12]);
+    quarter_round(x[1], x[5], x[9], x[13]);
+    quarter_round(x[2], x[6], x[10], x[14]);
+    quarter_round(x[3], x[7], x[11], x[15]);
+    quarter_round(x[0], x[5], x[10], x[15]);
+    quarter_round(x[1], x[6], x[11], x[12]);
+    quarter_round(x[2], x[7], x[8], x[13]);
+    quarter_round(x[3], x[4], x[9], x[14]);
+  }
+  for (int i = 0; i < 16; ++i) x[i] = _mm256_add_epi32(x[i], state[i]);
+
+  // a/b/c/d[m] half k = words 0-3 / 4-7 / 8-11 / 12-15 of block 4k+m.
+  __m256i a[4], b[4], c[4], d[4];
+  transpose4(x[0], x[1], x[2], x[3], a);
+  transpose4(x[4], x[5], x[6], x[7], b);
+  transpose4(x[8], x[9], x[10], x[11], c);
+  transpose4(x[12], x[13], x[14], x[15], d);
+  for (int m = 0; m < 4; ++m) {
+    u8* lo = out + 64 * m;        // block m
+    u8* hi = out + 64 * (m + 4);  // block m + 4
+    store(lo, _mm256_permute2x128_si256(a[m], b[m], 0x20));
+    store(lo + 32, _mm256_permute2x128_si256(c[m], d[m], 0x20));
+    store(hi, _mm256_permute2x128_si256(a[m], b[m], 0x31));
+    store(hi + 32, _mm256_permute2x128_si256(c[m], d[m], 0x31));
+  }
+}
+
+void chacha20_blocks_avx2(const u32* key, u32 counter, const u32* nonce,
+                          u8* out) noexcept {
+  chacha20_8blocks(key, counter, nonce, out);
+  chacha20_8blocks(key, counter + 8, nonce, out + 512);
+}
+
+constexpr Kernels kAvx2 = {
+    .ntt_forward = ntt_forward_lazy_avx2,
+    .ntt_inverse = ntt_inverse_lazy_avx2,
+    .chacha20_blocks = chacha20_blocks_avx2,
+    .dwt_forward = dwt_forward_avx2,
+    .dwt_inverse = dwt_inverse_avx2,
+    .add = dyadic_add_avx2,
+    .sub = dyadic_sub_avx2,
+    .mul = dyadic_mul_avx2,
+    .negate = dyadic_negate_avx2,
+    .mul_scalar = dyadic_mul_scalar_avx2,
+    .fma_accumulate = dyadic_fma_accumulate_avx2,
+    .sub_mul_scalar = dyadic_sub_mul_scalar_avx2,
+    .fma_into = dyadic_fma_into_avx2,
+    .fms_into = dyadic_fms_into_avx2,
+};
+
+}  // namespace
+
+const Kernels* avx2_kernels() noexcept { return &kAvx2; }
+
+}  // namespace abc::simd
+
+#else  // !__AVX2__
+
+namespace abc::simd {
+
+const Kernels* avx2_kernels() noexcept { return nullptr; }
+
+}  // namespace abc::simd
+
+#endif

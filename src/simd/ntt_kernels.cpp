@@ -1,9 +1,6 @@
 #include "simd/ntt_kernels.hpp"
 
-#include "simd/dyadic_kernels.hpp"
-#include "simd/kernels_avx2.hpp"
-#include "simd/kernels_avx512.hpp"
-#include "simd/simd_caps.hpp"
+#include "simd/kernels.hpp"
 
 namespace abc::simd {
 
@@ -92,41 +89,12 @@ void ntt_inverse_lazy_portable(const NttLayout& L, u64* a) {
   }
 }
 
-namespace {
-
-/// The 52-bit butterfly datapath needs lazy 4q-representatives to fit the
-/// vpmadd52 operand window: q < 2^kIfmaMaxPrimeBits. Wider primes stay on
-/// the AVX-512 tier but route to the AVX2 butterflies per call.
-inline bool ifma_ntt_ok(const NttLayout& L) noexcept {
-  return L.q < (u64{1} << DyadicModulus::kIfmaMaxPrimeBits);
-}
-
-}  // namespace
-
 void ntt_forward_lazy(const NttLayout& L, u64* a) {
-  switch (active_kernel_arch()) {
-    case KernelArch::kAvx512Ifma:
-      if (ifma_ntt_ok(L)) return ntt_forward_lazy_avx512(L, a);
-      [[fallthrough]];
-    case KernelArch::kAvx2:
-      return ntt_forward_lazy_avx2(L, a);
-    case KernelArch::kPortable:
-      break;
-  }
-  ntt_forward_lazy_portable(L, a);
+  kernels_for(L.q).ntt_forward(L, a);
 }
 
 void ntt_inverse_lazy(const NttLayout& L, u64* a) {
-  switch (active_kernel_arch()) {
-    case KernelArch::kAvx512Ifma:
-      if (ifma_ntt_ok(L)) return ntt_inverse_lazy_avx512(L, a);
-      [[fallthrough]];
-    case KernelArch::kAvx2:
-      return ntt_inverse_lazy_avx2(L, a);
-    case KernelArch::kPortable:
-      break;
-  }
-  ntt_inverse_lazy_portable(L, a);
+  kernels_for(L.q).ntt_inverse(L, a);
 }
 
 }  // namespace abc::simd

@@ -1,7 +1,8 @@
 #pragma once
 
 /// @file ntt_kernels.hpp
-/// Harvey lazy-reduction NTT kernels (portable + AVX2, runtime-dispatched).
+/// Harvey lazy-reduction NTT kernels (portable, AVX2 and AVX-512/IFMA, one
+/// call through the kernel table kernels_for(q) picks, kernels.hpp).
 ///
 /// Algorithm (Harvey, "Faster arithmetic for number-theoretic transforms"):
 /// butterflies keep coefficients *lazily* reduced instead of canonical —
@@ -64,14 +65,14 @@ inline ShoupTwiddle inverse_twiddle(const NttLayout& L, std::size_t m,
 }
 
 /// In-place forward NTT, natural -> bit-reversed order, result in [0, q).
-/// Dispatches to the active kernel arch (simd_caps.hpp).
+/// Runs on kernels_for(L.q).
 void ntt_forward_lazy(const NttLayout& L, u64* a);
 
 /// In-place inverse NTT, bit-reversed -> natural order, including the
 /// N^{-1} scaling; result in [0, q).
 void ntt_inverse_lazy(const NttLayout& L, u64* a);
 
-// -- portable kernels (always available; the reference the AVX2 TU is
+// -- portable kernels (always available; the reference the SIMD tiers are
 //    tested against, and the escape-hatch path) ------------------------------
 
 void ntt_forward_lazy_portable(const NttLayout& L, u64* a);

@@ -4,7 +4,39 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "simd/chacha_kernels.hpp"
+#include "simd/dyadic_kernels.hpp"
+#include "simd/kernels.hpp"
+#include "simd/ntt_kernels.hpp"
+
 namespace abc::simd {
+
+namespace {
+
+constexpr Kernels kPortable = {
+    .ntt_forward = ntt_forward_lazy_portable,
+    .ntt_inverse = ntt_inverse_lazy_portable,
+    .chacha20_blocks = chacha20_blocks_portable,
+    .dwt_forward = nullptr,
+    .dwt_inverse = nullptr,
+    .add = dyadic_add_portable,
+    .sub = dyadic_sub_portable,
+    .mul = dyadic_mul_portable,
+    .negate = dyadic_negate_portable,
+    .mul_scalar = dyadic_mul_scalar_portable,
+    .fma_accumulate = dyadic_fma_accumulate_portable,
+    .sub_mul_scalar = dyadic_sub_mul_scalar_portable,
+    .fma_into = dyadic_fma_into_portable,
+    .fms_into = dyadic_fms_into_portable,
+};
+
+}  // namespace
+
+const Kernels& portable_kernels() noexcept { return kPortable; }
+
+bool avx2_compiled() noexcept { return avx2_kernels() != nullptr; }
+
+bool avx512ifma_compiled() noexcept { return avx512ifma_kernels() != nullptr; }
 
 // __builtin_cpu_supports is a GCC/Clang builtin; other toolchains fall
 // back to portable kernels.
@@ -20,7 +52,10 @@ bool avx2_supported() noexcept {
 bool avx512ifma_supported() noexcept {
 #if defined(__x86_64__) && defined(__GNUC__)
   // F for the 512-bit integer core, DQ for vpmullq, IFMA for vpmadd52.
-  return avx512ifma_compiled() && __builtin_cpu_supports("avx512f") &&
+  // The tier also runs the AVX2 table (wide primes, the DWT), which every
+  // IFMA CPU supports.
+  return avx512ifma_compiled() && avx2_supported() &&
+         __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512dq") &&
          __builtin_cpu_supports("avx512ifma");
 #else
@@ -74,6 +109,19 @@ bool avx512ifma_selectable() noexcept {
 KernelArch detected_kernel_arch() noexcept {
   if (avx512ifma_selectable()) return KernelArch::kAvx512Ifma;
   return avx2_selectable() ? KernelArch::kAvx2 : KernelArch::kPortable;
+}
+
+const Kernels& kernels_for(u64 q) noexcept {
+  switch (active_kernel_arch()) {
+    case KernelArch::kAvx512Ifma:
+      if (q < (u64{1} << kIfmaMaxPrimeBits)) return *avx512ifma_kernels();
+      [[fallthrough]];
+    case KernelArch::kAvx2:
+      return *avx2_kernels();
+    case KernelArch::kPortable:
+      break;
+  }
+  return kPortable;
 }
 
 KernelArch active_kernel_arch() noexcept {

@@ -3,12 +3,14 @@
 /// @file simd_caps.hpp
 /// Runtime kernel-architecture selection for the src/simd/ kernel layer.
 ///
-/// Three kernel tiers exist for the client hot path (NTT butterflies and
-/// the batched dyadic ops): a portable C++ set that compiles everywhere, an
-/// AVX2 set, and an AVX-512/IFMA set (8-lane butterflies, 52-bit
-/// `vpmadd52` modular multiplies). The SIMD tiers live in separate
-/// translation units compiled with -mavx2 / -mavx512ifma and are picked at
-/// runtime via cpuid. Selection happens once per process:
+/// Three kernel tiers exist for the client hot path (NTT butterflies, the
+/// batched dyadic ops, ChaCha20, the double DWT): a portable C++ set that
+/// compiles everywhere, an AVX2 set, and an AVX-512/IFMA set (8-lane
+/// butterflies, 52-bit `vpmadd52` modular multiplies). Each tier is one
+/// table of kernel entry points (kernels.hpp); the SIMD tables live in
+/// translation units compiled with -mavx2 / -mavx512ifma and exist only
+/// when those flags were given. The active tier is picked at runtime via
+/// cpuid, once per process:
 ///
 ///   * if the environment variable ABC_FORCE_PORTABLE_KERNELS is set to
 ///     anything but "0", the portable kernels are used unconditionally
@@ -25,11 +27,12 @@
 ///
 /// Whatever the arch, results are bit-identical: every kernel fully reduces
 /// its outputs to the canonical [0, q) representatives, so the choice is
-/// invisible to everything above the kernel layer. The IFMA multiply
-/// kernels additionally require lazy 4q-representatives to fit the 52-bit
-/// multiplier datapath (prime bit-count <= 50); wider primes fall back to
-/// the AVX2 kernels per call without leaving the AVX-512 tier (see
-/// dyadic_kernels.hpp).
+/// invisible to everything above the kernel layer. The IFMA kernels
+/// additionally require lazy 4q-representatives to fit the 52-bit
+/// multiplier datapath (prime bit-count <= 50): kernels_for(q)
+/// (kernels.hpp), the one function that turns the active arch into a
+/// table, hands wider primes the AVX2 table without leaving the AVX-512
+/// tier.
 
 namespace abc::simd {
 
@@ -39,7 +42,7 @@ enum class KernelArch {
   kAvx512Ifma,  // AVX-512F/DQ/IFMA intrinsics, runtime-detected
 };
 
-/// True when the AVX2 kernel TU was compiled in (x86-64 build).
+/// True when the AVX2 kernel table was compiled in (x86-64 build).
 bool avx2_compiled() noexcept;
 
 /// True when the running CPU supports AVX2 (false on non-x86 builds).
@@ -51,12 +54,13 @@ bool avx2_supported() noexcept;
 /// gate their AVX2 passes on this, not on avx2_supported().
 bool avx2_selectable() noexcept;
 
-/// True when the AVX-512/IFMA kernel TU was compiled in (x86-64 build with
-/// a toolchain that accepts -mavx512ifma).
+/// True when the AVX-512/IFMA kernel table was compiled in (x86-64 build
+/// with a toolchain that accepts -mavx512ifma).
 bool avx512ifma_compiled() noexcept;
 
 /// True when the running CPU supports the AVX-512 subsets the tier uses
-/// (F + DQ + IFMA); false on non-x86 builds.
+/// (F + DQ + IFMA) and the AVX2 tier, whose table serves wide primes and
+/// the DWT; false on non-x86 builds.
 bool avx512ifma_supported() noexcept;
 
 /// True when the AVX-512/IFMA kernels may actually be selected: supported
@@ -65,7 +69,7 @@ bool avx512ifma_supported() noexcept;
 /// overrides, so tests and benches gate their AVX-512 passes on this.
 bool avx512ifma_selectable() noexcept;
 
-/// The arch the dispatchers currently route to. Resolved once from cpuid
+/// The arch kernels_for() currently routes to. Resolved once from cpuid
 /// and the env vetoes, unless overridden for testing.
 KernelArch active_kernel_arch() noexcept;
 

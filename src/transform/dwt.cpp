@@ -3,8 +3,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "simd/dwt_kernels.hpp"
-#include "simd/simd_caps.hpp"
+#include "simd/kernels.hpp"
 
 namespace abc::xf {
 
@@ -35,28 +34,18 @@ CkksDwtPlan::CkksDwtPlan(int log_n)
 }
 
 void CkksDwtPlan::forward(std::span<Cx<double>> a) const {
+  const auto kernel = simd::active_kernels().dwt_forward;
+  if (kernel == nullptr) return forward<double>(a);
   ABC_CHECK_ARG(a.size() == n_, "DWT size mismatch");
-  switch (simd::active_kernel_arch()) {
-    case simd::KernelArch::kAvx512Ifma:
-    case simd::KernelArch::kAvx2:
-      simd::dwt_forward_avx2(&a[0].re, &psi_rev_[0].re, n_);
-      break;
-    case simd::KernelArch::kPortable:
-      return forward<double>(a);
-  }
+  kernel(&a[0].re, &psi_rev_[0].re, n_);
   count_butterflies();
 }
 
 void CkksDwtPlan::inverse(std::span<Cx<double>> a) const {
+  const auto kernel = simd::active_kernels().dwt_inverse;
+  if (kernel == nullptr) return inverse<double>(a);
   ABC_CHECK_ARG(a.size() == n_, "DWT size mismatch");
-  switch (simd::active_kernel_arch()) {
-    case simd::KernelArch::kAvx512Ifma:
-    case simd::KernelArch::kAvx2:
-      simd::dwt_inverse_avx2(&a[0].re, &psi_rev_[0].re, n_);
-      break;
-    case simd::KernelArch::kPortable:
-      return inverse<double>(a);
-  }
+  kernel(&a[0].re, &psi_rev_[0].re, n_);
   count_butterflies();
   op_counts().fft_mul += 2 * n_;
 }

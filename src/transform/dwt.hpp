@@ -46,9 +46,9 @@ class CkksDwtPlan {
   std::span<const std::size_t> index_map() const noexcept { return index_map_; }
 
   /// In-place forward DWT (natural -> bit-reversed), Cooley-Tukey. The
-  /// double overload runs the active kernel tier's butterflies
-  /// (simd/dwt_kernels.hpp), bit-identical to this scalar template, which
-  /// is the portable tier and the Rounded path.
+  /// double overload runs the active kernel table's butterflies
+  /// (simd/kernels.hpp, simd/dwt_kernels.hpp), bit-identical to this scalar
+  /// template, which is the portable tier and the Rounded path.
   void forward(std::span<Cx<double>> a) const;
   template <class F>
   void forward(std::span<Cx<F>> a) const {

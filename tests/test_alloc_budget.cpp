@@ -205,11 +205,17 @@ TEST(AllocBudget, PaperPointContextHoldsHalfSizeSharedTables) {
 TEST(AllocBudget, WarmContextCreateAllocatesLittleItDoesNotKeep) {
   // With the prime search memo and the NTT tables warm, a second context
   // allocates what it keeps (its DWT plan, the basis constants) plus a
-  // little scratch: 0.40 MB measured (Release, x86-64). The budget sits
-  // below the 0.7 MB that copying the memoized prime list and its sparse
-  // subset on each create would add (1.12 MB transient with the copies).
+  // little scratch: 0.05 MB measured (Release, x86-64). The transient
+  // budget sits below the 0.7 MB that copying the memoized prime list and
+  // its sparse subset on each create would add (1.12 MB transient with the
+  // copies). The cumulative budget is the DWT plan plus 192 KiB for the
+  // basis constants (64 KB) and that scratch: 1.69 MB measured, where
+  // rebuilding every prefix's q/q_i products from scratch in the RNS basis
+  // (O(L^3) big-integer temporaries) allocates 2.04 MB.
   constexpr std::size_t kTransientBudget = 512 * 1024;
   const CkksParams params = CkksParams::bootstrappable();
+  const std::size_t dwt_plan =
+      params.n() * (sizeof(xf::Cx<double>) + sizeof(std::size_t));
   const auto first = CkksContext::create(params);
   std::shared_ptr<const CkksContext> second;
   const std::size_t live_before = g_live_bytes.load();
@@ -217,6 +223,8 @@ TEST(AllocBudget, WarmContextCreateAllocatesLittleItDoesNotKeep) {
       allocated_by([&] { second = CkksContext::create(params); });
   const std::size_t retained = g_live_bytes.load() - live_before;
   EXPECT_LE(allocated - retained, kTransientBudget)
+      << allocated << " B allocated, " << retained << " B retained";
+  EXPECT_LE(allocated, dwt_plan + 192 * 1024)
       << allocated << " B allocated, " << retained << " B retained";
 }
 

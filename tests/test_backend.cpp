@@ -130,7 +130,7 @@ TEST(Backend, OpCountsAggregateToCaller) {
 TEST(Backend, FusedMultiplySubtractMatchesTheUnfusedChainAndItsCounts) {
   // set_fms is the symmetric-encrypt combine c0 = (m+e) - a*s with the
   // secret's limb prefix read in place: same residues and same op counts
-  // as the prefix copy + mul + negate_add chain it replaces.
+  // as the prefix copy + mul + negate + add chain it replaces.
   for (std::size_t threads : {0u, 2u}) {
     std::shared_ptr<backend::PolyBackend> be =
         threads == 0 ? std::shared_ptr<backend::PolyBackend>(
@@ -150,7 +150,8 @@ TEST(Backend, FusedMultiplySubtractMatchesTheUnfusedChainAndItsCounts) {
     xf::OpCounterScope unfused_scope;
     poly::RnsPoly want = a;
     want.mul_inplace(s.prefix_copy(3));
-    want.negate_add_inplace(base);
+    want.negate_inplace();
+    want.add_inplace(base);
     const xf::OpCounts unfused = unfused_scope.delta();
 
     xf::OpCounterScope fused_scope;

@@ -257,7 +257,7 @@ TEST(Evaluator, HoistedRotateManyMatchesNaiveBitForBit) {
 
 TEST(Evaluator, KeySwitchPipelineIsKernelArchInvariant) {
   // Forced-arch matrix: the relinearize -> rescale -> rotate pipeline
-  // (covering the fused gadget-accumulate, sub_mul_scalar and negate_add
+  // (covering the fused gadget-accumulate, sub_mul_scalar and fms_into
   // paths on every tier) must produce bit-identical ciphertexts whether
   // the portable, AVX2 or AVX-512/IFMA kernels execute it.
   struct ArchGuard {

@@ -103,7 +103,7 @@ TEST(BatchDecryptor, PlaintextsAreThreadCountInvariant) {
 
 TEST(BatchDecryptor, RoundTripIsKernelArchInvariant) {
   // Forced-arch matrix over the whole client round trip (keygen,
-  // encrypt batch — the fused negate_add path — and decrypt batch — the
+  // encrypt batch — the fused fms_into path — and decrypt batch — the
   // fused fma_into path): plaintexts must be byte-identical whether the
   // portable, AVX2 or AVX-512/IFMA kernels executed.
   struct ArchGuard {

@@ -12,6 +12,7 @@
 
 #include "rns/ntt_prime.hpp"
 #include "simd/dyadic_kernels.hpp"
+#include "simd/kernels.hpp"
 #include "simd/ntt_kernels.hpp"
 #include "simd/simd_caps.hpp"
 #include "transform/ntt.hpp"
@@ -265,7 +266,7 @@ TEST_F(DyadicKernelTest, AllOpsMatchModulusReferenceOnAllArches) {
       simd::dyadic_mul(dm, d.data(), b.data(), kN);
       EXPECT_EQ(d, ref_mul) << "mul " << an << " bits=" << bits;
       d = a;
-      simd::dyadic_fma(dm, d.data(), a.data(), b.data(), kN);
+      simd::dyadic_fma_into(dm, d.data(), d.data(), a.data(), b.data(), kN);
       EXPECT_EQ(d, ref_fma) << "fma " << an << " bits=" << bits;
       d = a;
       simd::dyadic_negate(dm, d.data(), kN);
@@ -295,28 +296,19 @@ TEST_F(DyadicKernelTest, FusedKernelsMatchUnfusedChainsOnAllArches) {
     for (std::size_t j = 0; j < kN; ++j) perm[j] = static_cast<u32>(j);
     std::shuffle(perm.begin(), perm.end(), rng);
 
-    // Unfused reference chains, portable ops only.
-    std::vector<u64> ref_acc0 = a, ref_acc1 = b;
-    {
-      std::vector<u64> staged(kN);
-      for (std::size_t j = 0; j < kN; ++j) staged[j] = digit[perm[j]];
-      simd::dyadic_fma_portable(dm, ref_acc0.data(), staged.data(), b.data(),
-                                kN);
-      simd::dyadic_fma_portable(dm, ref_acc1.data(), staged.data(), a.data(),
-                                kN);
+    // Element-wise rns::Modulus references of the unfused chains.
+    std::vector<u64> ref_acc0(kN), ref_acc1(kN), rn0(kN), rn1(kN),
+        ref_sms(kN), ref_fi(kN), ref_fs(kN);
+    for (std::size_t j = 0; j < kN; ++j) {
+      const u64 staged = digit[perm[j]];
+      ref_acc0[j] = q.add(a[j], q.mul(staged, b[j]));
+      ref_acc1[j] = q.add(b[j], q.mul(staged, a[j]));
+      rn0[j] = q.add(a[j], q.mul(digit[j], b[j]));
+      rn1[j] = q.add(b[j], q.mul(digit[j], a[j]));
+      ref_sms[j] = q.mul(q.sub(a[j], b[j]), s.operand);
+      ref_fi[j] = q.add(base[j], q.mul(a[j], b[j]));
+      ref_fs[j] = q.sub(base[j], q.mul(a[j], b[j]));
     }
-    std::vector<u64> ref_na = a;
-    simd::dyadic_negate_portable(dm, ref_na.data(), kN);
-    simd::dyadic_add_portable(dm, ref_na.data(), b.data(), kN);
-    std::vector<u64> ref_sms = a;
-    simd::dyadic_sub_portable(dm, ref_sms.data(), b.data(), kN);
-    simd::dyadic_mul_scalar_portable(dm, ref_sms.data(), kN, s.operand,
-                                     s.quotient);
-    std::vector<u64> ref_fi = base;
-    simd::dyadic_fma_portable(dm, ref_fi.data(), a.data(), b.data(), kN);
-    std::vector<u64> ref_fs = a;  // mul then negate_add: base - a*b
-    simd::dyadic_mul_portable(dm, ref_fs.data(), b.data(), kN);
-    simd::dyadic_negate_add_portable(dm, ref_fs.data(), base.data(), kN);
 
     for (simd::KernelArch arch : available_arches()) {
       simd::set_kernel_arch_for_testing(arch);
@@ -335,19 +327,12 @@ TEST_F(DyadicKernelTest, FusedKernelsMatchUnfusedChainsOnAllArches) {
       simd::dyadic_fma_accumulate(dm, acc0n.data(), acc1n.data(),
                                   digit.data(), b.data(), a.data(), nullptr,
                                   kN);
-      std::vector<u64> rn0 = a, rn1 = b;
-      simd::dyadic_fma_portable(dm, rn0.data(), digit.data(), b.data(), kN);
-      simd::dyadic_fma_portable(dm, rn1.data(), digit.data(), a.data(), kN);
       EXPECT_EQ(acc0n, rn0) << "fma_accumulate acc0 " << an
                             << " bits=" << bits;
       EXPECT_EQ(acc1n, rn1) << "fma_accumulate acc1 " << an
                             << " bits=" << bits;
 
       std::vector<u64> d = a;
-      simd::dyadic_negate_add(dm, d.data(), b.data(), kN);
-      EXPECT_EQ(d, ref_na) << "negate_add " << an << " bits=" << bits;
-
-      d = a;
       simd::dyadic_sub_mul_scalar(dm, d.data(), b.data(), kN, s.operand,
                                   s.quotient);
       EXPECT_EQ(d, ref_sms) << "sub_mul_scalar " << an << " bits=" << bits;
@@ -356,6 +341,10 @@ TEST_F(DyadicKernelTest, FusedKernelsMatchUnfusedChainsOnAllArches) {
       simd::dyadic_fma_into(dm, out.data(), base.data(), a.data(), b.data(),
                             kN);
       EXPECT_EQ(out, ref_fi) << "fma_into " << an << " bits=" << bits;
+      out = base;  // out may equal base: the in-place fma
+      simd::dyadic_fma_into(dm, out.data(), out.data(), a.data(), b.data(),
+                            kN);
+      EXPECT_EQ(out, ref_fi) << "fma_into in place " << an << " bits=" << bits;
 
       std::fill(out.begin(), out.end(), ~u64{0});
       simd::dyadic_fms_into(dm, out.data(), base.data(), a.data(), b.data(),
@@ -370,21 +359,30 @@ TEST_F(DyadicKernelTest, FusedKernelsMatchUnfusedChainsOnAllArches) {
 }
 
 TEST_F(DyadicKernelTest, IfmaPrimeConstraintIsComputedOnce) {
-  // The 52-bit IFMA datapath accepts primes up to kIfmaMaxPrimeBits; wider
-  // primes must carry ifma_ok == false so dispatch falls back to AVX2.
-  for (int bits : {32, 45, 50}) {
+  // The 52-bit IFMA datapath accepts primes up to kIfmaMaxPrimeBits, and
+  // kernels_for is the one place that rule is applied: on the AVX-512 tier
+  // it hands wider primes the AVX2 table, and every other tier ignores q.
+  ArchGuard guard;
+  for (int bits : {32, 45, 50, 51, 59}) {
     const rns::Modulus q(rns::select_prime_chain(bits, 10, 1)[0]);
-    const simd::DyadicModulus dm = simd::DyadicModulus::make(q);
-    EXPECT_TRUE(dm.ifma_ok) << "bits=" << bits;
+    const bool ifma_fits = bits <= simd::kIfmaMaxPrimeBits;
+    for (simd::KernelArch arch : available_arches()) {
+      simd::set_kernel_arch_for_testing(arch);
+      const simd::Kernels* want = &simd::portable_kernels();
+      if (arch == simd::KernelArch::kAvx2) want = simd::avx2_kernels();
+      if (arch == simd::KernelArch::kAvx512Ifma) {
+        want = ifma_fits ? simd::avx512ifma_kernels() : simd::avx2_kernels();
+      }
+      EXPECT_EQ(&simd::kernels_for(q.value()), want)
+          << "bits=" << bits << " arch=" << simd::kernel_arch_name(arch);
+    }
+    if (!ifma_fits) continue;
     // ratio52 is the exact base-2^52 Barrett constant (floor identity).
+    const simd::DyadicModulus dm = simd::DyadicModulus::make(q);
     EXPECT_EQ(dm.ratio52, dm.ratio >> 12);
     EXPECT_EQ(dm.ratio52,
               static_cast<u64>((static_cast<u128>(1) << (52 + dm.shift)) /
                                q.value()));
-  }
-  for (int bits : {51, 59}) {
-    const rns::Modulus q(rns::select_prime_chain(bits, 10, 1)[0]);
-    EXPECT_FALSE(simd::DyadicModulus::make(q).ifma_ok) << "bits=" << bits;
   }
 }
 
