@@ -20,7 +20,6 @@
 #include "ckks/decryptor.hpp"
 #include "ckks/serialize.hpp"
 #include "engine/batch_encryptor.hpp"
-#include "engine/batch_keygen.hpp"
 
 int main() {
   using namespace abc;
@@ -43,16 +42,15 @@ int main() {
               params.log_n, params.num_limbs, ctx->backend().name(),
               ctx->backend().workers());
 
-  // 1. On-device key generation: secret + public serially, switching keys
-  //    fanned across the pool by the batch engine.
+  // 1. On-device key generation: secret + public serially, switching-key
+  //    digits fanned across the pool by the same generator.
   const std::vector<int> rotations = {1, 2, 4, 8};
   auto t0 = Clock::now();
   ckks::KeyGenerator keygen(ctx);
   const ckks::SecretKey sk = keygen.secret_key();
   const ckks::PublicKey pk = keygen.public_key(sk);
-  engine::BatchKeyGenerator key_engine(ctx, sk);
-  const ckks::RelinKey rlk = key_engine.relin_key();
-  const ckks::GaloisKeys gks = key_engine.galois_keys(rotations);
+  const ckks::RelinKey rlk = keygen.relin_key(sk);
+  const ckks::GaloisKeys gks = keygen.galois_keys(sk, rotations);
   std::printf("Generated sk, pk, relin (%zu digits) and %zu Galois keys "
               "in %.1f ms\n",
               rlk.key.digits(), gks.keys.size(), ms_since(t0));

@@ -1,5 +1,6 @@
 #include "ckks/keygen.hpp"
 
+#include "common/failpoint.hpp"
 #include "prng/samplers.hpp"
 #include "transform/op_counter.hpp"
 
@@ -122,13 +123,25 @@ const KeySwitchKey& GaloisKeys::key_for(int step) const {
   return *key;
 }
 
+namespace {
+
+/// Generates one gadget digit of a key-switching key into (@p b_out,
+/// @p a_out): a_d uniform and e_d Gaussian from the kind's domains salted
+/// with @p galois_elt (see ksk_stream_domain), both at @p stream_id;
+/// b_d = -(a_d * s) + e_d + g_d * s'. @p s_neg_eval is the *negated*
+/// secret -s in evaluation form (hoisted out so the -(a*s) term is one
+/// allocation-free fused multiply-add per digit, not a product copy).
+/// Both outputs are reset to full-limb evaluation form. The digit's
+/// randomness depends only on (seed, kind, galois_elt, stream_id), so any
+/// scheduling of digits across workers yields bit-identical keys — this
+/// is the unit of work KeyGenerator fans out.
 void generate_ksk_digit(const CkksContext& ctx,
                         const poly::RnsPoly& s_neg_eval,
                         const poly::RnsPoly& s_prime_eval,
                         KeySwitchKey::Kind kind, u32 galois_elt,
                         u64 stream_id, std::size_t digit,
                         poly::RnsPoly& b_out, poly::RnsPoly& a_out,
-                        SamplerScratch* scratch) {
+                        SamplerScratch& scratch) {
   const std::size_t limbs = ctx.max_limbs();
   ABC_CHECK_ARG(digit < limbs, "gadget digit out of range");
   const auto a_domain = static_cast<PrngDomain>(
@@ -141,7 +154,7 @@ void generate_ksk_digit(const CkksContext& ctx,
 
   // b starts as the error, transformed to the evaluation domain.
   b_out.reset(limbs, poly::Domain::kCoeff);
-  fill_gaussian_coeff(ctx, b_out, error_domain, stream_id, scratch);
+  fill_gaussian_coeff(ctx, b_out, error_domain, stream_id, &scratch);
   b_out.to_eval();
 
   // b = e + a*(-s), one fused pass with no product buffer.
@@ -154,6 +167,8 @@ void generate_ksk_digit(const CkksContext& ctx,
   const std::span<const u64> sp = s_prime_eval.limb(digit);
   for (std::size_t j = 0; j < bd.size(); ++j) bd[j] = q.add(bd[j], sp[j]);
 }
+
+}  // namespace
 
 KeyGenerator::KeyGenerator(std::shared_ptr<const CkksContext> ctx)
     : ctx_(std::move(ctx)) {
@@ -186,9 +201,9 @@ PublicKey KeyGenerator::public_key(const SecretKey& sk) {
   return PublicKey{std::move(b), std::move(a), id};
 }
 
-KeySwitchKey KeyGenerator::make_ksk(KeySwitchKey::Kind kind, u32 galois_elt,
-                                    const SecretKey& sk,
-                                    const poly::RnsPoly& s_prime_eval) {
+KeySwitchKey KeyGenerator::make_key_shell(KeySwitchKey::Kind kind,
+                                          u32 galois_elt,
+                                          const SecretKey& sk) {
   const std::size_t digits = ctx_->max_limbs();
   KeySwitchKey key;
   key.kind = kind;
@@ -197,38 +212,42 @@ KeySwitchKey KeyGenerator::make_ksk(KeySwitchKey::Kind kind, u32 galois_elt,
   ksk_counter_ += digits;
   key.b.reserve(digits);
   key.a.reserve(digits);
-  poly::RnsPoly s_neg = sk.s;  // one negation per key, shared by digits
-  s_neg.negate_inplace();
-  SamplerScratch scratch;
   for (std::size_t d = 0; d < digits; ++d) {
     key.b.push_back(ctx_->make_poly(digits, poly::Domain::kEval));
     key.a.push_back(ctx_->make_poly(digits, poly::Domain::kEval));
-    generate_ksk_digit(*ctx_, s_neg, s_prime_eval, kind, galois_elt,
-                       key.base_stream_id + d, d, key.b[d], key.a[d],
-                       &scratch);
   }
   return key;
+}
+
+void KeyGenerator::generate_digits(const SecretKey& sk,
+                                   std::span<KeySwitchKey> keys,
+                                   std::span<const poly::RnsPoly> s_primes) {
+  poly::RnsPoly s_neg = sk.s;  // one negation per call, shared by digits
+  s_neg.negate_inplace();
+  const std::size_t digits = ctx_->max_limbs();
+  backend::PolyBackend& backend = ctx_->backend();
+  std::vector<SamplerScratch> scratch(backend.workers());
+  backend.parallel_for(keys.size() * digits, [&](std::size_t i,
+                                                 std::size_t worker) {
+    KeySwitchKey& key = keys[i / digits];
+    const std::size_t d = i % digits;
+    ABC_FAILPOINT(fail::points::kKeygenDigit);
+    generate_ksk_digit(*ctx_, s_neg, s_primes[i / digits], key.kind,
+                       key.galois_elt, key.base_stream_id + d, d, key.b[d],
+                       key.a[d], scratch[worker]);
+  });
 }
 
 RelinKey KeyGenerator::relin_key(const SecretKey& sk) {
   poly::RnsPoly s2 = sk.s;
   s2.mul_inplace(sk.s);
-  return RelinKey{make_ksk(KeySwitchKey::Kind::kRelin, 0, sk, s2)};
-}
-
-KeySwitchKey KeyGenerator::galois_key_from_coeff(const SecretKey& sk,
-                                                 const poly::RnsPoly& s_coeff,
-                                                 u32 elt) {
-  poly::RnsPoly s_rot = s_coeff.automorphism(elt);
-  s_rot.to_eval();
-  return make_ksk(KeySwitchKey::Kind::kGalois, elt, sk, s_rot);
+  RelinKey rlk{make_key_shell(KeySwitchKey::Kind::kRelin, 0, sk)};
+  generate_digits(sk, std::span(&rlk.key, 1), std::span(&s2, 1));
+  return rlk;
 }
 
 KeySwitchKey KeyGenerator::galois_key(const SecretKey& sk, int step) {
-  poly::RnsPoly s_coeff = sk.s;
-  s_coeff.to_coeff();
-  return galois_key_from_coeff(sk, s_coeff,
-                               galois_element(step, ctx_->n()));
+  return std::move(galois_keys(sk, std::span(&step, 1)).keys.front());
 }
 
 GaloisKeys KeyGenerator::galois_keys(const SecretKey& sk,
@@ -236,15 +255,19 @@ GaloisKeys KeyGenerator::galois_keys(const SecretKey& sk,
   GaloisKeys out;
   out.slots = ctx_->slots();
   out.steps.assign(steps.begin(), steps.end());
+  if (steps.empty()) return out;
   out.keys.reserve(steps.size());
-  // One INTT of the secret for the whole set; each step only pays its
-  // automorphism + forward NTT.
+  std::vector<poly::RnsPoly> rotated;
+  rotated.reserve(steps.size());
   poly::RnsPoly s_coeff = sk.s;
   s_coeff.to_coeff();
   for (int step : steps) {
-    out.keys.push_back(
-        galois_key_from_coeff(sk, s_coeff, galois_element(step, ctx_->n())));
+    const u32 elt = galois_element(step, ctx_->n());
+    rotated.push_back(s_coeff.automorphism(elt));
+    rotated.back().to_eval();
+    out.keys.push_back(make_key_shell(KeySwitchKey::Kind::kGalois, elt, sk));
   }
+  generate_digits(sk, out.keys, rotated);
   return out;
 }
 

@@ -171,34 +171,48 @@ class KeyGenerator {
   /// transformed, b = -(a*s) + e.
   PublicKey public_key(const SecretKey& sk);
 
+  // Switching keys. A key reserves its counter block (one id per digit)
+  // before any work, then its gadget digits fan out across the context
+  // backend's workers, one SamplerScratch per worker. Every digit's
+  // randomness depends only on (seed, kind, element, stream id), so keys
+  // are bit-identical for any backend and any worker count. A throwing
+  // digit (including an armed engine.keygen_digit failpoint) fails the
+  // whole call; no half-written key is returned.
+
   /// Relinearization key (s^2 -> s), one gadget digit per RNS limb.
   RelinKey relin_key(const SecretKey& sk);
 
   /// Galois key for one rotation step (sigma_g(s) -> s).
   KeySwitchKey galois_key(const SecretKey& sk, int step);
 
-  /// Galois keys for every step in @p steps, generated in order.
+  /// Galois keys for every step in @p steps, counter blocks reserved in
+  /// step order. One inverse NTT of s serves every rotated secret; then
+  /// all (step, digit) pairs fan out as one flat work list, so with S
+  /// steps and D digits each of the S*D items can land on its own worker.
   GaloisKeys galois_keys(const SecretKey& sk, std::span<const int> steps);
 
  private:
-  KeySwitchKey make_ksk(KeySwitchKey::Kind kind, u32 galois_elt,
-                        const SecretKey& sk,
-                        const poly::RnsPoly& s_prime_eval);
-  KeySwitchKey galois_key_from_coeff(const SecretKey& sk,
-                                     const poly::RnsPoly& s_coeff, u32 elt);
+  /// Key metadata plus uninitialized digit polynomials, with the key's
+  /// secret-salted counter block reserved.
+  KeySwitchKey make_key_shell(KeySwitchKey::Kind kind, u32 galois_elt,
+                              const SecretKey& sk);
+  /// Generates every digit of every key in @p keys across the backend;
+  /// keys[k] switches from @p s_primes[k] (evaluation form) to sk.
+  void generate_digits(const SecretKey& sk, std::span<KeySwitchKey> keys,
+                       std::span<const poly::RnsPoly> s_primes);
 
   std::shared_ptr<const CkksContext> ctx_;
   // Secret ids come from the context-wide counter (reserve_secret_ids);
   // the derived-key counters below stay per-instance — their streams are
-  // salted by the secret id, so instance collisions regenerate the
-  // *identical* key (harmless), and the serial engine-vs-generator
-  // bit-identity tests rely on fresh instances counting from 0.
+  // salted by the secret id, so the same (secret, kind, element, counter)
+  // tuple regenerates the *identical* key (harmless), and a fresh
+  // instance reproduces the keys of another that counted from 0.
   u64 pk_counter_ = 0;
   u64 ksk_counter_ = 0;  // each switching key reserves `digits` ids
 };
 
 /// Reusable sampler staging buffers for allocation-free hot paths; one per
-/// worker when sampling runs under a parallel engine.
+/// backend worker when KeyGenerator fans key digits out.
 struct SamplerScratch {
   std::vector<i8> ternary;
   std::vector<i32> wide;
@@ -234,23 +248,5 @@ void fill_ternary_coeff(const CkksContext& ctx, poly::RnsPoly& dst,
 void fill_gaussian_coeff(const CkksContext& ctx, poly::RnsPoly& dst,
                          PrngDomain domain, u64 stream_id,
                          SamplerScratch* scratch = nullptr);
-
-/// Generates one gadget digit of a key-switching key into (@p b_out,
-/// @p a_out): a_d uniform and e_d Gaussian from the kind's domains salted
-/// with @p galois_elt (see ksk_stream_domain), both at @p stream_id;
-/// b_d = -(a_d * s) + e_d + g_d * s'. @p s_neg_eval is the *negated*
-/// secret -s in evaluation form (hoisted out so the -(a*s) term is one
-/// allocation-free fused multiply-add per digit, not a product copy).
-/// Both outputs are reset to full-limb evaluation form. The digit's
-/// randomness depends only on (seed, kind, galois_elt, stream_id), so any
-/// scheduling of digits across workers yields bit-identical keys — this
-/// is the unit of work engine::BatchKeyGenerator fans out.
-void generate_ksk_digit(const CkksContext& ctx,
-                        const poly::RnsPoly& s_neg_eval,
-                        const poly::RnsPoly& s_prime_eval,
-                        KeySwitchKey::Kind kind, u32 galois_elt,
-                        u64 stream_id, std::size_t digit,
-                        poly::RnsPoly& b_out, poly::RnsPoly& a_out,
-                        SamplerScratch* scratch = nullptr);
 
 }  // namespace abc::ckks

@@ -17,48 +17,27 @@ BatchDecryptor::BatchDecryptor(std::shared_ptr<const ckks::CkksContext> ctx,
 
 std::vector<ckks::Plaintext> BatchDecryptor::decrypt_batch(
     std::span<const ckks::Ciphertext> cts) {
-  BatchErrorReport report;
-  std::vector<std::optional<ckks::Plaintext>> staged =
-      decrypt_batch(cts, report);
-  report.rethrow_first();
+  // Plaintext is not default-constructible (RnsPoly carries its context),
+  // so the parallel writes are staged through optionals.
+  std::vector<std::optional<ckks::Plaintext>> staged(cts.size());
+  core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
+    ABC_FAILPOINT(fail::points::kDecryptItem);
+    staged[i] = decryptor_.decrypt_with(cts[i], scratch_.at(worker));
+  }).rethrow_first();
   std::vector<ckks::Plaintext> out;
   out.reserve(cts.size());
   for (auto& pt : staged) out.push_back(std::move(*pt));
   return out;
 }
 
-std::vector<std::optional<ckks::Plaintext>> BatchDecryptor::decrypt_batch(
-    std::span<const ckks::Ciphertext> cts, BatchErrorReport& report) {
-  // Plaintext is not default-constructible (RnsPoly carries its context),
-  // so the parallel writes are staged through optionals.
-  std::vector<std::optional<ckks::Plaintext>> out(cts.size());
-  report = core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kDecryptItem);
-    out[i] = decryptor_.decrypt_with(cts[i], scratch_.at(worker));
-  });
-  return out;
-}
-
 std::vector<std::vector<std::complex<double>>>
 BatchDecryptor::decrypt_decode_batch(std::span<const ckks::Ciphertext> cts) {
-  BatchErrorReport report;
-  std::vector<std::vector<std::complex<double>>> out =
-      decrypt_decode_batch(cts, report);
-  report.rethrow_first();
-  return out;
-}
-
-std::vector<std::vector<std::complex<double>>>
-BatchDecryptor::decrypt_decode_batch(std::span<const ckks::Ciphertext> cts,
-                                     BatchErrorReport& report) {
   std::vector<std::vector<std::complex<double>>> out(cts.size());
-  report = core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
+  core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
     ABC_FAILPOINT(fail::points::kDecryptItem);
-    // decode() returns a fresh vector, so a throw before the assignment
-    // leaves out[i] as the empty vector it started as — never half-written.
     out[i] =
         encoder_.decode(decryptor_.decrypt_with(cts[i], scratch_.at(worker)));
-  });
+  }).rethrow_first();
   return out;
 }
 

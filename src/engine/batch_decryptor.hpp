@@ -17,7 +17,6 @@
 
 #include <complex>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -60,6 +59,8 @@ class BatchDecryptor {
   /// in input order. Accepts 2- and 3-component ciphertexts at any level;
   /// a malformed item (component count, mismatched levels) throws
   /// InvalidArgument on the calling thread, exactly as it would serially.
+  /// Every item runs; with several failures the lowest index's exception
+  /// is rethrown (BatchErrorReport::rethrow_first), at any worker count.
   std::vector<ckks::Plaintext> decrypt_batch(
       std::span<const ckks::Ciphertext> cts);
 
@@ -77,21 +78,12 @@ class BatchDecryptor {
       std::span<const std::vector<std::complex<double>>> expected,
       double bound = 0.0);
 
-  // -- per-item-fault mode ----------------------------------------------------
-  // One malformed ciphertext no longer aborts the batch: @p report records
-  // each item's outcome in input order and successes are untouched. The
-  // throwing overloads above run these bodies and then rethrow the
-  // lowest-index failure (BatchErrorReport::rethrow_first).
-  // Plaintext is not default-constructible, so the failed slot of the
-  // plaintext overload is std::nullopt; a failed decode slot is an empty
-  // vector; a failed verify slot is a default (failing) VerifyReport.
-
-  std::vector<std::optional<ckks::Plaintext>> decrypt_batch(
-      std::span<const ckks::Ciphertext> cts, BatchErrorReport& report);
-
-  std::vector<std::vector<std::complex<double>>> decrypt_decode_batch(
-      std::span<const ckks::Ciphertext> cts, BatchErrorReport& report);
-
+  /// Per-item-fault mode of verify_batch (the retry loop of
+  /// ClientSession::round_trip_with_retry reads it): an item whose verify
+  /// throws no longer aborts the batch. @p report records each item's
+  /// outcome in input order, and a failed item keeps the default (failing)
+  /// VerifyReport. The throwing overload runs this body and then rethrows
+  /// the lowest-index failure (BatchErrorReport::rethrow_first).
   BatchVerifyReport verify_batch(
       std::span<const ckks::Ciphertext> cts,
       std::span<const std::vector<std::complex<double>>> expected,

@@ -61,32 +61,26 @@ class BatchEncryptor {
   std::vector<ckks::Ciphertext> encrypt_plaintexts(
       std::span<const ckks::Plaintext> plaintexts);
 
-  // -- per-item-fault mode ----------------------------------------------------
-  // Same work, but one bad message no longer aborts the batch: @p report
-  // records each item's outcome in input order, failed slots come back as
-  // default-constructed (empty) Ciphertexts, and successes are the exact
-  // bytes the throwing overload would have produced (stream ids are
-  // reserved identically whether or not neighbours fail). The throwing
-  // overloads above run these bodies and then rethrow the lowest-index
-  // failure (BatchErrorReport::rethrow_first).
-
+  /// Per-item-fault mode of encrypt_batch (the retry loop of
+  /// ClientSession::round_trip_with_retry reads it): one bad message no
+  /// longer aborts the batch. @p report records each item's outcome in
+  /// input order, failed slots come back as default-constructed (empty)
+  /// Ciphertexts, and successes are the exact bytes the throwing overload
+  /// would have produced (stream ids are reserved identically whether or
+  /// not neighbours fail). The throwing overload runs this body and then
+  /// rethrows the lowest-index failure (BatchErrorReport::rethrow_first).
   std::vector<ckks::Ciphertext> encrypt_batch(
       std::span<const std::vector<std::complex<double>>> messages,
       std::size_t limbs, BatchErrorReport& report);
 
-  std::vector<ckks::Ciphertext> encrypt_real_batch(
-      std::span<const std::vector<double>> messages, std::size_t limbs,
-      BatchErrorReport& report);
-
  private:
-  /// The one fan-out every operation shares: item(i, scratch, id) for each
-  /// slot under a reserved stream-id block, outcomes into @p report.
-  std::vector<ckks::Ciphertext> run(
-      std::size_t count,
+  /// The one fan-out every operation shares: out[i] = item(i, scratch, id)
+  /// for each slot under a reserved stream-id block; returns the outcomes.
+  BatchErrorReport run(
+      std::span<ckks::Ciphertext> out,
       const std::function<ckks::Ciphertext(std::size_t index,
                                            ckks::EncryptScratch& scratch,
-                                           u64 stream_id)>& item,
-      BatchErrorReport& report);
+                                           u64 stream_id)>& item);
 
   FanOutCore core_;
   ckks::CkksEncoder encoder_;

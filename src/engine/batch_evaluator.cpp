@@ -10,49 +10,29 @@ BatchEvaluator::BatchEvaluator(std::shared_ptr<const ckks::CkksContext> ctx)
 std::vector<ckks::Ciphertext> BatchEvaluator::rotate_batch(
     std::span<const ckks::Ciphertext> cts, int step,
     const ckks::KeySource& keys) {
-  BatchErrorReport report;
-  std::vector<ckks::Ciphertext> out = rotate_batch(cts, step, keys, report);
-  report.rethrow_first();
-  return out;
-}
-
-std::vector<ckks::Ciphertext> BatchEvaluator::rotate_batch(
-    std::span<const ckks::Ciphertext> cts, int step,
-    const ckks::KeySource& keys, BatchErrorReport& report) {
   // Pin once for the whole batch, before the fan-out: one lookup (at most
   // one regeneration), and the key cannot be evicted while any item still
   // switches on it.
   const std::shared_ptr<const ckks::KeySwitchKey> key =
       keys.galois_key(step);
   std::vector<ckks::Ciphertext> out(cts.size());
-  report = core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
+  core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
     ABC_FAILPOINT(fail::points::kEvaluateItem);
-    // rotate() returns a fresh ciphertext, so a throw leaves out[i] the
-    // well-defined-empty Ciphertext it started as — never half-written.
     out[i] = evaluator_.rotate(cts[i], *key, &scratch_.at(worker));
-  });
+  }).rethrow_first();
   return out;
 }
 
 std::vector<ckks::Ciphertext> BatchEvaluator::square_relin_batch(
     std::span<const ckks::Ciphertext> cts, const ckks::KeySource& keys) {
-  BatchErrorReport report;
-  std::vector<ckks::Ciphertext> out = square_relin_batch(cts, keys, report);
-  report.rethrow_first();
-  return out;
-}
-
-std::vector<ckks::Ciphertext> BatchEvaluator::square_relin_batch(
-    std::span<const ckks::Ciphertext> cts, const ckks::KeySource& keys,
-    BatchErrorReport& report) {
   const std::shared_ptr<const ckks::KeySwitchKey> key = keys.relin_key();
   std::vector<ckks::Ciphertext> out(cts.size());
-  report = core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
+  core_.run(cts.size(), [&](std::size_t i, std::size_t worker) {
     ABC_FAILPOINT(fail::points::kEvaluateItem);
     ckks::Ciphertext product = evaluator_.mul(cts[i], cts[i]);
     evaluator_.relinearize_inplace(product, *key, &scratch_.at(worker));
     out[i] = std::move(product);
-  });
+  }).rethrow_first();
   return out;
 }
 

@@ -46,7 +46,9 @@ class BatchEvaluator {
   /// batch, and the pin guarantees a caching source cannot evict the key
   /// mid-batch. Eager keys go through ckks::EagerKeySource. Each item must
   /// sit at level <= max_limbs - 1 (the key-switch special prime rule) or
-  /// the item throws InvalidArgument, exactly as serially.
+  /// the item throws InvalidArgument, exactly as serially. Every item
+  /// runs; with several failures the lowest index's exception is
+  /// rethrown (BatchErrorReport::rethrow_first), at any worker count.
   std::vector<ckks::Ciphertext> rotate_batch(
       std::span<const ckks::Ciphertext> cts, int step,
       const ckks::KeySource& keys);
@@ -56,23 +58,6 @@ class BatchEvaluator {
   /// pin-once contract as rotate_batch.
   std::vector<ckks::Ciphertext> square_relin_batch(
       std::span<const ckks::Ciphertext> cts, const ckks::KeySource& keys);
-
-  // -- per-item-fault mode ----------------------------------------------------
-  // One malformed ciphertext no longer aborts the batch: @p report records
-  // each item's outcome in input order, failed slots come back as
-  // default-constructed (empty) Ciphertexts, successes are the exact bytes
-  // of the throwing overload. The key is still pinned once up front, so a
-  // key failure throws rather than landing in the report. The throwing
-  // overloads above run these bodies and then rethrow the lowest-index
-  // failure (BatchErrorReport::rethrow_first).
-
-  std::vector<ckks::Ciphertext> rotate_batch(
-      std::span<const ckks::Ciphertext> cts, int step,
-      const ckks::KeySource& keys, BatchErrorReport& report);
-
-  std::vector<ckks::Ciphertext> square_relin_batch(
-      std::span<const ckks::Ciphertext> cts, const ckks::KeySource& keys,
-      BatchErrorReport& report);
 
  private:
   FanOutCore core_;

@@ -24,28 +24,16 @@ ClientSession::ClientSession(std::shared_ptr<const ckks::CkksContext> ctx,
                              SessionConfig config)
     : ctx_(std::move(ctx)),
       config_(std::move(config)),
-      // KeyGenerator keeps a separate counter per derived-key type, so
-      // drawing sk and pk from two throwaway instances assigns the same
-      // stream ids a single instance would. Secret ids themselves are
-      // context-wide (reserve_secret_ids), so two sessions sharing a warm
-      // context always hold distinct secrets.
-      sk_([this] {
-        ABC_CHECK_ARG(ctx_ != nullptr, "null context");
-        ckks::KeyGenerator keygen(ctx_);
-        return keygen.secret_key();
-      }()),
-      pk_([this] {
-        ckks::KeyGenerator keygen(ctx_);
-        return keygen.public_key(sk_);
-      }()),
-      keygen_(ctx_, sk_),
+      keygen_(ctx_),
+      sk_(keygen_.secret_key()),
+      pk_(keygen_.public_key(sk_)),
       encryptor_(make_encryptor(ctx_, config_, sk_, pk_)),
       decryptor_(ctx_, sk_) {}
 
 const KeyBundle& ClientSession::key_bundle() {
   if (!key_bundle_) {
-    const ckks::RelinKey rlk = keygen_.relin_key();
-    const ckks::GaloisKeys gks = keygen_.galois_keys(config_.rotations);
+    const ckks::RelinKey rlk = keygen_.relin_key(sk_);
+    const ckks::GaloisKeys gks = keygen_.galois_keys(sk_, config_.rotations);
     KeyBundle bundle;
     bundle.public_key =
         serialize_public_key(ctx_, pk_, config_.bits_per_coeff);

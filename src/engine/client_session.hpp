@@ -18,8 +18,10 @@
 /// Context, engines and per-worker scratch are built once and reused
 /// across requests, so a long-lived client amortizes every setup cost —
 /// the serving posture behind "millions of users". All engine guarantees
-/// carry over: batches are bit-identical at any worker count, and every
-/// stream id comes from the context-wide counter.
+/// carry over: batches and keys are bit-identical at any worker count,
+/// every ciphertext stream id comes from the context-wide counter, and
+/// the switching keys count from 0 in the session's own KeyGenerator,
+/// salted by the session's secret id.
 
 #include <complex>
 #include <functional>
@@ -29,10 +31,10 @@
 #include <string>
 #include <vector>
 
+#include "ckks/keygen.hpp"
 #include "ckks/serialize.hpp"
 #include "engine/batch_decryptor.hpp"
 #include "engine/batch_encryptor.hpp"
-#include "engine/batch_keygen.hpp"
 
 namespace abc::engine {
 
@@ -150,9 +152,9 @@ class ClientSession {
  private:
   std::shared_ptr<const ckks::CkksContext> ctx_;
   SessionConfig config_;
+  ckks::KeyGenerator keygen_;  // sk, pk and the switching keys
   ckks::SecretKey sk_;
   ckks::PublicKey pk_;
-  BatchKeyGenerator keygen_;
   BatchEncryptor encryptor_;
   BatchDecryptor decryptor_;
   std::optional<KeyBundle> key_bundle_;  // built on first key_bundle()

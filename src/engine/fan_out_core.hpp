@@ -2,9 +2,8 @@
 
 /// @file fan_out_core.hpp
 /// Shared deterministic fan-out core for every batch engine. The engines
-/// (BatchEncryptor, BatchKeyGenerator, BatchDecryptor, BatchEvaluator)
-/// used to each reimplement the same machinery; it lives here exactly
-/// once:
+/// (BatchEncryptor, BatchDecryptor, BatchEvaluator) used to each
+/// reimplement the same machinery; it lives here exactly once:
 ///
 ///  * **Contiguous stream-id reservation.** Randomness-consuming work
 ///    reserves its id block from the *context-wide* atomic counter
@@ -23,12 +22,13 @@
 ///    contract by routing every fan-out through run()/run_with_ids().
 ///  * **Failure isolation.** There is one fan-out, and it isolates: each
 ///    job runs under its own catch, every item runs even when a neighbour
-///    fails, and outcomes land in a BatchErrorReport in input order. Each
-///    engine operation has one body, its report-mode overload; the
-///    throwing overload calls it and then BatchErrorReport::rethrow_first(),
-///    which rethrows the lowest-index failure with its original type. The
-///    report and the exception a throwing call raises are therefore the
-///    same at any worker count, and stream ids are reserved identically in
+///    fails, and outcomes land in a BatchErrorReport in input order. A
+///    throwing operation is run() followed by
+///    BatchErrorReport::rethrow_first(), which rethrows the lowest-index
+///    failure with its original type, so the exception is the same at any
+///    worker count. The two report-mode overloads (encrypt_batch and
+///    verify_batch, which ClientSession::round_trip_with_retry reads)
+///    return the report instead; stream ids are reserved identically in
 ///    both modes, so the surviving items of a faulty batch are
 ///    bit-identical to the same items of a clean one.
 
@@ -106,7 +106,7 @@ class FanOutCore {
 
 /// One scratch object per backend lane. S is constructed from the context
 /// when such a constructor exists (EncryptScratch, DecryptScratch) and
-/// default-constructed otherwise (SamplerScratch).
+/// default-constructed otherwise (KeySwitchScratch).
 template <class S>
 class ScratchPool {
  public:

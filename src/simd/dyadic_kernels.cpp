@@ -32,11 +32,12 @@ void dyadic_add_portable(const DyadicModulus& m, u64* dst, const u64* src,
 
 void dyadic_sub_portable(const DyadicModulus& m, u64* dst, const u64* src,
                          std::size_t n) {
+  // Sign-mask form (see the note above the fused loops): the wrapped
+  // difference's top bit is the borrow, so no branch on random residues.
   const u64 q = m.q;
   for (std::size_t j = 0; j < n; ++j) {
-    const u64 d = dst[j];
-    const u64 s = src[j];
-    dst[j] = d >= s ? d - s : d + q - s;
+    const u64 t = dst[j] - src[j];
+    dst[j] = t + (q & static_cast<u64>(static_cast<i64>(t) >> 63));
   }
 }
 

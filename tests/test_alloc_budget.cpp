@@ -253,6 +253,21 @@ TEST(AllocBudget, PaperPointEchoRoundAllocatesNoCiphertextCopy) {
   EXPECT_EQ(report.rounds, 1u);
 }
 
+TEST(AllocBudget, PaperPointClientSessionRetainsNoKeygenCopies) {
+  // What a session holds once built at the paper point: five 24-limb
+  // polynomials (sk, pk.b and pk.a, and the encryptor's and decryptor's
+  // secret copies) plus 4 MiB for the encoders, per-worker scratch and
+  // bookkeeping. A switching-key generator that kept its own s and -s for
+  // the session's lifetime adds two more (24 MiB) and fails: 87.0 MiB.
+  const auto ctx = CkksContext::create(CkksParams::bootstrappable());
+  const std::size_t poly_bytes = ctx->max_limbs() * limb_bytes(*ctx);
+  const auto budget =
+      static_cast<std::ptrdiff_t>(5 * poly_bytes + 4 * 1024 * 1024);
+  std::optional<engine::ClientSession> session;
+  const std::ptrdiff_t kept = retained_by([&] { session.emplace(ctx); });
+  EXPECT_LE(kept, budget) << kept << " B retained";
+}
+
 TEST(AllocBudget, CiphertextProductAllocatesOnlyItsOutputs) {
   const auto ctx = CkksContext::create(CkksParams::test_small(10, 3));
   const std::size_t limbs = ctx->max_limbs();

@@ -33,7 +33,6 @@
 #include "ckks/encryptor.hpp"
 #include "ckks/keygen.hpp"
 #include "ckks/serialize.hpp"
-#include "engine/batch_keygen.hpp"
 
 namespace abc::ckks {
 namespace {
@@ -163,9 +162,8 @@ TEST(CorruptionSweep, PublicKeyBlobTruncatedAtEveryByteBoundary) {
 
 TEST(CorruptionSweep, KeySwitchKeyTruncatedAtSampledBoundaries) {
   Fixture f;
-  engine::BatchKeyGenerator kg(f.ctx, f.sk);
   const std::vector<u8> good =
-      serialize_key_switch_key(f.ctx, kg.relin_key().key, 44);
+      serialize_key_switch_key(f.ctx, f.keygen.relin_key(f.sk).key, 44);
   sweep_truncations(good, sampled_boundaries(good.size(), 101),
                     [&](const auto& b) {
                       (void)deserialize_key_switch_key(f.ctx, b);
@@ -209,9 +207,8 @@ TEST(CorruptionSweep, BitFlipsNeverEscapeTheInvalidArgumentContract) {
     (void)deserialize_ciphertext_batch(f.ctx, b);
   });
 
-  engine::BatchKeyGenerator kg(f.ctx, f.sk);
   const std::vector<u8> ksk =
-      serialize_key_switch_key(f.ctx, kg.relin_key().key, 44);
+      serialize_key_switch_key(f.ctx, f.keygen.relin_key(f.sk).key, 44);
   sweep_bit_flips(ksk, 606, 200, [&](const auto& b) {
     (void)deserialize_key_switch_key(f.ctx, b);
   });

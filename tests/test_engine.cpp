@@ -6,8 +6,8 @@
 #include "backend/scalar_backend.hpp"
 #include "backend/thread_pool_backend.hpp"
 #include "ckks/decryptor.hpp"
+#include "ckks/serialize.hpp"
 #include "engine/batch_encryptor.hpp"
-#include "engine/batch_keygen.hpp"
 
 namespace abc {
 namespace {
@@ -270,14 +270,18 @@ TEST(Engine, EnginesSharingAContextNeverAliasStreamIds) {
   EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
       << "duplicate stream id across engines sharing a context";
 
-  // Two key engines for the same secret: their keys' counter blocks come
-  // from the same context sequence, so base ids can never collide either.
-  engine::BatchKeyGenerator kg1(ctx, sk);
-  engine::BatchKeyGenerator kg2(ctx, sk);
-  const u64 base1 = kg1.relin_key().key.base_stream_id;
-  const u64 base2 = kg2.relin_key().key.base_stream_id;
-  EXPECT_GE(base2, base1 + ctx->max_limbs())
-      << "second engine's digit block overlaps the first's";
+  // Switching keys are the documented exception: their counters stay
+  // per-KeyGenerator, so two generators for one secret on one context
+  // reuse a (secret, kind, element, counter) tuple — and that regenerates
+  // the identical key, never a second key on the same keystream.
+  ckks::KeyGenerator kg1(ctx);
+  ckks::KeyGenerator kg2(ctx);
+  const ckks::RelinKey r1 = kg1.relin_key(sk);
+  const ckks::RelinKey r2 = kg2.relin_key(sk);
+  EXPECT_EQ(r1.key.base_stream_id, r2.key.base_stream_id);
+  EXPECT_EQ(ckks::serialize_key_switch_key(ctx, r1.key, 44, false),
+            ckks::serialize_key_switch_key(ctx, r2.key, 44, false))
+      << "one (secret, counter) tuple produced two different keys";
 }
 
 TEST(Engine, EmptyBatchIsFine) {

@@ -1,7 +1,8 @@
 // The fault matrix: every registered failpoint driven through the full
 // client -> server -> client session round trip (encrypt batch -> wire
 // envelope -> server key-switching rotations -> wire envelope -> verify),
-// plus the per-item-fault mode of each engine. The invariants under
+// plus the per-item-fault mode the retry loop reads (encrypt and verify)
+// and the throwing mode of the others. The invariants under
 // injected faults: no deadlock, no crash — any failure is a catchable
 // std::exception — no half-written output, and a clean rerun succeeds the
 // moment the point is cleared.
@@ -19,7 +20,6 @@
 #include "ckks/evaluator.hpp"
 #include "ckks/serialize.hpp"
 #include "common/failpoint.hpp"
-#include "engine/batch_keygen.hpp"
 #include "engine/client_session.hpp"
 
 namespace abc {
@@ -311,7 +311,7 @@ TEST_F(FaultMatrixTest, ReportModeMatchesThrowingModeBytesWhenClean) {
   EXPECT_EQ(run(false), run(true));
 }
 
-TEST_F(FaultMatrixTest, DecryptReportModeIsolatesMalformedCiphertext) {
+TEST_F(FaultMatrixTest, DecryptRethrowsTheMalformedCiphertext) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   auto ctx = ckks::CkksContext::create(
       params, std::make_shared<backend::ThreadPoolBackend>(4));
@@ -320,21 +320,16 @@ TEST_F(FaultMatrixTest, DecryptReportModeIsolatesMalformedCiphertext) {
   auto cts = session.encrypt(msgs, ctx->max_limbs());
   cts[2].components.pop_back();  // structurally malformed item
 
-  engine::BatchErrorReport report;
-  const auto pts = session.decrypt_engine().decrypt_batch(cts, report);
-  ASSERT_EQ(pts.size(), cts.size());
-  EXPECT_EQ(report.failed, 1u);
-  EXPECT_FALSE(report.items[2].ok);
-  EXPECT_FALSE(pts[2].has_value());
-  for (std::size_t i : {0u, 1u, 3u}) {
-    ASSERT_TRUE(pts[i].has_value()) << i;
-  }
-  // decode path too: the failed slot is an empty vector.
-  const auto decoded = session.decrypt_engine().decrypt_decode_batch(
-      cts, report);
-  EXPECT_EQ(report.failed, 1u);
-  EXPECT_TRUE(decoded[2].empty());
-  EXPECT_EQ(decoded[0].size(), ctx->slots());
+  // Both decrypt paths surface the item's InvalidArgument on the caller.
+  EXPECT_THROW((void)session.decrypt_engine().decrypt_batch(cts),
+               InvalidArgument);
+  EXPECT_THROW((void)session.decrypt_engine().decrypt_decode_batch(cts),
+               InvalidArgument);
+  // The engine is unharmed: the well-formed items still decrypt.
+  cts.erase(cts.begin() + 2);
+  const auto decoded = session.decrypt_engine().decrypt_decode_batch(cts);
+  ASSERT_EQ(decoded.size(), 3u);
+  for (const auto& slots : decoded) EXPECT_EQ(slots.size(), ctx->slots());
 }
 
 TEST_F(FaultMatrixTest, VerifyReportModeSurvivesThrowingItems) {
@@ -359,43 +354,35 @@ TEST_F(FaultMatrixTest, VerifyReportModeSurvivesThrowingItems) {
   EXPECT_EQ(report.failed, 1u);
 }
 
-TEST_F(FaultMatrixTest, KeygenReportModeVoidsOnlyTheFailedKey) {
-  // Scalar backend: run() executes items in order, so hit:2 on the
-  // keygen digit point deterministically fails digit 1 — which belongs to
-  // the relin key / the first galois step respectively.
+TEST_F(FaultMatrixTest, KeygenDigitFaultFailsTheWholeKey) {
+  // A key is only usable whole, so a fault in any one gadget digit fails
+  // the call with the injected type (here across a pool, so the exception
+  // crosses a worker), and a disarmed retry returns every digit.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
-  auto ctx = ckks::CkksContext::create(params);
+  auto ctx = ckks::CkksContext::create(
+      params, std::make_shared<backend::ThreadPoolBackend>(4));
   ckks::KeyGenerator kg(ctx);
   const ckks::SecretKey sk = kg.secret_key();
-  engine::BatchKeyGenerator eng(ctx, sk);
 
   fail::Policy policy;
+  policy.action = fail::Action::kThrowLogicError;
   policy.trigger = fail::Trigger::kNthHit;
   policy.nth = 2;
   fail::arm(fail::points::kKeygenDigit, policy);
-  engine::BatchErrorReport report;
-  const ckks::RelinKey rlk = eng.relin_key(report);
-  ASSERT_EQ(report.size(), ctx->max_limbs());
-  EXPECT_EQ(report.failed, 1u);
-  EXPECT_FALSE(report.items[1].ok);
-  EXPECT_EQ(rlk.key.digits(), 0u) << "failed key must be voided whole";
-  fail::disarm_all();
-
+  EXPECT_THROW((void)kg.relin_key(sk), LogicError);
+  EXPECT_EQ(fail::fires(fail::points::kKeygenDigit), 1u);
   fail::arm(fail::points::kKeygenDigit, policy);
   const std::vector<int> steps = {1, 2};
-  const ckks::GaloisKeys gks = eng.galois_keys(steps, report);
-  ASSERT_EQ(report.size(), steps.size());
-  EXPECT_EQ(report.failed, 1u);
-  EXPECT_FALSE(report.items[0].ok) << "digit 1 belongs to step 0";
-  EXPECT_TRUE(report.items[1].ok);
-  EXPECT_EQ(gks.keys[0].digits(), 0u);
-  EXPECT_EQ(gks.keys[1].digits(), ctx->max_limbs());
+  EXPECT_THROW((void)kg.galois_keys(sk, steps), LogicError);
   fail::disarm_all();
 
-  // Cleared: both regenerate whole.
-  const ckks::RelinKey clean = eng.relin_key(report);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(clean.key.digits(), ctx->max_limbs());
+  const ckks::RelinKey rlk = kg.relin_key(sk);
+  EXPECT_EQ(rlk.key.digits(), ctx->max_limbs());
+  const ckks::GaloisKeys gks = kg.galois_keys(sk, steps);
+  ASSERT_EQ(gks.keys.size(), steps.size());
+  for (const ckks::KeySwitchKey& key : gks.keys) {
+    EXPECT_EQ(key.digits(), ctx->max_limbs());
+  }
 }
 
 TEST_F(FaultMatrixTest, ProbabilisticFaultsNeverWedgeTheReportMode) {

@@ -8,13 +8,10 @@
 #include "ckks/encoder.hpp"
 #include "ckks/encryptor.hpp"
 #include "ckks/serialize.hpp"
-#include "engine/batch_keygen.hpp"
 #include "prng/samplers.hpp"
 
 namespace abc {
 namespace {
-
-using engine::BatchKeyGenerator;
 
 void expect_identical_poly(const poly::RnsPoly& a, const poly::RnsPoly& b,
                            const std::string& what) {
@@ -153,25 +150,25 @@ struct KeySet {
   ckks::GaloisKeys gks;
 };
 
-KeySet run_batch_keygen(const ckks::CkksParams& params,
-                        std::shared_ptr<backend::PolyBackend> backend,
-                        std::span<const int> steps) {
+KeySet run_keygen(const ckks::CkksParams& params,
+                  std::shared_ptr<backend::PolyBackend> backend,
+                  std::span<const int> steps) {
   auto ctx = ckks::CkksContext::create(params, std::move(backend));
   ckks::KeyGenerator keygen(ctx);
   const ckks::SecretKey sk = keygen.secret_key();
-  BatchKeyGenerator eng(ctx, sk);
-  return KeySet{eng.relin_key(), eng.galois_keys(steps)};
+  const ckks::RelinKey rlk = keygen.relin_key(sk);
+  return KeySet{rlk, keygen.galois_keys(sk, steps)};
 }
 
-TEST(BatchKeyGenerator, KeysAreThreadCountInvariant) {
-  // The engine's core determinism claim, mirrored from BatchEncryptor:
-  // the ScalarBackend and 1/2/8-thread pools produce byte-identical keys.
+TEST(KeyGenerator, KeysAreThreadCountInvariant) {
+  // The digits fan out across the backend, mirroring BatchEncryptor: the
+  // ScalarBackend and 1/2/8-thread pools produce byte-identical keys.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   const std::vector<int> steps = {1, -1, 4};
-  const KeySet ref = run_batch_keygen(
-      params, std::make_shared<backend::ScalarBackend>(), steps);
+  const KeySet ref =
+      run_keygen(params, std::make_shared<backend::ScalarBackend>(), steps);
   for (std::size_t threads : {1u, 2u, 8u}) {
-    const KeySet got = run_batch_keygen(
+    const KeySet got = run_keygen(
         params, std::make_shared<backend::ThreadPoolBackend>(threads), steps);
     expect_identical_ksk(ref.rlk.key, got.rlk.key);
     ASSERT_EQ(ref.gks.keys.size(), got.gks.keys.size());
@@ -179,28 +176,9 @@ TEST(BatchKeyGenerator, KeysAreThreadCountInvariant) {
       expect_identical_ksk(ref.gks.keys[i], got.gks.keys[i]);
     }
   }
-}
-
-TEST(BatchKeyGenerator, MatchesSerialKeyGenerator) {
-  // Same (domain, stream id) assignment => the parallel engine reproduces
-  // the serial KeyGenerator bit for bit.
-  const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
-  auto ctx = ckks::CkksContext::create(
-      params, std::make_shared<backend::ThreadPoolBackend>(4));
-  ckks::KeyGenerator keygen(ctx);
-  const ckks::SecretKey sk = keygen.secret_key();
-
-  BatchKeyGenerator eng(ctx, sk);
-  expect_identical_ksk(keygen.relin_key(sk).key, eng.relin_key().key);
-  const std::vector<int> steps = {2, 3};
-  const ckks::GaloisKeys serial = keygen.galois_keys(sk, steps);
-  const ckks::GaloisKeys batched = eng.galois_keys(steps);
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    expect_identical_ksk(serial.keys[i], batched.keys[i]);
-  }
   // key_for finds by step and rejects unknown steps.
-  EXPECT_EQ(&batched.key_for(3), &batched.keys[1]);
-  EXPECT_THROW(batched.key_for(9), InvalidArgument);
+  EXPECT_EQ(&ref.gks.key_for(4), &ref.gks.keys[2]);
+  EXPECT_THROW(ref.gks.key_for(9), InvalidArgument);
 }
 
 TEST(KeySerialization, CompressedRelinRoundTripsBitExactly) {
@@ -317,17 +295,18 @@ TEST(KeyGenerator, GaloisKeysForDifferentStepsNeverShareStreams) {
 
 TEST(KeyGenerator, KeysForDifferentSecretsNeverShareStreams) {
   // The other aliasing axis: same kind (and element), different secrets.
-  // Engine counters both start at 0, but the secret's id is folded into
-  // the base stream id — identical (a_d, e_d) under different secrets
-  // would make b1_d - b2_d error-free and leak both secrets.
+  // Two fresh generators' counters both start at 0, but the secret's id
+  // is folded into the base stream id — identical (a_d, e_d) under
+  // different secrets would make b1_d - b2_d error-free and leak both
+  // secrets.
   auto ctx = ckks::CkksContext::create(ckks::CkksParams::test_small(10, 3));
   ckks::KeyGenerator keygen(ctx);
   const ckks::SecretKey sk1 = keygen.secret_key();
   const ckks::SecretKey sk2 = keygen.secret_key();
   ASSERT_NE(sk1.stream_id, sk2.stream_id);
-  BatchKeyGenerator e1(ctx, sk1), e2(ctx, sk2);
-  const ckks::RelinKey r1 = e1.relin_key();
-  const ckks::RelinKey r2 = e2.relin_key();
+  ckks::KeyGenerator kg1(ctx), kg2(ctx);
+  const ckks::RelinKey r1 = kg1.relin_key(sk1);
+  const ckks::RelinKey r2 = kg2.relin_key(sk2);
   EXPECT_NE(r1.key.base_stream_id, r2.key.base_stream_id);
   bool a_differs = false;
   const std::span<const u64> a1 = r1.key.a[0].limb(0);

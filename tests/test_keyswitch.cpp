@@ -13,7 +13,6 @@
 #include "ckks/keyswitch.hpp"
 #include "ckks/noise.hpp"
 #include "ckks/serialize.hpp"
-#include "engine/batch_keygen.hpp"
 #include "simd/simd_caps.hpp"
 
 namespace abc {
@@ -373,11 +372,10 @@ TEST(KeySwitchEndToEnd, ClientKeysServeRemoteEvaluation) {
   ckks::Decryptor dec(client, sk);
 
   // Client: keys + inputs, all seed-compressed on the wire.
-  engine::BatchKeyGenerator batch_kg(client, sk);
   const std::vector<int> steps = {1, 3};
   const std::vector<u8> rlk_wire =
-      serialize_key_switch_key(client, batch_kg.relin_key().key, 44, true);
-  const ckks::GaloisKeys gkeys = batch_kg.galois_keys(steps);
+      serialize_key_switch_key(client, keygen.relin_key(sk).key, 44, true);
+  const ckks::GaloisKeys gkeys = keygen.galois_keys(sk, steps);
   std::vector<std::vector<u8>> gk_wire;
   for (const ckks::KeySwitchKey& k : gkeys.keys) {
     gk_wire.push_back(serialize_key_switch_key(client, k, 44, true));

@@ -184,8 +184,8 @@ TEST(BatchDecryptor, BadComponentCountThrowsNotAborts) {
 
 TEST(BatchDecryptor, ThrowingModeRethrowsTheLowestIndexFailure) {
   // Items 1 and 3 are malformed in different ways. Whatever worker
-  // finishes first, the throwing overload raises item 1's exception, and
-  // its message is the report overload's first_error.
+  // finishes first, the batch raises item 1's exception: the message of
+  // decrypting item 1 alone.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   const std::vector<std::shared_ptr<backend::PolyBackend>> backends = {
       std::make_shared<backend::ScalarBackend>(),
@@ -200,22 +200,21 @@ TEST(BatchDecryptor, ThrowingModeRethrowsTheLowestIndexFailure) {
     rt.cts[1].components.pop_back();            // 1-component "ciphertext"
     rt.cts[3].components[1].drop_last_limb();   // components disagree
 
-    engine::BatchErrorReport report;
-    (void)eng.decrypt_batch(std::span<const ckks::Ciphertext>(rt.cts),
-                            report);
-    ASSERT_EQ(report.failed, 2u);
-    EXPECT_FALSE(report.items[1].ok);
-    EXPECT_FALSE(report.items[3].ok);
-    EXPECT_NE(report.items[1].error, report.items[3].error);
-    EXPECT_EQ(report.first_error, report.items[1].error);
+    const auto message_of = [&](std::span<const ckks::Ciphertext> cts) {
+      try {
+        (void)eng.decrypt_batch(cts);
+      } catch (const InvalidArgument& e) {
+        return std::string(e.what());
+      }
+      ADD_FAILURE() << "a batch with failing items did not throw";
+      return std::string();
+    };
+    const std::string item1 = message_of({&rt.cts[1], 1});
+    ASSERT_FALSE(item1.empty());
+    EXPECT_NE(item1, message_of({&rt.cts[3], 1}));
 
     for (int rep = 0; rep < 5; ++rep) {
-      try {
-        (void)eng.decrypt_batch(rt.cts);
-        ADD_FAILURE() << "a batch with failing items did not throw";
-      } catch (const InvalidArgument& e) {
-        EXPECT_EQ(std::string(e.what()), report.first_error);
-      }
+      EXPECT_EQ(message_of(rt.cts), item1);
     }
   }
 }
