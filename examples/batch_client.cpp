@@ -1,7 +1,7 @@
 // Batch client: the full client round trip behind the ROADMAP north star,
 // driven through the engine::ClientSession pipeline facade. One session
-// object owns the warm context and all three batch engines and walks the
-// paper's client lifecycle end to end:
+// object owns the warm context, encoder, encryptor and decryptor and walks
+// the paper's client lifecycle end to end:
 //
 //   1. keygen + seed-compressed key bundle (what a server receives once)
 //   2. batch encode+encrypt -> "ABCB" ciphertext-batch upload envelope
@@ -9,8 +9,8 @@
 //   4. batch decode+decrypt + verify_decode on the returned envelope
 //
 // Uses the symmetric seeded mode (1 NTT pass per limb, seed-compressed c1,
-// the paper's 27.0 MOPs profile) and the ThreadPoolBackend so every stage
-// spreads across all cores. Exits nonzero if any slot misses its
+// the paper's 27.0 MOPs profile) and the ThreadPoolBackend so each
+// ciphertext's limbs spread across all cores. Exits nonzero if any slot misses its
 // precision bound — the same check CI's example smoke gates on.
 //
 // Build & run:
@@ -89,7 +89,7 @@ int main() {
   const std::vector<u8>& returned = envelope;
 
   // 6. Download path: parse + batched decode/decrypt + per-slot precision
-  //    verification, all in one call on the warm engines.
+  //    verification, all in one call on the warm session.
   t0 = Clock::now();
   const engine::BatchVerifyReport report =
       session.verify_download(returned, readings);

@@ -4,8 +4,9 @@
 // parameters (relinearization + Galois keys), (2) serializes the keys
 // seed-compressed — only the b halves and PRNG stream ids ship, (3)
 // batch-encrypts a round of telemetry, and (4) serializes the ciphertexts
-// for upload. Everything fans out across the thread-pool backend and is
-// bit-identical to a single-threaded run.
+// for upload. Key digits and ciphertext limbs fan out across the
+// thread-pool backend, and everything is bit-identical to a
+// single-threaded run.
 //
 // Build & run:
 //   cmake -B build && cmake --build build -j
@@ -18,8 +19,9 @@
 
 #include "backend/thread_pool_backend.hpp"
 #include "ckks/decryptor.hpp"
+#include "ckks/encoder.hpp"
+#include "ckks/encryptor.hpp"
 #include "ckks/serialize.hpp"
-#include "engine/batch_encryptor.hpp"
 
 int main() {
   using namespace abc;
@@ -106,8 +108,14 @@ int main() {
     for (double& x : r) x = dist(rng);
   }
   t0 = Clock::now();
-  engine::BatchEncryptor enc_engine(ctx, sk);
-  const auto cts = enc_engine.encrypt_real_batch(readings, params.num_limbs);
+  ckks::CkksEncoder encoder(ctx);
+  std::vector<ckks::Plaintext> pts;
+  pts.reserve(batch);
+  for (const auto& r : readings) {
+    pts.push_back(encoder.encode_real(r, params.num_limbs));
+  }
+  ckks::Encryptor encryptor(ctx, sk);
+  const auto cts = encryptor.encrypt_plaintexts(pts);
   std::printf("Encrypted %zu messages in %.1f ms\n", batch, ms_since(t0));
 
   // 4. Serialize the ciphertexts for upload.
@@ -120,7 +128,6 @@ int main() {
 
   // Spot-check the round trip before declaring the session healthy.
   ckks::Decryptor dec(ctx, sk);
-  ckks::CkksEncoder encoder(ctx);
   double worst_bits = 1e300;
   for (std::size_t i : {std::size_t{0}, batch - 1}) {
     const auto decoded = encoder.decode(dec.decrypt(cts[i]));

@@ -1,4 +1,4 @@
-// Serving daemon demo: one engine::Server, four concurrent ClientSession
+// Serving daemon demo: one server::Server, four concurrent ClientSession
 // tenants. Each client registers its own key bundle over the loopback
 // transport, then drives the PR 5 retrying round-trip facade against the
 // daemon — uploads queue in one run queue that every per-core worker

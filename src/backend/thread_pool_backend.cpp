@@ -115,7 +115,10 @@ void ThreadPoolBackend::parallel_for(std::size_t count, const Job& job) {
   }
   // Make the caller's analytic accounting identical to a scalar run.
   xf::op_counts() += task->ops;
-  if (task->error) std::rethrow_exception(task->error);
+  // Move the parked exception out of the Task: a worker may drop the last
+  // Task reference at any time, and its ~Task must not release the
+  // exception this thread is about to throw and read.
+  if (task->error) std::rethrow_exception(std::move(task->error));
 }
 
 }  // namespace abc::backend

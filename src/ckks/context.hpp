@@ -45,8 +45,8 @@ class CkksContext {
   }
 
   /// Reserves @p count consecutive values from the context-wide PRNG
-  /// stream-id counter. Every encryptor and batch engine bound to this
-  /// context draws its counter blocks here, so two engines sharing a
+  /// stream-id counter. Every encryptor and client session bound to this
+  /// context draws its counter blocks here, so two of them sharing a
   /// context can never hand out the same id — per-instance counters would
   /// both start at 0 and replay each other's keystreams (see
   /// encryptor.hpp for why that leaks). The counter is per-context, not

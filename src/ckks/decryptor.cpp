@@ -2,23 +2,24 @@
 
 namespace abc::ckks {
 
-DecryptScratch::DecryptScratch(const CkksContext& ctx)
-    : s_(ctx.make_poly(1, poly::Domain::kEval)),
-      s2_(ctx.make_poly(1, poly::Domain::kEval)) {}
+namespace {
+
+const CkksContext& require_context(
+    const std::shared_ptr<const CkksContext>& ctx) {
+  ABC_CHECK_ARG(ctx != nullptr, "null context");
+  return *ctx;
+}
+
+}  // namespace
 
 Decryptor::Decryptor(std::shared_ptr<const CkksContext> ctx,
                      const SecretKey& sk)
-    : ctx_(std::move(ctx)), sk_eval_(sk.s), scratch_([this] {
-        ABC_CHECK_ARG(ctx_ != nullptr, "null context");
-        return DecryptScratch(*ctx_);
-      }()) {}
+    : ctx_(std::move(ctx)),
+      sk_eval_(sk.s),
+      s_(require_context(ctx_).make_poly(1, poly::Domain::kEval)),
+      s2_(ctx_->make_poly(1, poly::Domain::kEval)) {}
 
 Plaintext Decryptor::decrypt(const Ciphertext& ct) {
-  return decrypt_with(ct, scratch_);
-}
-
-Plaintext Decryptor::decrypt_with(const Ciphertext& ct,
-                                  DecryptScratch& s) const {
   ABC_CHECK_ARG(ct.size() == 2 || ct.size() == 3,
                 "ciphertext must have 2 or 3 components");
   const std::size_t limbs = ct.limbs();
@@ -28,20 +29,28 @@ Plaintext Decryptor::decrypt_with(const Ciphertext& ct,
     ABC_CHECK_ARG(ct.c(c).limbs() == limbs,
                   "ciphertext components disagree on the level");
   }
-  s.s_.assign_prefix(sk_eval_, limbs);
+  s_.assign_prefix(sk_eval_, limbs);
 
   // phase = c0 + c1*s (+ c2*s^2), built in one fused pass instead of
   // copying c0 and re-streaming it through fma; the result is the
   // returned plaintext.
   poly::RnsPoly phase(ct.c(0).context_ptr(), limbs, poly::Domain::kEval);
-  phase.set_fma(ct.c(0), ct.c(1), s.s_);
+  phase.set_fma(ct.c(0), ct.c(1), s_);
   if (ct.size() == 3) {
-    s.s2_.assign_prefix(s.s_, limbs);
-    s.s2_.mul_inplace(s.s_);
-    phase.fma_inplace(ct.c(2), s.s2_);
+    s2_.assign_prefix(s_, limbs);
+    s2_.mul_inplace(s_);
+    phase.fma_inplace(ct.c(2), s2_);
   }
   phase.to_coeff();
   return Plaintext{std::move(phase), ct.scale};
+}
+
+std::vector<Plaintext> Decryptor::decrypt_batch(
+    std::span<const Ciphertext> cts) {
+  std::vector<Plaintext> out;
+  out.reserve(cts.size());
+  for (const Ciphertext& ct : cts) out.push_back(decrypt(ct));
+  return out;
 }
 
 }  // namespace abc::ckks

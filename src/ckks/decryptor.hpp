@@ -6,11 +6,15 @@
 /// accumulated in the evaluation domain, INTT'd per limb, and handed to
 /// the decoder (CRT combine + FFT).
 ///
-/// Concurrency model mirrors the encryptor: decrypt() reuses an internal
-/// scratch and is not reentrant; parallel callers use decrypt_with() with
-/// one DecryptScratch per worker (see engine/batch_decryptor.hpp).
+/// A Decryptor reuses one internal scratch and is therefore not
+/// reentrant: one thread drives it, and the parallelism is inside each
+/// decryption (the per-limb passes fan out through the context backend).
+/// Decryption consumes no PRNG stream, so the result is bit-identical for
+/// any backend, worker count and call order.
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "ckks/ciphertext.hpp"
 #include "ckks/context.hpp"
@@ -18,39 +22,27 @@
 
 namespace abc::ckks {
 
-/// Reusable per-worker buffers for the decryption hot path: the secret's
-/// level prefix and (for 3-component ciphertexts) its square. After the
-/// first decryption at a given level the hot path allocates only the
-/// plaintext polynomial it returns.
-class DecryptScratch {
- public:
-  explicit DecryptScratch(const CkksContext& ctx);
-
- private:
-  friend class Decryptor;
-  poly::RnsPoly s_;   // secret-key prefix at the ciphertext level
-  poly::RnsPoly s2_;  // s^2 for unrelinearized 3-component inputs
-};
-
 class Decryptor {
  public:
   Decryptor(std::shared_ptr<const CkksContext> ctx, const SecretKey& sk);
 
   /// Decrypts 2- or 3-component ciphertexts; returns a coefficient-domain
-  /// plaintext carrying the ciphertext scale. Not reentrant (uses the
-  /// internal scratch).
+  /// plaintext carrying the ciphertext scale. A malformed ciphertext
+  /// (component count, mismatched levels) throws InvalidArgument.
   Plaintext decrypt(const Ciphertext& ct);
 
-  /// Decryption with external scratch. Thread-safe: may run concurrently
-  /// with any other decrypt_with() call as long as each thread owns its
-  /// scratch. Decryption consumes no PRNG stream, so the result is
-  /// bit-identical for any backend, worker count, and call order.
-  Plaintext decrypt_with(const Ciphertext& ct, DecryptScratch& scratch) const;
+  /// Decrypts cts[i] in input order. The first failing item's exception
+  /// propagates — the lowest index.
+  std::vector<Plaintext> decrypt_batch(std::span<const Ciphertext> cts);
 
  private:
   std::shared_ptr<const CkksContext> ctx_;
   poly::RnsPoly sk_eval_;
-  DecryptScratch scratch_;
+  // The secret's level prefix and (for 3-component ciphertexts) its
+  // square: after the first decryption at a given level the hot path
+  // allocates only the plaintext polynomial it returns.
+  poly::RnsPoly s_;
+  poly::RnsPoly s2_;
 };
 
 }  // namespace abc::ckks

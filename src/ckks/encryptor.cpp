@@ -6,12 +6,6 @@ namespace abc::ckks {
 
 namespace {
 
-const CkksContext& require_context(
-    const std::shared_ptr<const CkksContext>& ctx) {
-  ABC_CHECK_ARG(ctx != nullptr, "null context");
-  return *ctx;
-}
-
 /// Checks that @p p can be read in place for the first @p limbs limbs of
 /// an encryption under @p pctx.
 void check_operand(const poly::PolyContext& pctx, const poly::RnsPoly& p,
@@ -53,17 +47,14 @@ Ciphertext make_output(const CkksContext& ctx, std::size_t limbs,
 
 }  // namespace
 
-EncryptScratch::EncryptScratch(const CkksContext& ctx)
-    : staging_(ctx.backend().workers() * ctx.n()) {}
-
 Encryptor::Encryptor(std::shared_ptr<const CkksContext> ctx, PublicKey pk)
     : ctx_(std::move(ctx)),
       mode_(EncryptMode::kPublicKey),
       pk_(std::make_unique<PublicKey>(std::move(pk))),
       // The pk's stream id carries its secret's id in the upper 32 bits
       // (ksk_base_stream_id), which is exactly the salt we need.
-      secret_salt_(pk_->stream_id >> 32),
-      scratch_(require_context(ctx_)) {
+      secret_salt_(pk_->stream_id >> 32) {
+  ABC_CHECK_ARG(ctx_ != nullptr, "null context");
   // Same budget the write path enforces: an oversized salt would be
   // truncated by the limb fold and could alias streams across secrets.
   ABC_CHECK_ARG(secret_salt_ < (u64{1} << 16),
@@ -75,29 +66,38 @@ Encryptor::Encryptor(std::shared_ptr<const CkksContext> ctx,
     : ctx_(std::move(ctx)),
       mode_(EncryptMode::kSymmetricSeeded),
       sk_eval_(std::make_unique<poly::RnsPoly>(sk.s)),
-      secret_salt_(sk.stream_id),
-      scratch_(require_context(ctx_)) {
+      secret_salt_(sk.stream_id) {
+  ABC_CHECK_ARG(ctx_ != nullptr, "null context");
   ABC_CHECK_ARG(sk.stream_id < (u64{1} << 16),
                 "secret stream id exceeds the 16-bit salt budget");
 }
 
 Ciphertext Encryptor::encrypt(const Plaintext& pt) {
-  return encrypt_with(pt, reserve_stream_ids(1), scratch_);
+  return encrypt(pt, reserve_stream_ids(1));
 }
 
-Ciphertext Encryptor::encrypt_with(const Plaintext& pt, u64 stream_id,
-                                   EncryptScratch& scratch) const {
+Ciphertext Encryptor::encrypt(const Plaintext& pt, u64 stream_id) {
   ABC_CHECK_ARG(pt.poly.domain() == poly::Domain::kCoeff,
                 "plaintext must be in coefficient form");
   ABC_CHECK_ARG(stream_id < (u64{1} << 31),
                 "stream id exceeds the 31-bit counter budget");
-  return mode_ == EncryptMode::kPublicKey
-             ? encrypt_public(pt, stream_id, scratch)
-             : encrypt_symmetric(pt, stream_id, scratch);
+  return mode_ == EncryptMode::kPublicKey ? encrypt_public(pt, stream_id)
+                                          : encrypt_symmetric(pt, stream_id);
 }
 
-Ciphertext Encryptor::encrypt_public(const Plaintext& pt, u64 id,
-                                     EncryptScratch& s) const {
+std::vector<Ciphertext> Encryptor::encrypt_plaintexts(
+    std::span<const Plaintext> plaintexts) {
+  const u64 base = reserve_stream_ids(plaintexts.size());
+  std::vector<Ciphertext> out;
+  out.reserve(plaintexts.size());
+  for (std::size_t i = 0; i < plaintexts.size(); ++i) {
+    out.push_back(encrypt(plaintexts[i], base + i));
+  }
+  return out;
+}
+
+Ciphertext Encryptor::encrypt_public(const Plaintext& pt, u64 id) {
+  Scratch& s = scratch_;
   const std::size_t limbs = pt.limbs();
   const poly::PolyContext& pctx = *ctx_->poly_context();
   const std::size_t n = pctx.n();
@@ -106,11 +106,11 @@ Ciphertext Encryptor::encrypt_public(const Plaintext& pt, u64 id,
   check_operand(pctx, pk_->a, limbs, poly::Domain::kEval);
 
   // Ternary mask u and errors e0, e1, each sampled once as signed words.
-  sample_ternary(*ctx_, PrngDomain::kEncryptMask, salted(id), s.mask_);
-  sample_gaussian(*ctx_, PrngDomain::kEncryptError, salted(2 * id), s.err0_);
+  sample_ternary(*ctx_, PrngDomain::kEncryptMask, salted(id), s.mask);
+  sample_gaussian(*ctx_, PrngDomain::kEncryptError, salted(2 * id), s.err0);
   sample_gaussian(*ctx_, PrngDomain::kEncryptError, salted(2 * id + 1),
-                  s.err1_);
-  s.staging_.resize(pctx.backend().workers() * n);
+                  s.err1);
+  s.staging.resize(pctx.backend().workers() * n);
 
   Ciphertext ct = make_output(*ctx_, limbs, pt.scale);
   poly::RnsPoly& c0 = ct.c(0);
@@ -118,18 +118,18 @@ Ciphertext Encryptor::encrypt_public(const Plaintext& pt, u64 id,
   pctx.backend().parallel_for(limbs, [&](std::size_t i, std::size_t w) {
     const rns::Modulus& q = pctx.modulus(i);
     const simd::DyadicModulus& dm = pctx.dyadic(i);
-    u64* const u = s.staging_.data() + w * n;
+    u64* const u = s.staging.data() + w * n;
     u64* const c0i = c0.limb(i).data();
     u64* const c1i = c1.limb(i).data();
     // NTT(u) in the worker's staging limb (NTT pass 1 of 3).
-    lift_limb(q, u, s.mask_, nullptr);
+    lift_limb(q, u, s.mask, nullptr);
     pctx.ntt(i).forward({u, n});
     // c0_i = NTT(m + e0) + b_i * u (pass 2).
-    lift_limb(q, c0i, s.err0_, pt.poly.limb(i).data());
+    lift_limb(q, c0i, s.err0, pt.poly.limb(i).data());
     pctx.ntt(i).forward({c0i, n});
     simd::dyadic_fma_into(dm, c0i, c0i, pk_->b.limb(i).data(), u, n);
     // c1_i = NTT(e1) + a_i * u (pass 3).
-    lift_limb(q, c1i, s.err1_, nullptr);
+    lift_limb(q, c1i, s.err1, nullptr);
     pctx.ntt(i).forward({c1i, n});
     simd::dyadic_fma_into(dm, c1i, c1i, pk_->a.limb(i).data(), u, n);
     xf::op_counts().poly_mul += 2 * n;  // two mul + add chains
@@ -138,8 +138,8 @@ Ciphertext Encryptor::encrypt_public(const Plaintext& pt, u64 id,
   return ct;
 }
 
-Ciphertext Encryptor::encrypt_symmetric(const Plaintext& pt, u64 raw_id,
-                                        EncryptScratch& s) const {
+Ciphertext Encryptor::encrypt_symmetric(const Plaintext& pt, u64 raw_id) {
+  Scratch& s = scratch_;
   const std::size_t limbs = pt.limbs();
   const u64 id = salted(raw_id);  // the wire id (CompressedComponent)
   const poly::PolyContext& pctx = *ctx_->poly_context();
@@ -147,8 +147,8 @@ Ciphertext Encryptor::encrypt_symmetric(const Plaintext& pt, u64 raw_id,
   check_operand(pctx, pt.poly, limbs, poly::Domain::kCoeff);
   check_operand(pctx, *sk_eval_, limbs, poly::Domain::kEval);
 
-  sample_gaussian(*ctx_, PrngDomain::kSymmetricError, id, s.err0_);
-  s.staging_.resize(pctx.backend().workers() * n);
+  sample_gaussian(*ctx_, PrngDomain::kSymmetricError, id, s.err0);
+  s.staging.resize(pctx.backend().workers() * n);
 
   // Per limb: NTT(m + e) in the worker's staging limb, a_i from its own
   // stream (regenerable, never shipped), then c0_i = (m + e) - a_i * s_i
@@ -157,8 +157,8 @@ Ciphertext Encryptor::encrypt_symmetric(const Plaintext& pt, u64 raw_id,
   poly::RnsPoly& c0 = ct.c(0);
   poly::RnsPoly& a = ct.c(1);
   pctx.backend().parallel_for(limbs, [&](std::size_t i, std::size_t w) {
-    u64* const me = s.staging_.data() + w * n;
-    lift_limb(pctx.modulus(i), me, s.err0_, pt.poly.limb(i).data());
+    u64* const me = s.staging.data() + w * n;
+    lift_limb(pctx.modulus(i), me, s.err0, pt.poly.limb(i).data());
     pctx.ntt(i).forward({me, n});
     fill_uniform_limb(*ctx_, a.limb(i), i, PrngDomain::kSymmetricA, id);
     simd::dyadic_fms_into(pctx.dyadic(i), c0.limb(i).data(), me,

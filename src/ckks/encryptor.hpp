@@ -13,12 +13,10 @@
 /// The per-limb NTT-pass count is exported so the accelerator scheduler
 /// (src/core) accounts the same work the software executes.
 ///
-/// Concurrency model: stream ids come from the *context-wide* atomic
-/// counter (CkksContext::reserve_stream_ids), each encryption's randomness
-/// is fully determined by its stream id, and the two modes draw errors
-/// from disjoint PRNG domains — so any number of threads encrypting
-/// through encrypt_with() produce independent, reproducible ciphertexts,
-/// and any number of Encryptor instances (or batch engines) sharing a
+/// Stream ids: every encryption's randomness is fully determined by its
+/// stream id, the ids come from the *context-wide* atomic counter
+/// (CkksContext::reserve_stream_ids), and the two modes draw errors from
+/// disjoint PRNG domains — so any number of Encryptor instances sharing a
 /// context can never replay each other's streams. Stream ids are
 /// additionally salted with the key's secret id (upper 32 bits, mirroring
 /// ksk_base_stream_id): two contexts' encryptors for *different* secrets
@@ -34,9 +32,11 @@
 /// paper's on-chip PRNG model), so stream-id uniqueness across context
 /// lifetimes is the caller's responsibility: persist the counter, or
 /// dedicate a disjoint secret (and thereby salt) per component.
-/// encrypt() itself reuses an internal scratch buffer and is therefore not
-/// reentrant; parallel callers use one EncryptScratch per worker (see
-/// engine/batch_encryptor.hpp).
+///
+/// An Encryptor reuses one internal scratch and is therefore not
+/// reentrant: one thread drives it, and the parallelism is inside each
+/// encryption (the limb fan-out below). A batch is a loop over its
+/// plaintexts under one reserved block of stream ids (encrypt_plaintexts).
 ///
 /// Datapath: both modes stream limbs the way the paper's client does
 /// (PRNG -> NTT -> MAC, Sec. IV). The signed error (and mask) words are
@@ -48,6 +48,7 @@
 /// chain (fill, expand, add, to_eval, combine) at any worker count.
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ckks/ciphertext.hpp"
@@ -66,23 +67,6 @@ constexpr int ntt_passes_per_limb(EncryptMode mode) noexcept {
   return mode == EncryptMode::kPublicKey ? 3 : 1;
 }
 
-/// Reusable buffers for the encryption hot path: the sampled signed words
-/// (errors, ternary mask) and one N-word limb per backend worker for the
-/// limb being transformed. Encryption streams one limb at a time (see
-/// Encryptor), so after the first encryption the hot path performs no
-/// heap allocation beyond the ciphertext components it returns.
-class EncryptScratch {
- public:
-  explicit EncryptScratch(const CkksContext& ctx);
-
- private:
-  friend class Encryptor;
-  std::vector<u64> staging_;  // workers * N words: one limb per lane
-  std::vector<i8> mask_;    // ternary u (public-key mode)
-  std::vector<i32> err0_;   // e (symmetric) or e0 (public-key)
-  std::vector<i32> err1_;   // e1 (public-key mode)
-};
-
 class Encryptor {
  public:
   /// Public-key mode.
@@ -92,30 +76,43 @@ class Encryptor {
 
   EncryptMode mode() const noexcept { return mode_; }
 
-  /// Encrypts a plaintext; the ciphertext carries pt's limb count and is in
-  /// evaluation form. Not reentrant (uses the internal scratch).
+  /// Encrypts a plaintext under the next stream id; the ciphertext carries
+  /// pt's limb count and is in evaluation form.
   Ciphertext encrypt(const Plaintext& pt);
 
-  /// Reserves @p count consecutive stream ids for a batch; each id passed
-  /// to encrypt_with() yields an independent, reproducible ciphertext.
-  /// Forwards to the context-wide counter, so every encryptor and engine
-  /// on this context draws from one id sequence and can never collide.
+  /// Deterministic encryption under an explicit stream id (a counter value
+  /// from reserve_stream_ids, < 2^31; the secret salt is folded in
+  /// internally).
+  Ciphertext encrypt(const Plaintext& pt, u64 stream_id);
+
+  /// Encrypts plaintexts[i] under id base + i of one reserved block, in
+  /// input order. The first failing item's exception propagates — the
+  /// lowest index — and the block stays consumed either way.
+  std::vector<Ciphertext> encrypt_plaintexts(
+      std::span<const Plaintext> plaintexts);
+
+  /// Reserves @p count consecutive stream ids. Forwards to the
+  /// context-wide counter, so every encryptor on this context draws from
+  /// one id sequence and can never collide.
   u64 reserve_stream_ids(u64 count) const {
     return ctx_->reserve_stream_ids(count);
   }
 
-  /// Deterministic encryption under an explicit stream id (a counter
-  /// value < 2^31; the secret salt is folded in internally) with external
-  /// scratch. Thread-safe: may run concurrently with any other
-  /// encrypt_with() call as long as each thread owns its scratch.
-  Ciphertext encrypt_with(const Plaintext& pt, u64 stream_id,
-                          EncryptScratch& scratch) const;
-
  private:
-  Ciphertext encrypt_public(const Plaintext& pt, u64 id,
-                            EncryptScratch& scratch) const;
-  Ciphertext encrypt_symmetric(const Plaintext& pt, u64 id,
-                               EncryptScratch& scratch) const;
+  /// The sampled signed words (errors, ternary mask) and one N-word limb
+  /// per backend worker for the limb being transformed. Encryption streams
+  /// one limb at a time, so after the first encryption the hot path
+  /// performs no heap allocation beyond the ciphertext components it
+  /// returns.
+  struct Scratch {
+    std::vector<u64> staging;  // workers * N words: one limb per lane
+    std::vector<i8> mask;      // ternary u (public-key mode)
+    std::vector<i32> err0;     // e (symmetric) or e0 (public-key)
+    std::vector<i32> err1;     // e1 (public-key mode)
+  };
+
+  Ciphertext encrypt_public(const Plaintext& pt, u64 id);
+  Ciphertext encrypt_symmetric(const Plaintext& pt, u64 id);
 
   /// Counter id -> wire stream id with the secret salt in the upper bits.
   u64 salted(u64 id) const noexcept { return (secret_salt_ << 32) | id; }
@@ -125,7 +122,7 @@ class Encryptor {
   std::unique_ptr<PublicKey> pk_;
   std::unique_ptr<poly::RnsPoly> sk_eval_;
   u64 secret_salt_ = 0;  // SecretKey::stream_id (or the pk's embedded id)
-  EncryptScratch scratch_;
+  Scratch scratch_;
 };
 
 }  // namespace abc::ckks

@@ -55,7 +55,7 @@ class Evaluator {
 
   /// relinearize_inplace with a pre-resolved key (must be Kind::kRelin).
   /// This is the single underlying code path: the RelinKey overload and
-  /// every KeySource caller (BatchEvaluator pins the key, then lands here)
+  /// every KeySource caller (the server pins the key, then lands here)
   /// share it, which is what makes on-demand-regenerated keys
   /// bit-identical to eager ones by construction.
   void relinearize_inplace(Ciphertext& ct, const KeySwitchKey& rlk,

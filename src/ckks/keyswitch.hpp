@@ -77,7 +77,7 @@ namespace abc::ckks {
 /// Reusable buffers for the key-switching hot path; after the first call
 /// at a given level no stage allocates. One per concurrent caller (the
 /// switcher itself is stateless and thread-safe against distinct scratch
-/// objects, mirroring Encryptor::encrypt_with).
+/// objects); each server worker keeps one per context.
 struct KeySwitchScratch {
   std::size_t level = 0;      // limbs of the decomposed input
   std::vector<u64> w;         // [level][n] scaled digits (P*c mod q_d), coeff

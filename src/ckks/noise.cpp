@@ -82,28 +82,10 @@ VerifyReport verify_decode(const CkksContext& ctx, const Ciphertext& ct,
                      measured_slot_noise(ct, decryptor, encoder, expected));
 }
 
-VerifyReport verify_decode(const CkksContext& ctx, const Ciphertext& ct,
-                           const Decryptor& decryptor,
-                           const CkksEncoder& encoder,
-                           std::span<const std::complex<double>> expected,
-                           double bound, DecryptScratch& scratch) {
-  return fold_report(
-      bound > 0.0 ? bound : default_verify_bound(ctx, ct),
-      measured_slot_noise(ct, decryptor, encoder, expected, scratch));
-}
-
 double measured_slot_noise(const Ciphertext& ct, Decryptor& decryptor,
                            const CkksEncoder& encoder,
                            std::span<const std::complex<double>> reference) {
   return max_slot_error(encoder.decode(decryptor.decrypt(ct)), reference);
-}
-
-double measured_slot_noise(const Ciphertext& ct, const Decryptor& decryptor,
-                           const CkksEncoder& encoder,
-                           std::span<const std::complex<double>> reference,
-                           DecryptScratch& scratch) {
-  return max_slot_error(encoder.decode(decryptor.decrypt_with(ct, scratch)),
-                        reference);
 }
 
 }  // namespace abc::ckks

@@ -45,14 +45,6 @@ double measured_slot_noise(const Ciphertext& ct, Decryptor& decryptor,
                            const CkksEncoder& encoder,
                            std::span<const std::complex<double>> reference);
 
-/// Scratch-carrying variant: thread-safe (decrypts through decrypt_with),
-/// so a batch engine can measure many ciphertexts concurrently with one
-/// DecryptScratch per worker.
-double measured_slot_noise(const Ciphertext& ct, const Decryptor& decryptor,
-                           const CkksEncoder& encoder,
-                           std::span<const std::complex<double>> reference,
-                           DecryptScratch& scratch);
-
 /// Analytic high-probability bound on the canonical-embedding noise one
 /// key-switch (relinearization or rotation) adds to a level-@p limbs
 /// ciphertext, in absolute units. The accumulated error is
@@ -81,13 +73,5 @@ VerifyReport verify_decode(const CkksContext& ctx, const Ciphertext& ct,
                            Decryptor& decryptor, const CkksEncoder& encoder,
                            std::span<const std::complex<double>> expected,
                            double bound = 0.0);
-
-/// Scratch-carrying variant of verify_decode: thread-safe, the per-item
-/// unit of work engine::BatchDecryptor::verify_batch fans out.
-VerifyReport verify_decode(const CkksContext& ctx, const Ciphertext& ct,
-                           const Decryptor& decryptor,
-                           const CkksEncoder& encoder,
-                           std::span<const std::complex<double>> expected,
-                           double bound, DecryptScratch& scratch);
 
 }  // namespace abc::ckks

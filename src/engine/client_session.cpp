@@ -3,22 +3,37 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/failpoint.hpp"
 
 namespace abc::engine {
 
 namespace {
 
-BatchEncryptor make_encryptor(const std::shared_ptr<const ckks::CkksContext>& ctx,
-                              const SessionConfig& config,
-                              const ckks::SecretKey& sk,
-                              const ckks::PublicKey& pk) {
+ckks::Encryptor make_encryptor(
+    const std::shared_ptr<const ckks::CkksContext>& ctx,
+    const SessionConfig& config, const ckks::SecretKey& sk,
+    const ckks::PublicKey& pk) {
   if (config.mode == ckks::EncryptMode::kPublicKey) {
-    return BatchEncryptor(ctx, pk);
+    return ckks::Encryptor(ctx, pk);
   }
-  return BatchEncryptor(ctx, sk);
+  return ckks::Encryptor(ctx, sk);
 }
 
 }  // namespace
+
+void BatchVerifyReport::fold() {
+  ok = true;
+  passed = 0;
+  failed = 0;
+  worst_abs_error = 0.0;
+  worst_precision_bits = 60.0;
+  for (const ckks::VerifyReport& item : items) {
+    (item.ok ? passed : failed) += 1;
+    ok = ok && item.ok;
+    worst_abs_error = std::max(worst_abs_error, item.max_abs_error);
+    worst_precision_bits = std::min(worst_precision_bits, item.precision_bits);
+  }
+}
 
 ClientSession::ClientSession(std::shared_ptr<const ckks::CkksContext> ctx,
                              SessionConfig config)
@@ -27,6 +42,7 @@ ClientSession::ClientSession(std::shared_ptr<const ckks::CkksContext> ctx,
       keygen_(ctx_),
       sk_(keygen_.secret_key()),
       pk_(keygen_.public_key(sk_)),
+      encoder_(ctx_),
       encryptor_(make_encryptor(ctx_, config_, sk_, pk_)),
       decryptor_(ctx_, sk_) {}
 
@@ -52,12 +68,42 @@ const KeyBundle& ClientSession::key_bundle() {
 std::vector<ckks::Ciphertext> ClientSession::encrypt(
     std::span<const std::vector<std::complex<double>>> messages,
     std::size_t limbs) {
-  return encryptor_.encrypt_batch(messages, limbs);
+  BatchErrorReport report;
+  std::vector<ckks::Ciphertext> out = encrypt(messages, limbs, report);
+  report.rethrow_first();
+  return out;
+}
+
+std::vector<ckks::Ciphertext> ClientSession::encrypt(
+    std::span<const std::vector<std::complex<double>>> messages,
+    std::size_t limbs, BatchErrorReport& report) {
+  std::vector<ckks::Ciphertext> out(messages.size());
+  report = encrypt_into(out, [&](std::size_t i) {
+    return encoder_.encode(messages[i], limbs);
+  });
+  return out;
 }
 
 std::vector<ckks::Ciphertext> ClientSession::encrypt_real(
     std::span<const std::vector<double>> messages, std::size_t limbs) {
-  return encryptor_.encrypt_real_batch(messages, limbs);
+  std::vector<ckks::Ciphertext> out(messages.size());
+  encrypt_into(out, [&](std::size_t i) {
+    return encoder_.encode_real(messages[i], limbs);
+  }).rethrow_first();
+  return out;
+}
+
+BatchErrorReport ClientSession::encrypt_into(
+    std::span<ckks::Ciphertext> out,
+    const std::function<ckks::Plaintext(std::size_t)>& encode) {
+  // The block is reserved before any item runs, so item i gets id
+  // base + i whether or not its neighbours fail; a failed item leaves its
+  // slot the empty Ciphertext it started as.
+  const u64 base = ctx_->reserve_stream_ids(out.size());
+  return run_items(out.size(), fail::points::kEncryptItem,
+                   [&](std::size_t i) {
+                     out[i] = encryptor_.encrypt(encode(i), base + i);
+                   });
 }
 
 std::vector<u8> ClientSession::upload(
@@ -69,14 +115,39 @@ std::vector<u8> ClientSession::upload(
 
 std::vector<std::vector<std::complex<double>>> ClientSession::decrypt_batch(
     std::span<const ckks::Ciphertext> cts) {
-  return decryptor_.decrypt_decode_batch(cts);
+  std::vector<std::vector<std::complex<double>>> out(cts.size());
+  run_items(cts.size(), fail::points::kDecryptItem, [&](std::size_t i) {
+    out[i] = encoder_.decode(decryptor_.decrypt(cts[i]));
+  }).rethrow_first();
+  return out;
 }
 
 BatchVerifyReport ClientSession::verify(
     std::span<const ckks::Ciphertext> cts,
     std::span<const std::vector<std::complex<double>>> expected,
     double bound) {
-  return decryptor_.verify_batch(cts, expected, bound);
+  BatchErrorReport errors;
+  BatchVerifyReport report = verify(cts, expected, errors, bound);
+  errors.rethrow_first();
+  return report;
+}
+
+BatchVerifyReport ClientSession::verify(
+    std::span<const ckks::Ciphertext> cts,
+    std::span<const std::vector<std::complex<double>>> expected,
+    BatchErrorReport& errors, double bound) {
+  ABC_CHECK_ARG(cts.size() == expected.size(),
+                "one expected slot vector per ciphertext");
+  BatchVerifyReport report;
+  report.items.resize(cts.size());
+  errors = run_items(cts.size(), fail::points::kVerifyItem, [&](std::size_t i) {
+    report.items[i] = ckks::verify_decode(*ctx_, cts[i], decryptor_, encoder_,
+                                          expected[i], bound);
+  });
+  // A slot whose verify threw keeps the default VerifyReport — ok=false —
+  // so the fold counts it as failed without consulting the error report.
+  report.fold();
+  return report;
 }
 
 BatchVerifyReport ClientSession::verify_download(
@@ -108,15 +179,15 @@ ClientSession::RetryReport ClientSession::round_trip_with_retry(
     ++report.rounds;
     for (std::size_t i : pending) ++report.attempts[i];
 
-    // Re-encrypt the pending subset. encrypt_batch reserves fresh stream
-    // ids from the context-wide monotonic counter on every call, so a
-    // retried item never reuses a stream — even for identical bytes.
+    // Re-encrypt the pending subset. encrypt() reserves fresh stream ids
+    // from the context-wide monotonic counter on every call, so a retried
+    // item never reuses a stream — even for identical bytes.
     std::vector<std::vector<std::complex<double>>> round_msgs;
     round_msgs.reserve(pending.size());
     for (std::size_t i : pending) round_msgs.push_back(messages[i]);
     BatchErrorReport enc_errors;
     std::vector<ckks::Ciphertext> cts =
-        encryptor_.encrypt_batch(round_msgs, limbs, enc_errors);
+        encrypt(round_msgs, limbs, enc_errors);
 
     // Only the items that encrypted ship; the rest stay pending.
     std::vector<std::size_t> sent;        // indices into `pending`
@@ -147,8 +218,7 @@ ClientSession::RetryReport ClientSession::round_trip_with_retry(
           expected.push_back(std::move(round_msgs[j]));
         }
         BatchErrorReport verify_errors;
-        round_verify =
-            decryptor_.verify_batch(returned, expected, verify_errors, bound);
+        round_verify = verify(returned, expected, verify_errors, bound);
       } catch (const std::exception& e) {
         // Whole-round failure (transport, envelope parse, count mismatch):
         // every item sent this round stays pending.
@@ -174,7 +244,7 @@ ClientSession::RetryReport ClientSession::round_trip_with_retry(
     pending = std::move(next_pending);
   }
 
-  report.verify.fold();  // the same fold verify_batch uses
+  report.verify.fold();  // the same fold verify() uses
   report.ok = pending.empty() && report.verify.ok;
   return report;
 }

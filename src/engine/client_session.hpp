@@ -3,8 +3,8 @@
 /// @file client_session.hpp
 /// Pipeline facade over the full client round trip — the client half of
 /// the ROADMAP's persistent-server story. One ClientSession owns a warm
-/// context plus all three batch engines and walks the paper's session
-/// lifecycle as method calls:
+/// context plus its encoder, encryptor and decryptor and walks the
+/// paper's session lifecycle as method calls:
 ///
 ///   1. keygen           — secret/public keys in the constructor; relin +
 ///                         Galois switching keys on first key_bundle()
@@ -15,13 +15,14 @@
 ///   4. decrypt/verify   — decrypt_batch()/verify(), or verify_download()
 ///                         straight from a returned envelope
 ///
-/// Context, engines and per-worker scratch are built once and reused
-/// across requests, so a long-lived client amortizes every setup cost —
-/// the serving posture behind "millions of users". All engine guarantees
-/// carry over: batches and keys are bit-identical at any worker count,
-/// every ciphertext stream id comes from the context-wide counter, and
-/// the switching keys count from 0 in the session's own KeyGenerator,
-/// salted by the session's secret id.
+/// Context, encoder, encryptor and decryptor are built once and reused
+/// across requests, so a long-lived client amortizes every setup cost.
+/// Every batch is one in-order loop over its items on the calling thread
+/// (engine/item_loop.hpp); each item's limbs fan out through the context
+/// backend. Batches and keys are bit-identical at any worker count, a
+/// batch's ciphertexts take one block of ids from the context-wide
+/// stream-id counter, and the switching keys count from 0 in the
+/// session's own KeyGenerator, salted by the session's secret id.
 
 #include <complex>
 #include <functional>
@@ -31,10 +32,13 @@
 #include <string>
 #include <vector>
 
+#include "ckks/decryptor.hpp"
+#include "ckks/encoder.hpp"
+#include "ckks/encryptor.hpp"
 #include "ckks/keygen.hpp"
+#include "ckks/noise.hpp"
 #include "ckks/serialize.hpp"
-#include "engine/batch_decryptor.hpp"
-#include "engine/batch_encryptor.hpp"
+#include "engine/item_loop.hpp"
 
 namespace abc::engine {
 
@@ -47,6 +51,21 @@ struct SessionConfig {
   /// Encryption mode for the upload path. Symmetric seeded is the paper's
   /// client profile (1 NTT pass per limb, c1 compressed to a stream id).
   ckks::EncryptMode mode = ckks::EncryptMode::kSymmetricSeeded;
+};
+
+/// Per-batch fold of ckks::VerifyReport: one entry per ciphertext in input
+/// order, plus the batch aggregates a serving client actually gates on.
+struct BatchVerifyReport {
+  bool ok = false;                  // every item passed its bound
+  std::size_t passed = 0;
+  std::size_t failed = 0;
+  double worst_abs_error = 0.0;       // max over items
+  double worst_precision_bits = 60.0; // min over items; 60 = "no error
+                                      // observed", matching VerifyReport
+  std::vector<ckks::VerifyReport> items;
+
+  /// Recomputes the aggregates from items, in input order.
+  void fold();
 };
 
 /// The serialized key set a client uploads once per session, every blob
@@ -72,9 +91,11 @@ class ClientSession {
   const SessionConfig& config() const noexcept { return config_; }
   const ckks::SecretKey& secret_key() const noexcept { return sk_; }
 
-  /// The warm engines, for callers composing their own pipelines.
-  BatchEncryptor& encrypt_engine() noexcept { return encryptor_; }
-  BatchDecryptor& decrypt_engine() noexcept { return decryptor_; }
+  /// The session's encryptor and decryptor, for callers composing their
+  /// own pipelines (Encryptor::encrypt_plaintexts draws from the same
+  /// context-wide stream-id counter as encrypt()).
+  ckks::Encryptor& encrypt_engine() noexcept { return encryptor_; }
+  ckks::Decryptor& decrypt_engine() noexcept { return decryptor_; }
 
   /// Seed-compressed key upload blobs. The switching keys are generated
   /// (across the pool) and serialized on first call, then cached — a
@@ -83,10 +104,20 @@ class ClientSession {
 
   // -- request path ---------------------------------------------------------
 
-  /// Encode+encrypt a batch at @p limbs RNS limbs.
+  /// Encode+encrypt a batch at @p limbs RNS limbs; ciphertext i takes id
+  /// base + i of one reserved stream-id block. Every item runs; with
+  /// several failures the lowest index's exception is rethrown.
   std::vector<ckks::Ciphertext> encrypt(
       std::span<const std::vector<std::complex<double>>> messages,
       std::size_t limbs);
+  /// Report mode of encrypt (round_trip_with_retry reads it): one bad
+  /// message does not abort the batch. @p report records each item's
+  /// outcome in input order, failed slots come back as default-constructed
+  /// (empty) Ciphertexts, and successes are the exact bytes the throwing
+  /// overload would have produced (the id block is reserved identically).
+  std::vector<ckks::Ciphertext> encrypt(
+      std::span<const std::vector<std::complex<double>>> messages,
+      std::size_t limbs, BatchErrorReport& report);
   std::vector<ckks::Ciphertext> encrypt_real(
       std::span<const std::vector<double>> messages, std::size_t limbs);
 
@@ -97,16 +128,27 @@ class ClientSession {
 
   // -- response path --------------------------------------------------------
 
-  /// Decrypt+decode a returned batch to slot values, input order.
+  /// Decrypt+decode a returned batch to slot values, input order. A
+  /// malformed item throws InvalidArgument; with several, the lowest
+  /// index's exception is rethrown.
   std::vector<std::vector<std::complex<double>>> decrypt_batch(
       std::span<const ckks::Ciphertext> cts);
 
-  /// Batched precision verification of a returned batch (see
-  /// BatchDecryptor::verify_batch for the bound semantics).
+  /// Batched ckks::verify_decode: checks cts[i] against expected[i] within
+  /// @p bound (absolute, slot domain; non-positive selects each item's
+  /// default single-hop bound) and folds the per-item reports.
   BatchVerifyReport verify(
       std::span<const ckks::Ciphertext> cts,
       std::span<const std::vector<std::complex<double>>> expected,
       double bound = 0.0);
+  /// Report mode of verify (round_trip_with_retry reads it): an item whose
+  /// verify throws does not abort the batch. @p errors records each
+  /// item's outcome in input order, and a failed item keeps the default
+  /// (failing) VerifyReport.
+  BatchVerifyReport verify(
+      std::span<const ckks::Ciphertext> cts,
+      std::span<const std::vector<std::complex<double>>> expected,
+      BatchErrorReport& errors, double bound = 0.0);
 
   /// Parse a returned "ABCB" envelope and verify every ciphertext in it —
   /// the full download path as one call.
@@ -150,13 +192,19 @@ class ClientSession {
       std::size_t max_attempts = 3, double bound = 0.0);
 
  private:
+  /// out[i] = encrypt(encode(i)) under one reserved stream-id block.
+  BatchErrorReport encrypt_into(
+      std::span<ckks::Ciphertext> out,
+      const std::function<ckks::Plaintext(std::size_t)>& encode);
+
   std::shared_ptr<const ckks::CkksContext> ctx_;
   SessionConfig config_;
   ckks::KeyGenerator keygen_;  // sk, pk and the switching keys
   ckks::SecretKey sk_;
   ckks::PublicKey pk_;
-  BatchEncryptor encryptor_;
-  BatchDecryptor decryptor_;
+  ckks::CkksEncoder encoder_;
+  ckks::Encryptor encryptor_;
+  ckks::Decryptor decryptor_;
   std::optional<KeyBundle> key_bundle_;  // built on first key_bundle()
 };
 

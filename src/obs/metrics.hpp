@@ -163,7 +163,7 @@ inline constexpr const char* kContextCacheMisses =
     "session.context_cache_misses";
 inline constexpr const char* kResidentTenants = "session.resident_tenants";
 
-// engines (src/engine/fan_out_core.cpp)
+// batch item loop (src/engine/item_loop.cpp)
 inline constexpr const char* kEngineItemsProcessed = "engine.items_processed";
 inline constexpr const char* kEngineItemsFailed = "engine.items_failed";
 inline constexpr const char* kEngineItemNs = "engine.item_ns";

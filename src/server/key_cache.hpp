@@ -148,7 +148,8 @@ class KeyCache {
 };
 
 /// ckks::KeySource over one tenant's compressed records + the shared
-/// cache: the adapter the daemon's evaluate path hands to BatchEvaluator.
+/// cache: the adapter the daemon's evaluate path pins each request's key
+/// through.
 /// Non-owning — the session and cache must outlive the source and every
 /// handle it returns (per-request stack lifetime on the serving path).
 class TenantKeySource final : public ckks::KeySource {

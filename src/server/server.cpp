@@ -5,8 +5,10 @@
 #include <string>
 #include <utility>
 
+#include "ckks/evaluator.hpp"
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
+#include "engine/item_loop.hpp"
 #include "obs/export_json.hpp"
 
 namespace abc::server {
@@ -46,18 +48,21 @@ struct Server::Pending {
   obs::Trace trace;  // stamped at admission, completed by execute()
 };
 
-/// Per-worker evaluation state. Each worker owns its own BatchEvaluator
-/// per context because the evaluator's scratch pool is sized to the
-/// *backend's* lanes (one, for the daemon's scalar contexts) and must not
-/// be shared across server worker threads.
+/// Per-worker evaluation state: one Evaluator and one KeySwitchScratch per
+/// context. The scratch is reused by every item the worker switches, so
+/// it must not be shared across server worker threads.
 struct Server::WorkerState {
-  std::map<const ckks::CkksContext*, std::unique_ptr<engine::BatchEvaluator>>
-      evaluators;
+  struct Slot {
+    explicit Slot(std::shared_ptr<const ckks::CkksContext> ctx)
+        : evaluator(std::move(ctx)) {}
+    ckks::Evaluator evaluator;
+    ckks::KeySwitchScratch scratch;
+  };
+  std::map<const ckks::CkksContext*, std::unique_ptr<Slot>> slots;
 
-  engine::BatchEvaluator& evaluator_for(
-      const std::shared_ptr<const ckks::CkksContext>& ctx) {
-    auto& slot = evaluators[ctx.get()];
-    if (!slot) slot = std::make_unique<engine::BatchEvaluator>(ctx);
+  Slot& slot_for(const std::shared_ptr<const ckks::CkksContext>& ctx) {
+    auto& slot = slots[ctx.get()];
+    if (!slot) slot = std::make_unique<Slot>(ctx);
     return *slot;
   }
 };
@@ -294,7 +299,18 @@ ckks::ResponseFrame Server::evaluate(const ckks::RequestFrame& request,
       ckks::deserialize_ciphertext_batch(tenant->ctx, request.payload);
 
   if (obs::Trace* t = obs::active_trace()) t->engine_start_ns = obs::now_ns();
+  // Every evaluate op is one loop over the request's items on this
+  // worker, on a key pinned once for the whole request before any item
+  // runs: one lookup (at most one regeneration), a lookup failure fails
+  // the request, and the cache cannot evict the key mid-request.
   std::vector<ckks::Ciphertext> out;
+  const auto each = [&](const auto& item) {
+    out.resize(cts.size());
+    engine::run_items(cts.size(), fail::points::kEvaluateItem,
+                      [&](std::size_t i) { out[i] = item(cts[i]); })
+        .rethrow_first();
+  };
+  const TenantKeySource keys(key_cache_, *tenant);
   switch (static_cast<Op>(request.op)) {
     case Op::kEcho:
       out = std::move(cts);
@@ -303,14 +319,21 @@ ckks::ResponseFrame Server::evaluate(const ckks::RequestFrame& request,
       ABC_CHECK_ARG(request.op_arg >= std::numeric_limits<int>::min() &&
                         request.op_arg <= std::numeric_limits<int>::max(),
                     "rotation step out of range");
-      const TenantKeySource keys(key_cache_, *tenant);
-      out = state.evaluator_for(tenant->ctx)
-                .rotate_batch(cts, static_cast<int>(request.op_arg), keys);
+      const auto key = keys.galois_key(static_cast<int>(request.op_arg));
+      WorkerState::Slot& slot = state.slot_for(tenant->ctx);
+      each([&](const ckks::Ciphertext& ct) {
+        return slot.evaluator.rotate(ct, *key, &slot.scratch);
+      });
       break;
     }
     case Op::kSquare: {
-      const TenantKeySource keys(key_cache_, *tenant);
-      out = state.evaluator_for(tenant->ctx).square_relin_batch(cts, keys);
+      const auto key = keys.relin_key();
+      WorkerState::Slot& slot = state.slot_for(tenant->ctx);
+      each([&](const ckks::Ciphertext& ct) {
+        ckks::Ciphertext product = slot.evaluator.mul(ct, ct);
+        slot.evaluator.relinearize_inplace(product, *key, &slot.scratch);
+        return product;
+      });
       break;
     }
     default:

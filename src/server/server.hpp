@@ -17,8 +17,8 @@
 /// Request lifecycle (docs/ARCHITECTURE.md has the full diagram):
 ///
 ///   submit(frame) ── admission ──> run queue ──> first idle worker ──>
-///   dispatch: registry lookup -> deserialize "ABCB" -> BatchEvaluator op
-///   -> reserialize ──> promise -> future
+///   dispatch: registry lookup -> deserialize "ABCB" -> pin the op's key
+///   -> Evaluator op per item -> reserialize ──> promise -> future
 ///
 /// Every failure is a *typed response*, never a hang or a crashed worker:
 /// admission rejections (kQueueFull, kTooLarge) answer immediately
@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "ckks/serialize.hpp"
-#include "engine/batch_evaluator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "server/key_cache.hpp"
@@ -196,7 +195,7 @@ class Server {
 
  private:
   struct Pending;      // queued request + promise
-  struct WorkerState;  // per-worker BatchEvaluator cache
+  struct WorkerState;  // per-worker Evaluator + scratch per context
 
   void worker_loop(std::size_t worker);
   void execute(Pending* pending, WorkerState& state, std::size_t worker);

@@ -23,10 +23,12 @@ DyadicModulus DyadicModulus::make(const rns::Modulus& q) {
 
 void dyadic_add_portable(const DyadicModulus& m, u64* dst, const u64* src,
                          std::size_t n) {
+  // Sign-mask form (see the note above the fused loops): the sum is below
+  // 2q < 2^63, so the top bit of sum - q says whether to add q back.
   const u64 q = m.q;
   for (std::size_t j = 0; j < n; ++j) {
-    const u64 s = dst[j] + src[j];
-    dst[j] = s >= q ? s - q : s;
+    const u64 t = dst[j] + src[j] - q;
+    dst[j] = t + (q & static_cast<u64>(static_cast<i64>(t) >> 63));
   }
 }
 

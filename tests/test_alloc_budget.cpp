@@ -134,7 +134,7 @@ TEST(AllocBudget, CounterSeesAllocations) {
 
 TEST(AllocBudget, PaperPointEncryptAllocatesOnlyItsOutputs) {
   // At the paper point a steady-state encryption (after one warm-up call
-  // on the same scratch) allocates its two output components and nothing
+  // on the same encryptor) allocates its two output components and nothing
   // polynomial-sized besides, in both modes and under a worker pool.
   for (const std::size_t workers : {0, 2}) {
     SCOPED_TRACE(testing::Message() << "workers " << workers);
@@ -151,18 +151,17 @@ TEST(AllocBudget, PaperPointEncryptAllocatesOnlyItsOutputs) {
     const SecretKey sk = keygen.secret_key();
     const Plaintext pt =
         encoder.encode(random_slots(encoder.slots(), 1), limbs);
-    const Encryptor symmetric(ctx, sk);
-    const Encryptor public_key(ctx, keygen.public_key(sk));
+    Encryptor symmetric(ctx, sk);
+    Encryptor public_key(ctx, keygen.public_key(sk));
 
-    for (const Encryptor* enc : {&symmetric, &public_key}) {
+    for (Encryptor* enc : {&symmetric, &public_key}) {
       SCOPED_TRACE(enc->mode() == EncryptMode::kPublicKey ? "public key"
                                                           : "symmetric");
-      EncryptScratch scratch(*ctx);
-      (void)enc->encrypt_with(pt, enc->reserve_stream_ids(1), scratch);
+      (void)enc->encrypt(pt);  // warm-up: sizes the encryptor's scratch
       std::optional<Ciphertext> ct;
       const u64 id = enc->reserve_stream_ids(1);
       const std::size_t bytes = allocated_by(
-          [&] { ct.emplace(enc->encrypt_with(pt, id, scratch)); });
+          [&] { ct.emplace(enc->encrypt(pt, id)); });
       EXPECT_LE(bytes, budget);
       EXPECT_GE(bytes, 2 * limbs * limb_bytes(*ctx));  // outputs counted
     }

@@ -240,9 +240,8 @@ TEST(CkksEncrypt, StreamedEncryptMatchesUnfusedChain) {
       KeyGenerator keygen(ctx);
       const SecretKey sk = keygen.secret_key();
       const PublicKey pk = keygen.public_key(sk);
-      const Encryptor sym(ctx, sk);
-      const Encryptor pub(ctx, pk);
-      EncryptScratch scratch(*ctx);
+      Encryptor sym(ctx, sk);
+      Encryptor pub(ctx, pk);
       for (const std::size_t limbs : {ctx->max_limbs(), std::size_t{2}}) {
         SCOPED_TRACE(testing::Message() << "limbs " << limbs);
         const Plaintext pt =
@@ -250,7 +249,7 @@ TEST(CkksEncrypt, StreamedEncryptMatchesUnfusedChain) {
         const u64 id = sym.reserve_stream_ids(1);
 
         xf::OpCounterScope streamed_sym;
-        const Ciphertext got_sym = sym.encrypt_with(pt, id, scratch);
+        const Ciphertext got_sym = sym.encrypt(pt, id);
         const xf::OpCounts streamed_sym_ops = streamed_sym.delta();
         xf::OpCounterScope chain_sym;
         const Ciphertext want_sym = symmetric_chain(*ctx, sk, pt, id);
@@ -262,7 +261,7 @@ TEST(CkksEncrypt, StreamedEncryptMatchesUnfusedChain) {
                   want_sym.compressed_c1->stream_id);
 
         xf::OpCounterScope streamed_pub;
-        const Ciphertext got_pub = pub.encrypt_with(pt, id, scratch);
+        const Ciphertext got_pub = pub.encrypt(pt, id);
         const xf::OpCounts streamed_pub_ops = streamed_pub.delta();
         xf::OpCounterScope chain_pub;
         const Ciphertext want_pub = public_chain(*ctx, pk, pt, id);

@@ -1,3 +1,7 @@
+// Batch encryption on the engine layer: ClientSession::encrypt (one
+// in-order loop over encode + Encryptor::encrypt) and
+// Encryptor::encrypt_plaintexts, both under one reserved stream-id block.
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,12 +11,13 @@
 #include "backend/thread_pool_backend.hpp"
 #include "ckks/decryptor.hpp"
 #include "ckks/serialize.hpp"
-#include "engine/batch_encryptor.hpp"
+#include "engine/client_session.hpp"
 
 namespace abc {
 namespace {
 
-using engine::BatchEncryptor;
+using engine::ClientSession;
+using engine::SessionConfig;
 
 std::vector<std::vector<std::complex<double>>> random_batch(
     std::size_t batch, std::size_t slots, u64 seed) {
@@ -46,25 +51,19 @@ void expect_identical_ciphertexts(const ckks::Ciphertext& a,
   }
 }
 
-/// Encrypts the same batch on a fresh context over @p backend.
+/// Encrypts the same batch through a fresh session over @p backend.
 std::vector<ckks::Ciphertext> run_batch(
     const ckks::CkksParams& params,
     std::shared_ptr<backend::PolyBackend> backend,
     const std::vector<std::vector<std::complex<double>>>& msgs,
     ckks::EncryptMode mode) {
   auto ctx = ckks::CkksContext::create(params, std::move(backend));
-  ckks::KeyGenerator keygen(ctx);
-  const ckks::SecretKey sk = keygen.secret_key();
-  if (mode == ckks::EncryptMode::kSymmetricSeeded) {
-    BatchEncryptor eng(ctx, sk);
-    return eng.encrypt_batch(msgs, ctx->max_limbs());
-  }
-  BatchEncryptor eng(ctx, keygen.public_key(sk));
-  return eng.encrypt_batch(msgs, ctx->max_limbs());
+  ClientSession session(ctx, SessionConfig{.mode = mode});
+  return session.encrypt(msgs, ctx->max_limbs());
 }
 
 TEST(Engine, CiphertextsAreThreadCountInvariant) {
-  // The engine's core determinism claim: same seed + same batch produce
+  // The batch determinism claim: same seed + same batch produce
   // byte-identical ciphertexts at 1, 2 and 8 worker threads (and under the
   // scalar backend), in both encryption modes.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
@@ -93,14 +92,13 @@ TEST_P(EngineRoundtrip, BatchEncryptDecryptRecoversMessages) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(log_n, limbs);
   auto ctx = ckks::CkksContext::create(
       params, std::make_shared<backend::ThreadPoolBackend>(4));
-  ckks::KeyGenerator keygen(ctx);
-  const ckks::SecretKey sk = keygen.secret_key();
-  ckks::Decryptor dec(ctx, sk);
+  ClientSession session(
+      ctx, SessionConfig{.mode = ckks::EncryptMode::kPublicKey});
+  ckks::Decryptor dec(ctx, session.secret_key());
   ckks::CkksEncoder encoder(ctx);
 
   const auto msgs = random_batch(5, ctx->slots(), 7 + log_n);
-  BatchEncryptor eng(ctx, keygen.public_key(sk));
-  const auto cts = eng.encrypt_batch(msgs, ctx->max_limbs());
+  const auto cts = session.encrypt(msgs, ctx->max_limbs());
   ASSERT_EQ(cts.size(), msgs.size());
   for (std::size_t i = 0; i < cts.size(); ++i) {
     const auto decoded = encoder.decode(dec.decrypt(cts[i]));
@@ -117,14 +115,12 @@ TEST(Engine, SymmetricBatchRoundtripAndCompression) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   auto ctx = ckks::CkksContext::create(
       params, std::make_shared<backend::ThreadPoolBackend>(2));
-  ckks::KeyGenerator keygen(ctx);
-  const ckks::SecretKey sk = keygen.secret_key();
-  ckks::Decryptor dec(ctx, sk);
+  ClientSession session(ctx);
+  ckks::Decryptor dec(ctx, session.secret_key());
   ckks::CkksEncoder encoder(ctx);
 
   const auto msgs = random_batch(4, ctx->slots(), 99);
-  BatchEncryptor eng(ctx, sk);
-  const auto cts = eng.encrypt_batch(msgs, ctx->max_limbs());
+  const auto cts = session.encrypt(msgs, ctx->max_limbs());
   for (std::size_t i = 0; i < cts.size(); ++i) {
     ASSERT_TRUE(cts[i].compressed_c1.has_value());
     const auto decoded = encoder.decode(dec.decrypt(cts[i]));
@@ -141,14 +137,13 @@ TEST(Engine, BatchItemsUseDistinctRandomness) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   auto ctx = ckks::CkksContext::create(
       params, std::make_shared<backend::ThreadPoolBackend>(4));
-  ckks::KeyGenerator keygen(ctx);
-  const ckks::SecretKey sk = keygen.secret_key();
+  ClientSession session(
+      ctx, SessionConfig{.mode = ckks::EncryptMode::kPublicKey});
 
   // Same message in every batch slot: ciphertexts must still differ.
   std::vector<std::vector<std::complex<double>>> msgs(
       3, random_batch(1, 16, 5)[0]);
-  BatchEncryptor eng(ctx, keygen.public_key(sk));
-  const auto cts = eng.encrypt_batch(msgs, 2);
+  const auto cts = session.encrypt(msgs, 2);
   for (std::size_t a = 0; a < cts.size(); ++a) {
     for (std::size_t b = a + 1; b < cts.size(); ++b) {
       bool differs = false;
@@ -163,24 +158,23 @@ TEST(Engine, BatchItemsUseDistinctRandomness) {
 }
 
 TEST(Engine, MixedSingleAndBatchSharesCounter) {
-  // encrypt() and encrypt_batch() draw from one atomic counter: ids never
-  // collide, and everything stays decryptable.
+  // A one-off Encryptor::encrypt() and the session's batch encrypt() draw
+  // from one atomic counter: ids never collide, and everything stays
+  // decryptable.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   auto ctx = ckks::CkksContext::create(
       params, std::make_shared<backend::ThreadPoolBackend>(2));
-  ckks::KeyGenerator keygen(ctx);
-  const ckks::SecretKey sk = keygen.secret_key();
-  ckks::Decryptor dec(ctx, sk);
+  ClientSession session(ctx);
+  ckks::Decryptor dec(ctx, session.secret_key());
   ckks::CkksEncoder encoder(ctx);
 
-  BatchEncryptor eng(ctx, sk);
   const auto msgs = random_batch(3, 16, 11);
-  const auto first = eng.encrypt_batch(msgs, 2);
+  const auto first = session.encrypt(msgs, 2);
   // A one-off encrypt() between batches consumes exactly one id from the
   // shared atomic counter...
   const ckks::Plaintext single_pt = encoder.encode(msgs[0], 2);
-  const ckks::Ciphertext single = eng.encryptor().encrypt(single_pt);
-  const auto second = eng.encrypt_batch(msgs, 2);
+  const ckks::Ciphertext single = session.encrypt_engine().encrypt(single_pt);
+  const auto second = session.encrypt(msgs, 2);
   // ...so the id sequence is first: base..base+2, single: base+3,
   // second: base+4.. — never a reuse.
   ASSERT_TRUE(single.compressed_c1.has_value());
@@ -216,8 +210,8 @@ TEST(Engine, EncryptPlaintextsPath) {
   pts.reserve(msgs.size());
   for (const auto& m : msgs) pts.push_back(encoder.encode(m, 3));
 
-  BatchEncryptor eng(ctx, keygen.public_key(sk));
-  const auto cts = eng.encrypt_plaintexts(pts);
+  ckks::Encryptor enc(ctx, keygen.public_key(sk));
+  const auto cts = enc.encrypt_plaintexts(pts);
   ASSERT_EQ(cts.size(), pts.size());
   for (std::size_t i = 0; i < cts.size(); ++i) {
     const auto decoded = encoder.decode(dec.decrypt(cts[i]));
@@ -226,49 +220,52 @@ TEST(Engine, EncryptPlaintextsPath) {
 }
 
 TEST(Engine, OversizedMessageThrowsNotAborts) {
-  // Input validation inside a pooled batch must come back as a catchable
-  // exception, exactly as it does under the scalar backend.
+  // Input validation inside a batch on a pooled context must come back as
+  // a catchable exception, exactly as it does under the scalar backend.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   auto ctx = ckks::CkksContext::create(
       params, std::make_shared<backend::ThreadPoolBackend>(2));
-  ckks::KeyGenerator keygen(ctx);
-  BatchEncryptor eng(ctx, keygen.secret_key());
+  ClientSession session(ctx);
   auto msgs = random_batch(2, 16, 31);
   msgs[1].resize(ctx->slots() + 1);  // too many values for the slot count
-  EXPECT_THROW(eng.encrypt_batch(msgs, ctx->max_limbs()), InvalidArgument);
+  EXPECT_THROW(session.encrypt(msgs, ctx->max_limbs()), InvalidArgument);
 }
 
 TEST(Engine, EnginesSharingAContextNeverAliasStreamIds) {
-  // The FanOutCore regression the shared counter exists for: engines used
-  // to keep per-instance counters, so two engines on one context would
-  // both hand out id 0 and replay each other's keystreams (for the same
-  // secret and domain, that leaks plaintext differences). All ids now come
-  // from CkksContext::reserve_stream_ids, so every engine on a context
+  // The regression the shared counter exists for: encryptors used to keep
+  // per-instance counters, so two of them on one context would both hand
+  // out id 0 and replay each other's keystreams (for the same secret and
+  // domain, that leaks plaintext differences). All ids now come from
+  // CkksContext::reserve_stream_ids, so every encryptor on a context
   // draws from one sequence.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   auto ctx = ckks::CkksContext::create(
       params, std::make_shared<backend::ThreadPoolBackend>(2));
   ckks::KeyGenerator keygen(ctx);
   const ckks::SecretKey sk = keygen.secret_key();
-  const auto msgs = random_batch(3, 16, 77);
+  ckks::CkksEncoder encoder(ctx);
+  std::vector<ckks::Plaintext> pts;
+  for (const auto& m : random_batch(3, 16, 77)) {
+    pts.push_back(encoder.encode(m, 2));
+  }
 
-  // Two encryption engines for the SAME secret (same salt): interleaved
-  // batches must still never share a wire stream id.
-  BatchEncryptor enc1(ctx, sk);
-  BatchEncryptor enc2(ctx, sk);
+  // Two encryptors for the SAME secret (same salt): interleaved batches
+  // must still never share a wire stream id.
+  ckks::Encryptor enc1(ctx, sk);
+  ckks::Encryptor enc2(ctx, sk);
   std::vector<u64> ids;
-  for (const auto& ct : enc1.encrypt_batch(msgs, 2)) {
+  for (const auto& ct : enc1.encrypt_plaintexts(pts)) {
     ids.push_back(ct.compressed_c1->stream_id);
   }
-  for (const auto& ct : enc2.encrypt_batch(msgs, 2)) {
+  for (const auto& ct : enc2.encrypt_plaintexts(pts)) {
     ids.push_back(ct.compressed_c1->stream_id);
   }
-  for (const auto& ct : enc1.encrypt_batch(msgs, 2)) {
+  for (const auto& ct : enc1.encrypt_plaintexts(pts)) {
     ids.push_back(ct.compressed_c1->stream_id);
   }
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
-      << "duplicate stream id across engines sharing a context";
+      << "duplicate stream id across encryptors sharing a context";
 
   // Switching keys are the documented exception: their counters stay
   // per-KeyGenerator, so two generators for one secret on one context
@@ -287,12 +284,13 @@ TEST(Engine, EnginesSharingAContextNeverAliasStreamIds) {
 TEST(Engine, EmptyBatchIsFine) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   auto ctx = ckks::CkksContext::create(params);
-  ckks::KeyGenerator keygen(ctx);
-  BatchEncryptor eng(ctx, keygen.secret_key());
+  ClientSession session(ctx);
   EXPECT_TRUE(
-      eng.encrypt_batch(std::span<const std::vector<std::complex<double>>>{},
-                        ctx->max_limbs())
+      session
+          .encrypt(std::span<const std::vector<std::complex<double>>>{},
+                   ctx->max_limbs())
           .empty());
+  EXPECT_TRUE(session.encrypt_engine().encrypt_plaintexts({}).empty());
 }
 
 }  // namespace

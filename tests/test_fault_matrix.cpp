@@ -232,7 +232,7 @@ TEST_F(FaultMatrixTest, EncryptReportModeIsolatesBadItems) {
 
   engine::BatchErrorReport report;
   const std::vector<ckks::Ciphertext> cts =
-      session.encrypt_engine().encrypt_batch(msgs, ctx->max_limbs(), report);
+      session.encrypt(msgs, ctx->max_limbs(), report);
   ASSERT_EQ(cts.size(), msgs.size());
   ASSERT_EQ(report.size(), msgs.size());
   EXPECT_FALSE(report.ok());
@@ -262,8 +262,7 @@ TEST_F(FaultMatrixTest, ReportModeIsBitIdenticalAcrossWorkerCounts) {
     const auto msgs = batch_with_bad_items(5, ctx->slots(), bad, 21);
     engine::ClientSession session(ctx);
     engine::BatchErrorReport report;
-    const auto cts = session.encrypt_engine().encrypt_batch(
-        msgs, ctx->max_limbs(), report);
+    const auto cts = session.encrypt(msgs, ctx->max_limbs(), report);
     std::vector<std::vector<u8>> wires;
     for (std::size_t i = 0; i < cts.size(); ++i) {
       if (report.items[i].ok) {
@@ -300,11 +299,10 @@ TEST_F(FaultMatrixTest, ReportModeMatchesThrowingModeBytesWhenClean) {
     std::vector<ckks::Ciphertext> cts;
     if (report_mode) {
       engine::BatchErrorReport report;
-      cts = session.encrypt_engine().encrypt_batch(msgs, ctx->max_limbs(),
-                                                   report);
+      cts = session.encrypt(msgs, ctx->max_limbs(), report);
       EXPECT_TRUE(report.ok());
     } else {
-      cts = session.encrypt_engine().encrypt_batch(msgs, ctx->max_limbs());
+      cts = session.encrypt(msgs, ctx->max_limbs());
     }
     return ckks::serialize_ciphertext_batch(cts, 44);
   };
@@ -323,11 +321,10 @@ TEST_F(FaultMatrixTest, DecryptRethrowsTheMalformedCiphertext) {
   // Both decrypt paths surface the item's InvalidArgument on the caller.
   EXPECT_THROW((void)session.decrypt_engine().decrypt_batch(cts),
                InvalidArgument);
-  EXPECT_THROW((void)session.decrypt_engine().decrypt_decode_batch(cts),
-               InvalidArgument);
-  // The engine is unharmed: the well-formed items still decrypt.
+  EXPECT_THROW((void)session.decrypt_batch(cts), InvalidArgument);
+  // The session is unharmed: the well-formed items still decrypt.
   cts.erase(cts.begin() + 2);
-  const auto decoded = session.decrypt_engine().decrypt_decode_batch(cts);
+  const auto decoded = session.decrypt_batch(cts);
   ASSERT_EQ(decoded.size(), 3u);
   for (const auto& slots : decoded) EXPECT_EQ(slots.size(), ctx->slots());
 }
@@ -343,7 +340,7 @@ TEST_F(FaultMatrixTest, VerifyReportModeSurvivesThrowingItems) {
 
   engine::BatchErrorReport errors;
   const engine::BatchVerifyReport report =
-      session.decrypt_engine().verify_batch(cts, msgs, errors);
+      session.verify(cts, msgs, errors);
   EXPECT_EQ(errors.failed, 1u);
   EXPECT_FALSE(errors.items[1].ok);
   // The thrown item keeps the default (failing) VerifyReport; the fold
@@ -386,9 +383,11 @@ TEST_F(FaultMatrixTest, KeygenDigitFaultFailsTheWholeKey) {
 }
 
 TEST_F(FaultMatrixTest, ProbabilisticFaultsNeverWedgeTheReportMode) {
-  // Robustness sweep (not bit-identity — probabilistic triggers are
-  // schedule-dependent under a pool): a 30% per-item fault rate must
-  // produce a coherent report, empty failed slots and intact successes.
+  // Robustness sweep (not bit-identity — the pool trigger is
+  // schedule-dependent): a 30% per-item fault rate on the caller's thread,
+  // plus faults thrown inside the pool workers running an item's limbs
+  // (they cross the pool into that item's catch), must produce a coherent
+  // report, empty failed slots and intact successes.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   auto ctx = ckks::CkksContext::create(
       params, std::make_shared<backend::ThreadPoolBackend>(4));
@@ -400,9 +399,14 @@ TEST_F(FaultMatrixTest, ProbabilisticFaultsNeverWedgeTheReportMode) {
   policy.probability = 0.3;
   policy.seed = 5;
   fail::arm(fail::points::kEncryptItem, policy);
+  fail::Policy worker = policy;
+  worker.action = fail::Action::kThrowRuntimeError;
+  worker.probability = 0.02;
+  worker.seed = 9;
+  fail::arm(fail::points::kBackendWorkerJob, worker);
   engine::BatchErrorReport report;
   const auto cts =
-      session.encrypt_engine().encrypt_batch(msgs, ctx->max_limbs(), report);
+      session.encrypt(msgs, ctx->max_limbs(), report);
   fail::disarm_all();
 
   EXPECT_EQ(report.succeeded + report.failed, msgs.size());

@@ -161,7 +161,7 @@ KeySet run_keygen(const ckks::CkksParams& params,
 }
 
 TEST(KeyGenerator, KeysAreThreadCountInvariant) {
-  // The digits fan out across the backend, mirroring BatchEncryptor: the
+  // The digits fan out across the backend, as encryption's limbs do: the
   // ScalarBackend and 1/2/8-thread pools produce byte-identical keys.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   const std::vector<int> steps = {1, -1, 4};

@@ -29,9 +29,9 @@
 #include <vector>
 
 #include "backend/thread_pool_backend.hpp"
+#include "ckks/evaluator.hpp"
 #include "common/failpoint.hpp"
 #include "obs/metrics.hpp"
-#include "engine/batch_evaluator.hpp"
 #include "engine/client_session.hpp"
 #include "server/server.hpp"
 #include "server/transport.hpp"
@@ -786,10 +786,13 @@ TEST_F(ServerTest, EvaluateItemFaultIsTypedAndLeavesNoResidue) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchEvaluator: the server-side engine in isolation
+// The evaluate loop: one Evaluator op per item, on a key pinned once
 // ---------------------------------------------------------------------------
 
-TEST_F(ServerTest, BatchEvaluatorBitIdenticalAcrossBackends) {
+TEST_F(ServerTest, EvaluatorBitIdenticalAcrossBackends) {
+  // The server's per-item loop (scalar context) answers with the same
+  // bytes as a plain Evaluator loop on the scalar backend and on a
+  // 4-thread pool, where each item's limbs and digits fan out.
   const ckks::CkksParams params = small_params();
   Client client(params);
   const ckks::KeyBundleFrames frames = frames_of(client.session.key_bundle());
@@ -802,90 +805,78 @@ TEST_F(ServerTest, BatchEvaluatorBitIdenticalAcrossBackends) {
     const server::TenantSession keys =
         server::parse_tenant_bundle(ctx, frames);
     const auto cts = ckks::deserialize_ciphertext_batch(ctx, upload);
-    engine::BatchEvaluator eval(ctx);
+    const ckks::Evaluator eval(ctx);
     const ckks::GaloisKeys gks = keys.expand_gks();
     const ckks::RelinKey rlk = keys.expand_rlk();
-    const ckks::EagerKeySource eager(&gks, &rlk);
-    const auto rotated = eval.rotate_batch(cts, 1, eager);
-    const auto squared = eval.square_relin_batch(cts, eager);
-    return std::make_pair(ckks::serialize_ciphertext_batch(rotated),
-                          ckks::serialize_ciphertext_batch(squared));
+    ckks::KeySwitchScratch scratch;
+    std::vector<ckks::Ciphertext> rotated;
+    std::vector<ckks::Ciphertext> squared;
+    for (const ckks::Ciphertext& ct : cts) {
+      rotated.push_back(eval.rotate(ct, 1, gks, &scratch));
+      ckks::Ciphertext product = eval.mul(ct, ct);
+      eval.relinearize_inplace(product, rlk, &scratch);
+      squared.push_back(std::move(product));
+    }
+    return std::make_pair(ckks::serialize_ciphertext_batch(rotated, 44),
+                          ckks::serialize_ciphertext_batch(squared, 44));
   };
 
   const auto scalar = run(nullptr);
   const auto pooled = run(std::make_shared<backend::ThreadPoolBackend>(4));
   EXPECT_EQ(scalar.first, pooled.first);    // rotate: any worker count
   EXPECT_EQ(scalar.second, pooled.second);  // square: any worker count
+
+  Server srv(ServerConfig{.param_sets = {params}});
+  const u64 tenant = srv.register_tenant(params, frames);
+  const ckks::ResponseFrame rotate =
+      srv.process_serial(make_request(tenant, 1, Op::kRotate, 1, upload));
+  const ckks::ResponseFrame square =
+      srv.process_serial(make_request(tenant, 2, Op::kSquare, 0, upload));
+  ASSERT_EQ(status_of(rotate), Status::kOk) << rotate.error;
+  ASSERT_EQ(status_of(square), Status::kOk) << square.error;
+  EXPECT_EQ(rotate.payload, scalar.first);
+  EXPECT_EQ(square.payload, scalar.second);
 }
 
-/// KeySource over eager keys that counts every lookup, and can be told to
-/// fail every lookup instead.
-class CountingKeySource final : public ckks::KeySource {
- public:
-  CountingKeySource(const ckks::GaloisKeys* gks, const ckks::RelinKey* rlk,
-                    bool fail = false)
-      : eager_(gks, rlk), fail_(fail) {}
-
-  std::shared_ptr<const ckks::KeySwitchKey> galois_key(
-      int step) const override {
-    ++galois_calls;
-    if (fail_) throw InvalidArgument("key lookup failed");
-    return eager_.galois_key(step);
-  }
-  std::shared_ptr<const ckks::KeySwitchKey> relin_key() const override {
-    ++relin_calls;
-    if (fail_) throw InvalidArgument("key lookup failed");
-    return eager_.relin_key();
-  }
-  bool has_galois_key(int step) const noexcept override {
-    return eager_.has_galois_key(step);
-  }
-
-  mutable std::atomic<int> galois_calls{0};
-  mutable std::atomic<int> relin_calls{0};
-
- private:
-  ckks::EagerKeySource eager_;
-  bool fail_;
-};
-
-TEST_F(ServerTest, BatchEvaluatorPinsTheKeyOncePerBatch) {
+TEST_F(ServerTest, RotateRequestPinsTheKeyOnce) {
+  // A multi-item request resolves its key exactly once — one key-cache
+  // lookup however many items it carries — and a failing lookup fails the
+  // whole request before any item runs.
   const ckks::CkksParams params = small_params();
   Client client(params);
-  const ckks::KeyBundleFrames frames = frames_of(client.session.key_bundle());
+  Server srv(ServerConfig{.param_sets = {params}});
+  const u64 tenant =
+      srv.register_tenant(params, frames_of(client.session.key_bundle()));
   const auto msgs = random_batch(8, client.ctx->slots(), 31);
   const std::vector<u8> upload =
       client.session.upload(msgs, client.eval_limbs());
-
-  auto ctx = ckks::CkksContext::create(
-      params, std::make_shared<backend::ThreadPoolBackend>(4));
-  const server::TenantSession keys = server::parse_tenant_bundle(ctx, frames);
-  const ckks::GaloisKeys gks = keys.expand_gks();
-  const ckks::RelinKey rlk = keys.expand_rlk();
-  const auto cts = ckks::deserialize_ciphertext_batch(ctx, upload);
-  ASSERT_EQ(cts.size(), 8u);
-  engine::BatchEvaluator eval(ctx);
-
-  // One lookup per batch, however many items fan out.
-  const CountingKeySource source(&gks, &rlk);
-  (void)eval.rotate_batch(cts, 1, source);
-  (void)eval.square_relin_batch(cts, source);
-  EXPECT_EQ(source.galois_calls.load(), 1);
-  EXPECT_EQ(source.relin_calls.load(), 1);
-
-  // A failing source fails the whole batch before any item runs: no item
-  // is processed.
-  const CountingKeySource broken(&gks, &rlk, /*fail=*/true);
+  const auto lookups = [&] {
+    const server::KeyCache::Stats st = srv.key_cache_stats();
+    return st.hits + st.misses;
+  };
   const auto processed = [] {
     return obs::registry().snapshot().counter_value(
         obs::catalog::kEngineItemsProcessed);
   };
-  const u64 before = processed();
-  EXPECT_THROW((void)eval.rotate_batch(cts, 1, broken), InvalidArgument);
-  EXPECT_THROW((void)eval.square_relin_batch(cts, broken), InvalidArgument);
-  EXPECT_EQ(processed(), before);
-  EXPECT_EQ(broken.galois_calls.load(), 1);
-  EXPECT_EQ(broken.relin_calls.load(), 1);
+
+  for (const Op op : {Op::kRotate, Op::kSquare}) {
+    SCOPED_TRACE(static_cast<int>(op));
+    const u64 before = lookups();
+    const u64 items_before = processed();
+    const ckks::ResponseFrame resp =
+        srv.call(make_request(tenant, 1, op, 1, upload));
+    ASSERT_EQ(status_of(resp), Status::kOk) << resp.error;
+    EXPECT_EQ(lookups(), before + 1);
+    EXPECT_EQ(processed(), items_before + msgs.size());
+  }
+
+  // Step 2 has no registered key: the lookup throws, the request answers
+  // kBadRequest, and no item is processed.
+  const u64 items_before = processed();
+  const ckks::ResponseFrame missing =
+      srv.call(make_request(tenant, 3, Op::kRotate, 2, upload));
+  EXPECT_EQ(status_of(missing), Status::kBadRequest);
+  EXPECT_EQ(processed(), items_before);
 }
 
 // ---------------------------------------------------------------------------

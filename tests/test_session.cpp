@@ -1,5 +1,5 @@
-// BatchDecryptor and ClientSession: the decrypt/verify side of the engine
-// layer plus the full-session pipeline facade built on FanOutCore.
+// Batch decryption (Decryptor::decrypt_batch and ClientSession's
+// decrypt/verify loops) and the full-session pipeline facade.
 
 #include <gtest/gtest.h>
 
@@ -9,16 +9,13 @@
 
 #include "backend/scalar_backend.hpp"
 #include "backend/thread_pool_backend.hpp"
-#include "engine/batch_decryptor.hpp"
-#include "engine/batch_encryptor.hpp"
 #include "engine/client_session.hpp"
 #include "simd/simd_caps.hpp"
 
 namespace abc {
 namespace {
 
-using engine::BatchDecryptor;
-using engine::BatchEncryptor;
+using engine::ClientSession;
 
 std::vector<std::vector<std::complex<double>>> random_batch(
     std::size_t batch, std::size_t slots, u64 seed) {
@@ -47,53 +44,49 @@ void expect_identical_plaintexts(const ckks::Plaintext& a,
 
 struct RoundTrip {
   std::shared_ptr<const ckks::CkksContext> ctx;
-  ckks::SecretKey sk;
+  std::unique_ptr<ClientSession> session;
   std::vector<std::vector<std::complex<double>>> msgs;
   std::vector<ckks::Ciphertext> cts;
 };
 
-/// Encrypts the same batch on a fresh context over @p backend; the
-/// ciphertexts are backend-invariant (tests/test_engine.cpp), so the
-/// decryption inputs are bit-identical across calls.
+/// Encrypts the same batch through a fresh session on a fresh context over
+/// @p backend; the ciphertexts are backend-invariant
+/// (tests/test_engine.cpp), so the decryption inputs are bit-identical
+/// across calls.
 RoundTrip make_round_trip(const ckks::CkksParams& params,
                           std::shared_ptr<backend::PolyBackend> backend,
                           std::size_t batch) {
   auto ctx = ckks::CkksContext::create(params, std::move(backend));
-  ckks::KeyGenerator keygen(ctx);
-  ckks::SecretKey sk = keygen.secret_key();
+  auto session = std::make_unique<ClientSession>(ctx);
   auto msgs = random_batch(batch, ctx->slots(), 1234);
-  BatchEncryptor enc(ctx, sk);
-  auto cts = enc.encrypt_batch(msgs, ctx->max_limbs());
-  return RoundTrip{std::move(ctx), std::move(sk), std::move(msgs),
+  auto cts = session->encrypt(msgs, ctx->max_limbs());
+  return RoundTrip{std::move(ctx), std::move(session), std::move(msgs),
                    std::move(cts)};
 }
 
-TEST(BatchDecryptor, MatchesSerialDecryptorBitForBit) {
+TEST(DecryptorBatch, MatchesSerialDecryptorBitForBit) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   RoundTrip rt = make_round_trip(
       params, std::make_shared<backend::ThreadPoolBackend>(4), 5);
-  ckks::Decryptor serial(rt.ctx, rt.sk);
-  BatchDecryptor eng(rt.ctx, rt.sk);
-  const auto pts = eng.decrypt_batch(rt.cts);
+  ckks::Decryptor serial(rt.ctx, rt.session->secret_key());
+  const auto pts = rt.session->decrypt_engine().decrypt_batch(rt.cts);
   ASSERT_EQ(pts.size(), rt.cts.size());
   for (std::size_t i = 0; i < pts.size(); ++i) {
     expect_identical_plaintexts(serial.decrypt(rt.cts[i]), pts[i]);
   }
 }
 
-TEST(BatchDecryptor, PlaintextsAreThreadCountInvariant) {
-  // The engine determinism contract on the download side: ScalarBackend,
-  // 1-, 2- and 8-thread pools produce byte-identical plaintexts.
+TEST(DecryptorBatch, PlaintextsAreThreadCountInvariant) {
+  // The determinism contract on the download side: ScalarBackend, 1-, 2-
+  // and 8-thread pools produce byte-identical plaintexts.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   RoundTrip ref_rt = make_round_trip(
       params, std::make_shared<backend::ScalarBackend>(), 6);
-  BatchDecryptor ref_eng(ref_rt.ctx, ref_rt.sk);
-  const auto ref = ref_eng.decrypt_batch(ref_rt.cts);
+  const auto ref = ref_rt.session->decrypt_engine().decrypt_batch(ref_rt.cts);
   for (std::size_t threads : {1u, 2u, 8u}) {
     RoundTrip rt = make_round_trip(
         params, std::make_shared<backend::ThreadPoolBackend>(threads), 6);
-    BatchDecryptor eng(rt.ctx, rt.sk);
-    const auto got = eng.decrypt_batch(rt.cts);
+    const auto got = rt.session->decrypt_engine().decrypt_batch(rt.cts);
     ASSERT_EQ(ref.size(), got.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       expect_identical_plaintexts(ref[i], got[i]);
@@ -101,7 +94,7 @@ TEST(BatchDecryptor, PlaintextsAreThreadCountInvariant) {
   }
 }
 
-TEST(BatchDecryptor, RoundTripIsKernelArchInvariant) {
+TEST(DecryptorBatch, RoundTripIsKernelArchInvariant) {
   // Forced-arch matrix over the whole client round trip (keygen,
   // encrypt batch — the fused fms_into path — and decrypt batch — the
   // fused fma_into path): plaintexts must be byte-identical whether the
@@ -116,8 +109,7 @@ TEST(BatchDecryptor, RoundTripIsKernelArchInvariant) {
     simd::set_kernel_arch_for_testing(arch);
     RoundTrip rt = make_round_trip(
         params, std::make_shared<backend::ScalarBackend>(), 4);
-    BatchDecryptor eng(rt.ctx, rt.sk);
-    return eng.decrypt_batch(rt.cts);
+    return rt.session->decrypt_engine().decrypt_batch(rt.cts);
   };
   std::vector<simd::KernelArch> arches = {simd::KernelArch::kPortable};
   if (simd::avx2_selectable()) arches.push_back(simd::KernelArch::kAvx2);
@@ -133,12 +125,11 @@ TEST(BatchDecryptor, RoundTripIsKernelArchInvariant) {
   }
 }
 
-TEST(BatchDecryptor, DecodeBatchRecoversMessages) {
+TEST(DecryptorBatch, DecodeBatchRecoversMessages) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(11, 4);
   RoundTrip rt = make_round_trip(
       params, std::make_shared<backend::ThreadPoolBackend>(4), 4);
-  BatchDecryptor eng(rt.ctx, rt.sk);
-  const auto decoded = eng.decrypt_decode_batch(rt.cts);
+  const auto decoded = rt.session->decrypt_batch(rt.cts);
   ASSERT_EQ(decoded.size(), rt.msgs.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {
     const ckks::PrecisionReport r =
@@ -147,44 +138,45 @@ TEST(BatchDecryptor, DecodeBatchRecoversMessages) {
   }
 }
 
-TEST(BatchDecryptor, EmptyBatchIsFine) {
+TEST(DecryptorBatch, EmptyBatchIsFine) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   auto ctx = ckks::CkksContext::create(params);
-  ckks::KeyGenerator keygen(ctx);
-  BatchDecryptor eng(ctx, keygen.secret_key());
-  EXPECT_TRUE(eng.decrypt_batch({}).empty());
-  EXPECT_TRUE(eng.decrypt_decode_batch({}).empty());
-  const engine::BatchVerifyReport report = eng.verify_batch({}, {});
+  ClientSession session(ctx);
+  EXPECT_TRUE(session.decrypt_engine().decrypt_batch({}).empty());
+  EXPECT_TRUE(session.decrypt_batch({}).empty());
+  const engine::BatchVerifyReport report = session.verify({}, {});
   EXPECT_TRUE(report.ok);
   EXPECT_EQ(report.passed, 0u);
   EXPECT_EQ(report.failed, 0u);
   EXPECT_TRUE(report.items.empty());
 }
 
-TEST(BatchDecryptor, WrongLevelComponentThrowsNotAborts) {
-  // A ciphertext whose components disagree on the level is malformed; the
-  // pooled batch must surface that as a catchable exception, exactly as a
-  // serial decrypt would.
+TEST(DecryptorBatch, WrongLevelComponentThrowsNotAborts) {
+  // A ciphertext whose components disagree on the level is malformed; a
+  // batch on a pooled context must surface that as a catchable exception,
+  // exactly as a scalar one would.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   RoundTrip rt = make_round_trip(
       params, std::make_shared<backend::ThreadPoolBackend>(2), 2);
-  BatchDecryptor eng(rt.ctx, rt.sk);
   rt.cts[1].components[1].drop_last_limb();  // c1 now one level below c0
-  EXPECT_THROW(eng.decrypt_batch(rt.cts), InvalidArgument);
+  EXPECT_THROW(rt.session->decrypt_engine().decrypt_batch(rt.cts),
+               InvalidArgument);
+  EXPECT_THROW(rt.session->decrypt_batch(rt.cts), InvalidArgument);
 }
 
-TEST(BatchDecryptor, BadComponentCountThrowsNotAborts) {
+TEST(DecryptorBatch, BadComponentCountThrowsNotAborts) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   RoundTrip rt = make_round_trip(
       params, std::make_shared<backend::ThreadPoolBackend>(2), 2);
-  BatchDecryptor eng(rt.ctx, rt.sk);
   rt.cts[0].components.pop_back();  // 1-component "ciphertext"
-  EXPECT_THROW(eng.decrypt_batch(rt.cts), InvalidArgument);
+  EXPECT_THROW(rt.session->decrypt_engine().decrypt_batch(rt.cts),
+               InvalidArgument);
+  EXPECT_THROW(rt.session->decrypt_batch(rt.cts), InvalidArgument);
 }
 
-TEST(BatchDecryptor, ThrowingModeRethrowsTheLowestIndexFailure) {
-  // Items 1 and 3 are malformed in different ways. Whatever worker
-  // finishes first, the batch raises item 1's exception: the message of
+TEST(DecryptorBatch, ThrowingModeRethrowsTheLowestIndexFailure) {
+  // Items 1 and 3 are malformed in different ways. On any backend, both
+  // batch decrypt paths raise item 1's exception: the message of
   // decrypting item 1 alone.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   const std::vector<std::shared_ptr<backend::PolyBackend>> backends = {
@@ -196,35 +188,41 @@ TEST(BatchDecryptor, ThrowingModeRethrowsTheLowestIndexFailure) {
     SCOPED_TRACE(std::string(backend->name()) + " x" +
                  std::to_string(backend->workers()));
     RoundTrip rt = make_round_trip(params, backend, 6);
-    BatchDecryptor eng(rt.ctx, rt.sk);
+    ClientSession& session = *rt.session;
     rt.cts[1].components.pop_back();            // 1-component "ciphertext"
     rt.cts[3].components[1].drop_last_limb();   // components disagree
 
-    const auto message_of = [&](std::span<const ckks::Ciphertext> cts) {
+    const auto message_of = [](const auto& decrypt) {
       try {
-        (void)eng.decrypt_batch(cts);
+        (void)decrypt();
       } catch (const InvalidArgument& e) {
         return std::string(e.what());
       }
       ADD_FAILURE() << "a batch with failing items did not throw";
       return std::string();
     };
-    const std::string item1 = message_of({&rt.cts[1], 1});
+    const auto plain = [&](std::span<const ckks::Ciphertext> cts) {
+      return message_of(
+          [&] { return session.decrypt_engine().decrypt_batch(cts); });
+    };
+    const std::string item1 = plain({&rt.cts[1], 1});
     ASSERT_FALSE(item1.empty());
-    EXPECT_NE(item1, message_of({&rt.cts[3], 1}));
+    EXPECT_NE(item1, plain({&rt.cts[3], 1}));
 
     for (int rep = 0; rep < 5; ++rep) {
-      EXPECT_EQ(message_of(rt.cts), item1);
+      EXPECT_EQ(plain(rt.cts), item1);
+      EXPECT_EQ(message_of([&] { return session.decrypt_batch(rt.cts); }),
+                item1);
     }
   }
 }
 
-TEST(BatchDecryptor, VerifyBatchFlagsCorruptedComponent) {
+TEST(DecryptorBatch, VerifyBatchFlagsCorruptedComponent) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   RoundTrip rt = make_round_trip(
       params, std::make_shared<backend::ThreadPoolBackend>(4), 4);
-  BatchDecryptor eng(rt.ctx, rt.sk);
-  const engine::BatchVerifyReport clean = eng.verify_batch(rt.cts, rt.msgs);
+  ClientSession& session = *rt.session;
+  const engine::BatchVerifyReport clean = session.verify(rt.cts, rt.msgs);
   EXPECT_TRUE(clean.ok);
   EXPECT_EQ(clean.passed, rt.cts.size());
   EXPECT_EQ(clean.failed, 0u);
@@ -234,7 +232,7 @@ TEST(BatchDecryptor, VerifyBatchFlagsCorruptedComponent) {
   const u64 q = rt.ctx->poly_context()->modulus(0).value();
   std::span<u64> limb = rt.cts[2].c(0).limb(0);
   limb[7] = (limb[7] + q / 2) % q;
-  const engine::BatchVerifyReport report = eng.verify_batch(rt.cts, rt.msgs);
+  const engine::BatchVerifyReport report = session.verify(rt.cts, rt.msgs);
   EXPECT_FALSE(report.ok);
   EXPECT_EQ(report.failed, 1u);
   EXPECT_EQ(report.passed, rt.cts.size() - 1);
@@ -245,14 +243,13 @@ TEST(BatchDecryptor, VerifyBatchFlagsCorruptedComponent) {
   EXPECT_EQ(report.worst_abs_error, report.items[2].max_abs_error);
 }
 
-TEST(BatchDecryptor, VerifyBatchRequiresMatchingExpectedCount) {
+TEST(DecryptorBatch, VerifyBatchRequiresMatchingExpectedCount) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   RoundTrip rt = make_round_trip(
       params, std::make_shared<backend::ThreadPoolBackend>(2), 3);
-  BatchDecryptor eng(rt.ctx, rt.sk);
   const auto short_expected =
       std::span(rt.msgs.data(), rt.msgs.size() - 1);
-  EXPECT_THROW(eng.verify_batch(rt.cts, short_expected), InvalidArgument);
+  EXPECT_THROW(rt.session->verify(rt.cts, short_expected), InvalidArgument);
 }
 
 TEST(ClientSession, FullRoundTripPassesVerifyBounds) {
