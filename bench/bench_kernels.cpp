@@ -90,7 +90,8 @@ void bench_ntt(TextTable& table, int reps, bool quick,
     const xf::NttTables tables(q, log_n);
     const std::size_t n = tables.n();
 
-    double eager_roundtrip = 0;
+    double eager_fwd = 0;
+    double eager_inv = 0;
     for (const NttVariant& v : variants) {
       simd::set_kernel_arch_for_testing(v.arch);
       std::vector<u64> a = random_poly(n, q.value(), 1);
@@ -102,11 +103,18 @@ void bench_ntt(TextTable& table, int reps, bool quick,
       const double inv = bench::time_best_of(reps, [&] {
         v.eager ? tables.inverse_eager(b) : tables.inverse(b);
       });
-      if (v.eager) eager_roundtrip = fwd + inv;
-      const double speedup = eager_roundtrip / (fwd + inv);
-      table.add_row({"ntt fwd+inv " + std::to_string(log_n), v.name,
-                     bench::fmt_time(fwd + inv),
-                     TextTable::fmt(speedup, 2) + "x"});
+      if (v.eager) {
+        eager_fwd = fwd;
+        eager_inv = inv;
+      }
+      const std::string size = " " + std::to_string(log_n);
+      const auto row = [&](const std::string& kernel, double t, double seed) {
+        table.add_row({kernel + size, v.name, bench::fmt_time(t),
+                       TextTable::fmt(seed / t, 2) + "x"});
+      };
+      row("ntt fwd", fwd, eager_fwd);
+      row("ntt inv", inv, eager_inv);
+      row("ntt fwd+inv", fwd + inv, eager_fwd + eager_inv);
     }
   }
   simd::set_kernel_arch_for_testing(simd::detected_kernel_arch());

@@ -11,7 +11,7 @@ CkksContext::CkksContext(const CkksParams& params,
                                       params.num_limbs)),
       poly_ctx_(poly::PolyContext::create(params.log_n, primes_,
                                           std::move(backend))),
-      dwt_(params.log_n) {}
+      dwt_(xf::CkksDwtPlan::shared(params.log_n)) {}
 
 std::shared_ptr<const CkksContext> CkksContext::create(
     const CkksParams& params, std::shared_ptr<backend::PolyBackend> backend) {

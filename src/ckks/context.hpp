@@ -3,7 +3,9 @@
 /// @file context.hpp
 /// Immutable CKKS context: validated parameters, the RNS prime chain
 /// (hardware-friendly primes from the paper's selection methodology), NTT
-/// tables per limb, and the canonical-embedding DWT plan.
+/// tables per limb, and the canonical-embedding DWT plan. The NTT tables
+/// and the DWT plan are the process-wide shared ones, so contexts over the
+/// same parameters hold one copy between them.
 
 #include <atomic>
 #include <memory>
@@ -33,7 +35,7 @@ class CkksContext {
   backend::PolyBackend& backend() const noexcept {
     return poly_ctx_->backend();
   }
-  const xf::CkksDwtPlan& dwt() const noexcept { return dwt_; }
+  const xf::CkksDwtPlan& dwt() const noexcept { return *dwt_; }
 
   std::size_t n() const noexcept { return params_.n(); }
   std::size_t slots() const noexcept { return params_.slots(); }
@@ -42,6 +44,12 @@ class CkksContext {
   /// Fresh polynomial helper.
   poly::RnsPoly make_poly(std::size_t limbs, poly::Domain domain) const {
     return poly::RnsPoly(poly_ctx_, limbs, domain);
+  }
+  /// Fresh polynomial whose coefficients are left uninitialized, for an
+  /// output the caller overwrites whole (poly::ForOverwrite).
+  poly::RnsPoly make_poly_for_overwrite(std::size_t limbs,
+                                        poly::Domain domain) const {
+    return poly::RnsPoly(poly_ctx_, limbs, domain, poly::kForOverwrite);
   }
 
   /// Reserves @p count consecutive values from the context-wide PRNG
@@ -77,7 +85,7 @@ class CkksContext {
   CkksParams params_;
   std::vector<u64> primes_;
   std::shared_ptr<const poly::PolyContext> poly_ctx_;
-  xf::CkksDwtPlan dwt_;
+  std::shared_ptr<const xf::CkksDwtPlan> dwt_;  // CkksDwtPlan::shared
   mutable std::atomic<u64> stream_counter_{0};
   mutable std::atomic<u64> secret_counter_{0};
 };

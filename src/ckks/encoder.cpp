@@ -45,7 +45,8 @@ Plaintext CkksEncoder::encode_as(std::span<const std::complex<double>> values,
     coeffs[j] = std::llround(v);
   }
   xf::op_counts().other += n;  // rounding pass
-  Plaintext pt{ctx_->make_poly(limbs, poly::Domain::kCoeff), scale};
+  Plaintext pt{ctx_->make_poly_for_overwrite(limbs, poly::Domain::kCoeff),
+               scale};
   pt.poly.set_from_signed(coeffs);
   return pt;
 }

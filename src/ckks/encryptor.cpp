@@ -33,14 +33,17 @@ void lift_limb(const rns::Modulus& q, u64* out, const std::vector<I>& e,
   xf::op_counts().other += n;
 }
 
-/// Two empty evaluation-form components at @p limbs limbs, moved into
-/// place (a braced component list would deep-copy both).
+/// Two uninitialized evaluation-form components at @p limbs limbs, moved
+/// into place (a braced component list would deep-copy both). Both
+/// encrypt paths write every coefficient of both.
 Ciphertext make_output(const CkksContext& ctx, std::size_t limbs,
                        double scale) {
   Ciphertext ct;
   ct.components.reserve(2);
-  ct.components.push_back(ctx.make_poly(limbs, poly::Domain::kEval));
-  ct.components.push_back(ctx.make_poly(limbs, poly::Domain::kEval));
+  for (int c = 0; c < 2; ++c) {
+    ct.components.push_back(
+        ctx.make_poly_for_overwrite(limbs, poly::Domain::kEval));
+  }
   ct.scale = scale;
   return ct;
 }

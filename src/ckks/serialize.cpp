@@ -739,9 +739,12 @@ PublicKey deserialize_public_key(
   ABC_CHECK_ARG(h.galois_elt == 0, "public key with galois element");
 
   BitUnpacker unpacker(r.rest());
-  poly::RnsPoly b = ctx->make_poly(h.limbs, poly::Domain::kEval);
+  // Both are written whole: unpacked, or a regenerated from its seed.
+  poly::RnsPoly b =
+      ctx->make_poly_for_overwrite(h.limbs, poly::Domain::kEval);
   unpack_poly(*ctx, unpacker, b, h.bits_per_coeff);
-  poly::RnsPoly a = ctx->make_poly(h.limbs, poly::Domain::kEval);
+  poly::RnsPoly a =
+      ctx->make_poly_for_overwrite(h.limbs, poly::Domain::kEval);
   if (h.compressed) {
     fill_uniform_eval(*ctx, a, PrngDomain::kPublicA, h.stream_id);
   } else {

@@ -1,5 +1,7 @@
 #include "poly/rns_poly.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "transform/op_counter.hpp"
 
@@ -19,11 +21,17 @@ void for_each_limb(const PolyContext& ctx, std::size_t limbs, Fn&& fn) {
 
 RnsPoly::RnsPoly(std::shared_ptr<const PolyContext> ctx, std::size_t limbs,
                  Domain domain)
+    : RnsPoly(std::move(ctx), limbs, domain, kForOverwrite) {
+  std::fill(data_.begin(), data_.end(), u64{0});
+}
+
+RnsPoly::RnsPoly(std::shared_ptr<const PolyContext> ctx, std::size_t limbs,
+                 Domain domain, ForOverwrite)
     : ctx_(std::move(ctx)), limbs_(limbs), domain_(domain) {
   ABC_CHECK_ARG(ctx_ != nullptr, "null context");
   ABC_CHECK_ARG(limbs >= 1 && limbs <= ctx_->max_limbs(),
                 "limb count out of range");
-  data_.assign(limbs_ * ctx_->n(), 0);
+  data_.resize(limbs_ * ctx_->n());
 }
 
 std::span<u64> RnsPoly::limb(std::size_t i) {
@@ -55,7 +63,7 @@ void RnsPoly::reset(std::size_t limbs, Domain domain) {
                 "limb count out of range");
   limbs_ = limbs;
   domain_ = domain;
-  data_.resize(limbs_ * n());  // grows zeroed; reused words left as-is
+  data_.resize(limbs_ * n(), 0);  // grows zeroed; reused words left as-is
 }
 
 template <class I>

@@ -13,6 +13,8 @@
 
 #include <memory>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "poly/poly_context.hpp"
@@ -24,10 +26,38 @@ enum class Domain {
   kEval,   // NTT / evaluation representation (bit-reversed order)
 };
 
+/// Selects the RnsPoly constructor that leaves the coefficients
+/// uninitialized.
+struct ForOverwrite {
+  explicit ForOverwrite() = default;
+};
+inline constexpr ForOverwrite kForOverwrite{};
+
+/// std::allocator whose value-less construct() default-initializes, so a
+/// vector of words grows without zeroing unless a value is given.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
 class RnsPoly {
  public:
+  /// Zero polynomial.
   RnsPoly(std::shared_ptr<const PolyContext> ctx, std::size_t limbs,
           Domain domain);
+  /// Allocated but not zeroed: the caller must overwrite every coefficient
+  /// before anything reads it. Saves the zero-fill pass (a 24-limb
+  /// polynomial at N = 2^16 is 12 MiB) for outputs a kernel writes whole.
+  RnsPoly(std::shared_ptr<const PolyContext> ctx, std::size_t limbs,
+          Domain domain, ForOverwrite);
 
   const PolyContext& context() const noexcept { return *ctx_; }
   std::shared_ptr<const PolyContext> context_ptr() const noexcept {
@@ -111,7 +141,8 @@ class RnsPoly {
   std::shared_ptr<const PolyContext> ctx_;
   std::size_t limbs_;
   Domain domain_;
-  std::vector<u64> data_;  // limbs_ * n contiguous, limb-major
+  // limbs_ * n contiguous, limb-major
+  std::vector<u64, DefaultInitAllocator<u64>> data_;
 };
 
 }  // namespace abc::poly

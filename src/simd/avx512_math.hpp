@@ -69,11 +69,16 @@ inline __m512i madd52hi(__m512i acc, __m512i x, __m512i y) noexcept {
 /// contract): x*w - floor(x*w_shoup52/2^52)*q, result < 2q. The lazy
 /// representative may differ from the base-2^64 tiers' by q; all kernels
 /// canonicalize before storing results, so outputs stay bit-identical.
+/// The result is below 2q < 2^52, so only its low 52 bits are computed:
+/// lo52(x*w) + lo52(t*(2^52 - q)) mod 2^52, three vpmadd52 and an AND
+/// where two vpmullq (three uops each) would do the same work.
 inline __m512i shoup52_mul_lazy(__m512i x, __m512i w, __m512i w_shoup52,
                                 __m512i q) noexcept {
   const __m512i zero = _mm512_setzero_si512();
+  const __m512i mask52 = _mm512_set1_epi64((1LL << 52) - 1);
+  const __m512i neg_q = _mm512_sub_epi64(_mm512_set1_epi64(1LL << 52), q);
   const __m512i t = madd52hi(zero, x, w_shoup52);
-  return _mm512_sub_epi64(mul_lo64(x, w), mul_lo64(t, q));
+  return _mm512_and_si512(madd52lo(madd52lo(zero, x, w), t, neg_q), mask52);
 }
 
 /// Canonical dyadic product per lane via the 52-bit shifted-Barrett

@@ -7,9 +7,13 @@
 /// NTT: a butterfly stage with gap t processes t contiguous pairs under one
 /// twiddle, so every stage with t >= 4 runs four butterflies per iteration
 /// on splatted twiddles with purely sequential loads (the flat Shoup-pair
-/// layout in NttLayout). The last two forward stages / first two inverse
-/// stages (t in {1, 2}) reuse the portable scalar code — 2/log_n of the
-/// work; the correction and scaling passes are vectorized as well.
+/// layout in NttLayout). The two narrowest stages (t = 2, 1: the last two
+/// forward, the first two inverse) run as one register tail over
+/// eight-word blocks held in two registers, regrouped between stages by
+/// vperm2i128/vpunpck{l,h}qdq, with each stage's 2 or 4 twiddles loaded as
+/// one vector; the forward tail also does the [0, 4q) -> [0, q) correction
+/// and the inverse folds its N^{-1} scaling into its last stage
+/// (scaled_last_inverse_twiddle). Only n < 8 runs the portable code.
 ///
 /// Dyadic ops: see dyadic_kernels.hpp for the algorithms.
 ///
@@ -50,27 +54,118 @@ inline void store(u64* p, __m256i v) noexcept {
 
 // -- NTT ---------------------------------------------------------------------
 
-void reduce_from_4q_avx2(u64* a, std::size_t n, u64 q) {
-  const __m256i vq = splat(q);
-  const __m256i v2q = splat(2 * q);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256i v = load(a + j);
-    v = cond_sub(v, v2q);
-    v = cond_sub(v, vq);
-    store(a + j, v);
+/// Harvey CT butterfly on four lanes: x, y < 4q in; outputs < 4q.
+inline void ct_butterfly(__m256i& x, __m256i& y, __m256i w, __m256i wsh,
+                         __m256i vq, __m256i v2q) noexcept {
+  const __m256i u = cond_sub(x, v2q);                   // < 2q
+  const __m256i v = shoup_mul_lazy(y, w, wsh, vq);      // < 2q
+  x = _mm256_add_epi64(u, v);                           // < 4q
+  y = _mm256_sub_epi64(_mm256_add_epi64(u, v2q), v);    // < 4q
+}
+
+/// Harvey GS butterfly on four lanes: x, y < 2q in; outputs < 2q.
+inline void gs_butterfly(__m256i& x, __m256i& y, __m256i w, __m256i wsh,
+                         __m256i vq, __m256i v2q) noexcept {
+  const __m256i d = _mm256_sub_epi64(_mm256_add_epi64(x, v2q), y);  // < 4q
+  x = cond_sub(_mm256_add_epi64(x, y), v2q);                        // < 2q
+  y = shoup_mul_lazy(d, w, wsh, vq);                                // < 2q
+}
+
+/// Two consecutive words at @p p spread over four lanes by @p Imm (vpermq).
+template <int Imm>
+inline __m256i load2_spread(const u64* p) noexcept {
+  return _mm256_permute4x64_epi64(
+      _mm256_broadcastsi128_si256(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
+      Imm);
+}
+
+/// The inverse twiddle q - w[k] and its quotient ~w_shoup[k]
+/// (inverse_twiddle), four lanes at a time.
+inline void mirror_twiddles(__m256i& w, __m256i& wsh, __m256i vq) noexcept {
+  w = _mm256_sub_epi64(vq, w);
+  wsh = _mm256_xor_si256(wsh, _mm256_set1_epi64x(-1));
+}
+
+// Register tail: an eight-word block b0..b7 sits in two registers, each
+// stage's butterfly x inputs in one and the lane-aligned y inputs in the
+// other. Forward: t = 2 takes x = b0,1,4,5, y = b2,3,6,7 (vperm2i128 of
+// lo:hi); t = 1 takes x = b0,2,4,6, y = b1,3,5,7 (vpunpck{l,h}qdq). The
+// inverse's t = 1 takes x = b0,4,2,6, y = b1,5,3,7 straight from the
+// unpacks of lo:hi, whose twiddle lanes are then groups 0, 2, 1, 3.
+
+/// The forward stages t = 2, 1 and the [0, 4q) -> [0, q) correction in one
+/// pass over eight-word blocks (n >= 8). Block b's twiddles are the 2 and 4
+/// consecutive slots from n/4 + 2b and n/2 + 4b.
+void ntt_forward_tail_avx2(const NttLayout& L, u64* a) {
+  const __m256i vq = splat(L.q);
+  const __m256i v2q = splat(2 * L.q);
+  const std::size_t n = L.n;
+  for (std::size_t b = 0; b < n / 8; ++b) {
+    u64* p = a + 8 * b;
+    const __m256i lo = load(p);
+    const __m256i hi = load(p + 4);
+    __m256i x = _mm256_permute2x128_si256(lo, hi, 0x20);
+    __m256i y = _mm256_permute2x128_si256(lo, hi, 0x31);
+    std::size_t k = n / 4 + 2 * b;
+    ct_butterfly(x, y, load2_spread<0x50>(L.w + k),
+                 load2_spread<0x50>(L.w_shoup + k), vq, v2q);
+    __m256i x1 = _mm256_unpacklo_epi64(x, y);
+    __m256i y1 = _mm256_unpackhi_epi64(x, y);
+    k = n / 2 + 4 * b;
+    ct_butterfly(x1, y1, load(L.w + k), load(L.w_shoup + k), vq, v2q);
+    x1 = cond_sub(cond_sub(x1, v2q), vq);
+    y1 = cond_sub(cond_sub(y1, v2q), vq);
+    x = _mm256_unpacklo_epi64(x1, y1);  // b0, b1, b4, b5
+    y = _mm256_unpackhi_epi64(x1, y1);  // b2, b3, b6, b7
+    store(p, _mm256_permute2x128_si256(x, y, 0x20));
+    store(p + 4, _mm256_permute2x128_si256(x, y, 0x31));
   }
-  if (j < n) reduce_from_4q_portable(a + j, n - j, q);
+}
+
+/// The inverse stages t = 1, 2 in one pass over eight-word blocks (n >= 8).
+/// Block b's twiddles mirror the forward tail's: the 4 and 2 slots ending
+/// at n - 1 - 4b and n/2 - 1 - 2b, reversed.
+void ntt_inverse_tail_avx2(const NttLayout& L, u64* a) {
+  const __m256i vq = splat(L.q);
+  const __m256i v2q = splat(2 * L.q);
+  const std::size_t n = L.n;
+  for (std::size_t b = 0; b < n / 8; ++b) {
+    u64* p = a + 8 * b;
+    const __m256i lo = load(p);
+    const __m256i hi = load(p + 4);
+    __m256i x = _mm256_unpacklo_epi64(lo, hi);  // b0, b4, b2, b6
+    __m256i y = _mm256_unpackhi_epi64(lo, hi);  // b1, b5, b3, b7
+    std::size_t k = n - 4 - 4 * b;
+    // Groups 0, 2, 1, 3 sit at offsets 3, 1, 2, 0 of the loaded slots.
+    __m256i w = _mm256_permute4x64_epi64(load(L.w + k), 0x27);
+    __m256i wsh = _mm256_permute4x64_epi64(load(L.w_shoup + k), 0x27);
+    mirror_twiddles(w, wsh, vq);
+    gs_butterfly(x, y, w, wsh, vq, v2q);
+    const __m256i u = _mm256_unpacklo_epi64(x, y);  // b0..b3
+    const __m256i v = _mm256_unpackhi_epi64(x, y);  // b4..b7
+    x = _mm256_permute2x128_si256(u, v, 0x20);      // b0, b1, b4, b5
+    y = _mm256_permute2x128_si256(u, v, 0x31);      // b2, b3, b6, b7
+    k = n / 2 - 2 - 2 * b;
+    w = load2_spread<0x05>(L.w + k);
+    wsh = load2_spread<0x05>(L.w_shoup + k);
+    mirror_twiddles(w, wsh, vq);
+    gs_butterfly(x, y, w, wsh, vq, v2q);
+    store(p, _mm256_permute2x128_si256(x, y, 0x20));
+    store(p + 4, _mm256_permute2x128_si256(x, y, 0x31));
+  }
 }
 
 void ntt_forward_lazy_avx2(const NttLayout& L, u64* a) {
+  if (L.n < 8) {
+    ntt_forward_lazy_portable(L, a);
+    return;
+  }
   const __m256i vq = splat(L.q);
   const __m256i v2q = splat(2 * L.q);
-  int s = 0;
-  for (; s < L.log_n; ++s) {
+  for (int s = 0; s < L.log_n - 2; ++s) {  // t >= 4
     const std::size_t m = std::size_t{1} << s;
     const std::size_t t = L.n >> (s + 1);
-    if (t < 4) break;
     for (std::size_t i = 0; i < m; ++i) {
       const __m256i w = splat(L.w[m + i]);
       const __m256i wsh = splat(L.w_shoup[m + i]);
@@ -78,25 +173,25 @@ void ntt_forward_lazy_avx2(const NttLayout& L, u64* a) {
       u64* y = x + t;
       for (std::size_t j = 0; j < t; j += 4) {
         __m256i vx = load(x + j);
-        const __m256i vy = load(y + j);
-        vx = cond_sub(vx, v2q);                                // < 2q
-        const __m256i vv = shoup_mul_lazy(vy, w, wsh, vq);     // < 2q
-        store(x + j, _mm256_add_epi64(vx, vv));                // < 4q
-        store(y + j,
-              _mm256_sub_epi64(_mm256_add_epi64(vx, v2q), vv));  // < 4q
+        __m256i vy = load(y + j);
+        ct_butterfly(vx, vy, w, wsh, vq, v2q);
+        store(x + j, vx);
+        store(y + j, vy);
       }
     }
   }
-  if (s < L.log_n) ntt_forward_lazy_stages_portable(L, a, s, L.log_n);
-  reduce_from_4q_avx2(a, L.n, L.q);
+  ntt_forward_tail_avx2(L, a);
 }
 
 void ntt_inverse_lazy_avx2(const NttLayout& L, u64* a) {
+  if (L.n < 8) {
+    ntt_inverse_lazy_portable(L, a);
+    return;
+  }
   const __m256i vq = splat(L.q);
   const __m256i v2q = splat(2 * L.q);
-  const int scalar_stages = L.log_n < 2 ? L.log_n : 2;  // t in {1, 2}
-  ntt_inverse_lazy_stages_portable(L, a, 0, scalar_stages);
-  for (int s = scalar_stages; s < L.log_n; ++s) {
+  ntt_inverse_tail_avx2(L, a);
+  for (int s = 2; s < L.log_n - 1; ++s) {  // t >= 4, all but the last
     const std::size_t t = std::size_t{1} << s;
     const std::size_t m = L.n >> (s + 1);
     for (std::size_t i = 0; i < m; ++i) {
@@ -106,28 +201,29 @@ void ntt_inverse_lazy_avx2(const NttLayout& L, u64* a) {
       u64* x = a + 2 * i * t;
       u64* y = x + t;
       for (std::size_t j = 0; j < t; j += 4) {
-        const __m256i vx = load(x + j);
-        const __m256i vy = load(y + j);
-        const __m256i sum = _mm256_add_epi64(vx, vy);           // < 4q
-        store(x + j, cond_sub(sum, v2q));                       // < 2q
-        const __m256i d =
-            _mm256_sub_epi64(_mm256_add_epi64(vx, v2q), vy);    // < 4q
-        store(y + j, shoup_mul_lazy(d, w, wsh, vq));            // < 2q
+        __m256i vx = load(x + j);
+        __m256i vy = load(y + j);
+        gs_butterfly(vx, vy, w, wsh, vq, v2q);
+        store(x + j, vx);
+        store(y + j, vy);
       }
     }
   }
-  // N^{-1} scaling with full reduction.
+  // The last stage with the N^{-1} scaling folded in, fully reduced.
+  const ShoupTwiddle last = scaled_last_inverse_twiddle(L);
+  const __m256i w = splat(last.w);
+  const __m256i wsh = splat(last.w_shoup);
   const __m256i ninv = splat(L.n_inv);
   const __m256i ninv_sh = splat(L.n_inv_shoup);
-  std::size_t j = 0;
-  for (; j + 4 <= L.n; j += 4) {
-    const __m256i v = shoup_mul_lazy(load(a + j), ninv, ninv_sh, vq);
-    store(a + j, cond_sub(v, vq));
-  }
-  for (; j < L.n; ++j) {
-    u64 v = a[j] * L.n_inv - mul_hi(a[j], L.n_inv_shoup) * L.q;
-    if (v >= L.q) v -= L.q;
-    a[j] = v;
+  u64* x = a;
+  u64* y = a + L.n / 2;
+  for (std::size_t j = 0; j < L.n / 2; j += 4) {
+    const __m256i vx = load(x + j);
+    const __m256i vy = load(y + j);
+    const __m256i sum = _mm256_add_epi64(vx, vy);                     // < 4q
+    const __m256i d = _mm256_sub_epi64(_mm256_add_epi64(vx, v2q), vy);  // < 4q
+    store(x + j, cond_sub(shoup_mul_lazy(sum, ninv, ninv_sh, vq), vq));
+    store(y + j, cond_sub(shoup_mul_lazy(d, w, wsh, vq), vq));
   }
 }
 

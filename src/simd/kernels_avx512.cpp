@@ -15,8 +15,15 @@
 /// iteration and the base-2^52 lazy Shoup product (avx512_math.hpp): the
 /// 52-bit twiddle quotients are L.w_shoup[i] >> 12 (forward) and the
 /// inverse twiddle's ~L.w_shoup[k] >> 12, derived in-register — the
-/// NttLayout carries no extra tables for this tier. Stages with t < 8
-/// reuse the portable scalar code — 3/log_n of the work.
+/// NttLayout carries no extra tables for this tier. The stages with t >= 8
+/// splat one twiddle per group. The three narrowest stages (t = 4, 2, 1:
+/// the last three forward, the first three inverse) run as one register
+/// tail: each sixteen-word block is loaded once into two registers,
+/// vpermt2q regroups it between stages, and each stage's 2, 4 or 8 twiddles
+/// arrive as one vector load spread by vpermq. The forward tail also does
+/// the [0, 4q) -> [0, q) correction; the inverse folds its N^{-1} scaling
+/// into its last stage (scaled_last_inverse_twiddle). Only n < 16 runs the
+/// portable code.
 ///
 /// Dyadic ops: see dyadic_kernels.hpp for the algorithms.
 ///
@@ -49,27 +56,194 @@ using avx512::store;
 
 // -- NTT ---------------------------------------------------------------------
 
-void reduce_from_4q_avx512(u64* a, std::size_t n, u64 q) {
-  const __m512i vq = splat(q);
-  const __m512i v2q = splat(2 * q);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __m512i v = load(a + j);
-    v = cond_sub(v, v2q);
-    v = cond_sub(v, vq);
-    store(a + j, v);
+// Full-mask spellings: GCC 12's unmasked permute and shift intrinsics pass an
+// "undefined" merge source that trips -Wmaybe-uninitialized. The emitted
+// instructions are the same.
+constexpr __mmask8 kAll64 = 0xFF;
+
+/// Lane i of the result is lane idx[i] of v (vpermq).
+inline __m512i permute(__m512i v, __m512i idx) noexcept {
+  return _mm512_mask_permutexvar_epi64(v, kAll64, idx, v);
+}
+
+/// Lane i of the result is lane idx[i] of the sixteen lanes lo:hi (vpermt2q).
+inline __m512i permute2(__m512i lo, __m512i idx, __m512i hi) noexcept {
+  return _mm512_permutex2var_epi64(lo, idx, hi);
+}
+
+inline __m512i lanes(long long l0, long long l1, long long l2, long long l3,
+                     long long l4, long long l5, long long l6,
+                     long long l7) noexcept {
+  return _mm512_setr_epi64(l0, l1, l2, l3, l4, l5, l6, l7);
+}
+
+/// Harvey CT butterfly on eight lanes: x, y < 4q in; outputs < 4q.
+inline void ct_butterfly(__m512i& x, __m512i& y, __m512i w, __m512i wsh52,
+                         __m512i vq, __m512i v2q) noexcept {
+  const __m512i u = cond_sub(x, v2q);                     // < 2q
+  const __m512i v = shoup52_mul_lazy(y, w, wsh52, vq);    // < 2q
+  x = _mm512_add_epi64(u, v);                             // < 4q
+  y = _mm512_sub_epi64(_mm512_add_epi64(u, v2q), v);      // < 4q
+}
+
+/// Harvey GS butterfly on eight lanes: x, y < 2q in; outputs < 2q.
+inline void gs_butterfly(__m512i& x, __m512i& y, __m512i w, __m512i wsh52,
+                         __m512i vq, __m512i v2q) noexcept {
+  const __m512i d = _mm512_sub_epi64(_mm512_add_epi64(x, v2q), y);  // < 4q
+  x = cond_sub(_mm512_add_epi64(x, y), v2q);                        // < 2q
+  y = shoup52_mul_lazy(d, w, wsh52, vq);                            // < 2q
+}
+
+/// The last inverse stage with the N^{-1} scaling folded in (see
+/// scaled_last_inverse_twiddle): x, y < 2q in; outputs in [0, q).
+inline void gs_butterfly_scaled(__m512i& x, __m512i& y,
+                                const ShoupTwiddle& last, const NttLayout& L,
+                                __m512i vq, __m512i v2q) noexcept {
+  const __m512i d = _mm512_sub_epi64(_mm512_add_epi64(x, v2q), y);  // < 4q
+  const __m512i sum = _mm512_add_epi64(x, y);                       // < 4q
+  x = cond_sub(shoup52_mul_lazy(sum, splat(L.n_inv),
+                                splat(L.n_inv_shoup >> 12), vq),
+               vq);
+  y = cond_sub(shoup52_mul_lazy(d, splat(last.w), splat(last.w_shoup >> 12),
+                                vq),
+               vq);
+}
+
+/// Twiddles of one stage for the eight lanes of a tail block: loads the
+/// @p mask words at w/w_shoup and spreads them over the lanes with @p idx.
+/// Inverse stages take the mirrored slots (inverse_twiddle): the twiddle is
+/// q - w[k] and its quotient ~w_shoup[k].
+struct TailTwiddles {
+  __m512i w;
+  __m512i wsh52;
+};
+
+inline TailTwiddles tail_twiddles(const u64* w, const u64* w_shoup,
+                                  __mmask8 mask, __m512i idx) noexcept {
+  const __m512i sh = permute(_mm512_maskz_loadu_epi64(mask, w_shoup), idx);
+  return {permute(_mm512_maskz_loadu_epi64(mask, w), idx),
+          _mm512_mask_srli_epi64(sh, kAll64, sh, 12)};
+}
+
+/// Eight consecutive twiddles, one per lane, need no spread.
+inline TailTwiddles tail_twiddles8(const u64* w, const u64* w_shoup) noexcept {
+  const __m512i sh = load(w_shoup);
+  return {load(w), _mm512_mask_srli_epi64(sh, kAll64, sh, 12)};
+}
+
+inline TailTwiddles inverse_tail_twiddles(const u64* w, const u64* w_shoup,
+                                          __mmask8 mask, __m512i idx,
+                                          __m512i vq) noexcept {
+  const TailTwiddles fwd = tail_twiddles(w, w_shoup, mask, idx);
+  // ~w_shoup >> 12 == (w_shoup >> 12) ^ (2^52 - 1).
+  return {_mm512_sub_epi64(vq, fwd.w),
+          _mm512_xor_si512(fwd.wsh52, splat((u64{1} << 52) - 1))};
+}
+
+// Register-tail lane maps. A tail block is sixteen words b0..b15 held in two
+// registers; each stage puts its butterflies' x inputs in one register and
+// the y inputs, lane-aligned, in the other. With lo:hi = b0..b15:
+//   t = 4: x = b0-3,b8-11               y = b4-7,b12-15
+//   t = 2: x = b0,1,4,5,8,9,12,13       y = b2,3,6,7,10,11,14,15
+//   t = 1: x = b0,2,4,..,14             y = b1,3,5,..,15
+// Each map is a pair of vpermt2q index vectors over the sixteen lanes of its
+// source registers: half_* takes lo:hi to the t = 4 layout and back, quad_*
+// t = 4 to t = 2 and back, pair_* t = 2 to t = 1 and back; zip_* takes
+// t = 1 to lo:hi and unzip_* lo:hi to t = 1.
+struct TailMaps {
+  __m512i half_x = lanes(0, 1, 2, 3, 8, 9, 10, 11);
+  __m512i half_y = lanes(4, 5, 6, 7, 12, 13, 14, 15);
+  __m512i quad_x = lanes(0, 1, 8, 9, 4, 5, 12, 13);
+  __m512i quad_y = lanes(2, 3, 10, 11, 6, 7, 14, 15);
+  __m512i pair_x = lanes(0, 8, 2, 10, 4, 12, 6, 14);
+  __m512i pair_y = lanes(1, 9, 3, 11, 5, 13, 7, 15);
+  __m512i zip_lo = lanes(0, 8, 1, 9, 2, 10, 3, 11);
+  __m512i zip_hi = lanes(4, 12, 5, 13, 6, 14, 7, 15);
+  __m512i unzip_x = lanes(0, 2, 4, 6, 8, 10, 12, 14);
+  __m512i unzip_y = lanes(1, 3, 5, 7, 9, 11, 13, 15);
+};
+
+/// The forward stages t = 4, 2, 1 and the [0, 4q) -> [0, q) correction in
+/// one pass over sixteen-word blocks (n >= 16). Block b's twiddles are the
+/// 2, 4 and 8 consecutive slots from n/8 + 2b, n/4 + 4b and n/2 + 8b.
+void ntt_forward_tail_avx512(const NttLayout& L, u64* a) {
+  const __m512i vq = splat(L.q);
+  const __m512i v2q = splat(2 * L.q);
+  const TailMaps M;
+  const __m512i spread2 = lanes(0, 0, 0, 0, 1, 1, 1, 1);
+  const __m512i spread4 = lanes(0, 0, 1, 1, 2, 2, 3, 3);
+  const std::size_t n = L.n;
+  for (std::size_t b = 0; b < n / 16; ++b) {
+    u64* p = a + 16 * b;
+    const __m512i lo = load(p);
+    const __m512i hi = load(p + 8);
+    __m512i x = permute2(lo, M.half_x, hi);
+    __m512i y = permute2(lo, M.half_y, hi);
+    TailTwiddles tw = tail_twiddles(L.w + n / 8 + 2 * b,
+                                    L.w_shoup + n / 8 + 2 * b, 0x03, spread2);
+    ct_butterfly(x, y, tw.w, tw.wsh52, vq, v2q);
+    __m512i x2 = permute2(x, M.quad_x, y);
+    __m512i y2 = permute2(x, M.quad_y, y);
+    tw = tail_twiddles(L.w + n / 4 + 4 * b, L.w_shoup + n / 4 + 4 * b, 0x0F,
+                       spread4);
+    ct_butterfly(x2, y2, tw.w, tw.wsh52, vq, v2q);
+    x = permute2(x2, M.pair_x, y2);
+    y = permute2(x2, M.pair_y, y2);
+    tw = tail_twiddles8(L.w + n / 2 + 8 * b, L.w_shoup + n / 2 + 8 * b);
+    ct_butterfly(x, y, tw.w, tw.wsh52, vq, v2q);
+    x = cond_sub(cond_sub(x, v2q), vq);
+    y = cond_sub(cond_sub(y, v2q), vq);
+    store(p, permute2(x, M.zip_lo, y));
+    store(p + 8, permute2(x, M.zip_hi, y));
   }
-  if (j < n) reduce_from_4q_portable(a + j, n - j, q);
+}
+
+/// The inverse stages t = 1, 2, 4 in one pass over sixteen-word blocks
+/// (n >= 16). Block b's twiddles mirror the forward tail's: the 8, 4 and 2
+/// slots ending at n - 1 - 8b, n/2 - 1 - 4b and n/4 - 1 - 2b, reversed.
+void ntt_inverse_tail_avx512(const NttLayout& L, u64* a) {
+  const __m512i vq = splat(L.q);
+  const __m512i v2q = splat(2 * L.q);
+  const TailMaps M;
+  const __m512i reverse8 = lanes(7, 6, 5, 4, 3, 2, 1, 0);
+  const __m512i reverse4 = lanes(3, 3, 2, 2, 1, 1, 0, 0);
+  const __m512i reverse2 = lanes(1, 1, 1, 1, 0, 0, 0, 0);
+  const std::size_t n = L.n;
+  for (std::size_t b = 0; b < n / 16; ++b) {
+    u64* p = a + 16 * b;
+    const __m512i lo = load(p);
+    const __m512i hi = load(p + 8);
+    __m512i x = permute2(lo, M.unzip_x, hi);
+    __m512i y = permute2(lo, M.unzip_y, hi);
+    std::size_t k = n - 8 - 8 * b;
+    TailTwiddles tw = inverse_tail_twiddles(L.w + k, L.w_shoup + k, 0xFF,
+                                            reverse8, vq);
+    gs_butterfly(x, y, tw.w, tw.wsh52, vq, v2q);
+    __m512i x2 = permute2(x, M.pair_x, y);
+    __m512i y2 = permute2(x, M.pair_y, y);
+    k = n / 2 - 4 - 4 * b;
+    tw = inverse_tail_twiddles(L.w + k, L.w_shoup + k, 0x0F, reverse4, vq);
+    gs_butterfly(x2, y2, tw.w, tw.wsh52, vq, v2q);
+    x = permute2(x2, M.quad_x, y2);
+    y = permute2(x2, M.quad_y, y2);
+    k = n / 4 - 2 - 2 * b;
+    tw = inverse_tail_twiddles(L.w + k, L.w_shoup + k, 0x03, reverse2, vq);
+    gs_butterfly(x, y, tw.w, tw.wsh52, vq, v2q);
+    store(p, permute2(x, M.half_x, y));
+    store(p + 8, permute2(x, M.half_y, y));
+  }
 }
 
 void ntt_forward_lazy_avx512(const NttLayout& L, u64* a) {
+  if (L.n < 16) {
+    ntt_forward_lazy_portable(L, a);
+    return;
+  }
   const __m512i vq = splat(L.q);
   const __m512i v2q = splat(2 * L.q);
-  int s = 0;
-  for (; s < L.log_n; ++s) {
+  for (int s = 0; s < L.log_n - 3; ++s) {  // t >= 8
     const std::size_t m = std::size_t{1} << s;
     const std::size_t t = L.n >> (s + 1);
-    if (t < 8) break;
     for (std::size_t i = 0; i < m; ++i) {
       const __m512i w = splat(L.w[m + i]);
       const __m512i wsh52 = splat(L.w_shoup[m + i] >> 12);
@@ -77,25 +251,25 @@ void ntt_forward_lazy_avx512(const NttLayout& L, u64* a) {
       u64* y = x + t;
       for (std::size_t j = 0; j < t; j += 8) {
         __m512i vx = load(x + j);
-        const __m512i vy = load(y + j);                          // < 4q < 2^52
-        vx = cond_sub(vx, v2q);                                  // < 2q
-        const __m512i vv = shoup52_mul_lazy(vy, w, wsh52, vq);   // < 2q
-        store(x + j, _mm512_add_epi64(vx, vv));                  // < 4q
-        store(y + j,
-              _mm512_sub_epi64(_mm512_add_epi64(vx, v2q), vv));  // < 4q
+        __m512i vy = load(y + j);
+        ct_butterfly(vx, vy, w, wsh52, vq, v2q);
+        store(x + j, vx);
+        store(y + j, vy);
       }
     }
   }
-  if (s < L.log_n) ntt_forward_lazy_stages_portable(L, a, s, L.log_n);
-  reduce_from_4q_avx512(a, L.n, L.q);
+  ntt_forward_tail_avx512(L, a);
 }
 
 void ntt_inverse_lazy_avx512(const NttLayout& L, u64* a) {
+  if (L.n < 16) {
+    ntt_inverse_lazy_portable(L, a);
+    return;
+  }
   const __m512i vq = splat(L.q);
   const __m512i v2q = splat(2 * L.q);
-  const int scalar_stages = L.log_n < 3 ? L.log_n : 3;  // t in {1, 2, 4}
-  ntt_inverse_lazy_stages_portable(L, a, 0, scalar_stages);
-  for (int s = scalar_stages; s < L.log_n; ++s) {
+  ntt_inverse_tail_avx512(L, a);
+  for (int s = 3; s < L.log_n - 1; ++s) {  // t >= 8, all but the last
     const std::size_t t = std::size_t{1} << s;
     const std::size_t m = L.n >> (s + 1);
     for (std::size_t i = 0; i < m; ++i) {
@@ -105,28 +279,24 @@ void ntt_inverse_lazy_avx512(const NttLayout& L, u64* a) {
       u64* x = a + 2 * i * t;
       u64* y = x + t;
       for (std::size_t j = 0; j < t; j += 8) {
-        const __m512i vx = load(x + j);
-        const __m512i vy = load(y + j);
-        const __m512i sum = _mm512_add_epi64(vx, vy);            // < 4q
-        store(x + j, cond_sub(sum, v2q));                        // < 2q
-        const __m512i d =
-            _mm512_sub_epi64(_mm512_add_epi64(vx, v2q), vy);     // < 4q
-        store(y + j, shoup52_mul_lazy(d, w, wsh52, vq));         // < 2q
+        __m512i vx = load(x + j);
+        __m512i vy = load(y + j);
+        gs_butterfly(vx, vy, w, wsh52, vq, v2q);
+        store(x + j, vx);
+        store(y + j, vy);
       }
     }
   }
-  // N^{-1} scaling with full reduction.
-  const __m512i ninv = splat(L.n_inv);
-  const __m512i ninv_sh52 = splat(L.n_inv_shoup >> 12);
-  std::size_t j = 0;
-  for (; j + 8 <= L.n; j += 8) {
-    const __m512i v = shoup52_mul_lazy(load(a + j), ninv, ninv_sh52, vq);
-    store(a + j, cond_sub(v, vq));
-  }
-  for (; j < L.n; ++j) {
-    u64 v = a[j] * L.n_inv - mul_hi(a[j], L.n_inv_shoup) * L.q;
-    if (v >= L.q) v -= L.q;
-    a[j] = v;
+  // The last stage (one group, t = n/2) takes the N^{-1} scaling.
+  const ShoupTwiddle last = scaled_last_inverse_twiddle(L);
+  u64* x = a;
+  u64* y = a + L.n / 2;
+  for (std::size_t j = 0; j < L.n / 2; j += 8) {
+    __m512i vx = load(x + j);
+    __m512i vy = load(y + j);
+    gs_butterfly_scaled(vx, vy, last, L, vq, v2q);
+    store(x + j, vx);
+    store(y + j, vy);
   }
 }
 
@@ -302,7 +472,6 @@ void dyadic_fms_into_avx512(const DyadicModulus& m, u64* out, const u64* base,
 // unmasked intrinsics pass an "undefined" merge source that trips
 // -Wuninitialized. The emitted instructions are the same.
 constexpr __mmask16 kAll32 = 0xFFFF;
-constexpr __mmask8 kAll64 = 0xFF;
 
 template <int R>
 inline __m512i rotl(__m512i x) noexcept {  // vprold

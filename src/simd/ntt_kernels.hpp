@@ -64,6 +64,17 @@ inline ShoupTwiddle inverse_twiddle(const NttLayout& L, std::size_t m,
   return {L.q - L.w[k], ~L.w_shoup[k]};
 }
 
+/// The last inverse stage's twiddle (one group, gap n/2) times N^{-1}, with
+/// its 64-bit Shoup quotient. The SIMD tiers fold the N^{-1} scaling into
+/// that stage: x' = (x + y) N^{-1} and y' = (x - y) w N^{-1}, each fully
+/// reduced, are the canonical values a separate scaling pass produces.
+inline ShoupTwiddle scaled_last_inverse_twiddle(const NttLayout& L) noexcept {
+  const ShoupTwiddle tw = inverse_twiddle(L, 1, 0);
+  u64 w = tw.w * L.n_inv - mul_hi(tw.w, L.n_inv_shoup) * L.q;  // < 2q
+  if (w >= L.q) w -= L.q;
+  return {w, static_cast<u64>((static_cast<u128>(w) << 64) / L.q)};
+}
+
 /// In-place forward NTT, natural -> bit-reversed order, result in [0, q).
 /// Runs on kernels_for(L.q).
 void ntt_forward_lazy(const NttLayout& L, u64* a);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/shared_registry.hpp"
 #include "simd/kernels.hpp"
 
 namespace abc::xf {
@@ -31,6 +32,13 @@ CkksDwtPlan::CkksDwtPlan(int log_n)
     index_map_[slot_count + i] = bit_reverse(index2, log_n_);
     pos = (pos * 3) & (m - 1);
   }
+}
+
+std::shared_ptr<const CkksDwtPlan> CkksDwtPlan::shared(int log_n) {
+  static SharedRegistry<int, CkksDwtPlan> registry;
+  return registry.get(log_n, [&] {
+    return std::make_shared<const CkksDwtPlan>(log_n);
+  });
 }
 
 void CkksDwtPlan::forward(std::span<Cx<double>> a) const {

@@ -18,6 +18,7 @@
 /// index_map()[i]; decoding reads slots from those positions and encoding
 /// writes conjugate-extended slot values into them before inverse().
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -33,6 +34,11 @@ class CkksDwtPlan {
   /// N = 2^log_n is the polynomial degree; the transform runs on N complex
   /// points and the embedding exposes N/2 usable slots.
   explicit CkksDwtPlan(int log_n);
+
+  /// The process's plan for log_n: built on first use and shared by every
+  /// caller until the last owner releases it (1.5 MiB at N = 2^16), the way
+  /// NttTables::shared shares the NTT tables. Thread-safe.
+  static std::shared_ptr<const CkksDwtPlan> shared(int log_n);
 
   int log_n() const noexcept { return log_n_; }
   std::size_t n() const noexcept { return n_; }

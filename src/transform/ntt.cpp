@@ -1,11 +1,10 @@
 #include "transform/ntt.hpp"
 
-#include <map>
-#include <mutex>
 #include <utility>
 
 #include "common/bitops.hpp"
 #include "common/check.hpp"
+#include "common/shared_registry.hpp"
 #include "transform/op_counter.hpp"
 
 namespace abc::xf {
@@ -69,23 +68,10 @@ NttTables::NttTables(const rns::Modulus& q, int log_n)
 
 std::shared_ptr<const NttTables> NttTables::shared(const rns::Modulus& q,
                                                    int log_n) {
-  static std::mutex mutex;
-  static std::map<std::pair<u64, int>, std::weak_ptr<const NttTables>>
-      registry;
-  const std::pair key{q.value(), log_n};
-  const std::lock_guard lock(mutex);
-  if (const auto it = registry.find(key); it != registry.end()) {
-    if (auto tables = it->second.lock()) return tables;
-  }
-  // Building under the lock keeps concurrent first calls to one table. A
-  // miss also drops the entries whose tables have died, so the registry
-  // stays as small as the set of live tables.
-  std::erase_if(registry, [](const auto& entry) {
-    return entry.second.expired();
+  static SharedRegistry<std::pair<u64, int>, NttTables> registry;
+  return registry.get({q.value(), log_n}, [&] {
+    return std::make_shared<const NttTables>(q, log_n);
   });
-  auto tables = std::make_shared<const NttTables>(q, log_n);
-  registry[key] = tables;
-  return tables;
 }
 
 void NttTables::forward(std::span<u64> a) const {

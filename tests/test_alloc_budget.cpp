@@ -171,10 +171,11 @@ TEST(AllocBudget, PaperPointEncryptAllocatesOnlyItsOutputs) {
 TEST(AllocBudget, PaperPointContextHoldsHalfSizeSharedTables) {
   // What a context holds once built: per prime the forward twiddles and
   // their quotients (two N-word arrays; the inverse is derived from them),
-  // plus the DWT plan's bit-reversed powers and slot map. The slack covers
-  // the RNS basis constants, the prime list and block rounding: a quarter
-  // of one prime's tables, where a stored inverse table would add a whole
-  // prime's worth per prime.
+  // plus the DWT plan's bit-reversed powers and slot map. Both are shared
+  // per parameter set (NttTables::shared, CkksDwtPlan::shared). The slack
+  // covers the RNS basis constants, the prime list and block rounding: a
+  // quarter of one prime's tables, where a stored inverse table would add a
+  // whole prime's worth per prime.
   const CkksParams params = CkksParams::bootstrappable();
   const std::size_t n = params.n();
   const std::ptrdiff_t tables_per_prime = 2 * n * sizeof(u64);
@@ -192,29 +193,28 @@ TEST(AllocBudget, PaperPointContextHoldsHalfSizeSharedTables) {
   EXPECT_LE(first_bytes, limbs * tables_per_prime + dwt_plan + slack);
   EXPECT_GE(first_bytes, limbs * tables_per_prime + dwt_plan);
 
-  // A second context over the same primes reuses the first one's tables
-  // and holds only its own DWT plan besides.
+  // A second context over the same parameters reuses the first one's
+  // tables and DWT plan, and holds only the slack besides.
   std::shared_ptr<const CkksContext> second;
   const std::ptrdiff_t second_bytes =
       retained_by([&] { second = CkksContext::create(params); });
-  EXPECT_LE(second_bytes, dwt_plan + slack);
+  EXPECT_LE(second_bytes, slack);
   EXPECT_EQ(&first->poly_context()->ntt(0), &second->poly_context()->ntt(0));
+  EXPECT_EQ(&first->dwt(), &second->dwt());
 }
 
 TEST(AllocBudget, WarmContextCreateAllocatesLittleItDoesNotKeep) {
-  // With the prime search memo and the NTT tables warm, a second context
-  // allocates what it keeps (its DWT plan, the basis constants) plus a
+  // With the prime search memo, the NTT tables and the DWT plan warm, a
+  // second context allocates what it keeps (the basis constants) plus a
   // little scratch: 0.05 MB measured (Release, x86-64). The transient
   // budget sits below the 0.7 MB that copying the memoized prime list and
   // its sparse subset on each create would add (1.12 MB transient with the
-  // copies). The cumulative budget is the DWT plan plus 192 KiB for the
-  // basis constants (64 KB) and that scratch: 1.69 MB measured, where
-  // rebuilding every prefix's q/q_i products from scratch in the RNS basis
-  // (O(L^3) big-integer temporaries) allocates 2.04 MB.
+  // copies). The cumulative budget is 192 KiB for the basis constants
+  // (64 KB) and that scratch: 0.11 MB measured, where a DWT plan of its own
+  // adds 1.5 MiB and rebuilding every prefix's q/q_i products from scratch
+  // in the RNS basis (O(L^3) big-integer temporaries) 0.35 MB more.
   constexpr std::size_t kTransientBudget = 512 * 1024;
   const CkksParams params = CkksParams::bootstrappable();
-  const std::size_t dwt_plan =
-      params.n() * (sizeof(xf::Cx<double>) + sizeof(std::size_t));
   const auto first = CkksContext::create(params);
   std::shared_ptr<const CkksContext> second;
   const std::size_t live_before = g_live_bytes.load();
@@ -223,7 +223,7 @@ TEST(AllocBudget, WarmContextCreateAllocatesLittleItDoesNotKeep) {
   const std::size_t retained = g_live_bytes.load() - live_before;
   EXPECT_LE(allocated - retained, kTransientBudget)
       << allocated << " B allocated, " << retained << " B retained";
-  EXPECT_LE(allocated, dwt_plan + 192 * 1024)
+  EXPECT_LE(allocated, 192 * 1024)
       << allocated << " B allocated, " << retained << " B retained";
 }
 

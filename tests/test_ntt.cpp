@@ -231,6 +231,8 @@ TEST(NttTableSharing, EqualParamContextsShareTables) {
   const auto b = ckks::CkksContext::create(params);
   EXPECT_EQ(table_addresses(*a->poly_context()),
             table_addresses(*b->poly_context()));
+  // The DWT plan depends only on the degree and is shared the same way.
+  EXPECT_EQ(&a->dwt(), &b->dwt());
 }
 
 TEST(NttTableSharing, PrefixChainSharesItsPrimesOnly) {
@@ -253,9 +255,13 @@ TEST(NttTableSharing, PrefixChainSharesItsPrimesOnly) {
 TEST(NttTableSharing, ReleasedContextsLeaveNothingPinned) {
   const auto params = ckks::CkksParams::sweep_point(12, 3);
   std::vector<std::weak_ptr<const NttTables>> watched;
+  std::weak_ptr<const xf::CkksDwtPlan> watched_plan;
   {
     const auto a = ckks::CkksContext::create(params);
     const auto b = ckks::CkksContext::create(params);
+    const auto plan = xf::CkksDwtPlan::shared(params.log_n);
+    EXPECT_EQ(plan.get(), &a->dwt());
+    watched_plan = plan;
     for (std::size_t i = 0; i < a->primes().size(); ++i) {
       const auto tables =
           NttTables::shared(rns::Modulus(a->primes()[i]), params.log_n);
@@ -265,6 +271,7 @@ TEST(NttTableSharing, ReleasedContextsLeaveNothingPinned) {
   }
   // Only the registry's weak references are left: nothing owns the tables.
   for (const auto& w : watched) EXPECT_TRUE(w.expired());
+  EXPECT_TRUE(watched_plan.expired());
 
   // A new context builds fresh tables, which the old references do not see.
   const auto c = ckks::CkksContext::create(params);
@@ -295,6 +302,7 @@ TEST(NttTableSharing, ConcurrentCreatesBuildOneTablePerPrime) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(table_addresses(*contexts[t]->poly_context()), first)
         << "thread " << t;
+    EXPECT_EQ(&contexts[t]->dwt(), &contexts[0]->dwt()) << "thread " << t;
   }
 }
 

@@ -129,10 +129,49 @@ TEST(LazyNtt, MatchesEagerAtLargeDegreeAndWideModulus) {
   }
 }
 
+TEST(LazyNtt, RegisterTailMatchesEagerAtEveryDegree) {
+  ArchGuard guard;
+  // The SIMD tiers run their narrowest stages as a register tail over
+  // sixteen-word (AVX-512/IFMA) or eight-word (AVX2) blocks and fall back
+  // to the portable code below one block: log_n 1-3 take the fallback,
+  // 4 is a single IFMA block, 5 two. A 36-bit and the widest IFMA prime;
+  // all-(q-1) inputs push the lazy bounds to their extremes.
+  for (int bits : {36, simd::kIfmaMaxPrimeBits}) {
+    const rns::Modulus q(rns::select_prime_chain(bits, 17, 1)[0]);
+    ASSERT_EQ(q.bit_count(), bits);
+    for (int log_n = 1; log_n <= 17; ++log_n) {
+      const xf::NttTables tables(q, log_n);
+      const std::vector<std::vector<u64>> inputs = {
+          random_poly(tables.n(), q.value(), 1000 + log_n),
+          std::vector<u64>(tables.n(), q.value() - 1)};
+      for (const std::vector<u64>& input : inputs) {
+        std::vector<u64> fwd = input;
+        tables.forward_eager(fwd);
+        std::vector<u64> inv = input;
+        tables.inverse_eager(inv);
+        for (simd::KernelArch arch : available_arches()) {
+          simd::set_kernel_arch_for_testing(arch);
+          std::vector<u64> a = input;
+          tables.forward(a);
+          EXPECT_EQ(a, fwd) << "forward, bits=" << bits << " log_n="
+                            << log_n << " arch="
+                            << simd::kernel_arch_name(arch);
+          a = input;
+          tables.inverse(a);
+          EXPECT_EQ(a, inv) << "inverse, bits=" << bits << " log_n="
+                            << log_n << " arch="
+                            << simd::kernel_arch_name(arch);
+        }
+      }
+    }
+  }
+}
+
 TEST(LazyNtt, TinyDegreesRoundtrip) {
   ArchGuard guard;
-  // log_n in {1, 2, 3} exercises the scalar-tail stages of the AVX2 path
-  // (every stage has t < 4).
+  // log_n in {1, 2, 3} is below one sixteen-word IFMA tail block, so that
+  // tier runs the portable code here; AVX2 does too at log_n 1 and 2, and
+  // runs one eight-word tail block at 3.
   for (int log_n : {1, 2, 3}) {
     const rns::Modulus q(rns::select_prime_chain(36, 5, 1)[0]);
     const xf::NttTables tables(q, log_n);
