@@ -3,8 +3,9 @@
 // Harvey lazy-reduction portable/AVX2/AVX-512-IFMA kernels), the batched
 // dyadic ops (seed per-element Barrett vs. the simd/ kernel set), the
 // fused-vs-unfused single-pass chains (gadget accumulate, sub_mul_scalar,
-// fma_into), ChaCha20 keystream MB/s per tier and one
-// paper-point (bootstrappable, 24-limb) uniform fill, the decode path
+// fma_into), ChaCha20 keystream MB/s per tier and the paper-point
+// (bootstrappable, 24-limb) sampling kernels per tier (uniform fill,
+// Gaussian, RNS lift), the decode path
 // (CRT compose BigUint vs u128, DWT forward/inverse scalar vs tier,
 // decode at 2 limbs), hardware-model modular multipliers, and end-to-end
 // encode/encrypt.
@@ -29,11 +30,13 @@
 #include "common/table.hpp"
 #include "poly/crt_block_composer.hpp"
 #include "prng/chacha20.hpp"
+#include "prng/samplers.hpp"
 #include "rns/modmul_algorithms.hpp"
 #include "rns/montgomery.hpp"
 #include "rns/ntt_prime.hpp"
 #include "rns/rns_basis.hpp"
 #include "simd/dyadic_kernels.hpp"
+#include "simd/sampler_kernels.hpp"
 #include "simd/simd_caps.hpp"
 #include "transform/dwt.hpp"
 #include "transform/ntt.hpp"
@@ -280,8 +283,16 @@ void bench_fused(TextTable& table, int reps,
   simd::set_kernel_arch_for_testing(simd::detected_kernel_arch());
 }
 
-/// Keystream throughput per kernel tier, and one paper-point uniform fill
-/// (the prng.uniform layer of the client_paper request).
+/// Keystream throughput per kernel tier, and per tier the three sampling
+/// kernels at the paper point (bootstrappable, N = 2^16, 24 limbs): the
+/// uniform fill (the prng.uniform layer of the client_paper request), one
+/// Gaussian error polynomial, and the RNS lift of encoded i64 coefficients
+/// into every limb. Two more rows time the bare sampler kernels on 2^16
+/// buffered keystream words (the uniform reject against the first prime),
+/// so the keystream's share drops out. Each sampling row's ratio is the
+/// portable tier's time over the row's (shown when the portable tier is
+/// benched); for the bare kernels and the lift that is the portable
+/// table entry's time.
 void bench_prng(TextTable& table, int reps,
                 const std::vector<simd::KernelArch>& arches) {
   std::vector<u8> buf(std::size_t{1} << 20);
@@ -294,18 +305,64 @@ void bench_prng(TextTable& table, int reps,
     table.add_row({"chacha20 keystream 1MiB", arch_name, bench::fmt_time(t),
                    TextTable::fmt(mb_per_s, 0) + " MB/s"});
   }
-  simd::set_kernel_arch_for_testing(simd::detected_kernel_arch());
 
   auto ctx = ckks::CkksContext::create(ckks::CkksParams::bootstrappable());
   const std::size_t limbs = ctx->params().num_limbs;
+  const std::size_t n = ctx->n();
   poly::RnsPoly a = ctx->make_poly(limbs, poly::Domain::kEval);
-  const double t = bench::time_best_of(reps, [&] {
-    ckks::fill_uniform_eval(*ctx, a, ckks::PrngDomain::kSymmetricA,
-                            ctx->reserve_stream_ids(1));
-  });
-  table.add_row({"fill_uniform_eval bootstrappable",
-                 simd::kernel_arch_name(simd::active_kernel_arch()),
-                 bench::fmt_time(t), "-"});
+  poly::RnsPoly lifted = ctx->make_poly(limbs, poly::Domain::kCoeff);
+  const prng::DiscreteGaussianSampler gaussian(ctx->params().error_sigma);
+  std::vector<i32> errors(n);
+  std::vector<u64> words(n), residues(n);
+  prng::ChaCha20({7, 8, 9}, 0).fill_u64(words);
+  const simd::UniformModulus uniform =
+      simd::UniformModulus::make(ctx->primes()[0]);
+  std::mt19937_64 gen(21);
+  std::vector<i64> coeffs(n);
+  // Encoded-coefficient magnitudes (below the 36-bit primes).
+  for (i64& c : coeffs) c = static_cast<i64>(gen() >> 29) - (i64{1} << 34);
+  const std::string log_n = "2^" + std::to_string(ctx->params().log_n);
+  const std::string limbs_x = std::to_string(limbs) + "x" + log_n;
+  struct Row {
+    std::string label;
+    std::function<void()> run;
+    double portable = 0;
+  };
+  std::vector<Row> rows = {
+      {"uniform fill " + limbs_x,
+       [&] {
+         ckks::fill_uniform_eval(*ctx, a, ckks::PrngDomain::kSymmetricA,
+                                 ctx->reserve_stream_ids(1));
+       }},
+      {"uniform reject kernel " + log_n,
+       [&] {
+         simd::uniform_reject(uniform, words.data(), n, residues.data(), n);
+       }},
+      {"gaussian " + log_n,
+       [&] {
+         prng::ChaCha20 rng({4, 5, 6}, ctx->reserve_stream_ids(1));
+         gaussian.sample_many(rng, errors);
+       }},
+      {"gaussian cdt kernel " + log_n,
+       [&] {
+         simd::gaussian_cdt(gaussian.cdf().data(),
+                            static_cast<std::size_t>(gaussian.tail()),
+                            words.data(), errors.data(), n);
+       }},
+      {"rns lift " + limbs_x, [&] { lifted.set_from_signed(coeffs); }},
+  };
+  for (simd::KernelArch arch : arches) {
+    simd::set_kernel_arch_for_testing(arch);
+    const char* arch_name = simd::kernel_arch_name(arch);
+    for (Row& row : rows) {
+      const double t = bench::time_best_of(reps, row.run);
+      if (arch == simd::KernelArch::kPortable) row.portable = t;
+      table.add_row({row.label, arch_name, bench::fmt_time(t),
+                     row.portable > 0 ? TextTable::fmt(row.portable / t, 2) + "x"
+                                      : "-"});
+    }
+  }
+  simd::set_kernel_arch_for_testing(simd::detected_kernel_arch());
 }
 
 /// Best of @p reps timed fn() calls, each after an untimed reset().

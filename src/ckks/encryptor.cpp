@@ -1,5 +1,6 @@
 #include "ckks/encryptor.hpp"
 
+#include "simd/sampler_kernels.hpp"
 #include "transform/op_counter.hpp"
 
 namespace abc::ckks {
@@ -22,14 +23,8 @@ template <class I>
 void lift_limb(const rns::Modulus& q, u64* out, const std::vector<I>& e,
                const u64* m) {
   const std::size_t n = e.size();
-  if (m == nullptr) {
-    for (std::size_t j = 0; j < n; ++j) out[j] = q.from_signed(e[j]);
-  } else {
-    for (std::size_t j = 0; j < n; ++j) {
-      out[j] = q.add(q.from_signed(e[j]), m[j]);
-    }
-    xf::op_counts().poly_add += n;
-  }
+  simd::lift_signed(q, out, e.data(), m, n);
+  if (m != nullptr) xf::op_counts().poly_add += n;
   xf::op_counts().other += n;
 }
 

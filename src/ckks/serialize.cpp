@@ -301,7 +301,8 @@ void check_key_shape(const KeySwitchKey& key) {
 /// restore as different key material.
 bool regenerable(const CkksContext& ctx, std::span<const poly::RnsPoly> a,
                  PrngDomain domain, u64 base_stream_id) {
-  poly::RnsPoly expect = ctx.make_poly(a.front().limbs(), poly::Domain::kEval);
+  poly::RnsPoly expect =
+      ctx.make_poly_for_overwrite(a.front().limbs(), poly::Domain::kEval);
   for (std::size_t d = 0; d < a.size(); ++d) {
     fill_uniform_eval(ctx, expect, domain, base_stream_id + d);
     for (std::size_t l = 0; l < a[d].limbs(); ++l) {
@@ -363,11 +364,13 @@ KeySwitchKey build_key_switch_key(const CkksContext& ctx, KeySwitchKey shell,
   shell.b.reserve(digits);
   shell.a.reserve(digits);
   for (std::size_t d = 0; d < digits; ++d) {
-    shell.b.push_back(ctx.make_poly(ctx.max_limbs(), poly::Domain::kEval));
+    shell.b.push_back(
+        ctx.make_poly_for_overwrite(ctx.max_limbs(), poly::Domain::kEval));
     unpack_poly(ctx, b, shell.b.back(), bits);
   }
   for (std::size_t d = 0; d < digits; ++d) {
-    shell.a.push_back(ctx.make_poly(ctx.max_limbs(), poly::Domain::kEval));
+    shell.a.push_back(
+        ctx.make_poly_for_overwrite(ctx.max_limbs(), poly::Domain::kEval));
     if (a != nullptr) {
       unpack_poly(ctx, *a, shell.a.back(), bits);
     } else {
@@ -547,7 +550,8 @@ Ciphertext deserialize_ciphertext(
   if (compressed) ct.compressed_c1 = CompressedComponent{r.get<u64>()};
   BitUnpacker unpacker(r.rest());
   for (std::size_t comp = 0; comp < components; ++comp) {
-    poly::RnsPoly p = ctx->make_poly(limbs, poly::Domain::kEval);
+    // Every word is unpacked or regenerated below.
+    poly::RnsPoly p = ctx->make_poly_for_overwrite(limbs, poly::Domain::kEval);
     if (comp == 1 && compressed) {
       fill_uniform_eval(*ctx, p, PrngDomain::kSymmetricA,
                         ct.compressed_c1->stream_id);

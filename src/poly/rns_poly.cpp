@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "simd/sampler_kernels.hpp"
 #include "transform/op_counter.hpp"
 
 namespace abc::poly {
@@ -71,9 +72,7 @@ void RnsPoly::expand(std::span<const I> coeffs) {
   const std::size_t n = ctx_->n();
   ABC_CHECK_ARG(coeffs.size() == n, "coefficient count mismatch");
   for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
-    const rns::Modulus& q = ctx_->modulus(i);
-    u64* d = words(i);
-    for (std::size_t j = 0; j < n; ++j) d[j] = q.from_signed(coeffs[j]);
+    simd::lift_signed(ctx_->modulus(i), words(i), coeffs.data(), nullptr, n);
     xf::op_counts().other += n;  // RNS expansion work
   });
 }

@@ -51,18 +51,22 @@ ChaCha20::ChaCha20(const std::array<u8, 16>& seed, u64 stream_id, u32 domain) {
 }
 
 void ChaCha20::refill() {
-  chacha20_blocks(key_, counter_, nonce_, buffer_);
+  chacha20_blocks(key_, counter_, nonce_,
+                  std::span<u8, simd::kChachaBytes>(
+                      reinterpret_cast<u8*>(buffer_.data()),
+                      simd::kChachaBytes));
   counter_ += simd::kChachaBlocks;
   pos_ = 0;
 }
 
 void ChaCha20::fill_bytes(std::span<u8> out) {
   std::size_t written = 0;
+  const auto* bytes = reinterpret_cast<const u8*>(buffer_.data());
   while (written < out.size()) {
-    if (pos_ == buffer_.size()) refill();
+    if (pos_ == simd::kChachaBytes) refill();
     const std::size_t chunk =
-        std::min(buffer_.size() - pos_, out.size() - written);
-    std::memcpy(out.data() + written, buffer_.data() + pos_, chunk);
+        std::min(simd::kChachaBytes - pos_, out.size() - written);
+    std::memcpy(out.data() + written, bytes + pos_, chunk);
     pos_ += chunk;
     written += chunk;
   }

@@ -12,7 +12,9 @@
 /// The stream refills 16 blocks (1 KiB) at a time through the multi-block
 /// kernels in simd/chacha_kernels.hpp. The bytes and their order are the
 /// plain RFC keystream (block 0, 1, 2, ... of the stream's nonce), whatever
-/// the kernel tier and however reads are split across calls.
+/// the kernel tier and however reads are split across calls. The samplers
+/// read the buffered words in place (read_u64) and consume only the words
+/// they use, so bulk sampling copies no keystream.
 
 #include <array>
 #include <span>
@@ -53,14 +55,39 @@ class ChaCha20 {
   /// Uniform double in [0, 1) with 53 random bits.
   double next_double();
 
+  /// Zero-copy bulk read of keystream words: calls take(words) once, where
+  /// words[i] is the value the i-th next_u64() call would return and
+  /// words.size() >= 1, and advances past the first take(words) of them.
+  /// take must use at least one word and at most words.size(). The words
+  /// are the buffered 1 KiB in place (refilled first when it is used up),
+  /// or a single copied word when an earlier 32-bit or byte read left the
+  /// stream off a word boundary.
+  template <class Take>
+  void read_u64(Take&& take) {
+    if (pos_ == simd::kChachaBytes) refill();
+    if (pos_ % sizeof(u64) != 0) {
+      const u64 word = next_u64();
+      take(std::span<const u64>(&word, 1));
+      return;
+    }
+    const std::span<const u64> words(
+        buffer_.data() + pos_ / sizeof(u64),
+        (simd::kChachaBytes - pos_) / sizeof(u64));
+    const std::size_t used = take(words);
+    pos_ += used * sizeof(u64);
+  }
+
  private:
   void refill();
+
+  static constexpr std::size_t kWords = simd::kChachaBytes / sizeof(u64);
 
   std::array<u32, 8> key_{};
   std::array<u32, 3> nonce_{};
   u64 counter_ = 0;  // next block; chacha20_blocks rejects it past 2^32
-  alignas(64) std::array<u8, simd::kChachaBytes> buffer_{};
-  std::size_t pos_ = simd::kChachaBytes;  // empty
+  // The keystream bytes, held as words so read_u64 can hand them out.
+  alignas(64) std::array<u64, kWords> buffer_{};
+  std::size_t pos_ = simd::kChachaBytes;  // bytes read; kChachaBytes = empty
 };
 
 }  // namespace abc::prng

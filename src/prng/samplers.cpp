@@ -1,45 +1,34 @@
 #include "prng/samplers.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "common/check.hpp"
 
 namespace abc::prng {
 
-UniformModSampler::UniformModSampler(u64 modulus) : modulus_(modulus) {
-  ABC_CHECK_ARG(modulus >= 2, "modulus must be >= 2");
-  // reject_bound = floor(2^64 / q) * q, i.e. wrap-free region.
-  const u64 quotient = (~u64{0}) / modulus;  // floor((2^64 - 1) / q)
-  reject_bound_ = quotient * modulus;
-  // If q divides 2^64 exactly this under-counts by one block, which only
-  // tightens the bound; correctness is unaffected.
-  // q >= 2, so floor(2^64 / q) <= 2^63 fits one word.
-  ratio_ = static_cast<u64>((static_cast<u128>(1) << 64) / modulus);
-}
+UniformModSampler::UniformModSampler(u64 modulus)
+    : m_(simd::UniformModulus::make(modulus)) {}
 
 u64 UniformModSampler::sample(ChaCha20& rng) const {
   for (;;) {
     const u64 r = rng.next_u64();
-    if (r < reject_bound_) return reduce(r);
+    if (r < m_.reject_bound) return m_.reduce(r);
   }
 }
 
 void UniformModSampler::sample_many(ChaCha20& rng, std::span<u64> out) const {
-  // Reads at most 1 KiB of words at a time into the output's unfilled
-  // tail and compacts the accepted ones down in place. A chunk is never longer
-  // than the number of outputs still missing, and each word yields at
-  // most one output, so exactly the words sample() would read are read.
-  constexpr std::size_t kChunk = simd::kChachaBytes / sizeof(u64);
+  // The kernel reads the buffered keystream in place and stops at the word
+  // that fills out, so exactly the words sample() would read are read.
   std::size_t filled = 0;
   while (filled < out.size()) {
-    const std::span<u64> words =
-        out.subspan(filled, std::min(kChunk, out.size() - filled));
-    rng.fill_u64(words);
-    for (const u64 r : words) {
-      if (r < reject_bound_) out[filled++] = reduce(r);
-    }
+    rng.read_u64([&](std::span<const u64> words) {
+      const simd::RejectCount c =
+          simd::uniform_reject(m_, words.data(), words.size(),
+                               out.data() + filled, out.size() - filled);
+      filled += c.written;
+      return c.consumed;
+    });
   }
 }
 
@@ -90,16 +79,7 @@ DiscreteGaussianSampler::DiscreteGaussianSampler(double sigma) : sigma_(sigma) {
 }
 
 i32 DiscreteGaussianSampler::from_word(u64 r) const noexcept {
-  const u64 u = r >> 1;  // 63 bits for the magnitude CDF
-  // cdf_ is non-decreasing, so the entries u clears form a prefix and
-  // their count is the first k with u < cdf_[k] (or tail_ if none).
-  i32 magnitude = 0;
-  for (int k = 0; k < tail_; ++k) {
-    magnitude += static_cast<i32>(u >= cdf_[static_cast<std::size_t>(k)]);
-  }
-  // Sign from bit 0; at magnitude 0 both signs give 0.
-  const i32 sign = -static_cast<i32>(r & 1);
-  return (magnitude ^ sign) - sign;
+  return simd::gaussian_from_word(cdf_.data(), count(), r);
 }
 
 i32 DiscreteGaussianSampler::sample(ChaCha20& rng) const {
@@ -108,11 +88,15 @@ i32 DiscreteGaussianSampler::sample(ChaCha20& rng) const {
 
 void DiscreteGaussianSampler::sample_many(ChaCha20& rng,
                                           std::span<i32> out) const {
-  std::array<u64, simd::kChachaBytes / sizeof(u64)> words{};
-  for (std::size_t i = 0; i < out.size(); i += words.size()) {
-    const std::size_t len = std::min(words.size(), out.size() - i);
-    rng.fill_u64(std::span<u64>(words.data(), len));
-    for (std::size_t j = 0; j < len; ++j) out[i + j] = from_word(words[j]);
+  std::size_t filled = 0;
+  while (filled < out.size()) {
+    rng.read_u64([&](std::span<const u64> words) {
+      const std::size_t len = std::min(words.size(), out.size() - filled);
+      simd::gaussian_cdt(cdf_.data(), count(), words.data(),
+                         out.data() + filled, len);
+      filled += len;
+      return len;
+    });
   }
 }
 

@@ -10,12 +10,14 @@
 #include <vector>
 
 #include "prng/chacha20.hpp"
+#include "simd/sampler_kernels.hpp"
 
 namespace abc::prng {
 
 /// Rejection sampler for uniform values in [0, modulus): a keystream word
 /// r is kept iff r < reject_bound and then maps to r % modulus.
-/// sample_many consumes exactly the words out.size() sample() calls would.
+/// sample_many runs the simd::uniform_reject kernel on the ChaCha20 buffer
+/// in place and consumes exactly the words out.size() sample() calls would.
 class UniformModSampler {
  public:
   explicit UniformModSampler(u64 modulus);
@@ -25,20 +27,13 @@ class UniformModSampler {
 
   /// Largest multiple of the modulus <= 2^64 - 1; words at or above it
   /// are rejected.
-  u64 reject_bound() const noexcept { return reject_bound_; }
+  u64 reject_bound() const noexcept { return m_.reject_bound; }
 
-  /// r % modulus, exactly, for any 64-bit r: one mulhi against
-  /// floor(2^64 / q) leaves r - qhat*q in [0, 2q), one conditional
-  /// subtract finishes.
-  u64 reduce(u64 r) const noexcept {
-    const u64 t = r - mul_hi(r, ratio_) * modulus_;
-    return t >= modulus_ ? t - modulus_ : t;
-  }
+  /// r % modulus, exactly, for any 64-bit r (simd::UniformModulus::reduce).
+  u64 reduce(u64 r) const noexcept { return m_.reduce(r); }
 
  private:
-  u64 modulus_;
-  u64 reject_bound_;
-  u64 ratio_;  // floor(2^64 / modulus)
+  simd::UniformModulus m_;
 };
 
 /// Uniform ternary secrets in {-1, 0, 1} (the common CKKS secret
@@ -54,6 +49,8 @@ class TernarySampler {
 /// One keystream word per sample: bit 0 is the sign, the upper 63 bits
 /// index the magnitude CDF. The magnitude is a branchless count over the
 /// whole table, so its running time does not depend on the sample.
+/// sample_many runs the simd::gaussian_cdt kernel on the ChaCha20 buffer
+/// in place.
 class DiscreteGaussianSampler {
  public:
   explicit DiscreteGaussianSampler(double sigma = 3.2);
@@ -72,6 +69,8 @@ class DiscreteGaussianSampler {
   std::span<const u64> cdf() const noexcept { return cdf_; }
 
  private:
+  std::size_t count() const noexcept { return static_cast<std::size_t>(tail_); }
+
   double sigma_;
   int tail_;
   std::vector<u64> cdf_;  // tail_ + 1 entries (~20 at sigma 3.2)

@@ -10,17 +10,24 @@
 /// its ISA flags (a non-x86 target, or a toolchain without -mavx512ifma)
 /// has no table: its getter returns nullptr and simd_caps reports the tier
 /// as not compiled, so it is never selected. The public entry points
-/// (dyadic_kernels.hpp, ntt_kernels.hpp, chacha_kernels.hpp, the double
-/// overloads of xf::CkksDwtPlan) each make one call through kernels_for().
+/// (dyadic_kernels.hpp, ntt_kernels.hpp, chacha_kernels.hpp,
+/// sampler_kernels.hpp, the double overloads of xf::CkksDwtPlan) each make
+/// one call through kernels_for().
 
 #include <cstddef>
 
 #include "common/types.hpp"
 
+namespace abc::rns {
+class Modulus;
+}
+
 namespace abc::simd {
 
 struct NttLayout;
 struct DyadicModulus;
+struct UniformModulus;
+struct RejectCount;
 
 /// Widest prime (bit count) the 52-bit IFMA multiply datapath accepts:
 /// lazy values reach 4q and the Barrett quotient estimate 2q, both of
@@ -57,6 +64,19 @@ struct Kernels {
                    const u64* a, const u64* b, std::size_t n);
   void (*fms_into)(const DyadicModulus& m, u64* out, const u64* base,
                    const u64* a, const u64* b, std::size_t n);
+
+  // Sampling and RNS expansion (sampler_kernels.hpp).
+  RejectCount (*uniform_reject)(const UniformModulus& m, const u64* words,
+                                std::size_t n_words, u64* out,
+                                std::size_t n_out);
+  void (*gaussian_cdt)(const u64* cdf, std::size_t count, const u64* words,
+                       i32* out, std::size_t n);
+  void (*lift_i8)(const rns::Modulus& q, u64* out, const i8* in,
+                  const u64* add, std::size_t n);
+  void (*lift_i32)(const rns::Modulus& q, u64* out, const i32* in,
+                   const u64* add, std::size_t n);
+  void (*lift_i64)(const rns::Modulus& q, u64* out, const i64* in,
+                   const u64* add, std::size_t n);
 };
 
 /// The portable table; always present.
@@ -75,7 +95,7 @@ const Kernels* avx512ifma_kernels() noexcept;
 const Kernels& kernels_for(u64 q) noexcept;
 
 /// The active tier's table, for ops that have no prime (ChaCha20, the
-/// DWT).
+/// DWT, the Gaussian CDT).
 inline const Kernels& active_kernels() noexcept { return kernels_for(0); }
 
 }  // namespace abc::simd

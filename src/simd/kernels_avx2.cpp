@@ -23,12 +23,21 @@
 /// 7 shift+or. The output transpose is a 4x4 word transpose inside each
 /// 128-bit half (unpack epi32/epi64) followed by a 128-bit half swap
 /// (permute2x128) into block order.
+///
+/// Sampling and RNS expansion (see sampler_kernels.hpp): the Gaussian CDT
+/// count as one signed compare and one add per entry over four samples,
+/// and the signed lift on sign-extending loads. The uniform reject is the
+/// portable body: AVX2 has no 64-bit multiply, double conversion or
+/// compress to build it from.
+
+#include <cstring>
 
 #include "simd/chacha_kernels.hpp"
 #include "simd/dwt_kernels.hpp"
 #include "simd/dyadic_kernels.hpp"
 #include "simd/kernels.hpp"
 #include "simd/ntt_kernels.hpp"
+#include "simd/sampler_kernels.hpp"
 
 #if defined(__AVX2__)
 
@@ -502,6 +511,81 @@ void chacha20_blocks_avx2(const u32* key, u32 counter, const u32* nonce,
   chacha20_8blocks(key, counter + 8, nonce, out + 512);
 }
 
+// -- sampling and RNS expansion ----------------------------------------------
+
+void gaussian_cdt_avx2(const u64* cdf, std::size_t count, const u64* words,
+                       i32* out, std::size_t n) {
+  const __m256i one = splat(1);
+  const __m256i zero = _mm256_setzero_si256();
+  // Low i32 of each i64 lane into the low 128 bits.
+  const __m256i narrow = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256i r = load(words + j);
+    const __m256i u = _mm256_srli_epi64(r, 1);
+    // u and every entry are below 2^63, so the signed compare is exact:
+    // cdf[k] > u adds -1, leaving count minus the entries u does not clear.
+    __m256i mag = splat(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      mag = _mm256_add_epi64(mag, _mm256_cmpgt_epi64(splat(cdf[k]), u));
+    }
+    const __m256i sign = _mm256_sub_epi64(zero, _mm256_and_si256(r, one));
+    const __m256i v = _mm256_sub_epi64(_mm256_xor_si256(mag, sign), sign);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + j),
+                     _mm256_castsi256_si128(
+                         _mm256_permutevar8x32_epi32(v, narrow)));
+  }
+  if (j < n) gaussian_cdt_portable(cdf, count, words + j, out + j, n - j);
+}
+
+/// Four signed words sign-extended to i64 lanes.
+inline __m256i load_signed4(const i8* p) noexcept {
+  i32 bytes;
+  std::memcpy(&bytes, p, sizeof bytes);
+  return _mm256_cvtepi8_epi64(_mm_cvtsi32_si128(bytes));
+}
+inline __m256i load_signed4(const i32* p) noexcept {
+  return _mm256_cvtepi32_epi64(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+inline __m256i load_signed4(const i64* p) noexcept {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+template <class I>
+void lift_signed_avx2(const rns::Modulus& q, u64* out, const I* in,
+                      const u64* add, std::size_t n) {
+  const __m256i vq = splat(modulus_value(q));
+  const __m256i neg_q = splat(0 - modulus_value(q));
+  const __m256i zero = _mm256_setzero_si256();
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256i x = load_signed4(in + j);
+    // Lanes with x < q and not x < -q (q < 2^63: signed compares).
+    const __m256i in_range = _mm256_andnot_si256(
+        _mm256_cmpgt_epi64(neg_q, x), _mm256_cmpgt_epi64(vq, x));
+    if (_mm256_movemask_pd(_mm256_castsi256_pd(in_range)) != 0xF)
+        [[unlikely]] {
+      lift_signed_portable(q, out + j, in + j,
+                           add == nullptr ? nullptr : add + j, 4);
+      continue;
+    }
+    // x in [-q, q): x + q where negative.
+    __m256i v = _mm256_add_epi64(
+        x, _mm256_and_si256(_mm256_cmpgt_epi64(zero, x), vq));
+    if (add != nullptr) {
+      const __m256i s = _mm256_add_epi64(v, load(add + j));  // < 2q < 2^63
+      v = _mm256_sub_epi64(s,
+                           _mm256_andnot_si256(_mm256_cmpgt_epi64(vq, s), vq));
+    }
+    store(out + j, v);
+  }
+  if (j < n) {
+    lift_signed_portable(q, out + j, in + j,
+                         add == nullptr ? nullptr : add + j, n - j);
+  }
+}
+
 constexpr Kernels kAvx2 = {
     .ntt_forward = ntt_forward_lazy_avx2,
     .ntt_inverse = ntt_inverse_lazy_avx2,
@@ -517,6 +601,11 @@ constexpr Kernels kAvx2 = {
     .sub_mul_scalar = dyadic_sub_mul_scalar_avx2,
     .fma_into = dyadic_fma_into_avx2,
     .fms_into = dyadic_fms_into_avx2,
+    .uniform_reject = uniform_reject_portable,
+    .gaussian_cdt = gaussian_cdt_avx2,
+    .lift_i8 = lift_signed_avx2<i8>,
+    .lift_i32 = lift_signed_avx2<i32>,
+    .lift_i64 = lift_signed_avx2<i64>,
 };
 
 }  // namespace

@@ -33,12 +33,18 @@
 /// The output transpose is a 4x4 word transpose inside each 128-bit lane
 /// (unpack epi32/epi64) followed by a 4x4 transpose of 128-bit lanes (two
 /// rounds of shuffle_i32x4) into block order.
+///
+/// Sampling and RNS expansion (see sampler_kernels.hpp): the uniform
+/// reject-and-reduce on a double quotient estimate, vpmullq and
+/// vpcompressq; the Gaussian CDT count as one masked add per entry over
+/// eight samples; the signed lift on sign-extending loads.
 
 #include "simd/chacha_kernels.hpp"
 #include "simd/dwt_kernels.hpp"
 #include "simd/dyadic_kernels.hpp"
 #include "simd/kernels.hpp"
 #include "simd/ntt_kernels.hpp"
+#include "simd/sampler_kernels.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512IFMA__)
 
@@ -568,6 +574,114 @@ void chacha20_blocks_avx512(const u32* key, u32 counter, const u32* nonce,
   }
 }
 
+// -- sampling and RNS expansion ----------------------------------------------
+
+RejectCount uniform_reject_avx512(const UniformModulus& m, const u64* words,
+                                  std::size_t n_words, u64* out,
+                                  std::size_t n_out) {
+  if (!m.vector_ok()) {
+    return uniform_reject_portable(m, words, n_words, out, n_out);
+  }
+  const __m512i vq = splat(m.q);
+  const __m512i bound = splat(m.reject_bound);
+  const __m512d inv_q = _mm512_set1_pd(m.inv_q);
+  std::size_t i = 0;
+  std::size_t k = 0;
+  // Whole steps only while a full step of outputs still fits, so no step
+  // can read past the word that fills out; the portable body finishes.
+  for (; i + 8 <= n_words && k + 8 <= n_out; i += 8) {
+    const __m512i r = load(words + i);
+    const __mmask8 keep = _mm512_cmplt_epu64_mask(r, bound);
+    // qhat in [floor(r/q) - 1, floor(r/q) + 1] (UniformModulus::vector_ok).
+    const __m512i qhat = _mm512_cvttpd_epu64(
+        _mm512_mul_pd(_mm512_cvtepu64_pd(r), inv_q));
+    __m512i t = _mm512_sub_epi64(r, _mm512_mullo_epi64(qhat, vq));  // [-q, 2q)
+    t = _mm512_mask_add_epi64(t, _mm512_movepi64_mask(t), t, vq);    // [0, 2q)
+    t = cond_sub(t, vq);
+    if (keep == kAll64) [[likely]] {  // no reject: k advances by a constant
+      store(out + k, t);
+      k += 8;
+    } else {
+      // Packed in-register and stored whole: the lanes past the kept ones
+      // land in out[k + popcount, k + 8), which the next step overwrites.
+      store(out + k, _mm512_maskz_compress_epi64(keep, t));
+      k += static_cast<std::size_t>(__builtin_popcount(keep));
+    }
+  }
+  const RejectCount tail =
+      uniform_reject_portable(m, words + i, n_words - i, out + k, n_out - k);
+  return {i + tail.consumed, k + tail.written};
+}
+
+/// The samples of eight keystream words as i64 lanes. Successive calls
+/// are independent chains, which the core overlaps.
+inline __m512i gaussian8(const u64* cdf, std::size_t count, __m512i r) {
+  const __m512i one = splat(1);
+  const __m512i u = _mm512_mask_srli_epi64(r, kAll64, r, 1);
+  __m512i mag = _mm512_setzero_si512();
+  for (std::size_t k = 0; k < count; ++k) {
+    const __mmask8 ge = _mm512_cmpge_epu64_mask(u, splat(cdf[k]));
+    mag = _mm512_mask_add_epi64(mag, ge, mag, one);
+  }
+  const __m512i sign = _mm512_sub_epi64(_mm512_setzero_si512(),
+                                        _mm512_and_si512(r, one));
+  return _mm512_sub_epi64(_mm512_xor_si512(mag, sign), sign);
+}
+
+inline void store_i32x8(i32* p, __m512i v) noexcept {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p),
+                      _mm512_maskz_cvtepi64_epi32(kAll64, v));
+}
+
+void gaussian_cdt_avx512(const u64* cdf, std::size_t count, const u64* words,
+                         i32* out, std::size_t n) {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    store_i32x8(out + j, gaussian8(cdf, count, load(words + j)));
+  }
+  if (j < n) gaussian_cdt_portable(cdf, count, words + j, out + j, n - j);
+}
+
+/// Eight signed words sign-extended to i64 lanes (full-mask maskz forms,
+/// for the -Wuninitialized reason above).
+inline __m512i load_signed8(const i8* p) noexcept {
+  return _mm512_maskz_cvtepi8_epi64(
+      kAll64, _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+}
+inline __m512i load_signed8(const i32* p) noexcept {
+  return _mm512_maskz_cvtepi32_epi64(
+      kAll64, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+}
+inline __m512i load_signed8(const i64* p) noexcept {
+  return _mm512_loadu_si512(p);
+}
+
+template <class I>
+void lift_signed_avx512(const rns::Modulus& q, u64* out, const I* in,
+                        const u64* add, std::size_t n) {
+  const __m512i vq = splat(modulus_value(q));
+  const __m512i neg_q = splat(0 - modulus_value(q));
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m512i x = load_signed8(in + j);
+    const __mmask8 in_range =
+        _mm512_cmpge_epi64_mask(x, neg_q) & _mm512_cmplt_epi64_mask(x, vq);
+    if (in_range != kAll64) [[unlikely]] {
+      lift_signed_portable(q, out + j, in + j,
+                           add == nullptr ? nullptr : add + j, 8);
+      continue;
+    }
+    // x in [-q, q): x + q where negative.
+    __m512i v = _mm512_mask_add_epi64(x, _mm512_movepi64_mask(x), x, vq);
+    if (add != nullptr) v = cond_sub(_mm512_add_epi64(v, load(add + j)), vq);
+    store(out + j, v);
+  }
+  if (j < n) {
+    lift_signed_portable(q, out + j, in + j,
+                         add == nullptr ? nullptr : add + j, n - j);
+  }
+}
+
 constexpr Kernels kAvx512Ifma = {
     .ntt_forward = ntt_forward_lazy_avx512,
     .ntt_inverse = ntt_inverse_lazy_avx512,
@@ -583,6 +697,11 @@ constexpr Kernels kAvx512Ifma = {
     .sub_mul_scalar = dyadic_sub_mul_scalar_avx512,
     .fma_into = dyadic_fma_into_avx512,
     .fms_into = dyadic_fms_into_avx512,
+    .uniform_reject = uniform_reject_avx512,
+    .gaussian_cdt = gaussian_cdt_avx512,
+    .lift_i8 = lift_signed_avx512<i8>,
+    .lift_i32 = lift_signed_avx512<i32>,
+    .lift_i64 = lift_signed_avx512<i64>,
 };
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "simd/dyadic_kernels.hpp"
 #include "simd/kernels.hpp"
 #include "simd/ntt_kernels.hpp"
+#include "simd/sampler_kernels.hpp"
 
 namespace abc::simd {
 
@@ -28,6 +29,11 @@ constexpr Kernels kPortable = {
     .sub_mul_scalar = dyadic_sub_mul_scalar_portable,
     .fma_into = dyadic_fma_into_portable,
     .fms_into = dyadic_fms_into_portable,
+    .uniform_reject = uniform_reject_portable,
+    .gaussian_cdt = gaussian_cdt_portable,
+    .lift_i8 = lift_signed_portable<i8>,
+    .lift_i32 = lift_signed_portable<i32>,
+    .lift_i64 = lift_signed_portable<i64>,
 };
 
 }  // namespace

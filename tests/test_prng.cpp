@@ -12,6 +12,9 @@
 #include "common/stats.hpp"
 #include "prng/chacha20.hpp"
 #include "prng/samplers.hpp"
+#include "rns/ntt_prime.hpp"
+#include "simd/kernels.hpp"
+#include "simd/sampler_kernels.hpp"
 #include "simd/simd_caps.hpp"
 
 namespace abc::prng {
@@ -448,6 +451,134 @@ TEST(DiscreteGaussian, BranchlessCountMatchesLinearScanAtEveryCdtEntry) {
     std::vector<i32> got(1000);
     sampler.sample_many(bulk, got);
     for (i32 v : got) ASSERT_EQ(v, sampler.sample(single)) << sigma;
+  }
+}
+
+/// The kernel tables of every tier selectable in this process.
+std::vector<const simd::Kernels*> available_tables() {
+  std::vector<const simd::Kernels*> tables = {&simd::portable_kernels()};
+  if (simd::avx2_selectable()) tables.push_back(simd::avx2_kernels());
+  if (simd::avx512ifma_selectable())
+    tables.push_back(simd::avx512ifma_kernels());
+  return tables;
+}
+
+TEST(UniformModSampler, RejectKernelMatchesSampleOnEveryTier) {
+  // 3*2^61+1 rejects ~25% of words and lies past the AVX-512 body's range
+  // (UniformModulus::vector_ok), as does 2, the smallest modulus accepted;
+  // 2^61+1 rejects ~12.5% inside it; 16381 and 16411 are the primes either
+  // side of its 2^14 floor; the NTT primes are the ring's.
+  const std::vector<u64> moduli = {(u64{3} << 61) + 1,
+                                   rns::select_prime_chain(36, 16, 1)[0],
+                                   rns::select_prime_chain(50, 16, 1)[0],
+                                   2,
+                                   (u64{1} << 61) + 1,
+                                   16381,
+                                   16411};
+  const std::vector<std::size_t> sizes = {1, 7, 8, 9, 127, 128, 129, 1000};
+  ArchGuard guard;
+  for (simd::KernelArch arch : available_arches()) {
+    simd::set_kernel_arch_for_testing(arch);
+    for (u64 q : moduli) {
+      const UniformModSampler sampler(q);
+      for (std::size_t n : sizes) {
+        // At n = 7 a leading 32-bit read puts both streams off a word
+        // boundary (read_u64's copied-word path).
+        ChaCha20 bulk({4, 2}, 8), single({4, 2}, 8);
+        if (n == 7) {
+          bulk.next_u32();
+          single.next_u32();
+        }
+        std::vector<u64> got(n);
+        sampler.sample_many(bulk, got);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], sampler.sample(single))
+              << simd::kernel_arch_name(arch) << " q " << q << " n " << n
+              << " i " << i;
+        }
+        EXPECT_EQ(bulk.next_u64(), single.next_u64())
+            << simd::kernel_arch_name(arch) << " q " << q << " n " << n;
+      }
+    }
+  }
+
+  // Every table's entry on raw words, including the words around the
+  // reject bound, against the portable body, for every q on every tier
+  // (kernels_for above routes wide q away from the AVX-512 table).
+  std::mt19937_64 gen(5);
+  for (const simd::Kernels* k : available_tables()) {
+    for (u64 q : moduli) {
+      const simd::UniformModulus m = simd::UniformModulus::make(q);
+      std::vector<u64> words(1000);
+      for (u64& w : words) w = gen();
+      const u64 b = m.reject_bound;
+      const std::vector<u64> edges = {0,     1,     q - 1,     q,
+                                      b - 1, b,     b - q,     b + 1,
+                                      ~u64{0}, 2 * q - 1, b - 2, b};
+      for (std::size_t j = 0; j < edges.size(); ++j) words[3 + j] = edges[j];
+      // Every fourth word from 16 on sits at or next to a multiple of q,
+      // below the bound. Where fl(r) rounds below r, the vector quotient
+      // estimate there is one too large or too small, so both corrections
+      // are needed.
+      const std::vector<u64> offsets = {0, 1, q - 1};
+      for (std::size_t j = 16; j < words.size(); j += 4) {
+        words[j] = gen() % (b / q) * q + offsets[j / 4 % offsets.size()];
+      }
+      for (std::size_t n : sizes) {
+        std::vector<u64> want(n), got(n);
+        const simd::RejectCount w = simd::uniform_reject_portable(
+            m, words.data(), words.size(), want.data(), n);
+        const simd::RejectCount g =
+            k->uniform_reject(m, words.data(), words.size(), got.data(), n);
+        EXPECT_EQ(g.consumed, w.consumed) << "q " << q << " n " << n;
+        ASSERT_EQ(g.written, w.written) << "q " << q << " n " << n;
+        got.resize(g.written);
+        want.resize(w.written);
+        EXPECT_EQ(got, want) << "q " << q << " n " << n;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_LT(want[i], q);
+        }
+      }
+    }
+  }
+}
+
+TEST(DiscreteGaussian, CdtKernelMatchesFromWordOnEveryTier) {
+  std::mt19937_64 gen(17);
+  ArchGuard guard;
+  for (double sigma : {0.5, 3.2, 6.4}) {
+    const DiscreteGaussianSampler sampler(sigma);
+    const std::span<const u64> cdf = sampler.cdf();
+    const auto count = static_cast<std::size_t>(sampler.tail());
+    // Both signs of the words at, just below and just above every entry,
+    // then random words; 1021 is odd, so every tier runs its tail too.
+    std::vector<u64> words;
+    for (u64 c : cdf) {
+      for (u64 u : {c - 1, c, c + 1}) {
+        words.push_back(u << 1);
+        words.push_back((u << 1) | 1);
+      }
+    }
+    while (words.size() < 1021) words.push_back(gen());
+    for (const simd::Kernels* k : available_tables()) {
+      for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                            std::size_t{9}, std::size_t{17}, words.size()}) {
+        std::vector<i32> got(n);
+        k->gaussian_cdt(cdf.data(), count, words.data(), got.data(), n);
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(got[j], sampler.from_word(words[j]))
+              << "sigma " << sigma << " n " << n << " j " << j;
+        }
+      }
+    }
+    for (simd::KernelArch arch : available_arches()) {
+      simd::set_kernel_arch_for_testing(arch);
+      ChaCha20 bulk({31}, 3), single({31}, 3);
+      std::vector<i32> got(1000);
+      sampler.sample_many(bulk, got);
+      for (i32 v : got) ASSERT_EQ(v, sampler.sample(single)) << sigma;
+      EXPECT_EQ(bulk.next_u64(), single.next_u64()) << sigma;
+    }
   }
 }
 

@@ -1,19 +1,23 @@
 // Tests for the src/simd/ kernel layer: bit-exact parity of the Harvey
 // lazy-reduction NTT against the seed eager kernels across sparse-prime bit
-// widths, SIMD vs. portable dyadic parity, randomized negacyclic
+// widths, SIMD vs. portable dyadic and signed-lift parity, randomized
+// negacyclic
 // cross-checks against the schoolbook reference, and the lazy-bound
 // invariants (< 4q forward / < 2q inverse) the kernels rely on.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <vector>
 
+#include "rns/modulus.hpp"
 #include "rns/ntt_prime.hpp"
 #include "simd/dyadic_kernels.hpp"
 #include "simd/kernels.hpp"
 #include "simd/ntt_kernels.hpp"
+#include "simd/sampler_kernels.hpp"
 #include "simd/simd_caps.hpp"
 #include "transform/ntt.hpp"
 
@@ -261,6 +265,80 @@ TEST(LazyNtt, ShoupMulLazyStaysBelow2q) {
     EXPECT_EQ(lazy % q.value(), q.mul(q.reduce(x), w));
     EXPECT_EQ(s.mul(x, q.value()), lazy >= q.value() ? lazy - q.value()
                                                      : lazy);
+  }
+}
+
+// -- signed lift (RNS expansion) ---------------------------------------------
+
+/// The kernel tables of every tier selectable in this process.
+std::vector<const simd::Kernels*> available_tables() {
+  std::vector<const simd::Kernels*> tables = {&simd::portable_kernels()};
+  if (simd::avx2_selectable()) tables.push_back(simd::avx2_kernels());
+  if (simd::avx512ifma_selectable())
+    tables.push_back(simd::avx512ifma_kernels());
+  return tables;
+}
+
+/// Random words in [-q, q) clamped to I's range, with fallback cases at
+/// fixed slots: a block of eight (two AVX2 blocks) with exactly one word
+/// out of range, I's extremes, and the words around +-q.
+template <class I>
+std::vector<I> lift_inputs(u64 q, std::mt19937_64& rng) {
+  constexpr i64 kMin = std::numeric_limits<I>::min();
+  constexpr i64 kMax = std::numeric_limits<I>::max();
+  const auto clamp = [&](i64 x) {
+    return static_cast<I>(std::clamp(x, kMin, kMax));
+  };
+  const i64 sq = static_cast<i64>(q);
+  std::vector<I> in(203);  // odd length: every tier runs its tail too
+  for (I& x : in) x = clamp(static_cast<i64>(rng() % (2 * q)) - sq);
+  for (std::size_t j = 16; j < 24; ++j) in[j] = clamp(sq / 2 - 1);
+  in[19] = clamp(sq);  // the only out-of-range word of its block
+  in[32] = static_cast<I>(kMin);
+  in[41] = static_cast<I>(kMax);
+  in[50] = clamp(-sq - 1);
+  in[51] = clamp(-sq);
+  in[60] = clamp(sq - 1);
+  in[61] = clamp(sq + 1);
+  in[202] = static_cast<I>(kMin);
+  return in;
+}
+
+/// One tier's lift entry against Modulus::from_signed (and Modulus::add),
+/// with and without the added limb.
+template <class I>
+void expect_lift_parity(void (*lift)(const rns::Modulus&, u64*, const I*,
+                                     const u64*, std::size_t),
+                        const rns::Modulus& q, std::mt19937_64& rng) {
+  const std::vector<I> in = lift_inputs<I>(q.value(), rng);
+  const std::size_t n = in.size();
+  const std::vector<u64> add = random_poly(n, q.value(), rng());
+  std::vector<u64> want(n), want_add(n), got(n), got_add(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    want[j] = q.from_signed(in[j]);
+    want_add[j] = q.add(want[j], add[j]);
+  }
+  lift(q, got.data(), in.data(), nullptr, n);
+  lift(q, got_add.data(), in.data(), add.data(), n);
+  EXPECT_EQ(got, want) << "q " << q.value() << " width " << sizeof(I);
+  EXPECT_EQ(got_add, want_add) << "q " << q.value() << " width " << sizeof(I);
+}
+
+TEST(SimdSamplerKernels, SignedLiftMatchesFromSignedOnEveryTier) {
+  // 97 and 65537 put i8 and i32 words out of range; the widest modulus
+  // reaches INT64_MIN / INT64_MAX's fallback from both sides.
+  const std::vector<u64> moduli = {97, 65537,
+                                   rns::select_prime_chain(36, 16, 1)[0],
+                                   rns::select_prime_chain(50, 16, 1)[0],
+                                   (u64{1} << 62) - 57};
+  std::mt19937_64 rng(42);
+  for (const simd::Kernels* k : available_tables()) {
+    for (u64 qv : moduli) {
+      const rns::Modulus q(qv);
+      expect_lift_parity(k->lift_i8, q, rng);
+      expect_lift_parity(k->lift_i32, q, rng);
+      expect_lift_parity(k->lift_i64, q, rng);
+    }
   }
 }
 
