@@ -11,7 +11,6 @@
 /// (see backend/poly_backend.hpp), so the same code runs serially or
 /// across a worker pool depending on how the context was built.
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -35,31 +34,10 @@ struct ForOverwrite {
 inline constexpr ForOverwrite kForOverwrite{};
 
 /// std::allocator whose value-less construct() default-initializes, so a
-/// vector of words grows without zeroing unless a value is given, and whose
-/// storage starts on a 64-byte boundary, so the kernels' 64-byte vector
-/// loads and stores never split a cache line (malloc only promises 16
-/// bytes). The block is carved from a plain allocation 64 bytes longer,
-/// with malloc's pointer kept in the word before it: the aligned
-/// operator new takes glibc's memalign path, whose split-off remainders
-/// let the heap trim and re-fault the 12 MiB polynomial blocks on every
-/// request (tests/test_steady_faults.cpp).
+/// vector of words grows without zeroing unless a value is given.
 template <class T>
 struct DefaultInitAllocator : std::allocator<T> {
   using std::allocator<T>::allocator;
-  static constexpr std::size_t kAlign = 64;
-  T* allocate(std::size_t n) {
-    void* raw = ::operator new(n * sizeof(T) + kAlign);
-    // malloc's 16-byte alignment leaves at least 16 bytes below the
-    // rounded-up address for the saved pointer.
-    const std::uintptr_t aligned =
-        (reinterpret_cast<std::uintptr_t>(raw) + kAlign) & ~(kAlign - 1);
-    void** block = reinterpret_cast<void**>(aligned);
-    block[-1] = raw;
-    return reinterpret_cast<T*>(block);
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(reinterpret_cast<void**>(p)[-1]);
-  }
   template <class U>
   void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
     ::new (static_cast<void*>(p)) U;

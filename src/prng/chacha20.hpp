@@ -59,9 +59,13 @@ class ChaCha20 {
   /// words[i] is the value the i-th next_u64() call would return and
   /// words.size() >= 1, and advances past the first take(words) of them.
   /// take must use at least one word and at most words.size(). The words
-  /// are the buffered 1 KiB in place (refilled first when it is used up),
-  /// or a single copied word when an earlier 32-bit or byte read left the
-  /// stream off a word boundary.
+  /// are the buffered 1 KiB in place (refilled first when it is used up).
+  /// When an earlier 32-bit or byte read left the stream off a word
+  /// boundary, take gets one copied word per call instead, and the stream
+  /// stays off the boundary for good (a refill keeps the offset), so a
+  /// sample_many on such a stream runs one word per kernel call. The
+  /// library's uniform and Gaussian fills each open a fresh stream
+  /// (ckks/keygen.cpp) and read whole words only, so they stay aligned.
   template <class Take>
   void read_u64(Take&& take) {
     if (pos_ == simd::kChachaBytes) refill();

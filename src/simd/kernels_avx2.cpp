@@ -26,9 +26,11 @@
 ///
 /// Sampling and RNS expansion (see sampler_kernels.hpp): the Gaussian CDT
 /// count as one signed compare and one add per entry over four samples,
-/// and the signed lift on sign-extending loads. The uniform reject is the
-/// portable body: AVX2 has no 64-bit multiply, double conversion or
-/// compress to build it from.
+/// and the signed lift on sign-extending loads (the AVX-512/IFMA table
+/// carries this lift too). The uniform reject is the portable body: AVX2
+/// has no 64-bit multiply, double conversion or compress, and a version
+/// built from 32-bit partial products and a permute-table compress ran no
+/// faster (docs/EXPERIMENTS.md E8).
 
 #include <cstring>
 
@@ -552,6 +554,8 @@ inline __m256i load_signed4(const i64* p) noexcept {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
 
+}  // namespace
+
 template <class I>
 void lift_signed_avx2(const rns::Modulus& q, u64* out, const I* in,
                       const u64* add, std::size_t n) {
@@ -585,6 +589,15 @@ void lift_signed_avx2(const rns::Modulus& q, u64* out, const I* in,
                          add == nullptr ? nullptr : add + j, n - j);
   }
 }
+
+template void lift_signed_avx2<i8>(const rns::Modulus&, u64*, const i8*,
+                                   const u64*, std::size_t);
+template void lift_signed_avx2<i32>(const rns::Modulus&, u64*, const i32*,
+                                    const u64*, std::size_t);
+template void lift_signed_avx2<i64>(const rns::Modulus&, u64*, const i64*,
+                                    const u64*, std::size_t);
+
+namespace {
 
 constexpr Kernels kAvx2 = {
     .ntt_forward = ntt_forward_lazy_avx2,

@@ -3,8 +3,8 @@
 /// Kernels table (kernels.hpp). Compiled with -mavx512f -mavx512dq
 /// -mavx512ifma when the toolchain accepts them; otherwise the TU holds no
 /// kernels and avx512ifma_kernels() returns nullptr, so the tier is never
-/// selected. There is no 512-bit DWT (dwt_kernels.hpp): the table carries
-/// the AVX2 butterflies.
+/// selected. There is no 512-bit DWT (dwt_kernels.hpp) or signed lift
+/// (sampler_kernels.hpp): the table carries the AVX2 bodies.
 ///
 /// The multiplying kernels and the NTT need every multiplier input below
 /// 2^52: lazy values reach 4q, so they hold for q < 2^kIfmaMaxPrimeBits
@@ -37,7 +37,7 @@
 /// Sampling and RNS expansion (see sampler_kernels.hpp): the uniform
 /// reject-and-reduce on a double quotient estimate, vpmullq and
 /// vpcompressq; the Gaussian CDT count as one masked add per entry over
-/// eight samples; the signed lift on sign-extending loads.
+/// eight samples.
 
 #include "simd/chacha_kernels.hpp"
 #include "simd/dwt_kernels.hpp"
@@ -642,46 +642,6 @@ void gaussian_cdt_avx512(const u64* cdf, std::size_t count, const u64* words,
   if (j < n) gaussian_cdt_portable(cdf, count, words + j, out + j, n - j);
 }
 
-/// Eight signed words sign-extended to i64 lanes (full-mask maskz forms,
-/// for the -Wuninitialized reason above).
-inline __m512i load_signed8(const i8* p) noexcept {
-  return _mm512_maskz_cvtepi8_epi64(
-      kAll64, _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
-}
-inline __m512i load_signed8(const i32* p) noexcept {
-  return _mm512_maskz_cvtepi32_epi64(
-      kAll64, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
-}
-inline __m512i load_signed8(const i64* p) noexcept {
-  return _mm512_loadu_si512(p);
-}
-
-template <class I>
-void lift_signed_avx512(const rns::Modulus& q, u64* out, const I* in,
-                        const u64* add, std::size_t n) {
-  const __m512i vq = splat(modulus_value(q));
-  const __m512i neg_q = splat(0 - modulus_value(q));
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512i x = load_signed8(in + j);
-    const __mmask8 in_range =
-        _mm512_cmpge_epi64_mask(x, neg_q) & _mm512_cmplt_epi64_mask(x, vq);
-    if (in_range != kAll64) [[unlikely]] {
-      lift_signed_portable(q, out + j, in + j,
-                           add == nullptr ? nullptr : add + j, 8);
-      continue;
-    }
-    // x in [-q, q): x + q where negative.
-    __m512i v = _mm512_mask_add_epi64(x, _mm512_movepi64_mask(x), x, vq);
-    if (add != nullptr) v = cond_sub(_mm512_add_epi64(v, load(add + j)), vq);
-    store(out + j, v);
-  }
-  if (j < n) {
-    lift_signed_portable(q, out + j, in + j,
-                         add == nullptr ? nullptr : add + j, n - j);
-  }
-}
-
 constexpr Kernels kAvx512Ifma = {
     .ntt_forward = ntt_forward_lazy_avx512,
     .ntt_inverse = ntt_inverse_lazy_avx512,
@@ -699,9 +659,9 @@ constexpr Kernels kAvx512Ifma = {
     .fms_into = dyadic_fms_into_avx512,
     .uniform_reject = uniform_reject_avx512,
     .gaussian_cdt = gaussian_cdt_avx512,
-    .lift_i8 = lift_signed_avx512<i8>,
-    .lift_i32 = lift_signed_avx512<i32>,
-    .lift_i64 = lift_signed_avx512<i64>,
+    .lift_i8 = lift_signed_avx2<i8>,
+    .lift_i32 = lift_signed_avx2<i32>,
+    .lift_i64 = lift_signed_avx2<i64>,
 };
 
 }  // namespace

@@ -24,14 +24,18 @@
 ///     one (see UniformModulus::vector_ok), so r - qhat*q (vpmullq) lies in
 ///     [-q, 2q) and two conditional corrections make it canonical;
 ///     vpcompressq packs the kept lanes. Moduli outside vector_ok run the
-///     portable body. The AVX2 entry is the portable body (AVX2 has no
-///     64-bit multiply, double conversion or compress).
+///     portable body. The AVX2 entry is the portable body: AVX2 has no
+///     64-bit multiply, double conversion or compress, and an emulated
+///     version ran no faster at the library's primes.
 ///   * gaussian_cdt: eight (AVX-512) or four (AVX2) samples per step, one
 ///     compare and one masked add per CDT entry, the sign applied as in
 ///     the scalar (m ^ s) - s.
-///   * lift_signed: eight or four words per step, branch-free when every
-///     word of the step lies in [-q, q); a step with any other word runs
-///     the portable body (Modulus::from_signed) over its words.
+///   * lift_signed (AVX2, also the AVX-512/IFMA entry): four words per
+///     step, branch-free when every word of the step lies in [-q, q); a
+///     step with any other word runs the portable body
+///     (Modulus::from_signed) over its words. A 512-bit body timed the
+///     same at N = 2^16, where the lift is bound by memory, so there is
+///     none.
 
 #include <cstddef>
 
@@ -136,5 +140,12 @@ u64 modulus_value(const rns::Modulus& q) noexcept;
 template <class I>
 void lift_signed_portable(const rns::Modulus& q, u64* out, const I* in,
                           const u64* add, std::size_t n);
+
+/// The AVX2 tier of lift_signed, which the AVX-512/IFMA table carries too
+/// (kernels_avx2.cpp; instantiated for i8, i32 and i64 when the TU is
+/// compiled with AVX2).
+template <class I>
+void lift_signed_avx2(const rns::Modulus& q, u64* out, const I* in,
+                      const u64* add, std::size_t n);
 
 }  // namespace abc::simd
