@@ -1,6 +1,8 @@
 // Golden wire bytes: FNV-1a digests of every residue-carrying wire format,
 // pinned so that a change to the residue packing, the encrypt datapath or
-// the kernels under them cannot move a single output byte unnoticed.
+// the kernels under them cannot move a single output byte unnoticed. The
+// KeySwitchGolden suite pins the residues of relinearized and rotated
+// ciphertexts the same way.
 //
 // Plaintexts are built from integer coefficients (no FP encode), so the
 // digests depend only on the PRNG streams, the exact modular kernels and
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "ckks/encryptor.hpp"
+#include "ckks/evaluator.hpp"
 #include "ckks/keygen.hpp"
 #include "ckks/serialize.hpp"
 #include "simd/simd_caps.hpp"
@@ -137,6 +140,75 @@ TEST(WireGolden, SmallParameterFormatsMatchOnEveryTier) {
   for (simd::KernelArch arch : selectable_tiers()) {
     simd::set_kernel_arch_for_testing(arch);
     expect_digests(small_digests(), want, arch);
+  }
+}
+
+// -- key-switch outputs -------------------------------------------------------
+
+/// FNV-1a over every residue of every component, in limb order.
+u64 residue_digest(const Ciphertext& ct) {
+  u64 h = 0xcbf29ce484222325ull;
+  for (std::size_t c = 0; c < ct.size(); ++c) {
+    for (std::size_t l = 0; l < ct.c(c).limbs(); ++l) {
+      const std::span<const u64> limb = ct.c(c).limb(l);
+      const std::span<const u8> bytes(
+          reinterpret_cast<const u8*>(limb.data()), limb.size_bytes());
+      h ^= fnv1a(bytes);
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+/// Relinearized square and rotations by +1 and -1 of one symmetric
+/// ciphertext at level L-1 (the highest switchable level), from a fresh
+/// context so the secret and stream ids restart at zero.
+std::vector<Golden> keyswitch_digests(const CkksParams& params) {
+  auto ctx = CkksContext::create(params);
+  KeyGenerator kg(ctx);
+  const SecretKey sk = kg.secret_key();
+  const RelinKey rlk = kg.relin_key(sk);
+  const std::vector<int> steps{1, -1};
+  const GaloisKeys gks = kg.galois_keys(sk, steps);
+  Encryptor enc(ctx, sk);
+  const Ciphertext ct =
+      enc.encrypt(pattern_plaintext(*ctx, ctx->max_limbs() - 1, 11));
+
+  const Evaluator eval(ctx);
+  Ciphertext square = eval.mul(ct, ct);
+  eval.relinearize_inplace(square, rlk);
+  return {
+      {"relin of ct*ct", residue_digest(square)},
+      {"rotate +1", residue_digest(eval.rotate(ct, 1, gks))},
+      {"rotate -1", residue_digest(eval.rotate(ct, -1, gks))},
+  };
+}
+
+TEST(KeySwitchGolden, SmallParameterOutputsMatchOnEveryTier) {
+  const std::vector<Golden> want = {
+      {"relin of ct*ct", 0xdf6d6257a0f47127ull},
+      {"rotate +1", 0x875e47fe54bc26f5ull},
+      {"rotate -1", 0x75fbb6a614173aebull},
+  };
+  ArchGuard guard;
+  for (simd::KernelArch arch : selectable_tiers()) {
+    simd::set_kernel_arch_for_testing(arch);
+    expect_digests(keyswitch_digests(CkksParams::test_small(10, 3)), want,
+                   arch);
+  }
+}
+
+TEST(KeySwitchGolden, SweepPointOutputsMatchOnEveryTier) {
+  const std::vector<Golden> want = {
+      {"relin of ct*ct", 0xa7a25c2467d3df58ull},
+      {"rotate +1", 0x7136d658cc422fedull},
+      {"rotate -1", 0xbfc0cfd8fc1a2757ull},
+  };
+  ArchGuard guard;
+  for (simd::KernelArch arch : selectable_tiers()) {
+    simd::set_kernel_arch_for_testing(arch);
+    expect_digests(keyswitch_digests(CkksParams::sweep_point(13, 6)), want,
+                   arch);
   }
 }
 
