@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "backend/poly_backend.hpp"
-#include "ckks/key_source.hpp"
 #include "simd/dyadic_kernels.hpp"
 
 namespace abc::ckks {
@@ -49,70 +48,31 @@ void Evaluator::relinearize_inplace(Ciphertext& ct, const KeySwitchKey& rlk,
   ABC_CHECK_ARG(rlk.kind == KeySwitchKey::Kind::kRelin,
                 "not a relinearization key");
   const std::size_t limbs = ct.limbs();
-  // Every check accumulate() would make, hoisted up front: nothing below
-  // may throw after ct starts mutating (a caller catching mid-way would
-  // otherwise hold a 2-component ciphertext that decrypts to garbage).
+  // Every check switch_key() would make, up front: nothing below may throw
+  // after ct starts changing (a caller catching mid-way would otherwise
+  // hold a ciphertext that decrypts to garbage).
   ABC_CHECK_ARG(rlk.digits() >= limbs && !rlk.b.empty() &&
                     rlk.b[0].limbs() == ctx_->max_limbs(),
                 "relin key does not cover this ciphertext");
+  ABC_CHECK_ARG(limbs <= switcher_.max_switchable_limbs(),
+                "the last RNS prime is reserved as the key-switch special "
+                "modulus; rescale or mod-switch the ciphertext first");
   KeySwitchScratch local;
   KeySwitchScratch& s = scratch ? *scratch : local;
-  if (!s.work) s.work.emplace(ctx_->make_poly(limbs, poly::Domain::kEval));
+  if (!s.work) {
+    s.work.emplace(ctx_->make_poly_for_overwrite(limbs, poly::Domain::kEval));
+  }
   poly::RnsPoly& c2 = *s.work;
   c2.assign_prefix(ct.c(2), limbs);
   c2.to_coeff();
-  switcher_.decompose(c2, s);  // throws on full-level inputs (reserved
-                               // special prime) — still before mutation
-  // Reuse the retiring third component and the staging polynomial (free
-  // once the digits are extracted) as the key-switch output buffers: with
+  // The key-switch outputs land in the retiring third component and in the
+  // staging polynomial (consumed before the outputs are written): with
   // external scratch the whole relinearization is allocation-free.
-  poly::RnsPoly ks0 = std::move(ct.components.back());
-  ct.components.pop_back();
-  switcher_.accumulate(rlk, {}, s, ks0, c2);
-  ct.c(0).add_inplace(ks0);
+  switcher_.switch_key(c2, rlk, {}, s, ct.c(2), c2);
+  ct.c(0).add_inplace(ct.c(2));
   ct.c(1).add_inplace(c2);
+  ct.components.pop_back();
   ct.compressed_c1.reset();
-}
-
-/// Shared body of rotate()/rotate_many(): expects scratch.digits to hold
-/// the decomposition of the *unrotated* c1; the step's automorphism is
-/// applied to the digits inside the accumulation (evaluation-domain
-/// permutation) and to c0 directly. Rotation always runs on un-rotated
-/// digits — decomposing sigma(c1) instead would pick the other (equally
-/// valid) integer lift of the digits and produce a different-but-
-/// equivalent ciphertext; standardizing on this form is what makes one
-/// hoisted decomposition serve every step bit-identically to single
-/// rotations.
-void Evaluator::rotate_into(const Ciphertext& ct, const KeySwitchKey& key,
-                            KeySwitchScratch& s, Ciphertext& out) const {
-  ABC_CHECK_ARG(key.kind == KeySwitchKey::Kind::kGalois, "not a Galois key");
-  const std::size_t limbs = ct.limbs();
-  poly::RnsPoly ks0 = ctx_->make_poly(limbs, poly::Domain::kEval);
-  poly::RnsPoly ks1 = ctx_->make_poly(limbs, poly::Domain::kEval);
-  build_galois_eval_table(ctx_->params().log_n, key.galois_elt, s.perm);
-  switcher_.accumulate(key, s.perm, s, ks0, ks1);
-  // out c0 = sigma(c0) + ks0, applied in the evaluation domain.
-  if (!s.work) s.work.emplace(ctx_->make_poly(limbs, poly::Domain::kEval));
-  apply_galois_eval(ct.c(0), s.perm, *s.work);
-  ks0.add_inplace(*s.work);
-  out.components.clear();
-  out.components.push_back(std::move(ks0));
-  out.components.push_back(std::move(ks1));
-  out.scale = ct.scale;
-  out.compressed_c1.reset();
-}
-
-/// Stages the decomposition of ct's c1 into @p s (the hoistable part of
-/// every rotation).
-void Evaluator::decompose_c1(const Ciphertext& ct,
-                             KeySwitchScratch& s) const {
-  ABC_CHECK_ARG(ct.size() == 2, "rotation expects 2 components "
-                                "(relinearize products first)");
-  const std::size_t limbs = ct.limbs();
-  if (!s.work) s.work.emplace(ctx_->make_poly(limbs, poly::Domain::kEval));
-  s.work->assign_prefix(ct.c(1), limbs);
-  s.work->to_coeff();
-  switcher_.decompose(*s.work, s);
 }
 
 Ciphertext Evaluator::rotate(const Ciphertext& ct, int step,
@@ -122,43 +82,36 @@ Ciphertext Evaluator::rotate(const Ciphertext& ct, int step,
   return rotate(ct, gks.key_for(step), scratch);
 }
 
+/// Key-switches the *unrotated* c1 and applies the step's automorphism to
+/// the digits inside the accumulation (an evaluation-domain permutation)
+/// and to c0 directly. Decomposing sigma(c1) instead would pick the other
+/// (equally valid) integer lift of the digits and produce a different but
+/// equivalent ciphertext, so this order fixes the output bytes.
 Ciphertext Evaluator::rotate(const Ciphertext& ct, const KeySwitchKey& key,
                              KeySwitchScratch* scratch) const {
+  ABC_CHECK_ARG(ct.size() == 2, "rotation expects 2 components "
+                                "(relinearize products first)");
+  ABC_CHECK_ARG(key.kind == KeySwitchKey::Kind::kGalois, "not a Galois key");
   KeySwitchScratch local;
   KeySwitchScratch& s = scratch ? *scratch : local;
-  decompose_c1(ct, s);
+  const std::size_t limbs = ct.limbs();
+  if (!s.work) {
+    s.work.emplace(ctx_->make_poly_for_overwrite(limbs, poly::Domain::kEval));
+  }
+  s.work->assign_prefix(ct.c(1), limbs);
+  s.work->to_coeff();
+  build_galois_eval_table(ctx_->params().log_n, key.galois_elt, s.perm);
   Ciphertext out;
-  rotate_into(ct, key, s, out);
-  return out;
-}
-
-std::vector<Ciphertext> Evaluator::rotate_many(const Ciphertext& ct,
-                                               std::span<const int> steps,
-                                               const GaloisKeys& gks,
-                                               KeySwitchScratch* scratch) const {
-  return rotate_many(ct, steps, EagerKeySource(&gks, nullptr), scratch);
-}
-
-std::vector<Ciphertext> Evaluator::rotate_many(const Ciphertext& ct,
-                                               std::span<const int> steps,
-                                               const KeySource& keys,
-                                               KeySwitchScratch* scratch) const {
-  KeySwitchScratch local;
-  KeySwitchScratch& s = scratch ? *scratch : local;
-  std::vector<Ciphertext> out(steps.size());
-  if (steps.empty()) return out;
-  for (const int step : steps) {  // fail fast, without pinning anything
-    if (!keys.has_galois_key(step)) {
-      throw InvalidArgument("no Galois key generated for this step");
-    }
+  out.scale = ct.scale;
+  out.components.reserve(2);
+  for (int i = 0; i < 2; ++i) {
+    out.components.push_back(
+        ctx_->make_poly_for_overwrite(limbs, poly::Domain::kEval));
   }
-  decompose_c1(ct, s);  // once; every step reuses the digits
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    // One key pinned at a time: a caching source's footprint for a hoisted
-    // batch stays at a single resident key.
-    const std::shared_ptr<const KeySwitchKey> key = keys.galois_key(steps[i]);
-    rotate_into(ct, *key, s, out[i]);
-  }
+  switcher_.switch_key(*s.work, key, s.perm, s, out.c(0), out.c(1));
+  // out c0 = sigma(c0) + ks0, applied in the evaluation domain.
+  apply_galois_eval(ct.c(0), s.perm, *s.work);
+  out.c(0).add_inplace(*s.work);
   return out;
 }
 

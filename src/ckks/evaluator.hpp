@@ -5,8 +5,7 @@
 /// multiplication, RNS rescaling — and, since the key-switching subsystem
 /// landed (keyswitch.hpp), the operations that consume the client's
 /// switching keys: relinearization of 3-component products and slot
-/// rotations, including a hoisted multi-rotation that decomposes its input
-/// once (ARK-style digit reuse).
+/// rotations. Both land on the one KeySwitcher::switch_key call.
 ///
 /// Level discipline: the last RNS prime is reserved as the key-switch
 /// special modulus, so relinearize/rotate require ciphertexts at most at
@@ -14,7 +13,6 @@
 /// ciphertext once first (the natural first step of any computation).
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "ckks/ciphertext.hpp"
@@ -22,8 +20,6 @@
 #include "ckks/keyswitch.hpp"
 
 namespace abc::ckks {
-
-class KeySource;
 
 class Evaluator {
  public:
@@ -55,9 +51,9 @@ class Evaluator {
 
   /// relinearize_inplace with a pre-resolved key (must be Kind::kRelin).
   /// This is the single underlying code path: the RelinKey overload and
-  /// every KeySource caller (the server pins the key, then lands here)
-  /// share it, which is what makes on-demand-regenerated keys
-  /// bit-identical to eager ones by construction.
+  /// the server (which pins a cached key, then lands here) share it, which
+  /// is what makes on-demand-regenerated keys bit-identical to eager ones
+  /// by construction. Throws only before @p ct is modified.
   void relinearize_inplace(Ciphertext& ct, const KeySwitchKey& rlk,
                            KeySwitchScratch* scratch = nullptr) const;
 
@@ -71,25 +67,6 @@ class Evaluator {
   /// path; the step is implied by key.galois_elt).
   Ciphertext rotate(const Ciphertext& ct, const KeySwitchKey& key,
                     KeySwitchScratch* scratch = nullptr) const;
-
-  /// Rotations by every step in @p steps from one input, decomposing the
-  /// input a single time and reusing the evaluation-domain digits across
-  /// all steps (hoisted key switching). Bit-identical to calling rotate()
-  /// per step, at a fraction of the NTT work once steps.size() > 1.
-  std::vector<Ciphertext> rotate_many(const Ciphertext& ct,
-                                      std::span<const int> steps,
-                                      const GaloisKeys& gks,
-                                      KeySwitchScratch* scratch = nullptr) const;
-
-  /// rotate_many through a KeySource: the whole step set is validated with
-  /// the cheap has_galois_key probe *before* the hoisted decomposition,
-  /// then keys are pinned one at a time — a caching source never holds
-  /// more than one pinned key for this call no matter how many rotations
-  /// are requested.
-  std::vector<Ciphertext> rotate_many(const Ciphertext& ct,
-                                      std::span<const int> steps,
-                                      const KeySource& keys,
-                                      KeySwitchScratch* scratch = nullptr) const;
 
   /// Exact RNS rescale: divides by the last prime with rounding and drops
   /// the limb; scale is divided by q_last.
@@ -110,9 +87,6 @@ class Evaluator {
   };
 
   void rescale_poly(poly::RnsPoly& p) const;
-  void decompose_c1(const Ciphertext& ct, KeySwitchScratch& scratch) const;
-  void rotate_into(const Ciphertext& ct, const KeySwitchKey& key,
-                   KeySwitchScratch& scratch, Ciphertext& out) const;
 
   std::shared_ptr<const CkksContext> ctx_;
   KeySwitcher switcher_;

@@ -110,17 +110,12 @@ std::size_t find_rotation_step(std::span<const int> steps, int step,
   return steps.size();
 }
 
-const KeySwitchKey* GaloisKeys::find(int step) const noexcept {
-  const std::size_t i = find_rotation_step(steps, step, slots);
-  return i < keys.size() ? &keys[i] : nullptr;
-}
-
 const KeySwitchKey& GaloisKeys::key_for(int step) const {
-  const KeySwitchKey* key = find(step);
-  if (key == nullptr) {
+  const std::size_t i = find_rotation_step(steps, step, slots);
+  if (i >= keys.size()) {
     throw InvalidArgument("no Galois key generated for this step");
   }
-  return *key;
+  return keys[i];
 }
 
 namespace {

@@ -96,7 +96,7 @@ struct RelinKey {
 /// Index of the first entry of @p steps that is the same rotation as
 /// @p step — matched modulo @p slots (exactly when slots is 0) — or
 /// steps.size() when none is. The one step-matching rule of every key
-/// lookup: GaloisKeys::find and the daemon's compressed records.
+/// lookup: GaloisKeys::key_for and the daemon's compressed records.
 std::size_t find_rotation_step(std::span<const int> steps, int step,
                                std::size_t slots) noexcept;
 
@@ -111,10 +111,6 @@ struct GaloisKeys {
   /// step 1 - slots are the same rotation and resolve to the same key);
   /// throws InvalidArgument when absent.
   const KeySwitchKey& key_for(int step) const;
-
-  /// key_for without the throw: nullptr when no key covers @p step (the
-  /// fail-fast probe KeySource::has_galois_key builds on).
-  const KeySwitchKey* find(int step) const noexcept;
 };
 
 /// Galois group element 3^step mod 2N driving a left rotation by @p step

@@ -25,8 +25,6 @@ struct KsMetrics {
       obs::registry().counter(obs::catalog::kKeySwitchDecompositions);
   obs::Counter accumulations =
       obs::registry().counter(obs::catalog::kKeySwitchAccumulations);
-  obs::Counter hoist_reuses =
-      obs::registry().counter(obs::catalog::kKeySwitchHoistReuses);
 };
 
 KsMetrics& ks_metrics() {
@@ -72,7 +70,7 @@ KeySwitcher::KeySwitcher(std::shared_ptr<const CkksContext> ctx)
     : ctx_(std::move(ctx)) {
   ABC_CHECK_ARG(ctx_ != nullptr, "null context");
   // A 1-limb chain has no spare prime: the switcher constructs (so an
-  // Evaluator still works for add/mul) but every decompose() call throws.
+  // Evaluator still works for add/mul) but every switch_key() call throws.
   const poly::PolyContext& pctx = *ctx_->poly_context();
   special_ = ctx_->max_limbs() - 1;
   const rns::Modulus& p = pctx.modulus(special_);
@@ -89,19 +87,33 @@ KeySwitcher::KeySwitcher(std::shared_ptr<const CkksContext> ctx)
   }
 }
 
-void KeySwitcher::decompose(const poly::RnsPoly& c_coeff,
-                            KeySwitchScratch& scratch) const {
+void KeySwitcher::switch_key(const poly::RnsPoly& c_coeff,
+                             const KeySwitchKey& key,
+                             std::span<const u32> eval_perm,
+                             KeySwitchScratch& scratch, poly::RnsPoly& out0,
+                             poly::RnsPoly& out1) const {
   ABC_CHECK_ARG(c_coeff.domain() == poly::Domain::kCoeff,
-                "decompose expects a coefficient-domain polynomial");
+                "key switching expects a coefficient-domain polynomial");
   const std::size_t level = c_coeff.limbs();
   ABC_CHECK_ARG(level <= max_switchable_limbs(),
                 "the last RNS prime is reserved as the key-switch special "
                 "modulus; rescale or mod-switch the ciphertext first");
+  ABC_CHECK_ARG(key.digits() >= level, "key has too few gadget digits");
+  ABC_CHECK_ARG(key.b[0].limbs() == ctx_->max_limbs(),
+                "key digits must span the full prime chain");
+  ABC_CHECK_ARG(eval_perm.empty() || eval_perm.size() == ctx_->n(),
+                "galois table size mismatch");
+  decompose(c_coeff, scratch);
+  accumulate(level, key, eval_perm, scratch, out0, out1);
+}
+
+void KeySwitcher::decompose(const poly::RnsPoly& c_coeff,
+                            KeySwitchScratch& scratch) const {
+  const std::size_t level = c_coeff.limbs();
   const poly::PolyContext& pctx = *ctx_->poly_context();
   const std::size_t n = ctx_->n();
   const std::size_t ext = level + 1;  // target limbs: {0..level-1, P}
 
-  scratch.level = level;
   // Scratch acquisition is the allocation point of the whole switch; a
   // fault here models memory pressure before any digit is written.
   ABC_FAILPOINT(fail::points::kKeySwitchScratch);
@@ -138,33 +150,23 @@ void KeySwitcher::decompose(const poly::RnsPoly& c_coeff,
     pctx.ntt(jidx).forward(out);
   });
 
-  scratch.staged_consumed = false;
   ks_metrics().decompositions.inc();
   if (obs::Trace* t = obs::active_trace()) t->ks_decompositions += 1;
 }
 
-void KeySwitcher::accumulate(const KeySwitchKey& key,
+void KeySwitcher::accumulate(std::size_t level, const KeySwitchKey& key,
                              std::span<const u32> eval_perm,
                              KeySwitchScratch& scratch, poly::RnsPoly& out0,
                              poly::RnsPoly& out1) const {
-  const std::size_t level = scratch.level;
   const std::size_t n = ctx_->n();
   const std::size_t ext = level + 1;
-  ABC_CHECK_ARG(level >= 1 && scratch.digits.size() == level * ext * n,
-                "no decomposition staged in this scratch");
-  ABC_CHECK_ARG(key.digits() >= level, "key has too few gadget digits");
-  ABC_CHECK_ARG(key.b[0].limbs() == ctx_->max_limbs(),
-                "key digits must span the full prime chain");
-  ABC_CHECK_ARG(eval_perm.empty() || eval_perm.size() == n,
-                "galois table size mismatch");
-
   const poly::PolyContext& pctx = *ctx_->poly_context();
   backend::PolyBackend& be = pctx.backend();
-  out0.reset(level, poly::Domain::kEval);
-  out1.reset(level, poly::Domain::kEval);
   scratch.acc_p0.resize(n);
   scratch.acc_p1.resize(n);
   scratch.tmp.resize(be.workers() * n);
+  out0.reset(level, poly::Domain::kEval);
+  out1.reset(level, poly::Domain::kEval);
 
   // Inner-product accumulation, partitioned per target limb: limb j of
   // both outputs sums digit * key over all digits, so no two workers ever
@@ -220,23 +222,8 @@ void KeySwitcher::accumulate(const KeySwitchKey& key,
     xf::op_counts().poly_add += 2 * n;
   });
 
-  // A second accumulation against digits this scratch already consumed is
-  // a hoisted reuse — the rotate_many amortization the roadmap banks on.
   ks_metrics().accumulations.inc();
-  if (scratch.staged_consumed) ks_metrics().hoist_reuses.inc();
-  if (obs::Trace* t = obs::active_trace()) {
-    t->ks_accumulations += 1;
-    if (scratch.staged_consumed) t->ks_hoist_reuses += 1;
-  }
-  scratch.staged_consumed = true;
-}
-
-void KeySwitcher::switch_key(const poly::RnsPoly& c_coeff,
-                             const KeySwitchKey& key,
-                             KeySwitchScratch& scratch, poly::RnsPoly& out0,
-                             poly::RnsPoly& out1) const {
-  decompose(c_coeff, scratch);
-  accumulate(key, {}, scratch, out0, out1);
+  if (obs::Trace* t = obs::active_trace()) t->ks_accumulations += 1;
 }
 
 }  // namespace abc::ckks

@@ -39,25 +39,15 @@
 /// fresh full-level ciphertexts once before relinearizing or rotating
 /// (Evaluator enforces this).
 ///
-/// ## Hoisting (ARK-style digit reuse)
+/// ## Digit order of a rotation
 ///
-/// A rotation key-switches `sigma_g(c1)`. Since the automorphism acts on
-/// the NTT evaluation points as a pure permutation, and digit extraction
-/// commutes with it, the expensive part — extraction, RNS expansion and
-/// the per-digit NTTs — can run *once* per input and be reused across
-/// every requested rotation: `decompose()` materializes the evaluation-
-/// domain digits, and each `accumulate()` applies its own permutation
-/// while multiplying against its key. That amortizes the `l*(l+1)` digit
-/// NTTs across the whole step set — each extra rotation pays only the
-/// dyadic accumulation and the fixed mod-down NTT pair — which is why
-/// `Evaluator::rotate_many` beats per-step rotation.
-///
-/// One consequence of standardizing on hoisted form: rotations always
-/// decompose the *unrotated* component and permute digits during
-/// accumulation. Decomposing `sigma(c1)` instead would pick the other
-/// (equally valid) integer lift of the digits — correct, but a different
-/// ciphertext — so the single-rotation path uses the same order, making
-/// `rotate` and `rotate_many` bit-identical by construction.
+/// A rotation key-switches `sigma_g(c1)`. The switcher decomposes the
+/// *unrotated* `c1` and applies `sigma_g` to every digit in the evaluation
+/// domain during accumulation, where the automorphism is a pure
+/// permutation of the NTT points. Decomposing `sigma_g(c1)` instead would
+/// pick the other (equally valid) integer lift of the digits: a correct
+/// but different ciphertext. The order therefore fixes the output bytes,
+/// which `KeySwitchGolden` (tests/test_wire_golden.cpp) pins.
 ///
 /// Determinism: every stage partitions work per (digit, limb) or per limb
 /// with no cross-worker accumulation, so results are bit-identical for any
@@ -79,7 +69,6 @@ namespace abc::ckks {
 /// switcher itself is stateless and thread-safe against distinct scratch
 /// objects); each server worker keeps one per context.
 struct KeySwitchScratch {
-  std::size_t level = 0;      // limbs of the decomposed input
   std::vector<u64> w;         // [level][n] scaled digits (P*c mod q_d), coeff
   std::vector<u64> digits;    // [level][level+1][n] expanded digits, eval
   std::vector<u64> acc_p0;    // [n] special-limb accumulator of out0
@@ -87,10 +76,6 @@ struct KeySwitchScratch {
   std::vector<u64> tmp;       // [workers][n] per-worker staging
   std::vector<u32> perm;      // eval-domain automorphism table
   std::optional<poly::RnsPoly> work;  // component staging (INTT / sigma(c0))
-  // Observability only: true once an accumulate() consumed the staged
-  // digits, so a second accumulate() against the same decomposition is
-  // countable as a hoist reuse (keyswitch.hoist_reuses).
-  bool staged_consumed = false;
 };
 
 /// Permutation table applying sigma_g directly in the evaluation domain:
@@ -117,31 +102,29 @@ class KeySwitcher {
   /// Highest level (limb count) a switchable ciphertext may have.
   std::size_t max_switchable_limbs() const noexcept { return special_; }
 
-  /// Digit-decomposes @p c_coeff (coefficient domain, limbs <=
-  /// max_switchable_limbs()) into evaluation-domain expanded digits held
-  /// in @p scratch. The digits depend only on the input — hoist one
-  /// decomposition across any number of accumulate() calls (many
-  /// rotations of the same ciphertext reuse it, ARK-style).
-  void decompose(const poly::RnsPoly& c_coeff,
-                 KeySwitchScratch& scratch) const;
-
-  /// Accumulates the decomposed digits against @p key and divides by the
-  /// special modulus: out0/out1 come out as level-limb evaluation-form
-  /// polynomials with `out0 + out1*s ~= c*s'` (noise as documented above).
-  /// A non-empty @p eval_perm applies sigma to every digit in the
-  /// evaluation domain first (the hoisted rotation path); the stored
-  /// digits are never modified, so one decomposition serves many calls.
-  void accumulate(const KeySwitchKey& key, std::span<const u32> eval_perm,
-                  KeySwitchScratch& scratch, poly::RnsPoly& out0,
-                  poly::RnsPoly& out1) const;
-
-  /// decompose() + accumulate() in one call (relinearization, single
-  /// rotation).
+  /// Switches @p c_coeff (coefficient domain, limbs <=
+  /// max_switchable_limbs()) from the key's source secret s' to s:
+  /// out0/out1 come out as level-limb evaluation-form polynomials with
+  /// `out0 + out1*s ~= c*s'` (noise as documented above). A non-empty
+  /// @p eval_perm applies sigma to every digit in the evaluation domain
+  /// (the rotation path, see "Digit order" above). Every argument check
+  /// runs before anything is written; @p out1 may alias @p c_coeff, which
+  /// is fully consumed before the outputs are written.
   void switch_key(const poly::RnsPoly& c_coeff, const KeySwitchKey& key,
-                  KeySwitchScratch& scratch, poly::RnsPoly& out0,
-                  poly::RnsPoly& out1) const;
+                  std::span<const u32> eval_perm, KeySwitchScratch& scratch,
+                  poly::RnsPoly& out0, poly::RnsPoly& out1) const;
 
  private:
+  /// Scaled digits of @p c_coeff, RNS-expanded and forward-transformed
+  /// into scratch.digits.
+  void decompose(const poly::RnsPoly& c_coeff,
+                 KeySwitchScratch& scratch) const;
+  /// Accumulates the staged digits of a @p level-limb input against
+  /// @p key and divides by the special modulus.
+  void accumulate(std::size_t level, const KeySwitchKey& key,
+                  std::span<const u32> eval_perm, KeySwitchScratch& scratch,
+                  poly::RnsPoly& out0, poly::RnsPoly& out1) const;
+
   std::shared_ptr<const CkksContext> ctx_;
   std::size_t special_ = 0;            // index of P = q_{L-1}
   std::vector<rns::ShoupMul> p_mod_;   // P mod q_d, digit scaling

@@ -46,7 +46,6 @@ void append_trace(std::string& out, const Trace& t) {
   out += ",\"total_ns\":" + std::to_string(t.total_ns());
   out += ",\"ks_decompositions\":" + std::to_string(t.ks_decompositions);
   out += ",\"ks_accumulations\":" + std::to_string(t.ks_accumulations);
-  out += ",\"ks_hoist_reuses\":" + std::to_string(t.ks_hoist_reuses);
   out += '}';
 }
 

@@ -173,7 +173,6 @@ inline constexpr const char* kKeySwitchDecompositions =
     "keyswitch.decompositions";
 inline constexpr const char* kKeySwitchAccumulations =
     "keyswitch.accumulations";
-inline constexpr const char* kKeySwitchHoistReuses = "keyswitch.hoist_reuses";
 
 // transport (src/server/transport.cpp)
 inline constexpr const char* kTransportBytesIn = "transport.bytes_in";
@@ -210,7 +209,6 @@ inline constexpr Entry kAll[] = {
     {kEngineItemNs, Kind::kHistogram},
     {kKeySwitchDecompositions, Kind::kCounter},
     {kKeySwitchAccumulations, Kind::kCounter},
-    {kKeySwitchHoistReuses, Kind::kCounter},
     {kTransportBytesIn, Kind::kCounter},
     {kTransportBytesOut, Kind::kCounter},
     {kTransportFrameErrors, Kind::kCounter},

@@ -47,7 +47,6 @@ struct Trace {
   // active_trace() from ckks::KeySwitcher.
   u64 ks_decompositions = 0;
   u64 ks_accumulations = 0;
-  u64 ks_hoist_reuses = 0;
 
   u64 queue_wait_ns() const noexcept {
     return dequeue_ns >= admit_ns ? dequeue_ns - admit_ns : 0;

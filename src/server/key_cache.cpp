@@ -154,23 +154,4 @@ KeyCache::Stats KeyCache::stats() const {
   return s;
 }
 
-std::shared_ptr<const ckks::KeySwitchKey> TenantKeySource::galois_key(
-    int step) const {
-  const ckks::CompressedKeySwitchKey* rec = session_->galois_record_for(step);
-  if (rec == nullptr) {
-    throw InvalidArgument("no Galois key generated for this step");
-  }
-  return cache_->get(session_->id, *rec, session_->ctx);
-}
-
-std::shared_ptr<const ckks::KeySwitchKey> TenantKeySource::relin_key() const {
-  ABC_CHECK_ARG(session_->rlk.limbs != 0,
-                "tenant session has no relinearization key");
-  return cache_->get(session_->id, session_->rlk, session_->ctx);
-}
-
-bool TenantKeySource::has_galois_key(int step) const noexcept {
-  return session_->galois_record_for(step) != nullptr;
-}
-
 }  // namespace abc::server

@@ -39,10 +39,8 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "ckks/key_source.hpp"
 #include "ckks/serialize.hpp"
 #include "obs/metrics.hpp"
-#include "server/session_registry.hpp"
 
 namespace abc::server {
 
@@ -145,26 +143,6 @@ class KeyCache {
       obs::registry().histogram(obs::catalog::kKeyCacheRegenNs);
   obs::Gauge resident_bytes_ =
       obs::registry().gauge(obs::catalog::kKeyCacheResidentBytes);
-};
-
-/// ckks::KeySource over one tenant's compressed records + the shared
-/// cache: the adapter the daemon's evaluate path pins each request's key
-/// through.
-/// Non-owning — the session and cache must outlive the source and every
-/// handle it returns (per-request stack lifetime on the serving path).
-class TenantKeySource final : public ckks::KeySource {
- public:
-  TenantKeySource(KeyCache& cache, const TenantSession& session)
-      : cache_(&cache), session_(&session) {}
-
-  std::shared_ptr<const ckks::KeySwitchKey> galois_key(
-      int step) const override;
-  std::shared_ptr<const ckks::KeySwitchKey> relin_key() const override;
-  bool has_galois_key(int step) const noexcept override;
-
- private:
-  KeyCache* cache_;
-  const TenantSession* session_;
 };
 
 }  // namespace abc::server

@@ -310,7 +310,6 @@ ckks::ResponseFrame Server::evaluate(const ckks::RequestFrame& request,
                       [&](std::size_t i) { out[i] = item(cts[i]); })
         .rethrow_first();
   };
-  const TenantKeySource keys(key_cache_, *tenant);
   switch (static_cast<Op>(request.op)) {
     case Op::kEcho:
       out = std::move(cts);
@@ -319,7 +318,12 @@ ckks::ResponseFrame Server::evaluate(const ckks::RequestFrame& request,
       ABC_CHECK_ARG(request.op_arg >= std::numeric_limits<int>::min() &&
                         request.op_arg <= std::numeric_limits<int>::max(),
                     "rotation step out of range");
-      const auto key = keys.galois_key(static_cast<int>(request.op_arg));
+      const ckks::CompressedKeySwitchKey* rec =
+          tenant->galois_record_for(static_cast<int>(request.op_arg));
+      if (rec == nullptr) {
+        throw InvalidArgument("no Galois key generated for this step");
+      }
+      const auto key = key_cache_.get(tenant->id, *rec, tenant->ctx);
       WorkerState::Slot& slot = state.slot_for(tenant->ctx);
       each([&](const ckks::Ciphertext& ct) {
         return slot.evaluator.rotate(ct, *key, &slot.scratch);
@@ -327,7 +331,7 @@ ckks::ResponseFrame Server::evaluate(const ckks::RequestFrame& request,
       break;
     }
     case Op::kSquare: {
-      const auto key = keys.relin_key();
+      const auto key = key_cache_.get(tenant->id, tenant->rlk, tenant->ctx);
       WorkerState::Slot& slot = state.slot_for(tenant->ctx);
       each([&](const ckks::Ciphertext& ct) {
         ckks::Ciphertext product = slot.evaluator.mul(ct, ct);

@@ -74,7 +74,7 @@ struct TenantSession {
   std::vector<ckks::CompressedKeySwitchKey> gks;
 
   /// The compressed record covering @p step (ckks::find_rotation_step,
-  /// the rule GaloisKeys::find uses); nullptr when absent.
+  /// the rule GaloisKeys::key_for uses); nullptr when absent.
   const ckks::CompressedKeySwitchKey* galois_record_for(
       int step) const noexcept;
 

@@ -5,7 +5,7 @@
 // round-robin hit/miss/eviction counts per capacity, server
 // responses bit-identical to serial at thrash-level capacity on every
 // worker count, the server.key_regen fault drill (typed error, never a
-// poisoned cache entry), and 64 hoisted rotations through the cache.
+// poisoned cache entry), and 64 served rotations through a one-key cache.
 //
 // Suite names all contain "KeyCache" — the TSan CI leg's -R filter picks
 // the concurrency tests up by that token.
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "ckks/evaluator.hpp"
-#include "ckks/key_source.hpp"
 #include "common/failpoint.hpp"
 #include "engine/client_session.hpp"
 #include "server/key_cache.hpp"
@@ -33,7 +32,6 @@ using server::Op;
 using server::Server;
 using server::ServerConfig;
 using server::Status;
-using server::TenantKeySource;
 
 ckks::CkksParams small_params() { return ckks::CkksParams::test_small(10, 3); }
 
@@ -421,42 +419,54 @@ TEST_F(KeyCacheTest, KeyRegenFaultIsTypedAndNeverPoisonsTheCache) {
 }
 
 // ---------------------------------------------------------------------------
-// Hoisted rotations through the cache
+// One key pinned at a time through the server's rotate path
 // ---------------------------------------------------------------------------
 
-TEST_F(KeyCacheTest, SixtyFourHoistedRotationsThroughThrashCache) {
+TEST_F(KeyCacheTest, SixtyFourServedRotationsThroughOneKeyCache) {
   std::vector<int> steps(64);
   for (std::size_t i = 0; i < steps.size(); ++i) {
     steps[i] = static_cast<int>(i + 1);
   }
-  ParsedTenant tenant(small_params(), steps);
-  const auto& s = tenant.session;
-
-  const auto client_ctx = ckks::CkksContext::create(small_params());
-  engine::ClientSession client(client_ctx, engine::SessionConfig{{1}});
+  const ckks::CkksParams params = small_params();
+  const auto client_ctx = ckks::CkksContext::create(params);
+  engine::ClientSession client(client_ctx, engine::SessionConfig{steps});
+  const ckks::KeyBundleFrames frames = frames_of(client.key_bundle());
   const auto msgs = random_batch(1, client_ctx->slots(), 41);
   const auto upload = client.upload(msgs, client_ctx->max_limbs() - 1);
-  const auto cts = ckks::deserialize_ciphertext_batch(s.ctx, upload);
+
+  // Eager reference: the same records, expanded up front.
+  const auto ctx = ckks::CkksContext::create(params);
+  const server::TenantSession parsed = server::parse_tenant_bundle(ctx, frames);
+  const ckks::GaloisKeys gks = parsed.expand_gks();
+  const auto cts = ckks::deserialize_ciphertext_batch(ctx, upload);
   ASSERT_EQ(cts.size(), 1u);
+  const ckks::Evaluator eval(ctx);
 
-  KeyCache cache(1);  // every key regenerated, pinned, then evicted
-  const TenantKeySource source(cache, s);
-  const ckks::Evaluator eval(s.ctx);
-  const auto hoisted = eval.rotate_many(cts[0], steps, source);
-  ASSERT_EQ(hoisted.size(), steps.size());
+  const std::size_t key_bytes = [&] {
+    KeyCache probe(256u << 20);
+    (void)probe.get(parsed.id, parsed.gks[0], ctx);
+    return probe.stats().resident_bytes;
+  }();
+  ServerConfig cfg;
+  cfg.param_sets = {params};
+  cfg.key_cache_bytes = key_bytes;  // room for exactly one expanded key
+  Server srv(cfg);
+  ASSERT_EQ(srv.register_tenant(params, frames), 1u);
 
-  const KeyCache::Stats stats = cache.stats();
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(steps[i]));
+    const auto resp =
+        srv.call(make_request(1, i + 1, Op::kRotate, steps[i], upload));
+    ASSERT_EQ(status_of(resp), Status::kOk) << resp.error;
+    EXPECT_LE(srv.key_cache_stats().resident_bytes, key_bytes);
+    const std::vector<ckks::Ciphertext> eager{
+        eval.rotate(cts[0], steps[i], gks)};
+    EXPECT_EQ(resp.payload,
+              ckks::serialize_ciphertext_batch(eager, cfg.bits_per_coeff));
+  }
+  const KeyCache::Stats stats = srv.key_cache_stats();
   EXPECT_EQ(stats.misses, steps.size());  // one regeneration per step
   EXPECT_GE(stats.evictions, steps.size() - 1);
-
-  // Bit-identical to eagerly expanded single rotations.
-  const ckks::GaloisKeys gks = s.expand_gks();
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    const ckks::Ciphertext single = eval.rotate(cts[0], steps[i], gks);
-    EXPECT_EQ(ckks::serialize_ciphertext(hoisted[i]),
-              ckks::serialize_ciphertext(single))
-        << "step " << steps[i];
-  }
 }
 
 }  // namespace

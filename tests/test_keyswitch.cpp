@@ -71,9 +71,9 @@ struct Fixture {
 };
 
 TEST(GaloisEvalTable, MatchesCoefficientAutomorphism) {
-  // The load-bearing claim behind hoisting: sigma_g is a pure index
-  // permutation of the NTT evaluation points, bit-exact against the
-  // coefficient-domain automorphism + forward NTT.
+  // The load-bearing claim behind rotating the digits during accumulation:
+  // sigma_g is a pure index permutation of the NTT evaluation points,
+  // bit-exact against the coefficient-domain automorphism + forward NTT.
   auto ctx = ckks::CkksContext::create(ckks::CkksParams::test_small(10, 3));
   poly::RnsPoly p = ctx->make_poly(3, poly::Domain::kEval);
   ckks::fill_uniform_eval(*ctx, p, ckks::PrngDomain::kPublicA, 4242);
@@ -114,7 +114,7 @@ TEST(KeySwitcher, SwitchedPhaseMatchesDirectProduct) {
   ckks::KeySwitchScratch scratch;
   poly::RnsPoly out0 = f.ctx->make_poly(level, poly::Domain::kEval);
   poly::RnsPoly out1 = f.ctx->make_poly(level, poly::Domain::kEval);
-  ks.switch_key(c_coeff, rlk.key, scratch, out0, out1);
+  ks.switch_key(c_coeff, rlk.key, {}, scratch, out0, out1);
 
   const poly::RnsPoly s = f.sk.s.prefix_copy(level);
   poly::RnsPoly s2 = s;
@@ -145,7 +145,8 @@ TEST(KeySwitcher, FullLevelCiphertextRejected) {
   ckks::KeySwitchScratch scratch;
   poly::RnsPoly o0 = f.ctx->make_poly(1, poly::Domain::kEval);
   poly::RnsPoly o1 = f.ctx->make_poly(1, poly::Domain::kEval);
-  EXPECT_THROW(ks.switch_key(c, rlk.key, scratch, o0, o1), InvalidArgument);
+  EXPECT_THROW(ks.switch_key(c, rlk.key, {}, scratch, o0, o1),
+               InvalidArgument);
 }
 
 TEST(Evaluator, RelinearizedMatchesThreeComponentDecrypt) {
@@ -233,24 +234,6 @@ TEST(Evaluator, RotationRoundTripsAcrossThreadCounts) {
     expect_identical_ct(
         ref, run(std::make_shared<backend::ThreadPoolBackend>(threads)),
         "round trip at " + std::to_string(threads) + " threads");
-  }
-}
-
-TEST(Evaluator, HoistedRotateManyMatchesNaiveBitForBit) {
-  Fixture f;
-  const auto z = random_slots(f.encoder.slots(), 25);
-  const ckks::Ciphertext ct = f.enc.encrypt(f.encoder.encode(z, 2));
-  const std::vector<int> steps = {1, 2, 4, -1, 5};
-  const ckks::GaloisKeys gks = f.keygen.galois_keys(f.sk, steps);
-
-  ckks::KeySwitchScratch scratch;
-  const std::vector<ckks::Ciphertext> hoisted =
-      f.eval.rotate_many(ct, steps, gks, &scratch);
-  ASSERT_EQ(hoisted.size(), steps.size());
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    const ckks::Ciphertext naive = f.eval.rotate(ct, steps[i], gks);
-    expect_identical_ct(naive, hoisted[i],
-                        "step " + std::to_string(steps[i]));
   }
 }
 
@@ -404,9 +387,9 @@ TEST(KeySwitchEndToEnd, ClientKeysServeRemoteEvaluation) {
                  deserialize_ciphertext(server, cb_wire));
     ckks::KeySwitchScratch scratch;
     eval.relinearize_inplace(prod, rlk, &scratch);
-    std::vector<ckks::Ciphertext> rots =
-        eval.rotate_many(prod, steps, gks, &scratch);
-    return serialize_ciphertext(eval.add(rots[0], rots[1]), 44);
+    return serialize_ciphertext(eval.add(eval.rotate(prod, 1, gks, &scratch),
+                                         eval.rotate(prod, 3, gks, &scratch)),
+                                44);
   };
 
   const std::vector<u8> result_wire =

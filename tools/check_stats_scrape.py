@@ -35,7 +35,6 @@ COUNTERS = [
     "engine.items_failed",
     "keyswitch.decompositions",
     "keyswitch.accumulations",
-    "keyswitch.hoist_reuses",
     "transport.bytes_in",
     "transport.bytes_out",
     "transport.frame_errors",
