@@ -2,7 +2,10 @@
 // pinned so that a change to the residue packing, the encrypt datapath or
 // the kernels under them cannot move a single output byte unnoticed. The
 // KeySwitchGolden suite pins the residues of relinearized and rotated
-// ciphertexts the same way.
+// ciphertexts the same way, DecryptorGolden the decrypted residues of
+// fresh and unrelinearized ciphertexts at every level, and SessionGolden
+// the key bundle and upload bytes of a fresh ClientSession in both
+// encryption modes.
 //
 // Plaintexts are built from integer coefficients (no FP encode), so the
 // digests depend only on the PRNG streams, the exact modular kernels and
@@ -12,14 +15,18 @@
 
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <random>
 #include <vector>
 
+#include "ckks/decryptor.hpp"
 #include "ckks/encryptor.hpp"
 #include "ckks/evaluator.hpp"
 #include "ckks/keygen.hpp"
 #include "ckks/serialize.hpp"
+#include "engine/client_session.hpp"
 #include "simd/simd_caps.hpp"
+#include "transform/op_counter.hpp"
 
 namespace abc::ckks {
 namespace {
@@ -145,18 +152,22 @@ TEST(WireGolden, SmallParameterFormatsMatchOnEveryTier) {
 
 // -- key-switch outputs -------------------------------------------------------
 
+/// Folds the FNV-1a digest of every limb of @p p, in limb order, into @p h.
+u64 fold_residues(u64 h, const poly::RnsPoly& p) {
+  for (std::size_t l = 0; l < p.limbs(); ++l) {
+    const std::span<const u64> limb = p.limb(l);
+    const std::span<const u8> bytes(reinterpret_cast<const u8*>(limb.data()),
+                                    limb.size_bytes());
+    h ^= fnv1a(bytes);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 /// FNV-1a over every residue of every component, in limb order.
 u64 residue_digest(const Ciphertext& ct) {
   u64 h = 0xcbf29ce484222325ull;
-  for (std::size_t c = 0; c < ct.size(); ++c) {
-    for (std::size_t l = 0; l < ct.c(c).limbs(); ++l) {
-      const std::span<const u64> limb = ct.c(c).limb(l);
-      const std::span<const u8> bytes(
-          reinterpret_cast<const u8*>(limb.data()), limb.size_bytes());
-      h ^= fnv1a(bytes);
-      h *= 0x100000001b3ull;
-    }
-  }
+  for (std::size_t c = 0; c < ct.size(); ++c) h = fold_residues(h, ct.c(c));
   return h;
 }
 
@@ -209,6 +220,165 @@ TEST(KeySwitchGolden, SweepPointOutputsMatchOnEveryTier) {
     simd::set_kernel_arch_for_testing(arch);
     expect_digests(keyswitch_digests(CkksParams::sweep_point(13, 6)), want,
                    arch);
+  }
+}
+
+// -- decrypted residues -------------------------------------------------------
+
+/// Decrypted residues of a fresh symmetric ciphertext (2 components) and
+/// of its unrelinearized square (3 components) at every level, plus one
+/// digest of the 2-component decryptions' op counts over all levels; from
+/// a fresh context so the secret and stream ids restart at zero.
+std::vector<Golden> decrypt_digests(const CkksParams& params) {
+  auto ctx = CkksContext::create(params);
+  KeyGenerator kg(ctx);
+  const SecretKey sk = kg.secret_key();
+  Encryptor enc(ctx, sk);
+  Decryptor dec(ctx, sk);
+  const Evaluator eval(ctx);
+  std::vector<Golden> out;
+  u64 counts = 0xcbf29ce484222325ull;
+  for (std::size_t limbs = 1; limbs <= ctx->max_limbs(); ++limbs) {
+    const Ciphertext ct = enc.encrypt(pattern_plaintext(*ctx, limbs, limbs));
+    xf::OpCounterScope scope;
+    const Plaintext two = dec.decrypt(ct);
+    const xf::OpCounts c = scope.delta();
+    for (u64 v : {c.ntt_mul, c.ntt_add, c.fft_mul, c.fft_add, c.poly_mul,
+                  c.poly_add, c.other}) {
+      counts = (counts ^ v) * 0x100000001b3ull;
+    }
+    const Plaintext three = dec.decrypt(eval.mul(ct, ct));
+    out.push_back({"2 components", fold_residues(0xcbf29ce484222325ull,
+                                                 two.poly)});
+    out.push_back({"3 components", fold_residues(0xcbf29ce484222325ull,
+                                                 three.poly)});
+  }
+  out.push_back({"2-component op counts", counts});
+  return out;
+}
+
+TEST(DecryptorGolden, SmallParameterResiduesMatchOnEveryTier) {
+  const std::vector<Golden> want = {
+      {"level 1, 2 components", 0xfe06406739b6e434ull},
+      {"level 1, 3 components", 0x861591c209632f68ull},
+      {"level 2, 2 components", 0x3c7a16ed414db518ull},
+      {"level 2, 3 components", 0x324f5e2aacbbb82dull},
+      {"level 3, 2 components", 0xab943c24bbff2aull},
+      {"level 3, 3 components", 0x587fcc9f1ee902c7ull},
+      {"2-component op counts", 0x5dfcc07086b0bd0full},
+  };
+  ArchGuard guard;
+  for (simd::KernelArch arch : selectable_tiers()) {
+    simd::set_kernel_arch_for_testing(arch);
+    expect_digests(decrypt_digests(CkksParams::test_small(10, 3)), want,
+                   arch);
+  }
+}
+
+TEST(DecryptorGolden, SweepPointResiduesMatchOnEveryTier) {
+  const std::vector<Golden> want = {
+      {"level 1, 2 components", 0x14eadd3890bb6dc3ull},
+      {"level 1, 3 components", 0xee8027922e5fd34bull},
+      {"level 2, 2 components", 0xf139ef60dc0c2b4dull},
+      {"level 2, 3 components", 0x274d928dda676012ull},
+      {"level 3, 2 components", 0x1935bb5bb1bfe640ull},
+      {"level 3, 3 components", 0xfdcf2509e212dce2ull},
+      {"level 4, 2 components", 0x5a5772224fce8da0ull},
+      {"level 4, 3 components", 0x56e25c27f931ad48ull},
+      {"level 5, 2 components", 0x244294c55626feecull},
+      {"level 5, 3 components", 0x24e734e161ca56a6ull},
+      {"level 6, 2 components", 0xe72770ba26807573ull},
+      {"level 6, 3 components", 0xbb38780871d89434ull},
+      {"2-component op counts", 0x8820b0ee0e46c60dull},
+  };
+  ArchGuard guard;
+  for (simd::KernelArch arch : selectable_tiers()) {
+    simd::set_kernel_arch_for_testing(arch);
+    expect_digests(decrypt_digests(CkksParams::sweep_point(13, 6)), want,
+                   arch);
+  }
+}
+
+// -- client session bytes -----------------------------------------------------
+
+/// Slot values in [-1, 1) from a fixed xorshift stream (no library
+/// distribution, so the values are the same on every standard library).
+std::vector<std::complex<double>> pattern_slots(std::size_t count, u64 salt) {
+  std::vector<std::complex<double>> slots(count);
+  u64 x = 0x2545f4914f6cdd1dull ^ salt;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<double>(x >> 11) * 0x1p-52 - 1.0;
+  };
+  for (auto& z : slots) {
+    const double re = next();
+    z = {re, next()};
+  }
+  return slots;
+}
+
+/// A fresh ClientSession at test_small(10,3) in @p mode, shipping a Galois
+/// key for step 1: its key bundle blobs and the upload envelope of two
+/// messages at 3 limbs, with the bundle taken before the upload when
+/// @p bundle_first and after it otherwise.
+std::vector<Golden> session_digests(EncryptMode mode, bool bundle_first) {
+  auto ctx = CkksContext::create(CkksParams::test_small(10, 3));
+  engine::SessionConfig config;
+  config.rotations = {1};
+  config.mode = mode;
+  engine::ClientSession session(ctx, config);
+  const std::vector<std::vector<std::complex<double>>> msgs = {
+      pattern_slots(ctx->slots(), 1), pattern_slots(ctx->slots(), 2)};
+  std::vector<u8> up;
+  if (!bundle_first) up = session.upload(msgs, 3);
+  const engine::KeyBundle& kb = session.key_bundle();
+  if (bundle_first) up = session.upload(msgs, 3);
+  return {
+      {"public key", fnv1a(kb.public_key)},
+      {"relin key", fnv1a(kb.relin_key)},
+      {"galois key", fnv1a(kb.galois_keys.at(0))},
+      {"upload", fnv1a(up)},
+  };
+}
+
+TEST(SessionGolden, SymmetricSessionBytesMatchInBothOrdersOnEveryTier) {
+  const std::vector<Golden> want = {
+      {"public key", 0xb4bfe15b6ab46b81ull},
+      {"relin key", 0xb6da238dcfc1c897ull},
+      {"galois key", 0x8c9171441d694532ull},
+      {"upload", 0xcf11fe70423b68b4ull},
+  };
+  ArchGuard guard;
+  for (simd::KernelArch arch : selectable_tiers()) {
+    simd::set_kernel_arch_for_testing(arch);
+    for (bool bundle_first : {true, false}) {
+      SCOPED_TRACE(bundle_first ? "bundle, then upload"
+                                : "upload, then bundle");
+      expect_digests(
+          session_digests(EncryptMode::kSymmetricSeeded, bundle_first), want,
+          arch);
+    }
+  }
+}
+
+TEST(SessionGolden, PublicKeySessionBytesMatchInBothOrdersOnEveryTier) {
+  const std::vector<Golden> want = {
+      {"public key", 0xb4bfe15b6ab46b81ull},
+      {"relin key", 0xb6da238dcfc1c897ull},
+      {"galois key", 0x8c9171441d694532ull},
+      {"upload", 0xf5bacb30e961bd4full},
+  };
+  ArchGuard guard;
+  for (simd::KernelArch arch : selectable_tiers()) {
+    simd::set_kernel_arch_for_testing(arch);
+    for (bool bundle_first : {true, false}) {
+      SCOPED_TRACE(bundle_first ? "bundle, then upload"
+                                : "upload, then bundle");
+      expect_digests(session_digests(EncryptMode::kPublicKey, bundle_first),
+                     want, arch);
+    }
   }
 }
 
