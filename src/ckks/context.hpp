@@ -22,7 +22,8 @@ class CkksContext {
   /// Validates parameters, selects the prime chain and builds all tables.
   /// Polynomial work executes through @p backend (the process-wide
   /// ScalarBackend when null) — pass a ThreadPoolBackend to parallelize
-  /// every limb-wise operation under this context.
+  /// every limb-wise operation under this context. The first call fixes
+  /// glibc's mmap and trim thresholds for the process (context.cpp).
   static std::shared_ptr<const CkksContext> create(
       const CkksParams& params,
       std::shared_ptr<backend::PolyBackend> backend = nullptr);

@@ -6,9 +6,11 @@
 /// accumulated in the evaluation domain, INTT'd per limb, and handed to
 /// the decoder (CRT combine + FFT).
 ///
-/// A Decryptor reuses one internal scratch and is therefore not
-/// reentrant: one thread drives it, and the parallelism is inside each
-/// decryption (the per-limb passes fan out through the context backend).
+/// A Decryptor holds only the secret it shares with its SecretKey, read
+/// in place (a lower-level ciphertext uses its first limbs), so a
+/// 2-component decryption allocates only the plaintext it returns. The
+/// parallelism is inside each decryption (the per-limb passes fan out
+/// through the context backend).
 /// Decryption consumes no PRNG stream, so the result is bit-identical for
 /// any backend, worker count and call order.
 
@@ -36,13 +38,7 @@ class Decryptor {
   std::vector<Plaintext> decrypt_batch(std::span<const Ciphertext> cts);
 
  private:
-  std::shared_ptr<const CkksContext> ctx_;
-  poly::RnsPoly sk_eval_;
-  // The secret's level prefix and (for 3-component ciphertexts) its
-  // square: after the first decryption at a given level the hot path
-  // allocates only the plaintext polynomial it returns.
-  poly::RnsPoly s_;
-  poly::RnsPoly s2_;
+  std::shared_ptr<const poly::RnsPoly> s_;
 };
 
 }  // namespace abc::ckks

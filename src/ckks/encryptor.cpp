@@ -63,9 +63,10 @@ Encryptor::Encryptor(std::shared_ptr<const CkksContext> ctx,
                      const SecretKey& sk)
     : ctx_(std::move(ctx)),
       mode_(EncryptMode::kSymmetricSeeded),
-      sk_eval_(std::make_unique<poly::RnsPoly>(sk.s)),
+      s_(sk.s),
       secret_salt_(sk.stream_id) {
   ABC_CHECK_ARG(ctx_ != nullptr, "null context");
+  ABC_CHECK_ARG(s_ != nullptr, "empty secret key");
   ABC_CHECK_ARG(sk.stream_id < (u64{1} << 16),
                 "secret stream id exceeds the 16-bit salt budget");
 }
@@ -143,7 +144,7 @@ Ciphertext Encryptor::encrypt_symmetric(const Plaintext& pt, u64 raw_id) {
   const poly::PolyContext& pctx = *ctx_->poly_context();
   const std::size_t n = pctx.n();
   check_operand(pctx, pt.poly, limbs, poly::Domain::kCoeff);
-  check_operand(pctx, *sk_eval_, limbs, poly::Domain::kEval);
+  check_operand(pctx, *s_, limbs, poly::Domain::kEval);
 
   sample_gaussian(*ctx_, PrngDomain::kSymmetricError, id, s.err0);
   s.staging.resize(pctx.backend().workers() * n);
@@ -160,7 +161,7 @@ Ciphertext Encryptor::encrypt_symmetric(const Plaintext& pt, u64 raw_id) {
     pctx.ntt(i).forward({me, n});
     fill_uniform_limb(*ctx_, a.limb(i), i, PrngDomain::kSymmetricA, id);
     simd::dyadic_fms_into(pctx.dyadic(i), c0.limb(i).data(), me,
-                          a.limb(i).data(), sk_eval_->limb(i).data(), n);
+                          a.limb(i).data(), s_->limb(i).data(), n);
     xf::op_counts().poly_mul += n;  // mul + negate + add
     xf::op_counts().poly_add += 2 * n;
   });

@@ -69,12 +69,14 @@ constexpr int ntt_passes_per_limb(EncryptMode mode) noexcept {
 
 class Encryptor {
  public:
-  /// Public-key mode.
+  /// Public-key mode: the encryptor owns the public key.
   Encryptor(std::shared_ptr<const CkksContext> ctx, PublicKey pk);
-  /// Symmetric seeded mode.
+  /// Symmetric seeded mode: the encryptor shares the secret's polynomial.
   Encryptor(std::shared_ptr<const CkksContext> ctx, const SecretKey& sk);
 
   EncryptMode mode() const noexcept { return mode_; }
+  /// The owned public key; null in symmetric mode.
+  const PublicKey* public_key() const noexcept { return pk_.get(); }
 
   /// Encrypts a plaintext under the next stream id; the ciphertext carries
   /// pt's limb count and is in evaluation form.
@@ -119,8 +121,8 @@ class Encryptor {
 
   std::shared_ptr<const CkksContext> ctx_;
   EncryptMode mode_;
-  std::unique_ptr<PublicKey> pk_;
-  std::unique_ptr<poly::RnsPoly> sk_eval_;
+  std::unique_ptr<PublicKey> pk_;           // public-key mode
+  std::shared_ptr<const poly::RnsPoly> s_;  // symmetric mode
   u64 secret_salt_ = 0;  // SecretKey::stream_id (or the pk's embedded id)
   Scratch scratch_;
 };

@@ -175,24 +175,26 @@ SecretKey KeyGenerator::secret_key() {
   // (two intended-to-be-different users can never end up with the same
   // key because both counters started at 0).
   const u64 id = ctx_->reserve_secret_ids(1);
-  poly::RnsPoly s = ctx_->make_poly(ctx_->max_limbs(), poly::Domain::kCoeff);
-  fill_ternary_coeff(*ctx_, s, PrngDomain::kSecretKey, id);
-  s.to_eval();
+  auto s = std::make_shared<poly::RnsPoly>(
+      ctx_->make_poly_for_overwrite(ctx_->max_limbs(), poly::Domain::kCoeff));
+  fill_ternary_coeff(*ctx_, *s, PrngDomain::kSecretKey, id);
+  s->to_eval();
   return SecretKey{std::move(s), id};
 }
 
 PublicKey KeyGenerator::public_key(const SecretKey& sk) {
   const u64 id = ksk_base_stream_id(sk.stream_id, pk_counter_++);
-  poly::RnsPoly a = ctx_->make_poly(ctx_->max_limbs(), poly::Domain::kEval);
+  const std::size_t limbs = ctx_->max_limbs();
+  poly::RnsPoly a = ctx_->make_poly_for_overwrite(limbs, poly::Domain::kEval);
   fill_uniform_eval(*ctx_, a, PrngDomain::kPublicA, id);
 
-  poly::RnsPoly e = ctx_->make_poly(ctx_->max_limbs(), poly::Domain::kCoeff);
+  poly::RnsPoly e = ctx_->make_poly_for_overwrite(limbs, poly::Domain::kCoeff);
   fill_gaussian_coeff(*ctx_, e, PrngDomain::kKeygenError, id);
   e.to_eval();
 
   // b = e - a*s in one fused pass: no copy of a, no product buffer.
-  poly::RnsPoly b = ctx_->make_poly(ctx_->max_limbs(), poly::Domain::kEval);
-  b.set_fms(e, a, sk.s);
+  poly::RnsPoly b = ctx_->make_poly_for_overwrite(limbs, poly::Domain::kEval);
+  b.set_fms(e, a, *sk.s);
   return PublicKey{std::move(b), std::move(a), id};
 }
 
@@ -208,8 +210,10 @@ KeySwitchKey KeyGenerator::make_key_shell(KeySwitchKey::Kind kind,
   key.b.reserve(digits);
   key.a.reserve(digits);
   for (std::size_t d = 0; d < digits; ++d) {
-    key.b.push_back(ctx_->make_poly(digits, poly::Domain::kEval));
-    key.a.push_back(ctx_->make_poly(digits, poly::Domain::kEval));
+    key.b.push_back(
+        ctx_->make_poly_for_overwrite(digits, poly::Domain::kEval));
+    key.a.push_back(
+        ctx_->make_poly_for_overwrite(digits, poly::Domain::kEval));
   }
   return key;
 }
@@ -217,7 +221,7 @@ KeySwitchKey KeyGenerator::make_key_shell(KeySwitchKey::Kind kind,
 void KeyGenerator::generate_digits(const SecretKey& sk,
                                    std::span<KeySwitchKey> keys,
                                    std::span<const poly::RnsPoly> s_primes) {
-  poly::RnsPoly s_neg = sk.s;  // one negation per call, shared by digits
+  poly::RnsPoly s_neg = *sk.s;  // one negation per call, shared by digits
   s_neg.negate_inplace();
   const std::size_t digits = ctx_->max_limbs();
   backend::PolyBackend& backend = ctx_->backend();
@@ -234,8 +238,8 @@ void KeyGenerator::generate_digits(const SecretKey& sk,
 }
 
 RelinKey KeyGenerator::relin_key(const SecretKey& sk) {
-  poly::RnsPoly s2 = sk.s;
-  s2.mul_inplace(sk.s);
+  poly::RnsPoly s2 = *sk.s;
+  s2.mul_inplace(*sk.s);
   RelinKey rlk{make_key_shell(KeySwitchKey::Kind::kRelin, 0, sk)};
   generate_digits(sk, std::span(&rlk.key, 1), std::span(&s2, 1));
   return rlk;
@@ -254,7 +258,7 @@ GaloisKeys KeyGenerator::galois_keys(const SecretKey& sk,
   out.keys.reserve(steps.size());
   std::vector<poly::RnsPoly> rotated;
   rotated.reserve(steps.size());
-  poly::RnsPoly s_coeff = sk.s;
+  poly::RnsPoly s_coeff = *sk.s;
   s_coeff.to_coeff();
   for (int step : steps) {
     const u32 elt = galois_element(step, ctx_->n());

@@ -16,14 +16,15 @@
 
 namespace abc::ckks {
 
-/// Secret key, stored in evaluation (NTT) form over all limbs. stream_id
-/// records which kSecretKey stream produced it; everything derived from
-/// this secret (public key, switching keys) folds the id into its own
-/// stream ids, so key material for *different* secrets can never alias a
-/// keystream (aliasing with equal randomness but different secrets would
-/// let b-differences cancel the errors and leak the secrets).
+/// Secret key, stored in evaluation (NTT) form over all limbs, immutable
+/// and shared by every copy, Encryptor and Decryptor. stream_id records
+/// which kSecretKey stream produced it; everything derived from this
+/// secret (public key, switching keys) folds the id into its own stream
+/// ids, so key material for *different* secrets can never alias a
+/// keystream (equal randomness under different secrets would let
+/// b-differences cancel the errors and leak the secrets).
 struct SecretKey {
-  poly::RnsPoly s;
+  std::shared_ptr<const poly::RnsPoly> s;
   u64 stream_id = 0;
 };
 

@@ -7,20 +7,6 @@
 
 namespace abc::engine {
 
-namespace {
-
-ckks::Encryptor make_encryptor(
-    const std::shared_ptr<const ckks::CkksContext>& ctx,
-    const SessionConfig& config, const ckks::SecretKey& sk,
-    const ckks::PublicKey& pk) {
-  if (config.mode == ckks::EncryptMode::kPublicKey) {
-    return ckks::Encryptor(ctx, pk);
-  }
-  return ckks::Encryptor(ctx, sk);
-}
-
-}  // namespace
-
 void BatchVerifyReport::fold() {
   ok = true;
   passed = 0;
@@ -41,24 +27,28 @@ ClientSession::ClientSession(std::shared_ptr<const ckks::CkksContext> ctx,
       config_(std::move(config)),
       keygen_(ctx_),
       sk_(keygen_.secret_key()),
-      pk_(keygen_.public_key(sk_)),
       encoder_(ctx_),
-      encryptor_(make_encryptor(ctx_, config_, sk_, pk_)),
+      encryptor_(config_.mode == ckks::EncryptMode::kPublicKey
+                     ? ckks::Encryptor(ctx_, keygen_.public_key(sk_))
+                     : ckks::Encryptor(ctx_, sk_)),
       decryptor_(ctx_, sk_) {}
 
 const KeyBundle& ClientSession::key_bundle() {
   if (!key_bundle_) {
+    KeyBundle bundle;
+    // Symmetric mode keeps no public key: the generator's first one has
+    // the same bytes whenever it is built, and is dropped once serialized.
+    const int bits = config_.bits_per_coeff;
+    const ckks::PublicKey* pk = encryptor_.public_key();
+    bundle.public_key =
+        pk ? serialize_public_key(ctx_, *pk, bits)
+           : serialize_public_key(ctx_, keygen_.public_key(sk_), bits);
     const ckks::RelinKey rlk = keygen_.relin_key(sk_);
     const ckks::GaloisKeys gks = keygen_.galois_keys(sk_, config_.rotations);
-    KeyBundle bundle;
-    bundle.public_key =
-        serialize_public_key(ctx_, pk_, config_.bits_per_coeff);
-    bundle.relin_key =
-        serialize_key_switch_key(ctx_, rlk.key, config_.bits_per_coeff);
+    bundle.relin_key = serialize_key_switch_key(ctx_, rlk.key, bits);
     bundle.galois_keys.reserve(gks.keys.size());
     for (const ckks::KeySwitchKey& gk : gks.keys) {
-      bundle.galois_keys.push_back(
-          serialize_key_switch_key(ctx_, gk, config_.bits_per_coeff));
+      bundle.galois_keys.push_back(serialize_key_switch_key(ctx_, gk, bits));
     }
     key_bundle_ = std::move(bundle);
   }
@@ -77,33 +67,17 @@ std::vector<ckks::Ciphertext> ClientSession::encrypt(
 std::vector<ckks::Ciphertext> ClientSession::encrypt(
     std::span<const std::vector<std::complex<double>>> messages,
     std::size_t limbs, BatchErrorReport& report) {
-  std::vector<ckks::Ciphertext> out(messages.size());
-  report = encrypt_into(out, [&](std::size_t i) {
-    return encoder_.encode(messages[i], limbs);
-  });
-  return out;
-}
-
-std::vector<ckks::Ciphertext> ClientSession::encrypt_real(
-    std::span<const std::vector<double>> messages, std::size_t limbs) {
-  std::vector<ckks::Ciphertext> out(messages.size());
-  encrypt_into(out, [&](std::size_t i) {
-    return encoder_.encode_real(messages[i], limbs);
-  }).rethrow_first();
-  return out;
-}
-
-BatchErrorReport ClientSession::encrypt_into(
-    std::span<ckks::Ciphertext> out,
-    const std::function<ckks::Plaintext(std::size_t)>& encode) {
   // The block is reserved before any item runs, so item i gets id
   // base + i whether or not its neighbours fail; a failed item leaves its
   // slot the empty Ciphertext it started as.
+  std::vector<ckks::Ciphertext> out(messages.size());
   const u64 base = ctx_->reserve_stream_ids(out.size());
-  return run_items(out.size(), fail::points::kEncryptItem,
-                   [&](std::size_t i) {
-                     out[i] = encryptor_.encrypt(encode(i), base + i);
-                   });
+  report = run_items(out.size(), fail::points::kEncryptItem,
+                     [&](std::size_t i) {
+                       out[i] = encryptor_.encrypt(
+                           encoder_.encode(messages[i], limbs), base + i);
+                     });
+  return out;
 }
 
 std::vector<u8> ClientSession::upload(

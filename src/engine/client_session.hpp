@@ -6,17 +6,20 @@
 /// context plus its encoder, encryptor and decryptor and walks the
 /// paper's session lifecycle as method calls:
 ///
-///   1. keygen           — secret/public keys in the constructor; relin +
-///                         Galois switching keys on first key_bundle()
+///   1. keygen           — secret (and public-key mode's public) key in
+///                         the constructor; relin + Galois switching
+///                         keys on first key_bundle()
 ///   2. key upload       — key_bundle(): seed-compressed wire blobs (the
 ///                         b halves + stream ids a server needs)
-///   3. encrypt batch    — encrypt()/encrypt_real(), or upload() straight
-///                         to an "ABCB" ciphertext-batch envelope
+///   3. encrypt batch    — encrypt(), or upload() straight to an "ABCB"
+///                         ciphertext-batch envelope
 ///   4. decrypt/verify   — decrypt_batch()/verify(), or verify_download()
 ///                         straight from a returned envelope
 ///
 /// Context, encoder, encryptor and decryptor are built once and reused
 /// across requests, so a long-lived client amortizes every setup cost.
+/// The session, encryptor and decryptor share one secret polynomial;
+/// symmetric mode keeps no public key (key_bundle() builds and drops it).
 /// Every batch is one in-order loop over its items on the calling thread
 /// (engine/item_loop.hpp); each item's limbs fan out through the context
 /// backend. Batches and keys are bit-identical at any worker count, a
@@ -118,8 +121,6 @@ class ClientSession {
   std::vector<ckks::Ciphertext> encrypt(
       std::span<const std::vector<std::complex<double>>> messages,
       std::size_t limbs, BatchErrorReport& report);
-  std::vector<ckks::Ciphertext> encrypt_real(
-      std::span<const std::vector<double>> messages, std::size_t limbs);
 
   /// encrypt() + ciphertext-batch envelope: the bytes one request uploads.
   std::vector<u8> upload(
@@ -192,16 +193,10 @@ class ClientSession {
       std::size_t max_attempts = 3, double bound = 0.0);
 
  private:
-  /// out[i] = encrypt(encode(i)) under one reserved stream-id block.
-  BatchErrorReport encrypt_into(
-      std::span<ckks::Ciphertext> out,
-      const std::function<ckks::Plaintext(std::size_t)>& encode);
-
   std::shared_ptr<const ckks::CkksContext> ctx_;
   SessionConfig config_;
   ckks::KeyGenerator keygen_;  // sk, pk and the switching keys
   ckks::SecretKey sk_;
-  ckks::PublicKey pk_;
   ckks::CkksEncoder encoder_;
   ckks::Encryptor encryptor_;
   ckks::Decryptor decryptor_;

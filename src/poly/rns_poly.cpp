@@ -89,6 +89,12 @@ void RnsPoly::check_compatible(const RnsPoly& other) const {
   ABC_CHECK_ARG(domain_ == other.domain_, "domain mismatch");
 }
 
+void RnsPoly::check_key_operand(const RnsPoly& key) const {
+  ABC_CHECK_ARG(ctx_.get() == key.ctx_.get(), "context mismatch");
+  ABC_CHECK_ARG(key.limbs_ >= limbs_, "limb count mismatch");
+  ABC_CHECK_ARG(domain_ == key.domain_, "domain mismatch");
+}
+
 // The element-wise operations below run the simd/ dyadic kernel set
 // (runtime-dispatched tier) with the per-limb word constants hoisted into
 // PolyContext::dyadic(); fused passes count the ops of the unfused chain.
@@ -119,13 +125,13 @@ void RnsPoly::negate_inplace() {
   });
 }
 
-void RnsPoly::mul_inplace(const RnsPoly& other) {
-  check_compatible(other);
+void RnsPoly::mul_inplace(const RnsPoly& key) {
+  check_key_operand(key);
   ABC_CHECK_ARG(domain_ == Domain::kEval,
                 "dyadic product requires evaluation domain");
   const std::size_t n = ctx_->n();
   for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
-    simd::dyadic_mul(ctx_->dyadic(i), words(i), other.words(i), n);
+    simd::dyadic_mul(ctx_->dyadic(i), words(i), key.words(i), n);
     xf::op_counts().poly_mul += n;
   });
 }
@@ -145,36 +151,34 @@ void RnsPoly::fma_inplace(const RnsPoly& a, const RnsPoly& b) {
 }
 
 void RnsPoly::set_fma(const RnsPoly& base, const RnsPoly& a,
-                      const RnsPoly& b) {
+                      const RnsPoly& key) {
   ABC_CHECK_ARG(ctx_.get() == base.ctx_.get(), "context mismatch");
   base.check_compatible(a);
-  base.check_compatible(b);
+  base.check_key_operand(key);
   ABC_CHECK_ARG(base.domain_ == Domain::kEval,
                 "fused multiply-add requires evaluation domain");
   reset(base.limbs_, base.domain_);
   const std::size_t n = ctx_->n();
   for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
     simd::dyadic_fma_into(ctx_->dyadic(i), words(i), base.words(i),
-                          a.words(i), b.words(i), n);
+                          a.words(i), key.words(i), n);
     xf::op_counts().poly_mul += n;  // copy + fma
     xf::op_counts().poly_add += n;
   });
 }
 
 void RnsPoly::set_fms(const RnsPoly& base, const RnsPoly& a,
-                      const RnsPoly& b) {
+                      const RnsPoly& key) {
   ABC_CHECK_ARG(ctx_.get() == base.ctx_.get(), "context mismatch");
   base.check_compatible(a);
-  ABC_CHECK_ARG(ctx_.get() == b.ctx_.get(), "context mismatch");
-  ABC_CHECK_ARG(b.limbs_ >= base.limbs_, "limb count mismatch");
-  ABC_CHECK_ARG(b.domain_ == base.domain_, "domain mismatch");
+  base.check_key_operand(key);
   ABC_CHECK_ARG(base.domain_ == Domain::kEval,
                 "fused multiply-subtract requires evaluation domain");
   reset(base.limbs_, base.domain_);
   const std::size_t n = ctx_->n();
   for_each_limb(*ctx_, limbs_, [&](std::size_t i) {
     simd::dyadic_fms_into(ctx_->dyadic(i), words(i), base.words(i),
-                          a.words(i), b.words(i), n);
+                          a.words(i), key.words(i), n);
     xf::op_counts().poly_mul += n;  // mul + negate + add
     xf::op_counts().poly_add += 2 * n;
   });
@@ -203,7 +207,8 @@ RnsPoly RnsPoly::automorphism(u32 galois_elt) const {
   const std::size_t two_n = 2 * n();
   ABC_CHECK_ARG((galois_elt & 1u) != 0 && galois_elt < two_n,
                 "galois element must be odd and < 2N");
-  RnsPoly out(ctx_, limbs_, domain_);
+  // i -> i*g mod N is a bijection for odd g: every word of out is written.
+  RnsPoly out(ctx_, limbs_, domain_, kForOverwrite);
   for_each_limb(*ctx_, limbs_, [&](std::size_t l) {
     const rns::Modulus& q = ctx_->modulus(l);
     const std::span<const u64> src = limb(l);
@@ -223,7 +228,7 @@ RnsPoly RnsPoly::automorphism(u32 galois_elt) const {
 
 RnsPoly RnsPoly::prefix_copy(std::size_t limbs) const {
   ABC_CHECK_ARG(limbs >= 1 && limbs <= limbs_, "prefix limb count invalid");
-  RnsPoly out(ctx_, limbs, domain_);
+  RnsPoly out(ctx_, limbs, domain_, kForOverwrite);
   std::copy(data_.begin(),
             data_.begin() + static_cast<std::ptrdiff_t>(limbs * n()),
             out.data_.begin());

@@ -93,18 +93,18 @@ class RnsPoly {
   void add_inplace(const RnsPoly& other);
   void sub_inplace(const RnsPoly& other);
   void negate_inplace();
-  /// Dyadic product; requires evaluation domain.
-  void mul_inplace(const RnsPoly& other);
+  // A `key` operand may carry more limbs than the result: its prefix is
+  // read in place (a full-length secret against a lower-level ciphertext).
+  /// Dyadic product this *= key; requires evaluation domain.
+  void mul_inplace(const RnsPoly& key);
   /// this += a * b (single pass, evaluation domain).
   void fma_inplace(const RnsPoly& a, const RnsPoly& b);
-  /// this = base + a * b (fused copy-then-fma, one pass; evaluation
-  /// domain). Adopts base's domain/limbs; this must not alias a or b.
-  void set_fma(const RnsPoly& base, const RnsPoly& a, const RnsPoly& b);
-  /// this = base - a * b (fused mul, negate and add, one pass; evaluation
-  /// domain). Adopts base's domain/limbs; this must not alias a or b. b
-  /// may carry more limbs than base: its first base.limbs() limbs are read
-  /// in place (a full-length secret against a lower-level ciphertext).
-  void set_fms(const RnsPoly& base, const RnsPoly& a, const RnsPoly& b);
+  /// this = base + a * key (fused copy-then-fma, one pass; evaluation
+  /// domain). Adopts base's domain/limbs; this must not alias a or key.
+  void set_fma(const RnsPoly& base, const RnsPoly& a, const RnsPoly& key);
+  /// this = base - a * key (fused mul, negate and add, one pass; evaluation
+  /// domain). Adopts base's domain/limbs; this must not alias a or key.
+  void set_fms(const RnsPoly& base, const RnsPoly& a, const RnsPoly& key);
   /// Multiply limb i by scalar mod q_i (same scalar reduced per limb).
   void mul_scalar_inplace(u64 scalar);
 
@@ -128,6 +128,8 @@ class RnsPoly {
 
  private:
   void check_compatible(const RnsPoly& other) const;
+  /// check_compatible, but @p key may carry more limbs.
+  void check_key_operand(const RnsPoly& key) const;
   /// RNS-expands centered signed coefficients into every limb.
   template <class I>
   void expand(std::span<const I> coeffs);

@@ -253,18 +253,31 @@ TEST(AllocBudget, PaperPointEchoRoundAllocatesNoCiphertextCopy) {
 }
 
 TEST(AllocBudget, PaperPointClientSessionRetainsNoKeygenCopies) {
-  // What a session holds once built at the paper point: five 24-limb
-  // polynomials (sk, pk.b and pk.a, and the encryptor's and decryptor's
-  // secret copies) plus 4 MiB for the encoders, per-worker scratch and
-  // bookkeeping. A switching-key generator that kept its own s and -s for
-  // the session's lifetime adds two more (24 MiB) and fails: 87.0 MiB.
+  // What a session holds once built at the paper point: one copy of each
+  // key plus 4 MiB for the encoders, per-worker scratch and bookkeeping.
+  // In symmetric mode that is the secret alone, one 24-limb polynomial
+  // shared by the session, its encryptor and its decryptor (12,582,992 B
+  // measured, Release, x86-64); in public-key mode the encryptor's public
+  // key (b and a) adds two more. A copy of s in the encryptor or the
+  // decryptor adds a polynomial (12 MiB) and fails either bound, as does
+  // a public key kept in symmetric mode (24 MiB) or a switching-key
+  // generator that kept its own s and -s (24 MiB).
   const auto ctx = CkksContext::create(CkksParams::bootstrappable());
   const std::size_t poly_bytes = ctx->max_limbs() * limb_bytes(*ctx);
-  const auto budget =
-      static_cast<std::ptrdiff_t>(5 * poly_bytes + 4 * 1024 * 1024);
-  std::optional<engine::ClientSession> session;
-  const std::ptrdiff_t kept = retained_by([&] { session.emplace(ctx); });
-  EXPECT_LE(kept, budget) << kept << " B retained";
+  for (const auto& [mode, polys] :
+       {std::pair{EncryptMode::kSymmetricSeeded, std::size_t{1}},
+        std::pair{EncryptMode::kPublicKey, std::size_t{3}}}) {
+    SCOPED_TRACE(mode == EncryptMode::kPublicKey ? "public key"
+                                                 : "symmetric");
+    engine::SessionConfig config;
+    config.mode = mode;
+    const auto budget =
+        static_cast<std::ptrdiff_t>(polys * poly_bytes + 4 * 1024 * 1024);
+    std::optional<engine::ClientSession> session;
+    const std::ptrdiff_t kept =
+        retained_by([&] { session.emplace(ctx, config); });
+    EXPECT_LE(kept, budget) << kept << " B retained";
+  }
 }
 
 TEST(AllocBudget, CiphertextProductAllocatesOnlyItsOutputs) {

@@ -167,6 +167,49 @@ TEST(Backend, FusedMultiplySubtractMatchesTheUnfusedChainAndItsCounts) {
   }
 }
 
+TEST(Backend, KeyOperandsReadALongerKeysPrefixInPlace) {
+  // set_fma and mul_inplace read a key operand with more limbs than the
+  // result by its first limbs (the decryptor's full-length secret against
+  // a lower-level ciphertext): same residues and op counts as against the
+  // key's prefix copy. A key with fewer limbs is still a mismatch.
+  auto ctx = poly::PolyContext::create(10, test_primes(4));
+  poly::RnsPoly base(ctx, 3, poly::Domain::kCoeff);
+  poly::RnsPoly a(ctx, 3, poly::Domain::kCoeff);
+  poly::RnsPoly s(ctx, 4, poly::Domain::kCoeff);  // longer than base
+  base.set_from_signed(random_signed(ctx->n(), 7));
+  a.set_from_signed(random_signed(ctx->n(), 8));
+  s.set_from_signed(random_signed(ctx->n(), 9));
+  base.to_eval();
+  a.to_eval();
+  s.to_eval();
+  const poly::RnsPoly s3 = s.prefix_copy(3);
+
+  xf::OpCounterScope prefix_scope;
+  poly::RnsPoly want_fma(ctx, 1, poly::Domain::kCoeff);
+  want_fma.set_fma(base, a, s3);
+  poly::RnsPoly want_mul = a;
+  want_mul.mul_inplace(s3);
+  const xf::OpCounts prefix = prefix_scope.delta();
+
+  xf::OpCounterScope in_place_scope;
+  poly::RnsPoly got_fma(ctx, 1, poly::Domain::kCoeff);
+  got_fma.set_fma(base, a, s);
+  poly::RnsPoly got_mul = a;
+  got_mul.mul_inplace(s);
+  const xf::OpCounts in_place = in_place_scope.delta();
+
+  expect_equal_polys(want_fma, got_fma);
+  expect_equal_polys(want_mul, got_mul);
+  EXPECT_EQ(in_place.poly_mul, prefix.poly_mul);
+  EXPECT_EQ(in_place.poly_add, prefix.poly_add);
+  EXPECT_EQ(in_place.total(), prefix.total());
+
+  const poly::RnsPoly short_key = s.prefix_copy(2);
+  EXPECT_THROW(got_fma.set_fma(base, a, short_key), InvalidArgument);
+  EXPECT_THROW(got_mul.mul_inplace(short_key), InvalidArgument);
+  EXPECT_THROW(got_fma.set_fms(base, a, short_key), InvalidArgument);
+}
+
 TEST(Backend, JobExceptionRethrownOnCaller) {
   // A throwing job must surface as a normal exception on the submitting
   // thread (same caller-visible behavior as ScalarBackend), not terminate

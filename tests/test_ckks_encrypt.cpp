@@ -184,7 +184,7 @@ Ciphertext symmetric_chain(const CkksContext& ctx, const SecretKey& sk,
   me.add_inplace(pt.poly);
   me.to_eval();
   poly::RnsPoly c0 = ctx.make_poly(limbs, poly::Domain::kEval);
-  c0.set_fms(me, a, sk.s);
+  c0.set_fms(me, a, *sk.s);
   Ciphertext ct;
   ct.components.push_back(std::move(c0));
   ct.components.push_back(std::move(a));
@@ -285,7 +285,7 @@ TEST(CkksEncrypt, DifferentSeedsGiveDifferentKeys) {
   const SecretKey s2 = g2.secret_key();
   bool differs = false;
   for (std::size_t j = 0; j < c1->n() && !differs; ++j) {
-    differs = s1.s.limb(0)[j] != s2.s.limb(0)[j];
+    differs = s1.s->limb(0)[j] != s2.s->limb(0)[j];
   }
   EXPECT_TRUE(differs);
 }

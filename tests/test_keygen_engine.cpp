@@ -103,9 +103,9 @@ TEST(KeyGenerator, RelinKeyPhaseIdentity) {
   ASSERT_EQ(rlk.key.digits(), ctx->max_limbs());
   EXPECT_EQ(rlk.key.kind, ckks::KeySwitchKey::Kind::kRelin);
 
-  poly::RnsPoly s2 = sk.s;
-  s2.mul_inplace(sk.s);
-  expect_ksk_phase_identity(*ctx, rlk.key, sk.s, s2);
+  poly::RnsPoly s2 = *sk.s;
+  s2.mul_inplace(*sk.s);
+  expect_ksk_phase_identity(*ctx, rlk.key, *sk.s, s2);
 }
 
 TEST(KeyGenerator, GaloisKeyPhaseIdentity) {
@@ -117,11 +117,11 @@ TEST(KeyGenerator, GaloisKeyPhaseIdentity) {
     EXPECT_EQ(gk.kind, ckks::KeySwitchKey::Kind::kGalois);
     EXPECT_EQ(gk.galois_elt, ckks::galois_element(step, ctx->n()));
 
-    poly::RnsPoly s_coeff = sk.s;
+    poly::RnsPoly s_coeff = *sk.s;
     s_coeff.to_coeff();
     poly::RnsPoly s_rot = s_coeff.automorphism(gk.galois_elt);
     s_rot.to_eval();
-    expect_ksk_phase_identity(*ctx, gk, sk.s, s_rot);
+    expect_ksk_phase_identity(*ctx, gk, *sk.s, s_rot);
   }
 }
 

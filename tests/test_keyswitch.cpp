@@ -116,7 +116,7 @@ TEST(KeySwitcher, SwitchedPhaseMatchesDirectProduct) {
   poly::RnsPoly out1 = f.ctx->make_poly(level, poly::Domain::kEval);
   ks.switch_key(c_coeff, rlk.key, {}, scratch, out0, out1);
 
-  const poly::RnsPoly s = f.sk.s.prefix_copy(level);
+  const poly::RnsPoly s = f.sk.s->prefix_copy(level);
   poly::RnsPoly s2 = s;
   s2.mul_inplace(s);
   poly::RnsPoly expect = c;

@@ -306,8 +306,8 @@ TEST(ClientSession, SessionsSharingAContextHoldDistinctSecrets) {
   engine::ClientSession b(ctx);
   ASSERT_NE(a.secret_key().stream_id, b.secret_key().stream_id);
   bool differs = false;
-  const std::span<const u64> sa = a.secret_key().s.limb(0);
-  const std::span<const u64> sb = b.secret_key().s.limb(0);
+  const std::span<const u64> sa = a.secret_key().s->limb(0);
+  const std::span<const u64> sb = b.secret_key().s->limb(0);
   for (std::size_t j = 0; j < sa.size() && !differs; ++j) {
     differs = sa[j] != sb[j];
   }

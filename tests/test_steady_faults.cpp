@@ -2,11 +2,12 @@
 // client_paper request (encode, encrypt, serialize; server deserialize,
 // mod_switch_to, serialize; client deserialize, decrypt, decode) reuses the
 // same few dozen MB of heap every time, so once warm it should touch no new
-// pages. That rests on glibc's allocator: its dynamic mmap threshold rises
-// past the 12.6 MB polynomial blocks only after such a block is freed, and
-// it then holds off trimming the heap. If the heap were trimmed after every
-// request, each upload would re-fault ~11,000 pages and no timing test
-// would say why. This test counts the minor faults directly.
+// pages. That rests on the glibc mmap and trim thresholds
+// CkksContext::create fixes: with glibc's dynamic defaults, whether the
+// 12.6 MB polynomial blocks came from the heap depended on which large
+// blocks setup freed first, and a session that keeps no copy of its secret
+// re-faulted ~11,700 pages per request. No timing test would say why, so
+// this test counts the minor faults directly.
 //
 // Compiled only against glibc's allocator: the sanitizer runtimes bring
 // their own allocators, whose page reuse says nothing about glibc's.
