@@ -39,7 +39,7 @@ int main() {
   ckks::KeyGenerator keygen(ctx);
   const ckks::SecretKey sk = keygen.secret_key();
   ckks::Encryptor encryptor(ctx, keygen.public_key(sk));
-  ckks::Decryptor decryptor(ctx, sk);
+  ckks::Decryptor decryptor(sk);
   ckks::Evaluator eval(ctx);
 
   // Client: feature vector packed one feature per slot, plus the key set

@@ -32,7 +32,7 @@ int main() {
   ckks::KeyGenerator keygen(ctx);
   const ckks::SecretKey sk = keygen.secret_key();
   ckks::Encryptor encryptor(ctx, keygen.public_key(sk));
-  ckks::Decryptor decryptor(ctx, sk);
+  ckks::Decryptor decryptor(sk);
   ckks::CkksEncoder encoder(ctx);
 
   // 3. A message: N/2 complex slots.

@@ -2,10 +2,7 @@
 
 namespace abc::ckks {
 
-Decryptor::Decryptor(std::shared_ptr<const CkksContext> ctx,
-                     const SecretKey& sk)
-    : s_(sk.s) {
-  ABC_CHECK_ARG(ctx != nullptr, "null context");
+Decryptor::Decryptor(const SecretKey& sk) : s_(sk.s) {
   ABC_CHECK_ARG(s_ != nullptr, "empty secret key");
 }
 

@@ -19,14 +19,13 @@
 #include <vector>
 
 #include "ckks/ciphertext.hpp"
-#include "ckks/context.hpp"
 #include "ckks/keygen.hpp"
 
 namespace abc::ckks {
 
 class Decryptor {
  public:
-  Decryptor(std::shared_ptr<const CkksContext> ctx, const SecretKey& sk);
+  explicit Decryptor(const SecretKey& sk);
 
   /// Decrypts 2- or 3-component ciphertexts; returns a coefficient-domain
   /// plaintext carrying the ciphertext scale. A malformed ciphertext

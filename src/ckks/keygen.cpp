@@ -1,5 +1,6 @@
 #include "ckks/keygen.hpp"
 
+#include "ckks/keyswitch.hpp"
 #include "common/failpoint.hpp"
 #include "prng/samplers.hpp"
 #include "transform/op_counter.hpp"
@@ -256,14 +257,17 @@ GaloisKeys KeyGenerator::galois_keys(const SecretKey& sk,
   out.steps.assign(steps.begin(), steps.end());
   if (steps.empty()) return out;
   out.keys.reserve(steps.size());
+  // sigma(s) straight from the evaluation-domain secret: the automorphism
+  // only relabels evaluation points, so no NTT runs either way.
   std::vector<poly::RnsPoly> rotated;
   rotated.reserve(steps.size());
-  poly::RnsPoly s_coeff = *sk.s;
-  s_coeff.to_coeff();
+  std::vector<u32> table;
   for (int step : steps) {
     const u32 elt = galois_element(step, ctx_->n());
-    rotated.push_back(s_coeff.automorphism(elt));
-    rotated.back().to_eval();
+    build_galois_eval_table(ctx_->params().log_n, elt, table);
+    rotated.push_back(
+        ctx_->make_poly_for_overwrite(sk.s->limbs(), poly::Domain::kEval));
+    apply_galois_eval(*sk.s, table, rotated.back());
     out.keys.push_back(make_key_shell(KeySwitchKey::Kind::kGalois, elt, sk));
   }
   generate_digits(sk, out.keys, rotated);

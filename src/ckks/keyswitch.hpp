@@ -82,8 +82,10 @@ struct KeySwitchScratch {
 /// position p of an NTT-form limb holds the evaluation at
 /// psi^{2*bitrev(p)+1}, and the automorphism just relabels evaluation
 /// points, so `out[p] = in[table[p]]` with no sign corrections. Bit-exact
-/// counterpart of coefficient-domain RnsPoly::automorphism + NTT (tested
-/// in tests/test_keyswitch.cpp). Requires an odd @p galois_elt < 2N.
+/// counterpart of the coefficient-domain map X -> X^g followed by the NTT
+/// (tested in tests/test_keyswitch.cpp). The one automorphism in src/:
+/// Galois keygen and rotation both use it. Requires an odd
+/// @p galois_elt < 2N.
 void build_galois_eval_table(int log_n, u32 galois_elt,
                              std::vector<u32>& table);
 

@@ -199,12 +199,13 @@ void pack_ciphertext(std::span<u8> frame, const Ciphertext& ct,
 
 // Key headers: magic u32, bits u8, kind u8, compressed u8, limbs u16,
 // log_n u8, galois_elt u32, stream_id u64, checksum u32 = 26 bytes. The
-// checksum covers every header field after the magic: compressed keys
-// regenerate their uniform halves from the header's stream metadata, so a
-// corrupted stream id or Galois element would otherwise silently restore
-// *different* key material. (Payload bits are only guarded
-// probabilistically by the residue range checks, the same contract as
-// ciphertexts — transport-level integrity is the carrier's job.)
+// compressed byte is always 1: every key frame is seed-compressed, and a
+// reader rejects 0. The checksum covers every header field after the
+// magic: keys regenerate their uniform halves from the header's stream
+// metadata, so a corrupted stream id or Galois element would otherwise
+// silently restore *different* key material. (Payload bits are only
+// guarded probabilistically by the residue range checks, the same contract
+// as ciphertexts — transport-level integrity is the carrier's job.)
 constexpr std::size_t kKeyHeaderBytes = 26;
 
 // The wire kind byte; the switching kinds share KeySwitchKey::Kind's values.
@@ -216,7 +217,6 @@ static_assert(
 struct KeyHeader {
   int bits_per_coeff = 0;
   KeyKind kind = KeyKind::kRelin;
-  bool compressed = false;
   std::size_t limbs = 0;
   int log_n = 0;
   u32 galois_elt = 0;
@@ -225,7 +225,7 @@ struct KeyHeader {
   u32 checksum() const {
     u64 h = 0xcbf29ce484222325ull;  // FNV-1a over the field values
     for (const u64 v : {static_cast<u64>(bits_per_coeff),
-                        static_cast<u64>(kind), u64{compressed}, u64{limbs},
+                        static_cast<u64>(kind), u64{1}, u64{limbs},
                         static_cast<u64>(log_n), u64{galois_elt}, stream_id}) {
       h ^= v;
       h *= 0x100000001b3ull;
@@ -234,14 +234,15 @@ struct KeyHeader {
   }
 };
 
-/// Reads a key header and checks it against @p ctx: keys carry full limbs.
+/// Reads a key header and checks it against @p ctx: keys are
+/// seed-compressed and carry full limbs.
 KeyHeader read_key_header(WireReader& r, const CkksContext& ctx) {
   ABC_FAILPOINT(fail::points::kDeserializeKey);
   ABC_CHECK_ARG(r.get<u32>() == kKeyMagic, "bad key magic");
   KeyHeader h;
   h.bits_per_coeff = r.get<u8>();
   h.kind = static_cast<KeyKind>(r.get<u8>());
-  h.compressed = r.flag();
+  ABC_CHECK_ARG(r.flag(), "key frame is not seed-compressed");
   h.limbs = r.get<u16>();
   h.log_n = r.get<u8>();
   h.galois_elt = r.get<u32>();
@@ -253,10 +254,22 @@ KeyHeader read_key_header(WireReader& r, const CkksContext& ctx) {
   return h;
 }
 
-/// Wire sizes of a key each of whose halves packs @p half_bits bits.
-KeySizeReport key_sizes(std::size_t half_bits) {
-  return KeySizeReport{kKeyHeaderBytes + (half_bits + 7) / 8,
-                       kKeyHeaderBytes + (2 * half_bits + 7) / 8};
+/// A switching key's kind and Galois element: relin keys carry element 0,
+/// Galois keys an odd element below 2N.
+void check_switch_kind(const CkksContext& ctx, KeyKind kind, u32 galois_elt) {
+  ABC_CHECK_ARG(kind == KeyKind::kRelin || kind == KeyKind::kGalois,
+                "not a key-switching key");
+  if (kind == KeyKind::kGalois) {
+    ABC_CHECK_ARG((galois_elt & 1u) != 0 && galois_elt < 2 * ctx.n(),
+                  "invalid galois element");
+  } else {
+    ABC_CHECK_ARG(galois_elt == 0, "relin key with galois element");
+  }
+}
+
+/// Bytes of @p words residues packed at @p bits bits each.
+std::size_t packed_bytes(std::size_t words, int bits) {
+  return (words * static_cast<std::size_t>(bits) + 7) / 8;
 }
 
 PrngDomain ksk_salted_a_domain(const KeySwitchKey& key) {
@@ -294,10 +307,10 @@ void check_key_shape(const KeySwitchKey& key) {
 }
 
 /// True when every a[d] is the uniform polynomial regenerated from the
-/// context seed at (@p domain, @p base_stream_id + d). The compressed forms
-/// drop the uniform halves, so they must prove this first — otherwise a
-/// key whose uniform halves did not come from this context's seed (or
-/// whose in-memory stream metadata was mangled) would serialize fine and
+/// context seed at (@p domain, @p base_stream_id + d). Key frames drop the
+/// uniform halves, so the writer must prove this first — otherwise a key
+/// whose uniform halves did not come from this context's seed (or whose
+/// in-memory stream metadata was mangled) would serialize fine and
 /// restore as different key material.
 bool regenerable(const CkksContext& ctx, std::span<const poly::RnsPoly> a,
                  PrngDomain domain, u64 base_stream_id) {
@@ -315,18 +328,21 @@ bool regenerable(const CkksContext& ctx, std::span<const poly::RnsPoly> a,
   return true;
 }
 
-/// Packs a key frame: @p h, every b half, then every a half unless the
-/// frame is compressed.
-std::vector<u8> pack_key(const KeyHeader& h, const KeySizeReport& sizes,
-                         std::span<const poly::RnsPoly> b,
-                         std::span<const poly::RnsPoly> a) {
-  std::vector<u8> out(h.compressed ? sizes.compressed_bytes
-                                   : sizes.full_bytes);
+constexpr const char* kNotRegenerable =
+    "uniform half not regenerable from (seed, stream id)";
+
+/// Packs a key frame: @p h, then the b half of every digit.
+std::vector<u8> pack_key(const KeyHeader& h,
+                         std::span<const poly::RnsPoly> b) {
+  check_pack_width(h.bits_per_coeff);
+  std::vector<u8> out(kKeyHeaderBytes +
+                      packed_bytes(b.size() * h.limbs * b.front().n(),
+                                   h.bits_per_coeff));
   WireWriter w(out);
   w.put<u32>(kKeyMagic);
   w.put<u8>(static_cast<u64>(h.bits_per_coeff));
   w.put<u8>(static_cast<u64>(h.kind));
-  w.put<u8>(h.compressed);
+  w.put<u8>(1);  // seed-compressed
   w.put<u16>(h.limbs);
   w.put<u8>(static_cast<u64>(h.log_n));
   w.put<u32>(h.galois_elt);
@@ -334,32 +350,19 @@ std::vector<u8> pack_key(const KeyHeader& h, const KeySizeReport& sizes,
   w.put<u32>(h.checksum());
   BitPacker packer(w.body());
   for (const poly::RnsPoly& p : b) pack_poly(packer, p, h.bits_per_coeff);
-  if (!h.compressed) {
-    for (const poly::RnsPoly& p : a) pack_poly(packer, p, h.bits_per_coeff);
-  }
   packer.finish();
   return out;
 }
 
-constexpr const char* kNotRegenerable =
-    "uniform half not regenerable from (seed, stream id); serialize with "
-    "compressed = false";
-
 /// Builds a key of @p digits full-limb digits from @p shell's kind, Galois
 /// element and base stream id: the b digits are read from @p b, the a
-/// digits from @p a, or — when @p a is null — regenerated from the salted
-/// stream at (base_stream_id + digit). The wire reader and the resident
-/// record's expansion share it, so both restore the same key bit for bit.
+/// digits regenerated from the salted stream at (base_stream_id + digit).
+/// The wire reader and the resident record's expansion share it, so both
+/// restore the same key bit for bit.
 KeySwitchKey build_key_switch_key(const CkksContext& ctx, KeySwitchKey shell,
                                   std::size_t digits, int bits,
-                                  BitUnpacker& b, BitUnpacker* a) {
-  if (shell.kind == KeySwitchKey::Kind::kGalois) {
-    ABC_CHECK_ARG((shell.galois_elt & 1u) != 0 &&
-                      shell.galois_elt < 2 * ctx.n(),
-                  "invalid galois element");
-  } else {
-    ABC_CHECK_ARG(shell.galois_elt == 0, "relin key with galois element");
-  }
+                                  BitUnpacker& b) {
+  check_switch_kind(ctx, static_cast<KeyKind>(shell.kind), shell.galois_elt);
   const PrngDomain domain = ksk_salted_a_domain(shell);
   shell.b.reserve(digits);
   shell.a.reserve(digits);
@@ -371,12 +374,7 @@ KeySwitchKey build_key_switch_key(const CkksContext& ctx, KeySwitchKey shell,
   for (std::size_t d = 0; d < digits; ++d) {
     shell.a.push_back(
         ctx.make_poly_for_overwrite(ctx.max_limbs(), poly::Domain::kEval));
-    if (a != nullptr) {
-      unpack_poly(ctx, *a, shell.a.back(), bits);
-    } else {
-      fill_uniform_eval(ctx, shell.a.back(), domain,
-                        shell.base_stream_id + d);
-    }
+    fill_uniform_eval(ctx, shell.a.back(), domain, shell.base_stream_id + d);
   }
   return shell;
 }
@@ -621,19 +619,17 @@ std::vector<Ciphertext> deserialize_ciphertext_batch(
 
 std::vector<u8> serialize_key_switch_key(
     const std::shared_ptr<const CkksContext>& ctx, const KeySwitchKey& key,
-    int bits_per_coeff, bool compressed) {
+    int bits_per_coeff) {
   ABC_CHECK_ARG(ctx != nullptr, "null context");
   check_key_shape(key);
-  ABC_CHECK_ARG(!compressed || regenerable(*ctx, key.a,
-                                           ksk_salted_a_domain(key),
-                                           key.base_stream_id),
+  ABC_CHECK_ARG(regenerable(*ctx, key.a, ksk_salted_a_domain(key),
+                            key.base_stream_id),
                 kNotRegenerable);
-  check_pack_width(bits_per_coeff);
   const poly::RnsPoly& first = key.b.front();
   return pack_key(KeyHeader{bits_per_coeff, static_cast<KeyKind>(key.kind),
-                            compressed, first.limbs(), log2_exact(first.n()),
+                            first.limbs(), log2_exact(first.n()),
                             key.galois_elt, key.base_stream_id},
-                  key_switch_key_sizes(key, bits_per_coeff), key.b, key.a);
+                  key.b);
 }
 
 KeySwitchKey deserialize_key_switch_key(
@@ -641,62 +637,55 @@ KeySwitchKey deserialize_key_switch_key(
     std::span<const u8> bytes) {
   WireReader r(bytes);
   const KeyHeader h = read_key_header(r, *ctx);
-  ABC_CHECK_ARG(h.kind == KeyKind::kRelin || h.kind == KeyKind::kGalois,
-                "not a key-switching key");
   BitUnpacker unpacker(r.rest());
   KeySwitchKey key = build_key_switch_key(
       *ctx,
       KeySwitchKey{static_cast<KeySwitchKey::Kind>(h.kind), h.galois_elt,
                    h.stream_id, {}, {}},
-      h.limbs, h.bits_per_coeff, unpacker,
-      h.compressed ? nullptr : &unpacker);
+      h.limbs, h.bits_per_coeff, unpacker);
   r.skip_bits(unpacker.bits_consumed());
   r.expect_end();
   return key;
 }
 
 CompressedKeySwitchKey compress_key_switch_key(
-    const std::shared_ptr<const CkksContext>& ctx, const KeySwitchKey& key) {
+    const std::shared_ptr<const CkksContext>& ctx, std::span<const u8> frame) {
   ABC_CHECK_ARG(ctx != nullptr, "null context");
-  check_key_shape(key);
-  const std::size_t limbs = ctx->max_limbs();
-  ABC_CHECK_ARG(key.digits() == limbs,
-                "key limb count does not match the context");
+  WireReader r(frame);
+  const KeyHeader h = read_key_header(r, *ctx);
+  check_switch_kind(*ctx, h.kind, h.galois_elt);
+  const std::size_t limbs = h.limbs;
   const int bits = chain_prime_bits(*ctx);
 
   CompressedKeySwitchKey out;
-  out.kind = key.kind;
-  out.galois_elt = key.galois_elt;
-  out.base_stream_id = key.base_stream_id;
+  out.kind = static_cast<KeySwitchKey::Kind>(h.kind);
+  out.galois_elt = h.galois_elt;
+  out.base_stream_id = h.stream_id;
   out.limbs = static_cast<u16>(limbs);
   // The hybrid accumulation never reads digit L-1 (levels stop at L-1 and
   // digit indices at level-1), so the resident form drops it. A 1-limb
   // chain cannot key-switch at all; keep its single digit for shape.
-  out.stored_digits =
-      static_cast<u16>(key.digits() > 1 ? key.digits() - 1 : key.digits());
+  out.stored_digits = static_cast<u16>(limbs > 1 ? limbs - 1 : limbs);
   out.bits_per_coeff = static_cast<u8>(bits);
 
-  // Every kept digit is limbs * n words at the prime width, packed back to
-  // back with no header.
-  const auto pack_half = [&](const std::vector<poly::RnsPoly>& half) {
-    std::vector<u8> packed(
-        (out.stored_digits * limbs * ctx->n() * static_cast<std::size_t>(bits) +
-         7) / 8);
-    BitPacker packer(packed);
-    for (std::size_t d = 0; d < out.stored_digits; ++d) {
-      pack_poly(packer, half[d], bits);
+  // One limb at a time: every residue of every digit, the dropped one
+  // included, is range-checked against its prime; the kept digits are
+  // repacked back to back at the prime width with no header.
+  out.packed_b.resize(
+      packed_bytes(out.stored_digits * limbs * ctx->n(), bits));
+  BitUnpacker in(r.rest());
+  BitPacker packer(out.packed_b);
+  std::vector<u64> limb(ctx->n());
+  for (std::size_t d = 0; d < limbs; ++d) {
+    for (std::size_t l = 0; l < limbs; ++l) {
+      in.read_run(limb, h.bits_per_coeff,
+                  ctx->poly_context()->modulus(l).value());
+      if (d < out.stored_digits) packer.append_run(limb, bits);
     }
-    packer.finish();
-    return packed;
-  };
-  out.packed_b = pack_half(key.b);
-  // A key whose kept a digits are not regenerable from the stream metadata
-  // keeps them packed instead (bigger, but never silently expands to
-  // different key material).
-  if (!regenerable(*ctx, std::span(key.a).first(out.stored_digits),
-                   ksk_salted_a_domain(key), key.base_stream_id)) {
-    out.packed_a = pack_half(key.a);
   }
+  packer.finish();
+  r.skip_bits(in.bits_consumed());
+  r.expect_end();
   return out;
 }
 
@@ -710,28 +699,23 @@ KeySwitchKey expand_key_switch_key(
                 "compressed key digit count out of range");
   check_pack_width(rec.bits_per_coeff);
   BitUnpacker b(rec.packed_b);
-  BitUnpacker a(rec.packed_a);
   return build_key_switch_key(
       *ctx, KeySwitchKey{rec.kind, rec.galois_elt, rec.base_stream_id, {}, {}},
-      rec.stored_digits, rec.bits_per_coeff, b,
-      rec.packed_a.empty() ? nullptr : &a);
+      rec.stored_digits, rec.bits_per_coeff, b);
 }
 
 std::vector<u8> serialize_public_key(
     const std::shared_ptr<const CkksContext>& ctx, const PublicKey& pk,
-    int bits_per_coeff, bool compressed) {
+    int bits_per_coeff) {
   ABC_CHECK_ARG(ctx != nullptr, "null context");
   ABC_CHECK_ARG(pk.a.limbs() == pk.b.limbs(),
                 "public key halves must carry the same limb count");
-  ABC_CHECK_ARG(!compressed || regenerable(*ctx, {&pk.a, 1},
-                                           PrngDomain::kPublicA, pk.stream_id),
+  ABC_CHECK_ARG(regenerable(*ctx, {&pk.a, 1}, PrngDomain::kPublicA,
+                            pk.stream_id),
                 kNotRegenerable);
-  check_pack_width(bits_per_coeff);
-  return pack_key(KeyHeader{bits_per_coeff, KeyKind::kPublic, compressed,
-                            pk.b.limbs(), log2_exact(pk.b.n()), 0,
-                            pk.stream_id},
-                  public_key_sizes(pk, bits_per_coeff), {&pk.b, 1},
-                  {&pk.a, 1});
+  return pack_key(KeyHeader{bits_per_coeff, KeyKind::kPublic, pk.b.limbs(),
+                            log2_exact(pk.b.n()), 0, pk.stream_id},
+                  {&pk.b, 1});
 }
 
 PublicKey deserialize_public_key(
@@ -743,32 +727,16 @@ PublicKey deserialize_public_key(
   ABC_CHECK_ARG(h.galois_elt == 0, "public key with galois element");
 
   BitUnpacker unpacker(r.rest());
-  // Both are written whole: unpacked, or a regenerated from its seed.
+  // Both are written whole: b unpacked, a regenerated from its seed.
   poly::RnsPoly b =
       ctx->make_poly_for_overwrite(h.limbs, poly::Domain::kEval);
   unpack_poly(*ctx, unpacker, b, h.bits_per_coeff);
   poly::RnsPoly a =
       ctx->make_poly_for_overwrite(h.limbs, poly::Domain::kEval);
-  if (h.compressed) {
-    fill_uniform_eval(*ctx, a, PrngDomain::kPublicA, h.stream_id);
-  } else {
-    unpack_poly(*ctx, unpacker, a, h.bits_per_coeff);
-  }
+  fill_uniform_eval(*ctx, a, PrngDomain::kPublicA, h.stream_id);
   r.skip_bits(unpacker.bits_consumed());
   r.expect_end();
   return PublicKey{std::move(b), std::move(a), h.stream_id};
-}
-
-KeySizeReport key_switch_key_sizes(const KeySwitchKey& key,
-                                   int bits_per_coeff) {
-  ABC_CHECK_ARG(!key.b.empty(), "empty key-switching key");
-  return key_sizes(key.digits() * key.b.front().limbs() * key.b.front().n() *
-                   static_cast<std::size_t>(bits_per_coeff));
-}
-
-KeySizeReport public_key_sizes(const PublicKey& pk, int bits_per_coeff) {
-  return key_sizes(pk.b.limbs() * pk.b.n() *
-                   static_cast<std::size_t>(bits_per_coeff));
 }
 
 // -- serving-daemon framing -------------------------------------------------

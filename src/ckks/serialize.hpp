@@ -7,19 +7,19 @@
 /// traffic the simulator accounts for.
 ///
 /// Seed-compressed forms ship only what a holder of the context seed cannot
-/// regenerate: a ciphertext drops its uniform c1 in favor of the PRNG
-/// stream id, a public key drops `a`, and a key-switching key drops every
-/// per-digit a_d in favor of one base stream id. At bootstrappable
-/// parameter sizes this halves key upload traffic (see KeySizeReport),
-/// which is exactly why the paper's client generates keys next to the
-/// on-chip PRNG.
+/// regenerate: a ciphertext may drop its uniform c1 in favor of the PRNG
+/// stream id, a public key always drops `a`, and a key-switching key
+/// always drops every per-digit a_d in favor of one base stream id. This
+/// halves key upload traffic, which is exactly why the paper's client
+/// generates keys next to the on-chip PRNG.
 ///
-/// Reader contract, shared by every deserialize_*: the bytes are untrusted.
-/// A truncation, a trailing byte, a length or count that does not add up,
-/// or a flag byte outside {0, 1} is an InvalidArgument, and every length
-/// or count is checked against the bytes left before anything is
-/// allocated. A frame that parses re-serializes to exactly its own bytes:
-/// every value has one encoding.
+/// Reader contract, shared by every deserialize_* and by
+/// compress_key_switch_key: the bytes are untrusted. A truncation, a
+/// trailing byte, a length or count that does not add up, or a flag byte
+/// outside {0, 1} (outside {1} for a key frame) is an InvalidArgument, and
+/// every length or count is checked against the bytes left before
+/// anything is allocated. A frame that parses re-serializes to exactly its
+/// own bytes: every value has one encoding.
 
 #include <cstddef>
 #include <span>
@@ -176,20 +176,26 @@ std::vector<u8> serialize_key_bundle(const KeyBundleFrames& bundle);
 KeyBundleFrames deserialize_key_bundle(std::span<const u8> bytes);
 
 // -- key material -----------------------------------------------------------
+//
+// Every key frame ("ABCK" magic) is seed-compressed: it ships the b half of
+// each digit plus the PRNG stream metadata, and a reader regenerates every
+// uniform a half from the context seed. Every reader holds that seed — it
+// is part of CkksParams — so no frame carries a halves. The header's
+// compressed byte stays on the wire and is always 1; a reader rejects 0.
 
-/// Serializes a key-switching key. Compressed form ships the b halves plus
-/// the base stream id; the a halves are regenerated on load from the
-/// kind's salted stream domain at (base + digit). Before dropping them,
-/// the writer regenerates every a_d from @p ctx and verifies it matches —
-/// a key whose uniform halves did not come from this context's seed (or
-/// whose stream metadata was tampered with) throws InvalidArgument
-/// instead of silently round-tripping to a different key. Pass
-/// compressed = false to materialize both halves (a reader without the
-/// seed).
+/// Serializes a key-switching key: the b halves plus the base stream id;
+/// a reader regenerates a_d from the kind's salted stream domain at
+/// (base + digit). Before dropping the a halves the writer regenerates
+/// every a_d from @p ctx and verifies it matches — a key whose uniform
+/// halves did not come from this context's seed (or whose stream metadata
+/// was tampered with) throws InvalidArgument instead of silently
+/// round-tripping to a different key.
 std::vector<u8> serialize_key_switch_key(
     const std::shared_ptr<const CkksContext>& ctx, const KeySwitchKey& key,
-    int bits_per_coeff = 44, bool compressed = true);
+    int bits_per_coeff = 44);
 
+/// Reads a key-switching key frame and regenerates its a halves: every
+/// digit, both halves, ready to switch with.
 KeySwitchKey deserialize_key_switch_key(
     const std::shared_ptr<const CkksContext>& ctx, std::span<const u8> bytes);
 
@@ -200,11 +206,9 @@ KeySwitchKey deserialize_key_switch_key(
 /// metadata the a halves regenerate from. Two storage savings over the
 /// expanded in-memory form (2 halves x L digits x L limbs x n x 8 bytes):
 ///
-///  * the uniform a halves are dropped entirely when they prove
-///    regenerable from (seed, salted domain, base_stream_id + digit) —
-///    the same proof seed-compressed serialization performs; keys whose a
-///    halves are foreign fall back to packing them explicitly, so
-///    registration never rejects a key the wire formats accept;
+///  * the uniform a halves are never held — the wire frame does not carry
+///    them, and expansion regenerates them from (seed, salted domain,
+///    base_stream_id + digit);
 ///  * the *last* gadget digit is dropped outright: hybrid key switching
 ///    reserves the last prime P as the special modulus, so switchable
 ///    ciphertexts sit at level <= L-1 and the accumulation only ever
@@ -223,12 +227,9 @@ struct CompressedKeySwitchKey {
   u16 stored_digits = 0;  // digits kept: L - 1 (all, when L == 1)
   u8 bits_per_coeff = 0;  // packing width = the chain's max prime width
   std::vector<u8> packed_b;  // digit-major, limb-major bit-packed b halves
-  std::vector<u8> packed_a;  // empty when a is seed-regenerable
 
-  /// Bytes this record keeps resident (the packed payloads).
-  std::size_t resident_bytes() const noexcept {
-    return packed_b.size() + packed_a.size();
-  }
+  /// Bytes this record keeps resident (the packed payload).
+  std::size_t resident_bytes() const noexcept { return packed_b.size(); }
 
   /// Bytes the eagerly expanded key held in memory (both halves, all L
   /// digits, full limbs, 8-byte words) — the baseline the resident-memory
@@ -238,46 +239,30 @@ struct CompressedKeySwitchKey {
   }
 };
 
-/// Builds the resident record from an expanded key: packs the kept b
-/// digits at the prime width and proves each kept a digit regenerable
-/// (falling back to packing a when not). Throws InvalidArgument on a
-/// malformed key (mismatched halves, digits != limbs).
+/// Builds the resident record straight from a key-switching key frame,
+/// with no expanded key and no uniform fill: reads the header (the same
+/// checks as deserialize_key_switch_key), range-checks every residue of
+/// every digit — the dropped last digit included — one limb at a time,
+/// and repacks the kept digits at the prime width. Throws InvalidArgument
+/// on exactly the frames deserialize_key_switch_key rejects.
 CompressedKeySwitchKey compress_key_switch_key(
-    const std::shared_ptr<const CkksContext>& ctx, const KeySwitchKey& key);
+    const std::shared_ptr<const CkksContext>& ctx, std::span<const u8> frame);
 
 /// Expands a resident record back to an evaluation-ready key: unpacks b,
-/// regenerates (or unpacks) a. The result carries stored_digits gadget
-/// digits — enough for every switchable level — and is bit-identical on
-/// those digits to the key compress_key_switch_key consumed.
+/// regenerates a. The result carries stored_digits gadget digits — enough
+/// for every switchable level — and is bit-identical on those digits to
+/// the key deserialize_key_switch_key restores from the same frame.
 KeySwitchKey expand_key_switch_key(
     const std::shared_ptr<const CkksContext>& ctx,
     const CompressedKeySwitchKey& key);
 
-/// Serializes a public key; compressed form ships b + stream id only,
-/// with the same regenerability verification as the switching keys.
+/// Serializes a public key: b plus the stream id, with the same
+/// regenerability check as the switching keys.
 std::vector<u8> serialize_public_key(
     const std::shared_ptr<const CkksContext>& ctx, const PublicKey& pk,
-    int bits_per_coeff = 44, bool compressed = true);
+    int bits_per_coeff = 44);
 
 PublicKey deserialize_public_key(
     const std::shared_ptr<const CkksContext>& ctx, std::span<const u8> bytes);
-
-/// Wire sizes of a key in both forms — the client-upload story at a
-/// glance. Computed analytically from the packing layout; exact (tested
-/// against the byte streams the serializers emit).
-struct KeySizeReport {
-  std::size_t compressed_bytes = 0;
-  std::size_t full_bytes = 0;
-  double ratio() const {
-    return compressed_bytes == 0
-               ? 0.0
-               : static_cast<double>(full_bytes) /
-                     static_cast<double>(compressed_bytes);
-  }
-};
-
-KeySizeReport key_switch_key_sizes(const KeySwitchKey& key,
-                                   int bits_per_coeff = 44);
-KeySizeReport public_key_sizes(const PublicKey& pk, int bits_per_coeff = 44);
 
 }  // namespace abc::ckks

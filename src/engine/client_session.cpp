@@ -31,7 +31,7 @@ ClientSession::ClientSession(std::shared_ptr<const ckks::CkksContext> ctx,
       encryptor_(config_.mode == ckks::EncryptMode::kPublicKey
                      ? ckks::Encryptor(ctx_, keygen_.public_key(sk_))
                      : ckks::Encryptor(ctx_, sk_)),
-      decryptor_(ctx_, sk_) {}
+      decryptor_(sk_) {}
 
 const KeyBundle& ClientSession::key_bundle() {
   if (!key_bundle_) {

@@ -130,8 +130,8 @@ struct MetricsSnapshot {
 // -- metric catalog -----------------------------------------------------------
 // Every instrumented name in the tree. Like the failpoint catalog: a
 // metric absent here is a metric no scrape check guards, so additions
-// belong here, in tools/check_stats_scrape.py, and in the
-// docs/ARCHITECTURE.md table. The global registry pre-registers every
+// belong here (tools/check_stats_scrape.py reads kAll from this file) and
+// in the docs/ARCHITECTURE.md table. The global registry pre-registers every
 // entry so a scrape always emits the full catalog (zero-valued until the
 // owning subsystem comes up).
 

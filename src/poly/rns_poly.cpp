@@ -201,31 +201,6 @@ void RnsPoly::drop_last_limb() {
   data_.resize(limbs_ * n());
 }
 
-RnsPoly RnsPoly::automorphism(u32 galois_elt) const {
-  ABC_CHECK_ARG(domain_ == Domain::kCoeff,
-                "automorphism requires coefficient domain");
-  const std::size_t two_n = 2 * n();
-  ABC_CHECK_ARG((galois_elt & 1u) != 0 && galois_elt < two_n,
-                "galois element must be odd and < 2N");
-  // i -> i*g mod N is a bijection for odd g: every word of out is written.
-  RnsPoly out(ctx_, limbs_, domain_, kForOverwrite);
-  for_each_limb(*ctx_, limbs_, [&](std::size_t l) {
-    const rns::Modulus& q = ctx_->modulus(l);
-    const std::span<const u64> src = limb(l);
-    const std::span<u64> dst = out.limb(l);
-    std::size_t idx = 0;  // i * g mod 2N, maintained incrementally
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      if (idx < n()) {
-        dst[idx] = src[i];
-      } else {
-        dst[idx - n()] = q.negate(src[i]);
-      }
-      idx = (idx + galois_elt) & (two_n - 1);
-    }
-  });
-  return out;
-}
-
 RnsPoly RnsPoly::prefix_copy(std::size_t limbs) const {
   ABC_CHECK_ARG(limbs >= 1 && limbs <= limbs_, "prefix limb count invalid");
   RnsPoly out(ctx_, limbs, domain_, kForOverwrite);

@@ -111,14 +111,6 @@ class RnsPoly {
   /// Drop the last limb (rescale bookkeeping; data is truncated).
   void drop_last_limb();
 
-  /// Galois automorphism sigma_g: X -> X^g over Z[X]/(X^N + 1), applied in
-  /// the coefficient domain. Coefficient i lands at position i*g mod 2N,
-  /// negated when it falls in the upper half (X^N = -1). Requires an odd
-  /// @p galois_elt < 2N (the valid automorphism group); limbs fan out
-  /// across the backend with one limb per worker, so the result is
-  /// bit-identical for any worker count.
-  RnsPoly automorphism(u32 galois_elt) const;
-
   /// Deep copy with fewer limbs (prefix).
   RnsPoly prefix_copy(std::size_t limbs) const;
 

@@ -73,13 +73,14 @@ TenantSession parse_tenant_bundle(
   ABC_CHECK_ARG(ctx != nullptr, "null context");
   TenantSession session;
   session.ctx = ctx;
-  // Deserialized for validation only (tamper checks, regenerability
-  // proof), then dropped: the daemon never encrypts under a tenant key.
+  // Deserialized for validation only (tamper and range checks), then
+  // dropped: the daemon never encrypts under a tenant key.
   (void)deserialize_public_key(ctx, bundle.public_key);
-  ckks::KeySwitchKey rlk = deserialize_key_switch_key(ctx, bundle.relin_key);
-  ABC_CHECK_ARG(rlk.kind == ckks::KeySwitchKey::Kind::kRelin,
+  // The switching keys go straight from their frames to resident records:
+  // no key is expanded and no uniform half is regenerated here.
+  session.rlk = ckks::compress_key_switch_key(ctx, bundle.relin_key);
+  ABC_CHECK_ARG(session.rlk.kind == ckks::KeySwitchKey::Kind::kRelin,
                 "bundle relin slot holds a non-relin key");
-  session.rlk = ckks::compress_key_switch_key(ctx, rlk);
 
   // Recover each Galois key's rotation step from its group element: walk
   // g = 3^s mod 2N once (the generator the encoder's slot order is built
@@ -98,7 +99,7 @@ TenantSession parse_tenant_bundle(
   session.gk_steps.reserve(bundle.galois_keys.size());
   session.gks.reserve(bundle.galois_keys.size());
   for (const std::vector<u8>& blob : bundle.galois_keys) {
-    ckks::KeySwitchKey gk = deserialize_key_switch_key(ctx, blob);
+    ckks::CompressedKeySwitchKey gk = ckks::compress_key_switch_key(ctx, blob);
     ABC_CHECK_ARG(gk.kind == ckks::KeySwitchKey::Kind::kGalois,
                   "bundle Galois slot holds a non-Galois key");
     const auto it = elt_to_step.find(gk.galois_elt);
@@ -106,7 +107,7 @@ TenantSession parse_tenant_bundle(
                   "Galois element is not a slot rotation for these "
                   "parameters");
     session.gk_steps.push_back(it->second);
-    session.gks.push_back(ckks::compress_key_switch_key(ctx, gk));
+    session.gks.push_back(std::move(gk));
   }
   return session;
 }

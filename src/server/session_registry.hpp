@@ -3,7 +3,7 @@
 /// @file session_registry.hpp
 /// Multi-tenant state of the serving daemon: the warm CkksContext cache
 /// keyed by parameter set, and the registry mapping tenant ids to their
-/// registered (seed-compressed, now expanded) key material.
+/// registered seed-compressed key records.
 ///
 /// Cache semantics the tests pin down:
 ///  * two tenants with the *same* parameter set share one context — one
@@ -96,9 +96,10 @@ struct TenantSession {
 /// deserialized (full tamper validation) and dropped; the relinearization
 /// key and the Galois keys — rotation steps recovered from their Galois
 /// elements (the "ABCK" blobs carry 3^step mod 2N, not the step) — are
-/// re-compressed into resident records. Throws InvalidArgument on any
-/// malformed, tampered or wrong-kind blob — registration is
-/// all-or-nothing.
+/// built into resident records straight from their frames
+/// (ckks::compress_key_switch_key), never expanded. Throws
+/// InvalidArgument on any malformed, tampered or wrong-kind blob —
+/// registration is all-or-nothing.
 TenantSession parse_tenant_bundle(
     const std::shared_ptr<const ckks::CkksContext>& ctx,
     const ckks::KeyBundleFrames& bundle);

@@ -6,7 +6,8 @@
 // temporary or deep copy (one polynomial is many limbs) while leaving room
 // for small bookkeeping (a pool task, sampler tables). A second counter
 // tracks the bytes still live (malloc_usable_size of each block), which is
-// what a long-lived object such as a context holds.
+// what a long-lived object such as a context holds, and a third the
+// highest value the live count reached.
 
 #include <gtest/gtest.h>
 
@@ -27,14 +28,25 @@
 #include "ckks/evaluator.hpp"
 #include "engine/client_session.hpp"
 #include "rns/ntt_prime.hpp"
+#include "server/session_registry.hpp"
 
 namespace {
 
 std::atomic<std::size_t> g_allocated_bytes{0};
 std::atomic<std::size_t> g_live_bytes{0};  // wraps; read as differences
+std::atomic<std::size_t> g_peak_live_bytes{0};
 
 void* track_live(void* p) noexcept {
-  if (p) g_live_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
+  if (p) {
+    const std::size_t size = malloc_usable_size(p);
+    const std::size_t live =
+        g_live_bytes.fetch_add(size, std::memory_order_relaxed) + size;
+    std::size_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+    while (live > peak &&
+           !g_peak_live_bytes.compare_exchange_weak(
+               peak, live, std::memory_order_relaxed)) {
+    }
+  }
   return p;
 }
 
@@ -114,6 +126,16 @@ std::ptrdiff_t retained_by(F&& f) {
   const std::size_t before = g_live_bytes.load();
   f();
   return static_cast<std::ptrdiff_t>(g_live_bytes.load() - before);
+}
+
+/// The most bytes live at once while @p f runs, above the live count at
+/// its start.
+template <class F>
+std::size_t peak_live_by(F&& f) {
+  const std::size_t before = g_live_bytes.load();
+  g_peak_live_bytes.store(before);
+  f();
+  return g_peak_live_bytes.load() - before;
 }
 
 std::size_t limb_bytes(const CkksContext& ctx) { return ctx.n() * sizeof(u64); }
@@ -278,6 +300,30 @@ TEST(AllocBudget, PaperPointClientSessionRetainsNoKeygenCopies) {
         retained_by([&] { session.emplace(ctx, config); });
     EXPECT_LE(kept, budget) << kept << " B retained";
   }
+}
+
+TEST(AllocBudget, RegistrationHoldsOnlyItsRecordsAndThePublicKey) {
+  // Registering a relin + Galois bundle builds each resident record
+  // straight from its wire frame: at its peak it holds the two records,
+  // the public key it parses for validation and then drops, and a little
+  // scratch (one limb, the rotation-step map). The budget is exactly that
+  // plus 1 MiB; 2.2 MB of records, 0.8 MB of public key. Expanding each
+  // key to prove and repack it, the way registration used to, peaks at
+  // 12.1 MB (Release, x86-64).
+  const auto ctx = CkksContext::create(CkksParams::sweep_point(13, 6));
+  engine::ClientSession client(ctx, engine::SessionConfig{{1}});
+  const engine::KeyBundle& kb = client.key_bundle();
+  const KeyBundleFrames frames{kb.public_key, kb.relin_key, kb.galois_keys};
+  std::optional<server::TenantSession> session;
+  const std::size_t peak = peak_live_by(
+      [&] { session.emplace(server::parse_tenant_bundle(ctx, frames)); });
+  ASSERT_EQ(session->gks.size(), 1u);
+  const std::size_t records =
+      session->rlk.resident_bytes() + session->gks[0].resident_bytes();
+  const std::size_t public_key = 2 * ctx->max_limbs() * limb_bytes(*ctx);
+  EXPECT_LE(peak, records + public_key + 1024 * 1024)
+      << peak << " B peak, " << records << " B of records";
+  EXPECT_GE(peak, records);
 }
 
 TEST(AllocBudget, CiphertextProductAllocatesOnlyItsOutputs) {

@@ -38,7 +38,7 @@ struct Fixture {
 TEST(CkksEncrypt, PublicKeyRoundtrip) {
   Fixture f;
   Encryptor enc(f.ctx, PublicKey{f.pk.b, f.pk.a, f.pk.stream_id});
-  Decryptor dec(f.ctx, f.sk);
+  Decryptor dec(f.sk);
   const auto slots = random_slots(f.encoder.slots(), 1);
   const Plaintext pt = f.encoder.encode(slots, f.ctx->max_limbs());
   const Ciphertext ct = enc.encrypt(pt);
@@ -53,7 +53,7 @@ TEST(CkksEncrypt, PublicKeyRoundtrip) {
 TEST(CkksEncrypt, SymmetricSeededRoundtrip) {
   Fixture f;
   Encryptor enc(f.ctx, f.sk);
-  Decryptor dec(f.ctx, f.sk);
+  Decryptor dec(f.sk);
   const auto slots = random_slots(f.encoder.slots(), 2);
   const Plaintext pt = f.encoder.encode(slots, f.ctx->max_limbs());
   const Ciphertext ct = enc.encrypt(pt);
@@ -87,7 +87,7 @@ TEST(CkksEncrypt, WrongKeyFailsToDecrypt) {
   KeyGenerator other_gen(f.ctx);
   (void)other_gen.secret_key();           // advance stream
   SecretKey wrong = other_gen.secret_key();
-  Decryptor dec(f.ctx, wrong);
+  Decryptor dec(wrong);
   const auto slots = random_slots(f.encoder.slots(), 4);
   const Plaintext pt = f.encoder.encode(slots, 2);
   const Plaintext decrypted = dec.decrypt(enc.encrypt(pt));
@@ -114,7 +114,7 @@ TEST(CkksEncrypt, LowerLevelEncryption) {
   // Encrypting at 2 limbs (the paper's server-return level).
   Fixture f(10, 4);
   Encryptor enc(f.ctx, f.sk);
-  Decryptor dec(f.ctx, f.sk);
+  Decryptor dec(f.sk);
   const auto slots = random_slots(f.encoder.slots(), 6);
   const Plaintext pt = f.encoder.encode(slots, 2);
   const Ciphertext ct = enc.encrypt(pt);

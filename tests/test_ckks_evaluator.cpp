@@ -33,7 +33,7 @@ struct Fixture {
         keygen(ctx),
         sk(keygen.secret_key()),
         enc(ctx, keygen.public_key(sk)),
-        dec(ctx, sk),
+        dec(sk),
         eval(ctx) {}
 
   std::vector<std::complex<double>> roundtrip(const Ciphertext& ct) {

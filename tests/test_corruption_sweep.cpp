@@ -33,9 +33,13 @@
 #include "ckks/encryptor.hpp"
 #include "ckks/keygen.hpp"
 #include "ckks/serialize.hpp"
+#include "key_frame_forgery.hpp"
 
 namespace abc::ckks {
 namespace {
+
+using testing_ref::reseal_key_header;
+using testing_ref::saturate_word;
 
 struct Fixture {
   std::shared_ptr<const CkksContext> ctx;
@@ -168,6 +172,11 @@ TEST(CorruptionSweep, KeySwitchKeyTruncatedAtSampledBoundaries) {
                     [&](const auto& b) {
                       (void)deserialize_key_switch_key(f.ctx, b);
                     });
+  // The resident record reads the same frame without expanding it.
+  sweep_truncations(good, sampled_boundaries(good.size(), 101),
+                    [&](const auto& b) {
+                      (void)compress_key_switch_key(f.ctx, b);
+                    });
 }
 
 TEST(CorruptionSweep, CiphertextBatchTruncatedAtSampledBoundaries) {
@@ -254,15 +263,6 @@ std::set<std::size_t> last_16_bytes(std::size_t size) {
   return cuts;
 }
 
-/// Sets the @p bits-wide word ending @p end_bits bits into @p bytes to all
-/// ones (>= every prime of the chain, since bits >= the prime width).
-void saturate_word(std::vector<u8>& bytes, std::size_t end_bits, int bits) {
-  for (std::size_t b = end_bits - static_cast<std::size_t>(bits);
-       b < end_bits; ++b) {
-    bytes[b / 8] |= static_cast<u8>(1u << (b % 8));
-  }
-}
-
 /// Saturates the last residue of a frame. Every format packs n * limbs
 /// words per polynomial with n a multiple of 8, so the final residue ends
 /// exactly on the frame's last bit.
@@ -294,23 +294,25 @@ TEST(CorruptionSweep, RunReaderTruncatedInTheLast16BytesAtEveryWidth) {
       (void)deserialize_ciphertext_batch(f.ctx, b);
     });
 
-    for (bool compressed : {true, false}) {
-      const std::vector<u8> pkb =
-          serialize_public_key(f.ctx, pk, bits, compressed);
-      sweep_truncations(pkb, last_16_bytes(pkb.size()), [&](const auto& b) {
-        (void)deserialize_public_key(f.ctx, b);
-      });
-      const std::vector<u8> ksk =
-          serialize_key_switch_key(f.ctx, rlk.key, bits, compressed);
-      sweep_truncations(ksk, last_16_bytes(ksk.size()), [&](const auto& b) {
-        (void)deserialize_key_switch_key(f.ctx, b);
-      });
-    }
+    const std::vector<u8> pkb = serialize_public_key(f.ctx, pk, bits);
+    sweep_truncations(pkb, last_16_bytes(pkb.size()), [&](const auto& b) {
+      (void)deserialize_public_key(f.ctx, b);
+    });
+    // The frame's tail is the dropped last digit: the frame-built record
+    // must still find it cut short.
+    const std::vector<u8> ksk = serialize_key_switch_key(f.ctx, rlk.key, bits);
+    sweep_truncations(ksk, last_16_bytes(ksk.size()), [&](const auto& b) {
+      (void)deserialize_key_switch_key(f.ctx, b);
+    });
+    sweep_truncations(ksk, last_16_bytes(ksk.size()), [&](const auto& b) {
+      (void)compress_key_switch_key(f.ctx, b);
+    });
   }
 
   // The resident key record: its packed b halves go through the same
   // reader when the key cache regenerates a key.
-  const CompressedKeySwitchKey rec = compress_key_switch_key(f.ctx, rlk.key);
+  const CompressedKeySwitchKey rec =
+      compress_key_switch_key(f.ctx, serialize_key_switch_key(f.ctx, rlk.key));
   for (std::size_t len : last_16_bytes(rec.packed_b.size())) {
     CompressedKeySwitchKey cut = rec;
     cut.packed_b.resize(len);
@@ -346,16 +348,29 @@ TEST(CorruptionSweep, OutOfRangeFinalResidueIsRejectedAtEveryWidth) {
     EXPECT_THROW((void)deserialize_ciphertext_batch(f.ctx, bad),
                  InvalidArgument);
 
-    bad = serialize_public_key(f.ctx, pk, bits, false);
+    bad = serialize_public_key(f.ctx, pk, bits);
     saturate_last_word(bad, bits);
     EXPECT_THROW((void)deserialize_public_key(f.ctx, bad), InvalidArgument);
 
-    bad = serialize_key_switch_key(f.ctx, rlk.key, bits, false);
-    saturate_last_word(bad, bits);
-    EXPECT_THROW((void)deserialize_key_switch_key(f.ctx, bad),
-                 InvalidArgument);
+    // A key frame's last residue belongs to the digit the resident record
+    // drops; the one before digit L-1 ends the last kept digit. Both
+    // readers check both.
+    const std::vector<u8> ksk = serialize_key_switch_key(f.ctx, rlk.key, bits);
+    const std::size_t limbs = f.ctx->max_limbs();
+    const std::size_t kept_end =
+        26 * 8 + (limbs - 1) * limbs * f.ctx->n() * static_cast<std::size_t>(bits);
+    for (const std::size_t end : {ksk.size() * 8, kept_end}) {
+      SCOPED_TRACE(end);
+      bad = ksk;
+      saturate_word(bad, end, bits);
+      EXPECT_THROW((void)deserialize_key_switch_key(f.ctx, bad),
+                   InvalidArgument);
+      EXPECT_THROW((void)compress_key_switch_key(f.ctx, bad),
+                   InvalidArgument);
+    }
   }
-  CompressedKeySwitchKey rec = compress_key_switch_key(f.ctx, rlk.key);
+  CompressedKeySwitchKey rec =
+      compress_key_switch_key(f.ctx, serialize_key_switch_key(f.ctx, rlk.key));
   saturate_last_word(rec.packed_b, rec.bits_per_coeff);
   EXPECT_THROW((void)expand_key_switch_key(f.ctx, rec), InvalidArgument);
 }
@@ -392,7 +407,8 @@ TEST(CorruptionSweep, HeaderLimbCountBeyondThePayloadIsRejected) {
   // record claiming more stored digits than its packed halves hold is the
   // key-cache form of the same forgery.
   const RelinKey rlk = f.keygen.relin_key(f.sk);
-  CompressedKeySwitchKey rec = compress_key_switch_key(f.ctx, rlk.key);
+  CompressedKeySwitchKey rec =
+      compress_key_switch_key(f.ctx, serialize_key_switch_key(f.ctx, rlk.key));
   rec.stored_digits = rec.limbs;
   EXPECT_THROW((void)expand_key_switch_key(f.ctx, rec), InvalidArgument);
 }
@@ -446,21 +462,6 @@ std::vector<Field> length_prefixes(const std::vector<u8>& frame,
     pos += 4 + get_le(frame, {pos, 4});
   }
   return out;
-}
-
-/// Recomputes an ABCK header checksum over the header's current bytes:
-/// FNV-1a over the field values after the magic, the compressed byte
-/// mixed as a bool.
-void reseal_key_header(std::vector<u8>& b) {
-  if (b.size() < 26) return;
-  u64 h = 0xcbf29ce484222325ull;
-  for (const u64 v : {get_le(b, {4, 1}), get_le(b, {5, 1}), u64{b[6] != 0},
-                      get_le(b, {7, 2}), get_le(b, {9, 1}), get_le(b, {10, 4}),
-                      get_le(b, {14, 8})}) {
-    h ^= v;
-    h *= 0x100000001b3ull;
-  }
-  put_le(b, {22, 4}, static_cast<u32>(h ^ (h >> 32)));
 }
 
 /// Re-serializes the value a frame parsed to.
@@ -528,10 +529,26 @@ std::vector<WireFormat> wire_formats(Fixture& f) {
   ksk.counts = {{7, 2}};  // limbs
   ksk.key_header = true;
   ksk.parse = [ctx](const std::vector<u8>& b) -> Reencoder {
-    return [ctx, key = deserialize_key_switch_key(ctx, b), bits = b[4],
-            compressed = b[6] != 0] {
-      return serialize_key_switch_key(ctx, key, bits, compressed);
-    };
+    // The frame-built resident record must accept exactly the frames the
+    // expanding reader accepts.
+    bool record_built = true;
+    try {
+      (void)compress_key_switch_key(ctx, b);
+    } catch (const InvalidArgument&) {
+      record_built = false;
+    }
+    try {
+      KeySwitchKey key = deserialize_key_switch_key(ctx, b);
+      EXPECT_TRUE(record_built) << "the reader accepts a frame the record "
+                                   "builder rejects";
+      return [ctx, key = std::move(key), bits = b[4]] {
+        return serialize_key_switch_key(ctx, key, bits);
+      };
+    } catch (const InvalidArgument&) {
+      EXPECT_FALSE(record_built) << "the record builder accepts a frame the "
+                                    "reader rejects";
+      throw;
+    }
   };
 
   WireFormat& abck_pk = out.emplace_back();
@@ -540,9 +557,8 @@ std::vector<WireFormat> wire_formats(Fixture& f) {
   abck_pk.counts = {{7, 2}};
   abck_pk.key_header = true;
   abck_pk.parse = [ctx](const std::vector<u8>& b) -> Reencoder {
-    return [ctx, key = deserialize_public_key(ctx, b), bits = b[4],
-            compressed = b[6] != 0] {
-      return serialize_public_key(ctx, key, bits, compressed);
+    return [ctx, key = deserialize_public_key(ctx, b), bits = b[4]] {
+      return serialize_public_key(ctx, key, bits);
     };
   };
 
@@ -754,6 +770,83 @@ std::string format_name(const ::testing::TestParamInfo<std::size_t>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, SeededMutator,
                          ::testing::Range<std::size_t>(0, 7), format_name);
+
+// -- the frame-built resident record ------------------------------------------
+//
+// Registration builds each resident record straight from its "ABCK" frame
+// (compress_key_switch_key), never through an expanded key. It must refuse
+// every frame the expanding reader refuses, with the header resealed so a
+// forged field reaches the check behind the checksum.
+
+TEST(FrameBuiltRecord, RejectsFlagZeroWrongKindAndForeignHeaders) {
+  Fixture f;
+  const std::vector<u8> rlk =
+      serialize_key_switch_key(f.ctx, f.keygen.relin_key(f.sk).key);
+  const std::vector<u8> pk =
+      serialize_public_key(f.ctx, f.keygen.public_key(f.sk));
+  ASSERT_NO_THROW((void)compress_key_switch_key(f.ctx, rlk));
+
+  const auto forged = [](std::vector<u8> b, std::size_t at, u8 value) {
+    b[at] = value;
+    reseal_key_header(b);
+    return b;
+  };
+  // The flag byte (offset 6): 0 was the uncompressed form and is refused
+  // like any other value but 1, by both key readers.
+  for (const u8 flag : {u8{0}, u8{2}}) {
+    SCOPED_TRACE(static_cast<int>(flag));
+    EXPECT_THROW((void)compress_key_switch_key(f.ctx, forged(rlk, 6, flag)),
+                 InvalidArgument);
+    EXPECT_THROW((void)deserialize_key_switch_key(f.ctx, forged(rlk, 6, flag)),
+                 InvalidArgument);
+    EXPECT_THROW((void)deserialize_public_key(f.ctx, forged(pk, 6, flag)),
+                 InvalidArgument);
+  }
+  // Wrong kind (offset 5): a public-key frame, and kind bytes past the
+  // enum.
+  EXPECT_THROW((void)compress_key_switch_key(f.ctx, pk), InvalidArgument);
+  for (const u8 kind : {u8{2}, u8{3}, u8{0xff}}) {
+    EXPECT_THROW((void)compress_key_switch_key(f.ctx, forged(rlk, 5, kind)),
+                 InvalidArgument);
+  }
+  // A relin kind carrying a Galois element (offset 10), and a frame for
+  // another context.
+  EXPECT_THROW((void)compress_key_switch_key(f.ctx, forged(rlk, 10, 3)),
+               InvalidArgument);
+  const auto other = CkksContext::create(CkksParams::test_small(10, 2));
+  EXPECT_THROW((void)compress_key_switch_key(other, rlk), InvalidArgument);
+  // A trailing byte.
+  std::vector<u8> padded = rlk;
+  padded.push_back(0);
+  EXPECT_THROW((void)compress_key_switch_key(f.ctx, padded), InvalidArgument);
+}
+
+TEST(FrameBuiltRecord, MatchesTheExpandedKeyOnEveryKeptDigitAtEveryWidth) {
+  // The record does not depend on the frame's packing width: it repacks
+  // at the prime width, and expands to the key the reader restores.
+  Fixture f;
+  const KeySwitchKey gk = f.keygen.galois_key(f.sk, 2);
+  const CompressedKeySwitchKey ref =
+      compress_key_switch_key(f.ctx, serialize_key_switch_key(f.ctx, gk));
+  for (int bits : kSeamWidths) {
+    SCOPED_TRACE(bits);
+    const std::vector<u8> frame = serialize_key_switch_key(f.ctx, gk, bits);
+    const CompressedKeySwitchKey rec = compress_key_switch_key(f.ctx, frame);
+    EXPECT_EQ(rec.packed_b, ref.packed_b);
+    EXPECT_EQ(rec.kind, KeySwitchKey::Kind::kGalois);
+    EXPECT_EQ(rec.galois_elt, gk.galois_elt);
+    EXPECT_EQ(rec.base_stream_id, gk.base_stream_id);
+    const KeySwitchKey back = expand_key_switch_key(f.ctx, rec);
+    const KeySwitchKey full = deserialize_key_switch_key(f.ctx, frame);
+    ASSERT_EQ(back.digits(), rec.stored_digits);
+    for (std::size_t d = 0; d < back.digits(); ++d) {
+      for (std::size_t l = 0; l < back.b[d].limbs(); ++l) {
+        EXPECT_TRUE(std::ranges::equal(back.b[d].limb(l), full.b[d].limb(l)));
+        EXPECT_TRUE(std::ranges::equal(back.a[d].limb(l), full.a[d].limb(l)));
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace abc::ckks

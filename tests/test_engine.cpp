@@ -94,7 +94,7 @@ TEST_P(EngineRoundtrip, BatchEncryptDecryptRecoversMessages) {
       params, std::make_shared<backend::ThreadPoolBackend>(4));
   ClientSession session(
       ctx, SessionConfig{.mode = ckks::EncryptMode::kPublicKey});
-  ckks::Decryptor dec(ctx, session.secret_key());
+  ckks::Decryptor dec(session.secret_key());
   ckks::CkksEncoder encoder(ctx);
 
   const auto msgs = random_batch(5, ctx->slots(), 7 + log_n);
@@ -116,7 +116,7 @@ TEST(Engine, SymmetricBatchRoundtripAndCompression) {
   auto ctx = ckks::CkksContext::create(
       params, std::make_shared<backend::ThreadPoolBackend>(2));
   ClientSession session(ctx);
-  ckks::Decryptor dec(ctx, session.secret_key());
+  ckks::Decryptor dec(session.secret_key());
   ckks::CkksEncoder encoder(ctx);
 
   const auto msgs = random_batch(4, ctx->slots(), 99);
@@ -165,7 +165,7 @@ TEST(Engine, MixedSingleAndBatchSharesCounter) {
   auto ctx = ckks::CkksContext::create(
       params, std::make_shared<backend::ThreadPoolBackend>(2));
   ClientSession session(ctx);
-  ckks::Decryptor dec(ctx, session.secret_key());
+  ckks::Decryptor dec(session.secret_key());
   ckks::CkksEncoder encoder(ctx);
 
   const auto msgs = random_batch(3, 16, 11);
@@ -202,7 +202,7 @@ TEST(Engine, EncryptPlaintextsPath) {
       params, std::make_shared<backend::ThreadPoolBackend>(2));
   ckks::KeyGenerator keygen(ctx);
   const ckks::SecretKey sk = keygen.secret_key();
-  ckks::Decryptor dec(ctx, sk);
+  ckks::Decryptor dec(sk);
   ckks::CkksEncoder encoder(ctx);
 
   const auto msgs = random_batch(3, ctx->slots(), 21);
@@ -276,8 +276,9 @@ TEST(Engine, EnginesSharingAContextNeverAliasStreamIds) {
   const ckks::RelinKey r1 = kg1.relin_key(sk);
   const ckks::RelinKey r2 = kg2.relin_key(sk);
   EXPECT_EQ(r1.key.base_stream_id, r2.key.base_stream_id);
-  EXPECT_EQ(ckks::serialize_key_switch_key(ctx, r1.key, 44, false),
-            ckks::serialize_key_switch_key(ctx, r2.key, 44, false))
+  // The writer proves both keys' a halves regenerate from that one id.
+  EXPECT_EQ(ckks::serialize_key_switch_key(ctx, r1.key, 44),
+            ckks::serialize_key_switch_key(ctx, r2.key, 44))
       << "one (secret, counter) tuple produced two different keys";
 }
 

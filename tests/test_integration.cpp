@@ -64,7 +64,7 @@ TEST_P(ClientSessionTest, EndToEndRoundtrip) {
   } else {
     enc = std::make_unique<ckks::Encryptor>(ctx, sk);
   }
-  ckks::Decryptor dec(ctx, sk);
+  ckks::Decryptor dec(sk);
 
   const auto msg = random_slots(encoder.slots(), 1000 + c.log_n);
   const ckks::Ciphertext ct = enc->encrypt(encoder.encode(msg, c.limbs));
@@ -286,7 +286,7 @@ TEST(Integration, RescaledCiphertextStaysDecryptable) {
   ckks::KeyGenerator keygen(ctx);
   const ckks::SecretKey sk = keygen.secret_key();
   ckks::Encryptor enc(ctx, keygen.public_key(sk));
-  ckks::Decryptor dec(ctx, sk);
+  ckks::Decryptor dec(sk);
   ckks::Evaluator eval(ctx);
 
   const auto msg = random_slots(encoder.slots(), 17);

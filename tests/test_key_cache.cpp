@@ -1,5 +1,5 @@
-// The key-cache battery: compressed-record round trips (seed-regenerated
-// and packed-fallback a halves), capacity validation, single-flight
+// The key-cache battery: compressed-record round trips (records built
+// from wire frames, a halves seed-regenerated), capacity validation, single-flight
 // regeneration under concurrent requests, LRU eviction-then-refetch
 // bit-identity, pinned-entry survival under capacity pressure, exact
 // round-robin hit/miss/eviction counts per capacity, server
@@ -129,33 +129,18 @@ TEST_F(KeyCacheTest, CompressedRecordRoundTripsBitIdentically) {
   const ckks::RelinKey rlk = gen.relin_key(sk);
 
   for (const ckks::KeySwitchKey* key : {&gk, &rlk.key}) {
-    const ckks::CompressedKeySwitchKey rec =
-        ckks::compress_key_switch_key(ctx, *key);
+    // The record is built from the key's wire frame, as registration
+    // builds it.
+    const ckks::CompressedKeySwitchKey rec = ckks::compress_key_switch_key(
+        ctx, ckks::serialize_key_switch_key(ctx, *key));
     // The last gadget digit is unreachable by hybrid key switching and is
-    // dropped; the a halves prove seed-regenerable and are dropped too.
+    // dropped; the a halves are never held.
     EXPECT_EQ(rec.stored_digits, ctx->max_limbs() - 1);
-    EXPECT_TRUE(rec.packed_a.empty());
     EXPECT_LT(rec.resident_bytes(), rec.expanded_bytes(ctx->n()) / 5);
     const ckks::KeySwitchKey back = ckks::expand_key_switch_key(ctx, rec);
     EXPECT_EQ(back.digits(), rec.stored_digits);
     EXPECT_TRUE(digits_equal(back, *key, rec.stored_digits));
   }
-}
-
-TEST_F(KeyCacheTest, ForeignUniformHalvesFallBackToPackedStorage) {
-  const auto ctx = ckks::CkksContext::create(small_params());
-  ckks::KeyGenerator gen(ctx);
-  const ckks::SecretKey sk = gen.secret_key();
-  ckks::KeySwitchKey gk = gen.galois_key(sk, 5);
-  // Tampered stream metadata: the a halves no longer regenerate from it,
-  // so compression must keep them packed rather than silently expanding
-  // to different key material later.
-  gk.base_stream_id += 12345;
-  const ckks::CompressedKeySwitchKey rec =
-      ckks::compress_key_switch_key(ctx, gk);
-  EXPECT_FALSE(rec.packed_a.empty());
-  const ckks::KeySwitchKey back = ckks::expand_key_switch_key(ctx, rec);
-  EXPECT_TRUE(digits_equal(back, gk, rec.stored_digits));
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "ckks/keyswitch.hpp"
 #include "ckks/noise.hpp"
 #include "ckks/serialize.hpp"
+#include "coeff_automorphism.hpp"
 #include "simd/simd_caps.hpp"
 
 namespace abc {
@@ -66,7 +67,7 @@ struct Fixture {
         keygen(ctx),
         sk(keygen.secret_key()),
         enc(ctx, keygen.public_key(sk)),
-        dec(ctx, sk),
+        dec(sk),
         eval(ctx) {}
 };
 
@@ -85,7 +86,7 @@ TEST(GaloisEvalTable, MatchesCoefficientAutomorphism) {
                         static_cast<u32>(2 * ctx->n() - 1)}) {
     poly::RnsPoly coeff_path = p;
     coeff_path.to_coeff();
-    coeff_path = coeff_path.automorphism(elt);
+    coeff_path = testing_ref::coeff_automorphism(coeff_path, elt);
     coeff_path.to_eval();
 
     ckks::build_galois_eval_table(10, elt, table);
@@ -352,16 +353,16 @@ TEST(KeySwitchEndToEnd, ClientKeysServeRemoteEvaluation) {
   ckks::KeyGenerator keygen(client);
   const ckks::SecretKey sk = keygen.secret_key();
   ckks::Encryptor enc(client, keygen.public_key(sk));
-  ckks::Decryptor dec(client, sk);
+  ckks::Decryptor dec(sk);
 
   // Client: keys + inputs, all seed-compressed on the wire.
   const std::vector<int> steps = {1, 3};
   const std::vector<u8> rlk_wire =
-      serialize_key_switch_key(client, keygen.relin_key(sk).key, 44, true);
+      serialize_key_switch_key(client, keygen.relin_key(sk).key, 44);
   const ckks::GaloisKeys gkeys = keygen.galois_keys(sk, steps);
   std::vector<std::vector<u8>> gk_wire;
   for (const ckks::KeySwitchKey& k : gkeys.keys) {
-    gk_wire.push_back(serialize_key_switch_key(client, k, 44, true));
+    gk_wire.push_back(serialize_key_switch_key(client, k, 44));
   }
   const std::size_t slots = encoder.slots();
   const auto za = random_slots(slots, 30);

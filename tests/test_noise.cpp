@@ -41,7 +41,7 @@ TEST_P(NoiseBoundTest, BoundHoldsAndIsNotVacuous) {
   } else {
     enc = std::make_unique<Encryptor>(ctx, sk);
   }
-  Decryptor dec(ctx, sk);
+  Decryptor dec(sk);
 
   std::mt19937_64 rng(c.log_n);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
@@ -97,7 +97,7 @@ TEST(Noise, KeySwitchBoundHoldsForRotatedCiphertexts) {
   KeyGenerator keygen(ctx);
   const SecretKey sk = keygen.secret_key();
   Encryptor enc(ctx, keygen.public_key(sk));
-  Decryptor dec(ctx, sk);
+  Decryptor dec(sk);
   Evaluator eval(ctx);
   const std::vector<int> steps = {5, -5};
   const GaloisKeys gks = keygen.galois_keys(sk, steps);
@@ -129,7 +129,7 @@ TEST(Noise, AdditionAddsNoiseLinearly) {
   KeyGenerator keygen(ctx);
   const SecretKey sk = keygen.secret_key();
   Encryptor enc(ctx, keygen.public_key(sk));
-  Decryptor dec(ctx, sk);
+  Decryptor dec(sk);
 
   std::vector<std::complex<double>> msg(encoder.slots(), {0.25, -0.5});
   Ciphertext acc = enc.encrypt(encoder.encode(msg, 3));

@@ -101,7 +101,7 @@ struct Fixture {
         encoder(ctx),
         keygen(ctx),
         sk(keygen.secret_key()),
-        dec(ctx, sk) {}
+        dec(sk) {}
 
   std::vector<std::complex<double>> message(u64 seed) {
     std::mt19937_64 rng(seed);

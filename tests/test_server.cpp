@@ -33,6 +33,7 @@
 #include "common/failpoint.hpp"
 #include "obs/metrics.hpp"
 #include "engine/client_session.hpp"
+#include "key_frame_forgery.hpp"
 #include "server/server.hpp"
 #include "server/transport.hpp"
 
@@ -641,6 +642,75 @@ TEST_F(ServerTest, EveryFailureModeAnswersItsTypedStatus) {
   // None of it took the server down.
   EXPECT_EQ(status_of(srv.call(make_request(tenant, 8, Op::kEcho, 0, upload))),
             Status::kOk);
+}
+
+TEST_F(ServerTest, BadKeyFramesRegisterNothing) {
+  // Registration builds the resident records straight from the key
+  // frames. A flag-0 (uncompressed), truncated or wrong-kind frame, or an
+  // out-of-range residue in any digit, fails registration whole: in
+  // process as InvalidArgument, over the wire as kBadRequest, and no
+  // tenant id is spent on it.
+  const ckks::CkksParams params = small_params();
+  Client client(params);
+  const ckks::KeyBundleFrames good = frames_of(client.session.key_bundle());
+  ServerConfig cfg;
+  cfg.param_sets = {params};
+  Server srv(cfg);
+  ASSERT_EQ(srv.register_tenant(params, good), 1u);
+
+  const std::size_t limbs = client.ctx->max_limbs();
+  const int bits = client.session.config().bits_per_coeff;
+  const std::size_t digit_bits =
+      limbs * client.ctx->n() * static_cast<std::size_t>(bits);
+  std::vector<std::pair<std::string, ckks::KeyBundleFrames>> bad;
+  const auto add = [&](std::string what, auto&& edit) {
+    ckks::KeyBundleFrames frames = good;
+    edit(frames);
+    bad.emplace_back(std::move(what), std::move(frames));
+  };
+  add("relin flag 0", [](ckks::KeyBundleFrames& b) {
+    b.relin_key[6] = 0;
+    testing_ref::reseal_key_header(b.relin_key);
+  });
+  add("galois flag 0", [](ckks::KeyBundleFrames& b) {
+    b.galois_keys[0][6] = 0;
+    testing_ref::reseal_key_header(b.galois_keys[0]);
+  });
+  add("relin truncated", [](ckks::KeyBundleFrames& b) {
+    b.relin_key.pop_back();
+  });
+  add("galois truncated", [](ckks::KeyBundleFrames& b) {
+    b.galois_keys[0].resize(b.galois_keys[0].size() / 2);
+  });
+  add("public key in the relin slot",
+      [](ckks::KeyBundleFrames& b) { b.relin_key = b.public_key; });
+  add("relin key in the galois slot",
+      [](ckks::KeyBundleFrames& b) { b.galois_keys[0] = b.relin_key; });
+  for (std::size_t d = 0; d < limbs; ++d) {
+    add("relin residue out of range in digit " + std::to_string(d),
+        [&](ckks::KeyBundleFrames& b) {
+          testing_ref::saturate_word(b.relin_key, 26 * 8 + (d + 1) * digit_bits,
+                                     bits);
+        });
+    add("galois residue out of range in digit " + std::to_string(d),
+        [&](ckks::KeyBundleFrames& b) {
+          testing_ref::saturate_word(b.galois_keys[0],
+                                     26 * 8 + d * digit_bits + bits, bits);
+        });
+  }
+
+  u64 request_id = 100;
+  for (const auto& [what, frames] : bad) {
+    SCOPED_TRACE(what);
+    EXPECT_THROW((void)srv.register_tenant(params, frames), InvalidArgument);
+    EXPECT_EQ(status_of(srv.call(make_request(0, ++request_id, Op::kRegister,
+                                              0,
+                                              ckks::serialize_key_bundle(frames)))),
+              Status::kBadRequest);
+  }
+  // Ids are never reused, so the next good registration shows that none
+  // of the bad ones took one.
+  EXPECT_EQ(srv.register_tenant(params, good), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ TEST(DecryptorBatch, MatchesSerialDecryptorBitForBit) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   RoundTrip rt = make_round_trip(
       params, std::make_shared<backend::ThreadPoolBackend>(4), 5);
-  ckks::Decryptor serial(rt.ctx, rt.session->secret_key());
+  ckks::Decryptor serial(rt.session->secret_key());
   const auto pts = rt.session->decrypt_engine().decrypt_batch(rt.cts);
   ASSERT_EQ(pts.size(), rt.cts.size());
   for (std::size_t i = 0; i < pts.size(); ++i) {

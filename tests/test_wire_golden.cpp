@@ -107,15 +107,12 @@ std::vector<Golden> small_digests() {
       {"public-key ciphertext", fnv1a(serialize_ciphertext(pk_ct))},
       {"ciphertext batch", fnv1a(serialize_ciphertext_batch(batch))},
       {"relin key, compressed", fnv1a(frames.relin_key)},
-      {"relin key, full",
-       fnv1a(serialize_key_switch_key(ctx, rlk.key, 44, false))},
       {"galois key, compressed", fnv1a(frames.galois_keys.front())},
-      {"galois key, full", fnv1a(serialize_key_switch_key(ctx, gk, 44, false))},
       {"public key, compressed", fnv1a(frames.public_key)},
-      {"public key, full", fnv1a(serialize_public_key(ctx, pk, 44, false))},
       {"key bundle", fnv1a(serialize_key_bundle(frames))},
       {"resident galois b halves",
-       fnv1a(compress_key_switch_key(ctx, gk).packed_b)},
+       fnv1a(compress_key_switch_key(ctx, frames.galois_keys.front())
+                 .packed_b)},
   };
 }
 
@@ -135,11 +132,8 @@ TEST(WireGolden, SmallParameterFormatsMatchOnEveryTier) {
       {"public-key ciphertext", 0x5fe4ec2be770727eull},
       {"ciphertext batch", 0x072d255c684f5aa4ull},
       {"relin key, compressed", 0xb6da238dcfc1c897ull},
-      {"relin key, full", 0xda26816c252e6e56ull},
       {"galois key, compressed", 0x8c9171441d694532ull},
-      {"galois key, full", 0xedd025589fdd4eaeull},
       {"public key, compressed", 0xb4bfe15b6ab46b81ull},
-      {"public key, full", 0xa881eb59ee36424full},
       {"key bundle", 0x6da804c1bd5cec9dull},
       {"resident galois b halves", 0xb01eaecf8a102fc5ull},
   };
@@ -234,7 +228,7 @@ std::vector<Golden> decrypt_digests(const CkksParams& params) {
   KeyGenerator kg(ctx);
   const SecretKey sk = kg.secret_key();
   Encryptor enc(ctx, sk);
-  Decryptor dec(ctx, sk);
+  Decryptor dec(sk);
   const Evaluator eval(ctx);
   std::vector<Golden> out;
   u64 counts = 0xcbf29ce484222325ull;

@@ -6,9 +6,10 @@ fails the build when it regresses:
 
  * the payload must parse as JSON with the expected top-level shape
    (counters, gauges, histograms, histogram_layout, traces);
- * every name in the metric catalog (src/obs/metrics.hpp) must be
-   present in its section — a subsystem that silently stops exporting
-   fails here, not in a dashboard weeks later;
+ * every name in the metric catalog (obs::catalog::kAll, read from
+   src/obs/metrics.hpp itself) must be present in its kind's section — a
+   subsystem that silently stops exporting fails here, not in a dashboard
+   weeks later;
  * the histogram layout must match the compiled-in log2 boundaries;
  * the admission/latency path must have left real data:
    server.accepted > 0 and populated queue-wait and end-to-end
@@ -18,43 +19,37 @@ Usage: python3 tools/check_stats_scrape.py STATS_server.json
 """
 
 import json
+import re
 import sys
+from pathlib import Path
 
-# Mirror of obs::catalog::kAll — keep in sync with src/obs/metrics.hpp.
-COUNTERS = [
-    "server.accepted",
-    "server.rejected_too_large",
-    "server.rejected_queue_full",
-    "server.rejected_shutting_down",
-    "server.processed",
-    "server.drained",
-    "server.slow_requests",
-    "session.context_cache_hits",
-    "session.context_cache_misses",
-    "engine.items_processed",
-    "engine.items_failed",
-    "keyswitch.decompositions",
-    "keyswitch.accumulations",
-    "transport.bytes_in",
-    "transport.bytes_out",
-    "transport.frame_errors",
-    "keycache.hits",
-    "keycache.misses",
-    "keycache.evictions",
-    "failpoint.hits",
-    "failpoint.fires",
-]
-GAUGES = [
-    "server.queue_depth",
-    "session.resident_tenants",
-    "keycache.resident_bytes",
-]
-HISTOGRAMS = [
-    "server.queue_wait_ns",
-    "server.request_ns",
-    "engine.item_ns",
-    "keycache.regen_ns",
-]
+CATALOG_HEADER = Path(__file__).resolve().parent.parent / "src/obs/metrics.hpp"
+
+# `inline constexpr const char* kName = "metric.name";`, possibly wrapped.
+_NAME_RE = re.compile(
+    r'inline\s+constexpr\s+const\s+char\*\s+(k\w+)\s*=\s*"([^"]+)"\s*;')
+# `{kName, Kind::kCounter},` inside kAll.
+_ENTRY_RE = re.compile(r"\{\s*(k\w+)\s*,\s*Kind::k(Counter|Gauge|Histogram)\s*\}")
+
+
+def load_catalog(header=CATALOG_HEADER):
+    """Returns obs::catalog::kAll as a list of (name, kind) pairs in order,
+    kind one of "counter", "gauge", "histogram", read from the header."""
+    text = Path(header).read_text(encoding="utf-8")
+    names = dict(_NAME_RE.findall(text))
+    start = text.find("kAll[] = {")
+    if start < 0:
+        raise ValueError(f"no catalog::kAll in {header}")
+    body = text[start:text.index("};", start)]
+    entries = []
+    for const, kind in _ENTRY_RE.findall(body):
+        if const not in names:
+            raise ValueError(f"kAll entry {const} has no name constant")
+        entries.append((names[const], kind.lower()))
+    if not entries:
+        raise ValueError(f"catalog::kAll in {header} has no entries")
+    return entries
+
 
 HIST_BUCKETS = 48
 
@@ -92,13 +87,13 @@ def main(argv):
         if key not in traces:
             fail(f"traces.{key} missing")
 
-    for name in COUNTERS:
-        if name not in doc["counters"]:
+    catalog = load_catalog()
+    for name, kind in catalog:
+        if kind == "counter" and name not in doc["counters"]:
             fail(f"catalog counter {name!r} missing from scrape")
-    for name in GAUGES:
-        if name not in doc["gauges"]:
+        if kind == "gauge" and name not in doc["gauges"]:
             fail(f"catalog gauge {name!r} missing from scrape")
-    for name in HISTOGRAMS:
+    for name in (name for name, kind in catalog if kind == "histogram"):
         hist = doc["histograms"].get(name)
         if hist is None:
             fail(f"catalog histogram {name!r} missing from scrape")
