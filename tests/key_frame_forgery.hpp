@@ -30,7 +30,9 @@ inline void reseal_key_header(std::vector<u8>& b) {
     h *= 0x100000001b3ull;
   }
   const u64 sum = static_cast<u32>(h ^ (h >> 32));
-  for (std::size_t i = 0; i < 4; ++i) b[22 + i] = static_cast<u8>(sum >> (8 * i));
+  for (std::size_t i = 0; i < 4; ++i) {
+    b[22 + i] = static_cast<u8>(sum >> (8 * i));
+  }
 }
 
 /// Sets the @p bits-wide word ending @p end_bits bits into @p bytes to all

@@ -357,8 +357,8 @@ TEST(CorruptionSweep, OutOfRangeFinalResidueIsRejectedAtEveryWidth) {
     // readers check both.
     const std::vector<u8> ksk = serialize_key_switch_key(f.ctx, rlk.key, bits);
     const std::size_t limbs = f.ctx->max_limbs();
-    const std::size_t kept_end =
-        26 * 8 + (limbs - 1) * limbs * f.ctx->n() * static_cast<std::size_t>(bits);
+    const std::size_t kept_end = 26 * 8 + (limbs - 1) * limbs * f.ctx->n() *
+                                              static_cast<std::size_t>(bits);
     for (const std::size_t end : {ksk.size() * 8, kept_end}) {
       SCOPED_TRACE(end);
       bad = ksk;

@@ -1,8 +1,8 @@
 // The key-cache battery: compressed-record round trips (records built
-// from wire frames, a halves seed-regenerated), capacity validation, single-flight
-// regeneration under concurrent requests, LRU eviction-then-refetch
-// bit-identity, pinned-entry survival under capacity pressure, exact
-// round-robin hit/miss/eviction counts per capacity, server
+// from wire frames, a halves seed-regenerated), capacity validation,
+// single-flight regeneration under concurrent requests, LRU
+// eviction-then-refetch bit-identity, pinned-entry survival under capacity
+// pressure, exact round-robin hit/miss/eviction counts per capacity, server
 // responses bit-identical to serial at thrash-level capacity on every
 // worker count, the server.key_regen fault drill (typed error, never a
 // poisoned cache entry), and 64 served rotations through a one-key cache.

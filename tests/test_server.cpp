@@ -703,10 +703,9 @@ TEST_F(ServerTest, BadKeyFramesRegisterNothing) {
   for (const auto& [what, frames] : bad) {
     SCOPED_TRACE(what);
     EXPECT_THROW((void)srv.register_tenant(params, frames), InvalidArgument);
-    EXPECT_EQ(status_of(srv.call(make_request(0, ++request_id, Op::kRegister,
-                                              0,
-                                              ckks::serialize_key_bundle(frames)))),
-              Status::kBadRequest);
+    const ckks::RequestFrame req = make_request(
+        0, ++request_id, Op::kRegister, 0, ckks::serialize_key_bundle(frames));
+    EXPECT_EQ(status_of(srv.call(req)), Status::kBadRequest);
   }
   // Ids are never reused, so the next good registration shows that none
   // of the bad ones took one.

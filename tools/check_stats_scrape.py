@@ -29,7 +29,8 @@ CATALOG_HEADER = Path(__file__).resolve().parent.parent / "src/obs/metrics.hpp"
 _NAME_RE = re.compile(
     r'inline\s+constexpr\s+const\s+char\*\s+(k\w+)\s*=\s*"([^"]+)"\s*;')
 # `{kName, Kind::kCounter},` inside kAll.
-_ENTRY_RE = re.compile(r"\{\s*(k\w+)\s*,\s*Kind::k(Counter|Gauge|Histogram)\s*\}")
+_ENTRY_RE = re.compile(
+    r"\{\s*(k\w+)\s*,\s*Kind::k(Counter|Gauge|Histogram)\s*\}")
 
 
 def load_catalog(header=CATALOG_HEADER):
